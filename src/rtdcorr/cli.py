@@ -134,10 +134,7 @@ def cmd_evaluate(args) -> int:
     print(f"city accuracy:   {fmt(report.city_accuracy)}")
     if args.report:
         geoloc.write_error_report_csv(
-            report,
-            args.report,
-            target_ids=[o.target_id for o in outcomes],
-            statuses=[o.status for o in outcomes],
+            report, args.report, target_ids=[o.target_id for o in outcomes]
         )
         print(f"wrote {args.report}")
     if args.cdf:

@@ -3,7 +3,9 @@
 Distances are returned in kilometers.  The primary routine is the Vincenty
 inverse solution; near-antipodal pairs where the iteration does not converge
 fall back to a great-circle (haversine) distance on the mean Earth radius,
-and the fallback is flagged on the result.
+and the fallback is flagged on the result.  The great-circle distance also
+brackets the Vincenty distance (``vincenty_bracket``), which lets callers
+decide most distance thresholds without running the iteration.
 """
 
 from __future__ import annotations
@@ -23,6 +25,24 @@ WGS84_B_M = WGS84_A_M * (1.0 - WGS84_F)
 
 # mean Earth radius used by the great-circle fallback and the test oracle
 MEAN_EARTH_RADIUS_KM = 6371.0088
+
+# nominal length of a degree of latitude, for grid spacing and host scatter
+KM_PER_DEG_LAT = 111.32
+
+# Placing the sphere of MEAN_EARTH_RADIUS_KM onto the ellipsoid at the same
+# geodetic latitude/longitude stretches a north-south step by M/R and an
+# east-west step by N/R, where the meridional radius of curvature M runs from
+# b^2/a (equator) to a^2/b (poles) and the prime-vertical radius N from a to
+# a^2/b.  Every curve, the shortest paths included, therefore changes length
+# by a factor within [b^2/a, a^2/b] / R in either direction of the map, so the
+# Vincenty distance d of a pair with great-circle distance h obeys
+# SPHERE_TO_WGS84_LO * h <= d <= SPHERE_TO_WGS84_HI * h.
+SPHERE_TO_WGS84_LO = WGS84_B_M ** 2 / WGS84_A_M / 1000.0 / MEAN_EARTH_RADIUS_KM
+SPHERE_TO_WGS84_HI = WGS84_A_M ** 2 / WGS84_B_M / 1000.0 / MEAN_EARTH_RADIUS_KM
+# rounding margin of the bracket: Vincenty's series truncation (< 1 mm) and the
+# haversine's loss of precision near antipodes (< 0.1 m) stay well inside it
+_BRACKET_ABS_KM = 1e-3
+_BRACKET_REL = 1e-9
 
 VINCENTY_MAX_ITER = 200
 VINCENTY_TOL_RAD = 1e-12
@@ -57,6 +77,30 @@ def haversine_km(a: Coordinate, b: Coordinate, radius_km: float = MEAN_EARTH_RAD
         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
     )
     return 2.0 * radius_km * math.asin(min(1.0, math.sqrt(s)))
+
+
+def great_circle_km_many(
+    phi1: np.ndarray,
+    phi2: np.ndarray,
+    dlam: np.ndarray,
+    cos_phi1: np.ndarray,
+    cos_phi2: np.ndarray,
+) -> np.ndarray:
+    """Vectorized haversine distance (km) on MEAN_EARTH_RADIUS_KM.
+
+    Latitudes and the longitude difference are in radians; the cosines of the
+    latitudes are passed in so callers can reuse them across calls.
+    """
+    s = np.sin((phi2 - phi1) / 2.0) ** 2 + cos_phi1 * cos_phi2 * np.sin(dlam / 2.0) ** 2
+    return 2.0 * MEAN_EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def vincenty_bracket(h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on the Vincenty distance of a pair whose great-circle
+    distance (``great_circle_km_many``) is h_km; rounding is included."""
+    lo = SPHERE_TO_WGS84_LO * (1.0 - _BRACKET_REL) * h_km - _BRACKET_ABS_KM
+    hi = SPHERE_TO_WGS84_HI * (1.0 + _BRACKET_REL) * h_km + _BRACKET_ABS_KM
+    return lo, hi
 
 
 def _vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
@@ -221,10 +265,6 @@ def geodesic_distance_many(
     km = np.where(same, 0.0, km)
 
     if active.any():  # never converged: great-circle fallback
-        s = (
-            np.sin((phi2 - phi1) / 2.0) ** 2
-            + np.cos(phi1) * np.cos(phi2) * np.sin(ell / 2.0) ** 2
-        )
-        gc = 2.0 * MEAN_EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+        gc = great_circle_km_many(phi1, phi2, ell, np.cos(phi1), np.cos(phi2))
         km = np.where(active, gc, km)
     return km

@@ -15,9 +15,14 @@ import numpy as np
 from .corr_model import STRONG_CORR_THRESHOLD, ProbeCorrReport
 from .dataset import HostRecord
 from .errors import BestlineError, NotFoundError, ValidationError
-from .geodesy import Coordinate, geodesic_distance, geodesic_distance_many
-
-KM_PER_DEG_LAT = 111.32
+from .geodesy import (
+    KM_PER_DEG_LAT,
+    Coordinate,
+    geodesic_distance,
+    geodesic_distance_many,
+    great_circle_km_many,
+    vincenty_bracket,
+)
 
 SCOPE_INTRA = "intra"
 SCOPE_INTER = "inter"
@@ -170,6 +175,59 @@ class GeolocationResult:
         return self.status == "located"
 
 
+def _wrap_lon(lon):
+    """Longitudes (degrees) into [-180, 180]; in-range values pass unchanged."""
+    return np.where((lon < -180.0) | (lon > 180.0), (lon + 180.0) % 360.0 - 180.0, lon)
+
+
+def cbg_grid(
+    circles: Sequence[tuple[Coordinate, float]],
+    grid_km: float,
+    max_cells_per_axis: int,
+    slack_km: float,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Grid points (lats, lons) covering the intersection of the circles'
+    bounding boxes, or None when the boxes do not intersect.
+
+    Longitudes are unwrapped around the first circle's centre, so boxes that
+    straddle the antimeridian intersect; the returned longitudes stay in that
+    frame and may leave [-180, 180].
+    """
+    lon0 = circles[0][0].lon
+    lat_lo, lat_hi = -90.0, 90.0
+    lon_lo, lon_hi = -math.inf, math.inf
+    for center, r in circles:
+        lon = center.lon
+        if lon - lon0 > 180.0:
+            lon -= 360.0
+        elif lon - lon0 < -180.0:
+            lon += 360.0
+        reach = r + slack_km
+        dlat = reach / KM_PER_DEG_LAT
+        coslat = max(0.01, math.cos(math.radians(center.lat)))
+        dlon = reach / (KM_PER_DEG_LAT * coslat)
+        lat_lo = max(lat_lo, center.lat - dlat)
+        lat_hi = min(lat_hi, center.lat + dlat)
+        lon_lo = max(lon_lo, lon - dlon)
+        lon_hi = min(lon_hi, lon + dlon)
+    if lat_lo > lat_hi or lon_lo > lon_hi:
+        return None
+
+    mid_lat = (lat_lo + lat_hi) / 2.0
+    km_per_deg_lon = KM_PER_DEG_LAT * max(0.01, math.cos(math.radians(mid_lat)))
+    span_km = max(
+        (lat_hi - lat_lo) * KM_PER_DEG_LAT, (lon_hi - lon_lo) * km_per_deg_lon, grid_km
+    )
+    eff_km = max(grid_km, span_km / max_cells_per_axis)
+    lat_step = eff_km / KM_PER_DEG_LAT
+    lon_step = eff_km / km_per_deg_lon
+    lats = np.arange(lat_lo, lat_hi + lat_step / 2.0, lat_step)
+    lats = lats[lats <= 90.0]  # the last row may overshoot a pole
+    lons = np.arange(lon_lo, lon_hi + lon_step / 2.0, lon_step)
+    glats, glons = np.meshgrid(lats, lons, indexing="ij")
+    return glats.ravel(), glons.ravel()
+
+
 def cbg_locate(
     circles: Sequence[tuple[Coordinate, float]],
     grid_km: float = 10.0,
@@ -183,6 +241,11 @@ def cbg_locate(
     containment slack of half the cell diagonal absorbs discretization, so an
     exact (measure-zero) intersection still registers.  Very large boxes are
     sampled at a coarsened resolution capped at max_cells_per_axis cells.
+
+    A grid point survives a circle when its Vincenty distance to the centre is
+    within radius + slack.  The great-circle distance brackets the Vincenty
+    one (``vincenty_bracket``), so it decides every point outside a thin band
+    at the circle's edge; only the band runs the Vincenty kernel.
     """
     if not circles:
         return GeolocationResult("failed", reason="no probes")
@@ -192,47 +255,40 @@ def cbg_locate(
     if slack_km is None:
         slack_km = grid_km / math.sqrt(2.0)
 
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -math.inf, math.inf
-    for center, r in circles:
-        reach = r + slack_km
-        dlat = reach / KM_PER_DEG_LAT
-        coslat = max(0.01, math.cos(math.radians(center.lat)))
-        dlon = reach / (KM_PER_DEG_LAT * coslat)
-        lat_lo = max(lat_lo, center.lat - dlat)
-        lat_hi = min(lat_hi, center.lat + dlat)
-        lon_lo = max(lon_lo, center.lon - dlon)
-        lon_hi = min(lon_hi, center.lon + dlon)
-    if lat_lo > lat_hi or lon_lo > lon_hi:
+    grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
+    if grid is None:
         return GeolocationResult("failed", reason="empty intersection")
-
-    mid_lat = (lat_lo + lat_hi) / 2.0
-    km_per_deg_lon = KM_PER_DEG_LAT * max(0.01, math.cos(math.radians(mid_lat)))
-    span_km = max(
-        (lat_hi - lat_lo) * KM_PER_DEG_LAT, (lon_hi - lon_lo) * km_per_deg_lon, grid_km
-    )
-    eff_km = max(grid_km, span_km / max_cells_per_axis)
-    lat_step = eff_km / KM_PER_DEG_LAT
-    lon_step = eff_km / km_per_deg_lon
-    lats = np.arange(lat_lo, lat_hi + lat_step / 2.0, lat_step)
-    lons = np.arange(lon_lo, lon_hi + lon_step / 2.0, lon_step)
-    glats, glons = np.meshgrid(lats, lons, indexing="ij")
-    glats = glats.ravel()
-    glons = glons.ravel()
+    glats, glons = grid
+    phi = np.radians(glats)
+    lam = np.radians(_wrap_lon(glons))
+    cos_phi = np.cos(phi)
 
     # tightest circles first so the survivor set shrinks quickly
     for center, r in sorted(circles, key=lambda c: c[1]):
         if glats.size == 0:
             break
-        d = geodesic_distance_many(glats, glons, center.lat, center.lon)
-        keep = d <= r + slack_km
-        glats, glons = glats[keep], glons[keep]
+        limit = r + slack_km
+        c_phi = math.radians(center.lat)
+        h = great_circle_km_many(
+            phi, c_phi, lam - math.radians(center.lon), cos_phi, math.cos(c_phi)
+        )
+        lo, hi = vincenty_bracket(h)
+        keep = hi <= limit
+        band = np.flatnonzero((lo <= limit) & ~keep)
+        if band.size:
+            d = geodesic_distance_many(
+                glats[band], _wrap_lon(glons[band]), center.lat, center.lon
+            )
+            keep[band] = d <= limit
+        glats, glons, phi, lam, cos_phi = (
+            a[keep] for a in (glats, glons, phi, lam, cos_phi)
+        )
     if glats.size == 0:
         return GeolocationResult("failed", reason="empty intersection")
 
-    centroid = Coordinate(float(glats.mean()), float(glons.mean()))
+    centroid = Coordinate(float(glats.mean()), float(_wrap_lon(glons.mean())))
     return GeolocationResult(
-        "located", coordinate=centroid, region_lats=glats, region_lons=glons
+        "located", coordinate=centroid, region_lats=glats, region_lons=_wrap_lon(glons)
     )
 
 
@@ -292,13 +348,14 @@ def geoget_locate(
         d = probe(lm.id)
         if best is None or (d, lm.id) < (best[0], best[1]):
             best = (d, lm.id, lm.city)
-    assert best is not None  # chosen areas always hold at least one landmark
+    if best is None:  # chosen areas come from the pool, so this means a broken invariant
+        raise NotFoundError("no eligible landmark in the chosen areas")
     return best[2]
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    errors_km: tuple[float, ...]  # located targets, input order
+    errors_km: tuple[Optional[float], ...]  # one per input target, None if it failed
     median_km: Optional[float]
     mean_km: Optional[float]
     cdf: tuple[tuple[float, float], ...]  # (error_km, cumulative fraction of all targets)
@@ -322,8 +379,9 @@ def evaluate_results(
 ) -> ErrorReport:
     """Geodesic error distances against ground truth plus summary statistics.
 
-    Failed results are counted separately and excluded from the error list;
-    the CDF fraction is over all targets, so it ends at located/total.
+    Failed results (and located ones without a coordinate) get no error and
+    are counted separately; the CDF fraction is over all targets, so it ends
+    at located/total.
     """
     if len(results) != len(truth):
         raise ValidationError(
@@ -338,16 +396,14 @@ def evaluate_results(
             n_city_given += 1
             if res.located and res.city is not None and res.city == true_city:
                 n_city_correct += 1
-        if not res.located:
+        if not res.located or res.coordinate is None:
             n_failed += 1
-            continue
-        if res.coordinate is None:
-            n_failed += 1
-            continue
-        errors.append(geodesic_distance(res.coordinate, true_coord))
+            errors.append(None)
+        else:
+            errors.append(geodesic_distance(res.coordinate, true_coord))
 
     n_total = len(results)
-    srt = sorted(errors)
+    srt = sorted(e for e in errors if e is not None)
     cdf = tuple((e, (i + 1) / n_total) for i, e in enumerate(srt))
     return ErrorReport(
         errors_km=tuple(errors),
@@ -356,7 +412,7 @@ def evaluate_results(
         cdf=cdf,
         city_accuracy=(n_city_correct / n_city_given) if n_city_given else None,
         n_total=n_total,
-        n_located=len(errors),
+        n_located=len(srt),
         n_failed=n_failed,
     )
 
@@ -371,24 +427,16 @@ def write_cdf_csv(report: ErrorReport, path) -> None:
 
 
 def write_error_report_csv(
-    report: ErrorReport,
-    path,
-    target_ids: Optional[Sequence[str]] = None,
-    statuses: Optional[Sequence[str]] = None,
+    report: ErrorReport, path, target_ids: Optional[Sequence[str]] = None
 ) -> None:
-    """Per-target rows followed by a SUMMARY block."""
+    """Per-target rows (empty error_km where the target failed) followed by a
+    SUMMARY block."""
+    ids = list(target_ids) if target_ids is not None else [str(i) for i in range(report.n_total)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row", "target_id", "error_km"])
-        it = iter(report.errors_km)
-        n = report.n_total
-        ids = list(target_ids) if target_ids is not None else [str(i) for i in range(n)]
-        sts = list(statuses) if statuses is not None else ["located"] * n
-        for tid, st in zip(ids, sts):
-            if st == "located":
-                w.writerow(["target", tid, f"{next(it):.6f}"])
-            else:
-                w.writerow(["target", tid, ""])
+        for tid, err in zip(ids, report.errors_km, strict=True):
+            w.writerow(["target", tid, "" if err is None else f"{err:.6f}"])
         w.writerow(["summary", "n_total", report.n_total])
         w.writerow(["summary", "n_located", report.n_located])
         w.writerow(["summary", "n_failed", report.n_failed])

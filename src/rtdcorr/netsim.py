@@ -24,9 +24,7 @@ import yaml
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
 from .dataset import HostRecord, Registry, ROLE_LANDMARK, ROLE_PROBE, RttObservation, validate_registry
 from .errors import NotFoundError, ValidationError
-from .geodesy import Coordinate, geodesic_distance
-
-KM_PER_DEG_LAT = 111.32
+from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6

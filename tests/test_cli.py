@@ -1,8 +1,11 @@
+import csv
 import textwrap
 
 import pytest
 
+from rtdcorr import dataset
 from rtdcorr.cli import main
+from rtdcorr.geodesy import Coordinate, geodesic_distance
 
 
 def run(capsys, *argv):
@@ -139,6 +142,28 @@ def test_geolocate_and_evaluate(capsys, tmp_path, mini_config_path):
     n_located = stdout.splitlines()[1].split("located:")[1].split()[0]
     assert len(lines) - 1 == int(n_located)
     assert "summary,n_total,3" in report.read_text()
+
+
+def test_evaluate_report_row_without_coordinate(capsys, sim_dir, tmp_path):
+    # a "located" row with no coordinate counts as failed; its report cell
+    # stays empty and the other rows keep their own errors
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        "l1,located,,30.1,100.1,\n"
+        "l2,located,,,,\n"
+        "l3,located,,33.0,105.5,\n"
+    )
+    report = tmp_path / "report.csv"
+    code, stdout, _ = run(capsys, "evaluate", "--results", str(results),
+                          "--truth", str(sim_dir / "hosts.csv"), "--report", str(report))
+    assert code == 0
+    assert "located: 2  failed: 1" in stdout
+    registry = dataset.read_hosts_csv(sim_dir / "hosts.csv")
+    rows = {r[1]: r[2] for r in csv.reader(report.read_text().splitlines()) if r[0] == "target"}
+    assert rows["l2"] == ""
+    for tid, pred in (("l1", Coordinate(30.1, 100.1)), ("l3", Coordinate(33.0, 105.5))):
+        assert rows[tid] == f"{geodesic_distance(pred, registry[tid].coordinate):.6f}"
 
 
 def test_evaluate_bad_spec_exits_1(capsys, tmp_path):

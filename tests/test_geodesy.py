@@ -11,7 +11,9 @@ from rtdcorr.geodesy import (
     geodesic_distance,
     geodesic_distance_full,
     geodesic_distance_many,
+    great_circle_km_many,
     haversine_km,
+    vincenty_bracket,
 )
 
 # WGS-84 equatorial circumference / 360
@@ -114,3 +116,68 @@ def test_vectorized_matches_scalar():
 def test_never_non_finite(a, b):
     res = geodesic_distance_full(a, b)
     assert math.isfinite(res.km) and res.km >= 0.0
+
+
+def test_bracket_constants():
+    # b^2/a and a^2/b over the mean radius: the extreme radii of curvature
+    lo, hi = vincenty_bracket(np.array([1000.0]))
+    assert lo[0] == pytest.approx(994.42, abs=0.01)
+    assert hi[0] == pytest.approx(1004.49, abs=0.01)
+
+
+any_coords = st.builds(
+    Coordinate,
+    st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -89.9999, 0.0, 89.9999, 90.0])),
+    st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, -179.9999, 0.0, 179.9999, 180.0])),
+)
+
+
+@st.composite
+def bracket_pairs(draw):
+    a = draw(any_coords)
+    kind = draw(st.sampled_from(["any", "coincident", "near", "antipodal"]))
+    if kind == "any":
+        return a, draw(any_coords)
+    if kind == "coincident":
+        return a, a
+    tiny = st.floats(-1e-3, 1e-3)
+    if kind == "near":
+        lat, lon = a.lat + draw(tiny), a.lon + draw(tiny)
+    else:  # near-antipodes, where Vincenty may fall back to the great circle
+        lat, lon = -a.lat + draw(tiny), a.lon + 180.0 + draw(tiny)
+    lat = min(90.0, max(-90.0, lat))
+    lon = (lon + 180.0) % 360.0 - 180.0 if abs(lon) > 180.0 else lon
+    return a, Coordinate(lat, lon)
+
+
+@settings(max_examples=300)
+@given(st.lists(bracket_pairs(), min_size=1, max_size=20))
+def test_great_circle_brackets_vincenty(pairs):
+    lat1, lon1, lat2, lon2 = (
+        np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])
+    )
+    d = geodesic_distance_many(lat1, lon1, lat2, lon2)
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    h = great_circle_km_many(
+        phi1, phi2, np.radians(lon1) - np.radians(lon2), np.cos(phi1), np.cos(phi2)
+    )
+    lo, hi = vincenty_bracket(h)
+    assert np.all(lo <= d) and np.all(d <= hi)
+
+
+def test_great_circle_brackets_extreme_arcs():
+    # the bracket is tight: short meridional arcs at the equator scale by
+    # b^2/a, short arcs at the poles by a^2/b; the last pair takes the
+    # great-circle fallback
+    lat1 = np.array([0.0, 89.999, -89.999, 0.0, 0.0])
+    lon1 = np.array([10.0, 0.0, 0.0, 0.0, 0.0])
+    lat2 = np.array([0.01, 89.999, -89.999, 0.0, 0.5])
+    lon2 = np.array([10.0, 90.0, -90.0, 180.0, 179.7])
+    d = geodesic_distance_many(lat1, lon1, lat2, lon2)
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    h = great_circle_km_many(
+        phi1, phi2, np.radians(lon1) - np.radians(lon2), np.cos(phi1), np.cos(phi2)
+    )
+    lo, hi = vincenty_bracket(h)
+    assert np.all(lo <= d) and np.all(d <= hi)
+    assert d[0] - lo[0] < 2e-3 and hi[1] - d[1] < 2e-3
