@@ -133,12 +133,6 @@ def classify_corr(c: CorrValue, threshold: float = STRONG_CORR_THRESHOLD) -> Cor
     return CorrStrength.STRONG
 
 
-def _rt_d_moments(factors: Sequence[PathFactors]):
-    rt = np.array([f.r * f.t for f in factors], dtype=float)
-    d = np.array([f.d_km for f in factors], dtype=float)
-    return rt, d
-
-
 def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     """Model correlation from (R, T, D) factors via population sample moments.
 
@@ -148,7 +142,8 @@ def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     """
     if len(factors) < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
-    rt, d = _rt_d_moments(factors)
+    rt = np.array([f.r * f.t for f in factors], dtype=float)
+    d = np.array([f.d_km for f in factors], dtype=float)
     e_rt = float(rt.mean())
     e_rt2 = float((rt * rt).mean())
     e_d = float(d.mean())
@@ -158,24 +153,6 @@ def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     if den <= 0.0:
         return None
     return math.sqrt(max(0.0, num / den))
-
-
-def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]) -> CorrValue:
-    """Equivalent covariance-over-stddevs form; retained as an identity check.
-
-    E(RT)*V(D) / (sqrt(V(RT)*E(D^2) + E^2(RT)*V(D)) * sqrt(V(D))).
-    """
-    if len(factors) < 2:
-        raise ValidationError("rtd_model_corr: need at least 2 factor sets")
-    rt, d = _rt_d_moments(factors)
-    v_rt = float(rt.var())
-    e_rt = float(rt.mean())
-    v_d = float(d.var())
-    e_d2 = float((d * d).mean())
-    den = math.sqrt(max(0.0, v_rt * e_d2 + e_rt ** 2 * v_d)) * math.sqrt(max(0.0, v_d))
-    if den <= 0.0:
-        return None if v_rt == 0.0 and v_d == 0.0 else 0.0
-    return e_rt * v_d / den
 
 
 @dataclass(frozen=True)

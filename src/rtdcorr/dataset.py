@@ -9,13 +9,15 @@ samples.csv  probe_id,landmark_id,min_rtt_ms,distance_km,probe_isp,landmark_isp,
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corr_model import DelayDistanceSample
 from .errors import NotFoundError, ValidationError
-from .geodesy import Coordinate, geodesic_distance
+# geodesic_distance is unused here but stays bound: benchmark/tracing.py wraps it
+from .geodesy import Coordinate, geodesic_distance, geodesic_distance_many  # noqa: F401
 
 ROLE_PROBE = "probe"
 ROLE_LANDMARK = "landmark"
@@ -111,21 +113,32 @@ def join_distances(
 ) -> list[DelayDistanceSample]:
     """Attach geodesic distances and ISP/city tags to aggregated min-RTTs."""
     samples = []
-    for (probe_id, landmark_id), rtt in sorted(min_rtts.items()):
+    by_probe = itertools.groupby(sorted(min_rtts.items()), key=lambda item: item[0][0])
+    for probe_id, items in by_probe:
         probe = registry[probe_id]
-        landmark = registry[landmark_id]
-        samples.append(
-            DelayDistanceSample(
-                probe_id=probe_id,
-                landmark_id=landmark_id,
-                delay_ms=rtt,
-                distance_km=geodesic_distance(probe.coordinate, landmark.coordinate),
-                probe_isp=probe.isp,
-                landmark_isp=landmark.isp,
-                probe_city=probe.city,
-                landmark_city=landmark.city,
-            )
+        items = list(items)
+        landmarks = [registry[landmark_id] for (_, landmark_id), _ in items]
+        distances = geodesic_distance_many(
+            probe.coordinate.lat,
+            probe.coordinate.lon,
+            [lm.coordinate.lat for lm in landmarks],
+            [lm.coordinate.lon for lm in landmarks],
         )
+        for ((_, landmark_id), rtt), landmark, distance_km in zip(
+            items, landmarks, distances.tolist()
+        ):
+            samples.append(
+                DelayDistanceSample(
+                    probe_id=probe_id,
+                    landmark_id=landmark_id,
+                    delay_ms=rtt,
+                    distance_km=distance_km,
+                    probe_isp=probe.isp,
+                    landmark_isp=landmark.isp,
+                    probe_city=probe.city,
+                    landmark_city=landmark.city,
+                )
+            )
     return samples
 
 
@@ -133,27 +146,38 @@ def _parse_bool(s: str) -> bool:
     return s.strip().lower() in ("1", "true", "yes")
 
 
-def read_hosts_csv(path) -> Registry:
-    records = []
+def parse_csv(path, required: set[str], parse: Callable[[dict], object]) -> list:
+    """parse(row) for every row of a CSV file whose header has the required
+    columns.  A row with missing or extra fields, or one that parse rejects
+    with a ValueError, raises ValidationError naming its line."""
+    parsed = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"id", "role", "city", "isp", "lat", "lon", "is_regional_center"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(f"{path}: expected header columns {sorted(required)}")
         for i, row in enumerate(reader, start=2):
             try:
-                records.append(
-                    HostRecord(
-                        id=row["id"],
-                        coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
-                        city=row["city"],
-                        isp=row["isp"],
-                        role=row["role"],
-                        is_regional_center=_parse_bool(row["is_regional_center"]),
-                    )
-                )
-            except (ValueError, ValidationError) as exc:
+                if None in row or None in row.values():
+                    raise ValidationError(f"expected {len(reader.fieldnames)} fields")
+                parsed.append(parse(row))
+            except ValueError as exc:  # ValidationError included
                 raise ValidationError(f"{path}:{i}: {exc}") from exc
+    return parsed
+
+
+def read_hosts_csv(path) -> Registry:
+    records = parse_csv(
+        path,
+        {"id", "role", "city", "isp", "lat", "lon", "is_regional_center"},
+        lambda row: HostRecord(
+            id=row["id"],
+            coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
+            city=row["city"],
+            isp=row["isp"],
+            role=row["role"],
+            is_regional_center=_parse_bool(row["is_regional_center"]),
+        ),
+    )
     return validate_registry(records)
 
 
@@ -176,25 +200,16 @@ def write_hosts_csv(registry: Registry, path) -> None:
 
 
 def read_rtt_csv(path) -> list[RttObservation]:
-    observations = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"probe_id", "landmark_id", "timestamp_iso8601", "rtt_ms"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"{path}: expected header columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                observations.append(
-                    RttObservation(
-                        probe_id=row["probe_id"],
-                        landmark_id=row["landmark_id"],
-                        timestamp=row["timestamp_iso8601"],
-                        rtt_ms=float(row["rtt_ms"]),
-                    )
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{i}: {exc}") from exc
-    return observations
+    return parse_csv(
+        path,
+        {"probe_id", "landmark_id", "timestamp_iso8601", "rtt_ms"},
+        lambda row: RttObservation(
+            probe_id=row["probe_id"],
+            landmark_id=row["landmark_id"],
+            timestamp=row["timestamp_iso8601"],
+            rtt_ms=float(row["rtt_ms"]),
+        ),
+    )
 
 
 def write_rtt_csv(observations: Sequence[RttObservation], path) -> None:
@@ -206,26 +221,21 @@ def write_rtt_csv(observations: Sequence[RttObservation], path) -> None:
 
 
 def read_samples_csv(path) -> list[DelayDistanceSample]:
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, start=2):
-            try:
-                samples.append(
-                    DelayDistanceSample(
-                        probe_id=row["probe_id"],
-                        landmark_id=row["landmark_id"],
-                        delay_ms=float(row["min_rtt_ms"]),
-                        distance_km=float(row["distance_km"]),
-                        probe_isp=row["probe_isp"],
-                        landmark_isp=row["landmark_isp"],
-                        probe_city=row["probe_city"],
-                        landmark_city=row["landmark_city"],
-                    )
-                )
-            except (KeyError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{i}: {exc}") from exc
-    return samples
+    return parse_csv(
+        path,
+        {"probe_id", "landmark_id", "min_rtt_ms", "distance_km",
+         "probe_isp", "landmark_isp", "probe_city", "landmark_city"},
+        lambda row: DelayDistanceSample(
+            probe_id=row["probe_id"],
+            landmark_id=row["landmark_id"],
+            delay_ms=float(row["min_rtt_ms"]),
+            distance_km=float(row["distance_km"]),
+            probe_isp=row["probe_isp"],
+            landmark_isp=row["landmark_isp"],
+            probe_city=row["probe_city"],
+            landmark_city=row["landmark_city"],
+        ),
+    )
 
 
 def write_samples_csv(samples: Sequence[DelayDistanceSample], path) -> None:

@@ -37,11 +37,16 @@ class ExperimentSpec:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
         if self.mode not in ("original", "modified"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.n_targets < 0:
+            raise ValidationError(f"targets must be >= 0, got {self.n_targets}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: experiment spec must be a mapping")
     try:
@@ -57,6 +62,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -233,23 +240,18 @@ def write_results_csv(outcomes: Sequence[TargetOutcome], path) -> None:
 
 
 def read_results_csv(path) -> list[TargetOutcome]:
-    outcomes = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                outcomes.append(
-                    TargetOutcome(
-                        target_id=row["target_id"],
-                        status=row["status"],
-                        pred_city=row["pred_city"],
-                        pred_lat=float(row["pred_lat"]) if row["pred_lat"] else None,
-                        pred_lon=float(row["pred_lon"]) if row["pred_lon"] else None,
-                        reason=row.get("reason", ""),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"{path}:{i}: {exc}") from exc
-    return outcomes
+    return dataset.parse_csv(
+        path,
+        {"target_id", "status", "pred_city", "pred_lat", "pred_lon"},
+        lambda row: TargetOutcome(
+            target_id=row["target_id"],
+            status=row["status"],
+            pred_city=row["pred_city"],
+            pred_lat=float(row["pred_lat"]) if row["pred_lat"] else None,
+            pred_lon=float(row["pred_lon"]) if row["pred_lon"] else None,
+            reason=row.get("reason", ""),
+        ),
+    )
 
 
 def evaluate_outcomes(

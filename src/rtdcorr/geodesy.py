@@ -1,11 +1,12 @@
 """Geodesic distances on the WGS-84 ellipsoid.
 
-Distances are returned in kilometers.  The primary routine is the Vincenty
-inverse solution; near-antipodal pairs where the iteration does not converge
-fall back to a great-circle (haversine) distance on the mean Earth radius,
-and the fallback is flagged on the result.  The great-circle distance also
-brackets the Vincenty distance (``vincenty_bracket``), which lets callers
-decide most distance thresholds without running the iteration.
+Distances are returned in kilometers.  One vectorised Vincenty inverse
+solution serves every caller, one pair or many; near-antipodal pairs where
+the iteration does not converge fall back to a great-circle (haversine)
+distance on the mean Earth radius, and the fallback is flagged on the
+result.  The great-circle distance also brackets the Vincenty distance
+(``vincenty_bracket``), which lets callers decide most distance thresholds
+without running the iteration.
 """
 
 from __future__ import annotations
@@ -103,71 +104,6 @@ def vincenty_bracket(h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
-    if (a.lat, a.lon) == (b.lat, b.lon):
-        return GeodesicResult(0.0, False)
-
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    ell = math.radians(b.lon - a.lon)
-
-    u1 = math.atan((1.0 - WGS84_F) * math.tan(phi1))
-    u2 = math.atan((1.0 - WGS84_F) * math.tan(phi2))
-    sin_u1, cos_u1 = math.sin(u1), math.cos(u1)
-    sin_u2, cos_u2 = math.sin(u2), math.cos(u2)
-
-    lam = ell
-    for _ in range(VINCENTY_MAX_ITER):
-        sin_lam, cos_lam = math.sin(lam), math.cos(lam)
-        sin_sigma = math.hypot(
-            cos_u2 * sin_lam, cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam
-        )
-        if sin_sigma == 0.0:
-            return GeodesicResult(0.0, False)  # coincident on the auxiliary sphere
-        cos_sigma = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
-        sigma = math.atan2(sin_sigma, cos_sigma)
-        sin_alpha = cos_u1 * cos_u2 * sin_lam / sin_sigma
-        cos_sq_alpha = 1.0 - sin_alpha * sin_alpha
-        if cos_sq_alpha == 0.0:
-            cos_2sigma_m = 0.0  # equatorial line
-        else:
-            cos_2sigma_m = cos_sigma - 2.0 * sin_u1 * sin_u2 / cos_sq_alpha
-        c = WGS84_F / 16.0 * cos_sq_alpha * (4.0 + WGS84_F * (4.0 - 3.0 * cos_sq_alpha))
-        lam_prev = lam
-        lam = ell + (1.0 - c) * WGS84_F * sin_alpha * (
-            sigma
-            + c
-            * sin_sigma
-            * (cos_2sigma_m + c * cos_sigma * (-1.0 + 2.0 * cos_2sigma_m ** 2))
-        )
-        if abs(lam - lam_prev) < VINCENTY_TOL_RAD:
-            break
-    else:
-        return GeodesicResult(haversine_km(a, b), True)
-
-    u_sq = cos_sq_alpha * (WGS84_A_M ** 2 - WGS84_B_M ** 2) / WGS84_B_M ** 2
-    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
-    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-    delta_sigma = (
-        big_b
-        * sin_sigma
-        * (
-            cos_2sigma_m
-            + big_b
-            / 4.0
-            * (
-                cos_sigma * (-1.0 + 2.0 * cos_2sigma_m ** 2)
-                - big_b
-                / 6.0
-                * cos_2sigma_m
-                * (-3.0 + 4.0 * sin_sigma ** 2)
-                * (-3.0 + 4.0 * cos_2sigma_m ** 2)
-            )
-        )
-    )
-    meters = WGS84_B_M * big_a * (sigma - delta_sigma)
-    return GeodesicResult(meters / 1000.0, False)
-
-
 def geodesic_distance_full(a: Coordinate, b: Coordinate) -> GeodesicResult:
     """Vincenty inverse distance with the fallback flag exposed.
 
@@ -175,7 +111,8 @@ def geodesic_distance_full(a: Coordinate, b: Coordinate) -> GeodesicResult:
     """
     if (b.lat, b.lon) < (a.lat, a.lon):
         a, b = b, a
-    return _vincenty_scalar(a, b)
+    km, fell_back = _vincenty(a.lat, a.lon, b.lat, b.lon)
+    return GeodesicResult(float(km), bool(fell_back))
 
 
 def geodesic_distance(a: Coordinate, b: Coordinate) -> float:
@@ -186,11 +123,15 @@ def geodesic_distance(a: Coordinate, b: Coordinate) -> float:
 def geodesic_distance_many(
     lats1: np.ndarray, lons1: np.ndarray, lats2: np.ndarray, lons2: np.ndarray
 ) -> np.ndarray:
-    """Vectorized Vincenty inverse distance (km) over aligned coordinate arrays.
+    """Vectorized Vincenty inverse distance (km) over aligned (broadcast)
+    coordinate arrays; pairs whose iteration does not converge fall back to
+    the great-circle distance."""
+    return _vincenty(lats1, lons1, lats2, lons2)[0]
 
-    Pairs whose iteration does not converge fall back to the great-circle
-    distance, matching the scalar routine.
-    """
+
+def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
+    """The Vincenty (1975) inverse iteration, the one implementation of it:
+    distances in km and the mask of pairs that took the great-circle fallback."""
     lats1, lons1, lats2, lons2 = np.broadcast_arrays(
         np.asarray(lats1, dtype=float),
         np.asarray(lons1, dtype=float),
@@ -267,4 +208,4 @@ def geodesic_distance_many(
     if active.any():  # never converged: great-circle fallback
         gc = great_circle_km_many(phi1, phi2, ell, np.cos(phi1), np.cos(phi2))
         km = np.where(active, gc, km)
-    return km
+    return km, active

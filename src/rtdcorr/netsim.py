@@ -24,7 +24,7 @@ import yaml
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
 from .dataset import HostRecord, Registry, ROLE_LANDMARK, ROLE_PROBE, RttObservation, validate_registry
 from .errors import NotFoundError, ValidationError
-from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
+from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_distance_many
 
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6
@@ -104,7 +104,17 @@ class Topology:
     isps: dict[str, IspSpec]
     registry: Registry
     center_of_region: dict[str, City]
+    # a site is a host or city coordinate, keyed (lat, lon); a cached row
+    # holds the distances from one site to every site, in _site_index order
     _dist_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        sites = dict.fromkeys(
+            [(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()]
+            + [(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()]
+        )
+        self._site_index = {c: i for i, c in enumerate(sites)}
+        self._site_lats, self._site_lons = np.array(list(sites)).reshape(-1, 2).T
 
     def city(self, city_id: str) -> City:
         try:
@@ -116,13 +126,20 @@ class Topology:
         return self.registry[host_id]
 
     def distance(self, a: Coordinate, b: Coordinate) -> float:
-        key = (a.lat, a.lon, b.lat, b.lon)
-        d = self._dist_cache.get(key)
-        if d is None:
-            d = geodesic_distance(a, b)
-            self._dist_cache[key] = d
-            self._dist_cache[(b.lat, b.lon, a.lat, a.lon)] = d
-        return d
+        """Geodesic distance in km; exactly symmetric like ``geodesic_distance``."""
+        ka, kb = (a.lat, a.lon), (b.lat, b.lon)
+        if kb < ka:
+            a, b, ka, kb = b, a, kb, ka
+        j = self._site_index.get(kb)
+        row = self._dist_cache.get(ka)
+        if row is None:
+            if j is None or ka not in self._site_index:
+                return geodesic_distance(a, b)
+            row = geodesic_distance_many(a.lat, a.lon, self._site_lats, self._site_lons)
+            self._dist_cache[ka] = row
+        elif j is None:
+            return geodesic_distance(a, b)
+        return row.item(j)
 
     def area_of_city(self) -> dict[str, str]:
         """Default area partition for the two-phase search: one area per region."""
@@ -278,6 +295,20 @@ def sample_path_factors(
     return PathFactors(r=r, t=routed.tortuosity, d_km=d)
 
 
+def _pair_delays_ms(
+    topology: Topology, config: SimConfig, seed: int, src_id: str, dst_id: str, stream: str
+) -> list[float]:
+    """The pair's jittered observations: base * (1 + U(0, jitter)) each."""
+    pm = config.path_model
+    rng = pair_rng(seed, stream, src_id, dst_id)
+    base = synth_delay(sample_path_factors(topology, config, src_id, dst_id, rng), pm.v_km_s)
+    if pm.jitter == 0.0:
+        noise = np.zeros(pm.samples_per_pair)
+    else:
+        noise = rng.uniform(0.0, pm.jitter, pm.samples_per_pair)
+    return (base * (1.0 + noise)).tolist()
+
+
 def pair_min_delay_ms(
     topology: Topology,
     config: SimConfig,
@@ -287,14 +318,7 @@ def pair_min_delay_ms(
     stream: str = "campaign",
 ) -> float:
     """Minimum over the pair's jittered observations; deterministic per pair."""
-    rng = pair_rng(seed, stream, src_id, dst_id)
-    factors = sample_path_factors(topology, config, src_id, dst_id, rng)
-    base = synth_delay(factors, config.path_model.v_km_s)
-    pm = config.path_model
-    if pm.jitter == 0.0:
-        return base
-    noise = rng.uniform(0.0, pm.jitter, pm.samples_per_pair)
-    return base * (1.0 + float(noise.min()))
+    return min(_pair_delays_ms(topology, config, seed, src_id, dst_id, stream))
 
 
 def simulate_campaign(
@@ -309,24 +333,17 @@ def simulate_campaign(
     landmarks = sorted(topology.registry.landmarks(), key=lambda h: h.id)
     if not probes or not landmarks:
         raise ValidationError("campaign needs at least one probe and one landmark")
-    pm = config.path_model
     observations = []
     for probe in probes:
         for lm in landmarks:
-            rng = pair_rng(seed, "campaign", probe.id, lm.id)
-            factors = sample_path_factors(topology, config, probe.id, lm.id, rng)
-            base = synth_delay(factors, pm.v_km_s)
-            if pm.jitter == 0.0:
-                noise = np.zeros(pm.samples_per_pair)
-            else:
-                noise = rng.uniform(0.0, pm.jitter, pm.samples_per_pair)
-            for i in range(pm.samples_per_pair):
+            delays = _pair_delays_ms(topology, config, seed, probe.id, lm.id, "campaign")
+            for i, rtt_ms in enumerate(delays):
                 observations.append(
                     RttObservation(
                         probe_id=probe.id,
                         landmark_id=lm.id,
                         timestamp=_EPOCH_MINUTES.format(m=i % 60),
-                        rtt_ms=base * (1.0 + float(noise[i])),
+                        rtt_ms=rtt_ms,
                     )
                 )
     return observations
@@ -362,10 +379,17 @@ def _require(mapping: Mapping, key: str, where: str):
 
 def load_config(path) -> SimConfig:
     """Parse a YAML simulation config (cities, isps, hosts, path_model)."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            return _parse_config(yaml.safe_load(fh))
+    except (yaml.YAMLError, TypeError, AttributeError, ValueError) as exc:
+        # malformed YAML, or a value of the wrong type or form
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _parse_config(doc) -> SimConfig:
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a mapping")
+        raise ValidationError("config must be a mapping")
 
     cities = tuple(
         City(
@@ -374,11 +398,11 @@ def load_config(path) -> SimConfig:
             region_id=str(_require(c, "region", "city")),
             is_regional_center=bool(c.get("is_center", False)),
         )
-        for c in _require(doc, "cities", str(path))
+        for c in _require(doc, "cities", "config")
     )
     isps = tuple(
-        IspSpec(id=str(_require(i, "id", "isp")), ixp_cities=tuple(i.get("ixps", [])))
-        for i in _require(doc, "isps", str(path))
+        IspSpec(id=str(_require(i, "id", "isp")), ixp_cities=tuple(str(x) for x in i.get("ixps", [])))
+        for i in _require(doc, "isps", "config")
     )
     hosts = tuple(
         HostSpec(
@@ -386,17 +410,19 @@ def load_config(path) -> SimConfig:
             role=str(_require(h, "role", "host")),
             city=str(_require(h, "city", "host")),
             isp=str(_require(h, "isp", "host")),
-            lat=h.get("lat"),
-            lon=h.get("lon"),
+            lat=None if h.get("lat") is None else float(h["lat"]),
+            lon=None if h.get("lon") is None else float(h["lon"]),
         )
-        for h in _require(doc, "hosts", str(path))
+        for h in _require(doc, "hosts", "config")
     )
     pm = doc.get("path_model", {})
 
     def lognorm(key: str, default: LogNormalShift, shift: float) -> LogNormalShift:
         if key not in pm:
             return default
-        return LogNormalShift(float(pm[key]["mu"]), float(pm[key]["sigma"]), shift=shift)
+        return LogNormalShift(
+            float(_require(pm[key], "mu", key)), float(_require(pm[key], "sigma", key)), shift=shift
+        )
 
     path_model = PathModelConfig(
         v_km_s=float(pm.get("v_km_s", DEFAULT_SPEED_KM_S)),

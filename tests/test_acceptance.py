@@ -10,14 +10,9 @@ import numpy as np
 
 from rtdcorr import corr_model, dataset, experiments, geoloc, netsim
 from rtdcorr.cli import main as cli_main
-from rtdcorr.corr_model import (
-    PathFactors,
-    pearson_xy,
-    rtd_model_corr,
-    rtd_model_corr_ratio_form,
-    synth_delay,
-)
+from rtdcorr.corr_model import PathFactors, pearson_xy, rtd_model_corr, synth_delay
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
+from reference import rtd_model_corr_ratio_form
 
 
 def check(name, ok, extra=""):

@@ -1,11 +1,20 @@
+import contextlib
 import csv
+import io
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtdcorr import dataset
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
+
+from conftest import MINI_YAML
 
 
 def run(capsys, *argv):
@@ -189,3 +198,132 @@ def test_byte_identical_reruns(tmp_path, mini_config_path, capsys):
     capsys.readouterr()
     for name in ("hosts.csv", "rtt.csv", "samples.csv", "matrix.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def clean_csvs(tmp_path_factory, mini_config_path):
+    out = tmp_path_factory.mktemp("clean")
+    assert quiet_main(["simulate", "--config", str(mini_config_path), "--out-dir", str(out)]) == 0
+    assert quiet_main(["ingest", "--hosts", str(out / "hosts.csv"), "--rtt", str(out / "rtt.csv"),
+                       "--out", str(out / "samples.csv")]) == 0
+    return {name: (out / name).read_text() for name in ("hosts.csv", "rtt.csv", "samples.csv")}
+
+
+NUMERIC_COLUMNS = {
+    "hosts.csv": ("lat", "lon"),
+    "rtt.csv": ("rtt_ms",),
+    "samples.csv": ("min_rtt_ms", "distance_km"),
+}
+
+
+@st.composite
+def mangled_csv(draw, clean):
+    """(file name, text) with one data row truncated, extended, or with a
+    numeric field that no longer parses to a valid value."""
+    name = draw(st.sampled_from(sorted(NUMERIC_COLUMNS)))
+    lines = clean[name].splitlines()
+    header = lines[0].split(",")
+    r = draw(st.integers(1, len(lines) - 1))
+    fields = lines[r].split(",")
+    how = draw(st.sampled_from(["truncate", "extend", "junk"]))
+    if how == "truncate":  # an empty line would be skipped, so keep one field
+        fields = fields[: draw(st.integers(1, len(fields) - 1))]
+    elif how == "extend":
+        fields += draw(st.lists(st.sampled_from(["", "x", "1.0"]), min_size=1, max_size=3))
+    else:
+        col = header.index(draw(st.sampled_from(NUMERIC_COLUMNS[name])))
+        fields[col] = draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1.2.3"]))
+    lines[r] = ",".join(fields)
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_csv_exits_1(clean_csvs, data):
+    name, text = data.draw(mangled_csv(clean_csvs))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for fname, clean in clean_csvs.items():
+            (d / fname).write_text(text if fname == name else clean)
+        if name == "samples.csv":
+            argv = ["corr", "--samples", str(d / "samples.csv"), "--out", str(d / "m.csv")]
+        else:
+            argv = ["ingest", "--hosts", str(d / "hosts.csv"), "--rtt", str(d / "rtt.csv"),
+                    "--out", str(d / "out.csv")]
+        assert quiet_main(argv) == 1
+
+
+JUNK = [5, "x", None, [1], [[1]], {"a": 1}]
+
+
+@st.composite
+def mangled_config(draw):
+    """The mini config with one part replaced by a value of the wrong type
+    or form, or with a required key dropped."""
+    doc = yaml.safe_load(MINI_YAML)
+    how = draw(st.sampled_from(["section", "coordinate", "path_model", "drop"]))
+    if how == "section":
+        doc[draw(st.sampled_from(["cities", "isps", "hosts"]))] = draw(st.sampled_from(JUNK))
+    elif how == "coordinate":
+        city = draw(st.sampled_from(doc["cities"]))
+        city[draw(st.sampled_from(["lat", "lon"]))] = draw(
+            st.sampled_from(["x", "nan", None, [1], {"a": 1}])
+        )
+    elif how == "path_model":
+        key = draw(st.sampled_from([None, "v_km_s", "jitter", "samples_per_pair", "intra_r"]))
+        if key is None:
+            doc["path_model"] = draw(st.sampled_from([5, "x", None, [1]]))
+        else:
+            doc["path_model"][key] = draw(st.sampled_from(["x", None, [1]]))
+    else:
+        section, keys = draw(st.sampled_from([
+            ("cities", ["id", "lat", "lon", "region"]),
+            ("isps", ["id"]),
+            ("hosts", ["id", "role", "city", "isp"]),
+        ]))
+        del draw(st.sampled_from(doc[section]))[draw(st.sampled_from(keys))]
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mangled_config())
+def test_malformed_config_exits_1(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(text)
+        assert quiet_main(["simulate", "--config", str(cfg), "--out-dir", str(Path(tmp) / "o")]) == 1
+
+
+SPEC_KEYS = ["config", "algorithm", "mode", "threshold", "grid_km", "seed", "targets",
+             "candidate_areas"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(SPEC_KEYS), st.sampled_from([[1], {"a": 1}])),
+        st.tuples(st.sampled_from(["config", "algorithm", "mode"]), st.just(None)),
+        st.just(("targets", -1)),
+    ),
+    st.booleans(),
+)
+def test_malformed_spec_exits_1(mini_config_path, change, broken_yaml):
+    """A wrong-typed value, a dropped required key (None), a negative target
+    count, or YAML cut short."""
+    key, value = change
+    doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
+           "targets": 2}
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    text = yaml.safe_dump(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.yaml"
+        spec.write_text(text[: len(text) // 2] + "[" if broken_yaml else text)
+        assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(Path(tmp) / "r.csv")]) == 1

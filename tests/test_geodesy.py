@@ -15,6 +15,7 @@ from rtdcorr.geodesy import (
     haversine_km,
     vincenty_bracket,
 )
+from reference import vincenty_scalar
 
 # WGS-84 equatorial circumference / 360
 ONE_DEG_EQUATOR_KM = 40075.0167 / 360.0
@@ -98,17 +99,16 @@ def test_fallback_is_finite_and_flagged():
 
 
 def test_vectorized_matches_scalar():
+    # the kernel against the scalar reference iteration, over the whole globe
     rng = np.random.default_rng(3)
-    lats1 = rng.uniform(-80, 80, 50)
-    lons1 = rng.uniform(-179, 179, 50)
-    lats2 = rng.uniform(-80, 80, 50)
-    lons2 = rng.uniform(-179, 179, 50)
+    lats1, lats2 = rng.uniform(-90, 90, (2, 2000))
+    lons1, lons2 = rng.uniform(-180, 180, (2, 2000))
     many = geodesic_distance_many(lats1, lons1, lats2, lons2)
-    for i in range(50):
-        one = geodesic_distance(
-            Coordinate(lats1[i], lons1[i]), Coordinate(lats2[i], lons2[i])
-        )
-        assert many[i] == pytest.approx(one, abs=1e-6)
+    ref = [
+        vincenty_scalar(Coordinate(*p), Coordinate(*q)).km
+        for p, q in zip(zip(lats1, lons1), zip(lats2, lons2))
+    ]
+    assert np.max(np.abs(many - ref)) <= 1e-9
 
 
 @settings(max_examples=50)
@@ -181,3 +181,24 @@ def test_great_circle_brackets_extreme_arcs():
     lo, hi = vincenty_bracket(h)
     assert np.all(lo <= d) and np.all(d <= hi)
     assert d[0] - lo[0] < 2e-3 and hi[1] - d[1] < 2e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bracket_pairs(), min_size=1, max_size=10))
+def test_kernel_matches_reference_at_edges(pairs):
+    # poles, +-180 deg, coincident, nearby and near-antipodal pairs, in a
+    # batch and one at a time, the great-circle fallback included; near the
+    # antipodes the fallback itself loses up to ~0.1 m to rounding
+    def tol(ref):
+        return 1e-3 if ref.used_fallback else 1e-9
+
+    lat1, lon1, lat2, lon2 = (
+        np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])
+    )
+    many = geodesic_distance_many(lat1, lon1, lat2, lon2)
+    for (a, b), km in zip(pairs, many):
+        want = vincenty_scalar(a, b)
+        assert abs(km - want.km) <= tol(want)
+        got, want = geodesic_distance_full(a, b), vincenty_scalar(*sorted((a, b)))
+        assert got.used_fallback == want.used_fallback
+        assert abs(got.km - want.km) <= tol(want)

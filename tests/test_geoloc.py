@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import geoloc
@@ -113,6 +113,7 @@ def test_estimate_distance():
         max_size=15,
     )
 )
+@example([(1.0, 1.0), (1.0, 0.5), (5.0, 0.5000000000000001)])  # near-flat hull edge
 @settings(max_examples=80)
 def test_bestline_overestimation_invariant(pts):
     try:
@@ -321,6 +322,14 @@ def test_cbg_matches_reference_on_fine_grids():
         got = geoloc.cbg_locate(circles, grid_km=2.0)
         assert got.located
         assert_same_result(got, reference_cbg_locate(circles, grid_km=2.0))
+
+
+def test_cbg_polar_box_spans_one_turn():
+    # the circle reaches over the pole, so its box is wider than 360 deg
+    _, lons = geoloc.cbg_grid([(Coordinate(89.0, 0.0), 500.0)], 10.0, 256, 10.0 / math.sqrt(2.0))
+    meridians = np.unique(lons)  # 14,649 cells from -261 to 261 deg before the clamp
+    assert meridians.max() - meridians.min() < 360.0
+    assert np.unique(np.round(meridians % 360.0, 9)).size == meridians.size
 
 
 def test_cbg_straddling_antimeridian():

@@ -182,6 +182,17 @@ def test_min_delay_bounded_by_jitter():
     assert base <= got <= base * 1.3
 
 
+def test_topology_distance_matches_geodesic_distance():
+    topo = netsim.build_topology(mini_config())
+    sites = [h.coordinate for h in topo.registry.hosts.values()]
+    sites += [c.coordinate for c in topo.cities.values()]
+    elsewhere = Coordinate(-12.5, 47.25)  # not a site: computed pair by pair
+    for a in sites + [elsewhere]:
+        for b in sites + [elsewhere]:
+            assert abs(topo.distance(a, b) - geodesic_distance(a, b)) <= 1e-9
+            assert topo.distance(a, b) == topo.distance(b, a)
+
+
 def test_campaign_determinism_and_shape():
     cfg = mini_config()
     topo = netsim.build_topology(cfg)
