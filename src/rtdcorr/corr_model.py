@@ -90,7 +90,8 @@ class PathFactors:
 
 
 def synth_delay(f: PathFactors, v_km_s: float = DEFAULT_SPEED_KM_S) -> float:
-    """Whole-path delay in ms implied by the path factors: R*T*D/v."""
+    """Whole-path delay in ms implied by the path factors: R*T*D/v.  Also
+    takes factors held as arrays (``netsim.RowFactors``), elementwise."""
     if v_km_s <= 0:
         raise ValidationError(f"propagation speed must be > 0, got {v_km_s}")
     return f.r * f.t * f.d_km / v_km_s * 1000.0

@@ -169,10 +169,10 @@ def geoget_locate_target(
 ) -> geoloc.GeolocationResult:
     topo = campaign.topology
 
-    def delay_fn(landmark_id: str) -> float:
-        return netsim.pair_min_delay_ms(
-            topo, campaign.config, spec.seed, target.id, landmark_id, stream="target"
-        )
+    def delay_fn(landmark_ids: list[str]) -> list[float]:
+        return netsim.simulate_row(
+            topo, campaign.config, spec.seed, target.id, landmark_ids, stream="target"
+        ).min(axis=1).tolist()
 
     try:
         city = geoloc.geoget_locate(

@@ -207,10 +207,15 @@ def cbg_grid(
             lon -= 360.0
         elif lon - lon0 < -180.0:
             lon += 360.0
-        reach = r + slack_km
-        dlat = reach / KM_PER_DEG_LAT
-        coslat = max(0.01, math.cos(math.radians(center.lat)))
-        dlon = reach / (KM_PER_DEG_LAT * coslat)
+        dlat = (r + slack_km) / KM_PER_DEG_LAT
+        # the longitude half-width of a spherical cap of radius dlat; a cap
+        # reaching round the pole spans every meridian
+        if dlat >= 90.0 - abs(center.lat):
+            dlon = 180.0
+        else:
+            dlon = math.degrees(math.asin(min(
+                1.0, math.sin(math.radians(dlat)) / math.cos(math.radians(center.lat))
+            )))
         lat_lo = max(lat_lo, center.lat - dlat)
         lat_hi = min(lat_hi, center.lat + dlat)
         lon_lo = max(lon_lo, lon - dlon)
@@ -297,15 +302,28 @@ def cbg_locate(
     if glats.size == 0:
         return GeolocationResult("failed", reason="empty intersection")
 
-    centroid = Coordinate(float(glats.mean()), float(_wrap_lon(glons.mean())))
+    glons = _wrap_lon(glons)
     return GeolocationResult(
-        "located", coordinate=centroid, region_lats=glats, region_lons=_wrap_lon(glons)
+        "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
     )
+
+
+def grid_centroid(lats: np.ndarray, lons: np.ndarray) -> Coordinate:
+    """Centroid of lat/lon grid cells (degrees) on the sphere: the mean of
+    their unit vectors, each weighted by cos(lat), the cell's area on the
+    grid.  Unlike the mean of the coordinates it holds across the
+    antimeridian and round a pole."""
+    phi, lam = np.radians(lats), np.radians(lons)
+    cos_phi = np.cos(phi)
+    x = float(np.sum(cos_phi * cos_phi * np.cos(lam)))
+    y = float(np.sum(cos_phi * cos_phi * np.sin(lam)))
+    z = float(np.sum(cos_phi * np.sin(phi)))
+    return Coordinate(math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)))
 
 
 def geoget_locate(
     landmarks: Sequence[HostRecord],
-    delay_ms: Callable[[str], float],
+    delay_ms: Callable[[list[str]], list[float]],
     target_isp: str,
     mode: str = "modified",
     area_of_city: Mapping[str, str] = None,
@@ -318,7 +336,9 @@ def geoget_locate(
     Modified mode probes landmarks in the target's ISP; original mode probes
     landmarks in the other ISPs.  Phase 1 ranks areas by the minimum delay to
     their center-city landmarks; phase 2 probes all eligible landmarks in the
-    kept areas.  Ties break on landmark/area id order.
+    kept areas.  Each phase probes its landmarks in one batch: ``delay_ms``
+    takes a list of landmark ids and returns their delays in that order.
+    Ties break on landmark/area id order.
     """
     if mode not in ("original", "modified"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -333,35 +353,31 @@ def geoget_locate(
     for l in pool:
         if l.city not in area_of_city:
             raise NotFoundError(f"city {l.city!r} has no area assignment")
+    pool.sort(key=lambda l: l.id)
 
-    delay_cache: dict[str, float] = {}
+    delays: dict[str, float] = {}
 
-    def probe(lm_id: str) -> float:
-        if lm_id not in delay_cache:
-            delay_cache[lm_id] = delay_ms(lm_id)
-        return delay_cache[lm_id]
+    def probe(batch: list[HostRecord]) -> None:
+        ids = [l.id for l in batch if l.id not in delays]
+        if ids:
+            delays.update(zip(ids, delay_ms(ids), strict=True))
 
+    centers = [l for l in pool if l.city == center_city_of_area.get(area_of_city[l.city])]
+    probe(centers)
     area_scores: dict[str, float] = {}
-    for lm in sorted(pool, key=lambda l: l.id):
+    for lm in centers:
         area = area_of_city[lm.city]
-        if lm.city == center_city_of_area.get(area):
-            d = probe(lm.id)
-            if d < area_scores.get(area, math.inf):
-                area_scores[area] = d
+        area_scores[area] = min(delays[lm.id], area_scores.get(area, math.inf))
     all_areas = sorted({area_of_city[l.city] for l in pool})
     ranked = sorted(all_areas, key=lambda a: (area_scores.get(a, math.inf), a))
     chosen = set(ranked[: max(1, candidate_areas)])
 
-    best: tuple[float, str, str] | None = None
-    for lm in sorted(pool, key=lambda l: l.id):
-        if area_of_city[lm.city] not in chosen:
-            continue
-        d = probe(lm.id)
-        if best is None or (d, lm.id) < (best[0], best[1]):
-            best = (d, lm.id, lm.city)
-    if best is None:  # chosen areas come from the pool, so this means a broken invariant
+    kept = [l for l in pool if area_of_city[l.city] in chosen]
+    if not kept:  # chosen areas come from the pool, so this means a broken invariant
         raise NotFoundError("no eligible landmark in the chosen areas")
-    return best[2]
+    probe(kept)
+    _, _, city = min((delays[l.id], l.id, l.city) for l in kept)
+    return city
 
 
 @dataclass(frozen=True)

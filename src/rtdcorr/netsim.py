@@ -5,8 +5,14 @@ traffic is routed src -> own center -> destination center -> dst; inter-ISP
 traffic additionally detours through the cheapest exchange-point (IXP) city.
 Per-pair delays follow delay = R * T * D / v where T comes from the routed
 waypoints, R - 1 is log-normal (separate intra/inter parameters) and D is the
-direct geodesic distance.  All randomness is derived from per-pair streams,
-so adding hosts never perturbs existing pairs.
+direct geodesic distance.
+
+The simulator works a row at a time: one source against many destinations,
+in numpy (``simulate_row``).  Routing reads the topology's one site-to-site
+distance store.  Each pair's random draws are words of one counter-style
+stream, SHAKE-256 over ``f"{seed}|{stream}|{src}|{dst}"`` (``pair_uniforms``),
+so a pair's delays depend on its key alone and adding hosts never perturbs
+existing pairs.  ``pair_rng`` serves only the experiment design draws.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -28,6 +34,10 @@ from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_dis
 
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6
+
+#: rows of the site distance store filled per kernel call, which bounds the
+#: kernel's temporaries to a few MB
+_ROWS_PER_KERNEL_CALL = 16
 
 _EPOCH_MINUTES = "2017-01-01T00:{m:02d}:00Z"
 
@@ -46,6 +56,10 @@ class LogNormalShift:
 
     def draw(self, rng: np.random.Generator, n: Optional[int] = None):
         return self.shift + rng.lognormal(self.mu, self.sigma, n)
+
+    def at(self, z):
+        """The law's value at standard-normal deviates z."""
+        return self.shift + np.exp(self.mu + self.sigma * z)
 
 
 @dataclass(frozen=True)
@@ -104,17 +118,50 @@ class Topology:
     isps: dict[str, IspSpec]
     registry: Registry
     center_of_region: dict[str, City]
-    # a site is a host or city coordinate, keyed (lat, lon); a cached row
-    # holds the distances from one site to every site, in _site_index order
+    # The one store of site-to-site distances.  A site is a host or city
+    # coordinate, keyed (lat, lon).  The distance of sites i and j is read from
+    # the row of the one with the smaller key, as geodesic_distance orders its
+    # arguments, so both orders give the same float.  Rows are filled on first
+    # use, a block of them per kernel call; _dist_cache maps the key of each
+    # filled row to that row of the store.
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        sites = dict.fromkeys(
+        sites = list(dict.fromkeys(
             [(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()]
             + [(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()]
-        )
+        ))
+        self._sites = sites
         self._site_index = {c: i for i, c in enumerate(sites)}
-        self._site_lats, self._site_lons = np.array(list(sites)).reshape(-1, 2).T
+        self._site_lats, self._site_lons = np.array(sites).reshape(-1, 2).T
+        self._site_rank = np.empty(len(sites), dtype=np.intp)
+        self._site_rank[sorted(range(len(sites)), key=sites.__getitem__)] = np.arange(len(sites))
+        self._dist_rows: Optional[np.ndarray] = None  # allocated by the first fill
+        self._row_filled = np.zeros(len(sites), dtype=bool)
+
+        # routing tables: per host, its site, its ISP's code, the site of its
+        # region's center city, and whether it sits in that city
+        def site(c: Coordinate) -> int:
+            return self._site_index[(c.lat, c.lon)]
+
+        hosts = list(self.registry.hosts.values())
+        centers = [self.center_of_region[self.cities[h.city].region_id] for h in hosts]
+        self._isp_ids = sorted(self.isps)
+        isp_code = {isp: i for i, isp in enumerate(self._isp_ids)}
+        self._host_pos = {h.id: i for i, h in enumerate(hosts)}
+        self._host_site = np.array([site(h.coordinate) for h in hosts], dtype=np.intp)
+        self._host_isp = np.array([isp_code[h.isp] for h in hosts], dtype=np.intp)
+        self._host_center = np.array([site(c.coordinate) for c in centers], dtype=np.intp)
+        self._host_at_center = np.array([h.city == c.id for h, c in zip(hosts, centers)])
+        # IXP candidates of each ISP pair, as sites sorted by city id
+        self._ixp_sites = {
+            (isp_code[a], isp_code[b]): np.array(
+                [site(self.cities[cid].coordinate) for cid in sorted(
+                    set(self.isps[a].ixp_cities) | set(self.isps[b].ixp_cities))],
+                dtype=np.intp,
+            )
+            for a in self._isp_ids for b in self._isp_ids if a != b
+        }
 
     def city(self, city_id: str) -> City:
         try:
@@ -133,13 +180,45 @@ class Topology:
         j = self._site_index.get(kb)
         row = self._dist_cache.get(ka)
         if row is None:
-            if j is None or ka not in self._site_index:
+            i = self._site_index.get(ka)
+            if j is None or i is None:
                 return geodesic_distance(a, b)
-            row = geodesic_distance_many(a.lat, a.lon, self._site_lats, self._site_lons)
-            self._dist_cache[ka] = row
+            self._fill_rows(np.array([i]))
+            row = self._dist_cache[ka]
         elif j is None:
             return geodesic_distance(a, b)
         return row.item(j)
+
+    def _site_distances(self, i, j) -> np.ndarray:
+        """Distances between sites i and j (broadcast index arrays), read from
+        the store exactly as ``distance`` reads them."""
+        i, j = np.broadcast_arrays(i, j)
+        swap = self._site_rank[j] < self._site_rank[i]
+        rows = np.where(swap, j, i)
+        self._fill_rows(rows)
+        return self._dist_rows[rows, np.where(swap, i, j)]
+
+    def _fill_rows(self, rows: np.ndarray) -> None:
+        missing = np.unique(rows[~self._row_filled[rows]])
+        if missing.size == 0:
+            return
+        if self._dist_rows is None:
+            self._dist_rows = np.empty((len(self._sites), len(self._sites)))
+        for lo in range(0, missing.size, _ROWS_PER_KERNEL_CALL):
+            block = missing[lo:lo + _ROWS_PER_KERNEL_CALL]
+            self._dist_rows[block] = geodesic_distance_many(
+                self._site_lats[block, None], self._site_lons[block, None],
+                self._site_lats, self._site_lons,
+            )
+            self._row_filled[block] = True
+            for i in block.tolist():
+                self._dist_cache[self._sites[i]] = self._dist_rows[i]
+
+    def _host_positions(self, host_ids: Sequence[str]) -> np.ndarray:
+        try:
+            return np.array([self._host_pos[h] for h in host_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise NotFoundError(f"unknown host {exc.args[0]!r}") from None
 
     def area_of_city(self) -> dict[str, str]:
         """Default area partition for the two-phase search: one area per region."""
@@ -220,93 +299,153 @@ class RoutedPath:
     tortuosity: float
 
 
-def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
-    """Hierarchical route between two hosts and its tortuosity.
+class _Routes(NamedTuple):
+    sites: np.ndarray  # (n, 5) waypoint sites; a hop a route skips repeats the one before
+    tortuosity: np.ndarray
+    direct_km: np.ndarray
+    same_isp: np.ndarray
+
+
+def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
+    """Routes from one host to each destination host, the one router.
 
     Same ISP: src -> src's regional center -> dst's regional center -> dst.
-    Different ISPs: the cheapest IXP city is inserted between the two centers.
-    Center hops are skipped for hosts already in their center city.
+    Different ISPs: the IXP city minimising center -> IXP -> center is
+    inserted between the two centers (argmin over candidates sorted by city
+    id, so ties go to the lower id).  Center hops are skipped for hosts
+    already in their center city.  A skipped hop repeats the site before
+    it, and a leg between equal sites adds exactly 0.0, so the leg sum is
+    that over the route's distinct consecutive waypoints.
     """
-    src = topology.host(src_id)
-    dst = topology.host(dst_id)
-    src_city = topology.city(src.city)
-    dst_city = topology.city(dst.city)
-    ctr_s = topology.center_of_region[src_city.region_id]
-    ctr_d = topology.center_of_region[dst_city.region_id]
+    s = topology._host_positions([src_id])[0]
+    d = topology._host_positions(dst_ids)
+    n = d.size
+    src_site, isp_s, ctr_s = topology._host_site[s], topology._host_isp[s], topology._host_center[s]
+    isp_d, ctr_d = topology._host_isp[d], topology._host_center[d]
 
-    waypoints: list[Coordinate] = [src.coordinate]
-    if src.city != ctr_s.id:
-        waypoints.append(ctr_s.coordinate)
-    if src.isp != dst.isp:
-        candidates = sorted(
-            set(topology.isps[src.isp].ixp_cities) | set(topology.isps[dst.isp].ixp_cities)
-        )
-        if not candidates:
+    hop1 = src_site if topology._host_at_center[s] else ctr_s
+    hop2 = np.full(n, hop1)
+    for other in np.unique(isp_d[isp_d != isp_s]).tolist():
+        cands = topology._ixp_sites[(isp_s, other)]
+        if cands.size == 0:
             raise ValidationError(
-                f"no IXP available between {src.isp!r} and {dst.isp!r}"
+                f"no IXP available between {topology._isp_ids[isp_s]!r}"
+                f" and {topology._isp_ids[other]!r}"
             )
-        ixp_city = min(
-            candidates,
-            key=lambda cid: (
-                topology.distance(ctr_s.coordinate, topology.city(cid).coordinate)
-                + topology.distance(topology.city(cid).coordinate, ctr_d.coordinate),
-                cid,
-            ),
-        )
-        waypoints.append(topology.city(ixp_city).coordinate)
-    if dst.city != ctr_d.id:
-        waypoints.append(ctr_d.coordinate)
-    waypoints.append(dst.coordinate)
+        sel = np.flatnonzero(isp_d == other)
+        cost = (topology._site_distances(ctr_s, cands)
+                + topology._site_distances(cands, ctr_d[sel, None]))
+        hop2[sel] = cands[np.argmin(cost, axis=1)]
+    hop3 = np.where(topology._host_at_center[d], hop2, ctr_d)
+    sites = np.stack(
+        [np.full(n, src_site), np.full(n, hop1), hop2, hop3, topology._host_site[d]], axis=1
+    )
 
-    deduped = [waypoints[0]]
-    for w in waypoints[1:]:
-        if w != deduped[-1]:
-            deduped.append(w)
+    legs = topology._site_distances(sites[:, :-1], sites[:, 1:])
+    length = legs[:, 0] + legs[:, 1] + legs[:, 2] + legs[:, 3]
+    direct = topology._site_distances(src_site, sites[:, -1])
+    coincident = direct == 0.0
+    tortuosity = np.where(
+        coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))
+    )
+    return _Routes(sites, tortuosity, direct, isp_d == isp_s)
 
-    direct = topology.distance(src.coordinate, dst.coordinate)
-    if direct == 0.0:
-        return RoutedPath(tuple(deduped), 1.0)
-    legs = sum(topology.distance(a, b) for a, b in zip(deduped, deduped[1:]))
-    return RoutedPath(tuple(deduped), max(1.0, legs / direct))
+
+def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
+    """Hierarchical route between two hosts and its tortuosity (see ``_route``);
+    coincident hosts have T = 1."""
+    routes = _route(topology, src_id, [dst_id])
+    sites: list[int] = []
+    for site in routes.sites[0].tolist():
+        if not sites or site != sites[-1]:
+            sites.append(site)
+    return RoutedPath(
+        tuple(Coordinate(*topology._sites[i]) for i in sites), float(routes.tortuosity[0])
+    )
 
 
 def pair_rng(seed: int, *keys: str) -> np.random.Generator:
-    """Independent random stream for one (src, dst) pair, stable across runs."""
+    """Independent random stream for one design draw, stable across runs."""
     material = "|".join([str(seed), *keys]).encode()
     digest = hashlib.sha256(material).digest()
     return np.random.default_rng(int.from_bytes(digest[:16], "big"))
 
 
+def pair_uniforms(
+    seed: int, stream: str, src_id: str, dst_ids: Sequence[str], n_words: int
+) -> np.ndarray:
+    """(len(dst_ids), n_words) uniforms in (0, 1), one row per pair.
+
+    The row is the first 8 * n_words bytes of SHAKE-256 over the pair's key
+    ``f"{seed}|{stream}|{src}|{dst}"``, read as little-endian uint64 words.
+    A pair's draws depend on its key alone, so adding hosts never perturbs
+    existing pairs.
+    """
+    prefix = f"{seed}|{stream}|{src_id}|"
+    raw = b"".join(
+        hashlib.shake_256((prefix + dst).encode()).digest(8 * n_words) for dst in dst_ids
+    )
+    return _open_unit(np.frombuffer(raw, dtype="<u8").reshape(len(dst_ids), n_words))
+
+
+def _open_unit(words: np.ndarray) -> np.ndarray:
+    """uint64 words to floats strictly inside (0, 1): ((w >> 12) + 0.5) * 2**-52.
+    With 53 bits, (w >> 11) + 0.5 rounds to 2**53 for the top word and u
+    would reach 1.0."""
+    return ((words >> 12) + 0.5) * 2.0 ** -52
+
+
+class RowFactors(NamedTuple):
+    r: np.ndarray
+    t: np.ndarray
+    d_km: np.ndarray
+    jitter: np.ndarray  # (n, samples_per_pair) jitter fractions in [0, jitter)
+
+
 def sample_path_factors(
     topology: Topology,
     config: SimConfig,
+    seed: int,
     src_id: str,
-    dst_id: str,
-    rng: np.random.Generator,
-) -> PathFactors:
-    """Draw (R, T, D) for one pair: T from routing, R from the intra/inter
-    distribution per the ISP relationship, D the direct geodesic distance."""
-    src = topology.host(src_id)
-    dst = topology.host(dst_id)
-    routed = route_path(topology, src_id, dst_id)
-    dist = config.path_model.intra_r if src.isp == dst.isp else config.path_model.inter_r
-    r = float(dist.draw(rng))
-    d = max(topology.distance(src.coordinate, dst.coordinate), MIN_PAIR_DISTANCE_KM)
-    return PathFactors(r=r, t=routed.tortuosity, d_km=d)
+    dst_ids: Sequence[str],
+    stream: str = "campaign",
+) -> RowFactors:
+    """(R, T, D) and the jitter fractions for one source against each
+    destination: T from routing, D the direct geodesic distance, R from the
+    intra or inter law per the ISP relationship.
 
-
-def _pair_delays_ms(
-    topology: Topology, config: SimConfig, seed: int, src_id: str, dst_id: str, stream: str
-) -> list[float]:
-    """The pair's jittered observations: base * (1 + U(0, jitter)) each."""
+    Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
+    R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
+    """
     pm = config.path_model
-    rng = pair_rng(seed, stream, src_id, dst_id)
-    base = synth_delay(sample_path_factors(topology, config, src_id, dst_id, rng), pm.v_km_s)
-    if pm.jitter == 0.0:
-        noise = np.zeros(pm.samples_per_pair)
-    else:
-        noise = rng.uniform(0.0, pm.jitter, pm.samples_per_pair)
-    return (base * (1.0 + noise)).tolist()
+    routes = _route(topology, src_id, dst_ids)
+    u = pair_uniforms(seed, stream, src_id, dst_ids, 2 + pm.samples_per_pair)
+    z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
+    d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
+    for name, values, ok, bound in (
+        ("r", r, r > 1.0, "> 1"),
+        ("t", routes.tortuosity, routes.tortuosity >= 1.0, ">= 1"),
+        ("d_km", d, d > 0.0, "> 0"),
+    ):
+        bad = np.flatnonzero(~(ok & np.isfinite(values)))
+        if bad.size:
+            raise ValidationError(f"{name} must be {bound}, got {values[bad[0]]}")
+    return RowFactors(r, routes.tortuosity, d, pm.jitter * u[:, 2:])
+
+
+def simulate_row(
+    topology: Topology,
+    config: SimConfig,
+    seed: int,
+    src_id: str,
+    dst_ids: Sequence[str],
+    stream: str = "campaign",
+) -> np.ndarray:
+    """(len(dst_ids), samples_per_pair) jittered delays in ms from one source
+    to each destination: R*T*D/v*1000 * (1 + jitter fraction)."""
+    f = sample_path_factors(topology, config, seed, src_id, dst_ids, stream)
+    return synth_delay(f, config.path_model.v_km_s)[:, None] * (1.0 + f.jitter)
 
 
 def pair_min_delay_ms(
@@ -317,8 +456,8 @@ def pair_min_delay_ms(
     dst_id: str,
     stream: str = "campaign",
 ) -> float:
-    """Minimum over the pair's jittered observations; deterministic per pair."""
-    return min(_pair_delays_ms(topology, config, seed, src_id, dst_id, stream))
+    """Minimum over one pair's jittered observations; deterministic per pair."""
+    return float(simulate_row(topology, config, seed, src_id, [dst_id], stream).min())
 
 
 def simulate_campaign(
@@ -330,20 +469,18 @@ def simulate_campaign(
     converges toward the deterministic R*T*D/v base delay.
     """
     probes = sorted(topology.registry.probes(), key=lambda h: h.id)
-    landmarks = sorted(topology.registry.landmarks(), key=lambda h: h.id)
-    if not probes or not landmarks:
+    landmark_ids = sorted(h.id for h in topology.registry.landmarks())
+    if not probes or not landmark_ids:
         raise ValidationError("campaign needs at least one probe and one landmark")
+    stamps = [_EPOCH_MINUTES.format(m=i % 60) for i in range(config.path_model.samples_per_pair)]
     observations = []
     for probe in probes:
-        for lm in landmarks:
-            delays = _pair_delays_ms(topology, config, seed, probe.id, lm.id, "campaign")
-            for i, rtt_ms in enumerate(delays):
+        delays = simulate_row(topology, config, seed, probe.id, landmark_ids, "campaign")
+        for lm_id, row in zip(landmark_ids, delays.tolist()):
+            for stamp, rtt_ms in zip(stamps, row):
                 observations.append(
                     RttObservation(
-                        probe_id=probe.id,
-                        landmark_id=lm.id,
-                        timestamp=_EPOCH_MINUTES.format(m=i % 60),
-                        rtt_ms=rtt_ms,
+                        probe_id=probe.id, landmark_id=lm_id, timestamp=stamp, rtt_ms=rtt_ms
                     )
                 )
     return observations

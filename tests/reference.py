@@ -87,6 +87,49 @@ def vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
     return GeodesicResult(meters / 1000.0, False)
 
 
+def route_scalar(topology, src_id: str, dst_id: str):
+    """The hierarchical route one pair at a time, as (waypoints, tortuosity):
+    the reference for the vectorised router in ``rtdcorr.netsim``.  Legs are
+    read with ``Topology.distance`` and summed over the distinct consecutive
+    waypoints."""
+    src = topology.host(src_id)
+    dst = topology.host(dst_id)
+    ctr_s = topology.center_of_region[topology.city(src.city).region_id]
+    ctr_d = topology.center_of_region[topology.city(dst.city).region_id]
+
+    waypoints = [src.coordinate]
+    if src.city != ctr_s.id:
+        waypoints.append(ctr_s.coordinate)
+    if src.isp != dst.isp:
+        candidates = sorted(
+            set(topology.isps[src.isp].ixp_cities) | set(topology.isps[dst.isp].ixp_cities)
+        )
+        if not candidates:
+            raise ValidationError(f"no IXP available between {src.isp!r} and {dst.isp!r}")
+        ixp = min(
+            candidates,
+            key=lambda cid: (
+                topology.distance(ctr_s.coordinate, topology.city(cid).coordinate)
+                + topology.distance(topology.city(cid).coordinate, ctr_d.coordinate),
+                cid,
+            ),
+        )
+        waypoints.append(topology.city(ixp).coordinate)
+    if dst.city != ctr_d.id:
+        waypoints.append(ctr_d.coordinate)
+    waypoints.append(dst.coordinate)
+
+    deduped = [waypoints[0]]
+    for w in waypoints[1:]:
+        if w != deduped[-1]:
+            deduped.append(w)
+    direct = topology.distance(src.coordinate, dst.coordinate)
+    if direct == 0.0:
+        return tuple(deduped), 1.0
+    legs = sum(topology.distance(a, b) for a, b in zip(deduped, deduped[1:]))
+    return tuple(deduped), max(1.0, legs / direct)
+
+
 def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]):
     """The model correlation in its covariance-over-stddevs form, the oracle
     for ``rtd_model_corr``:

@@ -268,7 +268,7 @@ def reference_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
         keep &= geoloc.geodesic_distance_many(glats, wlons, center.lat, center.lon) <= r + slack
     if not keep.any():
         return geoloc.GeolocationResult("failed", reason="empty intersection")
-    centroid = Coordinate(float(glats[keep].mean()), float(_wrap(glons[keep].mean())))
+    centroid = geoloc.grid_centroid(glats[keep], wlons[keep])
     return geoloc.GeolocationResult("located", centroid, region_lats=glats[keep],
                                     region_lons=wlons[keep])
 
@@ -332,6 +332,19 @@ def test_cbg_polar_box_spans_one_turn():
     assert np.unique(np.round(meridians % 360.0, 9)).size == meridians.size
 
 
+@pytest.mark.parametrize(
+    "lat, lon", [(89.0, 0.0), (85.0, 30.0), (80.0, -120.0), (-88.0, 45.0), (30.0, 100.0), (0.0, 179.9)]
+)
+def test_cbg_lone_circle_locates_its_centre(lat, lon):
+    # the box spans the cap's spherical longitude extent and the centroid is
+    # taken on the sphere: at (89, 0) the coordinate mean was 146.7 km off,
+    # at (85, 30) a box sized from cos(lat) lost 794 cells and 63.4 km
+    center = Coordinate(lat, lon)
+    res = geoloc.cbg_locate([(center, 500.0)])
+    assert res.located
+    assert geodesic_distance(res.coordinate, center) <= 1.0
+
+
 def test_cbg_straddling_antimeridian():
     truth = Coordinate(10.0, 179.95)
     anchors = [Coordinate(9.0, 179.0), Coordinate(11.0, -179.0), Coordinate(10.5, -178.5)]
@@ -376,6 +389,11 @@ def _lm(lm_id, city, isp, lat=30.0, lon=110.0):
     return HostRecord(lm_id, Coordinate(lat, lon), city, isp, "landmark")
 
 
+def batched(delays):
+    """A delay_ms stub over a dict: landmark ids in, their delays out."""
+    return lambda ids: [delays[i] for i in ids]
+
+
 AREAS = {"a": "r1", "a2": "r1", "b": "r2", "b2": "r2"}
 CENTERS = {"r1": "a", "r2": "b"}
 
@@ -383,7 +401,7 @@ CENTERS = {"r1": "a", "r2": "b"}
 def test_geoget_picks_min_delay_city():
     lms = [_lm("l1", "a", "A"), _lm("l2", "a2", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 8.0, "l2": 3.0, "l3": 20.0, "l4": 1.0}
-    city = geoloc.geoget_locate(lms, delays.__getitem__, "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
     # phase 1 keeps r1 (center delay 8 < 20); l4's tiny delay is never probed
     assert city == "a2"
 
@@ -392,7 +410,7 @@ def test_geoget_candidate_areas_cover_everything():
     lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 8.0, "l3": 20.0, "l4": 1.0}
     city = geoloc.geoget_locate(
-        lms, delays.__getitem__, "A", "modified", AREAS, CENTERS, candidate_areas=2
+        lms, batched(delays), "A", "modified", AREAS, CENTERS, candidate_areas=2
     )
     assert city == "b2"
 
@@ -400,7 +418,7 @@ def test_geoget_candidate_areas_cover_everything():
 def test_geoget_original_uses_other_isps():
     lms = [_lm("l1", "a", "A"), _lm("l2", "b", "B")]
     delays = {"l1": 1.0, "l2": 9.0}
-    city = geoloc.geoget_locate(lms, delays.__getitem__, "A", "original", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "original", AREAS, CENTERS)
     assert city == "b"
 
 
@@ -419,14 +437,14 @@ def test_geoget_area_without_center_landmark_ranks_last():
     # r2 has no center-city landmark -> it scores inf and loses phase 1
     lms = [_lm("l1", "a", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 50.0, "l4": 0.1}
-    city = geoloc.geoget_locate(lms, delays.__getitem__, "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
     assert city == "a"
 
 
 def test_geoget_tie_breaks_on_landmark_id():
     lms = [_lm("l2", "a2", "A"), _lm("l1", "a", "A")]
     delays = {"l1": 5.0, "l2": 5.0}
-    city = geoloc.geoget_locate(lms, delays.__getitem__, "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
     assert city == "a"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from rtdcorr import dataset, netsim
-from rtdcorr.corr_model import pearson_xy, synth_delay
+from rtdcorr.corr_model import PathFactors, pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance
+
+from reference import route_scalar
 
 
 def mini_config(jitter=0.3, k=3, intra_sigma=0.25, inter_sigma=1.0, pin_hosts=False):
@@ -151,8 +154,8 @@ def test_pair_rng_is_stable_and_distinct():
 def test_sigma_zero_makes_r_constant():
     cfg = mini_config(intra_sigma=0.0, jitter=0.0, k=1)
     topo = netsim.build_topology(cfg)
-    f = netsim.sample_path_factors(topo, cfg, "p1", "l1", netsim.pair_rng(1, "x"))
-    assert f.r == pytest.approx(1.0 + 0.5, abs=1e-12)
+    f = netsim.sample_path_factors(topo, cfg, 1, "p1", ["l1", "l3"], stream="x")
+    assert f.r == pytest.approx([1.0 + 0.5] * 2, abs=1e-12)
 
 
 def test_inter_r_spread_exceeds_intra():
@@ -163,23 +166,122 @@ def test_inter_r_spread_exceeds_intra():
     assert (intra > 1.0).all() and (inter > 1.0).all()
 
 
+def base_delay(topo, cfg, seed, src, dst):
+    f = netsim.sample_path_factors(topo, cfg, seed, src, [dst])
+    factors = PathFactors(float(f.r[0]), float(f.t[0]), float(f.d_km[0]))
+    return synth_delay(factors, cfg.path_model.v_km_s)
+
+
 def test_zero_jitter_min_equals_base():
     cfg = mini_config(jitter=0.0, k=1)
     topo = netsim.build_topology(cfg)
-    rng = netsim.pair_rng(42, "campaign", "p1", "l2")
-    factors = netsim.sample_path_factors(topo, cfg, "p1", "l2", rng)
-    base = synth_delay(factors, cfg.path_model.v_km_s)
+    base = base_delay(topo, cfg, 42, "p1", "l2")
     assert netsim.pair_min_delay_ms(topo, cfg, 42, "p1", "l2") == base
 
 
 def test_min_delay_bounded_by_jitter():
     cfg = mini_config(jitter=0.3, k=5)
     topo = netsim.build_topology(cfg)
-    rng = netsim.pair_rng(42, "campaign", "p1", "l2")
-    factors = netsim.sample_path_factors(topo, cfg, "p1", "l2", rng)
-    base = synth_delay(factors, cfg.path_model.v_km_s)
+    base = base_delay(topo, cfg, 42, "p1", "l2")
     got = netsim.pair_min_delay_ms(topo, cfg, 42, "p1", "l2")
     assert base <= got <= base * 1.3
+
+
+def assert_routes_match_reference(topo, cfg, sources, dsts):
+    """Vectorised T (one row per source) and route_path equal the scalar
+    reference router bit for bit; returns the reference routes."""
+    routes = {}
+    for s in sources:
+        row = netsim.sample_path_factors(topo, cfg, 0, s, dsts).t.tolist()
+        for d, t in zip(dsts, row):
+            routes[s, d] = route_scalar(topo, s, d)
+            assert t == routes[s, d][1], (s, d)
+    for (s, d), (waypoints, t) in list(routes.items())[::13]:
+        assert netsim.route_path(topo, s, d) == netsim.RoutedPath(waypoints, t)
+    return routes
+
+
+def test_vector_routes_match_reference_on_mini():
+    for pin in (False, True):
+        cfg = mini_config(pin_hosts=pin)
+        topo = netsim.build_topology(cfg)
+        hosts = sorted(topo.registry.hosts)
+        routes = assert_routes_match_reference(topo, cfg, hosts, hosts)
+        for s, d in itertools.product(hosts, hosts):
+            assert netsim.route_path(topo, s, d) == netsim.RoutedPath(*routes[s, d])
+    # the last loop ran with hosts pinned at their cities' coordinates
+    a, l2 = topo.city("a").coordinate, topo.host("l2").coordinate
+    # p1 sits in its center city a, which is also the IXP of the cross-ISP
+    # pair p1 (x) -> l2 (y, at center b): the route is a -> b
+    assert routes["p1", "l2"][0] == (a, l2) and routes["p1", "l2"][1] == 1.0
+    assert routes["p1", "l3"][1] > 1.0  # same ISP, across regions
+    # coincident hosts: same ISP (p1, l1 at a), across ISPs (p2, l3 at b2)
+    assert routes["p1", "l1"] == ((a,), 1.0)
+    assert routes["p2", "l3"][1] == 1.0
+
+
+def test_vector_routes_match_reference_on_cn_like(cn_config):
+    topo = netsim.build_topology(cn_config)
+    hosts = sorted(topo.registry.hosts)
+    routes = assert_routes_match_reference(topo, cn_config, hosts[::7], hosts)
+    assert len(routes) == 42120
+
+
+def test_missing_ixp_is_a_validation_error():
+    cfg = mini_config()
+    no_ixp = netsim.SimConfig(
+        cfg.cities, (netsim.IspSpec("x"), netsim.IspSpec("y")), cfg.hosts, cfg.path_model
+    )
+    topo = netsim.build_topology(no_ixp)
+    netsim.route_path(topo, "p1", "l3")  # same ISP needs no IXP
+    with pytest.raises(ValidationError, match="no IXP"):
+        netsim.route_path(topo, "p1", "l2")
+    with pytest.raises(ValidationError, match="no IXP"):
+        netsim.simulate_campaign(topo, no_ixp, seed=42)
+
+
+def test_open_unit_stays_inside():
+    u = netsim._open_unit(np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64))
+    assert (u > 0.0).all() and (u < 1.0).all()
+    assert u[0] < u[2] < u[3]
+
+
+def test_draw_distribution_over_cn_like_campaign(cn_config):
+    topo = netsim.build_topology(cn_config)
+    pm = cn_config.path_model
+    lms = sorted(h.id for h in topo.registry.landmarks())
+    probes = sorted(h.id for h in topo.registry.probes())
+    k = pm.samples_per_pair
+    logs = {True: [], False: []}
+    jitter, words = [], []
+    for p in probes:
+        f = netsim.sample_path_factors(topo, cn_config, 42, p, lms)
+        same = np.array([topo.host(l).isp == topo.host(p).isp for l in lms])
+        for intra in (True, False):
+            law = pm.intra_r if intra else pm.inter_r
+            logs[intra].append(np.log(f.r[same == intra] - law.shift))
+        jitter.append(f.jitter)
+        words.append(netsim.pair_uniforms(42, "campaign", p, lms, 2 + k))
+    # log(R - shift) ~ N(mu, sigma) per law: 5 standard errors
+    for intra, law in ((True, pm.intra_r), (False, pm.inter_r)):
+        x = np.concatenate(logs[intra])
+        n = x.size
+        assert n > 10000
+        assert abs(x.mean() - law.mu) <= 5 * law.sigma / math.sqrt(n)
+        assert abs(x.std() - law.sigma) <= 5 * law.sigma / math.sqrt(2 * n)
+    jitter = np.concatenate(jitter)
+    assert jitter.shape == (len(probes) * len(lms), k)
+    assert (jitter >= 0.0).all() and (jitter < pm.jitter).all()
+    assert abs(jitter.mean() - pm.jitter / 2) <= 5 * pm.jitter / math.sqrt(12 * jitter.size)
+    u = np.concatenate(words)
+    assert (u > 0.0).all() and (u < 1.0).all()
+    # distinct pairs draw distinct words, and so do distinct streams and seeds
+    assert np.unique(u, axis=0).shape[0] == u.shape[0]
+    campaign = netsim.pair_uniforms(42, "campaign", probes[0], lms, 2 + k)
+    assert (campaign == words[0]).all()
+    for other in (netsim.pair_uniforms(42, "target", probes[0], lms, 2 + k),
+                  netsim.pair_uniforms(43, "campaign", probes[0], lms, 2 + k)):
+        assert not (other == campaign).any(axis=1).any()
 
 
 def test_topology_distance_matches_geodesic_distance():
