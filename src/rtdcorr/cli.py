@@ -32,9 +32,8 @@ def _print_header(args: argparse.Namespace) -> None:
 
 def cmd_ingest(args) -> int:
     registry = dataset.read_hosts_csv(args.hosts)
-    observations = dataset.read_rtt_csv(args.rtt)
-    min_rtts = dataset.ingest_rtt(observations, registry)
-    samples = dataset.join_distances(min_rtts, registry)
+    observations = dataset.read_rtt_csv(args.rtt, registry)
+    samples = dataset.join_distances(dataset.ingest_rtt(observations), registry)
     dataset.write_samples_csv(samples, args.out)
     print(f"{len(observations)} observations -> {len(samples)} samples -> {args.out}")
     return 0

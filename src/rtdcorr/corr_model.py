@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .dataset import SampleTable
 from .errors import NotFoundError, ValidationError
 
 #: Default propagation speed in fiber, km/s (about 2/3 of light speed).
@@ -34,26 +35,6 @@ CorrValue = Optional[float]
 class CorrStrength(Enum):
     STRONG = "strong"
     WEAK = "weak"
-
-
-@dataclass(frozen=True)
-class DelayDistanceSample:
-    """One (probe, landmark) pair: minimum RTT in ms and geodesic distance in km."""
-
-    probe_id: str
-    landmark_id: str
-    delay_ms: float
-    distance_km: float
-    probe_isp: str
-    landmark_isp: str
-    probe_city: str
-    landmark_city: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delay_ms) and self.delay_ms > 0):
-            raise ValidationError(f"delay must be finite and > 0, got {self.delay_ms}")
-        if not (math.isfinite(self.distance_km) and self.distance_km >= 0):
-            raise ValidationError(f"distance must be finite and >= 0, got {self.distance_km}")
 
 
 @dataclass(frozen=True)
@@ -97,34 +78,57 @@ def synth_delay(f: PathFactors, v_km_s: float = DEFAULT_SPEED_KM_S) -> float:
     return f.r * f.t * f.d_km / v_km_s * 1000.0
 
 
-def pearson_xy(xs: Sequence[float], ys: Sequence[float]) -> CorrValue:
-    """Pearson correlation of two aligned sequences; None when degenerate.
+@dataclass(frozen=True)
+class CorrCell:
+    corr: CorrValue
+    n_samples: int
 
-    Undefined (None) for fewer than MIN_SAMPLES_FOR_CORR points or when a
-    margin's variance is negligible relative to its magnitude.
+
+def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> list[CorrCell]:
+    """Pearson correlation of x and y within each group, and the group's
+    size, for group labels 0 .. n_groups - 1: the one Pearson formula.
+
+    Two passes, each a ``np.bincount`` per sum: the group means, then the
+    centred sums.  A group's correlation is undefined (None) for fewer than
+    MIN_SAMPLES_FOR_CORR points or when a margin's variance is negligible
+    relative to its magnitude; it is clamped to [-1, 1].
     """
+    n = np.bincount(groups, minlength=n_groups)
+    per = np.maximum(n, 1)
+
+    def centred(v):
+        """Deviations from the group means, group variances, and whether each
+        variance clears the relative floor (so the check is invariant under
+        positive rescaling)."""
+        d = v - (np.bincount(groups, v, n_groups) / per)[groups]
+        var = np.bincount(groups, d * d, n_groups) / per
+        mean_sq = np.bincount(groups, v * v, n_groups) / per
+        return d, var, var > _VAR_REL_EPS * np.maximum(1e-300, mean_sq)
+
+    dx, vx, x_ok = centred(np.asarray(x, dtype=float))
+    dy, vy, y_ok = centred(np.asarray(y, dtype=float))
+    ok = (n >= MIN_SAMPLES_FOR_CORR) & x_ok & y_ok
+    cov = np.bincount(groups, dx * dy, n_groups) / per
+    corr = np.clip(cov / np.sqrt(np.where(ok, vx * vy, 1.0)), -1.0, 1.0)
+    return [
+        CorrCell(c if defined else None, size)
+        for c, defined, size in zip(corr.tolist(), ok.tolist(), n.tolist())
+    ]
+
+
+def pearson_xy(xs: Sequence[float], ys: Sequence[float]) -> CorrValue:
+    """Pearson correlation of two aligned sequences; None when degenerate
+    (see ``pearson_cells``)."""
     if len(xs) != len(ys):
         raise ValidationError("x and y lengths differ")
-    if len(xs) < MIN_SAMPLES_FOR_CORR:
-        return None
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    vx = float(np.var(x))
-    vy = float(np.var(y))
-    # relative floor so the check is invariant under positive rescaling
-    if vx <= _VAR_REL_EPS * max(1e-300, float(np.mean(x * x))):
-        return None
-    if vy <= _VAR_REL_EPS * max(1e-300, float(np.mean(y * y))):
-        return None
-    c = float(np.mean((x - x.mean()) * (y - y.mean())) / math.sqrt(vx * vy))
-    return max(-1.0, min(1.0, c))
+    return pearson_cells(np.zeros(len(xs), dtype=np.intp), 1, xs, ys)[0].corr
 
 
-def pearson_corr(samples: Sequence[DelayDistanceSample]) -> CorrValue:
-    """Delay-distance correlation of a sample set (first-order linear)."""
-    if not samples:
-        raise ValidationError("pearson_corr: empty sample list")
-    return pearson_xy([s.distance_km for s in samples], [s.delay_ms for s in samples])
+def pearson_corr(samples: SampleTable) -> CorrValue:
+    """Delay-distance correlation of a sample table (first-order linear)."""
+    if not len(samples):
+        raise ValidationError("pearson_corr: empty sample table")
+    return pearson_xy(samples.distance_km, samples.delay_ms)
 
 
 def classify_corr(c: CorrValue, threshold: float = STRONG_CORR_THRESHOLD) -> CorrStrength:
@@ -157,12 +161,6 @@ def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
 
 
 @dataclass(frozen=True)
-class CorrCell:
-    corr: CorrValue
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class CorrMatrix:
     """Per (probe ISP, landmark ISP) correlation; diagonal cells are intra-ISP."""
 
@@ -174,20 +172,21 @@ class CorrMatrix:
         return self.cells.get((probe_isp, landmark_isp), CorrCell(None, 0))
 
 
-def corr_matrix(samples: Sequence[DelayDistanceSample]) -> CorrMatrix:
+def corr_matrix(samples: SampleTable) -> CorrMatrix:
     """One Pearson correlation per (probe ISP, landmark ISP) group."""
-    groups: dict[tuple[str, str], list[DelayDistanceSample]] = {}
-    for s in samples:
-        groups.setdefault((s.probe_isp, s.landmark_isp), []).append(s)
-    probe_isps = tuple(sorted({s.probe_isp for s in samples}))
-    landmark_isps = tuple(sorted({s.landmark_isp for s in samples}))
-    cells = {}
-    for pi in probe_isps:
-        for li in landmark_isps:
-            grp = groups.get((pi, li), [])
-            corr = pearson_corr(grp) if grp else None
-            cells[(pi, li)] = CorrCell(corr, len(grp))
-    return CorrMatrix(probe_isps, landmark_isps, cells)
+    n_isps = len(samples.isps)
+    cells = pearson_cells(
+        samples.probe_isp * n_isps + samples.landmark_isp, n_isps * n_isps,
+        samples.distance_km, samples.delay_ms,
+    )
+    probe_isps = np.unique(samples.probe_isp).tolist()
+    landmark_isps = np.unique(samples.landmark_isp).tolist()
+    return CorrMatrix(
+        tuple(samples.isps[i] for i in probe_isps),
+        tuple(samples.isps[j] for j in landmark_isps),
+        {(samples.isps[i], samples.isps[j]): cells[i * n_isps + j]
+         for i in probe_isps for j in landmark_isps},
+    )
 
 
 @dataclass(frozen=True)
@@ -198,28 +197,30 @@ class ProbeCorrReport:
     inter: dict  # foreign isp -> CorrCell
 
 
-def probe_corr_report(
-    samples: Sequence[DelayDistanceSample], probe_id: str
-) -> ProbeCorrReport:
+def all_probe_reports(samples: SampleTable) -> list[ProbeCorrReport]:
+    """Each probe's intra-ISP and per-foreign-ISP correlations, by probe id:
+    one Pearson per (probe, landmark ISP) group.  A probe's ISP is that of
+    its first row; a foreign ISP it has no samples toward is left out."""
+    n_isps = len(samples.isps)
+    cells = pearson_cells(
+        samples.probe * n_isps + samples.landmark_isp, len(samples.probe_ids) * n_isps,
+        samples.distance_km, samples.delay_ms,
+    )
+    probes, first = np.unique(samples.probe, return_index=True)
+    reports = []
+    for p, own in zip(probes.tolist(), samples.probe_isp[first].tolist()):
+        row = cells[p * n_isps:(p + 1) * n_isps]
+        inter = {samples.isps[i]: c for i, c in enumerate(row) if i != own and c.n_samples}
+        reports.append(ProbeCorrReport(samples.probe_ids[p], samples.isps[own], row[own], inter))
+    return reports
+
+
+def probe_corr_report(samples: SampleTable, probe_id: str) -> ProbeCorrReport:
     """Intra-ISP and per-foreign-ISP correlations of one probing host."""
-    mine = [s for s in samples if s.probe_id == probe_id]
-    if not mine:
-        raise NotFoundError(f"probe {probe_id!r} has no samples")
-    probe_isp = mine[0].probe_isp
-    intra_grp = [s for s in mine if s.landmark_isp == probe_isp]
-    inter: dict[str, CorrCell] = {}
-    for isp in sorted({s.landmark_isp for s in mine if s.landmark_isp != probe_isp}):
-        grp = [s for s in mine if s.landmark_isp == isp]
-        inter[isp] = CorrCell(pearson_corr(grp) if grp else None, len(grp))
-    intra = CorrCell(pearson_corr(intra_grp) if intra_grp else None, len(intra_grp))
-    return ProbeCorrReport(probe_id, probe_isp, intra, inter)
-
-
-def all_probe_reports(samples: Sequence[DelayDistanceSample]) -> list[ProbeCorrReport]:
-    return [
-        probe_corr_report(samples, pid)
-        for pid in sorted({s.probe_id for s in samples})
-    ]
+    for rep in all_probe_reports(samples):
+        if rep.probe_id == probe_id:
+            return rep
+    raise NotFoundError(f"probe {probe_id!r} has no samples")
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ class RichSubnetReport:
 
 
 def discover_rich_subnets(
-    samples: Sequence[DelayDistanceSample], threshold: float = STRONG_CORR_THRESHOLD
+    samples: SampleTable, threshold: float = STRONG_CORR_THRESHOLD
 ) -> RichSubnetReport:
     """Probes whose intra-ISP correlation (or some inter-ISP correlation)
     strictly exceeds the threshold, plus the corresponding fractions."""

@@ -1,26 +1,38 @@
-"""Host registries, raw RTT observations, min-RTT aggregation and the join
+"""Host registries, RTT and sample tables, min-RTT aggregation and the join
 that produces (delay, distance) samples.  CSV is the interchange format:
 
 hosts.csv    id,role,city,isp,lat,lon,is_regional_center
 rtt.csv      probe_id,landmark_id,timestamp_iso8601,rtt_ms
 samples.csv  probe_id,landmark_id,min_rtt_ms,distance_km,probe_isp,landmark_isp,probe_city,landmark_city
+
+Campaign data travels as tables of columns: numpy arrays of values, and of
+integer codes into sorted tuples of ids (row i's probe is
+``probe_ids[probe[i]]``), so code order is id order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .corr_model import DelayDistanceSample
+import numpy as np
+
 from .errors import NotFoundError, ValidationError
 # geodesic_distance is unused here but stays bound: benchmark/tracing.py wraps it
 from .geodesy import Coordinate, geodesic_distance, geodesic_distance_many  # noqa: F401
 
 ROLE_PROBE = "probe"
 ROLE_LANDMARK = "landmark"
+
+HOST_COLUMNS = ("id", "role", "city", "isp", "lat", "lon", "is_regional_center")
+RTT_COLUMNS = ("probe_id", "landmark_id", "timestamp_iso8601", "rtt_ms")
+SAMPLE_COLUMNS = ("probe_id", "landmark_id", "min_rtt_ms", "distance_km",
+                  "probe_isp", "landmark_isp", "probe_city", "landmark_city")
 
 
 @dataclass(frozen=True)
@@ -35,20 +47,6 @@ class HostRecord:
     def __post_init__(self):
         if self.role not in (ROLE_PROBE, ROLE_LANDMARK):
             raise ValidationError(f"host {self.id!r}: unknown role {self.role!r}")
-
-
-@dataclass(frozen=True)
-class RttObservation:
-    probe_id: str
-    landmark_id: str
-    timestamp: str  # ISO-8601; carried through, not interpreted
-    rtt_ms: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rtt_ms) and self.rtt_ms > 0):
-            raise ValidationError(
-                f"rtt for ({self.probe_id}, {self.landmark_id}) must be finite and > 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -88,87 +86,249 @@ def validate_registry(records: Sequence[HostRecord]) -> Registry:
     return Registry(hosts, isps, cities)
 
 
-def ingest_rtt(
-    observations: Iterable[RttObservation], registry: Registry | None = None
-) -> dict[tuple[str, str], float]:
-    """Minimum RTT per (probe, landmark) pair; unmeasured pairs are absent."""
-    min_rtts: dict[tuple[str, str], float] = {}
-    for obs in observations:
-        if registry is not None:
-            probe = registry[obs.probe_id]
-            landmark = registry[obs.landmark_id]
-            if probe.role != ROLE_PROBE:
-                raise ValidationError(f"{obs.probe_id!r} is not a probe")
-            if landmark.role != ROLE_LANDMARK:
-                raise ValidationError(f"{obs.landmark_id!r} is not a landmark")
-        key = (obs.probe_id, obs.landmark_id)
-        cur = min_rtts.get(key)
-        if cur is None or obs.rtt_ms < cur:
-            min_rtts[key] = obs.rtt_ms
-    return dict(sorted(min_rtts.items()))
+def _check_role(registry: Registry, host_id: str, role: str) -> None:
+    if registry[host_id].role != role:
+        raise ValidationError(f"{host_id!r} is not a {role}")
 
 
-def join_distances(
-    min_rtts: Mapping[tuple[str, str], float], registry: Registry
-) -> list[DelayDistanceSample]:
-    """Attach geodesic distances and ISP/city tags to aggregated min-RTTs."""
-    samples = []
-    by_probe = itertools.groupby(sorted(min_rtts.items()), key=lambda item: item[0][0])
-    for probe_id, items in by_probe:
-        probe = registry[probe_id]
-        items = list(items)
-        landmarks = [registry[landmark_id] for (_, landmark_id), _ in items]
-        distances = geodesic_distance_many(
-            probe.coordinate.lat,
-            probe.coordinate.lon,
-            [lm.coordinate.lat for lm in landmarks],
-            [lm.coordinate.lon for lm in landmarks],
-        )
-        for ((_, landmark_id), rtt), landmark, distance_km in zip(
-            items, landmarks, distances.tolist()
-        ):
-            samples.append(
-                DelayDistanceSample(
-                    probe_id=probe_id,
-                    landmark_id=landmark_id,
-                    delay_ms=rtt,
-                    distance_km=distance_km,
-                    probe_isp=probe.isp,
-                    landmark_isp=landmark.isp,
-                    probe_city=probe.city,
-                    landmark_city=landmark.city,
-                )
-            )
-    return samples
+class _Coder(dict):
+    """Codes ids 0, 1, 2, ... in order of first sight; ``vet`` checks each new id."""
+
+    def __init__(self, vet: Optional[Callable[[str], None]] = None):
+        super().__init__()
+        self.vet = vet
+
+    def __missing__(self, key: str) -> int:
+        if self.vet is not None:
+            self.vet(key)
+        code = self[key] = len(self)
+        return code
+
+    def freeze(self, *columns: array) -> tuple:
+        """(sorted ids, each column of codes recoded to index them)."""
+        ids = sorted(self)
+        recode = np.empty(len(ids), dtype=np.intp)
+        recode[[self[i] for i in ids]] = np.arange(len(ids))
+        return (tuple(ids), *(recode[np.asarray(c, dtype=np.intp)] for c in columns))
+
+
+@dataclass(frozen=True, eq=False)
+class RttTable:
+    """RTT observations: in row i probe ``probe_ids[probe[i]]`` measured
+    landmark ``landmark_ids[landmark[i]]`` at ``stamps[stamp[i]]`` (ISO-8601;
+    carried through, not interpreted) as ``rtt_ms[i]``."""
+
+    probe_ids: tuple[str, ...]
+    landmark_ids: tuple[str, ...]
+    stamps: tuple[str, ...]
+    probe: np.ndarray
+    landmark: np.ndarray
+    stamp: np.ndarray
+    rtt_ms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rtt_ms)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[tuple[str, str, str, float]], registry: Optional[Registry] = None
+    ) -> RttTable:
+        """The table of (probe_id, landmark_id, timestamp, rtt_ms) rows, coded
+        as they come.  An rtt that is not finite and > 0 is a ValidationError;
+        with a registry, so is a host in the wrong column, and an unknown host
+        is a NotFoundError."""
+
+        def vet(role: str):
+            return None if registry is None else lambda h: _check_role(registry, h, role)
+
+        probes, landmarks, stamps = _Coder(vet(ROLE_PROBE)), _Coder(vet(ROLE_LANDMARK)), _Coder()
+        probe, landmark, stamp, rtt = array("q"), array("q"), array("q"), array("d")
+        for p, lm, ts, v in rows:
+            if not 0.0 < v < math.inf:
+                raise ValidationError(f"rtt for ({p}, {lm}) must be finite and > 0, got {v}")
+            probe.append(probes[p])
+            landmark.append(landmarks[lm])
+            stamp.append(stamps[ts])
+            rtt.append(v)
+        probe_ids, probe = probes.freeze(probe)
+        landmark_ids, landmark = landmarks.freeze(landmark)
+        stamp_ids, stamp = stamps.freeze(stamp)
+        return cls(probe_ids, landmark_ids, stamp_ids, probe, landmark, stamp, np.asarray(rtt))
+
+
+@dataclass(frozen=True, eq=False)
+class MinRttTable:
+    """The minimum RTT of each measured (probe, landmark) pair, one row per
+    pair, sorted by pair; codes as in ``RttTable``."""
+
+    probe_ids: tuple[str, ...]
+    landmark_ids: tuple[str, ...]
+    probe: np.ndarray
+    landmark: np.ndarray
+    rtt_ms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rtt_ms)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """(delay, distance) samples, one row per (probe, landmark) pair: the
+    pair's minimum RTT ``delay_ms`` and geodesic ``distance_km``, and its two
+    hosts' ISPs (codes into ``isps``) and cities (codes into ``cities``)."""
+
+    probe_ids: tuple[str, ...]
+    landmark_ids: tuple[str, ...]
+    isps: tuple[str, ...]
+    cities: tuple[str, ...]
+    probe: np.ndarray
+    landmark: np.ndarray
+    delay_ms: np.ndarray
+    distance_km: np.ndarray
+    probe_isp: np.ndarray
+    landmark_isp: np.ndarray
+    probe_city: np.ndarray
+    landmark_city: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delay_ms)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[tuple[str, str, float, float, str, str, str, str]]
+    ) -> SampleTable:
+        """The table of rows in samples.csv column order, coded as they come.
+        A delay that is not finite and > 0, or a distance that is not finite
+        and >= 0, is a ValidationError."""
+        probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
+        cols = [array("q") for _ in range(6)]
+        probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = cols
+        delay, distance = array("d"), array("d")
+        for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in rows:
+            if not 0.0 < d_ms < math.inf:
+                raise ValidationError(f"delay must be finite and > 0, got {d_ms}")
+            if not 0.0 <= d_km < math.inf:
+                raise ValidationError(f"distance must be finite and >= 0, got {d_km}")
+            probe.append(probes[p])
+            landmark.append(landmarks[lm])
+            delay.append(d_ms)
+            distance.append(d_km)
+            probe_isp.append(isps[p_isp])
+            landmark_isp.append(isps[l_isp])
+            probe_city.append(cities[p_city])
+            landmark_city.append(cities[l_city])
+        probe_ids, probe = probes.freeze(probe)
+        landmark_ids, landmark = landmarks.freeze(landmark)
+        isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
+        city_ids, probe_city, landmark_city = cities.freeze(probe_city, landmark_city)
+        return cls(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
+                   np.asarray(delay), np.asarray(distance),
+                   probe_isp, landmark_isp, probe_city, landmark_city)
+
+
+def probe_runs(table) -> list[tuple[int, int, int]]:
+    """(probe code, start, stop) of each run of rows with one probe, in row
+    order; in a table sorted by pair each probe's rows are one run."""
+    starts = np.flatnonzero(np.diff(table.probe, prepend=-1))
+    stops = np.append(starts[1:], len(table.probe))
+    return list(zip(table.probe[starts].tolist(), starts.tolist(), stops.tolist()))
+
+
+def ingest_rtt(table: RttTable, registry: Optional[Registry] = None) -> MinRttTable:
+    """Minimum RTT per (probe, landmark) pair, a grouped minimum over the
+    rows sorted by pair; unmeasured pairs are absent.  With a registry every
+    host must be known and in its column's role."""
+    if registry is not None:
+        for host_id in table.probe_ids:
+            _check_role(registry, host_id, ROLE_PROBE)
+        for host_id in table.landmark_ids:
+            _check_role(registry, host_id, ROLE_LANDMARK)
+    n_landmarks = max(1, len(table.landmark_ids))
+    key = table.probe * n_landmarks + table.landmark
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    pairs = key[starts]
+    return MinRttTable(
+        table.probe_ids, table.landmark_ids, pairs // n_landmarks, pairs % n_landmarks,
+        np.minimum.reduceat(table.rtt_ms[order], starts),
+    )
+
+
+def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
+    """Attach geodesic distances (one kernel call per probe) and ISP/city
+    tags to aggregated min-RTTs."""
+    probes = [registry[h] for h in min_rtts.probe_ids]
+    landmarks = [registry[h] for h in min_rtts.landmark_ids]
+    isps = tuple(sorted({h.isp for h in probes + landmarks}))
+    cities = tuple(sorted({h.city for h in probes + landmarks}))
+
+    def codes(hosts, ids, attr):
+        code = {v: i for i, v in enumerate(ids)}
+        return np.array([code[getattr(h, attr)] for h in hosts], dtype=np.intp)
+
+    lm_lats = np.array([h.coordinate.lat for h in landmarks])
+    lm_lons = np.array([h.coordinate.lon for h in landmarks])
+    distance = np.empty(len(min_rtts))
+    for p, lo, hi in probe_runs(min_rtts):
+        lms = min_rtts.landmark[lo:hi]
+        c = probes[p].coordinate
+        distance[lo:hi] = geodesic_distance_many(c.lat, c.lon, lm_lats[lms], lm_lons[lms])
+    return SampleTable(
+        min_rtts.probe_ids, min_rtts.landmark_ids, isps, cities,
+        min_rtts.probe, min_rtts.landmark, min_rtts.rtt_ms, distance,
+        codes(probes, isps, "isp")[min_rtts.probe],
+        codes(landmarks, isps, "isp")[min_rtts.landmark],
+        codes(probes, cities, "city")[min_rtts.probe],
+        codes(landmarks, cities, "city")[min_rtts.landmark],
+    )
 
 
 def _parse_bool(s: str) -> bool:
     return s.strip().lower() in ("1", "true", "yes")
 
 
-def parse_csv(path, required: set[str], parse: Callable[[dict], object]) -> list:
-    """parse(row) for every row of a CSV file whose header has the required
-    columns.  A row with missing or extra fields, or one that parse rejects
-    with a ValueError, raises ValidationError naming its line."""
-    parsed = []
+@contextlib.contextmanager
+def _csv_rows(path, required: Iterable[str]):
+    """(header, rows) of a CSV file whose header has the required columns;
+    ``rows`` yields each non-blank row as its list of fields.  A row with
+    missing or extra fields, or a ValueError (ValidationError included) or
+    NotFoundError raised while the rows are read, raises ValidationError
+    naming the row's line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        required = set(required)
+        if header is None or not required.issubset(header):
             raise ValidationError(f"{path}: expected header columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                if None in row or None in row.values():
-                    raise ValidationError(f"expected {len(reader.fieldnames)} fields")
-                parsed.append(parse(row))
-            except ValueError as exc:  # ValidationError included
-                raise ValidationError(f"{path}:{i}: {exc}") from exc
-    return parsed
+        width = len(header)
+
+        def rows():
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue  # a blank line
+                    raise ValidationError(f"expected {width} fields")
+                yield row
+
+        try:
+            yield header, rows()
+        except (ValueError, NotFoundError) as exc:
+            msg = exc.args[0] if isinstance(exc, NotFoundError) else exc
+            raise ValidationError(f"{path}:{reader.line_num}: {msg}") from exc
+
+
+def parse_csv(path, required: Iterable[str], parse: Callable[[dict], object]) -> list:
+    """parse(row) for every row of a CSV file whose header has the required
+    columns, the row as a dict by column name; errors as in ``_csv_rows``."""
+    with _csv_rows(path, required) as (header, rows):
+        return [parse(dict(zip(header, row))) for row in rows]
 
 
 def read_hosts_csv(path) -> Registry:
     records = parse_csv(
         path,
-        {"id", "role", "city", "isp", "lat", "lon", "is_regional_center"},
+        HOST_COLUMNS,
         lambda row: HostRecord(
             id=row["id"],
             coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
@@ -184,7 +344,7 @@ def read_hosts_csv(path) -> Registry:
 def write_hosts_csv(registry: Registry, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "role", "city", "isp", "lat", "lon", "is_regional_center"])
+        w.writerow(HOST_COLUMNS)
         for host in sorted(registry.hosts.values(), key=lambda h: h.id):
             w.writerow(
                 [
@@ -199,54 +359,53 @@ def write_hosts_csv(registry: Registry, path) -> None:
             )
 
 
-def read_rtt_csv(path) -> list[RttObservation]:
-    return parse_csv(
-        path,
-        {"probe_id", "landmark_id", "timestamp_iso8601", "rtt_ms"},
-        lambda row: RttObservation(
-            probe_id=row["probe_id"],
-            landmark_id=row["landmark_id"],
-            timestamp=row["timestamp_iso8601"],
-            rtt_ms=float(row["rtt_ms"]),
-        ),
-    )
+def _labels(ids: tuple[str, ...], codes: np.ndarray):
+    return map(ids.__getitem__, codes.tolist())
 
 
-def write_rtt_csv(observations: Sequence[RttObservation], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe_id", "landmark_id", "timestamp_iso8601", "rtt_ms"])
-        for obs in observations:
-            w.writerow([obs.probe_id, obs.landmark_id, obs.timestamp, f"{obs.rtt_ms:.6f}"])
-
-
-def read_samples_csv(path) -> list[DelayDistanceSample]:
-    return parse_csv(
-        path,
-        {"probe_id", "landmark_id", "min_rtt_ms", "distance_km",
-         "probe_isp", "landmark_isp", "probe_city", "landmark_city"},
-        lambda row: DelayDistanceSample(
-            probe_id=row["probe_id"],
-            landmark_id=row["landmark_id"],
-            delay_ms=float(row["min_rtt_ms"]),
-            distance_km=float(row["distance_km"]),
-            probe_isp=row["probe_isp"],
-            landmark_isp=row["landmark_isp"],
-            probe_city=row["probe_city"],
-            landmark_city=row["landmark_city"],
-        ),
-    )
-
-
-def write_samples_csv(samples: Sequence[DelayDistanceSample], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["probe_id", "landmark_id", "min_rtt_ms", "distance_km",
-             "probe_isp", "landmark_isp", "probe_city", "landmark_city"]
+def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
+    """rtt.csv as a table, read a row at a time; with a registry, hosts are
+    checked as in ``RttTable.from_rows``."""
+    with _csv_rows(path, RTT_COLUMNS) as (header, rows):
+        pick = operator.itemgetter(*map(header.index, RTT_COLUMNS))
+        return RttTable.from_rows(
+            ((p, lm, ts, float(v)) for p, lm, ts, v in map(pick, rows)), registry
         )
-        for s in samples:
-            w.writerow(
-                [s.probe_id, s.landmark_id, repr(s.delay_ms), f"{s.distance_km:.6f}",
-                 s.probe_isp, s.landmark_isp, s.probe_city, s.landmark_city]
-            )
+
+
+def write_rtt_csv(table: RttTable, path) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(RTT_COLUMNS)
+        w.writerows(zip(
+            _labels(table.probe_ids, table.probe),
+            _labels(table.landmark_ids, table.landmark),
+            _labels(table.stamps, table.stamp),
+            map("{:.6f}".format, table.rtt_ms.tolist()),
+        ))
+
+
+def read_samples_csv(path) -> SampleTable:
+    """samples.csv as a table, read a row at a time."""
+    with _csv_rows(path, SAMPLE_COLUMNS) as (header, rows):
+        pick = operator.itemgetter(*map(header.index, SAMPLE_COLUMNS))
+        return SampleTable.from_rows(
+            (p, lm, float(d_ms), float(d_km), p_isp, l_isp, p_city, l_city)
+            for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in map(pick, rows)
+        )
+
+
+def write_samples_csv(samples: SampleTable, path) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SAMPLE_COLUMNS)
+        w.writerows(zip(
+            _labels(samples.probe_ids, samples.probe),
+            _labels(samples.landmark_ids, samples.landmark),
+            map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
+            map("{:.6f}".format, samples.distance_km.tolist()),
+            _labels(samples.isps, samples.probe_isp),
+            _labels(samples.isps, samples.landmark_isp),
+            _labels(samples.cities, samples.probe_city),
+            _labels(samples.cities, samples.landmark_city),
+        ))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import corr_model, dataset, geoloc, netsim
 from .errors import BestlineError, NotFoundError, ValidationError
@@ -42,11 +41,7 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    doc = netsim.read_yaml(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: experiment spec must be a mapping")
     try:
@@ -71,15 +66,26 @@ class Campaign:
     config: netsim.SimConfig
     topology: netsim.Topology
     seed: int
-    min_rtts: dict
-    samples: list
+    samples: dataset.SampleTable  # sorted by pair, so each probe's rows are one slice
     reports: dict  # probe_id -> ProbeCorrReport
     _bestlines: dict  # (probe_id, scope_key) -> Bestline | None
-    _samples_by_probe: dict = None  # lazy per-probe sample index
 
     def __post_init__(self):
-        if self._samples_by_probe is None:
-            self._samples_by_probe = {}
+        s = self.samples
+        self._rows = {s.probe_ids[p]: slice(lo, hi) for p, lo, hi in dataset.probe_runs(s)}
+        self._landmark_code = {h: i for i, h in enumerate(s.landmark_ids)}
+        self._isp_code = {isp: i for i, isp in enumerate(s.isps)}
+
+    def delay(self, probe_id: str, landmark_id: str) -> Optional[float]:
+        """The pair's minimum RTT; None when the campaign did not measure it."""
+        rows = self._rows.get(probe_id)
+        code = self._landmark_code.get(landmark_id)
+        if rows is None or code is None:
+            return None
+        i = rows.start + int(np.searchsorted(self.samples.landmark[rows], code))
+        if i < rows.stop and self.samples.landmark[i] == code:
+            return float(self.samples.delay_ms[i])
+        return None
 
     def bestline(self, probe_id: str, scope: str, target_isp: str) -> Optional[geoloc.Bestline]:
         """Lazily fitted bestline; None when the point set is degenerate."""
@@ -91,16 +97,15 @@ class Campaign:
         else:
             key, want = (probe_id, "overall"), None
         if key not in self._bestlines:
-            mine = self._samples_by_probe.setdefault(
-                probe_id, [s for s in self.samples if s.probe_id == probe_id]
-            )
-            pts = [
-                (s.distance_km, s.delay_ms)
-                for s in mine
-                if want is None or s.landmark_isp == want
-            ]
+            rows = self._rows.get(probe_id, slice(0, 0))
+            distance, delay = self.samples.distance_km[rows], self.samples.delay_ms[rows]
+            if want is not None:
+                mine = self.samples.landmark_isp[rows] == self._isp_code.get(want, -1)
+                distance, delay = distance[mine], delay[mine]
             try:
-                self._bestlines[key] = geoloc.fit_bestline(pts, scope)
+                self._bestlines[key] = geoloc.fit_bestline(
+                    list(zip(distance.tolist(), delay.tolist())), scope
+                )
             except BestlineError:
                 self._bestlines[key] = None
         return self._bestlines[key]
@@ -108,11 +113,11 @@ class Campaign:
 
 def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
     topology = netsim.build_topology(config)
-    observations = netsim.simulate_campaign(topology, config, seed)
-    min_rtts = dataset.ingest_rtt(observations, topology.registry)
+    rtts = netsim.simulate_campaign(topology, config, seed)
+    min_rtts = dataset.ingest_rtt(rtts, topology.registry)
     samples = dataset.join_distances(min_rtts, topology.registry)
     reports = {r.probe_id: r for r in corr_model.all_probe_reports(samples)}
-    return Campaign(config, topology, seed, min_rtts, samples, reports, {})
+    return Campaign(config, topology, seed, samples, reports, {})
 
 
 def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostRecord]:
@@ -153,7 +158,7 @@ def cbg_locate_target(
         selections = _contrast_probes(campaign, spec.seed)
     circles = []
     for probe_id, scope in selections:
-        delay = campaign.min_rtts.get((probe_id, target.id))
+        delay = campaign.delay(probe_id, target.id)
         if delay is None:
             continue
         line = campaign.bestline(probe_id, scope, target.isp)

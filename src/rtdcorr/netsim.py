@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
-from .dataset import HostRecord, Registry, ROLE_LANDMARK, ROLE_PROBE, RttObservation, validate_registry
+from .dataset import HostRecord, Registry, ROLE_LANDMARK, ROLE_PROBE, RttTable, validate_registry
 from .errors import NotFoundError, ValidationError
 from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_distance_many
 
@@ -460,30 +460,32 @@ def pair_min_delay_ms(
     return float(simulate_row(topology, config, seed, src_id, [dst_id], stream).min())
 
 
-def simulate_campaign(
-    topology: Topology, config: SimConfig, seed: int
-) -> list[RttObservation]:
-    """Jittered RTT observations for every (probe, landmark) pair.
+def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTable:
+    """Jittered RTT observations for every (probe, landmark) pair, one
+    ``simulate_row`` per probe: rows by probe id, then landmark id, then
+    observation.
 
     Jitter is multiplicative and non-negative, so min-RTT aggregation
     converges toward the deterministic R*T*D/v base delay.
     """
-    probes = sorted(topology.registry.probes(), key=lambda h: h.id)
+    probe_ids = sorted(h.id for h in topology.registry.probes())
     landmark_ids = sorted(h.id for h in topology.registry.landmarks())
-    if not probes or not landmark_ids:
+    if not probe_ids or not landmark_ids:
         raise ValidationError("campaign needs at least one probe and one landmark")
-    stamps = [_EPOCH_MINUTES.format(m=i % 60) for i in range(config.path_model.samples_per_pair)]
-    observations = []
-    for probe in probes:
-        delays = simulate_row(topology, config, seed, probe.id, landmark_ids, "campaign")
-        for lm_id, row in zip(landmark_ids, delays.tolist()):
-            for stamp, rtt_ms in zip(stamps, row):
-                observations.append(
-                    RttObservation(
-                        probe_id=probe.id, landmark_id=lm_id, timestamp=stamp, rtt_ms=rtt_ms
-                    )
-                )
-    return observations
+    k = config.path_model.samples_per_pair
+    n_probes, n_landmarks = len(probe_ids), len(landmark_ids)
+    rtt_ms = np.concatenate([
+        simulate_row(topology, config, seed, probe_id, landmark_ids, "campaign").ravel()
+        for probe_id in probe_ids
+    ])
+    stamps = tuple(_EPOCH_MINUTES.format(m=m) for m in range(min(k, 60)))
+    return RttTable(
+        tuple(probe_ids), tuple(landmark_ids), stamps,
+        probe=np.repeat(np.arange(n_probes), n_landmarks * k),
+        landmark=np.tile(np.repeat(np.arange(n_landmarks), k), n_probes),
+        stamp=np.tile(np.arange(k) % 60, n_probes * n_landmarks),
+        rtt_ms=rtt_ms,
+    )
 
 
 def sample_independent(
@@ -514,13 +516,28 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
-def load_config(path) -> SimConfig:
-    """Parse a YAML simulation config (cities, isps, hosts, path_model)."""
+#: the safe loader on libyaml's parser when pyyaml was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path):
+    """The YAML document in a file, parsed by the safe loader; malformed
+    YAML (or a scalar it cannot construct, such as a bad date) is a
+    ValidationError naming the file."""
     try:
         with open(path) as fh:
-            return _parse_config(yaml.safe_load(fh))
-    except (yaml.YAMLError, TypeError, AttributeError, ValueError) as exc:
-        # malformed YAML, or a value of the wrong type or form
+            return yaml.load(fh, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def load_config(path) -> SimConfig:
+    """Parse a YAML simulation config (cities, isps, hosts, path_model)."""
+    doc = read_yaml(path)
+    try:
+        return _parse_config(doc)
+    except (TypeError, AttributeError, ValueError) as exc:
+        # a value of the wrong type or form
         raise ValidationError(f"{path}: {exc}") from exc
 
 

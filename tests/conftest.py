@@ -5,6 +5,14 @@ import pytest
 from rtdcorr import experiments, netsim
 
 
+def pair_rtts(table) -> dict:
+    """{(probe_id, landmark_id): rtt_ms} of a min-RTT table, in row order."""
+    return {
+        (table.probe_ids[p], table.landmark_ids[lm]): rtt
+        for p, lm, rtt in zip(table.probe.tolist(), table.landmark.tolist(), table.rtt_ms.tolist())
+    }
+
+
 @pytest.fixture(scope="session")
 def cn_config():
     return netsim.resolve_config("cn-like")

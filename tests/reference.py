@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rtdcorr.corr_model import PathFactors
+from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, PathFactors
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import (
     VINCENTY_MAX_ITER,
@@ -128,6 +128,36 @@ def route_scalar(topology, src_id: str, dst_id: str):
         return tuple(deduped), 1.0
     legs = sum(topology.distance(a, b) for a, b in zip(deduped, deduped[1:]))
     return tuple(deduped), max(1.0, legs / direct)
+
+
+def pearson_xy_scalar(xs: Sequence[float], ys: Sequence[float]):
+    """Pearson correlation of one group, None when degenerate: the reference
+    for the grouped Pearson in ``rtdcorr.corr_model``."""
+    if len(xs) != len(ys):
+        raise ValidationError("x and y lengths differ")
+    if len(xs) < MIN_SAMPLES_FOR_CORR:
+        return None
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    vx = float(np.var(x))
+    vy = float(np.var(y))
+    if vx <= _VAR_REL_EPS * max(1e-300, float(np.mean(x * x))):
+        return None
+    if vy <= _VAR_REL_EPS * max(1e-300, float(np.mean(y * y))):
+        return None
+    c = float(np.mean((x - x.mean()) * (y - y.mean())) / math.sqrt(vx * vy))
+    return max(-1.0, min(1.0, c))
+
+
+def pearson_by_key(keys, xs, ys) -> dict:
+    """{key: (corr, n)}: one ``pearson_xy_scalar`` per distinct key over its
+    points in input order, the per-group scan the grouped Pearson replaced."""
+    groups: dict = {}
+    for key, x, y in zip(keys, xs, ys):
+        gx, gy = groups.setdefault(key, ([], []))
+        gx.append(x)
+        gy.append(y)
+    return {key: (pearson_xy_scalar(gx, gy), len(gx)) for key, (gx, gy) in groups.items()}
 
 
 def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]):

@@ -239,7 +239,7 @@ def test_acceptance_09_simulated_corr_structure():
     config = netsim.resolve_config("cn-like")
     campaign = experiments.prepare_campaign(config, seed=42)
     matrix = corr_model.corr_matrix(campaign.samples)
-    isps = sorted({s.probe_isp for s in campaign.samples})
+    isps = sorted({campaign.samples.isps[i] for i in campaign.samples.probe_isp.tolist()})
     diag_ok = True
     for p in isps:
         own = matrix.cell(p, p).corr

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import hashlib
 import io
+import random
 import tempfile
 import textwrap
 from pathlib import Path
@@ -109,6 +111,100 @@ def test_corr_empty_samples_exits_1(capsys, tmp_path):
                        "--out", str(tmp_path / "m.csv"))
     assert code == 1
     assert "no samples" in err
+
+
+RTT_HEADER = "probe_id,landmark_id,timestamp_iso8601,rtt_ms\n"
+SAMPLES_HEADER = ("probe_id,landmark_id,min_rtt_ms,distance_km,"
+                  "probe_isp,landmark_isp,probe_city,landmark_city\n")
+
+
+def test_header_only_rtt_ingests_to_header_only_samples(capsys, sim_dir, tmp_path):
+    rtt = tmp_path / "rtt.csv"
+    rtt.write_text(RTT_HEADER)
+    samples = tmp_path / "samples.csv"
+    code, stdout, _ = run(capsys, "ingest", "--hosts", str(sim_dir / "hosts.csv"),
+                          "--rtt", str(rtt), "--out", str(samples))
+    assert code == 0
+    assert "0 observations -> 0 samples" in stdout
+    assert samples.read_text() == SAMPLES_HEADER
+    code, _, err = run(capsys, "corr", "--samples", str(samples), "--out", str(tmp_path / "m.csv"))
+    assert code == 1
+    assert "no samples" in err
+
+
+def test_shuffled_duplicated_rtt_rows_ingest_alike(capsys, sim_dir, tmp_path):
+    header, *rows = (sim_dir / "rtt.csv").read_text().splitlines(keepends=True)
+    rng = random.Random(5)
+    mixed = rows + rng.sample(rows, len(rows) // 2)
+    rng.shuffle(mixed)
+    (tmp_path / "rtt.csv").write_text(header + "".join(mixed))
+    out = {}
+    for name, rtt in (("sorted", sim_dir / "rtt.csv"), ("mixed", tmp_path / "rtt.csv")):
+        out[name] = tmp_path / f"samples-{name}.csv"
+        assert main(["ingest", "--hosts", str(sim_dir / "hosts.csv"), "--rtt", str(rtt),
+                     "--out", str(out[name])]) == 0
+    capsys.readouterr()
+    assert out["mixed"].read_bytes() == out["sorted"].read_bytes()
+
+
+@pytest.mark.parametrize("column,value", [
+    ("rtt_ms", "nan"), ("rtt_ms", "0"), ("rtt_ms", "-3"), ("rtt_ms", "abc"),
+    ("landmark_id", "ghost"),  # an unknown host
+    ("probe_id", "l1"),  # a landmark in the probe column
+])
+def test_bad_rtt_row_names_its_line(capsys, sim_dir, tmp_path, column, value):
+    lines = (sim_dir / "rtt.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[3].split(",")
+    fields[header.index(column)] = value
+    lines[3] = ",".join(fields)
+    rtt = tmp_path / "rtt.csv"
+    rtt.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "ingest", "--hosts", str(sim_dir / "hosts.csv"),
+                       "--rtt", str(rtt), "--out", str(tmp_path / "samples.csv"))
+    assert code == 1
+    assert f"{rtt}:4:" in err
+
+
+def test_probe_without_intra_samples_keeps_empty_intra_row(capsys, tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(SAMPLES_HEADER + "".join(
+        f"p1,{lm},{delay},{km},A,B,c1,c2\n"
+        for lm, delay, km in (("l1", 2.5, 100.0), ("l2", 4.0, 300.0), ("l3", 5.5, 450.0))
+    ))
+    reports = tmp_path / "reports.csv"
+    code, stdout, _ = run(capsys, "corr", "--samples", str(samples), "--by", "probe",
+                          "--out", str(reports))
+    assert code == 0
+    rows = list(csv.reader(reports.read_text().splitlines()))
+    assert rows[1] == ["p1", "A", "intra", "A", "", "0"]
+    assert rows[2][:4] == ["p1", "A", "inter", "B"] and rows[2][5] == "3"
+    assert len(rows) == 3
+
+
+#: sha256 of the README pipeline's files on cn-like at seed 42
+GOLDEN_SHA256 = {
+    "hosts.csv": "8773fa29012feef179232c5f02da111bb48ccb87e7fafcc451a45bb204d93310",
+    "rtt.csv": "e6d9ca48302cd01ab9548a44bdcac04f7c980de5ce577aaa7d3462eaa6f47cc7",
+    "samples.csv": "c74f6722d7a587726bb874a1b144d65c02b9b36509f47a8676c5a8c15aceb1e9",
+    "matrix.csv": "7ba264666bdfad265889ffa0b7df31d8e49d49614d32c2042ef21e9b11782350",
+    "reports.csv": "fa3a7fefab81cd8e82e83ecb3997c4f332ef10671d01cedb2ca7a66ffb820d2d",
+    "rich.csv": "4d30e169d236c8f7e827f5d0f5fdbc8ec36807ce2ed5f652bfe26f7c06d5e41b",
+}
+
+
+def test_cn_like_pipeline_golden_outputs(tmp_path):
+    f = {name: str(tmp_path / name) for name in GOLDEN_SHA256}
+    for argv in (
+        ["simulate", "--config", "cn-like", "--seed", "42", "--out-dir", str(tmp_path)],
+        ["ingest", "--hosts", f["hosts.csv"], "--rtt", f["rtt.csv"], "--out", f["samples.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "isp", "--out", f["matrix.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "probe", "--out", f["reports.csv"]],
+        ["discover", "--samples", f["samples.csv"], "--out", f["rich.csv"]],
+    ):
+        assert quiet_main(argv) == 0
+    got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in f.items()}
+    assert got == GOLDEN_SHA256
 
 
 def test_model_prints_close_corrs(capsys):

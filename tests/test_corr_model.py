@@ -7,13 +7,19 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from rtdcorr import corr_model as cm
+from rtdcorr import dataset
 from rtdcorr.errors import NotFoundError, ValidationError
-from reference import rtd_model_corr_ratio_form
+from rtdcorr import experiments
+from reference import pearson_by_key, pearson_xy_scalar, rtd_model_corr_ratio_form
 
 
 def mk_sample(dist, delay, probe="p1", lm="l1", pisp="A", lisp="A",
               pcity="c1", lcity="c2"):
-    return cm.DelayDistanceSample(probe, lm, delay, dist, pisp, lisp, pcity, lcity)
+    return (probe, lm, delay, dist, pisp, lisp, pcity, lcity)
+
+
+def table(rows):
+    return dataset.SampleTable.from_rows(rows)
 
 
 def samples_from(pairs, **kw):
@@ -23,15 +29,15 @@ def samples_from(pairs, **kw):
 # --- pearson_corr -----------------------------------------------------------
 
 def test_perfect_linear():
-    assert cm.pearson_corr(samples_from([(100, 1), (200, 2), (300, 3)])) == pytest.approx(1.0)
+    assert cm.pearson_corr(table(samples_from([(100, 1), (200, 2), (300, 3)]))) == pytest.approx(1.0)
 
 
 def test_perfect_anti_linear():
-    assert cm.pearson_corr(samples_from([(100, 3), (200, 2), (300, 1)])) == pytest.approx(-1.0)
+    assert cm.pearson_corr(table(samples_from([(100, 3), (200, 2), (300, 1)]))) == pytest.approx(-1.0)
 
 
 def test_hand_computed_four_points():
-    got = cm.pearson_corr(samples_from([(100, 10), (200, 18), (300, 30), (400, 36)]))
+    got = cm.pearson_corr(table(samples_from([(100, 10), (200, 18), (300, 30), (400, 36)])))
     # covariance numerator 4500, variance numerators 50000 and 411
     assert got == pytest.approx(4500 / math.sqrt(50000 * 411), abs=1e-12)
     assert got == pytest.approx(0.9927, abs=1e-4)
@@ -39,13 +45,13 @@ def test_hand_computed_four_points():
 
 def test_empty_list_rejected():
     with pytest.raises(ValidationError):
-        cm.pearson_corr([])
+        cm.pearson_corr(table([]))
 
 
 def test_undefined_cases():
-    assert cm.pearson_corr(samples_from([(100, 1), (200, 2)])) is None  # < 3 points
-    assert cm.pearson_corr(samples_from([(100, 1), (100, 2), (100, 3)])) is None
-    assert cm.pearson_corr(samples_from([(100, 2), (200, 2), (300, 2)])) is None
+    assert cm.pearson_corr(table(samples_from([(100, 1), (200, 2)]))) is None  # < 3 points
+    assert cm.pearson_corr(table(samples_from([(100, 1), (100, 2), (100, 3)]))) is None
+    assert cm.pearson_corr(table(samples_from([(100, 2), (200, 2), (300, 2)]))) is None
 
 
 @settings(max_examples=100)
@@ -71,6 +77,97 @@ def test_affine_invariance(pairs, ax, bx, ay, by):
     scaled = cm.pearson_xy([ax * x + bx for x in xs], [ay * y + by for y in ys])
     assert scaled is not None
     assert scaled == pytest.approx(base, abs=1e-6)
+
+
+# --- grouped Pearson against the per-group reference -----------------------
+
+OFFSETS = [0.0, 1.0, -250.0, 1e3, 1e6, -1e8]
+# spreads relative to the offset: 1e-6 sits at the relative variance floor
+SPREADS = [0.0, 1e-7, 5e-7, 1e-6, 2e-6, 1e-5, 1e-3, 1.0]
+
+
+@st.composite
+def grouped_points(draw):
+    """(labels, x, y, n_groups): groups of 0-8 points, interleaved, each
+    margin constant or spread around an offset, some near the variance floor."""
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    labels = [g for g, k in enumerate(sizes) for _ in range(k)]
+    labels = draw(st.permutations(labels))
+    margins = []
+    for _ in range(2):
+        offset = [draw(st.sampled_from(OFFSETS)) for _ in sizes]
+        spread = [draw(st.sampled_from(SPREADS)) * max(1.0, abs(o)) for o in offset]
+        margins.append([
+            offset[g] + spread[g] * draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+            for g in labels
+        ])
+    return np.array(labels, dtype=np.intp), *map(np.array, margins), len(sizes)
+
+
+def floor_ratio(v):
+    """A group's variance over its variance floor."""
+    return np.var(v) / (cm._VAR_REL_EPS * max(1e-300, np.mean(v * v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_points())
+def test_grouped_pearson_matches_per_group_reference(case):
+    labels, x, y, n_groups = case
+    for g in range(n_groups):
+        gx, gy = x[labels == g], y[labels == g]
+        if len(gx) >= cm.MIN_SAMPLES_FOR_CORR:
+            # a variance within rounding of its floor may fall either side
+            assume(abs(floor_ratio(gx) - 1.0) > 1e-9 and abs(floor_ratio(gy) - 1.0) > 1e-9)
+    cells = cm.pearson_cells(labels, n_groups, x, y)
+    for g, cell in enumerate(cells):
+        want = pearson_xy_scalar(x[labels == g], y[labels == g])
+        assert cell.n_samples == int((labels == g).sum())
+        assert (cell.corr is None) == (want is None)
+        if want is not None:
+            assert abs(cell.corr - want) <= 1e-12
+    if n_groups == 1:
+        assert cm.pearson_xy(x, y) == cells[0].corr
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaign):
+    samples = (cn_campaign if seed == 42 else experiments.prepare_campaign(cn_config, seed)).samples
+    probe = [samples.probe_ids[i] for i in samples.probe.tolist()]
+    probe_isp = [samples.isps[i] for i in samples.probe_isp.tolist()]
+    landmark_isp = [samples.isps[i] for i in samples.landmark_isp.tolist()]
+    x, y = samples.distance_km.tolist(), samples.delay_ms.tolist()
+
+    def same(cell, want):
+        corr, n = want
+        assert cell.n_samples == n
+        assert (cell.corr is None) == (corr is None)
+        assert corr is None or abs(cell.corr - corr) <= 1e-12
+
+    matrix = cm.corr_matrix(samples)
+    want = pearson_by_key(zip(probe_isp, landmark_isp), x, y)
+    assert set(matrix.cells) == set(want)
+    for key, cell in matrix.cells.items():
+        same(cell, want[key])
+
+    want = pearson_by_key(zip(probe, landmark_isp), x, y)
+    own = dict(zip(probe, probe_isp))
+    reports = cm.all_probe_reports(samples)
+    assert [r.probe_id for r in reports] == sorted(own)
+    for rep in reports:
+        assert rep.probe_isp == own[rep.probe_id]
+        same(rep.intra, want[rep.probe_id, rep.probe_isp])
+        assert set(rep.inter) == {i for p, i in want if p == rep.probe_id and i != rep.probe_isp}
+        for isp, cell in rep.inter.items():
+            same(cell, want[rep.probe_id, isp])
+
+    rich = cm.discover_rich_subnets(samples)
+    t = cm.STRONG_CORR_THRESHOLD
+    assert rich.rich_probes_intra == tuple(
+        p for p in sorted(own) if (want[p, own[p]][0] or -1.0) > t
+    )
+    assert rich.rich_probes_inter == tuple(
+        (p, i) for p, i in sorted(want) if i != own[p] and (want[p, i][0] or -1.0) > t
+    )
 
 
 # --- classify_corr ----------------------------------------------------------
@@ -198,7 +295,7 @@ def test_exactness_when_rt_constant():
 # --- corr_matrix ------------------------------------------------------------
 
 def test_matrix_single_isp_linear():
-    m = cm.corr_matrix(samples_from([(100, 1), (200, 2), (300, 3)]))
+    m = cm.corr_matrix(table(samples_from([(100, 1), (200, 2), (300, 3)])))
     assert m.probe_isps == ("A",) and m.landmark_isps == ("A",)
     assert m.cell("A", "A").corr == pytest.approx(1.0)
     assert m.cell("A", "A").n_samples == 3
@@ -209,7 +306,7 @@ def test_matrix_two_isp_construction():
     intra_b = samples_from([(100, 2), (200, 4), (300, 6)], pisp="B", lisp="B", probe="p2")
     inter_ab = samples_from([(100, 5), (200, 5), (300, 5)], pisp="A", lisp="B")
     inter_ba = samples_from([(150, 7), (250, 7)], pisp="B", lisp="A", probe="p2")
-    m = cm.corr_matrix(intra_a + intra_b + inter_ab + inter_ba)
+    m = cm.corr_matrix(table(intra_a + intra_b + inter_ab + inter_ba))
     assert m.cell("A", "A").corr == pytest.approx(1.0)
     assert m.cell("B", "B").corr == pytest.approx(1.0)
     assert m.cell("A", "B").corr is None  # constant delay
@@ -217,7 +314,7 @@ def test_matrix_two_isp_construction():
 
 
 def test_matrix_missing_cell_undefined():
-    m = cm.corr_matrix(samples_from([(100, 1), (200, 2), (300, 3)]))
+    m = cm.corr_matrix(table(samples_from([(100, 1), (200, 2), (300, 3)])))
     assert m.cell("A", "Z").corr is None
     assert m.cell("A", "Z").n_samples == 0
 
@@ -241,13 +338,13 @@ def fixture_probe_samples():
 
 
 def test_probe_report_fixture_values():
-    rep = cm.probe_corr_report(fixture_probe_samples(), "p1")
+    rep = cm.probe_corr_report(table(fixture_probe_samples()), "p1")
     assert rep.intra.corr == pytest.approx(0.9056, abs=1e-4)
     assert rep.inter["B"].corr == pytest.approx(-0.0386, abs=1e-4)
 
 
 def test_probe_report_perfect_intra():
-    rep = cm.probe_corr_report(samples_from([(100, 1), (200, 2), (300, 3)]), "p1")
+    rep = cm.probe_corr_report(table(samples_from([(100, 1), (200, 2), (300, 3)])), "p1")
     assert rep.intra.corr == pytest.approx(1.0)
 
 
@@ -256,14 +353,14 @@ def test_probe_report_small_group_undefined():
         mk_sample(100, 5, lm="z1", lisp="B"),
         mk_sample(200, 6, lm="z2", lisp="B"),
     ]
-    rep = cm.probe_corr_report(samples, "p1")
+    rep = cm.probe_corr_report(table(samples), "p1")
     assert rep.inter["B"].corr is None
     assert rep.inter["B"].n_samples == 2
 
 
 def test_probe_report_unknown_probe():
     with pytest.raises(NotFoundError):
-        cm.probe_corr_report(fixture_probe_samples(), "nope")
+        cm.probe_corr_report(table(fixture_probe_samples()), "nope")
 
 
 # --- discover_rich_subnets --------------------------------------------------
@@ -272,24 +369,24 @@ def test_all_linear_intra_fraction_one():
     s = samples_from([(100, 1), (200, 2), (300, 3)]) + samples_from(
         [(100, 2), (200, 4), (300, 6)], probe="p2"
     )
-    rep = cm.discover_rich_subnets(s)
+    rep = cm.discover_rich_subnets(table(s))
     assert rep.intra_fraction == 1.0
 
 
 def test_threshold_is_strict():
     # corr exactly 1.0 at threshold 1.0 must be excluded
     s = samples_from([(100, 1), (200, 2), (300, 3)])
-    rep = cm.discover_rich_subnets(s, threshold=1.0)
+    rep = cm.discover_rich_subnets(table(s), threshold=1.0)
     assert rep.intra_fraction == 0.0
 
 
 # --- CSV serialization ------------------------------------------------------
 
 def test_matrix_csv_layout(tmp_path):
-    m = cm.corr_matrix(
+    m = cm.corr_matrix(table(
         samples_from([(100, 1), (200, 2), (300, 3)])
         + samples_from([(100, 5), (200, 5), (300, 5)], lisp="B")
-    )
+    ))
     out = tmp_path / "m.csv"
     cm.write_corr_matrix_csv(m, out)
     rows = list(csv.reader(out.open()))
@@ -301,7 +398,7 @@ def test_matrix_csv_layout(tmp_path):
 
 
 def test_probe_reports_csv(tmp_path):
-    reports = cm.all_probe_reports(fixture_probe_samples())
+    reports = cm.all_probe_reports(table(fixture_probe_samples()))
     out = tmp_path / "r.csv"
     cm.write_probe_reports_csv(reports, out)
     rows = list(csv.reader(out.open()))

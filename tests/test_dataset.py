@@ -6,13 +6,24 @@ from rtdcorr import dataset
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, haversine_km
 
+from conftest import pair_rtts
+
 
 def host(hid, role="landmark", lat=30.0, lon=110.0, city="c1", isp="A"):
     return dataset.HostRecord(hid, Coordinate(lat, lon), city, isp, role)
 
 
 def obs(p, l, rtt, ts="2017-01-01T00:00:00Z"):
-    return dataset.RttObservation(p, l, ts, rtt)
+    return (p, l, ts, rtt)
+
+
+def table(rows):
+    return dataset.RttTable.from_rows(rows)
+
+
+def min_table(min_rtts):
+    """The min-RTT table of a {(probe, landmark): rtt} mapping."""
+    return dataset.ingest_rtt(table([obs(p, l, rtt) for (p, l), rtt in min_rtts.items()]))
 
 
 def test_empty_registry():
@@ -37,35 +48,35 @@ def test_large_synthetic_registry_counts():
 
 def test_invalid_rtt_rejected():
     with pytest.raises(ValidationError):
-        obs("p", "l", 0.0)
+        table([obs("p", "l", 0.0)])
     with pytest.raises(ValidationError):
-        obs("p", "l", float("inf"))
+        table([obs("p", "l", float("inf"))])
 
 
 def test_min_rtt_selection():
-    got = dataset.ingest_rtt([obs("p", "l", 12.1), obs("p", "l", 11.8), obs("p", "l", 30.5)])
-    assert got == {("p", "l"): 11.8}
+    got = dataset.ingest_rtt(table([obs("p", "l", 12.1), obs("p", "l", 11.8), obs("p", "l", 30.5)]))
+    assert pair_rtts(got) == {("p", "l"): 11.8}
 
 
 def test_single_sample_is_itself():
-    assert dataset.ingest_rtt([obs("p", "l", 5.5)]) == {("p", "l"): 5.5}
+    assert pair_rtts(dataset.ingest_rtt(table([obs("p", "l", 5.5)]))) == {("p", "l"): 5.5}
 
 
 def test_unmeasured_pair_absent():
-    got = dataset.ingest_rtt([obs("p", "l1", 5.5)])
+    got = pair_rtts(dataset.ingest_rtt(table([obs("p", "l1", 5.5)])))
     assert ("p", "l2") not in got
 
 
 def test_unknown_host_rejected():
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
     with pytest.raises(NotFoundError):
-        dataset.ingest_rtt([obs("p", "nope", 5.0)], reg)
+        dataset.ingest_rtt(table([obs("p", "nope", 5.0)]), reg)
 
 
 def test_role_mismatch_rejected():
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
     with pytest.raises(ValidationError):
-        dataset.ingest_rtt([obs("l", "p", 5.0)], reg)
+        dataset.ingest_rtt(table([obs("l", "p", 5.0)]), reg)
 
 
 @given(
@@ -84,7 +95,8 @@ def test_ingest_order_independent(rows, rnd):
     observations = [obs(p, l, r) for p, l, r in rows]
     shuffled = observations[:]
     rnd.shuffle(shuffled)
-    assert dataset.ingest_rtt(observations) == dataset.ingest_rtt(shuffled)
+    got = list(pair_rtts(dataset.ingest_rtt(table(observations))).items())
+    assert got == list(pair_rtts(dataset.ingest_rtt(table(shuffled))).items())
 
 
 @given(
@@ -93,26 +105,26 @@ def test_ingest_order_independent(rows, rnd):
     )
 )
 def test_min_never_exceeds_any_observation(rtts):
-    got = dataset.ingest_rtt([obs("p", "l", r) for r in rtts])
+    got = pair_rtts(dataset.ingest_rtt(table([obs("p", "l", r) for r in rtts])))
     assert got[("p", "l")] == min(rtts)
 
 
 def test_join_zero_distance():
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
-    samples = dataset.join_distances({("p", "l"): 7.25}, reg)
+    samples = dataset.join_distances(min_table({("p", "l"): 7.25}), reg)
     assert len(samples) == 1
-    assert samples[0].distance_km == 0.0
-    assert samples[0].delay_ms == 7.25  # bit-exact passthrough
+    assert samples.distance_km[0] == 0.0
+    assert samples.delay_ms[0] == 7.25  # bit-exact passthrough
 
 
 def test_join_distance_matches_oracle():
     reg = dataset.validate_registry(
         [host("p", role="probe", lat=39.9042, lon=116.4074), host("l", lat=31.2304, lon=121.4737)]
     )
-    s = dataset.join_distances({("p", "l"): 30.0}, reg)[0]
+    s = dataset.join_distances(min_table({("p", "l"): 30.0}), reg)
     oracle = haversine_km(Coordinate(39.9042, 116.4074), Coordinate(31.2304, 121.4737))
-    assert abs(s.distance_km - oracle) / oracle < 0.005
-    assert s.probe_isp == "A" and s.landmark_city == "c1"
+    assert abs(s.distance_km[0] - oracle) / oracle < 0.005
+    assert s.isps[s.probe_isp[0]] == "A" and s.cities[s.landmark_city[0]] == "c1"
 
 
 def test_join_cardinality():
@@ -120,13 +132,13 @@ def test_join_cardinality():
         [host("p1", role="probe"), host("p2", role="probe", lat=31.0), host("l1"), host("l2", lat=32.0)]
     )
     min_rtts = {("p1", "l1"): 1.0, ("p2", "l2"): 2.0, ("p1", "l2"): 3.0}
-    assert len(dataset.join_distances(min_rtts, reg)) == len(min_rtts)
+    assert len(dataset.join_distances(min_table(min_rtts), reg)) == len(min_rtts)
 
 
 def test_join_missing_host():
     reg = dataset.validate_registry([host("p", role="probe")])
     with pytest.raises(NotFoundError):
-        dataset.join_distances({("p", "ghost"): 1.0}, reg)
+        dataset.join_distances(min_table({("p", "ghost"): 1.0}), reg)
 
 
 def test_hosts_csv_roundtrip(tmp_path):
@@ -164,19 +176,19 @@ def test_hosts_csv_bad_row_reports_line(tmp_path):
 def test_rtt_csv_roundtrip(tmp_path):
     path = tmp_path / "rtt.csv"
     orig = [obs("p", "l", 12.125), obs("p", "l", 11.875, ts="2017-01-01T00:01:00Z")]
-    dataset.write_rtt_csv(orig, path)
+    dataset.write_rtt_csv(table(orig), path)
     back = dataset.read_rtt_csv(path)
-    assert [o.rtt_ms for o in back] == [12.125, 11.875]
-    assert back[1].timestamp == "2017-01-01T00:01:00Z"
+    assert back.rtt_ms.tolist() == [12.125, 11.875]
+    assert back.stamps[back.stamp[1]] == "2017-01-01T00:01:00Z"
 
 
 def test_samples_csv_roundtrip(tmp_path):
     reg = dataset.validate_registry(
         [host("p", role="probe", lat=39.9, lon=116.4), host("l", lat=31.2, lon=121.5)]
     )
-    samples = dataset.join_distances({("p", "l"): 17.0625}, reg)
+    samples = dataset.join_distances(min_table({("p", "l"): 17.0625}), reg)
     path = tmp_path / "samples.csv"
     dataset.write_samples_csv(samples, path)
     back = dataset.read_samples_csv(path)
-    assert back[0].delay_ms == 17.0625  # repr round-trip keeps delays bit-exact
-    assert back[0].probe_id == "p" and back[0].landmark_isp == "A"
+    assert back.delay_ms[0] == 17.0625  # repr round-trip keeps delays bit-exact
+    assert back.probe_ids[back.probe[0]] == "p" and back.isps[back.landmark_isp[0]] == "A"

@@ -4,12 +4,14 @@ import statistics
 
 import numpy as np
 import pytest
+import yaml
 
 from rtdcorr import dataset, netsim
 from rtdcorr.corr_model import PathFactors, pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
+from conftest import pair_rtts
 from reference import route_scalar
 
 
@@ -295,21 +297,30 @@ def test_topology_distance_matches_geodesic_distance():
             assert topo.distance(a, b) == topo.distance(b, a)
 
 
+def rtt_rows(table) -> list[tuple]:
+    """The rows of an RTT table as (probe_id, landmark_id, timestamp, rtt_ms)."""
+    return [
+        (table.probe_ids[p], table.landmark_ids[lm], table.stamps[ts], rtt)
+        for p, lm, ts, rtt in zip(table.probe.tolist(), table.landmark.tolist(),
+                                  table.stamp.tolist(), table.rtt_ms.tolist())
+    ]
+
+
 def test_campaign_determinism_and_shape():
     cfg = mini_config()
     topo = netsim.build_topology(cfg)
-    obs1 = netsim.simulate_campaign(topo, cfg, seed=42)
-    obs2 = netsim.simulate_campaign(topo, cfg, seed=42)
+    obs1 = rtt_rows(netsim.simulate_campaign(topo, cfg, seed=42))
+    obs2 = rtt_rows(netsim.simulate_campaign(topo, cfg, seed=42))
     assert obs1 == obs2
     assert len(obs1) == 2 * 3 * cfg.path_model.samples_per_pair
-    obs3 = netsim.simulate_campaign(topo, cfg, seed=43)
+    obs3 = rtt_rows(netsim.simulate_campaign(topo, cfg, seed=43))
     assert obs1 != obs3
 
 
 def test_campaign_min_matches_pair_min_delay():
     cfg = mini_config()
     topo = netsim.build_topology(cfg)
-    min_rtts = dataset.ingest_rtt(netsim.simulate_campaign(topo, cfg, seed=42))
+    min_rtts = pair_rtts(dataset.ingest_rtt(netsim.simulate_campaign(topo, cfg, seed=42)))
     for (p, l), rtt in min_rtts.items():
         assert rtt == netsim.pair_min_delay_ms(topo, cfg, 42, p, l)
 
@@ -323,8 +334,8 @@ def test_adding_hosts_keeps_existing_pairs():
         cfg.path_model,
     )
     topo_big = netsim.build_topology(bigger)
-    small = dataset.ingest_rtt(netsim.simulate_campaign(topo, cfg, seed=42))
-    big = dataset.ingest_rtt(netsim.simulate_campaign(topo_big, bigger, seed=42))
+    small = pair_rtts(dataset.ingest_rtt(netsim.simulate_campaign(topo, cfg, seed=42)))
+    big = pair_rtts(dataset.ingest_rtt(netsim.simulate_campaign(topo_big, bigger, seed=42)))
     for key, rtt in small.items():
         assert big[key] == rtt
 
@@ -365,6 +376,13 @@ def test_resolve_bundled_config_by_name():
     assert len(topo.registry.landmarks()) == 450
     assert len(topo.cities) == 90
     assert len(topo.isps) == 3
+
+
+def test_libyaml_and_python_loaders_agree(monkeypatch):
+    path = netsim.bundled_config_path("cn-like")
+    fast = netsim.load_config(path)
+    monkeypatch.setattr(netsim, "_YAML_LOADER", yaml.SafeLoader)
+    assert netsim.load_config(path) == fast
 
 
 def test_resolve_unknown_config():

@@ -1,0 +1,52 @@
+"""The benchmark's tracer wraps rtdcorr's public names by attribute; this
+guard fails when one of them disappears or a table loses its row count."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from rtdcorr import cli, corr_model, dataset, experiments, netsim
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_restores_and_counts_table_rows(tmp_path, mini_config_path):
+    tracing = load_tracing()
+    wrapped = [(netsim, "simulate_campaign"), (dataset, "read_rtt_csv"), (dataset, "ingest_rtt"),
+               (dataset, "join_distances"), (dataset, "read_samples_csv"),
+               (corr_model, "pearson_xy"), (experiments, "prepare_campaign"), (cli, "cmd_corr")]
+    originals = {(m, name): getattr(m, name) for m, name in wrapped}
+    bestline = experiments.Campaign.__dict__["bestline"]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)  # raises if a wrapped name is gone
+    try:
+        assert all(getattr(m, name) is not originals[m, name] for m, name in wrapped)
+        hosts, rtt, samples = (str(tmp_path / n) for n in ("hosts.csv", "rtt.csv", "samples.csv"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["simulate", "--config", str(mini_config_path), "--out-dir", str(tmp_path)],
+                ["ingest", "--hosts", hosts, "--rtt", rtt, "--out", samples],
+                ["corr", "--samples", samples, "--out", str(tmp_path / "m.csv")],
+            ):
+                assert cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    assert all(getattr(m, name) is originals[m, name] for m, name in wrapped)
+    assert experiments.Campaign.__dict__["bestline"] is bestline
+
+    m = tracing.per_layer_metrics(tracer)
+    # mini config: 2 probes x 3 landmarks x 3 observations per pair
+    assert m["netsim.simulate_campaign.pairs"] == 6
+    assert m["dataset.observations"] == 18
+    assert m["dataset.samples"] == 6
+    # rtt.csv written and read (18 each), hosts.csv read (5), samples.csv written and read (6 each)
+    assert m["dataset.rows"] == 18 + 18 + 5 + 6 + 6
+    assert m["corr_model.corr_matrix.calls"] == 1
