@@ -134,22 +134,26 @@ class RttTable:
         cls, rows: Iterable[tuple[str, str, str, float]], registry: Optional[Registry] = None
     ) -> RttTable:
         """The table of (probe_id, landmark_id, timestamp, rtt_ms) rows, coded
-        as they come.  An rtt that is not finite and > 0 is a ValidationError;
-        with a registry, so is a host in the wrong column, and an unknown host
-        is a NotFoundError."""
+        as they come; rtt_ms may be given as text.  An rtt that is not finite
+        and > 0 is a ValidationError; with a registry, so is a host in the
+        wrong column, and an unknown host is a NotFoundError."""
 
         def vet(role: str):
             return None if registry is None else lambda h: _check_role(registry, h, role)
 
         probes, landmarks, stamps = _Coder(vet(ROLE_PROBE)), _Coder(vet(ROLE_LANDMARK)), _Coder()
         probe, landmark, stamp, rtt = array("q"), array("q"), array("q"), array("d")
+        # bound appends: this loop runs once per observation
+        add_probe, add_landmark, add_stamp, add_rtt = (
+            probe.append, landmark.append, stamp.append, rtt.append)
         for p, lm, ts, v in rows:
+            v = float(v)
             if not 0.0 < v < math.inf:
                 raise ValidationError(f"rtt for ({p}, {lm}) must be finite and > 0, got {v}")
-            probe.append(probes[p])
-            landmark.append(landmarks[lm])
-            stamp.append(stamps[ts])
-            rtt.append(v)
+            add_probe(probes[p])
+            add_landmark(landmarks[lm])
+            add_stamp(stamps[ts])
+            add_rtt(v)
         probe_ids, probe = probes.freeze(probe)
         landmark_ids, landmark = landmarks.freeze(landmark)
         stamp_ids, stamp = stamps.freeze(stamp)
@@ -197,26 +201,32 @@ class SampleTable:
     def from_rows(
         cls, rows: Iterable[tuple[str, str, float, float, str, str, str, str]]
     ) -> SampleTable:
-        """The table of rows in samples.csv column order, coded as they come.
-        A delay that is not finite and > 0, or a distance that is not finite
-        and >= 0, is a ValidationError."""
+        """The table of rows in samples.csv column order, coded as they come;
+        the delay and distance may be given as text.  A delay that is not
+        finite and > 0, or a distance that is not finite and >= 0, is a
+        ValidationError."""
         probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
-        cols = [array("q") for _ in range(6)]
-        probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = cols
+        probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
+            array("q") for _ in range(6))
         delay, distance = array("d"), array("d")
+        # bound appends: this loop runs once per sample
+        (add_probe, add_landmark, add_delay, add_distance, add_probe_isp, add_landmark_isp,
+         add_probe_city, add_landmark_city) = (c.append for c in (
+            probe, landmark, delay, distance, probe_isp, landmark_isp, probe_city, landmark_city))
         for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in rows:
+            d_ms, d_km = float(d_ms), float(d_km)
             if not 0.0 < d_ms < math.inf:
                 raise ValidationError(f"delay must be finite and > 0, got {d_ms}")
             if not 0.0 <= d_km < math.inf:
                 raise ValidationError(f"distance must be finite and >= 0, got {d_km}")
-            probe.append(probes[p])
-            landmark.append(landmarks[lm])
-            delay.append(d_ms)
-            distance.append(d_km)
-            probe_isp.append(isps[p_isp])
-            landmark_isp.append(isps[l_isp])
-            probe_city.append(cities[p_city])
-            landmark_city.append(cities[l_city])
+            add_probe(probes[p])
+            add_landmark(landmarks[lm])
+            add_delay(d_ms)
+            add_distance(d_km)
+            add_probe_isp(isps[p_isp])
+            add_landmark_isp(isps[l_isp])
+            add_probe_city(cities[p_city])
+            add_landmark_city(cities[l_city])
         probe_ids, probe = probes.freeze(probe)
         landmark_ids, landmark = landmarks.freeze(landmark)
         isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
@@ -359,6 +369,11 @@ def write_hosts_csv(registry: Registry, path) -> None:
             )
 
 
+def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple]:
+    """A row's fields of the named columns, in that order."""
+    return operator.itemgetter(*map(header.index, columns))
+
+
 def _labels(ids: tuple[str, ...], codes: np.ndarray):
     return map(ids.__getitem__, codes.tolist())
 
@@ -367,10 +382,7 @@ def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
     """rtt.csv as a table, read a row at a time; with a registry, hosts are
     checked as in ``RttTable.from_rows``."""
     with _csv_rows(path, RTT_COLUMNS) as (header, rows):
-        pick = operator.itemgetter(*map(header.index, RTT_COLUMNS))
-        return RttTable.from_rows(
-            ((p, lm, ts, float(v)) for p, lm, ts, v in map(pick, rows)), registry
-        )
+        return RttTable.from_rows(map(_picker(header, RTT_COLUMNS), rows), registry)
 
 
 def write_rtt_csv(table: RttTable, path) -> None:
@@ -388,11 +400,7 @@ def write_rtt_csv(table: RttTable, path) -> None:
 def read_samples_csv(path) -> SampleTable:
     """samples.csv as a table, read a row at a time."""
     with _csv_rows(path, SAMPLE_COLUMNS) as (header, rows):
-        pick = operator.itemgetter(*map(header.index, SAMPLE_COLUMNS))
-        return SampleTable.from_rows(
-            (p, lm, float(d_ms), float(d_km), p_isp, l_isp, p_city, l_city)
-            for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in map(pick, rows)
-        )
+        return SampleTable.from_rows(map(_picker(header, SAMPLE_COLUMNS), rows))
 
 
 def write_samples_csv(samples: SampleTable, path) -> None:
