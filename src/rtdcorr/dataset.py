@@ -374,8 +374,8 @@ def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple
     return operator.itemgetter(*map(header.index, columns))
 
 
-def _labels(ids: tuple[str, ...], codes: np.ndarray):
-    return map(ids.__getitem__, codes.tolist())
+def _labels(ids: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    return np.array(ids, dtype=object)[codes].tolist()
 
 
 def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
@@ -393,7 +393,7 @@ def write_rtt_csv(table: RttTable, path) -> None:
             _labels(table.probe_ids, table.probe),
             _labels(table.landmark_ids, table.landmark),
             _labels(table.stamps, table.stamp),
-            map("{:.6f}".format, table.rtt_ms.tolist()),
+            [f"{v:.6f}" for v in table.rtt_ms.tolist()],
         ))
 
 
@@ -410,8 +410,8 @@ def write_samples_csv(samples: SampleTable, path) -> None:
         w.writerows(zip(
             _labels(samples.probe_ids, samples.probe),
             _labels(samples.landmark_ids, samples.landmark),
-            map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
-            map("{:.6f}".format, samples.distance_km.tolist()),
+            [repr(v) for v in samples.delay_ms.tolist()],  # repr round-trips bit-exactly
+            [f"{v:.6f}" for v in samples.distance_km.tolist()],
             _labels(samples.isps, samples.probe_isp),
             _labels(samples.isps, samples.landmark_isp),
             _labels(samples.cities, samples.probe_city),
