@@ -73,19 +73,21 @@ class Campaign:
     def __post_init__(self):
         s = self.samples
         self._rows = {s.probe_ids[p]: slice(lo, hi) for p, lo, hi in dataset.probe_runs(s)}
+        self._probe_code = {h: i for i, h in enumerate(s.probe_ids)}
         self._landmark_code = {h: i for i, h in enumerate(s.landmark_ids)}
         self._isp_code = {isp: i for i, isp in enumerate(s.isps)}
+        # row of each (probe, landmark) pair; -1 where it was not measured
+        self._pair_row = np.full((len(s.probe_ids), len(s.landmark_ids)), -1, dtype=np.intp)
+        self._pair_row[s.probe, s.landmark] = np.arange(len(s))
 
     def delay(self, probe_id: str, landmark_id: str) -> Optional[float]:
         """The pair's minimum RTT; None when the campaign did not measure it."""
-        rows = self._rows.get(probe_id)
-        code = self._landmark_code.get(landmark_id)
-        if rows is None or code is None:
+        p = self._probe_code.get(probe_id)
+        lm = self._landmark_code.get(landmark_id)
+        if p is None or lm is None:
             return None
-        i = rows.start + int(np.searchsorted(self.samples.landmark[rows], code))
-        if i < rows.stop and self.samples.landmark[i] == code:
-            return float(self.samples.delay_ms[i])
-        return None
+        i = self._pair_row.item(p, lm)
+        return None if i < 0 else self.samples.delay_ms.item(i)
 
     def bestline(self, probe_id: str, scope: str, target_isp: str) -> Optional[geoloc.Bestline]:
         """Lazily fitted bestline; None when the point set is degenerate."""
