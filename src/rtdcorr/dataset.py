@@ -324,6 +324,7 @@ def _csv_rows(path, required: Iterable[str]):
         try:
             yield header, rows()
         except (ValueError, NotFoundError) as exc:
+            # str() of a KeyError (NotFoundError) is its message in quotes
             msg = exc.args[0] if isinstance(exc, NotFoundError) else exc
             raise ValidationError(f"{path}:{reader.line_num}: {msg}") from exc
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rtdcorr import dataset, netsim
+from rtdcorr import dataset, geoloc, netsim
 from rtdcorr.corr_model import PathFactors, pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance
@@ -390,6 +390,23 @@ def test_resolve_unknown_config():
 
     with pytest.raises(NotFoundError):
         netsim.resolve_config("no-such-config")
+
+
+def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
+    s = cn_campaign.samples
+    for i in range(0, len(s), 997):
+        pair = (s.probe_ids[s.probe[i]], s.landmark_ids[s.landmark[i]])
+        assert cn_campaign.delay(*pair) == s.delay_ms[i]
+    assert cn_campaign.delay(s.probe_ids[0], "no-such-host") is None
+    assert cn_campaign.delay(s.landmark_ids[0], s.landmark_ids[1]) is None
+    # the probe's slice gives the points a scan of the whole table gives
+    for probe in s.probe_ids[::30]:
+        isp = cn_campaign.topology.host(probe).isp
+        pts = [(d, t) for p, lisp, d, t in zip(s.probe.tolist(), s.landmark_isp.tolist(),
+                                              s.distance_km.tolist(), s.delay_ms.tolist())
+               if s.probe_ids[p] == probe and s.isps[lisp] == isp]
+        assert cn_campaign.bestline(probe, geoloc.SCOPE_INTRA, isp) == geoloc.fit_bestline(
+            pts, geoloc.SCOPE_INTRA)
 
 
 def test_center_probes_correlate_better(cn_campaign):
