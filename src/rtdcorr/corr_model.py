@@ -141,8 +141,10 @@ def classify_corr(c: CorrValue, threshold: float = STRONG_CORR_THRESHOLD) -> Cor
 def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     """Model correlation from (R, T, D) factors via population sample moments.
 
-    Computed as sqrt of
-        E^2(RT) * (E(D^2) - E^2(D))  over  E((RT)^2) * E(D^2) - E^2(RT) * E^2(D).
+    The paper's form is the sqrt of
+        E^2(RT) * V(D)  over  E((RT)^2) * E(D^2) - E^2(RT) * E^2(D).
+    Its denominator equals V(RT) * E(D^2) + E^2(RT) * V(D), which is computed
+    instead: the raw moments' difference cancels when the spreads are small.
     None when the denominator vanishes (all RT equal and all D equal).
     """
     if len(factors) < 2:
@@ -150,11 +152,11 @@ def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     rt = np.array([f.r * f.t for f in factors], dtype=float)
     d = np.array([f.d_km for f in factors], dtype=float)
     e_rt = float(rt.mean())
-    e_rt2 = float((rt * rt).mean())
-    e_d = float(d.mean())
+    v_rt = float(rt.var())
+    v_d = float(d.var())
     e_d2 = float((d * d).mean())
-    num = e_rt ** 2 * (e_d2 - e_d ** 2)
-    den = e_rt2 * e_d2 - e_rt ** 2 * e_d ** 2
+    num = e_rt ** 2 * v_d
+    den = v_rt * e_d2 + num
     if den <= 0.0:
         return None
     return math.sqrt(max(0.0, num / den))

@@ -10,6 +10,7 @@ variant of each algorithm run off the same campaign.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +39,10 @@ class ExperimentSpec:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n_targets < 0:
             raise ValidationError(f"targets must be >= 0, got {self.n_targets}")
+        if not math.isfinite(self.threshold):
+            raise ValidationError(f"threshold must be finite, got {self.threshold}")
+        if not (math.isfinite(self.grid_km) and self.grid_km > 0):
+            raise ValidationError(f"grid_km must be finite and > 0, got {self.grid_km}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:

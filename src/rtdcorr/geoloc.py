@@ -32,6 +32,12 @@ SCOPE_OVERALL = "overall"
 _FEAS_TOL_MS = 1e-9
 _FEAS_TOL_KM = 1e-9
 
+#: Side, in cells, of the square blocks that ``cbg_locate`` decides whole.
+CBG_BLOCK = 8
+# rounding margin on a block's radius (see cbg_locate)
+_BLOCK_REL = 1e-9
+_BLOCK_ABS_KM = 1e-3
+
 
 @dataclass(frozen=True)
 class Bestline:
@@ -190,9 +196,10 @@ def cbg_grid(
     grid_km: float,
     max_cells_per_axis: int,
     slack_km: float,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Grid points (lats, lons) covering the intersection of the circles'
-    bounding boxes, or None when the boxes do not intersect.
+) -> Optional[tuple[np.ndarray, np.ndarray, tuple[int, int]]]:
+    """Grid points (lats, lons, shape) covering the intersection of the
+    circles' bounding boxes, or None when the boxes do not intersect.  The
+    points are the row-major cells of a (rows, columns) = shape lattice.
 
     Longitudes are unwrapped around the first circle's centre, so boxes that
     straddle the antimeridian intersect; the returned longitudes stay in that
@@ -241,7 +248,16 @@ def cbg_grid(
     lats = lats[lats <= 90.0]  # the last row may overshoot a pole
     lons = np.arange(lon_lo, lon_hi + (-0.5 if full_turn else 0.5) * lon_step, lon_step)
     glats, glons = np.meshgrid(lats, lons, indexing="ij")
-    return glats.ravel(), glons.ravel()
+    return glats.ravel(), glons.ravel(), glats.shape
+
+
+def _block_axis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of n cells cut into runs of CBG_BLOCK, the last cut short:
+    each cell's block number (int32), and each block's first and middle
+    cell."""
+    first = np.arange(0, n, CBG_BLOCK)
+    middle = first + (np.minimum(CBG_BLOCK, n - first) - 1) // 2
+    return np.arange(n, dtype=np.int32) // CBG_BLOCK, first, middle
 
 
 def cbg_locate(
@@ -258,51 +274,108 @@ def cbg_locate(
     exact (measure-zero) intersection still registers.  Very large boxes are
     sampled at a coarsened resolution capped at max_cells_per_axis cells.
 
-    A grid point survives a circle when its Vincenty distance to the centre is
-    within radius + slack.  The great-circle distance brackets the Vincenty
-    one (``vincenty_bracket``), so it decides every point outside a thin band
-    at the circle's edge; only the band runs the Vincenty kernel.
+    A grid point survives a circle when its Vincenty distance d to the centre
+    is within the limit radius + slack.  The cell test brackets d by the
+    great-circle distance h of the cell (``vincenty_bracket``: lo(h) <= d <=
+    hi(h)): the cell is in when hi(h) <= limit, out when lo(h) > limit, and
+    only the band between runs the Vincenty kernel.
+
+    Most cells are decided a block at a time, for all circles in one
+    broadcast.  The grid is cut into CBG_BLOCK x CBG_BLOCK blocks.  A block
+    with centre cell c has radius rho, the largest great-circle distance from
+    c to its cells, inflated by 1e-9 relative + 1 m.  By the triangle
+    inequality of the great-circle metric, every cell of the block lies
+    within h(c) - rho <= h <= h(c) + rho of a circle's centre; the haversine
+    errs by under 0.4 m even at antipodes, so the inflation covers the
+    rounding of the three distances.  lo and hi are non-decreasing in h, so
+
+    - hi(h(c) + rho) <= limit puts every cell of the block in by the cell
+      test, with no Vincenty run;
+    - lo(max(h(c) - rho, 0)) > limit puts every cell out by the cell test,
+      and a block out of any circle is dead.
+
+    A block decision therefore equals each of its cell decisions.  Taking
+    the circles tightest first, only the live cells of blocks that straddle
+    a circle's edge go through the cell test.  The survivors are one mask in
+    grid order, so the region and its centroid are those of the cell test
+    applied to every cell and circle.
     """
     if not circles:
         return GeolocationResult("failed", reason="no probes")
     for _, r in circles:
         if not math.isfinite(r) or r < 0:
             raise ValidationError(f"circle radius must be finite and >= 0, got {r}")
+    if not (math.isfinite(grid_km) and grid_km > 0):
+        raise ValidationError(f"grid_km must be finite and > 0, got {grid_km}")
+    if max_cells_per_axis < 1:
+        raise ValidationError(f"max_cells_per_axis must be >= 1, got {max_cells_per_axis}")
     if slack_km is None:
         slack_km = grid_km / math.sqrt(2.0)
 
     grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
     if grid is None:
         return GeolocationResult("failed", reason="empty intersection")
-    glats, glons = grid
-    phi = np.radians(glats)
-    lam = np.radians(_wrap_lon(glons))
+    glats, glons, (n_rows, n_cols) = grid
+    # the grid is a lattice: a cell's latitude is its row's, its longitude
+    # its column's
+    lats, lons = glats[::n_cols], _wrap_lon(glons[:n_cols])
+    phi, lam = np.radians(lats), np.radians(lons)
     cos_phi = np.cos(phi)
 
-    # tightest circles first so the survivor set shrinks quickly
-    for center, r in sorted(circles, key=lambda c: c[1]):
-        if glats.size == 0:
-            break
-        limit = r + slack_km
-        c_phi = math.radians(center.lat)
-        h = great_circle_km_many(
-            phi, c_phi, lam - math.radians(center.lon), cos_phi, math.cos(c_phi)
+    row_block, row_first, row_mid = _block_axis(n_rows)
+    col_block, col_first, col_mid = _block_axis(n_cols)
+    block = (row_block[:, None] * col_first.size + col_block[None, :]).ravel()
+    # block radii: every cell against the centre of its block
+    mr = row_mid[row_block]
+    rho = great_circle_km_many(
+        phi[:, None], phi[mr][:, None], (lam - lam[col_mid[col_block]])[None, :],
+        cos_phi[:, None], cos_phi[mr][:, None],
+    )
+    rho = np.maximum.reduceat(np.maximum.reduceat(rho, row_first, axis=0), col_first, axis=1)
+    rho = rho.ravel() * (1.0 + _BLOCK_REL) + _BLOCK_ABS_KM
+
+    # (circles, block rows, block columns) distances to the block centres
+    c_phi = np.radians([c.lat for c, _ in circles])[:, None, None]
+    c_lam = np.radians([c.lon for c, _ in circles])[:, None, None]
+    h = great_circle_km_many(
+        phi[row_mid][:, None], c_phi, lam[col_mid][None, :] - c_lam,
+        cos_phi[row_mid][:, None], np.cos(c_phi),
+    ).reshape(len(circles), -1)
+    limit = np.array([r for _, r in circles])[:, None] + slack_km
+    inside = vincenty_bracket(h + rho)[1] <= limit
+    live = ~(vincenty_bracket(np.maximum(h - rho, 0.0))[0] > limit).any(axis=0)
+    alive = live[block]
+
+    # live blocks only die, so a circle with no edge block now never has one;
+    # the rest go tightest first so the live blocks thin out quickly
+    todo = np.flatnonzero((live & ~inside).any(axis=1)).tolist()
+    for i in sorted(todo, key=lambda i: circles[i][1]):
+        edge = live & ~inside[i]
+        if not edge.any():
+            continue
+        cells = np.flatnonzero(edge[block] & alive)
+        row, col = np.divmod(cells, n_cols)
+        center, r = circles[i]
+        lim = r + slack_km
+        cp = math.radians(center.lat)
+        hc = great_circle_km_many(
+            phi[row], cp, lam[col] - math.radians(center.lon), cos_phi[row], math.cos(cp)
         )
-        lo, hi = vincenty_bracket(h)
-        keep = hi <= limit
-        band = np.flatnonzero((lo <= limit) & ~keep)
+        lo, hi = vincenty_bracket(hc)
+        keep = hi <= lim
+        band = np.flatnonzero((lo <= lim) & ~keep)
         if band.size:
-            d = geodesic_distance_many(
-                glats[band], _wrap_lon(glons[band]), center.lat, center.lon
-            )
-            keep[band] = d <= limit
-        glats, glons, phi, lam, cos_phi = (
-            a[keep] for a in (glats, glons, phi, lam, cos_phi)
-        )
-    if glats.size == 0:
+            d = geodesic_distance_many(lats[row[band]], lons[col[band]], center.lat, center.lon)
+            keep[band] = d <= lim
+        alive[cells[~keep]] = False
+        # an edge block lives on while one of its cells does
+        live &= ~edge
+        live[block[cells[keep]]] = True
+    if not alive.any():
         return GeolocationResult("failed", reason="empty intersection")
 
-    glons = _wrap_lon(glons)
+    row, col = np.divmod(np.flatnonzero(alive), n_cols)
+    glats, glons = lats[row], lons[col]
     return GeolocationResult(
         "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
     )

@@ -16,8 +16,12 @@ from rtdcorr.geodesy import (
     WGS84_F,
     Coordinate,
     GeodesicResult,
+    geodesic_distance_many,
+    great_circle_km_many,
     haversine_km,
+    vincenty_bracket,
 )
+from rtdcorr.geoloc import GeolocationResult, _wrap_lon, cbg_grid, grid_centroid
 
 
 def vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
@@ -160,6 +164,28 @@ def pearson_by_key(keys, xs, ys) -> dict:
     return {key: (pearson_xy_scalar(gx, gy), len(gx)) for key, (gx, gy) in groups.items()}
 
 
+def rtd_model_corr_raw_form(factors: Sequence[PathFactors]):
+    """The model correlation as the paper writes it, from raw moments, a
+    second oracle for ``rtd_model_corr``:
+
+    sqrt(E^2(RT)*(E(D^2) - E^2(D)) / (E((RT)^2)*E(D^2) - E^2(RT)*E^2(D))).
+
+    The denominator's difference cancels when the spreads are small."""
+    if len(factors) < 2:
+        raise ValidationError("rtd_model_corr: need at least 2 factor sets")
+    rt = np.array([f.r * f.t for f in factors], dtype=float)
+    d = np.array([f.d_km for f in factors], dtype=float)
+    e_rt = float(rt.mean())
+    e_rt2 = float((rt * rt).mean())
+    e_d = float(d.mean())
+    e_d2 = float((d * d).mean())
+    num = e_rt ** 2 * (e_d2 - e_d ** 2)
+    den = e_rt2 * e_d2 - e_rt ** 2 * e_d ** 2
+    if den <= 0.0:
+        return None
+    return math.sqrt(max(0.0, num / den))
+
+
 def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]):
     """The model correlation in its covariance-over-stddevs form, the oracle
     for ``rtd_model_corr``:
@@ -178,3 +204,48 @@ def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]):
     if den <= 0.0:
         return None if v_rt == 0.0 and v_d == 0.0 else 0.0
     return e_rt * v_d / den
+
+
+def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
+    """CBG one circle at a time over the surviving cells, tightest circle
+    first: each pass brackets every survivor's Vincenty distance by its
+    great-circle distance and runs Vincenty only in the band at the circle's
+    edge, then compacts the survivors.  The reference for the block-wise
+    ``rtdcorr.geoloc.cbg_locate``; both apply the same cell test."""
+    if not circles:
+        return GeolocationResult("failed", reason="no probes")
+    slack_km = grid_km / math.sqrt(2.0)
+    grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
+    if grid is None:
+        return GeolocationResult("failed", reason="empty intersection")
+    glats, glons, _ = grid
+    phi = np.radians(glats)
+    lam = np.radians(_wrap_lon(glons))
+    cos_phi = np.cos(phi)
+
+    for center, r in sorted(circles, key=lambda c: c[1]):
+        if glats.size == 0:
+            break
+        limit = r + slack_km
+        c_phi = math.radians(center.lat)
+        h = great_circle_km_many(
+            phi, c_phi, lam - math.radians(center.lon), cos_phi, math.cos(c_phi)
+        )
+        lo, hi = vincenty_bracket(h)
+        keep = hi <= limit
+        band = np.flatnonzero((lo <= limit) & ~keep)
+        if band.size:
+            d = geodesic_distance_many(
+                glats[band], _wrap_lon(glons[band]), center.lat, center.lon
+            )
+            keep[band] = d <= limit
+        glats, glons, phi, lam, cos_phi = (
+            a[keep] for a in (glats, glons, phi, lam, cos_phi)
+        )
+    if glats.size == 0:
+        return GeolocationResult("failed", reason="empty intersection")
+
+    glons = _wrap_lon(glons)
+    return GeolocationResult(
+        "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
+    )

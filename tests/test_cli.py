@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import random
 import tempfile
 import textwrap
@@ -205,6 +206,23 @@ def test_cn_like_pipeline_golden_outputs(tmp_path):
         assert quiet_main(argv) == 0
     got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in f.items()}
     assert got == GOLDEN_SHA256
+
+
+#: sha256 of ``geolocate``'s results.csv for CBG on cn-like, 100 targets, seed 42
+GOLDEN_CBG_SHA256 = {
+    "original": "beb8874dbfcfba515616a590f011b717d10a86e1165f09f409923dc8c55d3f8d",
+    "modified": "9cfd9552282260c258900d96d0e02623f565dd9950b9fc64515b2fc1085d41cd",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_CBG_SHA256))
+def test_cn_like_cbg_geolocate_golden_results(tmp_path, mode):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"config": "cn-like", "algorithm": "cbg", "mode": mode,
+                                    "targets": 100, "seed": 42}))
+    out = tmp_path / "results.csv"
+    assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CBG_SHA256[mode]
 
 
 def test_model_prints_close_corrs(capsys):
@@ -423,3 +441,21 @@ def test_malformed_spec_exits_1(mini_config_path, change, broken_yaml):
         spec = Path(tmp) / "spec.yaml"
         spec.write_text(text[: len(text) // 2] + "[" if broken_yaml else text)
         assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(Path(tmp) / "r.csv")]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_km", math.nan), ("grid_km", math.inf), ("grid_km", -math.inf), ("grid_km", 0),
+    ("grid_km", -5), ("threshold", math.nan), ("threshold", math.inf),
+])
+def test_bad_grid_km_or_threshold_exits_1(mini_config_path, tmp_path, capsys, key, value):
+    """A grid step that is not finite and > 0, or a threshold that is not
+    finite, stops the run with a message: no traceback, no silent run."""
+    doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
+           "targets": 2, key: value}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "r.csv"
+    assert main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: {key} must be finite")
+    assert not out.exists()

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import geoloc
+from rtdcorr import experiments, geoloc
 from rtdcorr.corr_model import CorrCell, ProbeCorrReport
 from rtdcorr.dataset import HostRecord
 from rtdcorr.errors import BestlineError, ValidationError
-from rtdcorr.geodesy import Coordinate, geodesic_distance
+from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
+from reference import per_circle_cbg_locate
 
 
 # ---------------------------------------------------------------- bestline
@@ -237,6 +238,15 @@ def test_cbg_negative_radius_rejected():
         geoloc.cbg_locate([(Coordinate(30.0, 110.0), -1.0)])
 
 
+@pytest.mark.parametrize("kw", [
+    {"grid_km": math.nan}, {"grid_km": math.inf}, {"grid_km": 0.0}, {"grid_km": -5.0},
+    {"max_cells_per_axis": 0},
+])
+def test_cbg_bad_grid_rejected(kw):
+    with pytest.raises(ValidationError):
+        geoloc.cbg_locate([(Coordinate(30.0, 110.0), 50.0)], **kw)
+
+
 def test_cbg_coarsens_giant_boxes():
     # a 5000 km circle would need ~1000 cells per axis at 10 km; the cap keeps
     # it tractable and the centroid still lands near the only real constraint
@@ -261,7 +271,7 @@ def reference_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     grid = geoloc.cbg_grid(circles, grid_km, max_cells_per_axis, slack)
     if grid is None:
         return geoloc.GeolocationResult("failed", reason="empty intersection")
-    glats, glons = grid
+    glats, glons, _ = grid
     wlons = _wrap(glons)
     keep = np.ones(glats.size, dtype=bool)
     for center, r in circles:
@@ -309,6 +319,133 @@ def test_cbg_matches_full_vincenty_reference(circles, grid_km, max_cells):
     assert_same_result(got, want)
 
 
+def assert_matches_oracles(circles, grid_km=10.0, max_cells=256):
+    """cbg_locate against both oracles, region bytes and centroid equal."""
+    got = geoloc.cbg_locate(circles, grid_km=grid_km, max_cells_per_axis=max_cells)
+    assert_same_result(got, per_circle_cbg_locate(circles, grid_km, max_cells))
+    assert_same_result(got, reference_cbg_locate(circles, grid_km, max_cells))
+    return got
+
+
+def block_centres(circles, grid_km, max_cells):
+    """The centre cells (lat, lon) of the blocks of the circles' grid."""
+    lats, lons, (n_rows, n_cols) = geoloc.cbg_grid(
+        circles, grid_km, max_cells, grid_km / math.sqrt(2.0))
+    row_mid, col_mid = geoloc._block_axis(n_rows)[2], geoloc._block_axis(n_cols)[2]
+    cells = (row_mid[:, None] * n_cols + col_mid[None, :]).ravel()
+    return [Coordinate(float(lats[i]), float(_wrap(lons[i]))) for i in cells]
+
+
+@st.composite
+def block_bound_cases(draw):
+    """Circles about a point, most of them meeting round it, on grids of
+    many blocks and of few cells (row and column counts off multiples of the
+    block side, single rows and columns).  The point lies anywhere, near 180
+    deg, or near a pole with every circle reaching round it (a full-turn
+    box).  Some circles have radius 0, and some sets get one more circle
+    centred on a block centre."""
+    where = draw(st.sampled_from(["anywhere", "antimeridian", "pole"]))
+    if where == "pole":
+        lat = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(85.0, 89.9))
+        lon = draw(st.floats(-180.0, 180.0))
+    else:
+        lat = draw(st.floats(-60.0, 60.0))
+        lon = draw(st.floats(-180.0, 180.0) if where == "anywhere" else
+                   st.one_of(st.floats(178.0, 180.0), st.floats(-180.0, -178.0)))
+    base = Coordinate(lat, lon)
+    circles = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["near"] * 4 + ["wide"] * 2 + ["zero"]))
+        if kind == "zero":
+            circles.append((base, 0.0))
+            continue
+        center = Coordinate(min(90.0, max(-90.0, lat + draw(st.floats(-3.0, 3.0)))),
+                            float(_wrap(lon + draw(st.floats(-5.0, 5.0)))))
+        if where == "pole":
+            pole = Coordinate(math.copysign(90.0, lat), 0.0)
+            r = geodesic_distance(center, pole) + draw(st.floats(50.0, 1500.0))
+        elif kind == "near":
+            r = geodesic_distance(center, base) * draw(st.floats(0.9, 1.5))
+        else:
+            r = draw(st.floats(300.0, 2500.0))
+        circles.append((center, r))
+    grid_km = draw(st.sampled_from([5.0, 10.0, 10.0, 40.0]))
+    max_cells = draw(st.sampled_from([1, 2, 3, 9, 17, 64, 256, 256, 256]))
+    if draw(st.booleans()) and geoloc.cbg_grid(
+            circles, grid_km, max_cells, grid_km / math.sqrt(2.0)) is not None:
+        center = draw(st.sampled_from(block_centres(circles, grid_km, max_cells)))
+        circles.append((center, draw(st.floats(0.0, 3000.0))))
+    return circles, grid_km, max_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_bound_cases())
+def test_cbg_block_bound_matches_oracles(case):
+    assert_matches_oracles(*case)
+
+
+def _edge_cases():
+    """name -> (circles, expected grid shape or None)."""
+    slack = 10.0 / math.sqrt(2.0)
+    d = 500.0 / KM_PER_DEG_LAT  # box half-height of a circle with r + slack = 500
+    step = 10.0 / KM_PER_DEG_LAT
+    a = Coordinate(0.0, 100.0)
+    base = [(Coordinate(30.0, 110.0), 400.0), (Coordinate(31.5, 112.0), 350.0)]
+    return {
+        # boxes overlapping by 0.3 of a cell: one row of 97 cells
+        "single row": ([(Coordinate(30.0, 100.0), 500.0),
+                        (Coordinate(30.0 + 2 * (500.0 + slack) / KM_PER_DEG_LAT - 0.3 * step,
+                                    100.0), 500.0)], (1, 97)),
+        # on the equator, where a row falls on the centres' latitude
+        "single column": ([(a, 500.0 - slack),
+                           (Coordinate(0.0, 100.0 + 2 * d - 0.3 * step), 500.0 - slack)],
+                          (101, 1)),
+        "round a pole": ([(Coordinate(88.0, 30.0), 800.0), (Coordinate(85.0, -100.0), 900.0),
+                          (Coordinate(86.5, 170.0), 700.0)], None),
+        "across 180": ([(Coordinate(-20.0, 179.5), 300.0), (Coordinate(-21.0, -179.0), 250.0),
+                        (Coordinate(-19.0, 178.0), 400.0)], None),
+        "radius 0": ([(Coordinate(30.0, 110.0), 0.0), (Coordinate(31.0, 111.0), 150.0)], None),
+        # a wide circle on a block centre leaves the grid as it was
+        "on a block centre": (base + [(block_centres(base, 10.0, 256)[7], 5000.0)], None),
+        "on a block centre, cutting": (base + [(block_centres(base, 10.0, 256)[7], 60.0)],
+                                       None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_cases()))
+def test_cbg_block_edge_cases(name):
+    circles, shape = _edge_cases()[name]
+    if shape is not None:
+        assert geoloc.cbg_grid(circles, 10.0, 256, 10.0 / math.sqrt(2.0))[2] == shape
+    assert assert_matches_oracles(circles).located
+
+
+def test_cbg_block_centre_circle_keeps_the_grid():
+    base, _ = _edge_cases()["on a block centre"]
+    before = geoloc.cbg_grid(base[:2], 10.0, 256, 10.0 / math.sqrt(2.0))
+    after = geoloc.cbg_grid(base, 10.0, 256, 10.0 / math.sqrt(2.0))
+    assert before[2] == after[2] and before[0].tobytes() == after[0].tobytes()
+    assert base[2][0] in block_centres(base, 10.0, 256)
+
+
+def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
+    """All 200 CBG locates of cn-like at seed 42, bitwise against the
+    per-circle oracle."""
+    real, seen = geoloc.cbg_locate, []
+
+    def both(circles, **kw):
+        got = real(circles, **kw)
+        assert_same_result(got, per_circle_cbg_locate(circles, **kw))
+        seen.append(got.located)
+        return got
+
+    monkeypatch.setattr(geoloc, "cbg_locate", both)
+    for mode in ("original", "modified"):
+        spec = experiments.ExperimentSpec("cn-like", "cbg", mode, seed=42, n_targets=100)
+        experiments.run_experiment(spec, cn_campaign)
+    assert len(seen) == 200 and sum(seen) > 150
+
+
 def test_cbg_matches_reference_on_fine_grids():
     # grids of 7k-30k cells at 2 km, thousands of them near some circle's edge
     rng = np.random.default_rng(2)
@@ -326,7 +463,7 @@ def test_cbg_matches_reference_on_fine_grids():
 
 def test_cbg_polar_box_spans_one_turn():
     # the circle reaches over the pole, so its box is wider than 360 deg
-    _, lons = geoloc.cbg_grid([(Coordinate(89.0, 0.0), 500.0)], 10.0, 256, 10.0 / math.sqrt(2.0))
+    _, lons, _ = geoloc.cbg_grid([(Coordinate(89.0, 0.0), 500.0)], 10.0, 256, 10.0 / math.sqrt(2.0))
     meridians = np.unique(lons)  # 14,649 cells from -261 to 261 deg before the clamp
     assert meridians.max() - meridians.min() < 360.0
     assert np.unique(np.round(meridians % 360.0, 9)).size == meridians.size

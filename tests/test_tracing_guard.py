@@ -6,7 +6,8 @@ import importlib.util
 import io
 from pathlib import Path
 
-from rtdcorr import cli, corr_model, dataset, experiments, netsim
+from rtdcorr import cli, corr_model, dataset, experiments, geodesy, geoloc, netsim
+from rtdcorr.geodesy import Coordinate
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -50,3 +51,32 @@ def test_tracer_installs_restores_and_counts_table_rows(tmp_path, mini_config_pa
     # rtt.csv written and read (18 each), hosts.csv read (5), samples.csv written and read (6 each)
     assert m["dataset.rows"] == 18 + 18 + 5 + 6 + 6
     assert m["corr_model.corr_matrix.calls"] == 1
+
+
+def test_tracer_counts_cbg_locates():
+    # the tracer counts band kernel pairs by wrapping geoloc's own binding
+    assert geoloc.geodesic_distance_many is geodesy.geodesic_distance_many
+    cases = [
+        [(Coordinate(30.0, 110.0), 80.0), (Coordinate(30.5, 110.5), 60.0)],
+        [(Coordinate(30.0, 110.0), 30.0), (Coordinate(40.0, 120.0), 30.0)],  # disjoint
+        [],
+        [(Coordinate(89.0, 0.0), 500.0), (Coordinate(88.0, 90.0), 400.0),
+         (Coordinate(87.5, -150.0), 450.0)],
+    ]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        results = [geoloc.cbg_locate(circles) for circles in cases]
+    finally:
+        tracer.restore()
+    assert geoloc.geodesic_distance_many is geodesy.geodesic_distance_many
+
+    m = tracing.per_layer_metrics(tracer)
+    assert [r.located for r in results] == [True, False, False, True]
+    assert m["geoloc.cbg_locate.calls"] == len(cases)
+    assert m["geoloc.cbg_locate.circles"] == sum(len(c) for c in cases) == 7
+    assert m["geoloc.cbg_locate.failed"] == 2
+    assert m["geoloc.cbg_locate.surviving_cells"] == sum(
+        r.region_lats.size for r in results if r.located)
+    assert m["geodesy.many.calls"] > 0 and m["geodesy.many.pairs"] > 0
