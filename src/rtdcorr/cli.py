@@ -26,7 +26,7 @@ def _print_header(args: argparse.Namespace) -> None:
     for name in ("seed", "threshold", "grid_km"):
         if hasattr(args, name):
             knobs.append(f"{name}={getattr(args, name)}")
-    knobs.append(f"v_km_s={corr_model.DEFAULT_SPEED_KM_S}")
+    knobs.append(f"v_km_s={getattr(args, 'v', corr_model.DEFAULT_SPEED_KM_S)}")
     print(f"rtdcorr {args.command}: " + " ".join(knobs))
 
 
@@ -86,9 +86,7 @@ def cmd_model(args) -> int:
         rng,
     )
     model = corr_model.rtd_model_corr(factors)
-    xs = [f.d_km for f in factors]
-    ys = [corr_model.synth_delay(f, args.v) for f in factors]
-    empirical = corr_model.pearson_xy(xs, ys)
+    empirical = corr_model.pearson_xy(factors.d_km, corr_model.synth_delay(factors, args.v))
     fmt = lambda c: "undefined" if c is None else f"{c:.6f}"
     print(f"model corr:     {fmt(model)}")
     print(f"empirical corr: {fmt(empirical)}")

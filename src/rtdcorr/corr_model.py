@@ -8,13 +8,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .dataset import SampleTable
-from .errors import NotFoundError, ValidationError
+from .errors import ValidationError
 
 #: Default propagation speed in fiber, km/s (about 2/3 of light speed).
 DEFAULT_SPEED_KM_S = 200000.0
@@ -31,50 +30,44 @@ _VAR_REL_EPS = 1e-12
 #: A correlation value; None marks "undefined" (degenerate input).
 CorrValue = Optional[float]
 
-
-class CorrStrength(Enum):
-    STRONG = "strong"
-    WEAK = "weak"
+# each path factor's lower bound, and whether the bound itself is allowed
+_FACTOR_RANGES = (("r", 1.0, False), ("t", 1.0, True), ("d_km", 0.0, False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class PathFactors:
-    """The (R, T, D) description of one network path.
+    """The (R, T, D) description of network paths, one path per element.
 
     r: whole delay / propagation delay, > 1.
     t: routed path length / direct geodesic distance, >= 1.
     d_km: direct geodesic distance, > 0.
+
+    The three are stored as float arrays broadcast to one shape; scalars
+    give a 0-d instance.  Construction checks every element and names the
+    first one out of range.
     """
 
-    r: float
-    t: float
-    d_km: float
+    r: np.ndarray
+    t: np.ndarray
+    d_km: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 1.0):
-            raise ValidationError(f"r must be > 1, got {self.r}")
-        if not (math.isfinite(self.t) and self.t >= 1.0):
-            raise ValidationError(f"t must be >= 1, got {self.t}")
-        if not (math.isfinite(self.d_km) and self.d_km > 0.0):
-            raise ValidationError(f"d_km must be > 0, got {self.d_km}")
-
-    @property
-    def detour_km(self) -> float:
-        """Geographic length of the routed path (T * D)."""
-        return self.t * self.d_km
-
-    def propagation_ms(self, v_km_s: float = DEFAULT_SPEED_KM_S) -> float:
-        return self.t * self.d_km / v_km_s * 1000.0
-
-    def ideal_ms(self, v_km_s: float = DEFAULT_SPEED_KM_S) -> float:
-        return self.d_km / v_km_s * 1000.0
+        values = np.broadcast_arrays(
+            *(np.asarray(getattr(self, name), dtype=float) for name, _, _ in _FACTOR_RANGES)
+        )
+        for (name, low, closed), v in zip(_FACTOR_RANGES, values):
+            ok = np.isfinite(v) & (v >= low if closed else v > low)
+            if not ok.all():
+                raise ValidationError(
+                    f"{name} must be {'>=' if closed else '>'} {low:g}, got {v[~ok][0]}"
+                )
+            object.__setattr__(self, name, v)
 
 
-def synth_delay(f: PathFactors, v_km_s: float = DEFAULT_SPEED_KM_S) -> float:
-    """Whole-path delay in ms implied by the path factors: R*T*D/v.  Also
-    takes factors held as arrays (``netsim.RowFactors``), elementwise."""
-    if v_km_s <= 0:
-        raise ValidationError(f"propagation speed must be > 0, got {v_km_s}")
+def synth_delay(f: PathFactors, v_km_s: float = DEFAULT_SPEED_KM_S) -> np.ndarray:
+    """Whole-path delay in ms implied by the path factors, elementwise: R*T*D/v."""
+    if not (math.isfinite(v_km_s) and v_km_s > 0):
+        raise ValidationError(f"propagation speed must be finite and > 0, got {v_km_s}")
     return f.r * f.t * f.d_km / v_km_s * 1000.0
 
 
@@ -131,15 +124,8 @@ def pearson_corr(samples: SampleTable) -> CorrValue:
     return pearson_xy(samples.distance_km, samples.delay_ms)
 
 
-def classify_corr(c: CorrValue, threshold: float = STRONG_CORR_THRESHOLD) -> CorrStrength:
-    """Strong iff strictly above the threshold; negative or undefined is weak."""
-    if c is None or c <= threshold:
-        return CorrStrength.WEAK
-    return CorrStrength.STRONG
-
-
-def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
-    """Model correlation from (R, T, D) factors via population sample moments.
+def rtd_model_corr(f: PathFactors) -> CorrValue:
+    """Model correlation over the paths of ``f`` via population sample moments.
 
     The paper's form is the sqrt of
         E^2(RT) * V(D)  over  E((RT)^2) * E(D^2) - E^2(RT) * E^2(D).
@@ -147,10 +133,10 @@ def rtd_model_corr(factors: Sequence[PathFactors]) -> CorrValue:
     instead: the raw moments' difference cancels when the spreads are small.
     None when the denominator vanishes (all RT equal and all D equal).
     """
-    if len(factors) < 2:
+    if f.d_km.size < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
-    rt = np.array([f.r * f.t for f in factors], dtype=float)
-    d = np.array([f.d_km for f in factors], dtype=float)
+    rt = f.r * f.t
+    d = f.d_km
     e_rt = float(rt.mean())
     v_rt = float(rt.var())
     v_d = float(d.var())
@@ -217,14 +203,6 @@ def all_probe_reports(samples: SampleTable) -> list[ProbeCorrReport]:
     return reports
 
 
-def probe_corr_report(samples: SampleTable, probe_id: str) -> ProbeCorrReport:
-    """Intra-ISP and per-foreign-ISP correlations of one probing host."""
-    for rep in all_probe_reports(samples):
-        if rep.probe_id == probe_id:
-            return rep
-    raise NotFoundError(f"probe {probe_id!r} has no samples")
-
-
 @dataclass(frozen=True)
 class RichSubnetReport:
     rich_probes_intra: tuple[str, ...]
@@ -239,6 +217,8 @@ def discover_rich_subnets(
 ) -> RichSubnetReport:
     """Probes whose intra-ISP correlation (or some inter-ISP correlation)
     strictly exceeds the threshold, plus the corresponding fractions."""
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
     reports = all_probe_reports(samples)
     rich_intra = []
     rich_inter = []

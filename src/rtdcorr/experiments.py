@@ -39,6 +39,8 @@ class ExperimentSpec:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n_targets < 0:
             raise ValidationError(f"targets must be >= 0, got {self.n_targets}")
+        if self.candidate_areas < 1:
+            raise ValidationError(f"candidate_areas must be >= 1, got {self.candidate_areas}")
         if not math.isfinite(self.threshold):
             raise ValidationError(f"threshold must be finite, got {self.threshold}")
         if not (math.isfinite(self.grid_km) and self.grid_km > 0):

@@ -417,6 +417,8 @@ def geoget_locate(
         raise ValidationError(f"unknown mode {mode!r}")
     if area_of_city is None or center_city_of_area is None:
         raise ValidationError("area maps are required")
+    if candidate_areas < 1:
+        raise ValidationError(f"candidate_areas must be >= 1, got {candidate_areas}")
     if mode == "modified":
         pool = [l for l in landmarks if l.isp == target_isp and l.id not in exclude]
     else:
@@ -443,7 +445,7 @@ def geoget_locate(
         area_scores[area] = min(delays[lm.id], area_scores.get(area, math.inf))
     all_areas = sorted({area_of_city[l.city] for l in pool})
     ranked = sorted(all_areas, key=lambda a: (area_scores.get(a, math.inf), a))
-    chosen = set(ranked[: max(1, candidate_areas)])
+    chosen = set(ranked[:candidate_areas])
 
     kept = [l for l in pool if area_of_city[l.city] in chosen]
     if not kept:  # chosen areas come from the pool, so this means a broken invariant

@@ -71,10 +71,10 @@ class PathModelConfig:
     samples_per_pair: int = 3
 
     def __post_init__(self):
-        if self.v_km_s <= 0:
-            raise ValidationError("v_km_s must be > 0")
-        if self.jitter < 0:
-            raise ValidationError("jitter must be >= 0")
+        if not (math.isfinite(self.v_km_s) and self.v_km_s > 0):
+            raise ValidationError(f"v_km_s must be finite and > 0, got {self.v_km_s}")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.samples_per_pair < 1:
             raise ValidationError("samples_per_pair must be >= 1")
 
@@ -395,13 +395,6 @@ def _open_unit(words: np.ndarray) -> np.ndarray:
     return ((words >> 12) + 0.5) * 2.0 ** -52
 
 
-class RowFactors(NamedTuple):
-    r: np.ndarray
-    t: np.ndarray
-    d_km: np.ndarray
-    jitter: np.ndarray  # (n, samples_per_pair) jitter fractions in [0, jitter)
-
-
 def sample_path_factors(
     topology: Topology,
     config: SimConfig,
@@ -409,10 +402,11 @@ def sample_path_factors(
     src_id: str,
     dst_ids: Sequence[str],
     stream: str = "campaign",
-) -> RowFactors:
-    """(R, T, D) and the jitter fractions for one source against each
-    destination: T from routing, D the direct geodesic distance, R from the
-    intra or inter law per the ISP relationship.
+) -> tuple[PathFactors, np.ndarray]:
+    """(R, T, D) for one source against each destination, and the
+    (len(dst_ids), samples_per_pair) jitter fractions in [0, jitter): T from
+    routing, D the direct geodesic distance, R from the intra or inter law
+    per the ISP relationship.
 
     Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
     R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
@@ -423,15 +417,7 @@ def sample_path_factors(
     z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
     r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
     d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
-    for name, values, ok, bound in (
-        ("r", r, r > 1.0, "> 1"),
-        ("t", routes.tortuosity, routes.tortuosity >= 1.0, ">= 1"),
-        ("d_km", d, d > 0.0, "> 0"),
-    ):
-        bad = np.flatnonzero(~(ok & np.isfinite(values)))
-        if bad.size:
-            raise ValidationError(f"{name} must be {bound}, got {values[bad[0]]}")
-    return RowFactors(r, routes.tortuosity, d, pm.jitter * u[:, 2:])
+    return PathFactors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
 
 
 def simulate_row(
@@ -444,8 +430,8 @@ def simulate_row(
 ) -> np.ndarray:
     """(len(dst_ids), samples_per_pair) jittered delays in ms from one source
     to each destination: R*T*D/v*1000 * (1 + jitter fraction)."""
-    f = sample_path_factors(topology, config, seed, src_id, dst_ids, stream)
-    return synth_delay(f, config.path_model.v_km_s)[:, None] * (1.0 + f.jitter)
+    f, jitter = sample_path_factors(topology, config, seed, src_id, dst_ids, stream)
+    return synth_delay(f, config.path_model.v_km_s)[:, None] * (1.0 + jitter)
 
 
 def pair_min_delay_ms(
@@ -494,8 +480,8 @@ def sample_independent(
     d_dist: LogNormalShift,
     n: int,
     rng: np.random.Generator,
-) -> list[PathFactors]:
-    """Mutually independent factor draws honoring the type ranges."""
+) -> PathFactors:
+    """n mutually independent factor draws honoring the type ranges."""
     if n < 2:
         raise ValidationError("need n >= 2 draws")
     if r_dist.shift < 1.0:
@@ -507,7 +493,7 @@ def sample_independent(
     rs = r_dist.draw(rng, n)
     ts = t_dist.draw(rng, n)
     ds = d_dist.draw(rng, n)
-    return [PathFactors(float(r), float(t), float(d)) for r, t, d in zip(rs, ts, ds)]
+    return PathFactors(rs, ts, ds)
 
 
 def _require(mapping: Mapping, key: str, where: str):

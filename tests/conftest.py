@@ -13,6 +13,17 @@ def pair_rtts(table) -> dict:
     }
 
 
+#: (correlation, strong?) against the default threshold: strong iff strictly
+#: above it; negative or undefined is weak
+THRESHOLD_CASES = [
+    (0.6701, False),
+    (0.9064, True),
+    (-0.2964, False),
+    (0.7, False),  # strictly "beyond"
+    (None, False),
+]
+
+
 @pytest.fixture(scope="session")
 def cn_config():
     return netsim.resolve_config("cn-like")

@@ -164,17 +164,17 @@ def pearson_by_key(keys, xs, ys) -> dict:
     return {key: (pearson_xy_scalar(gx, gy), len(gx)) for key, (gx, gy) in groups.items()}
 
 
-def rtd_model_corr_raw_form(factors: Sequence[PathFactors]):
+def rtd_model_corr_raw_form(f: PathFactors):
     """The model correlation as the paper writes it, from raw moments, a
     second oracle for ``rtd_model_corr``:
 
     sqrt(E^2(RT)*(E(D^2) - E^2(D)) / (E((RT)^2)*E(D^2) - E^2(RT)*E^2(D))).
 
     The denominator's difference cancels when the spreads are small."""
-    if len(factors) < 2:
+    if f.d_km.size < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
-    rt = np.array([f.r * f.t for f in factors], dtype=float)
-    d = np.array([f.d_km for f in factors], dtype=float)
+    rt = f.r * f.t
+    d = f.d_km
     e_rt = float(rt.mean())
     e_rt2 = float((rt * rt).mean())
     e_d = float(d.mean())
@@ -186,16 +186,16 @@ def rtd_model_corr_raw_form(factors: Sequence[PathFactors]):
     return math.sqrt(max(0.0, num / den))
 
 
-def rtd_model_corr_ratio_form(factors: Sequence[PathFactors]):
+def rtd_model_corr_ratio_form(f: PathFactors):
     """The model correlation in its covariance-over-stddevs form, the oracle
     for ``rtd_model_corr``:
 
     E(RT)*V(D) / (sqrt(V(RT)*E(D^2) + E^2(RT)*V(D)) * sqrt(V(D))).
     """
-    if len(factors) < 2:
+    if f.d_km.size < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
-    rt = np.array([f.r * f.t for f in factors], dtype=float)
-    d = np.array([f.d_km for f in factors], dtype=float)
+    rt = f.r * f.t
+    d = f.d_km
     v_rt = float(rt.var())
     e_rt = float(rt.mean())
     v_d = float(d.var())

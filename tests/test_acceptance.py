@@ -25,7 +25,7 @@ def rand_factors(rng, n=10):
     rs = 1.0 + rng.lognormal(0.0, 0.6, n)
     ts = 1.0 + rng.lognormal(-1.0, 0.5, n)
     ds = rng.lognormal(6.0, 1.0, n)
-    return [PathFactors(float(r), float(t), float(d)) for r, t, d in zip(rs, ts, ds)]
+    return PathFactors(rs, ts, ds)
 
 
 def test_acceptance_01_model_form_identity():
@@ -48,9 +48,9 @@ def test_acceptance_01_model_form_identity():
 
 def test_acceptance_02_constant_overhead_gives_perfect_corr():
     ds = [120.0, 340.0, 560.0, 910.0, 1480.0]
-    factors = [PathFactors(2.0, 1.5, d) for d in ds]  # R*T fixed at 3.0
+    factors = PathFactors(2.0, 1.5, ds)  # R*T fixed at 3.0
     model = rtd_model_corr(factors)
-    delays = [synth_delay(f) for f in factors]
+    delays = synth_delay(factors)
     empirical = pearson_xy(ds, delays)
     check(
         "constant R*T with varying D gives corr 1.0 (model 1e-12, empirical 1e-9)",
@@ -73,7 +73,7 @@ def test_acceptance_03_model_matches_empirical_on_independent_draws():
         rng,
     )
     model = rtd_model_corr(factors)
-    empirical = pearson_xy([f.d_km for f in factors], [synth_delay(f) for f in factors])
+    empirical = pearson_xy(factors.d_km, synth_delay(factors))
     dt = time.perf_counter() - t0
     diff = abs(model - empirical)
     check(
@@ -88,7 +88,8 @@ def test_acceptance_04_corr_decreases_with_overhead_spread():
     corrs = []
     for delta in (0.2, 0.6, 1.2):  # growing V(R*T) at fixed E(R*T) = 3
         rts = [3.0 - delta, 3.0 + delta]
-        factors = [PathFactors(rt, 1.0, d) for rt, d in itertools.product(rts, ds)]
+        rt, d = np.array(list(itertools.product(rts, ds))).T
+        factors = PathFactors(rt, 1.0, d)
         corrs.append(rtd_model_corr(factors))
     check(
         "corr strictly decreases as R*T spread grows at fixed mean",

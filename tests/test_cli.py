@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import random
+import re
 import tempfile
 import textwrap
 from pathlib import Path
@@ -78,6 +79,21 @@ def test_simulate_bundled_name_unknown(capsys, tmp_path):
     assert "no-such" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("v_km_s", ".nan"), ("v_km_s", ".inf"), ("jitter", ".nan"), ("jitter", ".inf"),
+])
+def test_non_finite_path_model_exits_1(capsys, tmp_path, key, value):
+    """A path-model speed or jitter that is not finite stops the run before
+    any RTT is written."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(re.sub(rf"(?m)^(\s*{key}:).*$", rf"\1 {value}", MINI_YAML))
+    out = tmp_path / "sim"
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith(f"error: {cfg}: {key} must be finite")
+    assert not (out / "rtt.csv").exists()
+
+
 def test_ingest_corr_discover_pipeline(capsys, sim_dir, tmp_path):
     samples = tmp_path / "samples.csv"
     code, stdout, _ = run(capsys, "ingest", "--hosts", str(sim_dir / "hosts.csv"),
@@ -100,6 +116,19 @@ def test_ingest_corr_discover_pipeline(capsys, sim_dir, tmp_path):
     code, stdout, _ = run(capsys, "discover", "--samples", str(samples))
     assert code == 0
     assert "overall rich fraction" in stdout
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_discover_non_finite_threshold_exits_1(capsys, sim_dir, tmp_path, threshold):
+    samples = tmp_path / "samples.csv"
+    assert quiet_main(["ingest", "--hosts", str(sim_dir / "hosts.csv"),
+                       "--rtt", str(sim_dir / "rtt.csv"), "--out", str(samples)]) == 0
+    rich = tmp_path / "rich.csv"
+    code, _, err = run(capsys, "discover", "--samples", str(samples),
+                       f"--threshold={threshold}", "--out", str(rich))
+    assert code == 1
+    assert err.startswith("error: threshold must be finite")
+    assert not rich.exists()
 
 
 def test_corr_empty_samples_exits_1(capsys, tmp_path):
@@ -231,6 +260,29 @@ def test_model_prints_close_corrs(capsys):
     assert "model corr:" in stdout and "empirical corr:" in stdout
     diff = float(stdout.strip().splitlines()[-1].split()[-1])
     assert diff < 0.05
+
+
+#: sha256 of ``rtdcorr model --n 100000 --seed 42`` stdout
+GOLDEN_MODEL_SHA256 = "232aadd20df3ff2d6307412500724ae9e8dc4ce143f742e4f3ce771f1ec643f9"
+
+
+def test_model_golden_stdout(capsys):
+    code, stdout, _ = run(capsys, "model", "--n", "100000", "--seed", "42")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_MODEL_SHA256
+
+
+def test_model_header_reports_the_speed_used(capsys):
+    code, stdout, _ = run(capsys, "model", "--n", "1000", "--v", "100000")
+    assert code == 0
+    assert stdout.splitlines()[0] == "rtdcorr model: seed=42 v_km_s=100000.0"
+
+
+@pytest.mark.parametrize("v", ["nan", "inf", "0"])
+def test_model_bad_speed_exits_1(capsys, v):
+    code, _, err = run(capsys, "model", "--n", "1000", "--v", v)
+    assert code == 1
+    assert err.startswith("error: propagation speed must be finite and > 0")
 
 
 def test_geolocate_and_evaluate(capsys, tmp_path, mini_config_path):
@@ -458,4 +510,17 @@ def test_bad_grid_km_or_threshold_exits_1(mini_config_path, tmp_path, capsys, ke
     assert main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec}: {key} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_candidate_areas_below_one_exits_1(mini_config_path, tmp_path, capsys, n):
+    doc = {"config": str(mini_config_path), "algorithm": "geoget", "mode": "modified",
+           "targets": 2, "candidate_areas": n}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "r.csv"
+    assert main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: candidate_areas must be >= 1, got {n}")
     assert not out.exists()

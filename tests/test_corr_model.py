@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from rtdcorr import corr_model as cm
 from rtdcorr import dataset
-from rtdcorr.errors import NotFoundError, ValidationError
+from rtdcorr.errors import ValidationError
 from rtdcorr import experiments
+from conftest import THRESHOLD_CASES
 from reference import (
     pearson_by_key,
     pearson_xy_scalar,
@@ -175,25 +178,34 @@ def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaig
     )
 
 
-# --- classify_corr ----------------------------------------------------------
+# --- the strong-correlation threshold ---------------------------------------
 
-@pytest.mark.parametrize(
-    "value,expected",
-    [
-        (0.6701, cm.CorrStrength.WEAK),
-        (0.9064, cm.CorrStrength.STRONG),
-        (-0.2964, cm.CorrStrength.WEAK),
-        (0.7, cm.CorrStrength.WEAK),  # strictly "beyond"
-        (None, cm.CorrStrength.WEAK),
-    ],
-)
-def test_classify(value, expected):
-    assert cm.classify_corr(value) == expected
+def discover_with_corr(corr):
+    """discover_rich_subnets over one probe whose intra-ISP correlation and
+    inter-ISP correlation toward B are both ``corr``."""
+    cell = cm.CorrCell(corr, 10)
+    report = cm.ProbeCorrReport("p1", "A", cell, {"B": cell})
+    with mock.patch.object(cm, "all_probe_reports", lambda samples: [report]):
+        return cm.discover_rich_subnets(None)
+
+
+@pytest.mark.parametrize("value,strong", THRESHOLD_CASES)
+def test_discover_threshold_is_strict(value, strong):
+    rich = discover_with_corr(value)
+    assert rich.rich_probes_intra == (("p1",) if strong else ())
+    assert rich.rich_probes_inter == ((("p1", "B"),) if strong else ())
 
 
 @given(st.floats(min_value=0, max_value=1))
 def test_negative_always_weak(x):
-    assert cm.classify_corr(-x) == cm.CorrStrength.WEAK
+    rich = discover_with_corr(-x)
+    assert rich.rich_probes_intra == () and rich.rich_probes_inter == ()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_discover_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValidationError, match="threshold must be finite"):
+        cm.discover_rich_subnets(table(samples_from([(100, 1), (200, 2), (300, 3)])), threshold)
 
 
 # --- synth_delay ------------------------------------------------------------
@@ -217,35 +229,73 @@ def test_path_factor_invariants():
     with pytest.raises(ValidationError):
         cm.PathFactors(2.0, 1.0, 0.0)
     f = cm.PathFactors(2.0, 1.5, 1000.0)
-    assert f.detour_km == pytest.approx(1500.0)
-    assert f.propagation_ms(200000.0) == pytest.approx(7.5)
-    assert f.ideal_ms(200000.0) == pytest.approx(5.0)
+    assert f.r.shape == () and (f.r, f.t, f.d_km) == (2.0, 1.5, 1000.0)
+
+
+#: each factor's range, and its edge value just outside it
+FACTOR_BOUNDS = {
+    "r": ("> 1", 1.0),
+    "t": (">= 1", float(np.nextafter(1.0, 0.0))),
+    "d_km": ("> 0", 0.0),
+}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_path_factor_arrays_name_first_bad_value(data):
+    n = data.draw(st.integers(1, 30))
+    fields = {
+        "r": data.draw(st.lists(st.floats(1.0, 1e6, exclude_min=True), min_size=n, max_size=n)),
+        "t": data.draw(st.lists(st.floats(1.0, 1e3), min_size=n, max_size=n)),
+        "d_km": data.draw(st.lists(st.floats(0.0, 2e4, exclude_min=True), min_size=n, max_size=n)),
+    }
+    f = cm.PathFactors(**fields)
+    assert [f.r.tolist(), f.t.tolist(), f.d_km.tolist()] == list(fields.values())
+
+    name = data.draw(st.sampled_from(sorted(fields)))
+    bound, edge = FACTOR_BOUNDS[name]
+    bad_values = st.sampled_from([edge, math.nan, math.inf, -math.inf])
+    bad = data.draw(bad_values)
+    i = data.draw(st.integers(0, n - 1))
+    fields[name][i] = bad
+    if i + 1 < n and data.draw(st.booleans()):  # a later bad value is not the one named
+        fields[name][data.draw(st.integers(i + 1, n - 1))] = data.draw(bad_values)
+    message = re.escape(f"{name} must be {bound}, got {bad}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        cm.PathFactors(**fields)
+
+
+def test_synth_delay_rejects_non_finite_speed():
+    f = cm.PathFactors(2.0, 1.5, 1000.0)
+    for v in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="propagation speed"):
+            cm.synth_delay(f, v)
 
 
 # --- rtd_model_corr ---------------------------------------------------------
 
 def fac(rt, d):
-    # encode a product value RT as (r=rt, t=1)
+    # encode product values RT as (r=rt, t=1)
     return cm.PathFactors(rt, 1.0, d)
 
 
 def test_constant_rt_gives_one():
-    factors = [fac(3.0, d) for d in (100, 200, 300, 400)]
+    factors = fac(3.0, [100, 200, 300, 400])
     assert cm.rtd_model_corr(factors) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constant_d_gives_zero():
-    factors = [fac(rt, 500.0) for rt in (2.0, 3.0, 4.0)]
+    factors = fac([2.0, 3.0, 4.0], 500.0)
     assert cm.rtd_model_corr(factors) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hand_computed_two_point():
-    factors = [fac(2.0, 100.0), fac(4.0, 200.0)]
+    factors = fac([2.0, 4.0], [100.0, 200.0])
     assert cm.rtd_model_corr(factors) == pytest.approx(math.sqrt(22500 / 47500), abs=1e-6)
 
 
 def test_all_degenerate_is_undefined():
-    factors = [fac(2.0, 100.0), fac(2.0, 100.0)]
+    factors = fac(2.0, [100.0, 100.0])
     assert cm.rtd_model_corr(factors) is None
     assert rtd_model_corr_ratio_form(factors) is None
     assert rtd_model_corr_raw_form(factors) is None
@@ -253,7 +303,7 @@ def test_all_degenerate_is_undefined():
 
 def test_too_few_factors():
     with pytest.raises(ValidationError):
-        cm.rtd_model_corr([fac(2.0, 100.0)])
+        cm.rtd_model_corr(fac(2.0, [100.0]))
 
 
 factor_triples = st.lists(
@@ -268,9 +318,9 @@ factor_triples = st.lists(
 
 
 def spread_factors(triples):
-    factors = [cm.PathFactors(r, t, d) for r, t, d in triples]
-    rt = np.array([f.r * f.t for f in factors])
-    d = np.array([f.d_km for f in factors])
+    factors = cm.PathFactors(*np.array(triples).T)
+    rt = factors.r * factors.t
+    d = factors.d_km
     # near-degenerate spreads lose the identity to cancellation; skip them
     assume(rt.std() > 1e-3 * abs(rt.mean()))
     assume(d.std() > 1e-3 * abs(d.mean()))
@@ -305,16 +355,16 @@ def test_monotone_in_rt_spread():
     ds = [100.0, 400.0, 900.0, 1600.0]
     corrs = []
     for delta in (0.2, 0.6, 1.2):  # same E(RT) = 3, growing V(RT)
-        factors = [fac(3.0 - delta, d) for d in ds] + [fac(3.0 + delta, d) for d in ds]
+        factors = fac([3.0 - delta] * 4 + [3.0 + delta] * 4, ds + ds)
         corrs.append(cm.rtd_model_corr(factors))
     assert corrs[0] > corrs[1] > corrs[2]
 
 
 def test_exactness_when_rt_constant():
     ds = np.linspace(50, 2500, 40)
-    factors = [fac(2.5, float(d)) for d in ds]
-    delays = [cm.synth_delay(f) for f in factors]
-    assert cm.pearson_xy(list(ds), delays) == pytest.approx(1.0, abs=1e-9)
+    factors = fac(2.5, ds)
+    delays = cm.synth_delay(factors)
+    assert cm.pearson_xy(ds, delays) == pytest.approx(1.0, abs=1e-9)
     assert cm.rtd_model_corr(factors) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -345,7 +395,7 @@ def test_matrix_missing_cell_undefined():
     assert m.cell("A", "Z").n_samples == 0
 
 
-# --- probe_corr_report ------------------------------------------------------
+# --- all_probe_reports ------------------------------------------------------
 
 # frozen inverse-constructed fixtures: intra tracks 0.9056, inter -0.0386
 INTRA_X = [100.7, 227.0, 278.6, 426.9, 488.7, 595.4, 719.7, 794.6, 903.0, 971.7, 1115.2, 1202.3]
@@ -363,14 +413,18 @@ def fixture_probe_samples():
     return intra + inter
 
 
+def probe_report(samples, probe_id="p1"):
+    return {rep.probe_id: rep for rep in cm.all_probe_reports(table(samples))}[probe_id]
+
+
 def test_probe_report_fixture_values():
-    rep = cm.probe_corr_report(table(fixture_probe_samples()), "p1")
+    rep = probe_report(fixture_probe_samples())
     assert rep.intra.corr == pytest.approx(0.9056, abs=1e-4)
     assert rep.inter["B"].corr == pytest.approx(-0.0386, abs=1e-4)
 
 
 def test_probe_report_perfect_intra():
-    rep = cm.probe_corr_report(table(samples_from([(100, 1), (200, 2), (300, 3)])), "p1")
+    rep = probe_report(samples_from([(100, 1), (200, 2), (300, 3)]))
     assert rep.intra.corr == pytest.approx(1.0)
 
 
@@ -379,14 +433,15 @@ def test_probe_report_small_group_undefined():
         mk_sample(100, 5, lm="z1", lisp="B"),
         mk_sample(200, 6, lm="z2", lisp="B"),
     ]
-    rep = cm.probe_corr_report(table(samples), "p1")
+    rep = probe_report(samples)
     assert rep.inter["B"].corr is None
     assert rep.inter["B"].n_samples == 2
 
 
 def test_probe_report_unknown_probe():
-    with pytest.raises(NotFoundError):
-        cm.probe_corr_report(table(fixture_probe_samples()), "nope")
+    # only probes with samples get a report
+    reports = cm.all_probe_reports(table(fixture_probe_samples()))
+    assert [rep.probe_id for rep in reports] == ["p1"]
 
 
 # --- discover_rich_subnets --------------------------------------------------

@@ -11,6 +11,7 @@ from rtdcorr.corr_model import CorrCell, ProbeCorrReport
 from rtdcorr.dataset import HostRecord
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
+from conftest import THRESHOLD_CASES
 from reference import per_circle_cbg_locate
 
 
@@ -181,6 +182,23 @@ def test_select_highest_corr_wins_within_city():
     }
     got = geoloc.cbg_select_probes(probes, reports, "A")
     assert got[0].probe_id == "p2"
+
+
+@pytest.mark.parametrize("value,strong", THRESHOLD_CASES)
+def test_select_threshold_is_strict(value, strong):
+    # the same-ISP probe in c1 and the other-ISP probe in c2 share the value
+    probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "B")]
+    reports = {"p1": _report("p1", "A", value, {}), "p2": _report("p2", "B", None, {"A": value})}
+    want = [geoloc.ProbeSelection("p1", geoloc.SCOPE_INTRA),
+            geoloc.ProbeSelection("p2", geoloc.SCOPE_INTER)]
+    assert geoloc.cbg_select_probes(probes, reports, "A") == (want if strong else [])
+
+
+@given(st.floats(min_value=0, max_value=1))
+def test_select_never_takes_negative_corr(x):
+    probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "B")]
+    reports = {"p1": _report("p1", "A", -x, {}), "p2": _report("p2", "B", None, {"A": -x})}
+    assert geoloc.cbg_select_probes(probes, reports, "A") == []
 
 
 def test_select_undefined_corr_excluded():
@@ -550,6 +568,16 @@ def test_geoget_candidate_areas_cover_everything():
         lms, batched(delays), "A", "modified", AREAS, CENTERS, candidate_areas=2
     )
     assert city == "b2"
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_geoget_rejects_fewer_than_one_candidate_area(n):
+    lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A")]
+    with pytest.raises(ValidationError, match=f"candidate_areas must be >= 1, got {n}"):
+        geoloc.geoget_locate(
+            lms, batched({"l1": 8.0, "l3": 20.0}), "A", "modified", AREAS, CENTERS,
+            candidate_areas=n,
+        )
 
 
 def test_geoget_original_uses_other_isps():

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from rtdcorr import dataset, geoloc, netsim
-from rtdcorr.corr_model import PathFactors, pearson_xy, synth_delay
+from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
@@ -156,7 +156,7 @@ def test_pair_rng_is_stable_and_distinct():
 def test_sigma_zero_makes_r_constant():
     cfg = mini_config(intra_sigma=0.0, jitter=0.0, k=1)
     topo = netsim.build_topology(cfg)
-    f = netsim.sample_path_factors(topo, cfg, 1, "p1", ["l1", "l3"], stream="x")
+    f, _ = netsim.sample_path_factors(topo, cfg, 1, "p1", ["l1", "l3"], stream="x")
     assert f.r == pytest.approx([1.0 + 0.5] * 2, abs=1e-12)
 
 
@@ -169,9 +169,8 @@ def test_inter_r_spread_exceeds_intra():
 
 
 def base_delay(topo, cfg, seed, src, dst):
-    f = netsim.sample_path_factors(topo, cfg, seed, src, [dst])
-    factors = PathFactors(float(f.r[0]), float(f.t[0]), float(f.d_km[0]))
-    return synth_delay(factors, cfg.path_model.v_km_s)
+    f, _ = netsim.sample_path_factors(topo, cfg, seed, src, [dst])
+    return float(synth_delay(f, cfg.path_model.v_km_s)[0])
 
 
 def test_zero_jitter_min_equals_base():
@@ -194,7 +193,7 @@ def assert_routes_match_reference(topo, cfg, sources, dsts):
     reference router bit for bit; returns the reference routes."""
     routes = {}
     for s in sources:
-        row = netsim.sample_path_factors(topo, cfg, 0, s, dsts).t.tolist()
+        row = netsim.sample_path_factors(topo, cfg, 0, s, dsts)[0].t.tolist()
         for d, t in zip(dsts, row):
             routes[s, d] = route_scalar(topo, s, d)
             assert t == routes[s, d][1], (s, d)
@@ -257,12 +256,12 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
     logs = {True: [], False: []}
     jitter, words = [], []
     for p in probes:
-        f = netsim.sample_path_factors(topo, cn_config, 42, p, lms)
+        f, jit = netsim.sample_path_factors(topo, cn_config, 42, p, lms)
         same = np.array([topo.host(l).isp == topo.host(p).isp for l in lms])
         for intra in (True, False):
             law = pm.intra_r if intra else pm.inter_r
             logs[intra].append(np.log(f.r[same == intra] - law.shift))
-        jitter.append(f.jitter)
+        jitter.append(jit)
         words.append(netsim.pair_uniforms(42, "campaign", p, lms, 2 + k))
     # log(R - shift) ~ N(mu, sigma) per law: 5 standard errors
     for intra, law in ((True, pm.intra_r), (False, pm.inter_r)):
@@ -357,10 +356,9 @@ def test_sample_independent_draws_are_uncorrelated():
     ok = netsim.LogNormalShift(0.0, 0.5, shift=1.0)
     d = netsim.LogNormalShift(6.0, 0.5)
     factors = netsim.sample_independent(ok, ok, d, 5000, rng)
-    rs = [f.r for f in factors]
-    ts = [f.t for f in factors]
-    assert abs(pearson_xy(rs, ts)) < 0.05
-    assert all(f.r > 1.0 and f.t >= 1.0 and f.d_km > 0 for f in factors)
+    assert factors.d_km.shape == (5000,)
+    assert abs(pearson_xy(factors.r, factors.t)) < 0.05
+    assert (factors.r > 1.0).all() and (factors.t >= 1.0).all() and (factors.d_km > 0).all()
 
 
 def test_load_config_roundtrip(mini_config_path):
