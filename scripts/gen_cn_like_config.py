@@ -16,7 +16,8 @@ ISPS = ["isp-a", "isp-b", "isp-c"]
 IXP_REGIONS = [4, 13, 22]
 
 
-def main() -> None:
+def render() -> str:
+    """The text of the config file."""
     lines = []
     lines.append("# Synthetic hierarchical 30-region / 3-ISP topology.")
     lines.append("# Generated by scripts/gen_cn_like_config.py; edit there, not here.")
@@ -67,8 +68,12 @@ def main() -> None:
                     f"  - {{id: l-r{i:02d}-{isp}-{k}, role: landmark, city: {capital}, isp: {isp}}}"
                 )
 
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n")
+    OUT.write_text(render())
     print(f"wrote {OUT}")
 
 

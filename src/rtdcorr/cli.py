@@ -22,12 +22,11 @@ DEFAULT_SEED = 42
 
 
 def _print_header(args: argparse.Namespace) -> None:
-    knobs = []
-    for name in ("seed", "threshold", "grid_km"):
-        if hasattr(args, name):
-            knobs.append(f"{name}={getattr(args, name)}")
-    knobs.append(f"v_km_s={getattr(args, 'v', corr_model.DEFAULT_SPEED_KM_S)}")
-    print(f"rtdcorr {args.command}: " + " ".join(knobs))
+    # the speed is a knob of ``model`` alone: a simulation reads its own from the config
+    knobs = [f"{name}={getattr(args, name)}" for name in ("seed", "threshold") if hasattr(args, name)]
+    if args.command == "model":
+        knobs.append(f"v_km_s={args.v}")
+    print(" ".join([f"rtdcorr {args.command}:", *knobs]))
 
 
 def cmd_ingest(args) -> int:

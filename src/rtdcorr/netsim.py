@@ -9,7 +9,7 @@ direct geodesic distance.
 
 The simulator works a row at a time: one source against many destinations,
 in numpy (``simulate_row``).  Routing reads the topology's one site-to-site
-distance store.  Each pair's random draws are words of one counter-style
+distance matrix.  Each pair's random draws are words of one counter-style
 stream, SHAKE-256 over ``f"{seed}|{stream}|{src}|{dst}"`` (``pair_uniforms``),
 so a pair's delays depend on its key alone and adding hosts never perturbs
 existing pairs.  ``pair_rng`` serves only the experiment design draws.
@@ -17,9 +17,10 @@ existing pairs.  ``pair_rng`` serves only the experiment design draws.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -35,7 +36,7 @@ from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_dis
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6
 
-#: rows of the site distance store filled per kernel call, which bounds the
+#: rows of the site distance matrix computed per kernel call, which bounds the
 #: kernel's temporaries to a few MB
 _ROWS_PER_KERNEL_CALL = 16
 
@@ -118,26 +119,16 @@ class Topology:
     isps: dict[str, IspSpec]
     registry: Registry
     center_of_region: dict[str, City]
-    # The one store of site-to-site distances.  A site is a host or city
-    # coordinate, keyed (lat, lon).  The distance of sites i and j is read from
-    # the row of the one with the smaller key, as geodesic_distance orders its
-    # arguments, so both orders give the same float.  Rows are filled on first
-    # use, a block of them per kernel call; _dist_cache maps the key of each
-    # filled row to that row of the store.
-    _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        sites = list(dict.fromkeys(
-            [(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()]
-            + [(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()]
-        ))
-        self._sites = sites
-        self._site_index = {c: i for i, c in enumerate(sites)}
-        self._site_lats, self._site_lons = np.array(sites).reshape(-1, 2).T
-        self._site_rank = np.empty(len(sites), dtype=np.intp)
-        self._site_rank[sorted(range(len(sites)), key=sites.__getitem__)] = np.arange(len(sites))
-        self._dist_rows: Optional[np.ndarray] = None  # allocated by the first fill
-        self._row_filled = np.zeros(len(sites), dtype=bool)
+        # Sites are the distinct host and city coordinates, sorted by their
+        # (lat, lon) key: that is the order in which geodesic_distance puts its
+        # arguments, so _dist[i, j] with i < j is that of the canonical pair.
+        self._sites = sorted(
+            {(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()}
+            | {(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()}
+        )
+        self._site_index = {c: i for i, c in enumerate(self._sites)}
 
         # routing tables: per host, its site, its ISP's code, the site of its
         # region's center city, and whether it sits in that city
@@ -172,47 +163,32 @@ class Topology:
     def host(self, host_id: str) -> HostRecord:
         return self.registry[host_id]
 
+    @functools.cached_property
+    def _dist(self) -> np.ndarray:
+        """The one store of site-to-site distances: a symmetric matrix in site
+        order, computed on first read.  Each pair i < j comes from the kernel
+        with the smaller key first, a block of rows against columns lo: per
+        call, and is mirrored to (j, i); no second matrix is ever held."""
+        lats, lons = np.array(self._sites).reshape(-1, 2).T
+        dist = np.empty((lats.size, lats.size))
+        for lo in range(0, lats.size, _ROWS_PER_KERNEL_CALL):
+            hi = min(lo + _ROWS_PER_KERNEL_CALL, lats.size)
+            block = geodesic_distance_many(lats[lo:hi, None], lons[lo:hi, None], lats[lo:], lons[lo:])
+            # within the block's own square only pairs i < j are canonical
+            square = np.triu(block[:, :hi - lo], 1)
+            block[:, :hi - lo] = square + square.T
+            dist[lo:hi, lo:] = block
+            dist[lo:, lo:hi] = block.T
+        return dist
+
     def distance(self, a: Coordinate, b: Coordinate) -> float:
-        """Geodesic distance in km; exactly symmetric like ``geodesic_distance``."""
-        ka, kb = (a.lat, a.lon), (b.lat, b.lon)
-        if kb < ka:
-            a, b, ka, kb = b, a, kb, ka
-        j = self._site_index.get(kb)
-        row = self._dist_cache.get(ka)
-        if row is None:
-            i = self._site_index.get(ka)
-            if j is None or i is None:
-                return geodesic_distance(a, b)
-            self._fill_rows(np.array([i]))
-            row = self._dist_cache[ka]
-        elif j is None:
+        """Geodesic distance in km, bitwise equal to ``geodesic_distance``: a
+        read of the site matrix, or the kernel for a point that is not a site."""
+        i = self._site_index.get((a.lat, a.lon))
+        j = self._site_index.get((b.lat, b.lon))
+        if i is None or j is None:
             return geodesic_distance(a, b)
-        return row.item(j)
-
-    def _site_distances(self, i, j) -> np.ndarray:
-        """Distances between sites i and j (broadcast index arrays), read from
-        the store exactly as ``distance`` reads them."""
-        i, j = np.broadcast_arrays(i, j)
-        swap = self._site_rank[j] < self._site_rank[i]
-        rows = np.where(swap, j, i)
-        self._fill_rows(rows)
-        return self._dist_rows[rows, np.where(swap, i, j)]
-
-    def _fill_rows(self, rows: np.ndarray) -> None:
-        missing = np.unique(rows[~self._row_filled[rows]])
-        if missing.size == 0:
-            return
-        if self._dist_rows is None:
-            self._dist_rows = np.empty((len(self._sites), len(self._sites)))
-        for lo in range(0, missing.size, _ROWS_PER_KERNEL_CALL):
-            block = missing[lo:lo + _ROWS_PER_KERNEL_CALL]
-            self._dist_rows[block] = geodesic_distance_many(
-                self._site_lats[block, None], self._site_lons[block, None],
-                self._site_lats, self._site_lons,
-            )
-            self._row_filled[block] = True
-            for i in block.tolist():
-                self._dist_cache[self._sites[i]] = self._dist_rows[i]
+        return self._dist.item(i, j)
 
     def _host_positions(self, host_ids: Sequence[str]) -> np.ndarray:
         try:
@@ -237,6 +213,17 @@ def _host_offset_deg(host_id: str, city: City, scatter_km: float) -> tuple[float
     coslat = max(0.01, math.cos(math.radians(city.coordinate.lat)))
     dlon = (2.0 * uy - 1.0) * scatter_km / (KM_PER_DEG_LAT * coslat)
     return dlat, dlon
+
+
+def _on_globe(lat: float, lon: float) -> Coordinate:
+    """The point a scattered (lat, lon) names: past a pole, fold back over it
+    onto the opposite meridian, then wrap the longitude into [-180, 180].
+    A point already in range keeps its exact floats."""
+    if abs(lat) > 90.0:
+        lat, lon = math.copysign(180.0, lat) - lat, lon + 180.0
+    if abs(lon) > 180.0:
+        lon = (lon + 180.0) % 360.0 - 180.0
+    return Coordinate(lat, lon)
 
 
 def build_topology(config: SimConfig) -> Topology:
@@ -275,11 +262,13 @@ def build_topology(config: SimConfig) -> Topology:
         if spec.isp not in isps:
             raise ValidationError(f"host {spec.id!r}: unknown isp {spec.isp!r}")
         city = cities[spec.city]
-        if spec.lat is not None and spec.lon is not None:
+        if (spec.lat is None) != (spec.lon is None):
+            raise ValidationError(f"host {spec.id!r}: give both lat and lon, or neither")
+        if spec.lat is not None:
             coord = Coordinate(spec.lat, spec.lon)
         else:
             dlat, dlon = _host_offset_deg(spec.id, city, config.scatter_km)
-            coord = Coordinate(city.coordinate.lat + dlat, city.coordinate.lon + dlon)
+            coord = _on_globe(city.coordinate.lat + dlat, city.coordinate.lon + dlon)
         records.append(
             HostRecord(
                 id=spec.id,
@@ -333,17 +322,16 @@ def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
                 f" and {topology._isp_ids[other]!r}"
             )
         sel = np.flatnonzero(isp_d == other)
-        cost = (topology._site_distances(ctr_s, cands)
-                + topology._site_distances(cands, ctr_d[sel, None]))
+        cost = topology._dist[ctr_s, cands] + topology._dist[cands, ctr_d[sel, None]]
         hop2[sel] = cands[np.argmin(cost, axis=1)]
     hop3 = np.where(topology._host_at_center[d], hop2, ctr_d)
     sites = np.stack(
         [np.full(n, src_site), np.full(n, hop1), hop2, hop3, topology._host_site[d]], axis=1
     )
 
-    legs = topology._site_distances(sites[:, :-1], sites[:, 1:])
+    legs = topology._dist[sites[:, :-1], sites[:, 1:]]
     length = legs[:, 0] + legs[:, 1] + legs[:, 2] + legs[:, 3]
-    direct = topology._site_distances(src_site, sites[:, -1])
+    direct = topology._dist[src_site, sites[:, -1]]
     coincident = direct == 0.0
     tortuosity = np.where(
         coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import dataset
+from rtdcorr import dataset, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
@@ -68,8 +68,52 @@ def test_simulate_header_and_files(capsys, tmp_path, mini_config_path):
     code, stdout, _ = run(capsys, "simulate", "--config", str(mini_config_path),
                           "--out-dir", str(out))
     assert code == 0
-    assert "seed=42" in stdout and "v_km_s=200000.0" in stdout
+    assert stdout.splitlines()[0] == "rtdcorr simulate: seed=42"
     assert (out / "hosts.csv").exists() and (out / "rtt.csv").exists()
+
+
+def test_simulate_header_names_no_speed(capsys, tmp_path):
+    """The speed is the config's, not a knob of the command: the header
+    leaves it out rather than print one the run does not use."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace("v_km_s: 200000.0", "v_km_s: 100000.0"))
+    code, stdout, _ = run(capsys, "simulate", "--config", str(cfg),
+                          "--out-dir", str(tmp_path / "sim"))
+    assert code == 0
+    assert stdout.splitlines()[0] == "rtdcorr simulate: seed=42"
+
+
+@pytest.mark.parametrize("lat, lon", [
+    (30.0, 179.99), (30.0, -179.99), (89.99, 100.0), (-89.99, 100.0),
+])
+def test_hosts_scattered_across_antimeridian_or_pole(capsys, tmp_path, lat, lon):
+    """Host scatter that leaves the map folds back onto the globe: the run
+    succeeds and every host stays within the scatter of its city."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace("lat: 30.0, lon: 100.0", f"lat: {lat}, lon: {lon}"))
+    out = tmp_path / "sim"
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 0, err
+    config = netsim.load_config(cfg)
+    cities = {c.id: c.coordinate for c in config.cities}
+    hosts = dataset.read_hosts_csv(out / "hosts.csv").hosts.values()
+    for h in hosts:
+        assert geodesic_distance(h.coordinate, cities[h.city]) <= (
+            math.sqrt(2.0) * config.scatter_km * 1.01)
+    # the scatter carried some host of city a across the antimeridian or a pole
+    assert any(abs(h.coordinate.lon - lon) > 90.0 for h in hosts if h.city == "a")
+
+
+@pytest.mark.parametrize("half", ["lat: 45.0", "lon: 100.0"])
+def test_host_with_half_a_coordinate_exits_1(capsys, tmp_path, half):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace("{id: p1, role: probe, city: a, isp: x}",
+                                     f"{{id: p1, role: probe, city: a, isp: x, {half}}}"))
+    out = tmp_path / "sim"
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error: host 'p1': give both lat and lon")
+    assert not (out / "hosts.csv").exists()
 
 
 def test_simulate_bundled_name_unknown(capsys, tmp_path):
@@ -99,6 +143,7 @@ def test_ingest_corr_discover_pipeline(capsys, sim_dir, tmp_path):
     code, stdout, _ = run(capsys, "ingest", "--hosts", str(sim_dir / "hosts.csv"),
                           "--rtt", str(sim_dir / "rtt.csv"), "--out", str(samples))
     assert code == 0
+    assert "rtdcorr ingest:" in stdout.splitlines()  # after the fixture's simulate output
     assert "6 samples" in stdout  # 2 probes x 3 landmarks
 
     matrix = tmp_path / "matrix.csv"

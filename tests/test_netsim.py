@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import yaml
 from rtdcorr import dataset, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
-from rtdcorr.geodesy import Coordinate, geodesic_distance
+from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
 from conftest import pair_rtts
 from reference import route_scalar
@@ -292,8 +294,25 @@ def test_topology_distance_matches_geodesic_distance():
     elsewhere = Coordinate(-12.5, 47.25)  # not a site: computed pair by pair
     for a in sites + [elsewhere]:
         for b in sites + [elsewhere]:
-            assert abs(topo.distance(a, b) - geodesic_distance(a, b)) <= 1e-9
+            assert topo.distance(a, b) == geodesic_distance(a, b)
             assert topo.distance(a, b) == topo.distance(b, a)
+
+
+def test_site_matrix_is_one_canonical_batch_on_cn_like(cn_config):
+    topo = netsim.build_topology(cn_config)
+    # computed on first read, not by build_topology
+    assert "_dist" not in vars(topo)
+    keys = {(h.coordinate.lat, h.coordinate.lon) for h in topo.registry.hosts.values()}
+    keys |= {(c.coordinate.lat, c.coordinate.lon) for c in topo.cities.values()}
+    assert topo._sites == sorted(keys)
+    dist = topo._dist
+    assert "_dist" in vars(topo)
+    assert (dist == dist.T).all() and (np.diag(dist) == 0.0).all()
+    # each pair i < j is the kernel's with the smaller key first
+    i, j = np.triu_indices(len(keys), 1)
+    sites = np.array(topo._sites)
+    want = geodesic_distance_many(sites[i, 0], sites[i, 1], sites[j, 0], sites[j, 1])
+    assert (dist[i, j] == want).all()
 
 
 def rtt_rows(table) -> list[tuple]:
@@ -381,6 +400,18 @@ def test_libyaml_and_python_loaders_agree(monkeypatch):
     fast = netsim.load_config(path)
     monkeypatch.setattr(netsim, "_YAML_LOADER", yaml.SafeLoader)
     assert netsim.load_config(path) == fast
+
+
+def test_bundled_cn_like_config_matches_its_generator():
+    """Every golden pin rests on the bundled cn-like config; it must be the
+    generator script's output byte for byte."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "gen_cn_like_config", root / "scripts" / "gen_cn_like_config.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    config = root / "src" / "rtdcorr" / "configs" / "cn-like.yaml"
+    assert gen.render().encode() == config.read_bytes()
 
 
 def test_resolve_unknown_config():
