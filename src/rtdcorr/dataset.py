@@ -294,8 +294,14 @@ def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
     )
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_bool(s: str) -> bool:
-    return s.strip().lower() in ("1", "true", "yes")
+    try:
+        return _BOOLS[s.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, 1/0 or yes/no, got {s!r}") from None
 
 
 @contextlib.contextmanager

@@ -58,9 +58,9 @@ def load_experiment_spec(path) -> ExperimentSpec:
             mode=str(doc["mode"]),
             threshold=float(doc.get("threshold", corr_model.STRONG_CORR_THRESHOLD)),
             grid_km=float(doc.get("grid_km", 10.0)),
-            seed=int(doc.get("seed", 42)),
-            n_targets=int(doc.get("targets", 100)),
-            candidate_areas=int(doc.get("candidate_areas", 1)),
+            seed=netsim._require_int(doc.get("seed", 42), "seed"),
+            n_targets=netsim._require_int(doc.get("targets", 100), "targets"),
+            candidate_areas=netsim._require_int(doc.get("candidate_areas", 1), "candidate_areas"),
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from exc
@@ -173,8 +173,8 @@ def cbg_locate_target(
         line = campaign.bestline(probe_id, scope, target.isp)
         if line is None:
             continue
-        est = geoloc.estimate_distance(line, delay)
-        circles.append((campaign.topology.host(probe_id).coordinate, est.km))
+        km = geoloc.estimate_distance(line, delay)
+        circles.append((campaign.topology.host(probe_id).coordinate, km))
     return geoloc.cbg_locate(circles, grid_km=spec.grid_km)
 
 
@@ -214,6 +214,10 @@ class TargetOutcome:
     pred_lat: Optional[float]
     pred_lon: Optional[float]
     reason: str
+
+    def __post_init__(self):
+        if self.status not in ("located", "failed"):
+            raise ValidationError(f"status must be 'located' or 'failed', got {self.status!r}")
 
 
 def run_experiment(spec: ExperimentSpec, campaign: Optional[Campaign] = None) -> list[TargetOutcome]:

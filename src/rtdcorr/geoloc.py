@@ -116,19 +116,13 @@ def fit_bestline(
     return Bestline(m, max(0.0, b), scope)
 
 
-class DistanceEstimate(NamedTuple):
-    km: float
-    clamped: bool
-
-
-def estimate_distance(b: Bestline, delay_ms: float) -> DistanceEstimate:
-    """Invert the bestline: (delay - intercept) / slope, clamped at 0."""
+def estimate_distance(b: Bestline, delay_ms: float) -> float:
+    """Invert the bestline: the distance in km, (delay - intercept) / slope,
+    clamped at 0."""
     if delay_ms <= 0:
         raise ValidationError(f"delay must be > 0, got {delay_ms}")
     raw = (delay_ms - b.intercept_ms) / b.slope_ms_per_km
-    if raw < 0.0:
-        return DistanceEstimate(0.0, True)
-    return DistanceEstimate(raw, False)
+    return 0.0 if raw < 0.0 else raw
 
 
 class ProbeSelection(NamedTuple):
@@ -196,10 +190,10 @@ def cbg_grid(
     grid_km: float,
     max_cells_per_axis: int,
     slack_km: float,
-) -> Optional[tuple[np.ndarray, np.ndarray, tuple[int, int]]]:
-    """Grid points (lats, lons, shape) covering the intersection of the
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The axes (lats, lons) of a grid covering the intersection of the
     circles' bounding boxes, or None when the boxes do not intersect.  The
-    points are the row-major cells of a (rows, columns) = shape lattice.
+    grid's cells are the lattice lats x lons, row by row.
 
     Longitudes are unwrapped around the first circle's centre, so boxes that
     straddle the antimeridian intersect; the returned longitudes stay in that
@@ -247,8 +241,7 @@ def cbg_grid(
     lats = np.arange(lat_lo, lat_hi + lat_step / 2.0, lat_step)
     lats = lats[lats <= 90.0]  # the last row may overshoot a pole
     lons = np.arange(lon_lo, lon_hi + (-0.5 if full_turn else 0.5) * lon_step, lon_step)
-    glats, glons = np.meshgrid(lats, lons, indexing="ij")
-    return glats.ravel(), glons.ravel(), glats.shape
+    return lats, lons
 
 
 def _block_axis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,11 +287,13 @@ def cbg_locate(
     - lo(max(h(c) - rho, 0)) > limit puts every cell out by the cell test,
       and a block out of any circle is dead.
 
-    A block decision therefore equals each of its cell decisions.  Taking
-    the circles tightest first, only the live cells of blocks that straddle
-    a circle's edge go through the cell test.  The survivors are one mask in
-    grid order, so the region and its centroid are those of the cell test
-    applied to every cell and circle.
+    A block decision therefore equals each of its cell decisions.  The
+    cells of live blocks that straddle a circle's edge then take the cell
+    test against that circle, all such (circle, cell) pairs in one batch.  A
+    cell survives when it passes every test, so the order of the circles
+    does not matter.  The survivors are one mask in grid order, so the
+    region and its centroid are those of the cell test applied to every cell
+    and circle.
     """
     if not circles:
         return GeolocationResult("failed", reason="no probes")
@@ -315,10 +310,8 @@ def cbg_locate(
     grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
     if grid is None:
         return GeolocationResult("failed", reason="empty intersection")
-    glats, glons, (n_rows, n_cols) = grid
-    # the grid is a lattice: a cell's latitude is its row's, its longitude
-    # its column's
-    lats, lons = glats[::n_cols], _wrap_lon(glons[:n_cols])
+    lats, lons = grid[0], _wrap_lon(grid[1])
+    n_rows, n_cols = lats.size, lons.size
     phi, lam = np.radians(lats), np.radians(lons)
     cos_phi = np.cos(phi)
 
@@ -335,42 +328,37 @@ def cbg_locate(
     rho = rho.ravel() * (1.0 + _BLOCK_REL) + _BLOCK_ABS_KM
 
     # (circles, block rows, block columns) distances to the block centres
-    c_phi = np.radians([c.lat for c, _ in circles])[:, None, None]
-    c_lam = np.radians([c.lon for c, _ in circles])[:, None, None]
+    c_lat, c_lon = np.array([(c.lat, c.lon) for c, _ in circles]).T
+    c_phi, c_lam = np.radians(c_lat), np.radians(c_lon)
+    c_cos = np.cos(c_phi)
     h = great_circle_km_many(
-        phi[row_mid][:, None], c_phi, lam[col_mid][None, :] - c_lam,
-        cos_phi[row_mid][:, None], np.cos(c_phi),
+        phi[row_mid][:, None], c_phi[:, None, None], lam[col_mid][None, :] - c_lam[:, None, None],
+        cos_phi[row_mid][:, None], c_cos[:, None, None],
     ).reshape(len(circles), -1)
     limit = np.array([r for _, r in circles])[:, None] + slack_km
     inside = vincenty_bracket(h + rho)[1] <= limit
     live = ~(vincenty_bracket(np.maximum(h - rho, 0.0))[0] > limit).any(axis=0)
     alive = live[block]
 
-    # live blocks only die, so a circle with no edge block now never has one;
-    # the rest go tightest first so the live blocks thin out quickly
-    todo = np.flatnonzero((live & ~inside).any(axis=1)).tolist()
-    for i in sorted(todo, key=lambda i: circles[i][1]):
-        edge = live & ~inside[i]
-        if not edge.any():
-            continue
-        cells = np.flatnonzero(edge[block] & alive)
-        row, col = np.divmod(cells, n_cols)
-        center, r = circles[i]
-        lim = r + slack_km
-        cp = math.radians(center.lat)
-        hc = great_circle_km_many(
-            phi[row], cp, lam[col] - math.radians(center.lon), cos_phi[row], math.cos(cp)
-        )
-        lo, hi = vincenty_bracket(hc)
-        keep = hi <= lim
-        band = np.flatnonzero((lo <= lim) & ~keep)
-        if band.size:
-            d = geodesic_distance_many(lats[row[band]], lons[col[band]], center.lat, center.lon)
-            keep[band] = d <= lim
-        alive[cells[~keep]] = False
-        # an edge block lives on while one of its cells does
-        live &= ~edge
-        live[block[cells[keep]]] = True
+    # the cell test on every (circle, cell) pair whose block straddles the
+    # circle's edge, in one batch
+    edge = live & ~inside
+    cand = np.flatnonzero(edge.any(axis=0)[block])
+    circ, k = np.nonzero(edge[:, block[cand]])
+    cells = cand[k]
+    row, col = np.divmod(cells, n_cols)
+    lim = limit[circ, 0]
+    lo, hi = vincenty_bracket(great_circle_km_many(
+        phi[row], c_phi[circ], lam[col] - c_lam[circ], cos_phi[row], c_cos[circ]
+    ))
+    keep = hi <= lim
+    band = np.flatnonzero((lo <= lim) & ~keep)
+    if band.size:
+        i = circ[band]
+        keep[band] = geodesic_distance_many(
+            lats[row[band]], lons[col[band]], c_lat[i], c_lon[i]
+        ) <= lim[band]
+    alive[cells[~keep]] = False
     if not alive.any():
         return GeolocationResult("failed", reason="empty intersection")
 

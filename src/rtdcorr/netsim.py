@@ -490,6 +490,13 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _require_int(value, key: str) -> int:
+    """A YAML integer; a float or a bool is a ValidationError naming the key."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 #: the safe loader on libyaml's parser when pyyaml was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -557,7 +564,7 @@ def _parse_config(doc) -> SimConfig:
         intra_r=lognorm("intra_r", PathModelConfig().intra_r, shift=1.0),
         inter_r=lognorm("inter_r", PathModelConfig().inter_r, shift=1.0),
         jitter=float(pm.get("jitter", 0.3)),
-        samples_per_pair=int(pm.get("samples_per_pair", 3)),
+        samples_per_pair=_require_int(pm.get("samples_per_pair", 3), "samples_per_pair"),
     )
     return SimConfig(
         cities=cities,

@@ -218,7 +218,7 @@ def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
     if grid is None:
         return GeolocationResult("failed", reason="empty intersection")
-    glats, glons, _ = grid
+    glats, glons = (a.ravel() for a in np.meshgrid(*grid, indexing="ij"))
     phi = np.radians(glats)
     lam = np.radians(_wrap_lon(glons))
     cos_phi = np.cos(phi)

@@ -386,6 +386,21 @@ def test_evaluate_report_row_without_coordinate(capsys, sim_dir, tmp_path):
         assert rows[tid] == f"{geodesic_distance(pred, registry[tid].coordinate):.6f}"
 
 
+def test_evaluate_bad_status_exits_1(capsys, sim_dir, tmp_path):
+    # a status other than located/failed is an error at its line, not a
+    # silent failure
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        "l1,located,,30.1,100.1,\n"
+        "l2,locatd,,30.1,100.1,\n"
+    )
+    code, _, err = run(capsys, "evaluate", "--results", str(results),
+                       "--truth", str(sim_dir / "hosts.csv"))
+    assert code == 1
+    assert f"{results}:3: status must be 'located' or 'failed', got 'locatd'" in err
+
+
 def test_evaluate_bad_spec_exits_1(capsys, tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text("config: x\nalgorithm: nope\nmode: modified\n")
@@ -425,8 +440,8 @@ def clean_csvs(tmp_path_factory, mini_config_path):
     return {name: (out / name).read_text() for name in ("hosts.csv", "rtt.csv", "samples.csv")}
 
 
-NUMERIC_COLUMNS = {
-    "hosts.csv": ("lat", "lon"),
+TYPED_COLUMNS = {
+    "hosts.csv": ("lat", "lon", "is_regional_center"),
     "rtt.csv": ("rtt_ms",),
     "samples.csv": ("min_rtt_ms", "distance_km"),
 }
@@ -435,8 +450,8 @@ NUMERIC_COLUMNS = {
 @st.composite
 def mangled_csv(draw, clean):
     """(file name, text) with one data row truncated, extended, or with a
-    numeric field that no longer parses to a valid value."""
-    name = draw(st.sampled_from(sorted(NUMERIC_COLUMNS)))
+    numeric or boolean field that no longer parses to a valid value."""
+    name = draw(st.sampled_from(sorted(TYPED_COLUMNS)))
     lines = clean[name].splitlines()
     header = lines[0].split(",")
     r = draw(st.integers(1, len(lines) - 1))
@@ -447,7 +462,7 @@ def mangled_csv(draw, clean):
     elif how == "extend":
         fields += draw(st.lists(st.sampled_from(["", "x", "1.0"]), min_size=1, max_size=3))
     else:
-        col = header.index(draw(st.sampled_from(NUMERIC_COLUMNS[name])))
+        col = header.index(draw(st.sampled_from(TYPED_COLUMNS[name])))
         fields[col] = draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1.2.3"]))
     lines[r] = ",".join(fields)
     return name, "\n".join(lines) + "\n"
@@ -490,7 +505,9 @@ def mangled_config(draw):
         if key is None:
             doc["path_model"] = draw(st.sampled_from([5, "x", None, [1]]))
         else:
-            doc["path_model"][key] = draw(st.sampled_from(["x", None, [1]]))
+            # a count must be a YAML integer, not a float or a bool
+            bad = ["x", None, [1]] + ([2.9, True] if key == "samples_per_pair" else [])
+            doc["path_model"][key] = draw(st.sampled_from(bad))
     else:
         section, keys = draw(st.sampled_from([
             ("cities", ["id", "lat", "lon", "region"]),
@@ -520,12 +537,14 @@ SPEC_KEYS = ["config", "algorithm", "mode", "threshold", "grid_km", "seed", "tar
         st.tuples(st.sampled_from(SPEC_KEYS), st.sampled_from([[1], {"a": 1}])),
         st.tuples(st.sampled_from(["config", "algorithm", "mode"]), st.just(None)),
         st.just(("targets", -1)),
+        st.tuples(st.sampled_from(["seed", "targets", "candidate_areas"]),
+                  st.sampled_from([2.7, 42.9, 1.5, True])),
     ),
     st.booleans(),
 )
 def test_malformed_spec_exits_1(mini_config_path, change, broken_yaml):
     """A wrong-typed value, a dropped required key (None), a negative target
-    count, or YAML cut short."""
+    count, a count that is a float or a bool, or YAML cut short."""
     key, value = change
     doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
            "targets": 2}

@@ -99,8 +99,8 @@ def test_bestline_scope_carried():
 
 def test_estimate_distance():
     b = geoloc.Bestline(0.01, 1.0)
-    assert geoloc.estimate_distance(b, 3.0) == (200.0, False)
-    assert geoloc.estimate_distance(b, 0.5) == (0.0, True)
+    assert geoloc.estimate_distance(b, 3.0) == 200.0
+    assert geoloc.estimate_distance(b, 0.5) == 0.0
     with pytest.raises(ValidationError):
         geoloc.estimate_distance(b, 0.0)
 
@@ -124,8 +124,7 @@ def test_bestline_overestimation_invariant(pts):
         return
     # inverting a lower bound never underestimates the true distance
     for x, y in pts:
-        est = geoloc.estimate_distance(b, y)
-        assert est.km >= x - 1e-6
+        assert geoloc.estimate_distance(b, y) >= x - 1e-6
 
 
 # ------------------------------------------------------- probe selection
@@ -289,7 +288,7 @@ def reference_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     grid = geoloc.cbg_grid(circles, grid_km, max_cells_per_axis, slack)
     if grid is None:
         return geoloc.GeolocationResult("failed", reason="empty intersection")
-    glats, glons, _ = grid
+    glats, glons = (a.ravel() for a in np.meshgrid(*grid, indexing="ij"))
     wlons = _wrap(glons)
     keep = np.ones(glats.size, dtype=bool)
     for center, r in circles:
@@ -347,11 +346,9 @@ def assert_matches_oracles(circles, grid_km=10.0, max_cells=256):
 
 def block_centres(circles, grid_km, max_cells):
     """The centre cells (lat, lon) of the blocks of the circles' grid."""
-    lats, lons, (n_rows, n_cols) = geoloc.cbg_grid(
-        circles, grid_km, max_cells, grid_km / math.sqrt(2.0))
-    row_mid, col_mid = geoloc._block_axis(n_rows)[2], geoloc._block_axis(n_cols)[2]
-    cells = (row_mid[:, None] * n_cols + col_mid[None, :]).ravel()
-    return [Coordinate(float(lats[i]), float(_wrap(lons[i]))) for i in cells]
+    lats, lons = geoloc.cbg_grid(circles, grid_km, max_cells, grid_km / math.sqrt(2.0))
+    row_mid, col_mid = geoloc._block_axis(lats.size)[2], geoloc._block_axis(lons.size)[2]
+    return [Coordinate(float(lats[i]), float(_wrap(lons[j]))) for i in row_mid for j in col_mid]
 
 
 @st.composite
@@ -434,7 +431,8 @@ def _edge_cases():
 def test_cbg_block_edge_cases(name):
     circles, shape = _edge_cases()[name]
     if shape is not None:
-        assert geoloc.cbg_grid(circles, 10.0, 256, 10.0 / math.sqrt(2.0))[2] == shape
+        lats, lons = geoloc.cbg_grid(circles, 10.0, 256, 10.0 / math.sqrt(2.0))
+        assert (lats.size, lons.size) == shape
     assert assert_matches_oracles(circles).located
 
 
@@ -442,21 +440,28 @@ def test_cbg_block_centre_circle_keeps_the_grid():
     base, _ = _edge_cases()["on a block centre"]
     before = geoloc.cbg_grid(base[:2], 10.0, 256, 10.0 / math.sqrt(2.0))
     after = geoloc.cbg_grid(base, 10.0, 256, 10.0 / math.sqrt(2.0))
-    assert before[2] == after[2] and before[0].tobytes() == after[0].tobytes()
+    assert all(b.tobytes() == a.tobytes() for b, a in zip(before, after))
     assert base[2][0] in block_centres(base, 10.0, 256)
 
 
 def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
     """All 200 CBG locates of cn-like at seed 42, bitwise against the
-    per-circle oracle."""
-    real, seen = geoloc.cbg_locate, []
+    per-circle oracle, each with at most one Vincenty kernel call."""
+    real, real_many, seen, kernel_calls = geoloc.cbg_locate, geoloc.geodesic_distance_many, [], []
+
+    def counted_many(*args):
+        kernel_calls[-1] += 1
+        return real_many(*args)
 
     def both(circles, **kw):
+        kernel_calls.append(0)
         got = real(circles, **kw)
+        assert kernel_calls[-1] <= 1
         assert_same_result(got, per_circle_cbg_locate(circles, **kw))
         seen.append(got.located)
         return got
 
+    monkeypatch.setattr(geoloc, "geodesic_distance_many", counted_many)
     monkeypatch.setattr(geoloc, "cbg_locate", both)
     for mode in ("original", "modified"):
         spec = experiments.ExperimentSpec("cn-like", "cbg", mode, seed=42, n_targets=100)
@@ -481,7 +486,7 @@ def test_cbg_matches_reference_on_fine_grids():
 
 def test_cbg_polar_box_spans_one_turn():
     # the circle reaches over the pole, so its box is wider than 360 deg
-    _, lons, _ = geoloc.cbg_grid([(Coordinate(89.0, 0.0), 500.0)], 10.0, 256, 10.0 / math.sqrt(2.0))
+    _, lons = geoloc.cbg_grid([(Coordinate(89.0, 0.0), 500.0)], 10.0, 256, 10.0 / math.sqrt(2.0))
     meridians = np.unique(lons)  # 14,649 cells from -261 to 261 deg before the clamp
     assert meridians.max() - meridians.min() < 360.0
     assert np.unique(np.round(meridians % 360.0, 9)).size == meridians.size
