@@ -17,7 +17,7 @@ import csv
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,8 +52,6 @@ class HostRecord:
 @dataclass(frozen=True)
 class Registry:
     hosts: Mapping[str, HostRecord]
-    isps: tuple[str, ...] = field(default=())
-    cities: tuple[str, ...] = field(default=())
 
     def __getitem__(self, host_id: str) -> HostRecord:
         try:
@@ -81,9 +79,7 @@ def validate_registry(records: Sequence[HostRecord]) -> Registry:
         hosts[rec.id] = rec
     if dupes:
         raise ValidationError(f"duplicate host ids: {sorted(set(dupes))}")
-    isps = tuple(sorted({h.isp for h in hosts.values()}))
-    cities = tuple(sorted({h.city for h in hosts.values()}))
-    return Registry(hosts, isps, cities)
+    return Registry(hosts)
 
 
 def _check_role(registry: Registry, host_id: str, role: str) -> None:
@@ -393,6 +389,12 @@ def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
 
 
 def write_rtt_csv(table: RttTable, path) -> None:
+    """RTTs at 6 decimals; one that would print as zero (coincident hosts)
+    is written with repr, so reading it back gives a delay > 0."""
+    rtt = [f"{v:.6f}" for v in table.rtt_ms.tolist()]
+    for i in np.flatnonzero(table.rtt_ms < 1e-6).tolist():
+        if rtt[i] == "0.000000":
+            rtt[i] = repr(table.rtt_ms.item(i))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RTT_COLUMNS)
@@ -400,7 +402,7 @@ def write_rtt_csv(table: RttTable, path) -> None:
             _labels(table.probe_ids, table.probe),
             _labels(table.landmark_ids, table.landmark),
             _labels(table.stamps, table.stamp),
-            [f"{v:.6f}" for v in table.rtt_ms.tolist()],
+            rtt,
         ))
 
 

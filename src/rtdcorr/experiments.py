@@ -56,8 +56,9 @@ def load_experiment_spec(path) -> ExperimentSpec:
             config=str(doc["config"]),
             algorithm=str(doc["algorithm"]),
             mode=str(doc["mode"]),
-            threshold=float(doc.get("threshold", corr_model.STRONG_CORR_THRESHOLD)),
-            grid_km=float(doc.get("grid_km", 10.0)),
+            threshold=netsim._require_float(
+                doc.get("threshold", corr_model.STRONG_CORR_THRESHOLD), "threshold"),
+            grid_km=netsim._require_float(doc.get("grid_km", 10.0), "grid_km"),
             seed=netsim._require_int(doc.get("seed", 42), "seed"),
             n_targets=netsim._require_int(doc.get("targets", 100), "targets"),
             candidate_areas=netsim._require_int(doc.get("candidate_areas", 1), "candidate_areas"),
@@ -75,7 +76,7 @@ class Campaign:
     seed: int
     samples: dataset.SampleTable  # sorted by pair, so each probe's rows are one slice
     reports: dict  # probe_id -> ProbeCorrReport
-    _bestlines: dict  # (probe_id, scope_key) -> Bestline | None
+    _bestlines: dict  # (probe_id, landmark_isp or None) -> Bestline | None
 
     def __post_init__(self):
         s = self.samples
@@ -96,25 +97,20 @@ class Campaign:
         i = self._pair_row.item(p, lm)
         return None if i < 0 else self.samples.delay_ms.item(i)
 
-    def bestline(self, probe_id: str, scope: str, target_isp: str) -> Optional[geoloc.Bestline]:
-        """Lazily fitted bestline; None when the point set is degenerate."""
-        probe_isp = self.topology.host(probe_id).isp
-        if scope == geoloc.SCOPE_INTRA:
-            key, want = (probe_id, "intra"), probe_isp
-        elif scope == geoloc.SCOPE_INTER:
-            key, want = (probe_id, f"inter:{target_isp}"), target_isp
-        else:
-            key, want = (probe_id, "overall"), None
+    def bestline(self, probe_id: str, landmark_isp: Optional[str]) -> Optional[geoloc.Bestline]:
+        """The probe's bestline over its landmarks in ``landmark_isp`` (all of
+        them when None), fitted on first use; None when the point set is
+        degenerate."""
+        key = (probe_id, landmark_isp)
         if key not in self._bestlines:
             rows = self._rows.get(probe_id, slice(0, 0))
             distance, delay = self.samples.distance_km[rows], self.samples.delay_ms[rows]
-            if want is not None:
-                mine = self.samples.landmark_isp[rows] == self._isp_code.get(want, -1)
+            if landmark_isp is not None:
+                mine = self.samples.landmark_isp[rows] == self._isp_code.get(landmark_isp, -1)
                 distance, delay = distance[mine], delay[mine]
+            points = list(zip(distance.tolist(), delay.tolist()))
             try:
-                self._bestlines[key] = geoloc.fit_bestline(
-                    list(zip(distance.tolist(), delay.tolist())), scope
-                )
+                self._bestlines[key] = geoloc.fit_bestline(points)
             except BestlineError:
                 self._bestlines[key] = None
         return self._bestlines[key]
@@ -140,7 +136,7 @@ def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostReco
     return [campaign.topology.registry[i] for i in chosen]
 
 
-def _contrast_probes(campaign: Campaign, seed: int) -> list[geoloc.ProbeSelection]:
+def _contrast_probes(campaign: Campaign, seed: int) -> list[str]:
     """Unfiltered contrast group: one randomly chosen probe per city."""
     by_city: dict[str, list[str]] = {}
     for p in campaign.topology.registry.probes():
@@ -149,28 +145,27 @@ def _contrast_probes(campaign: Campaign, seed: int) -> list[geoloc.ProbeSelectio
     picks = []
     for city in sorted(by_city):
         ids = sorted(by_city[city])
-        picks.append(geoloc.ProbeSelection(ids[int(rng.integers(len(ids)))], geoloc.SCOPE_OVERALL))
+        picks.append(ids[int(rng.integers(len(ids)))])
     return picks
 
 
 def cbg_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
+    # the modified variant calibrates on the target ISP's landmarks only
     if spec.mode == "modified":
-        selections = geoloc.cbg_select_probes(
-            campaign.topology.registry.probes(),
-            campaign.reports,
-            target.isp,
-            spec.threshold,
+        probe_ids = geoloc.cbg_select_probes(
+            campaign.topology.registry.probes(), campaign.reports, target.isp, spec.threshold
         )
+        landmark_isp = target.isp
     else:
-        selections = _contrast_probes(campaign, spec.seed)
+        probe_ids, landmark_isp = _contrast_probes(campaign, spec.seed), None
     circles = []
-    for probe_id, scope in selections:
+    for probe_id in probe_ids:
         delay = campaign.delay(probe_id, target.id)
         if delay is None:
             continue
-        line = campaign.bestline(probe_id, scope, target.isp)
+        line = campaign.bestline(probe_id, landmark_isp)
         if line is None:
             continue
         km = geoloc.estimate_distance(line, delay)
@@ -195,7 +190,6 @@ def geoget_locate_target(
             target.isp,
             mode=spec.mode,
             area_of_city=topo.area_of_city(),
-            center_city_of_area=topo.center_city_of_area(),
             candidate_areas=spec.candidate_areas,
             exclude=frozenset([target.id]),
         )

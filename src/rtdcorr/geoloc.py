@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +24,6 @@ from .geodesy import (  # noqa: F401
     great_circle_km_many,
     vincenty_bracket,
 )
-
-SCOPE_INTRA = "intra"
-SCOPE_INTER = "inter"
-SCOPE_OVERALL = "overall"
 
 _FEAS_TOL_MS = 1e-9
 _FEAS_TOL_KM = 1e-9
@@ -45,7 +41,6 @@ class Bestline:
 
     slope_ms_per_km: float
     intercept_ms: float
-    scope: str = SCOPE_OVERALL
 
     def delay_at(self, distance_km: float) -> float:
         return self.slope_ms_per_km * distance_km + self.intercept_ms
@@ -71,9 +66,7 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return hull
 
 
-def fit_bestline(
-    points: Sequence[tuple[float, float]], scope: str = SCOPE_OVERALL
-) -> Bestline:
+def fit_bestline(points: Sequence[tuple[float, float]]) -> Bestline:
     """Fit y = m*x + b with m > 0, b >= 0 lying at or below all points,
     minimizing the total vertical deviation.
 
@@ -113,7 +106,7 @@ def fit_bestline(
         (c for c in feasible if c[0] <= best_dev + _FEAS_TOL_MS),
         key=lambda c: c[1],
     )
-    return Bestline(m, max(0.0, b), scope)
+    return Bestline(m, max(0.0, b))
 
 
 def estimate_distance(b: Bestline, delay_ms: float) -> float:
@@ -125,45 +118,28 @@ def estimate_distance(b: Bestline, delay_ms: float) -> float:
     return 0.0 if raw < 0.0 else raw
 
 
-class ProbeSelection(NamedTuple):
-    probe_id: str
-    scope: str  # SCOPE_INTRA or SCOPE_INTER (toward the target's ISP)
-
-
 def cbg_select_probes(
     probes: Sequence[HostRecord],
     reports: Mapping[str, ProbeCorrReport],
     target_isp: str,
     threshold: float = STRONG_CORR_THRESHOLD,
-) -> list[ProbeSelection]:
-    """Per city: prefer a same-ISP probe whose intra-ISP correlation beats the
-    threshold; otherwise fall back to an other-ISP probe whose correlation
-    toward the target's ISP beats it; otherwise the city contributes nothing.
-    Among eligible probes the highest correlation wins (ties by probe id)."""
-    by_city: dict[str, list[HostRecord]] = {}
+) -> list[str]:
+    """Per city, one probe whose correlation toward the target's ISP beats the
+    threshold: its intra-ISP correlation when it sits in that ISP, its
+    inter-ISP correlation otherwise.  A same-ISP probe beats any other-ISP
+    probe, then the highest correlation wins (ties by probe id); a city with
+    no eligible probe contributes nothing.  Probe ids in city order."""
+    best: dict[str, tuple[bool, float, str]] = {}
     for p in probes:
-        by_city.setdefault(p.city, []).append(p)
-    selected = []
-    for city in sorted(by_city):
-        intra_cands = []
-        inter_cands = []
-        for p in sorted(by_city[city], key=lambda h: h.id):
-            rep = reports.get(p.id)
-            if rep is None:
-                continue
-            if p.isp == target_isp:
-                c = rep.intra.corr
-                if c is not None and c > threshold:
-                    intra_cands.append((-c, p.id))
-            else:
-                cell = rep.inter.get(target_isp)
-                if cell is not None and cell.corr is not None and cell.corr > threshold:
-                    inter_cands.append((-cell.corr, p.id))
-        if intra_cands:
-            selected.append(ProbeSelection(min(intra_cands)[1], SCOPE_INTRA))
-        elif inter_cands:
-            selected.append(ProbeSelection(min(inter_cands)[1], SCOPE_INTER))
-    return selected
+        rep = reports.get(p.id)
+        if rep is None:
+            continue
+        cell = rep.intra if p.isp == target_isp else rep.inter.get(target_isp)
+        if cell is not None and cell.corr is not None and cell.corr > threshold:
+            key = (p.isp != target_isp, -cell.corr, p.id)
+            if p.city not in best or key < best[p.city]:
+                best[p.city] = key
+    return [best[city][2] for city in sorted(best)]
 
 
 @dataclass
@@ -386,9 +362,8 @@ def geoget_locate(
     landmarks: Sequence[HostRecord],
     delay_ms: Callable[[list[str]], list[float]],
     target_isp: str,
-    mode: str = "modified",
-    area_of_city: Mapping[str, str] = None,
-    center_city_of_area: Mapping[str, str] = None,
+    mode: str,
+    area_of_city: Mapping[str, str],
     candidate_areas: int = 1,
     exclude: frozenset = frozenset(),
 ) -> str:
@@ -396,21 +371,17 @@ def geoget_locate(
 
     Modified mode probes landmarks in the target's ISP; original mode probes
     landmarks in the other ISPs.  Phase 1 ranks areas by the minimum delay to
-    their center-city landmarks; phase 2 probes all eligible landmarks in the
-    kept areas.  Each phase probes its landmarks in one batch: ``delay_ms``
+    their regional-center landmarks; phase 2 probes all eligible landmarks in
+    the kept areas.  Each phase probes its landmarks in one batch: ``delay_ms``
     takes a list of landmark ids and returns their delays in that order.
     Ties break on landmark/area id order.
     """
     if mode not in ("original", "modified"):
         raise ValidationError(f"unknown mode {mode!r}")
-    if area_of_city is None or center_city_of_area is None:
-        raise ValidationError("area maps are required")
     if candidate_areas < 1:
         raise ValidationError(f"candidate_areas must be >= 1, got {candidate_areas}")
-    if mode == "modified":
-        pool = [l for l in landmarks if l.isp == target_isp and l.id not in exclude]
-    else:
-        pool = [l for l in landmarks if l.isp != target_isp and l.id not in exclude]
+    same_isp = mode == "modified"
+    pool = [l for l in landmarks if (l.isp == target_isp) == same_isp and l.id not in exclude]
     if not pool:
         raise ValidationError(f"no landmarks pass the ISP filter for {target_isp!r}")
     for l in pool:
@@ -425,7 +396,7 @@ def geoget_locate(
         if ids:
             delays.update(zip(ids, delay_ms(ids), strict=True))
 
-    centers = [l for l in pool if l.city == center_city_of_area.get(area_of_city[l.city])]
+    centers = [l for l in pool if l.is_regional_center]
     probe(centers)
     area_scores: dict[str, float] = {}
     for lm in centers:

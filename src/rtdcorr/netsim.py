@@ -200,9 +200,6 @@ class Topology:
         """Default area partition for the two-phase search: one area per region."""
         return {c.id: c.region_id for c in self.cities.values()}
 
-    def center_city_of_area(self) -> dict[str, str]:
-        return {r: c.id for r, c in self.center_of_region.items()}
-
 
 def _host_offset_deg(host_id: str, city: City, scatter_km: float) -> tuple[float, float]:
     # deterministic placement scatter derived only from the host id
@@ -497,6 +494,22 @@ def _require_int(value, key: str) -> int:
     return value
 
 
+def _require_bool(value, key: str) -> bool:
+    """A YAML bool; anything else (a string, a number) is a ValidationError
+    naming the key."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _require_float(value, key: str) -> float:
+    """A YAML number (integer or float) as a float; a bool, a string or
+    anything else is a ValidationError naming the key."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 #: the safe loader on libyaml's parser when pyyaml was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -529,9 +542,10 @@ def _parse_config(doc) -> SimConfig:
     cities = tuple(
         City(
             id=str(_require(c, "id", "city")),
-            coordinate=Coordinate(float(_require(c, "lat", "city")), float(_require(c, "lon", "city"))),
+            coordinate=Coordinate(_require_float(_require(c, "lat", "city"), "lat"),
+                                  _require_float(_require(c, "lon", "city"), "lon")),
             region_id=str(_require(c, "region", "city")),
-            is_regional_center=bool(c.get("is_center", False)),
+            is_regional_center=_require_bool(c.get("is_center", False), "is_center"),
         )
         for c in _require(doc, "cities", "config")
     )
@@ -545,8 +559,8 @@ def _parse_config(doc) -> SimConfig:
             role=str(_require(h, "role", "host")),
             city=str(_require(h, "city", "host")),
             isp=str(_require(h, "isp", "host")),
-            lat=None if h.get("lat") is None else float(h["lat"]),
-            lon=None if h.get("lon") is None else float(h["lon"]),
+            lat=None if h.get("lat") is None else _require_float(h["lat"], "lat"),
+            lon=None if h.get("lon") is None else _require_float(h["lon"], "lon"),
         )
         for h in _require(doc, "hosts", "config")
     )
@@ -556,14 +570,16 @@ def _parse_config(doc) -> SimConfig:
         if key not in pm:
             return default
         return LogNormalShift(
-            float(_require(pm[key], "mu", key)), float(_require(pm[key], "sigma", key)), shift=shift
+            _require_float(_require(pm[key], "mu", key), f"{key}.mu"),
+            _require_float(_require(pm[key], "sigma", key), f"{key}.sigma"),
+            shift=shift,
         )
 
     path_model = PathModelConfig(
-        v_km_s=float(pm.get("v_km_s", DEFAULT_SPEED_KM_S)),
+        v_km_s=_require_float(pm.get("v_km_s", DEFAULT_SPEED_KM_S), "v_km_s"),
         intra_r=lognorm("intra_r", PathModelConfig().intra_r, shift=1.0),
         inter_r=lognorm("inter_r", PathModelConfig().inter_r, shift=1.0),
-        jitter=float(pm.get("jitter", 0.3)),
+        jitter=_require_float(pm.get("jitter", 0.3), "jitter"),
         samples_per_pair=_require_int(pm.get("samples_per_pair", 3), "samples_per_pair"),
     )
     return SimConfig(
@@ -571,7 +587,7 @@ def _parse_config(doc) -> SimConfig:
         isps=isps,
         hosts=hosts,
         path_model=path_model,
-        scatter_km=float(doc.get("scatter_km", 8.0)),
+        scatter_km=_require_float(doc.get("scatter_km", 8.0), "scatter_km"),
     )
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, PathFactors
+from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, STRONG_CORR_THRESHOLD, PathFactors
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import (
     VINCENTY_MAX_ITER,
@@ -249,3 +249,36 @@ def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     return GeolocationResult(
         "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
     )
+
+
+def two_list_cbg_select_probes(probes, reports, target_isp, threshold=STRONG_CORR_THRESHOLD):
+    """Per city: prefer a same-ISP probe whose intra-ISP correlation beats the
+    threshold; otherwise fall back to an other-ISP probe whose correlation
+    toward the target's ISP beats it; otherwise the city contributes nothing.
+    Among eligible probes the highest correlation wins (ties by probe id).
+    Two candidate lists per city; the reference for the one-pass
+    ``rtdcorr.geoloc.cbg_select_probes``."""
+    by_city = {}
+    for p in probes:
+        by_city.setdefault(p.city, []).append(p)
+    selected = []
+    for city in sorted(by_city):
+        intra_cands = []
+        inter_cands = []
+        for p in sorted(by_city[city], key=lambda h: h.id):
+            rep = reports.get(p.id)
+            if rep is None:
+                continue
+            if p.isp == target_isp:
+                c = rep.intra.corr
+                if c is not None and c > threshold:
+                    intra_cands.append((-c, p.id))
+            else:
+                cell = rep.inter.get(target_isp)
+                if cell is not None and cell.corr is not None and cell.corr > threshold:
+                    inter_cands.append((-cell.corr, p.id))
+        if intra_cands:
+            selected.append(min(intra_cands)[1])
+        elif inter_cands:
+            selected.append(min(inter_cands)[1])
+    return selected

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import dataset, netsim
+from rtdcorr import dataset, experiments, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
@@ -102,6 +102,30 @@ def test_hosts_scattered_across_antimeridian_or_pole(capsys, tmp_path, lat, lon)
             math.sqrt(2.0) * config.scatter_km * 1.01)
     # the scatter carried some host of city a across the antimeridian or a pole
     assert any(abs(h.coordinate.lon - lon) > 90.0 for h in hosts if h.city == "a")
+
+
+def test_coincident_hosts_survive_simulate_then_ingest(capsys, tmp_path):
+    """A probe and a landmark pinned to one coordinate have a delay of ~1e-8
+    ms, which prints as zero at 6 decimals: simulate must write it so that
+    ingest reads back that very delay."""
+    pin = "lat: 30.0, lon: 100.0"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace("{id: p1, role: probe, city: a, isp: x}",
+                                     f"{{id: p1, role: probe, city: a, isp: x, {pin}}}")
+                            .replace("{id: l1, role: landmark, city: a, isp: x}",
+                                     f"{{id: l1, role: landmark, city: a, isp: x, {pin}}}"))
+    out = tmp_path / "sim"
+    assert run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))[0] == 0
+    code, _, err = run(capsys, "ingest", "--hosts", str(out / "hosts.csv"),
+                       "--rtt", str(out / "rtt.csv"), "--out", str(tmp_path / "samples.csv"))
+    assert code == 0, err
+    samples = dataset.read_samples_csv(tmp_path / "samples.csv")
+    (i,) = [i for i in range(len(samples)) if (samples.probe_ids[samples.probe[i]],
+                                                samples.landmark_ids[samples.landmark[i]])
+            == ("p1", "l1")]
+    campaign = experiments.prepare_campaign(netsim.load_config(cfg), seed=42)
+    assert 0.0 < samples.delay_ms[i] < 1e-6
+    assert samples.delay_ms[i] == campaign.delay("p1", "l1")
 
 
 @pytest.mark.parametrize("half", ["lat: 45.0", "lon: 100.0"])
@@ -289,14 +313,31 @@ GOLDEN_CBG_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_CBG_SHA256))
-def test_cn_like_cbg_geolocate_golden_results(tmp_path, mode):
+#: sha256 of ``geolocate``'s results.csv for GeoGet on cn-like, 100 targets, seed 42
+GOLDEN_GEOGET_SHA256 = {
+    "original": "0a048a244e1b80d7ede670117c42e4a32b0137592b947b83d8a08aaffe7e1ed3",
+    "modified": "926dec6de8ae06201c365a4dec233cc8aa8f433f845c0dc379ac585ee5b89609",
+}
+
+
+def geolocate_sha256(tmp_path, algorithm, mode):
+    """sha256 of ``geolocate``'s results.csv on cn-like, 100 targets, seed 42."""
     spec = tmp_path / "spec.yaml"
-    spec.write_text(yaml.safe_dump({"config": "cn-like", "algorithm": "cbg", "mode": mode,
+    spec.write_text(yaml.safe_dump({"config": "cn-like", "algorithm": algorithm, "mode": mode,
                                     "targets": 100, "seed": 42}))
     out = tmp_path / "results.csv"
     assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CBG_SHA256[mode]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_CBG_SHA256))
+def test_cn_like_cbg_geolocate_golden_results(tmp_path, mode):
+    assert geolocate_sha256(tmp_path, "cbg", mode) == GOLDEN_CBG_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_GEOGET_SHA256))
+def test_cn_like_geoget_geolocate_golden_results(tmp_path, mode):
+    assert geolocate_sha256(tmp_path, "geoget", mode) == GOLDEN_GEOGET_SHA256[mode]
 
 
 def test_model_prints_close_corrs(capsys):
@@ -487,18 +528,22 @@ def test_malformed_csv_exits_1(clean_csvs, data):
 JUNK = [5, "x", None, [1], [[1]], {"a": 1}]
 
 
+#: values of a float field that are not YAML numbers
+NOT_NUMBERS = [True, False, "1.5", "nan"]
+
+
 @st.composite
 def mangled_config(draw):
     """The mini config with one part replaced by a value of the wrong type
     or form, or with a required key dropped."""
     doc = yaml.safe_load(MINI_YAML)
-    how = draw(st.sampled_from(["section", "coordinate", "path_model", "drop"]))
+    how = draw(st.sampled_from(["section", "coordinate", "path_model", "number", "center", "drop"]))
     if how == "section":
         doc[draw(st.sampled_from(["cities", "isps", "hosts"]))] = draw(st.sampled_from(JUNK))
     elif how == "coordinate":
         city = draw(st.sampled_from(doc["cities"]))
         city[draw(st.sampled_from(["lat", "lon"]))] = draw(
-            st.sampled_from(["x", "nan", None, [1], {"a": 1}])
+            st.sampled_from(["x", "nan", None, [1], {"a": 1}, True])
         )
     elif how == "path_model":
         key = draw(st.sampled_from([None, "v_km_s", "jitter", "samples_per_pair", "intra_r"]))
@@ -508,6 +553,24 @@ def mangled_config(draw):
             # a count must be a YAML integer, not a float or a bool
             bad = ["x", None, [1]] + ([2.9, True] if key == "samples_per_pair" else [])
             doc["path_model"][key] = draw(st.sampled_from(bad))
+    elif how == "number":
+        # a float field must be a YAML number, not a bool or a string
+        bad = draw(st.sampled_from(NOT_NUMBERS))
+        key = draw(st.sampled_from(["scatter_km", "v_km_s", "jitter", "intra_r", "inter_r",
+                                    "host"]))
+        if key == "scatter_km":
+            doc[key] = bad
+        elif key in ("intra_r", "inter_r"):
+            doc["path_model"][key][draw(st.sampled_from(["mu", "sigma"]))] = bad
+        elif key == "host":
+            host = draw(st.sampled_from(doc["hosts"]))
+            host["lat"], host["lon"] = draw(st.sampled_from([(bad, 100.0), (30.0, bad)]))
+        else:
+            doc["path_model"][key] = bad
+    elif how == "center":
+        # is_center must be a YAML bool
+        city = draw(st.sampled_from(doc["cities"]))
+        city["is_center"] = draw(st.sampled_from(["no", "yes", "true", 0.5, 1, 0, None]))
     else:
         section, keys = draw(st.sampled_from([
             ("cities", ["id", "lat", "lon", "region"]),
@@ -520,6 +583,8 @@ def mangled_config(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(mangled_config())
+# a region's only center marked with the string "no" once loaded as a center
+@example(MINI_YAML.replace("region: r0, is_center: true", 'region: r0, is_center: "no"'))
 def test_malformed_config_exits_1(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.yaml"
@@ -539,12 +604,17 @@ SPEC_KEYS = ["config", "algorithm", "mode", "threshold", "grid_km", "seed", "tar
         st.just(("targets", -1)),
         st.tuples(st.sampled_from(["seed", "targets", "candidate_areas"]),
                   st.sampled_from([2.7, 42.9, 1.5, True])),
+        st.tuples(st.sampled_from(["threshold", "grid_km"]), st.sampled_from(NOT_NUMBERS)),
     ),
     st.booleans(),
 )
+# these once loaded as grid_km 1.0 and threshold 0.0 and ran
+@example(("grid_km", True), False)
+@example(("threshold", False), False)
 def test_malformed_spec_exits_1(mini_config_path, change, broken_yaml):
     """A wrong-typed value, a dropped required key (None), a negative target
-    count, a count that is a float or a bool, or YAML cut short."""
+    count, a count that is a float or a bool, a float that is a bool or a
+    string, or YAML cut short."""
     key, value = change
     doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
            "targets": 2}
@@ -575,6 +645,35 @@ def test_bad_grid_km_or_threshold_exits_1(mini_config_path, tmp_path, capsys, ke
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec}: {key} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("region: r0, is_center: true", 'region: r0, is_center: "no"',
+     "is_center must be true or false, got 'no'"),
+    ("region: r0, is_center: true", "region: r0, is_center: 0.5",
+     "is_center must be true or false, got 0.5"),
+    ("lat: 30.0, lon: 100.0", "lat: true, lon: 100.0", "lat must be a number, got True"),
+    ("jitter: 0.2", "jitter: '0.2'", "jitter must be a number, got '0.2'"),
+    ("{mu: -0.7, sigma: 0.3}", "{mu: -0.7, sigma: false}", "intra_r.sigma must be a number, got False"),
+])
+def test_config_scalar_of_wrong_type_exits_1(tmp_path, capsys, old, new, message):
+    """is_center takes a YAML bool only, and a float field a YAML number only:
+    anything else stops the run with a message naming the key."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace(old, new))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
+@pytest.mark.parametrize("key, value", [("grid_km", True), ("threshold", False),
+                                        ("threshold", "0.5")])
+def test_spec_float_of_wrong_type_exits_1(mini_config_path, tmp_path, capsys, key, value):
+    doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
+           "targets": 2, key: value}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    assert main(["geolocate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: {key} must be a number, got {value!r}")
 
 
 @pytest.mark.parametrize("n", [0, -3])

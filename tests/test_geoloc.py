@@ -12,7 +12,7 @@ from rtdcorr.dataset import HostRecord
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES
-from reference import per_circle_cbg_locate
+from reference import per_circle_cbg_locate, two_list_cbg_select_probes
 
 
 # ---------------------------------------------------------------- bestline
@@ -92,11 +92,6 @@ def test_bestline_degenerate_inputs():
     assert b2.delay_at(2.0) <= 1.0 + 1e-9
 
 
-def test_bestline_scope_carried():
-    b = geoloc.fit_bestline([(1.0, 1.0), (2.0, 3.0)], scope=geoloc.SCOPE_INTRA)
-    assert b.scope == geoloc.SCOPE_INTRA
-
-
 def test_estimate_distance():
     b = geoloc.Bestline(0.01, 1.0)
     assert geoloc.estimate_distance(b, 3.0) == 200.0
@@ -150,7 +145,7 @@ def test_select_prefers_same_isp_probe():
         "p2": _report("p2", "B", 0.95, {"A": 0.95}),
     }
     got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == [geoloc.ProbeSelection("p1", geoloc.SCOPE_INTRA)]
+    assert got == ["p1"]
 
 
 def test_select_falls_back_to_other_isp():
@@ -160,7 +155,7 @@ def test_select_falls_back_to_other_isp():
         "p2": _report("p2", "B", 0.9, {"A": 0.85}),
     }
     got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == [geoloc.ProbeSelection("p2", geoloc.SCOPE_INTER)]
+    assert got == ["p2"]
 
 
 def test_select_skips_weak_cities_and_threshold_is_strict():
@@ -170,7 +165,7 @@ def test_select_skips_weak_cities_and_threshold_is_strict():
         "p2": _report("p2", "A", 0.71, {}),
     }
     got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == [geoloc.ProbeSelection("p2", geoloc.SCOPE_INTRA)]
+    assert got == ["p2"]
 
 
 def test_select_highest_corr_wins_within_city():
@@ -180,7 +175,7 @@ def test_select_highest_corr_wins_within_city():
         "p2": _report("p2", "A", 0.9, {}),
     }
     got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got[0].probe_id == "p2"
+    assert got == ["p2"]
 
 
 @pytest.mark.parametrize("value,strong", THRESHOLD_CASES)
@@ -188,9 +183,7 @@ def test_select_threshold_is_strict(value, strong):
     # the same-ISP probe in c1 and the other-ISP probe in c2 share the value
     probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "B")]
     reports = {"p1": _report("p1", "A", value, {}), "p2": _report("p2", "B", None, {"A": value})}
-    want = [geoloc.ProbeSelection("p1", geoloc.SCOPE_INTRA),
-            geoloc.ProbeSelection("p2", geoloc.SCOPE_INTER)]
-    assert geoloc.cbg_select_probes(probes, reports, "A") == (want if strong else [])
+    assert geoloc.cbg_select_probes(probes, reports, "A") == (["p1", "p2"] if strong else [])
 
 
 @given(st.floats(min_value=0, max_value=1))
@@ -204,6 +197,44 @@ def test_select_undefined_corr_excluded():
     probes = [_probe("p1", "c", "A")]
     reports = {"p1": _report("p1", "A", None, {})}
     assert geoloc.cbg_select_probes(probes, reports, "A") == []
+
+
+@st.composite
+def selection_cases(draw):
+    """(probes, reports, ISPs): 1-4 cities, 1-3 ISPs and 1-6 probes, each
+    correlation None, a THRESHOLD_CASES value or in [-1, 1] (half of those
+    above the threshold, so cities often hold rival eligible probes); some
+    probes have no report and some inter maps miss an ISP."""
+    isps = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    cities = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    corr = st.one_of(st.none(), st.sampled_from([v for v, _ in THRESHOLD_CASES]),
+                     st.floats(-1.0, 1.0), st.floats(0.7, 1.0))
+    probes, reports = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        p = _probe(f"p{i}", draw(st.sampled_from(cities)), draw(st.sampled_from(isps)))
+        probes.append(p)
+        if draw(st.integers(0, 4)):
+            inter = {k: draw(corr) for k in isps if k != p.isp and draw(st.booleans())}
+            reports[p.id] = _report(p.id, p.isp, draw(corr), inter)
+    return draw(st.permutations(probes)), reports, isps
+
+
+@given(selection_cases())
+@settings(max_examples=200)
+def test_select_equals_two_list_reference(case):
+    probes, reports, isps = case
+    for isp in isps + ["Z"]:  # Z: an ISP no probe sits in
+        assert geoloc.cbg_select_probes(probes, reports, isp) == two_list_cbg_select_probes(
+            probes, reports, isp)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9])
+def test_select_equals_two_list_reference_on_cn_like(cn_campaign, threshold):
+    probes = cn_campaign.topology.registry.probes()
+    for isp in sorted({p.isp for p in probes}):
+        got = geoloc.cbg_select_probes(probes, cn_campaign.reports, isp, threshold)
+        assert got and got == two_list_cbg_select_probes(
+            probes, cn_campaign.reports, isp, threshold)
 
 
 # ------------------------------------------------------------- CBG grid
@@ -545,8 +576,13 @@ def test_cbg_rotating_longitudes_rotates_answer(lat, lon, offsets, shift):
 # ------------------------------------------------------------- GeoGet
 
 
+AREAS = {"a": "r1", "a2": "r1", "b": "r2", "b2": "r2"}
+CENTERS = {"a", "b"}  # the regional-center city of each area
+
+
 def _lm(lm_id, city, isp, lat=30.0, lon=110.0):
-    return HostRecord(lm_id, Coordinate(lat, lon), city, isp, "landmark")
+    return HostRecord(lm_id, Coordinate(lat, lon), city, isp, "landmark",
+                      is_regional_center=city in CENTERS)
 
 
 def batched(delays):
@@ -554,14 +590,10 @@ def batched(delays):
     return lambda ids: [delays[i] for i in ids]
 
 
-AREAS = {"a": "r1", "a2": "r1", "b": "r2", "b2": "r2"}
-CENTERS = {"r1": "a", "r2": "b"}
-
-
 def test_geoget_picks_min_delay_city():
     lms = [_lm("l1", "a", "A"), _lm("l2", "a2", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 8.0, "l2": 3.0, "l3": 20.0, "l4": 1.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
     # phase 1 keeps r1 (center delay 8 < 20); l4's tiny delay is never probed
     assert city == "a2"
 
@@ -570,7 +602,7 @@ def test_geoget_candidate_areas_cover_everything():
     lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 8.0, "l3": 20.0, "l4": 1.0}
     city = geoloc.geoget_locate(
-        lms, batched(delays), "A", "modified", AREAS, CENTERS, candidate_areas=2
+        lms, batched(delays), "A", "modified", AREAS, candidate_areas=2
     )
     assert city == "b2"
 
@@ -580,7 +612,7 @@ def test_geoget_rejects_fewer_than_one_candidate_area(n):
     lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A")]
     with pytest.raises(ValidationError, match=f"candidate_areas must be >= 1, got {n}"):
         geoloc.geoget_locate(
-            lms, batched({"l1": 8.0, "l3": 20.0}), "A", "modified", AREAS, CENTERS,
+            lms, batched({"l1": 8.0, "l3": 20.0}), "A", "modified", AREAS,
             candidate_areas=n,
         )
 
@@ -588,7 +620,7 @@ def test_geoget_rejects_fewer_than_one_candidate_area(n):
 def test_geoget_original_uses_other_isps():
     lms = [_lm("l1", "a", "A"), _lm("l2", "b", "B")]
     delays = {"l1": 1.0, "l2": 9.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "original", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "original", AREAS)
     assert city == "b"
 
 
@@ -596,36 +628,36 @@ def test_geoget_exclude_and_empty_pool():
     lms = [_lm("l1", "a", "A")]
     with pytest.raises(ValidationError):
         geoloc.geoget_locate(
-            lms, lambda _: 1.0, "A", "modified", AREAS, CENTERS,
+            lms, lambda _: 1.0, "A", "modified", AREAS,
             exclude=frozenset({"l1"}),
         )
     with pytest.raises(ValidationError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "B", "modified", AREAS, CENTERS)
+        geoloc.geoget_locate(lms, lambda _: 1.0, "B", "modified", AREAS)
 
 
 def test_geoget_area_without_center_landmark_ranks_last():
     # r2 has no center-city landmark -> it scores inf and loses phase 1
     lms = [_lm("l1", "a", "A"), _lm("l4", "b2", "A")]
     delays = {"l1": 50.0, "l4": 0.1}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
     assert city == "a"
 
 
 def test_geoget_tie_breaks_on_landmark_id():
     lms = [_lm("l2", "a2", "A"), _lm("l1", "a", "A")]
     delays = {"l1": 5.0, "l2": 5.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS, CENTERS)
+    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
     assert city == "a"
 
 
 def test_geoget_unknown_mode_and_missing_area():
     lms = [_lm("l1", "zzz", "A")]
     with pytest.raises(ValidationError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "nope", AREAS, CENTERS)
+        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "nope", AREAS)
     from rtdcorr.errors import NotFoundError
 
     with pytest.raises(NotFoundError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "modified", AREAS, CENTERS)
+        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "modified", AREAS)
 
 
 # ----------------------------------------------------------- evaluation

@@ -52,7 +52,9 @@ def test_build_topology_basic():
     assert set(topo.cities) == {"a", "b", "b2"}
     assert topo.center_of_region["r2"].id == "b"
     assert topo.area_of_city()["b2"] == "r2"
-    assert topo.center_city_of_area() == {"r1": "a", "r2": "b"}
+    # hosts carry their city's center flag, which GeoGet's phase 1 reads
+    assert sorted(h.id for h in topo.registry.hosts.values() if h.is_regional_center) == [
+        "l1", "l2", "p1"]
     assert len(topo.registry.probes()) == 2
 
 
@@ -434,8 +436,7 @@ def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
         pts = [(d, t) for p, lisp, d, t in zip(s.probe.tolist(), s.landmark_isp.tolist(),
                                               s.distance_km.tolist(), s.delay_ms.tolist())
                if s.probe_ids[p] == probe and s.isps[lisp] == isp]
-        assert cn_campaign.bestline(probe, geoloc.SCOPE_INTRA, isp) == geoloc.fit_bestline(
-            pts, geoloc.SCOPE_INTRA)
+        assert cn_campaign.bestline(probe, isp) == geoloc.fit_bestline(pts)
 
 
 def test_center_probes_correlate_better(cn_campaign):
