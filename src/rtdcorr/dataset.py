@@ -70,7 +70,9 @@ class Registry:
 
 
 def validate_registry(records: Sequence[HostRecord]) -> Registry:
-    """Index host records; duplicate ids are rejected with the offending ids."""
+    """Index host records in id order, so every walk over the registry (and
+    ``probes()``/``landmarks()``) is in id order; duplicate ids are rejected
+    with the offending ids."""
     hosts: dict[str, HostRecord] = {}
     dupes = []
     for rec in records:
@@ -79,7 +81,7 @@ def validate_registry(records: Sequence[HostRecord]) -> Registry:
         hosts[rec.id] = rec
     if dupes:
         raise ValidationError(f"duplicate host ids: {sorted(set(dupes))}")
-    return Registry(hosts)
+    return Registry(dict(sorted(hosts.items())))
 
 
 def _check_role(registry: Registry, host_id: str, role: str) -> None:
@@ -358,7 +360,7 @@ def write_hosts_csv(registry: Registry, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(HOST_COLUMNS)
-        for host in sorted(registry.hosts.values(), key=lambda h: h.id):
+        for host in registry.hosts.values():
             w.writerow(
                 [
                     host.id,

@@ -87,6 +87,14 @@ class Campaign:
         # row of each (probe, landmark) pair; -1 where it was not measured
         self._pair_row = np.full((len(s.probe_ids), len(s.landmark_ids)), -1, dtype=np.intp)
         self._pair_row[s.probe, s.landmark] = np.arange(len(s))
+        # GeoGet's view of the landmarks in id order: ISP, area code (the
+        # region, codes in region id order) and regional-center flag
+        region = {r: i for i, r in enumerate(sorted(self.topology.center_of_region))}
+        lms = self.topology.registry.landmarks()
+        self._lm_ids = np.array([h.id for h in lms])
+        self._lm_isp = np.array([h.isp for h in lms])
+        self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
+        self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
 
     def delay(self, probe_id: str, landmark_id: str) -> Optional[float]:
         """The pair's minimum RTT; None when the campaign did not measure it."""
@@ -127,7 +135,7 @@ def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
 
 def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostRecord]:
     """Deterministic target draw from the landmark set."""
-    ids = sorted(h.id for h in campaign.topology.registry.landmarks())
+    ids = [h.id for h in campaign.topology.registry.landmarks()]
     if n >= len(ids):
         chosen = ids
     else:
@@ -144,7 +152,7 @@ def _contrast_probes(campaign: Campaign, seed: int) -> list[str]:
     rng = netsim.pair_rng(seed, "contrast")
     picks = []
     for city in sorted(by_city):
-        ids = sorted(by_city[city])
+        ids = by_city[city]
         picks.append(ids[int(rng.integers(len(ids)))])
     return picks
 
@@ -177,24 +185,23 @@ def geoget_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
     topo = campaign.topology
+    # modified GeoGet probes the target ISP's landmarks, original the others'
+    same_isp = campaign._lm_isp == target.isp
+    pool = (same_isp == (spec.mode == "modified")) & (campaign._lm_ids != target.id)
+    if not pool.any():
+        return geoloc.GeolocationResult(
+            "failed", reason=f"no landmarks pass the ISP filter for {target.isp!r}")
 
     def delay_fn(landmark_ids: list[str]) -> list[float]:
         return netsim.simulate_row(
             topo, campaign.config, spec.seed, target.id, landmark_ids, stream="target"
         ).min(axis=1).tolist()
 
-    try:
-        city = geoloc.geoget_locate(
-            topo.registry.landmarks(),
-            delay_fn,
-            target.isp,
-            mode=spec.mode,
-            area_of_city=topo.area_of_city(),
-            candidate_areas=spec.candidate_areas,
-            exclude=frozenset([target.id]),
-        )
-    except ValidationError as exc:
-        return geoloc.GeolocationResult("failed", reason=str(exc))
+    ids = campaign._lm_ids[pool]
+    i = geoloc.geoget_locate(
+        ids, campaign._lm_area[pool], campaign._lm_center[pool], delay_fn, spec.candidate_areas
+    )
+    city = topo.host(ids[i]).city
     return geoloc.GeolocationResult(
         "located", coordinate=topo.city(city).coordinate, city=city
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corr_model import STRONG_CORR_THRESHOLD, ProbeCorrReport
 from .dataset import HostRecord
-from .errors import BestlineError, NotFoundError, ValidationError
+from .errors import BestlineError, ValidationError
 # geodesic_distance is unused here but stays bound: benchmark/tracing.py wraps it
 from .geodesy import (  # noqa: F401
     KM_PER_DEG_LAT,
@@ -233,7 +233,6 @@ def cbg_locate(
     circles: Sequence[tuple[Coordinate, float]],
     grid_km: float = 10.0,
     max_cells_per_axis: int = 256,
-    slack_km: Optional[float] = None,
 ) -> GeolocationResult:
     """Intersect per-probe distance circles on a geodesic grid and return the
     centroid of the surviving grid points.
@@ -280,8 +279,7 @@ def cbg_locate(
         raise ValidationError(f"grid_km must be finite and > 0, got {grid_km}")
     if max_cells_per_axis < 1:
         raise ValidationError(f"max_cells_per_axis must be >= 1, got {max_cells_per_axis}")
-    if slack_km is None:
-        slack_km = grid_km / math.sqrt(2.0)
+    slack_km = grid_km / math.sqrt(2.0)
 
     grid = cbg_grid(circles, grid_km, max_cells_per_axis, slack_km)
     if grid is None:
@@ -359,59 +357,45 @@ def grid_centroid(lats: np.ndarray, lons: np.ndarray) -> Coordinate:
 
 
 def geoget_locate(
-    landmarks: Sequence[HostRecord],
+    ids: Sequence[str],
+    areas: np.ndarray,
+    centers: np.ndarray,
     delay_ms: Callable[[list[str]], list[float]],
-    target_isp: str,
-    mode: str,
-    area_of_city: Mapping[str, str],
     candidate_areas: int = 1,
-    exclude: frozenset = frozenset(),
-) -> str:
-    """Two-phase shortest-delay landmark search; returns the winning city.
+) -> int:
+    """Two-phase shortest-delay search over one pool of landmarks, given in
+    id order as ids, area codes (in area id order) and regional-center flags;
+    returns the index of the winner.
 
-    Modified mode probes landmarks in the target's ISP; original mode probes
-    landmarks in the other ISPs.  Phase 1 ranks areas by the minimum delay to
-    their regional-center landmarks; phase 2 probes all eligible landmarks in
-    the kept areas.  Each phase probes its landmarks in one batch: ``delay_ms``
-    takes a list of landmark ids and returns their delays in that order.
-    Ties break on landmark/area id order.
+    Phase 1 ranks the pool's areas by the minimum delay to their center
+    landmarks (inf without one); phase 2 probes the rest of the first
+    ``candidate_areas`` areas, whose least-delay landmark wins.  Each phase
+    probes in one batch, an empty one not at all: ``delay_ms`` takes landmark
+    ids and returns their delays in that order.  Ranking ties go to the lower
+    area code, a tie for the winner to the lower index (the lower id).
     """
-    if mode not in ("original", "modified"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if candidate_areas < 1:
         raise ValidationError(f"candidate_areas must be >= 1, got {candidate_areas}")
-    same_isp = mode == "modified"
-    pool = [l for l in landmarks if (l.isp == target_isp) == same_isp and l.id not in exclude]
-    if not pool:
-        raise ValidationError(f"no landmarks pass the ISP filter for {target_isp!r}")
-    for l in pool:
-        if l.city not in area_of_city:
-            raise NotFoundError(f"city {l.city!r} has no area assignment")
-    pool.sort(key=lambda l: l.id)
+    ids, areas, centers = np.asarray(ids), np.asarray(areas), np.asarray(centers, dtype=bool)
+    if ids.size == 0:
+        raise ValidationError("empty landmark pool")
+    delays = np.full(ids.size, math.inf)
 
-    delays: dict[str, float] = {}
+    first = np.flatnonzero(centers)
+    score = np.full(int(areas.max()) + 1, math.inf)
+    if first.size:
+        delays[first] = delay_ms(ids[first].tolist())
+        np.minimum.at(score, areas[first], delays[first])
+    present = np.unique(areas)
+    top = np.zeros(score.size, dtype=bool)
+    top[present[np.argsort(score[present], kind="stable")][:candidate_areas]] = True
+    chosen = top[areas]
 
-    def probe(batch: list[HostRecord]) -> None:
-        ids = [l.id for l in batch if l.id not in delays]
-        if ids:
-            delays.update(zip(ids, delay_ms(ids), strict=True))
-
-    centers = [l for l in pool if l.is_regional_center]
-    probe(centers)
-    area_scores: dict[str, float] = {}
-    for lm in centers:
-        area = area_of_city[lm.city]
-        area_scores[area] = min(delays[lm.id], area_scores.get(area, math.inf))
-    all_areas = sorted({area_of_city[l.city] for l in pool})
-    ranked = sorted(all_areas, key=lambda a: (area_scores.get(a, math.inf), a))
-    chosen = set(ranked[:candidate_areas])
-
-    kept = [l for l in pool if area_of_city[l.city] in chosen]
-    if not kept:  # chosen areas come from the pool, so this means a broken invariant
-        raise NotFoundError("no eligible landmark in the chosen areas")
-    probe(kept)
-    _, _, city = min((delays[l.id], l.id, l.city) for l in kept)
-    return city
+    second = np.flatnonzero(chosen & ~centers)
+    if second.size:
+        delays[second] = delay_ms(ids[second].tolist())
+    kept = np.flatnonzero(chosen)
+    return int(kept[np.argmin(delays[kept])])
 
 
 @dataclass(frozen=True)

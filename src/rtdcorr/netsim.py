@@ -112,6 +112,10 @@ class SimConfig:
     path_model: PathModelConfig = PathModelConfig()
     scatter_km: float = 8.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.scatter_km) and self.scatter_km >= 0):
+            raise ValidationError(f"scatter_km must be finite and >= 0, got {self.scatter_km}")
+
 
 @dataclass
 class Topology:
@@ -195,10 +199,6 @@ class Topology:
             return np.array([self._host_pos[h] for h in host_ids], dtype=np.intp)
         except KeyError as exc:
             raise NotFoundError(f"unknown host {exc.args[0]!r}") from None
-
-    def area_of_city(self) -> dict[str, str]:
-        """Default area partition for the two-phase search: one area per region."""
-        return {c.id: c.region_id for c in self.cities.values()}
 
 
 def _host_offset_deg(host_id: str, city: City, scatter_km: float) -> tuple[float, float]:
@@ -439,8 +439,8 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
     Jitter is multiplicative and non-negative, so min-RTT aggregation
     converges toward the deterministic R*T*D/v base delay.
     """
-    probe_ids = sorted(h.id for h in topology.registry.probes())
-    landmark_ids = sorted(h.id for h in topology.registry.landmarks())
+    probe_ids = [h.id for h in topology.registry.probes()]
+    landmark_ids = [h.id for h in topology.registry.landmarks()]
     if not probe_ids or not landmark_ids:
         raise ValidationError("campaign needs at least one probe and one landmark")
     k = config.path_model.samples_per_pair

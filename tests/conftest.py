@@ -66,3 +66,9 @@ def mini_config_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "mini.yaml"
     p.write_text(MINI_YAML)
     return p
+
+
+@pytest.fixture(scope="session")
+def mini_campaign(mini_config_path):
+    """Default-seed campaign on the mini config; shared across tests."""
+    return experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)

@@ -282,3 +282,44 @@ def two_list_cbg_select_probes(probes, reports, target_isp, threshold=STRONG_COR
         elif inter_cands:
             selected.append(min(inter_cands)[1])
     return selected
+
+
+def list_geoget_locate(landmarks, delay_ms, target_isp, mode, area_of_city,
+                       candidate_areas=1, exclude=frozenset()):
+    """GeoGet over host records: filter the landmarks by ISP and mode, sort
+    them by id, rank areas by their regional-center landmarks' least delay
+    (ties by area id), then take the least delay over the kept areas (ties by
+    landmark id); returns the winning city.  ``delay_ms`` is called once per
+    phase with the landmarks not yet probed.  The reference for the array
+    ``rtdcorr.geoloc.geoget_locate``."""
+    if mode not in ("original", "modified"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    if candidate_areas < 1:
+        raise ValidationError(f"candidate_areas must be >= 1, got {candidate_areas}")
+    same_isp = mode == "modified"
+    pool = [l for l in landmarks if (l.isp == target_isp) == same_isp and l.id not in exclude]
+    if not pool:
+        raise ValidationError(f"no landmarks pass the ISP filter for {target_isp!r}")
+    pool.sort(key=lambda l: l.id)
+
+    delays = {}
+
+    def probe(batch):
+        ids = [l.id for l in batch if l.id not in delays]
+        if ids:
+            delays.update(zip(ids, delay_ms(ids), strict=True))
+
+    centers = [l for l in pool if l.is_regional_center]
+    probe(centers)
+    area_scores = {}
+    for lm in centers:
+        area = area_of_city[lm.city]
+        area_scores[area] = min(delays[lm.id], area_scores.get(area, math.inf))
+    all_areas = sorted({area_of_city[l.city] for l in pool})
+    ranked = sorted(all_areas, key=lambda a: (area_scores.get(a, math.inf), a))
+    chosen = set(ranked[:candidate_areas])
+
+    kept = [l for l in pool if area_of_city[l.city] in chosen]
+    probe(kept)
+    _, _, city = min((delays[l.id], l.id, l.city) for l in kept)
+    return city

@@ -149,10 +149,12 @@ def test_simulate_bundled_name_unknown(capsys, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("v_km_s", ".nan"), ("v_km_s", ".inf"), ("jitter", ".nan"), ("jitter", ".inf"),
+    ("scatter_km", ".nan"), ("scatter_km", ".inf"), ("scatter_km", "-5.0"),
 ])
 def test_non_finite_path_model_exits_1(capsys, tmp_path, key, value):
-    """A path-model speed or jitter that is not finite stops the run before
-    any RTT is written."""
+    """A path-model speed or jitter, or a host scatter, that is not finite
+    (or a negative scatter) stops the run with a message naming the key,
+    before any RTT is written."""
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(re.sub(rf"(?m)^(\s*{key}:).*$", rf"\1 {value}", MINI_YAML))
     out = tmp_path / "sim"

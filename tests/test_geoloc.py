@@ -12,7 +12,7 @@ from rtdcorr.dataset import HostRecord
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES
-from reference import per_circle_cbg_locate, two_list_cbg_select_probes
+from reference import list_geoget_locate, per_circle_cbg_locate, two_list_cbg_select_probes
 
 
 # ---------------------------------------------------------------- bestline
@@ -576,88 +576,124 @@ def test_cbg_rotating_longitudes_rotates_answer(lat, lon, offsets, shift):
 # ------------------------------------------------------------- GeoGet
 
 
-AREAS = {"a": "r1", "a2": "r1", "b": "r2", "b2": "r2"}
-CENTERS = {"a", "b"}  # the regional-center city of each area
+def pool(*landmarks):
+    """The (ids, area codes, center flags) arrays of (id, area, center) triples."""
+    ids, areas, centers = zip(*landmarks)
+    return np.array(ids), np.array(areas), np.array(centers)
 
 
-def _lm(lm_id, city, isp, lat=30.0, lon=110.0):
-    return HostRecord(lm_id, Coordinate(lat, lon), city, isp, "landmark",
-                      is_regional_center=city in CENTERS)
+def recorder(delays):
+    """A delay_ms stub over a dict, and the list of batches it was asked for."""
+    calls = []
 
+    def delay_ms(ids):
+        calls.append(list(ids))
+        return [delays[i] for i in ids]
 
-def batched(delays):
-    """A delay_ms stub over a dict: landmark ids in, their delays out."""
-    return lambda ids: [delays[i] for i in ids]
+    return delay_ms, calls
 
 
 def test_geoget_picks_min_delay_city():
-    lms = [_lm("l1", "a", "A"), _lm("l2", "a2", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
-    delays = {"l1": 8.0, "l2": 3.0, "l3": 20.0, "l4": 1.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
-    # phase 1 keeps r1 (center delay 8 < 20); l4's tiny delay is never probed
-    assert city == "a2"
+    delay_ms, calls = recorder({"l1": 8.0, "l2": 3.0, "l3": 20.0, "l4": 1.0})
+    ids, areas, centers = pool(("l1", 0, True), ("l2", 0, False), ("l3", 1, True), ("l4", 1, False))
+    assert geoloc.geoget_locate(ids, areas, centers, delay_ms) == 1
+    # phase 1 keeps area 0 (center delay 8 < 20); l4's tiny delay is never probed
+    assert calls == [["l1", "l3"], ["l2"]]
 
 
 def test_geoget_candidate_areas_cover_everything():
-    lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A"), _lm("l4", "b2", "A")]
-    delays = {"l1": 8.0, "l3": 20.0, "l4": 1.0}
-    city = geoloc.geoget_locate(
-        lms, batched(delays), "A", "modified", AREAS, candidate_areas=2
-    )
-    assert city == "b2"
+    delay_ms, calls = recorder({"l1": 8.0, "l3": 20.0, "l4": 1.0})
+    ids, areas, centers = pool(("l1", 0, True), ("l3", 1, True), ("l4", 1, False))
+    assert geoloc.geoget_locate(ids, areas, centers, delay_ms, candidate_areas=2) == 2
+    assert calls == [["l1", "l3"], ["l4"]]
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_geoget_rejects_fewer_than_one_candidate_area(n):
-    lms = [_lm("l1", "a", "A"), _lm("l3", "b", "A")]
+    ids, areas, centers = pool(("l1", 0, True), ("l3", 1, True))
     with pytest.raises(ValidationError, match=f"candidate_areas must be >= 1, got {n}"):
-        geoloc.geoget_locate(
-            lms, batched({"l1": 8.0, "l3": 20.0}), "A", "modified", AREAS,
-            candidate_areas=n,
-        )
+        geoloc.geoget_locate(ids, areas, centers, recorder({})[0], candidate_areas=n)
 
 
-def test_geoget_original_uses_other_isps():
-    lms = [_lm("l1", "a", "A"), _lm("l2", "b", "B")]
-    delays = {"l1": 1.0, "l2": 9.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "original", AREAS)
-    assert city == "b"
+def test_geoget_locate_target_on_mini_config(mini_campaign):
+    """The ISP filter: original GeoGet probes the other ISPs' landmarks,
+    modified the target's own.  l3 alone sits in ISP y, in b2, which is not
+    its region's center city: original l1 and l2 reach it through phase 2."""
+    got = {}
+    for mode in ("original", "modified"):
+        spec = experiments.ExperimentSpec(config="mini", algorithm="geoget", mode=mode)
+        for t in ("l1", "l2", "l3"):
+            res = experiments.geoget_locate_target(mini_campaign, mini_campaign.topology.host(t), spec)
+            got[mode, t] = (res.status, res.city, res.reason)
+    assert got == {
+        ("original", "l1"): ("located", "b2", ""),
+        ("original", "l2"): ("located", "b2", ""),
+        ("original", "l3"): ("located", "a", ""),
+        ("modified", "l1"): ("located", "b", ""),
+        ("modified", "l2"): ("located", "a", ""),
+        ("modified", "l3"): ("failed", None, "no landmarks pass the ISP filter for 'y'"),
+    }
 
 
-def test_geoget_exclude_and_empty_pool():
-    lms = [_lm("l1", "a", "A")]
-    with pytest.raises(ValidationError):
-        geoloc.geoget_locate(
-            lms, lambda _: 1.0, "A", "modified", AREAS,
-            exclude=frozenset({"l1"}),
-        )
-    with pytest.raises(ValidationError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "B", "modified", AREAS)
+def test_geoget_exclude_and_empty_pool(mini_campaign):
+    # a target is never in its own pool: l1 and l2 (ISP x) each win the
+    # other's city, though each would win its own at a near-zero delay ...
+    spec = experiments.ExperimentSpec(config="mini", algorithm="geoget", mode="modified")
+    host = mini_campaign.topology.host
+    assert experiments.geoget_locate_target(mini_campaign, host("l1"), spec).city == "b"
+    assert experiments.geoget_locate_target(mini_campaign, host("l2"), spec).city == "a"
+    # ... so l3, the only landmark of ISP y, is left with an empty pool
+    res = experiments.geoget_locate_target(mini_campaign, host("l3"), spec)
+    assert res.status == "failed" and res.reason == "no landmarks pass the ISP filter for 'y'"
+
+    delay_ms, calls = recorder({})
+    with pytest.raises(ValidationError, match="empty landmark pool"):
+        geoloc.geoget_locate(np.array([], dtype=str), np.array([], dtype=int),
+                             np.array([], dtype=bool), delay_ms)
+    assert calls == []
 
 
 def test_geoget_area_without_center_landmark_ranks_last():
-    # r2 has no center-city landmark -> it scores inf and loses phase 1
-    lms = [_lm("l1", "a", "A"), _lm("l4", "b2", "A")]
-    delays = {"l1": 50.0, "l4": 0.1}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
-    assert city == "a"
+    # area 1 has no center landmark -> it scores inf and loses phase 1
+    delay_ms, calls = recorder({"l1": 50.0, "l4": 0.1})
+    ids, areas, centers = pool(("l1", 0, True), ("l4", 1, False))
+    assert geoloc.geoget_locate(ids, areas, centers, delay_ms) == 0
+    assert calls == [["l1"]]
 
 
 def test_geoget_tie_breaks_on_landmark_id():
-    lms = [_lm("l2", "a2", "A"), _lm("l1", "a", "A")]
-    delays = {"l1": 5.0, "l2": 5.0}
-    city = geoloc.geoget_locate(lms, batched(delays), "A", "modified", AREAS)
-    assert city == "a"
+    delay_ms, _ = recorder({"l1": 5.0, "l2": 5.0})
+    ids, areas, centers = pool(("l1", 0, True), ("l2", 0, False))
+    assert geoloc.geoget_locate(ids, areas, centers, delay_ms) == 0
 
 
-def test_geoget_unknown_mode_and_missing_area():
-    lms = [_lm("l1", "zzz", "A")]
-    with pytest.raises(ValidationError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "nope", AREAS)
-    from rtdcorr.errors import NotFoundError
+@st.composite
+def geoget_pools(draw):
+    """1-6 landmarks over up to 4 areas (some without a center), delays from
+    a small set so that they tie, and 1-3 candidate areas."""
+    n = draw(st.integers(1, 6))
+    areas = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    centers = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    delays = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    return areas, centers, delays, draw(st.integers(1, 3))
 
-    with pytest.raises(NotFoundError):
-        geoloc.geoget_locate(lms, lambda _: 1.0, "A", "modified", AREAS)
+
+@settings(max_examples=300, deadline=None)
+@given(geoget_pools())
+def test_geoget_matches_list_reference(case):
+    areas, centers, delays = case[:3]
+    ids = [f"l{i}" for i in range(len(areas))]
+    delay_ms, calls = recorder(dict(zip(ids, delays)))
+    got = geoloc.geoget_locate(np.array(ids), np.array(areas), np.array(centers), delay_ms, case[3])
+
+    landmarks = [HostRecord(h, Coordinate(30.0, 110.0), f"c{i}", "A", "landmark", c)
+                 for i, (h, c) in enumerate(zip(ids, centers))]
+    area_of_city = {f"c{i}": f"r{a}" for i, a in enumerate(areas)}
+    ref_delay_ms, ref_calls = recorder(dict(zip(ids, delays)))
+    city = list_geoget_locate(landmarks, ref_delay_ms, "A", "modified", area_of_city, case[3])
+    assert f"c{got}" == city
+    assert calls == ref_calls
+    assert all(calls)
 
 
 # ----------------------------------------------------------- evaluation

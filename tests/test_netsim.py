@@ -51,7 +51,7 @@ def test_build_topology_basic():
     topo = netsim.build_topology(mini_config())
     assert set(topo.cities) == {"a", "b", "b2"}
     assert topo.center_of_region["r2"].id == "b"
-    assert topo.area_of_city()["b2"] == "r2"
+    assert topo.city("b2").region_id == "r2"
     # hosts carry their city's center flag, which GeoGet's phase 1 reads
     assert sorted(h.id for h in topo.registry.hosts.values() if h.is_regional_center) == [
         "l1", "l2", "p1"]

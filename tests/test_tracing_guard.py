@@ -80,3 +80,32 @@ def test_tracer_counts_cbg_locates():
     assert m["geoloc.cbg_locate.surviving_cells"] == sum(
         r.region_lats.size for r in results if r.located)
     assert m["geodesy.many.calls"] > 0 and m["geodesy.many.pairs"] > 0
+
+
+def test_tracer_counts_geoget_locates(mini_campaign):
+    """A traced GeoGet run on the mini config: one ``geoget_locate`` call per
+    target with a non-empty pool, and every wrapped name put back."""
+    modules = (cli, corr_model, dataset, experiments, geodesy, geoloc, netsim)
+    before = {m: dict(vars(m)) for m in modules}
+    campaign_attrs = dict(vars(experiments.Campaign))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert geoloc.geoget_locate is not before[geoloc]["geoget_locate"]
+        results = []
+        for mode in ("original", "modified"):
+            spec = experiments.ExperimentSpec(config="mini", algorithm="geoget", mode=mode)
+            for t in ("l1", "l2", "l3"):
+                host = mini_campaign.topology.host(t)
+                results.append(experiments.geoget_locate_target(mini_campaign, host, spec))
+    finally:
+        tracer.restore()
+    for m in modules:
+        assert all(vars(m)[name] is value for name, value in before[m].items())
+    assert all(vars(experiments.Campaign)[k] is v for k, v in campaign_attrs.items())
+
+    # modified l3 is the only landmark of its ISP: its pool is empty
+    assert [r.located for r in results] == [True] * 5 + [False]
+    assert tracer.summary()["experiments.geoget_locate_target"]["calls"] == 6
+    assert tracing.per_layer_metrics(tracer)["geoloc.geoget_locate.calls"] == 5
