@@ -48,9 +48,9 @@ def cmd_corr(args) -> int:
         overall = corr_model.pearson_corr(samples)
         print(f"overall corr: {'undefined' if overall is None else f'{overall:.4f}'}")
     else:
-        reports = corr_model.all_probe_reports(samples)
-        corr_model.write_probe_reports_csv(reports, args.out)
-        print(f"{len(reports)} probe reports")
+        grid = corr_model.all_probe_reports(samples)
+        corr_model.write_probe_reports_csv(grid, args.out)
+        print(f"{len(grid.probe_ids)} probe reports")
     print(f"wrote {args.out}")
     return 0
 

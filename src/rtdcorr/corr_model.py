@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,12 +77,12 @@ class CorrCell:
     n_samples: int
 
 
-def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> list[CorrCell]:
+def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Pearson correlation of x and y within each group, and the group's
     size, for group labels 0 .. n_groups - 1: the one Pearson formula.
 
     Two passes, each a ``np.bincount`` per sum: the group means, then the
-    centred sums.  A group's correlation is undefined (None) for fewer than
+    centred sums.  A group's correlation is undefined (nan) for fewer than
     MIN_SAMPLES_FOR_CORR points or when a margin's variance is negligible
     relative to its magnitude; it is clamped to [-1, 1].
     """
@@ -103,10 +103,11 @@ def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> list[CorrCell]:
     ok = (n >= MIN_SAMPLES_FOR_CORR) & x_ok & y_ok
     cov = np.bincount(groups, dx * dy, n_groups) / per
     corr = np.clip(cov / np.sqrt(np.where(ok, vx * vy, 1.0)), -1.0, 1.0)
-    return [
-        CorrCell(c if defined else None, size)
-        for c, defined, size in zip(corr.tolist(), ok.tolist(), n.tolist())
-    ]
+    return np.where(ok, corr, np.nan), n
+
+
+def _value(corr: float) -> CorrValue:
+    return None if math.isnan(corr) else corr
 
 
 def pearson_xy(xs: Sequence[float], ys: Sequence[float]) -> CorrValue:
@@ -114,7 +115,7 @@ def pearson_xy(xs: Sequence[float], ys: Sequence[float]) -> CorrValue:
     (see ``pearson_cells``)."""
     if len(xs) != len(ys):
         raise ValidationError("x and y lengths differ")
-    return pearson_cells(np.zeros(len(xs), dtype=np.intp), 1, xs, ys)[0].corr
+    return _value(pearson_cells(np.zeros(len(xs), dtype=np.intp), 1, xs, ys)[0].item())
 
 
 def pearson_corr(samples: SampleTable) -> CorrValue:
@@ -163,44 +164,47 @@ class CorrMatrix:
 def corr_matrix(samples: SampleTable) -> CorrMatrix:
     """One Pearson correlation per (probe ISP, landmark ISP) group."""
     n_isps = len(samples.isps)
-    cells = pearson_cells(
+    corr, n = (a.reshape(n_isps, n_isps).tolist() for a in pearson_cells(
         samples.probe_isp * n_isps + samples.landmark_isp, n_isps * n_isps,
         samples.distance_km, samples.delay_ms,
-    )
+    ))
     probe_isps = np.unique(samples.probe_isp).tolist()
     landmark_isps = np.unique(samples.landmark_isp).tolist()
     return CorrMatrix(
         tuple(samples.isps[i] for i in probe_isps),
         tuple(samples.isps[j] for j in landmark_isps),
-        {(samples.isps[i], samples.isps[j]): cells[i * n_isps + j]
+        {(samples.isps[i], samples.isps[j]): CorrCell(_value(corr[i][j]), n[i][j])
          for i in probe_isps for j in landmark_isps},
     )
 
 
-@dataclass(frozen=True)
-class ProbeCorrReport:
-    probe_id: str
-    probe_isp: str
-    intra: CorrCell
-    inter: dict  # foreign isp -> CorrCell
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
+class ProbeCorr:
+    """Each probe's correlation toward each landmark ISP: row p is probe
+    ``probe_ids[p]``, column i landmark ISP ``isps[i]``.  Column ``own[p]`` is
+    the probe's ISP (that of its first row), so ``corr[p, own[p]]`` is its
+    intra-ISP correlation and its other columns with ``n > 0`` are its
+    inter-ISP ones.  ``corr`` is nan where undefined; ``n`` holds the group
+    sizes."""
+
+    probe_ids: tuple[str, ...]
+    isps: tuple[str, ...]
+    own: np.ndarray
+    corr: np.ndarray
+    n: np.ndarray
 
 
-def all_probe_reports(samples: SampleTable) -> list[ProbeCorrReport]:
-    """Each probe's intra-ISP and per-foreign-ISP correlations, by probe id:
-    one Pearson per (probe, landmark ISP) group.  A probe's ISP is that of
-    its first row; a foreign ISP it has no samples toward is left out."""
-    n_isps = len(samples.isps)
-    cells = pearson_cells(
-        samples.probe * n_isps + samples.landmark_isp, len(samples.probe_ids) * n_isps,
+def all_probe_reports(samples: SampleTable) -> ProbeCorr:
+    """The probe x landmark-ISP correlation grid: one Pearson per (probe,
+    landmark ISP) group."""
+    shape = (len(samples.probe_ids), len(samples.isps))
+    corr, n = pearson_cells(
+        samples.probe * shape[1] + samples.landmark_isp, shape[0] * shape[1],
         samples.distance_km, samples.delay_ms,
     )
-    probes, first = np.unique(samples.probe, return_index=True)
-    reports = []
-    for p, own in zip(probes.tolist(), samples.probe_isp[first].tolist()):
-        row = cells[p * n_isps:(p + 1) * n_isps]
-        inter = {samples.isps[i]: c for i, c in enumerate(row) if i != own and c.n_samples}
-        reports.append(ProbeCorrReport(samples.probe_ids[p], samples.isps[own], row[own], inter))
-    return reports
+    _, first = np.unique(samples.probe, return_index=True)
+    return ProbeCorr(samples.probe_ids, samples.isps, samples.probe_isp[first],
+                     corr.reshape(shape), n.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -219,18 +223,18 @@ def discover_rich_subnets(
     strictly exceeds the threshold, plus the corresponding fractions."""
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
-    reports = all_probe_reports(samples)
-    rich_intra = []
-    rich_inter = []
-    n_inter_cells = 0
-    for rep in reports:
-        if rep.intra.corr is not None and rep.intra.corr > threshold:
-            rich_intra.append(rep.probe_id)
-        for isp, cell in sorted(rep.inter.items()):
-            n_inter_cells += 1
-            if cell.corr is not None and cell.corr > threshold:
-                rich_inter.append((rep.probe_id, isp))
-    n_probes = len(reports)
+    grid = all_probe_reports(samples)
+    probes = np.arange(len(grid.probe_ids))
+    intra = grid.corr[probes, grid.own] > threshold
+    rich_intra = [grid.probe_ids[p] for p in np.flatnonzero(intra).tolist()]
+    # the inter cells, in (probe, ISP) order
+    inter = grid.n > 0
+    inter[probes, grid.own] = False
+    p, i = np.nonzero(inter)
+    strong = grid.corr[p, i] > threshold
+    rich_inter = [(grid.probe_ids[a], grid.isps[b])
+                  for a, b in zip(p[strong].tolist(), i[strong].tolist())]
+    n_probes, n_inter_cells = len(probes), len(p)
     intra_frac = len(rich_intra) / n_probes if n_probes else 0.0
     inter_frac = len(rich_inter) / n_inter_cells if n_inter_cells else 0.0
     total = n_probes + n_inter_cells
@@ -241,7 +245,7 @@ def discover_rich_subnets(
 
 
 def _fmt_corr(c: CorrValue) -> str:
-    return "" if c is None else f"{c:.6f}"
+    return "" if c is None or math.isnan(c) else f"{c:.6f}"
 
 
 def write_corr_matrix_csv(matrix: CorrMatrix, path) -> None:
@@ -266,18 +270,15 @@ def write_corr_matrix_csv(matrix: CorrMatrix, path) -> None:
             )
 
 
-def write_probe_reports_csv(reports: Iterable[ProbeCorrReport], path) -> None:
-    """Long CSV: probe_id,probe_isp,scope,landmark_isp,corr,n_samples."""
+def write_probe_reports_csv(grid: ProbeCorr, path) -> None:
+    """Long CSV: probe_id,probe_isp,scope,landmark_isp,corr,n_samples; each
+    probe's intra row, then its inter rows in ISP order."""
+    own, corr, n = grid.own.tolist(), grid.corr.tolist(), grid.n.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["probe_id", "probe_isp", "scope", "landmark_isp", "corr", "n_samples"])
-        for rep in reports:
-            w.writerow(
-                [rep.probe_id, rep.probe_isp, "intra", rep.probe_isp,
-                 _fmt_corr(rep.intra.corr), rep.intra.n_samples]
-            )
-            for isp, cell in sorted(rep.inter.items()):
-                w.writerow(
-                    [rep.probe_id, rep.probe_isp, "inter", isp,
-                     _fmt_corr(cell.corr), cell.n_samples]
-                )
+        for p, probe_id in enumerate(grid.probe_ids):
+            isp = grid.isps[own[p]]
+            for i in [own[p]] + [i for i, k in enumerate(n[p]) if k and i != own[p]]:
+                w.writerow([probe_id, isp, "intra" if i == own[p] else "inter", grid.isps[i],
+                            _fmt_corr(corr[p][i]), n[p][i]])

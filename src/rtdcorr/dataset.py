@@ -242,15 +242,9 @@ def probe_runs(table) -> list[tuple[int, int, int]]:
     return list(zip(table.probe[starts].tolist(), starts.tolist(), stops.tolist()))
 
 
-def ingest_rtt(table: RttTable, registry: Optional[Registry] = None) -> MinRttTable:
+def ingest_rtt(table: RttTable) -> MinRttTable:
     """Minimum RTT per (probe, landmark) pair, a grouped minimum over the
-    rows sorted by pair; unmeasured pairs are absent.  With a registry every
-    host must be known and in its column's role."""
-    if registry is not None:
-        for host_id in table.probe_ids:
-            _check_role(registry, host_id, ROLE_PROBE)
-        for host_id in table.landmark_ids:
-            _check_role(registry, host_id, ROLE_LANDMARK)
+    rows sorted by pair; unmeasured pairs are absent."""
     n_landmarks = max(1, len(table.landmark_ids))
     key = table.probe * n_landmarks + table.landmark
     order = np.argsort(key, kind="stable")

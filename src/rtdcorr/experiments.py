@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,7 +76,7 @@ class Campaign:
     topology: netsim.Topology
     seed: int
     samples: dataset.SampleTable  # sorted by pair, so each probe's rows are one slice
-    reports: dict  # probe_id -> ProbeCorrReport
+    reports: corr_model.ProbeCorr  # the probe x landmark-ISP correlation grid
     _bestlines: dict  # (probe_id, landmark_isp or None) -> Bestline | None
 
     def __post_init__(self):
@@ -84,9 +85,16 @@ class Campaign:
         self._probe_code = {h: i for i, h in enumerate(s.probe_ids)}
         self._landmark_code = {h: i for i, h in enumerate(s.landmark_ids)}
         self._isp_code = {isp: i for i, isp in enumerate(s.isps)}
-        # row of each (probe, landmark) pair; -1 where it was not measured
-        self._pair_row = np.full((len(s.probe_ids), len(s.landmark_ids)), -1, dtype=np.intp)
-        self._pair_row[s.probe, s.landmark] = np.arange(len(s))
+        # min-RTT of each (probe, landmark) pair; nan where it was not measured
+        self._delay = np.full((len(s.probe_ids), len(s.landmark_ids)), np.nan)
+        self._delay[s.probe, s.landmark] = s.delay_ms
+        # CBG's view of the probes in id order: coordinate and city code (codes
+        # in city id order), and each city's probes, cities in code order
+        probes = [self.topology.registry.hosts[h] for h in s.probe_ids]
+        self._probe_coord = [h.coordinate for h in probes]
+        _, self._probe_city = np.unique([h.city for h in probes], return_inverse=True)
+        by_city = np.argsort(self._probe_city, kind="stable")
+        self._city_probes = np.split(by_city, np.cumsum(np.bincount(self._probe_city))[:-1])
         # GeoGet's view of the landmarks in id order: ISP, area code (the
         # region, codes in region id order) and regional-center flag
         region = {r: i for i, r in enumerate(sorted(self.topology.center_of_region))}
@@ -102,8 +110,8 @@ class Campaign:
         lm = self._landmark_code.get(landmark_id)
         if p is None or lm is None:
             return None
-        i = self._pair_row.item(p, lm)
-        return None if i < 0 else self.samples.delay_ms.item(i)
+        d = self._delay.item(p, lm)
+        return None if math.isnan(d) else d
 
     def bestline(self, probe_id: str, landmark_isp: Optional[str]) -> Optional[geoloc.Bestline]:
         """The probe's bestline over its landmarks in ``landmark_isp`` (all of
@@ -127,10 +135,8 @@ class Campaign:
 def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
     topology = netsim.build_topology(config)
     rtts = netsim.simulate_campaign(topology, config, seed)
-    min_rtts = dataset.ingest_rtt(rtts, topology.registry)
-    samples = dataset.join_distances(min_rtts, topology.registry)
-    reports = {r.probe_id: r for r in corr_model.all_probe_reports(samples)}
-    return Campaign(config, topology, seed, samples, reports, {})
+    samples = dataset.join_distances(dataset.ingest_rtt(rtts), topology.registry)
+    return Campaign(config, topology, seed, samples, corr_model.all_probe_reports(samples), {})
 
 
 def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostRecord]:
@@ -144,40 +150,36 @@ def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostReco
     return [campaign.topology.registry[i] for i in chosen]
 
 
-def _contrast_probes(campaign: Campaign, seed: int) -> list[str]:
-    """Unfiltered contrast group: one randomly chosen probe per city."""
-    by_city: dict[str, list[str]] = {}
-    for p in campaign.topology.registry.probes():
-        by_city.setdefault(p.city, []).append(p.id)
+def _contrast_probes(campaign: Campaign, seed: int) -> np.ndarray:
+    """Unfiltered contrast group: one randomly chosen probe per city, as
+    probe indices in city order."""
     rng = netsim.pair_rng(seed, "contrast")
-    picks = []
-    for city in sorted(by_city):
-        ids = by_city[city]
-        picks.append(ids[int(rng.integers(len(ids)))])
-    return picks
+    return np.array([ids[int(rng.integers(len(ids)))] for ids in campaign._city_probes],
+                    dtype=np.intp)
 
 
 def cbg_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
+    grid = campaign.reports
     # the modified variant calibrates on the target ISP's landmarks only
     if spec.mode == "modified":
-        probe_ids = geoloc.cbg_select_probes(
-            campaign.topology.registry.probes(), campaign.reports, target.isp, spec.threshold
+        isp = campaign._isp_code[target.isp]
+        probes = geoloc.cbg_select_probes(
+            grid.corr[:, isp], grid.own == isp, campaign._probe_city, spec.threshold
         )
         landmark_isp = target.isp
     else:
-        probe_ids, landmark_isp = _contrast_probes(campaign, spec.seed), None
+        probes, landmark_isp = _contrast_probes(campaign, spec.seed), None
     circles = []
-    for probe_id in probe_ids:
-        delay = campaign.delay(probe_id, target.id)
-        if delay is None:
+    delays = campaign._delay[probes, campaign._landmark_code[target.id]]
+    for p, delay in zip(probes.tolist(), delays.tolist()):
+        if math.isnan(delay):
             continue
-        line = campaign.bestline(probe_id, landmark_isp)
+        line = campaign.bestline(grid.probe_ids[p], landmark_isp)
         if line is None:
             continue
-        km = geoloc.estimate_distance(line, delay)
-        circles.append((campaign.topology.host(probe_id).coordinate, km))
+        circles.append((campaign._probe_coord[p], geoloc.estimate_distance(line, delay)))
     return geoloc.cbg_locate(circles, grid_km=spec.grid_km)
 
 
@@ -219,6 +221,12 @@ class TargetOutcome:
     def __post_init__(self):
         if self.status not in ("located", "failed"):
             raise ValidationError(f"status must be 'located' or 'failed', got {self.status!r}")
+        if (self.pred_lat is None) != (self.pred_lon is None):
+            raise ValidationError(f"target {self.target_id!r}: pred_lat and pred_lon go together")
+        if (self.pred_lat is None) == (self.status == "located"):
+            rule = "needs a" if self.status == "located" else "takes no"
+            raise ValidationError(
+                f"target {self.target_id!r}: a {self.status} outcome {rule} coordinate")
 
 
 def run_experiment(spec: ExperimentSpec, campaign: Optional[Campaign] = None) -> list[TargetOutcome]:
@@ -276,7 +284,11 @@ def read_results_csv(path) -> list[TargetOutcome]:
 def evaluate_outcomes(
     outcomes: Sequence[TargetOutcome], truth_registry: dataset.Registry
 ) -> geoloc.ErrorReport:
-    """Score results against the hosts registry holding the targets' truth."""
+    """Score results against the hosts registry holding the targets' truth;
+    each target may appear once."""
+    repeated = sorted(t for t, k in Counter(o.target_id for o in outcomes).items() if k > 1)
+    if repeated:
+        raise ValidationError(f"duplicate target ids: {repeated}")
     results = []
     truth = []
     # city accuracy only applies to city-valued runs; failures then count as misses
@@ -286,9 +298,7 @@ def evaluate_outcomes(
             host = truth_registry[o.target_id]
         except NotFoundError:
             raise ValidationError(f"target {o.target_id!r} missing from truth registry")
-        coord = None
-        if o.pred_lat is not None and o.pred_lon is not None:
-            coord = Coordinate(o.pred_lat, o.pred_lon)
+        coord = None if o.pred_lat is None else Coordinate(o.pred_lat, o.pred_lon)
         results.append(
             geoloc.GeolocationResult(
                 status=o.status, coordinate=coord, city=o.pred_city or None, reason=o.reason

@@ -8,12 +8,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corr_model import STRONG_CORR_THRESHOLD, ProbeCorrReport
-from .dataset import HostRecord
+from .corr_model import STRONG_CORR_THRESHOLD
 from .errors import BestlineError, ValidationError
 # geodesic_distance is unused here but stays bound: benchmark/tracing.py wraps it
 from .geodesy import (  # noqa: F401
@@ -119,27 +118,22 @@ def estimate_distance(b: Bestline, delay_ms: float) -> float:
 
 
 def cbg_select_probes(
-    probes: Sequence[HostRecord],
-    reports: Mapping[str, ProbeCorrReport],
-    target_isp: str,
+    corr: np.ndarray,
+    same_isp: np.ndarray,
+    city: np.ndarray,
     threshold: float = STRONG_CORR_THRESHOLD,
-) -> list[str]:
+) -> np.ndarray:
     """Per city, one probe whose correlation toward the target's ISP beats the
-    threshold: its intra-ISP correlation when it sits in that ISP, its
-    inter-ISP correlation otherwise.  A same-ISP probe beats any other-ISP
-    probe, then the highest correlation wins (ties by probe id); a city with
-    no eligible probe contributes nothing.  Probe ids in city order."""
-    best: dict[str, tuple[bool, float, str]] = {}
-    for p in probes:
-        rep = reports.get(p.id)
-        if rep is None:
-            continue
-        cell = rep.intra if p.isp == target_isp else rep.inter.get(target_isp)
-        if cell is not None and cell.corr is not None and cell.corr > threshold:
-            key = (p.isp != target_isp, -cell.corr, p.id)
-            if p.city not in best or key < best[p.city]:
-                best[p.city] = key
-    return [best[city][2] for city in sorted(best)]
+    threshold.  The inputs are per probe, in id order: that correlation (nan
+    where undefined; the intra-ISP one for a probe in the target's ISP, an
+    inter-ISP one otherwise), whether the probe sits in the target's ISP, and
+    its city code.  A same-ISP probe beats any other-ISP probe, then the
+    highest correlation wins (ties to the lower index); a city with no
+    eligible probe contributes nothing.  Probe indices in city code order."""
+    eligible = np.flatnonzero(corr > threshold)
+    ranked = eligible[np.lexsort((eligible, -corr[eligible], ~same_isp[eligible], city[eligible]))]
+    _, first = np.unique(city[ranked], return_index=True)
+    return ranked[first]
 
 
 @dataclass
@@ -474,16 +468,13 @@ def write_cdf_csv(report: ErrorReport, path) -> None:
             w.writerow([f"{err:.6f}", f"{frac:.6f}"])
 
 
-def write_error_report_csv(
-    report: ErrorReport, path, target_ids: Optional[Sequence[str]] = None
-) -> None:
+def write_error_report_csv(report: ErrorReport, path, target_ids: Sequence[str]) -> None:
     """Per-target rows (empty error_km where the target failed) followed by a
     SUMMARY block."""
-    ids = list(target_ids) if target_ids is not None else [str(i) for i in range(report.n_total)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row", "target_id", "error_km"])
-        for tid, err in zip(ids, report.errors_km, strict=True):
+        for tid, err in zip(target_ids, report.errors_km, strict=True):
             w.writerow(["target", tid, "" if err is None else f"{err:.6f}"])
         w.writerow(["summary", "n_total", report.n_total])
         w.writerow(["summary", "n_located", report.n_located])

@@ -22,6 +22,7 @@ from rtdcorr.geodesy import (
     vincenty_bracket,
 )
 from rtdcorr.geoloc import GeolocationResult, _wrap_lon, cbg_grid, grid_centroid
+from rtdcorr.netsim import pair_rng
 
 
 def vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
@@ -251,13 +252,14 @@ def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     )
 
 
-def two_list_cbg_select_probes(probes, reports, target_isp, threshold=STRONG_CORR_THRESHOLD):
+def two_list_cbg_select_probes(probes, corr, target_isp, threshold=STRONG_CORR_THRESHOLD):
     """Per city: prefer a same-ISP probe whose intra-ISP correlation beats the
     threshold; otherwise fall back to an other-ISP probe whose correlation
     toward the target's ISP beats it; otherwise the city contributes nothing.
     Among eligible probes the highest correlation wins (ties by probe id).
-    Two candidate lists per city; the reference for the one-pass
-    ``rtdcorr.geoloc.cbg_select_probes``."""
+    ``corr`` maps (probe id, landmark ISP) to the correlation, None or absent
+    where undefined.  Two candidate lists per city over host records; the
+    reference for the array ``rtdcorr.geoloc.cbg_select_probes``."""
     by_city = {}
     for p in probes:
         by_city.setdefault(p.city, []).append(p)
@@ -266,22 +268,27 @@ def two_list_cbg_select_probes(probes, reports, target_isp, threshold=STRONG_COR
         intra_cands = []
         inter_cands = []
         for p in sorted(by_city[city], key=lambda h: h.id):
-            rep = reports.get(p.id)
-            if rep is None:
+            c = corr.get((p.id, target_isp))
+            if c is None or not c > threshold:
                 continue
-            if p.isp == target_isp:
-                c = rep.intra.corr
-                if c is not None and c > threshold:
-                    intra_cands.append((-c, p.id))
-            else:
-                cell = rep.inter.get(target_isp)
-                if cell is not None and cell.corr is not None and cell.corr > threshold:
-                    inter_cands.append((-cell.corr, p.id))
+            (intra_cands if p.isp == target_isp else inter_cands).append((-c, p.id))
         if intra_cands:
             selected.append(min(intra_cands)[1])
         elif inter_cands:
             selected.append(min(inter_cands)[1])
     return selected
+
+
+def dict_contrast_probes(probes, seed):
+    """The unfiltered contrast group over host records: one probe id per
+    city, cities in id order, each drawn from the city's probes in id order
+    by ``pair_rng(seed, "contrast")``.  The reference for the array
+    ``rtdcorr.experiments._contrast_probes``."""
+    by_city = {}
+    for p in sorted(probes, key=lambda h: h.id):
+        by_city.setdefault(p.city, []).append(p.id)
+    rng = pair_rng(seed, "contrast")
+    return [ids[int(rng.integers(len(ids)))] for _, ids in sorted(by_city.items())]
 
 
 def list_geoget_locate(landmarks, delay_ms, target_isp, mode, area_of_city,

@@ -408,13 +408,13 @@ def test_geolocate_and_evaluate(capsys, tmp_path, mini_config_path):
 
 
 def test_evaluate_report_row_without_coordinate(capsys, sim_dir, tmp_path):
-    # a "located" row with no coordinate counts as failed; its report cell
-    # stays empty and the other rows keep their own errors
+    # a failed row's report cell stays empty and the other rows keep their
+    # own errors
     results = tmp_path / "results.csv"
     results.write_text(
         "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
         "l1,located,,30.1,100.1,\n"
-        "l2,located,,,,\n"
+        "l2,failed,,,,no circles\n"
         "l3,located,,33.0,105.5,\n"
     )
     report = tmp_path / "report.csv"
@@ -442,6 +442,41 @@ def test_evaluate_bad_status_exits_1(capsys, sim_dir, tmp_path):
                        "--truth", str(sim_dir / "hosts.csv"))
     assert code == 1
     assert f"{results}:3: status must be 'located' or 'failed', got 'locatd'" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("l2,located,b,,,", "'l2': a located outcome needs a coordinate"),
+    ("l2,failed,,32.0,104.0,", "'l2': a failed outcome takes no coordinate"),
+    ("l2,located,b,32.0,,", "'l2': pred_lat and pred_lon go together"),
+], ids=["located-without", "failed-with", "half"])
+def test_evaluate_outcome_coordinates_match_status(capsys, sim_dir, tmp_path, row, message):
+    # a located row without a coordinate would count both as a failure and
+    # as a city hit
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        f"l1,located,a,30.1,100.1,\n{row}\n"
+    )
+    code, _, err = run(capsys, "evaluate", "--results", str(results),
+                       "--truth", str(sim_dir / "hosts.csv"))
+    assert code == 1
+    assert f"{results}:3: target {message}" in err
+
+
+def test_evaluate_repeated_target_exits_1(capsys, sim_dir, tmp_path):
+    # a target listed twice would be scored twice
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        "l1,located,a,30.1,100.1,\n"
+        "l2,failed,,,,no circles\n"
+        "l1,located,a,30.1,100.1,\n"
+    )
+    code, stdout, err = run(capsys, "evaluate", "--results", str(results),
+                            "--truth", str(sim_dir / "hosts.csv"))
+    assert code == 1
+    assert "duplicate target ids: ['l1']" in err
+    assert "targets:" not in stdout
 
 
 def test_evaluate_bad_spec_exits_1(capsys, tmp_path):

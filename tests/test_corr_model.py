@@ -126,15 +126,17 @@ def test_grouped_pearson_matches_per_group_reference(case):
         if len(gx) >= cm.MIN_SAMPLES_FOR_CORR:
             # a variance within rounding of its floor may fall either side
             assume(abs(floor_ratio(gx) - 1.0) > 1e-9 and abs(floor_ratio(gy) - 1.0) > 1e-9)
-    cells = cm.pearson_cells(labels, n_groups, x, y)
-    for g, cell in enumerate(cells):
+    corr, n = cm.pearson_cells(labels, n_groups, x, y)
+    assert corr.shape == n.shape == (n_groups,)
+    for g in range(n_groups):
         want = pearson_xy_scalar(x[labels == g], y[labels == g])
-        assert cell.n_samples == int((labels == g).sum())
-        assert (cell.corr is None) == (want is None)
+        assert n[g] == int((labels == g).sum())
+        assert np.isnan(corr[g]) == (want is None)
         if want is not None:
-            assert abs(cell.corr - want) <= 1e-12
+            assert abs(corr[g] - want) <= 1e-12
     if n_groups == 1:
-        assert cm.pearson_xy(x, y) == cells[0].corr
+        got = cm.pearson_xy(x, y)
+        assert got is None if np.isnan(corr[0]) else got == corr[0]
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -159,14 +161,16 @@ def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaig
 
     want = pearson_by_key(zip(probe, landmark_isp), x, y)
     own = dict(zip(probe, probe_isp))
-    reports = cm.all_probe_reports(samples)
-    assert [r.probe_id for r in reports] == sorted(own)
-    for rep in reports:
-        assert rep.probe_isp == own[rep.probe_id]
-        same(rep.intra, want[rep.probe_id, rep.probe_isp])
-        assert set(rep.inter) == {i for p, i in want if p == rep.probe_id and i != rep.probe_isp}
-        for isp, cell in rep.inter.items():
-            same(cell, want[rep.probe_id, isp])
+    grid = cm.all_probe_reports(samples)
+    assert grid.probe_ids == tuple(sorted(own)) and grid.isps == samples.isps
+    assert grid.corr.shape == grid.n.shape == (len(own), len(samples.isps))
+    assert [grid.isps[i] for i in grid.own] == [own[p] for p in grid.probe_ids]
+    # every cell, those without samples (n 0, corr nan) included
+    for p, probe_id in enumerate(grid.probe_ids):
+        for i, isp in enumerate(grid.isps):
+            corr = grid.corr[p, i].item()
+            same(cm.CorrCell(None if math.isnan(corr) else corr, grid.n[p, i]),
+                 want.get((probe_id, isp), (None, 0)))
 
     rich = cm.discover_rich_subnets(samples)
     t = cm.STRONG_CORR_THRESHOLD
@@ -183,9 +187,10 @@ def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaig
 def discover_with_corr(corr):
     """discover_rich_subnets over one probe whose intra-ISP correlation and
     inter-ISP correlation toward B are both ``corr``."""
-    cell = cm.CorrCell(corr, 10)
-    report = cm.ProbeCorrReport("p1", "A", cell, {"B": cell})
-    with mock.patch.object(cm, "all_probe_reports", lambda samples: [report]):
+    c = math.nan if corr is None else corr
+    grid = cm.ProbeCorr(("p1",), ("A", "B"), np.array([0]), np.array([[c, c]]),
+                        np.array([[10, 10]]))
+    with mock.patch.object(cm, "all_probe_reports", lambda samples: grid):
         return cm.discover_rich_subnets(None)
 
 
@@ -413,19 +418,23 @@ def fixture_probe_samples():
     return intra + inter
 
 
-def probe_report(samples, probe_id="p1"):
-    return {rep.probe_id: rep for rep in cm.all_probe_reports(table(samples))}[probe_id]
+def probe_cell(samples, isp, probe_id="p1"):
+    """(corr, n) of a probe's cell toward ``isp``; corr nan where undefined."""
+    grid = cm.all_probe_reports(table(samples))
+    p, i = grid.probe_ids.index(probe_id), grid.isps.index(isp)
+    return grid.corr[p, i], grid.n[p, i]
 
 
 def test_probe_report_fixture_values():
-    rep = probe_report(fixture_probe_samples())
-    assert rep.intra.corr == pytest.approx(0.9056, abs=1e-4)
-    assert rep.inter["B"].corr == pytest.approx(-0.0386, abs=1e-4)
+    grid = cm.all_probe_reports(table(fixture_probe_samples()))
+    assert grid.isps == ("A", "B") and grid.own.tolist() == [0]  # intra A, inter B
+    assert grid.corr[0, 0] == pytest.approx(0.9056, abs=1e-4)
+    assert grid.corr[0, 1] == pytest.approx(-0.0386, abs=1e-4)
 
 
 def test_probe_report_perfect_intra():
-    rep = probe_report(samples_from([(100, 1), (200, 2), (300, 3)]))
-    assert rep.intra.corr == pytest.approx(1.0)
+    corr, _ = probe_cell(samples_from([(100, 1), (200, 2), (300, 3)]), "A")
+    assert corr == pytest.approx(1.0)
 
 
 def test_probe_report_small_group_undefined():
@@ -433,15 +442,22 @@ def test_probe_report_small_group_undefined():
         mk_sample(100, 5, lm="z1", lisp="B"),
         mk_sample(200, 6, lm="z2", lisp="B"),
     ]
-    rep = probe_report(samples)
-    assert rep.inter["B"].corr is None
-    assert rep.inter["B"].n_samples == 2
+    corr, n = probe_cell(samples, "B")
+    assert math.isnan(corr)
+    assert n == 2
+
+
+def test_probe_isp_is_that_of_its_first_row():
+    # nothing ties a probe's rows to one ISP; the first row's decides the intra column
+    rows = [mk_sample(100 * k, k, lm=f"m{k}", pisp="B" if k == 1 else "A") for k in (1, 2, 3)]
+    grid = cm.all_probe_reports(table(rows))
+    assert grid.isps == ("A", "B") and grid.own.tolist() == [1]
 
 
 def test_probe_report_unknown_probe():
-    # only probes with samples get a report
-    reports = cm.all_probe_reports(table(fixture_probe_samples()))
-    assert [rep.probe_id for rep in reports] == ["p1"]
+    # only probes with samples get a row
+    grid = cm.all_probe_reports(table(fixture_probe_samples()))
+    assert grid.probe_ids == ("p1",)
 
 
 # --- discover_rich_subnets --------------------------------------------------
@@ -479,9 +495,9 @@ def test_matrix_csv_layout(tmp_path):
 
 
 def test_probe_reports_csv(tmp_path):
-    reports = cm.all_probe_reports(table(fixture_probe_samples()))
+    grid = cm.all_probe_reports(table(fixture_probe_samples()))
     out = tmp_path / "r.csv"
-    cm.write_probe_reports_csv(reports, out)
+    cm.write_probe_reports_csv(grid, out)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["probe_id", "probe_isp", "scope", "landmark_isp", "corr", "n_samples"]
     assert rows[1][2] == "intra" and rows[2][2] == "inter"

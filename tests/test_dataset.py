@@ -69,13 +69,13 @@ def test_unmeasured_pair_absent():
 def test_unknown_host_rejected():
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
     with pytest.raises(NotFoundError):
-        dataset.ingest_rtt(table([obs("p", "nope", 5.0)]), reg)
+        dataset.RttTable.from_rows([obs("p", "nope", 5.0)], reg)
 
 
 def test_role_mismatch_rejected():
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
     with pytest.raises(ValidationError):
-        dataset.ingest_rtt(table([obs("l", "p", 5.0)]), reg)
+        dataset.RttTable.from_rows([obs("l", "p", 5.0)], reg)
 
 
 @given(

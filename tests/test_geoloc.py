@@ -7,12 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import experiments, geoloc
-from rtdcorr.corr_model import CorrCell, ProbeCorrReport
+from rtdcorr.corr_model import STRONG_CORR_THRESHOLD
 from rtdcorr.dataset import HostRecord
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES
-from reference import list_geoget_locate, per_circle_cbg_locate, two_list_cbg_select_probes
+from reference import (
+    dict_contrast_probes,
+    list_geoget_locate,
+    per_circle_cbg_locate,
+    two_list_cbg_select_probes,
+)
 
 
 # ---------------------------------------------------------------- bestline
@@ -129,112 +134,123 @@ def _probe(pid, city, isp):
     return HostRecord(pid, Coordinate(30.0, 110.0), city, isp, "probe")
 
 
-def _report(pid, isp, intra, inter):
-    return ProbeCorrReport(
-        probe_id=pid,
-        probe_isp=isp,
-        intra=CorrCell(intra, 10),
-        inter={k: CorrCell(v, 10) for k, v in inter.items()},
-    )
+def _select(probes, corr, target_isp, threshold=STRONG_CORR_THRESHOLD):
+    """cbg_select_probes over host records: its arrays in probe id order,
+    each probe's correlation toward ``target_isp`` read from ``corr``
+    ({(probe id, ISP): value}, None or absent where undefined); the chosen
+    probe ids."""
+    probes = sorted(probes, key=lambda h: h.id)
+    values = [corr.get((p.id, target_isp)) for p in probes]
+    _, city = np.unique([p.city for p in probes], return_inverse=True)
+    got = geoloc.cbg_select_probes(
+        np.array([math.nan if v is None else v for v in values]),
+        np.array([p.isp == target_isp for p in probes]), city, threshold)
+    return [probes[i].id for i in got.tolist()]
 
 
 def test_select_prefers_same_isp_probe():
     probes = [_probe("p1", "c", "A"), _probe("p2", "c", "B")]
-    reports = {
-        "p1": _report("p1", "A", 0.8, {"B": 0.9}),
-        "p2": _report("p2", "B", 0.95, {"A": 0.95}),
-    }
-    got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == ["p1"]
+    corr = {("p1", "A"): 0.8, ("p1", "B"): 0.9, ("p2", "B"): 0.95, ("p2", "A"): 0.95}
+    assert _select(probes, corr, "A") == ["p1"]
 
 
 def test_select_falls_back_to_other_isp():
     probes = [_probe("p1", "c", "A"), _probe("p2", "c", "B")]
-    reports = {
-        "p1": _report("p1", "A", 0.5, {}),
-        "p2": _report("p2", "B", 0.9, {"A": 0.85}),
-    }
-    got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == ["p2"]
+    corr = {("p1", "A"): 0.5, ("p2", "B"): 0.9, ("p2", "A"): 0.85}
+    assert _select(probes, corr, "A") == ["p2"]
 
 
 def test_select_skips_weak_cities_and_threshold_is_strict():
     probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "A")]
-    reports = {
-        "p1": _report("p1", "A", 0.7, {}),  # exactly at threshold: excluded
-        "p2": _report("p2", "A", 0.71, {}),
-    }
-    got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == ["p2"]
+    corr = {("p1", "A"): 0.7, ("p2", "A"): 0.71}  # p1 exactly at threshold: excluded
+    assert _select(probes, corr, "A") == ["p2"]
 
 
 def test_select_highest_corr_wins_within_city():
     probes = [_probe("p1", "c", "A"), _probe("p2", "c", "A")]
-    reports = {
-        "p1": _report("p1", "A", 0.75, {}),
-        "p2": _report("p2", "A", 0.9, {}),
-    }
-    got = geoloc.cbg_select_probes(probes, reports, "A")
-    assert got == ["p2"]
+    corr = {("p1", "A"): 0.75, ("p2", "A"): 0.9}
+    assert _select(probes, corr, "A") == ["p2"]
 
 
 @pytest.mark.parametrize("value,strong", THRESHOLD_CASES)
 def test_select_threshold_is_strict(value, strong):
     # the same-ISP probe in c1 and the other-ISP probe in c2 share the value
     probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "B")]
-    reports = {"p1": _report("p1", "A", value, {}), "p2": _report("p2", "B", None, {"A": value})}
-    assert geoloc.cbg_select_probes(probes, reports, "A") == (["p1", "p2"] if strong else [])
+    corr = {("p1", "A"): value, ("p2", "B"): None, ("p2", "A"): value}
+    assert _select(probes, corr, "A") == (["p1", "p2"] if strong else [])
 
 
 @given(st.floats(min_value=0, max_value=1))
 def test_select_never_takes_negative_corr(x):
     probes = [_probe("p1", "c1", "A"), _probe("p2", "c2", "B")]
-    reports = {"p1": _report("p1", "A", -x, {}), "p2": _report("p2", "B", None, {"A": -x})}
-    assert geoloc.cbg_select_probes(probes, reports, "A") == []
+    corr = {("p1", "A"): -x, ("p2", "B"): None, ("p2", "A"): -x}
+    assert _select(probes, corr, "A") == []
 
 
 def test_select_undefined_corr_excluded():
-    probes = [_probe("p1", "c", "A")]
-    reports = {"p1": _report("p1", "A", None, {})}
-    assert geoloc.cbg_select_probes(probes, reports, "A") == []
+    assert _select([_probe("p1", "c", "A")], {("p1", "A"): None}, "A") == []
 
 
 @st.composite
 def selection_cases(draw):
-    """(probes, reports, ISPs): 1-4 cities, 1-3 ISPs and 1-6 probes, each
-    correlation None, a THRESHOLD_CASES value or in [-1, 1] (half of those
-    above the threshold, so cities often hold rival eligible probes); some
-    probes have no report and some inter maps miss an ISP."""
-    isps = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    """One draw as host records and as arrays: 1-4 cities, 1-3 ISPs plus Z
+    (an ISP no probe sits in) and 1-6 probes; each correlation None, a
+    THRESHOLD_CASES value or in [-1, 1] (half of those above the threshold,
+    so cities often hold rival eligible probes); some probes have no samples
+    and some cells are missing.  Records: the probes in a drawn order and
+    {(probe id, ISP): correlation} over the defined cells.  Arrays, in probe
+    id order: the probe x ISP grid (nan where undefined), each probe's own
+    ISP column and its city code (codes in city id order)."""
+    isps = ["A", "B", "C"][: draw(st.integers(1, 3))] + ["Z"]
     cities = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
-    corr = st.one_of(st.none(), st.sampled_from([v for v, _ in THRESHOLD_CASES]),
-                     st.floats(-1.0, 1.0), st.floats(0.7, 1.0))
-    probes, reports = [], {}
-    for i in range(draw(st.integers(1, 6))):
-        p = _probe(f"p{i}", draw(st.sampled_from(cities)), draw(st.sampled_from(isps)))
-        probes.append(p)
-        if draw(st.integers(0, 4)):
-            inter = {k: draw(corr) for k in isps if k != p.isp and draw(st.booleans())}
-            reports[p.id] = _report(p.id, p.isp, draw(corr), inter)
-    return draw(st.permutations(probes)), reports, isps
+    value = st.one_of(st.none(), st.sampled_from([v for v, _ in THRESHOLD_CASES]),
+                      st.floats(-1.0, 1.0), st.floats(0.7, 1.0))
+    probes = [_probe(f"p{i}", draw(st.sampled_from(cities)), draw(st.sampled_from(isps[:-1])))
+              for i in range(draw(st.integers(1, 6)))]
+    grid = np.full((len(probes), len(isps)), math.nan)
+    corr = {}
+    for i, p in enumerate(probes):
+        if not draw(st.integers(0, 4)):
+            continue  # a probe without samples
+        for j, isp in enumerate(isps[:-1]):
+            if isp == p.isp or draw(st.booleans()):
+                c = draw(value)
+                if c is not None:
+                    corr[p.id, isp] = grid[i, j] = c
+    own = np.array([isps.index(p.isp) for p in probes])
+    _, city = np.unique([p.city for p in probes], return_inverse=True)
+    return draw(st.permutations(probes)), corr, isps, grid, own, city
 
 
 @given(selection_cases())
 @settings(max_examples=200)
 def test_select_equals_two_list_reference(case):
-    probes, reports, isps = case
-    for isp in isps + ["Z"]:  # Z: an ISP no probe sits in
-        assert geoloc.cbg_select_probes(probes, reports, isp) == two_list_cbg_select_probes(
-            probes, reports, isp)
+    probes, corr, isps, grid, own, city = case
+    ids = sorted(p.id for p in probes)
+    for i, isp in enumerate(isps):
+        got = geoloc.cbg_select_probes(grid[:, i], own == i, city)
+        assert [ids[k] for k in got.tolist()] == two_list_cbg_select_probes(probes, corr, isp)
 
 
 @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9])
 def test_select_equals_two_list_reference_on_cn_like(cn_campaign, threshold):
+    grid = cn_campaign.reports
+    corr = {(grid.probe_ids[p], grid.isps[i]): c
+            for (p, i), c in np.ndenumerate(grid.corr) if not math.isnan(c)}
     probes = cn_campaign.topology.registry.probes()
     for isp in sorted({p.isp for p in probes}):
-        got = geoloc.cbg_select_probes(probes, cn_campaign.reports, isp, threshold)
-        assert got and got == two_list_cbg_select_probes(
-            probes, cn_campaign.reports, isp, threshold)
+        i = grid.isps.index(isp)
+        got = geoloc.cbg_select_probes(
+            grid.corr[:, i], grid.own == i, cn_campaign._probe_city, threshold)
+        assert got.size and [grid.probe_ids[k] for k in got.tolist()] == (
+            two_list_cbg_select_probes(probes, corr, isp, threshold))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_contrast_probes_match_dict_reference(cn_campaign, seed):
+    got = experiments._contrast_probes(cn_campaign, seed)
+    want = dict_contrast_probes(cn_campaign.topology.registry.probes(), seed)
+    assert [cn_campaign.samples.probe_ids[i] for i in got.tolist()] == want
 
 
 # ------------------------------------------------------------- CBG grid

@@ -109,3 +109,36 @@ def test_tracer_counts_geoget_locates(mini_campaign):
     assert [r.located for r in results] == [True] * 5 + [False]
     assert tracer.summary()["experiments.geoget_locate_target"]["calls"] == 6
     assert tracing.per_layer_metrics(tracer)["geoloc.geoget_locate.calls"] == 5
+
+
+def test_tracer_counts_cbg_locate_targets(mini_campaign):
+    """A traced CBG run on the mini config in both modes: one
+    ``cbg_select_probes`` call per modified target, one bestline fit per new
+    ``_bestlines`` entry, and every wrapped name put back."""
+    modules = (cli, corr_model, dataset, experiments, geodesy, geoloc, netsim)
+    before = {m: dict(vars(m)) for m in modules}
+    campaign_attrs = dict(vars(experiments.Campaign))
+    n_lines = len(mini_campaign._bestlines)
+    targets = [mini_campaign.topology.host(t) for t in ("l1", "l2", "l3")]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert geoloc.cbg_select_probes is not before[geoloc]["cbg_select_probes"]
+        assert experiments.cbg_locate_target is not before[experiments]["cbg_locate_target"]
+        for mode in ("original", "modified"):
+            spec = experiments.ExperimentSpec(config="mini", algorithm="cbg", mode=mode)
+            for target in targets:
+                experiments.cbg_locate_target(mini_campaign, target, spec)
+    finally:
+        tracer.restore()
+    for m in modules:
+        assert all(vars(m)[name] is value for name, value in before[m].items())
+    assert all(vars(experiments.Campaign)[k] is v for k, v in campaign_attrs.items())
+
+    summary = tracer.summary()
+    m = tracing.per_layer_metrics(tracer)
+    assert summary["experiments.cbg_locate_target"]["calls"] == 2 * len(targets)
+    assert summary["geoloc.cbg_select_probes"]["calls"] == len(targets)
+    assert m["geoloc.cbg_locate.calls"] == 2 * len(targets)
+    assert m["experiments.bestline.fits"] == len(mini_campaign._bestlines) - n_lines
