@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corr_model, dataset, experiments, geoloc, netsim
+from . import corr_model, dataset, experiments, netsim
 from .errors import NotFoundError, ValidationError
 
 DEFAULT_SEED = 42
@@ -129,12 +129,12 @@ def cmd_evaluate(args) -> int:
     print(f"mean error km:   {fmt(report.mean_km)}")
     print(f"city accuracy:   {fmt(report.city_accuracy)}")
     if args.report:
-        geoloc.write_error_report_csv(
+        experiments.write_error_report_csv(
             report, args.report, target_ids=[o.target_id for o in outcomes]
         )
         print(f"wrote {args.report}")
     if args.cdf:
-        geoloc.write_cdf_csv(report, args.cdf)
+        experiments.write_cdf_csv(report, args.cdf)
         print(f"wrote {args.cdf}")
     return 0
 

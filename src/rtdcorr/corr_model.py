@@ -182,10 +182,10 @@ def corr_matrix(samples: SampleTable) -> CorrMatrix:
 class ProbeCorr:
     """Each probe's correlation toward each landmark ISP: row p is probe
     ``probe_ids[p]``, column i landmark ISP ``isps[i]``.  Column ``own[p]`` is
-    the probe's ISP (that of its first row), so ``corr[p, own[p]]`` is its
-    intra-ISP correlation and its other columns with ``n > 0`` are its
-    inter-ISP ones.  ``corr`` is nan where undefined; ``n`` holds the group
-    sizes."""
+    the probe's ISP (a sample table tags a probe with one), so
+    ``corr[p, own[p]]`` is its intra-ISP correlation and its other columns
+    with ``n > 0`` are its inter-ISP ones.  ``corr`` is nan where undefined;
+    ``n`` holds the group sizes."""
 
     probe_ids: tuple[str, ...]
     isps: tuple[str, ...]

@@ -201,7 +201,8 @@ class SampleTable:
     ) -> SampleTable:
         """The table of rows in samples.csv column order, coded as they come;
         the delay and distance may be given as text.  A delay that is not
-        finite and > 0, or a distance that is not finite and >= 0, is a
+        finite and > 0, a distance that is not finite and >= 0, a host tagged
+        with two ISPs or two cities, or a pair given twice is a
         ValidationError."""
         probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
         probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
@@ -229,6 +230,29 @@ class SampleTable:
         landmark_ids, landmark = landmarks.freeze(landmark)
         isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
         city_ids, probe_city, landmark_city = cities.freeze(probe_city, landmark_city)
+        for role, ids, host, kind, names, tags in (
+            ("probe", probe_ids, probe, "ISP", isp_ids, probe_isp),
+            ("probe", probe_ids, probe, "city", city_ids, probe_city),
+            ("landmark", landmark_ids, landmark, "ISP", isp_ids, landmark_isp),
+            ("landmark", landmark_ids, landmark, "city", city_ids, landmark_city),
+        ):
+            # one of each host's tags: a host with a single tag matches it on every row
+            tag = np.empty(len(ids), dtype=np.intp)
+            tag[host] = tags
+            bad = np.flatnonzero(tag[host] != tags)
+            if bad.size:
+                i = bad[0]
+                a, b = sorted((names[tag[host[i]]], names[tags[i]]))
+                raise ValidationError(
+                    f"{role} {ids[host[i]]!r} has {kind} {a!r} on one row and {b!r} on another")
+        # a byte per (probe, landmark) pair; sorting the rows' pair keys made
+        # row-sized temporaries that raised the pipeline's peak memory
+        seen = np.zeros((len(probe_ids), len(landmark_ids)), dtype=bool)
+        seen[probe, landmark] = True
+        if np.count_nonzero(seen) < len(probe):
+            key = np.sort(probe * len(landmark_ids) + landmark)
+            p, lm = divmod(int(key[1:][key[1:] == key[:-1]][0]), len(landmark_ids))
+            raise ValidationError(f"pair ({probe_ids[p]!r}, {landmark_ids[lm]!r}) has two rows")
         return cls(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
                    np.asarray(delay), np.asarray(distance),
                    probe_isp, landmark_isp, probe_city, landmark_city)
@@ -302,7 +326,8 @@ def _csv_rows(path, required: Iterable[str]):
     ``rows`` yields each non-blank row as its list of fields.  A row with
     missing or extra fields, or a ValueError (ValidationError included) or
     NotFoundError raised while the rows are read, raises ValidationError
-    naming the row's line."""
+    naming the row's line; one raised once every row is read names the file
+    alone."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -310,21 +335,25 @@ def _csv_rows(path, required: Iterable[str]):
         if header is None or not required.issubset(header):
             raise ValidationError(f"{path}: expected header columns {sorted(required)}")
         width = len(header)
+        read_all = False
 
         def rows():
+            nonlocal read_all
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue  # a blank line
                     raise ValidationError(f"expected {width} fields")
                 yield row
+            read_all = True
 
         try:
             yield header, rows()
         except (ValueError, NotFoundError) as exc:
             # str() of a KeyError (NotFoundError) is its message in quotes
             msg = exc.args[0] if isinstance(exc, NotFoundError) else exc
-            raise ValidationError(f"{path}:{reader.line_num}: {msg}") from exc
+            where = path if read_all else f"{path}:{reader.line_num}"
+            raise ValidationError(f"{where}: {msg}") from exc
 
 
 def parse_csv(path, required: Iterable[str], parse: Callable[[dict], object]) -> list:

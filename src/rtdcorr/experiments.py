@@ -4,21 +4,23 @@ A campaign (probes -> landmarks) is simulated once; targets are drawn from
 the landmark set, their probe-side delays come from the campaign's min-RTTs
 (circle multilateration) or from fresh target-side streams (shortest-delay
 search).  Both the correlation-selected variant and the unfiltered contrast
-variant of each algorithm run off the same campaign.
+variant of each algorithm run off the same campaign; ``evaluate_outcomes``
+scores the outcomes against the targets' truth.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import corr_model, dataset, geoloc, netsim
-from .errors import BestlineError, NotFoundError, ValidationError
+from . import corr_model, dataset, geodesy, geoloc, netsim
+from .errors import BestlineError, ValidationError
 from .geodesy import Coordinate
 
 
@@ -82,7 +84,6 @@ class Campaign:
     def __post_init__(self):
         s = self.samples
         self._rows = {s.probe_ids[p]: slice(lo, hi) for p, lo, hi in dataset.probe_runs(s)}
-        self._probe_code = {h: i for i, h in enumerate(s.probe_ids)}
         self._landmark_code = {h: i for i, h in enumerate(s.landmark_ids)}
         self._isp_code = {isp: i for i, isp in enumerate(s.isps)}
         # min-RTT of each (probe, landmark) pair; nan where it was not measured
@@ -103,15 +104,6 @@ class Campaign:
         self._lm_isp = np.array([h.isp for h in lms])
         self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
         self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
-
-    def delay(self, probe_id: str, landmark_id: str) -> Optional[float]:
-        """The pair's minimum RTT; None when the campaign did not measure it."""
-        p = self._probe_code.get(probe_id)
-        lm = self._landmark_code.get(landmark_id)
-        if p is None or lm is None:
-            return None
-        d = self._delay.item(p, lm)
-        return None if math.isnan(d) else d
 
     def bestline(self, probe_id: str, landmark_isp: Optional[str]) -> Optional[geoloc.Bestline]:
         """The probe's bestline over its landmarks in ``landmark_isp`` (all of
@@ -227,6 +219,8 @@ class TargetOutcome:
             rule = "needs a" if self.status == "located" else "takes no"
             raise ValidationError(
                 f"target {self.target_id!r}: a {self.status} outcome {rule} coordinate")
+        if self.pred_lat is not None:
+            Coordinate(self.pred_lat, self.pred_lon)  # a finite, in-range prediction
 
 
 def run_experiment(spec: ExperimentSpec, campaign: Optional[Campaign] = None) -> list[TargetOutcome]:
@@ -281,28 +275,79 @@ def read_results_csv(path) -> list[TargetOutcome]:
     )
 
 
+@dataclass(frozen=True)
+class ErrorReport:
+    errors_km: tuple[Optional[float], ...]  # one per target, None if it failed
+    median_km: Optional[float]
+    mean_km: Optional[float]
+    cdf: tuple[tuple[float, float], ...]  # (error_km, cumulative fraction of all targets)
+    city_accuracy: Optional[float]
+    n_total: int
+    n_located: int
+    n_failed: int
+
+
 def evaluate_outcomes(
     outcomes: Sequence[TargetOutcome], truth_registry: dataset.Registry
-) -> geoloc.ErrorReport:
-    """Score results against the hosts registry holding the targets' truth;
-    each target may appear once."""
+) -> ErrorReport:
+    """Geodesic error distances of the outcomes against the hosts registry
+    holding the targets' truth, plus summary statistics; each target may
+    appear once.
+
+    Failed outcomes get no error and are counted apart; the CDF fraction is
+    over all targets, so it ends at located/total.  City accuracy is given
+    when some outcome names a city, and is then over all targets: a failed
+    outcome, a blank city or another city is a miss.
+    """
     repeated = sorted(t for t, k in Counter(o.target_id for o in outcomes).items() if k > 1)
     if repeated:
         raise ValidationError(f"duplicate target ids: {repeated}")
-    results = []
-    truth = []
-    # city accuracy only applies to city-valued runs; failures then count as misses
-    has_cities = any(o.pred_city for o in outcomes)
-    for o in outcomes:
-        try:
-            host = truth_registry[o.target_id]
-        except NotFoundError:
-            raise ValidationError(f"target {o.target_id!r} missing from truth registry")
-        coord = None if o.pred_lat is None else Coordinate(o.pred_lat, o.pred_lon)
-        results.append(
-            geoloc.GeolocationResult(
-                status=o.status, coordinate=coord, city=o.pred_city or None, reason=o.reason
-            )
-        )
-        truth.append((host.coordinate, host.city if has_cities else None))
-    return geoloc.evaluate_results(results, truth)
+    missing = [o.target_id for o in outcomes if o.target_id not in truth_registry.hosts]
+    if missing:
+        raise ValidationError(f"target {missing[0]!r} missing from truth registry")
+    truth = [truth_registry.hosts[o.target_id] for o in outcomes]
+    pairs = np.array([(o.pred_lat, o.pred_lon, h.coordinate.lat, h.coordinate.lon)
+                      for o, h in zip(outcomes, truth) if o.status == "located"]).reshape(-1, 4)
+    # through the module, so a tracer wrapping geodesy's binding counts the call
+    km = iter(geodesy.geodesic_distance_many(*pairs.T).tolist())
+    errors = tuple(next(km) if o.status == "located" else None for o in outcomes)
+    n_total = len(outcomes)
+    city_accuracy = None
+    if any(o.pred_city for o in outcomes):
+        city_accuracy = sum(o.status == "located" and o.pred_city == h.city != ""
+                            for o, h in zip(outcomes, truth)) / n_total
+    srt = sorted(e for e in errors if e is not None)
+    return ErrorReport(
+        errors_km=errors,
+        median_km=statistics.median(srt) if srt else None,
+        mean_km=sum(srt) / len(srt) if srt else None,
+        cdf=tuple((e, (i + 1) / n_total) for i, e in enumerate(srt)),
+        city_accuracy=city_accuracy,
+        n_total=n_total,
+        n_located=len(srt),
+        n_failed=n_total - len(srt),
+    )
+
+
+def write_cdf_csv(report: ErrorReport, path) -> None:
+    """Two-column plot data: error_km,fraction (ascending)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["error_km", "fraction"])
+        for err, frac in report.cdf:
+            w.writerow([f"{err:.6f}", f"{frac:.6f}"])
+
+
+def write_error_report_csv(report: ErrorReport, path, target_ids: Sequence[str]) -> None:
+    """Per-target rows (empty error_km where the target failed) followed by a
+    SUMMARY block."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["row", "target_id", "error_km"])
+        for tid, err in zip(target_ids, report.errors_km, strict=True):
+            w.writerow(["target", tid, "" if err is None else f"{err:.6f}"])
+        for k in ("n_total", "n_located", "n_failed"):
+            w.writerow(["summary", k, getattr(report, k)])
+        for k in ("median_km", "mean_km", "city_accuracy"):
+            v = getattr(report, k)
+            w.writerow(["summary", k, "" if v is None else f"{v:.6f}"])

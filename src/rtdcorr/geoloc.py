@@ -1,11 +1,10 @@
 """Delay-based geolocation: bestline fitting, correlation-driven probe
-selection, circle-intersection (grid) multilateration, shortest-delay
-area search, and error-distance evaluation.
+selection, circle-intersection (grid) multilateration and shortest-delay
+area search.  Scoring the results is ``experiments.evaluate_outcomes``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -390,98 +389,3 @@ def geoget_locate(
         delays[second] = delay_ms(ids[second].tolist())
     kept = np.flatnonzero(chosen)
     return int(kept[np.argmin(delays[kept])])
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    errors_km: tuple[Optional[float], ...]  # one per input target, None if it failed
-    median_km: Optional[float]
-    mean_km: Optional[float]
-    cdf: tuple[tuple[float, float], ...]  # (error_km, cumulative fraction of all targets)
-    city_accuracy: Optional[float]
-    n_total: int
-    n_located: int
-    n_failed: int
-
-
-def _median(sorted_vals: Sequence[float]) -> float:
-    n = len(sorted_vals)
-    mid = n // 2
-    if n % 2 == 1:
-        return sorted_vals[mid]
-    return (sorted_vals[mid - 1] + sorted_vals[mid]) / 2.0
-
-
-def evaluate_results(
-    results: Sequence[GeolocationResult],
-    truth: Sequence[tuple[Coordinate, Optional[str]]],
-) -> ErrorReport:
-    """Geodesic error distances against ground truth plus summary statistics.
-
-    Failed results (and located ones without a coordinate) get no error and
-    are counted separately; the CDF fraction is over all targets, so it ends
-    at located/total.
-    """
-    if len(results) != len(truth):
-        raise ValidationError(
-            f"results ({len(results)}) and truth ({len(truth)}) lengths differ"
-        )
-    n_city_given = 0
-    n_city_correct = 0
-    for res, (_, true_city) in zip(results, truth):
-        if true_city is not None:
-            n_city_given += 1
-            if res.located and res.city is not None and res.city == true_city:
-                n_city_correct += 1
-    located = [i for i, res in enumerate(results) if res.located and res.coordinate is not None]
-    km = geodesic_distance_many(
-        [results[i].coordinate.lat for i in located],
-        [results[i].coordinate.lon for i in located],
-        [truth[i][0].lat for i in located],
-        [truth[i][0].lon for i in located],
-    )
-    errors: list[Optional[float]] = [None] * len(results)
-    for i, e in zip(located, km.tolist()):
-        errors[i] = e
-
-    n_total = len(results)
-    srt = sorted(e for e in errors if e is not None)
-    cdf = tuple((e, (i + 1) / n_total) for i, e in enumerate(srt))
-    return ErrorReport(
-        errors_km=tuple(errors),
-        median_km=_median(srt) if srt else None,
-        mean_km=sum(srt) / len(srt) if srt else None,
-        cdf=cdf,
-        city_accuracy=(n_city_correct / n_city_given) if n_city_given else None,
-        n_total=n_total,
-        n_located=len(srt),
-        n_failed=n_total - len(located),
-    )
-
-
-def write_cdf_csv(report: ErrorReport, path) -> None:
-    """Two-column plot data: error_km,fraction (ascending)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["error_km", "fraction"])
-        for err, frac in report.cdf:
-            w.writerow([f"{err:.6f}", f"{frac:.6f}"])
-
-
-def write_error_report_csv(report: ErrorReport, path, target_ids: Sequence[str]) -> None:
-    """Per-target rows (empty error_km where the target failed) followed by a
-    SUMMARY block."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "target_id", "error_km"])
-        for tid, err in zip(target_ids, report.errors_km, strict=True):
-            w.writerow(["target", tid, "" if err is None else f"{err:.6f}"])
-        w.writerow(["summary", "n_total", report.n_total])
-        w.writerow(["summary", "n_located", report.n_located])
-        w.writerow(["summary", "n_failed", report.n_failed])
-        w.writerow(["summary", "median_km",
-                    "" if report.median_km is None else f"{report.median_km:.6f}"])
-        w.writerow(["summary", "mean_km",
-                    "" if report.mean_km is None else f"{report.mean_km:.6f}"])
-        w.writerow(["summary", "city_accuracy",
-                    "" if report.city_accuracy is None else f"{report.city_accuracy:.6f}"])

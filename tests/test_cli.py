@@ -125,7 +125,9 @@ def test_coincident_hosts_survive_simulate_then_ingest(capsys, tmp_path):
             == ("p1", "l1")]
     campaign = experiments.prepare_campaign(netsim.load_config(cfg), seed=42)
     assert 0.0 < samples.delay_ms[i] < 1e-6
-    assert samples.delay_ms[i] == campaign.delay("p1", "l1")
+    c = campaign.samples
+    assert samples.delay_ms[i] == campaign._delay[c.probe_ids.index("p1"),
+                                                  c.landmark_ids.index("l1")]
 
 
 @pytest.mark.parametrize("half", ["lat: 45.0", "lon: 100.0"])
@@ -283,6 +285,36 @@ def test_probe_without_intra_samples_keeps_empty_intra_row(capsys, tmp_path):
     assert len(rows) == 3
 
 
+#: samples.csv rows that tag p1 with ISP A on the first row and B on the
+#: others, and give the pair (p1, l2) twice: the per-probe and per-ISP
+#: analyses would group them differently
+TWO_ISP_ROWS = ("p1,l1,5.0,100.0,A,A,a,a\n"
+                "p1,l2,7.0,300.0,B,A,a,b\n"
+                "p1,l3,9.0,500.0,B,A,a,c\n"
+                "p1,l2,8.0,300.0,B,A,a,b\n")
+TWO_ISPS = "probe 'p1' has ISP 'A' on one row and 'B' on another"
+
+
+@pytest.mark.parametrize("command, rows, message", [
+    (["corr", "--by", "probe"], TWO_ISP_ROWS, TWO_ISPS),
+    (["corr", "--by", "isp"], TWO_ISP_ROWS, TWO_ISPS),
+    (["discover"], TWO_ISP_ROWS, TWO_ISPS),
+    (["discover"], "p1,l1,5.0,100.0,A,A,a,a\np2,l1,7.0,300.0,A,A,b,b\n",
+     "landmark 'l1' has city 'a' on one row and 'b' on another"),
+    (["discover"], "p1,l1,5.0,100.0,A,A,a,a\np1,l2,7.0,300.0,A,A,a,b\np1,l1,6.0,100.0,A,A,a,a\n",
+     "pair ('p1', 'l1') has two rows"),
+], ids=["two-isps-corr-probe", "two-isps-corr-isp", "two-isps-discover",
+        "landmark-in-two-cities", "repeated-pair"])
+def test_inconsistent_samples_exit_1(capsys, tmp_path, command, rows, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(SAMPLES_HEADER + rows)
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, *command, "--samples", str(samples), "--out", str(out))
+    assert code == 1
+    assert f"error: {samples}: {message}" in err
+    assert not out.exists()
+
+
 #: sha256 of the README pipeline's files on cn-like at seed 42
 GOLDEN_SHA256 = {
     "hosts.csv": "8773fa29012feef179232c5f02da111bb48ccb87e7fafcc451a45bb204d93310",
@@ -322,24 +354,70 @@ GOLDEN_GEOGET_SHA256 = {
 }
 
 
-def geolocate_sha256(tmp_path, algorithm, mode):
-    """sha256 of ``geolocate``'s results.csv on cn-like, 100 targets, seed 42."""
+#: sha256 of ``evaluate --report --cdf``'s files and stdout (its tmp directory
+#: written as ``<tmp>``) for each results.csv above, scored against cn-like's
+#: hosts.csv
+GOLDEN_EVALUATE_SHA256 = {
+    ("cbg", "original"): {
+        "report.csv": "4a14886da0d81e6eced989064ab5aebdba6a6d53035b34d9b0916766eba2076c",
+        "cdf.csv": "c6d142d9d19747141ea8e9f7a0646ec64c87348c128b54a989dbe322d2a3e351",
+        "stdout": "9cfdc75043717ba1924e1e829d1f3cc2532f4c804cc1fd599b72ad6b1b1d4208",
+    },
+    ("cbg", "modified"): {
+        "report.csv": "6042728b2b8c8ff974c8a5f94427314f9c0be9a130a94867730aca28a5f51ca6",
+        "cdf.csv": "9e9dca74bc45112ef09d45e514c0634716b35c1f24bb4e6344368a78598acbc6",
+        "stdout": "2f64dc8426f0e4243bac85a653d27836ba6208a7fed34c4d1868bb09544877e1",
+    },
+    ("geoget", "original"): {
+        "report.csv": "b9685addd68a3ef82906c9946fc01a84116d1b51fd660f4a2aadca966a279dab",
+        "cdf.csv": "8c42254b4c421d855c08dd137067dbd8ef87ffd56a14e73de34f866e54c75664",
+        "stdout": "ce82430f2b08e5d92b964059753562b643fe28a7b97eb59e4a7026c394ad4633",
+    },
+    ("geoget", "modified"): {
+        "report.csv": "b5c849cf73c0be5115a45315e80df153811c206b15ae65227fb22479eef46ab7",
+        "cdf.csv": "039d560c453eecc6ba4c12babd3e261dfd764818446fec7847f89b7739a62c0e",
+        "stdout": "4b201d5a8494ebf0f39a04aabfdb9593a844390c3cf9394d3c28754f1fb627cf",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def cn_hosts_csv(tmp_path_factory, cn_config):
+    """cn-like's hosts.csv, the truth for its geolocation results."""
+    path = tmp_path_factory.mktemp("cn") / "hosts.csv"
+    dataset.write_hosts_csv(netsim.build_topology(cn_config).registry, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["hosts.csv"]
+    return path
+
+
+def geolocate_sha256(tmp_path, truth, algorithm, mode):
+    """sha256 of ``geolocate``'s results.csv on cn-like, 100 targets, seed 42,
+    and of ``evaluate``'s outputs on it (see GOLDEN_EVALUATE_SHA256)."""
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump({"config": "cn-like", "algorithm": algorithm, "mode": mode,
                                     "targets": 100, "seed": 42}))
-    out = tmp_path / "results.csv"
-    assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    f = {name: tmp_path / name for name in ("results.csv", "report.csv", "cdf.csv")}
+    assert quiet_main(["geolocate", "--spec", str(spec), "--out", str(f["results.csv"])]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["evaluate", "--results", str(f["results.csv"]), "--truth", str(truth),
+                     "--report", str(f["report.csv"]), "--cdf", str(f["cdf.csv"])]) == 0
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in f.items()}
+    got["stdout"] = hashlib.sha256(
+        stdout.getvalue().replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+    return got
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_CBG_SHA256))
-def test_cn_like_cbg_geolocate_golden_results(tmp_path, mode):
-    assert geolocate_sha256(tmp_path, "cbg", mode) == GOLDEN_CBG_SHA256[mode]
+def test_cn_like_cbg_geolocate_golden_results(tmp_path, cn_hosts_csv, mode):
+    assert geolocate_sha256(tmp_path, cn_hosts_csv, "cbg", mode) == {
+        "results.csv": GOLDEN_CBG_SHA256[mode], **GOLDEN_EVALUATE_SHA256["cbg", mode]}
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_GEOGET_SHA256))
-def test_cn_like_geoget_geolocate_golden_results(tmp_path, mode):
-    assert geolocate_sha256(tmp_path, "geoget", mode) == GOLDEN_GEOGET_SHA256[mode]
+def test_cn_like_geoget_geolocate_golden_results(tmp_path, cn_hosts_csv, mode):
+    assert geolocate_sha256(tmp_path, cn_hosts_csv, "geoget", mode) == {
+        "results.csv": GOLDEN_GEOGET_SHA256[mode], **GOLDEN_EVALUATE_SHA256["geoget", mode]}
 
 
 def test_model_prints_close_corrs(capsys):
@@ -477,6 +555,40 @@ def test_evaluate_repeated_target_exits_1(capsys, sim_dir, tmp_path):
     assert code == 1
     assert "duplicate target ids: ['l1']" in err
     assert "targets:" not in stdout
+
+
+@pytest.mark.parametrize("lat, lon, message", [
+    ("nan", "100.1", "non-finite coordinate (nan, 100.1)"),
+    ("95.0", "100.1", "latitude 95.0 outside [-90, 90]"),
+], ids=["nan", "out-of-range"])
+def test_evaluate_invalid_prediction_names_its_line(capsys, sim_dir, tmp_path, lat, lon, message):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        f"l1,located,,30.1,100.1,\nl2,located,,{lat},{lon},\n"
+    )
+    code, stdout, err = run(capsys, "evaluate", "--results", str(results),
+                            "--truth", str(sim_dir / "hosts.csv"))
+    assert code == 1
+    assert f"error: {results}:3: {message}" in err
+    assert "targets:" not in stdout
+
+
+def test_evaluate_header_only_results(capsys, sim_dir, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("target_id,status,pred_city,pred_lat,pred_lon,reason\n")
+    report, cdf = tmp_path / "report.csv", tmp_path / "cdf.csv"
+    code, stdout, _ = run(capsys, "evaluate", "--results", str(results),
+                          "--truth", str(sim_dir / "hosts.csv"),
+                          "--report", str(report), "--cdf", str(cdf))
+    assert code == 0
+    assert "targets: 0  located: 0  failed: 0" in stdout
+    assert "median error km: n/a" in stdout and "city accuracy:   n/a" in stdout
+    assert report.read_text().splitlines() == [
+        "row,target_id,error_km", "summary,n_total,0", "summary,n_located,0",
+        "summary,n_failed,0", "summary,median_km,", "summary,mean_km,",
+        "summary,city_accuracy,"]
+    assert cdf.read_text().splitlines() == ["error_km,fraction"]
 
 
 def test_evaluate_bad_spec_exits_1(capsys, tmp_path):

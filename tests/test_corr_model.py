@@ -30,8 +30,8 @@ def table(rows):
     return dataset.SampleTable.from_rows(rows)
 
 
-def samples_from(pairs, **kw):
-    return [mk_sample(d, t, lm=f"l{i}", **kw) for i, (d, t) in enumerate(pairs)]
+def samples_from(pairs, lm="l", **kw):
+    return [mk_sample(d, t, lm=f"{lm}{i}", **kw) for i, (d, t) in enumerate(pairs)]
 
 
 # --- pearson_corr -----------------------------------------------------------
@@ -383,10 +383,12 @@ def test_matrix_single_isp_linear():
 
 
 def test_matrix_two_isp_construction():
-    intra_a = samples_from([(100, 1), (200, 2), (300, 3)], pisp="A", lisp="A")
-    intra_b = samples_from([(100, 2), (200, 4), (300, 6)], pisp="B", lisp="B", probe="p2")
-    inter_ab = samples_from([(100, 5), (200, 5), (300, 5)], pisp="A", lisp="B")
-    inter_ba = samples_from([(150, 7), (250, 7)], pisp="B", lisp="A", probe="p2")
+    # landmarks a* sit in ISP A and b* in B; probe p1 in A and p2 in B
+    intra_a = samples_from([(100, 1), (200, 2), (300, 3)], lm="a", pisp="A", lisp="A")
+    intra_b = samples_from([(100, 2), (200, 4), (300, 6)], lm="b", pisp="B", lisp="B",
+                           probe="p2")
+    inter_ab = samples_from([(100, 5), (200, 5), (300, 5)], lm="b", pisp="A", lisp="B")
+    inter_ba = samples_from([(150, 7), (250, 7)], lm="a", pisp="B", lisp="A", probe="p2")
     m = cm.corr_matrix(table(intra_a + intra_b + inter_ab + inter_ba))
     assert m.cell("A", "A").corr == pytest.approx(1.0)
     assert m.cell("B", "B").corr == pytest.approx(1.0)
@@ -447,11 +449,11 @@ def test_probe_report_small_group_undefined():
     assert n == 2
 
 
-def test_probe_isp_is_that_of_its_first_row():
-    # nothing ties a probe's rows to one ISP; the first row's decides the intra column
+def test_probe_with_two_isps_is_rejected():
+    # a probe's intra column would depend on which of its rows is read
     rows = [mk_sample(100 * k, k, lm=f"m{k}", pisp="B" if k == 1 else "A") for k in (1, 2, 3)]
-    grid = cm.all_probe_reports(table(rows))
-    assert grid.isps == ("A", "B") and grid.own.tolist() == [1]
+    with pytest.raises(ValidationError, match="probe 'p1' has ISP 'A' on one row and 'B' on"):
+        table(rows)
 
 
 def test_probe_report_unknown_probe():
@@ -482,7 +484,7 @@ def test_threshold_is_strict():
 def test_matrix_csv_layout(tmp_path):
     m = cm.corr_matrix(table(
         samples_from([(100, 1), (200, 2), (300, 3)])
-        + samples_from([(100, 5), (200, 5), (300, 5)], lisp="B")
+        + samples_from([(100, 5), (200, 5), (300, 5)], lm="m", lisp="B")
     ))
     out = tmp_path / "m.csv"
     cm.write_corr_matrix_csv(m, out)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rtdcorr import experiments, geoloc
 from rtdcorr.corr_model import STRONG_CORR_THRESHOLD
-from rtdcorr.dataset import HostRecord
+from rtdcorr.dataset import HostRecord, validate_registry
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES
@@ -712,63 +712,81 @@ def test_geoget_matches_list_reference(case):
     assert all(calls)
 
 
-# ----------------------------------------------------------- evaluation
+# ----------------------------------------------- evaluation (experiments)
 
 
-def located(lat, lon, city=None):
-    return geoloc.GeolocationResult("located", Coordinate(lat, lon), city)
+def located(target_id, lat, lon, city=""):
+    return experiments.TargetOutcome(target_id, "located", city, lat, lon, "")
+
+
+def failed(target_id, city=""):
+    return experiments.TargetOutcome(target_id, "failed", city, None, None, "x")
+
+
+def truth(*hosts):
+    """A registry of targets t0, t1, ... at the given (lat, lon, city)."""
+    return validate_registry([HostRecord(f"t{i}", Coordinate(lat, lon), city, "A", "landmark")
+                              for i, (lat, lon, city) in enumerate(hosts)])
 
 
 def test_evaluate_basic_stats():
-    truth = [(Coordinate(30.0, 110.0), None)] * 3
-    results = [located(30.0, 110.0), located(30.0, 110.5),
-               geoloc.GeolocationResult("failed", reason="x")]
-    rep = geoloc.evaluate_results(results, truth)
+    hosts = truth(*[(30.0, 110.0, "c")] * 3)
+    outcomes = [located("t0", 30.0, 110.0), located("t1", 30.0, 110.5), failed("t2")]
+    rep = experiments.evaluate_outcomes(outcomes, hosts)
     assert rep.n_total == 3 and rep.n_located == 2 and rep.n_failed == 1
     assert rep.errors_km[0] == 0.0 and rep.errors_km[2] is None
+    assert rep.errors_km[1] == geodesic_distance(Coordinate(30.0, 110.5), Coordinate(30.0, 110.0))
     assert rep.median_km == pytest.approx(sum(rep.errors_km[:2]) / 2, rel=1e-9)
     # CDF fraction is over all targets, so it tops out below 1.0 here
     assert rep.cdf[-1][1] == pytest.approx(2 / 3)
 
 
 def test_evaluate_even_count_median():
-    truth = [(Coordinate(0.0, 0.0), None)] * 4
-    results = [located(0.0, d / 111.0) for d in (1.0, 2.0, 3.0, 10.0)]
-    rep = geoloc.evaluate_results(results, truth)
+    hosts = truth(*[(0.0, 0.0, "c")] * 4)
+    outcomes = [located(f"t{i}", 0.0, d / 111.0) for i, d in enumerate((1.0, 2.0, 3.0, 10.0))]
+    rep = experiments.evaluate_outcomes(outcomes, hosts)
     srt = sorted(rep.errors_km)
     assert rep.median_km == pytest.approx((srt[1] + srt[2]) / 2, rel=1e-9)
 
 
 def test_evaluate_city_accuracy():
-    truth = [(Coordinate(30.0, 110.0), "a"), (Coordinate(30.0, 110.0), "b")]
-    results = [located(30.0, 110.0, "a"), located(30.0, 110.0, "a")]
-    rep = geoloc.evaluate_results(results, truth)
+    hosts = truth((30.0, 110.0, "a"), (30.0, 110.0, "b"))
+    outcomes = [located("t0", 30.0, 110.0, "a"), located("t1", 30.0, 110.0, "a")]
+    rep = experiments.evaluate_outcomes(outcomes, hosts)
     assert rep.city_accuracy == 0.5
 
 
+def test_evaluate_city_misses():
+    # once some outcome names a city, accuracy is over all targets: a failed
+    # outcome (even one naming the right city), a blank city (even for a
+    # truth host with a blank city) and another city are misses
+    hosts = truth(*[(30.0, 110.0, "a")] * 4, (30.0, 110.0, ""))
+    outcomes = [located("t0", 30.0, 110.0, "a"), located("t1", 30.0, 110.0),
+                located("t2", 30.0, 110.0, "b"), failed("t3", "a"), located("t4", 30.0, 110.0)]
+    rep = experiments.evaluate_outcomes(outcomes, hosts)
+    assert rep.city_accuracy == 0.2
+
+
 def test_evaluate_no_cities_given():
-    rep = geoloc.evaluate_results(
-        [located(30.0, 110.0)], [(Coordinate(30.0, 110.0), None)]
-    )
+    rep = experiments.evaluate_outcomes([located("t0", 30.0, 110.0)], truth((30.0, 110.0, "c")))
     assert rep.city_accuracy is None
 
 
 def test_evaluate_all_failed():
-    rep = geoloc.evaluate_results(
-        [geoloc.GeolocationResult("failed")], [(Coordinate(0.0, 0.0), None)]
-    )
+    rep = experiments.evaluate_outcomes([failed("t0")], truth((0.0, 0.0, "c")))
     assert rep.median_km is None and rep.mean_km is None and rep.cdf == ()
+    assert rep.n_failed == 1 and rep.errors_km == (None,)
 
 
-def test_evaluate_length_mismatch():
-    with pytest.raises(ValidationError):
-        geoloc.evaluate_results([], [(Coordinate(0.0, 0.0), None)])
+def test_evaluate_target_missing_from_truth():
+    with pytest.raises(ValidationError, match="target 'nobody' missing from truth registry"):
+        experiments.evaluate_outcomes([located("nobody", 0.0, 0.0)], truth((0.0, 0.0, "c")))
 
 
 def test_cdf_monotone_nondecreasing():
-    truth = [(Coordinate(0.0, 0.0), None)] * 5
-    results = [located(0.0, d) for d in (0.5, 0.1, 0.3, 0.2, 0.4)]
-    rep = geoloc.evaluate_results(results, truth)
+    hosts = truth(*[(0.0, 0.0, "c")] * 5)
+    outcomes = [located(f"t{i}", 0.0, d) for i, d in enumerate((0.5, 0.1, 0.3, 0.2, 0.4))]
+    rep = experiments.evaluate_outcomes(outcomes, hosts)
     errs = [e for e, _ in rep.cdf]
     fracs = [f for _, f in rep.cdf]
     assert errs == sorted(errs)
@@ -777,10 +795,10 @@ def test_cdf_monotone_nondecreasing():
 
 
 def test_write_cdf_csv(tmp_path):
-    truth = [(Coordinate(0.0, 0.0), None)] * 2
-    rep = geoloc.evaluate_results([located(0.0, 0.9), located(0.0, 1.8)], truth)
+    hosts = truth(*[(0.0, 0.0, "c")] * 2)
+    rep = experiments.evaluate_outcomes([located("t0", 0.0, 0.9), located("t1", 0.0, 1.8)], hosts)
     path = tmp_path / "cdf.csv"
-    geoloc.write_cdf_csv(rep, path)
+    experiments.write_cdf_csv(rep, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "error_km,fraction"
     assert len(lines) == 3
@@ -788,11 +806,10 @@ def test_write_cdf_csv(tmp_path):
 
 
 def test_write_error_report_csv(tmp_path):
-    truth = [(Coordinate(0.0, 0.0), None)] * 2
-    results = [located(0.0, 0.9), geoloc.GeolocationResult("failed")]
-    rep = geoloc.evaluate_results(results, truth)
+    hosts = truth(*[(0.0, 0.0, "c")] * 2)
+    rep = experiments.evaluate_outcomes([located("t0", 0.0, 0.9), failed("t1")], hosts)
     path = tmp_path / "report.csv"
-    geoloc.write_error_report_csv(rep, path, target_ids=["t1", "t2"])
+    experiments.write_error_report_csv(rep, path, target_ids=["t0", "t1"])
     text = path.read_text()
-    assert "target,t2,\r\n" in text or "target,t2,\n" in text
+    assert "target,t1,\r\n" in text or "target,t1,\n" in text
     assert "summary,n_failed,1" in text

@@ -425,11 +425,15 @@ def test_resolve_unknown_config():
 
 def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
     s = cn_campaign.samples
-    for i in range(0, len(s), 997):
-        pair = (s.probe_ids[s.probe[i]], s.landmark_ids[s.landmark[i]])
-        assert cn_campaign.delay(*pair) == s.delay_ms[i]
-    assert cn_campaign.delay(s.probe_ids[0], "no-such-host") is None
-    assert cn_campaign.delay(s.landmark_ids[0], s.landmark_ids[1]) is None
+    # the delay grid (probe x landmark, in id order) holds each sampled
+    # pair's delay and nan elsewhere; an unknown host or a landmark in the
+    # probe position has no row or column
+    grid = cn_campaign._delay
+    assert grid.shape == (len(s.probe_ids), len(s.landmark_ids))
+    assert np.array_equal(grid[s.probe, s.landmark], s.delay_ms)
+    assert np.count_nonzero(~np.isnan(grid)) == len(s)
+    assert "no-such-host" not in cn_campaign._landmark_code
+    assert s.landmark_ids[0] not in s.probe_ids
     # the probe's slice gives the points a scan of the whole table gives
     for probe in s.probe_ids[::30]:
         isp = cn_campaign.topology.host(probe).isp
