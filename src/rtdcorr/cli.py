@@ -9,7 +9,6 @@ inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -64,18 +63,14 @@ def cmd_discover(args) -> int:
     print(f"inter-ISP rich (probe, isp) pairs: {len(rep.rich_probes_inter)} (fraction {rep.inter_fraction:.4f})")
     print(f"overall rich fraction: {rep.overall_fraction:.4f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "probe_id", "landmark_isp"])
-            for pid in rep.rich_probes_intra:
-                w.writerow(["intra", pid, ""])
-            for pid, isp in rep.rich_probes_inter:
-                w.writerow(["inter", pid, isp])
+        corr_model.write_rich_csv(rep, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_model(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     factors = netsim.sample_independent(
         netsim.LogNormalShift(args.r_mu, args.r_sigma, shift=1.0),

@@ -5,14 +5,13 @@ distance D), per-ISP correlation matrices and rich sub-network discovery.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import SampleTable
+from .dataset import SampleTable, write_csv
 from .errors import ValidationError
 
 #: Default propagation speed in fiber, km/s (about 2/3 of light speed).
@@ -254,31 +253,27 @@ def write_corr_matrix_csv(matrix: CorrMatrix, path) -> None:
     Undefined cells are empty fields; a trailing n_<isp> column block carries
     the per-cell sample counts.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["probe_isp"]
-            + list(matrix.landmark_isps)
-            + [f"n_{isp}" for isp in matrix.landmark_isps]
-        )
-        for pi in matrix.probe_isps:
-            cells = [matrix.cell(pi, li) for li in matrix.landmark_isps]
-            w.writerow(
-                [pi]
-                + [_fmt_corr(c.corr) for c in cells]
-                + [c.n_samples for c in cells]
-            )
+    isps = matrix.landmark_isps
+    write_csv(path, ["probe_isp", *isps, *(f"n_{isp}" for isp in isps)], (
+        [pi, *(_fmt_corr(matrix.cell(pi, li).corr) for li in isps),
+         *(matrix.cell(pi, li).n_samples for li in isps)]
+        for pi in matrix.probe_isps))
 
 
 def write_probe_reports_csv(grid: ProbeCorr, path) -> None:
     """Long CSV: probe_id,probe_isp,scope,landmark_isp,corr,n_samples; each
     probe's intra row, then its inter rows in ISP order."""
     own, corr, n = grid.own.tolist(), grid.corr.tolist(), grid.n.tolist()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe_id", "probe_isp", "scope", "landmark_isp", "corr", "n_samples"])
-        for p, probe_id in enumerate(grid.probe_ids):
-            isp = grid.isps[own[p]]
-            for i in [own[p]] + [i for i, k in enumerate(n[p]) if k and i != own[p]]:
-                w.writerow([probe_id, isp, "intra" if i == own[p] else "inter", grid.isps[i],
-                            _fmt_corr(corr[p][i]), n[p][i]])
+    write_csv(path, ["probe_id", "probe_isp", "scope", "landmark_isp", "corr", "n_samples"], (
+        [probe_id, grid.isps[own[p]], "intra" if i == own[p] else "inter", grid.isps[i],
+         _fmt_corr(corr[p][i]), n[p][i]]
+        for p, probe_id in enumerate(grid.probe_ids)
+        for i in [own[p]] + [i for i, k in enumerate(n[p]) if k and i != own[p]]))
+
+
+def write_rich_csv(report: RichSubnetReport, path) -> None:
+    """kind,probe_id,landmark_isp: an intra row (blank ISP) per intra-rich
+    probe, then an inter row per inter-rich (probe, ISP) pair."""
+    write_csv(path, ["kind", "probe_id", "landmark_isp"], [
+        *(["intra", pid, ""] for pid in report.rich_probes_intra),
+        *(["inter", pid, isp] for pid, isp in report.rich_probes_inter)])

@@ -1,5 +1,6 @@
 """Host registries, RTT and sample tables, min-RTT aggregation and the join
-that produces (delay, distance) samples.  CSV is the interchange format:
+that produces (delay, distance) samples.  CSV is the interchange format
+(``write_csv`` writes every CSV file the package outputs); this module's:
 
 hosts.csv    id,role,city,isp,lat,lon,is_regional_center
 rtt.csv      probe_id,landmark_id,timestamp_iso8601,rtt_ms
@@ -47,6 +48,9 @@ class HostRecord:
     def __post_init__(self):
         if self.role not in (ROLE_PROBE, ROLE_LANDMARK):
             raise ValidationError(f"host {self.id!r}: unknown role {self.role!r}")
+        for field in ("id", "city", "isp"):
+            if not getattr(self, field):
+                raise ValidationError(f"host {self.id!r}: {field} must not be empty")
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,9 @@ class SampleTable:
     ) -> SampleTable:
         """The table of rows in samples.csv column order, coded as they come;
         the delay and distance may be given as text.  A delay that is not
-        finite and > 0, a distance that is not finite and >= 0, a host tagged
-        with two ISPs or two cities, or a pair given twice is a
-        ValidationError."""
+        finite and > 0, a distance that is not finite and >= 0, a blank id,
+        ISP or city, a host tagged with two ISPs or two cities, or a pair
+        given twice is a ValidationError."""
         probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
         probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
             array("q") for _ in range(6))
@@ -230,6 +234,10 @@ class SampleTable:
         landmark_ids, landmark = landmarks.freeze(landmark)
         isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
         city_ids, probe_city, landmark_city = cities.freeze(probe_city, landmark_city)
+        for kind, ids in (("probe id", probe_ids), ("landmark id", landmark_ids),
+                          ("ISP", isp_ids), ("city", city_ids)):
+            if ids[:1] == ("",):  # sorted ids: a blank one comes first
+                raise ValidationError(f"a row has a blank {kind}")
         for role, ids, host, kind, names, tags in (
             ("probe", probe_ids, probe, "ISP", isp_ids, probe_isp),
             ("probe", probe_ids, probe, "city", city_ids, probe_city),
@@ -379,22 +387,21 @@ def read_hosts_csv(path) -> Registry:
     return validate_registry(records)
 
 
-def write_hosts_csv(registry: Registry, path) -> None:
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: the header, then the rows, in the csv module's
+    default dialect (CRLF line ends, a field quoted only when it holds a
+    comma, a double quote or a line break)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(HOST_COLUMNS)
-        for host in registry.hosts.values():
-            w.writerow(
-                [
-                    host.id,
-                    host.role,
-                    host.city,
-                    host.isp,
-                    f"{host.coordinate.lat:.6f}",
-                    f"{host.coordinate.lon:.6f}",
-                    "true" if host.is_regional_center else "false",
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_hosts_csv(registry: Registry, path) -> None:
+    write_csv(path, HOST_COLUMNS, (
+        (h.id, h.role, h.city, h.isp, f"{h.coordinate.lat:.6f}", f"{h.coordinate.lon:.6f}",
+         "true" if h.is_regional_center else "false")
+        for h in registry.hosts.values()))
 
 
 def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple]:
@@ -420,15 +427,12 @@ def write_rtt_csv(table: RttTable, path) -> None:
     for i in np.flatnonzero(table.rtt_ms < 1e-6).tolist():
         if rtt[i] == "0.000000":
             rtt[i] = repr(table.rtt_ms.item(i))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RTT_COLUMNS)
-        w.writerows(zip(
-            _labels(table.probe_ids, table.probe),
-            _labels(table.landmark_ids, table.landmark),
-            _labels(table.stamps, table.stamp),
-            rtt,
-        ))
+    write_csv(path, RTT_COLUMNS, zip(
+        _labels(table.probe_ids, table.probe),
+        _labels(table.landmark_ids, table.landmark),
+        _labels(table.stamps, table.stamp),
+        rtt,
+    ))
 
 
 def read_samples_csv(path) -> SampleTable:
@@ -438,16 +442,13 @@ def read_samples_csv(path) -> SampleTable:
 
 
 def write_samples_csv(samples: SampleTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SAMPLE_COLUMNS)
-        w.writerows(zip(
-            _labels(samples.probe_ids, samples.probe),
-            _labels(samples.landmark_ids, samples.landmark),
-            [repr(v) for v in samples.delay_ms.tolist()],  # repr round-trips bit-exactly
-            [f"{v:.6f}" for v in samples.distance_km.tolist()],
-            _labels(samples.isps, samples.probe_isp),
-            _labels(samples.isps, samples.landmark_isp),
-            _labels(samples.cities, samples.probe_city),
-            _labels(samples.cities, samples.landmark_city),
-        ))
+    write_csv(path, SAMPLE_COLUMNS, zip(
+        _labels(samples.probe_ids, samples.probe),
+        _labels(samples.landmark_ids, samples.landmark),
+        [repr(v) for v in samples.delay_ms.tolist()],  # repr round-trips bit-exactly
+        [f"{v:.6f}" for v in samples.distance_km.tolist()],
+        _labels(samples.isps, samples.probe_isp),
+        _labels(samples.isps, samples.landmark_isp),
+        _labels(samples.cities, samples.probe_city),
+        _labels(samples.cities, samples.landmark_city),
+    ))

@@ -10,7 +10,6 @@ scores the outcomes against the targets' truth.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import Counter
@@ -243,21 +242,15 @@ def run_experiment(spec: ExperimentSpec, campaign: Optional[Campaign] = None) ->
     return outcomes
 
 
+def _fmt(v: Optional[float]) -> str:
+    return "" if v is None else f"{v:.6f}"
+
+
 def write_results_csv(outcomes: Sequence[TargetOutcome], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target_id", "status", "pred_city", "pred_lat", "pred_lon", "reason"])
-        for o in outcomes:
-            w.writerow(
-                [
-                    o.target_id,
-                    o.status,
-                    o.pred_city,
-                    "" if o.pred_lat is None else f"{o.pred_lat:.6f}",
-                    "" if o.pred_lon is None else f"{o.pred_lon:.6f}",
-                    o.reason,
-                ]
-            )
+    dataset.write_csv(
+        path, ["target_id", "status", "pred_city", "pred_lat", "pred_lon", "reason"],
+        ([o.target_id, o.status, o.pred_city, _fmt(o.pred_lat), _fmt(o.pred_lon), o.reason]
+         for o in outcomes))
 
 
 def read_results_csv(path) -> list[TargetOutcome]:
@@ -314,7 +307,7 @@ def evaluate_outcomes(
     n_total = len(outcomes)
     city_accuracy = None
     if any(o.pred_city for o in outcomes):
-        city_accuracy = sum(o.status == "located" and o.pred_city == h.city != ""
+        city_accuracy = sum(o.status == "located" and o.pred_city == h.city
                             for o, h in zip(outcomes, truth)) / n_total
     srt = sorted(e for e in errors if e is not None)
     return ErrorReport(
@@ -331,23 +324,15 @@ def evaluate_outcomes(
 
 def write_cdf_csv(report: ErrorReport, path) -> None:
     """Two-column plot data: error_km,fraction (ascending)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["error_km", "fraction"])
-        for err, frac in report.cdf:
-            w.writerow([f"{err:.6f}", f"{frac:.6f}"])
+    dataset.write_csv(path, ["error_km", "fraction"],
+                      ([f"{err:.6f}", f"{frac:.6f}"] for err, frac in report.cdf))
 
 
 def write_error_report_csv(report: ErrorReport, path, target_ids: Sequence[str]) -> None:
     """Per-target rows (empty error_km where the target failed) followed by a
     SUMMARY block."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "target_id", "error_km"])
-        for tid, err in zip(target_ids, report.errors_km, strict=True):
-            w.writerow(["target", tid, "" if err is None else f"{err:.6f}"])
-        for k in ("n_total", "n_located", "n_failed"):
-            w.writerow(["summary", k, getattr(report, k)])
-        for k in ("median_km", "mean_km", "city_accuracy"):
-            v = getattr(report, k)
-            w.writerow(["summary", k, "" if v is None else f"{v:.6f}"])
+    dataset.write_csv(path, ["row", "target_id", "error_km"], [
+        *(["target", tid, _fmt(err)] for tid, err in zip(target_ids, report.errors_km, strict=True)),
+        *(["summary", k, getattr(report, k)] for k in ("n_total", "n_located", "n_failed")),
+        *(["summary", k, _fmt(getattr(report, k))]
+          for k in ("median_km", "mean_km", "city_accuracy"))])

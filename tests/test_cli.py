@@ -142,6 +142,40 @@ def test_host_with_half_a_coordinate_exits_1(capsys, tmp_path, half):
     assert not (out / "hosts.csv").exists()
 
 
+#: a host with a blank field: (field, hosts.csv row, the mini config with it)
+BLANK_HOST_FIELDS = [
+    ("id", ",probe,a,x,30,100,false", MINI_YAML.replace("{id: p1,", '{id: "",')),
+    ("city", "p1,probe,,x,30,100,false",
+     MINI_YAML.replace("{id: b2,", '{id: "",').replace("city: b2,", 'city: "",')),
+    ("isp", "p1,probe,a,,30,100,false",
+     MINI_YAML.replace("{id: y,", '{id: "",').replace("isp: y}", 'isp: ""}')),
+]
+
+
+@pytest.mark.parametrize("field, row, config", BLANK_HOST_FIELDS,
+                         ids=[f[0] for f in BLANK_HOST_FIELDS])
+def test_blank_host_field_exits_1(capsys, tmp_path, field, row, config):
+    """A host's id, city and ISP must not be blank, in hosts.csv (the error
+    names the row's line) and in a simulation config."""
+    hosts, rtt = tmp_path / "hosts.csv", tmp_path / "rtt.csv"
+    hosts.write_text("id,role,city,isp,lat,lon,is_regional_center\n"
+                     f"{row}\nl1,landmark,a,x,31,101,false\n")
+    rtt.write_text("probe_id,landmark_id,timestamp_iso8601,rtt_ms\n")
+    code, _, err = run(capsys, "ingest", "--hosts", str(hosts), "--rtt", str(rtt),
+                       "--out", str(tmp_path / "samples.csv"))
+    assert code == 1
+    assert re.fullmatch(rf"error: {re.escape(str(hosts))}:2: host '(p1)?': {field} must not be "
+                        r"empty\n", err)
+    assert not (tmp_path / "samples.csv").exists()
+
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "sim"))
+    assert code == 1
+    assert err.endswith(f"{field} must not be empty\n")
+    assert not (tmp_path / "sim" / "hosts.csv").exists()
+
+
 def test_simulate_bundled_name_unknown(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--config", "no-such",
                        "--out-dir", str(tmp_path))
@@ -303,8 +337,15 @@ TWO_ISPS = "probe 'p1' has ISP 'A' on one row and 'B' on another"
      "landmark 'l1' has city 'a' on one row and 'b' on another"),
     (["discover"], "p1,l1,5.0,100.0,A,A,a,a\np1,l2,7.0,300.0,A,A,a,b\np1,l1,6.0,100.0,A,A,a,a\n",
      "pair ('p1', 'l1') has two rows"),
+    (["corr", "--by", "probe"], "p1,l1,5.0,100.0,A,A,a,a\n,l2,7.0,300.0,A,A,a,b\n",
+     "a row has a blank probe id"),
+    (["corr", "--by", "isp"], "p1,,5.0,100.0,A,A,a,a\n", "a row has a blank landmark id"),
+    (["discover"], "p1,l1,5.0,100.0,A,A,a,a\np1,l2,7.0,300.0,A,,a,b\n",
+     "a row has a blank ISP"),
+    (["discover"], "p1,l1,5.0,100.0,A,A,,a\n", "a row has a blank city"),
 ], ids=["two-isps-corr-probe", "two-isps-corr-isp", "two-isps-discover",
-        "landmark-in-two-cities", "repeated-pair"])
+        "landmark-in-two-cities", "repeated-pair", "blank-probe-id", "blank-landmark-id",
+        "blank-isp", "blank-city"])
 def test_inconsistent_samples_exit_1(capsys, tmp_path, command, rows, message):
     samples = tmp_path / "samples.csv"
     samples.write_text(SAMPLES_HEADER + rows)
@@ -449,6 +490,14 @@ def test_model_bad_speed_exits_1(capsys, v):
     code, _, err = run(capsys, "model", "--n", "1000", "--v", v)
     assert code == 1
     assert err.startswith("error: propagation speed must be finite and > 0")
+
+
+def test_model_negative_seed_exits_1(capsys):
+    """numpy's generator takes no negative seed: the command says so rather
+    than print a traceback."""
+    code, _, err = run(capsys, "model", "--n", "1000", "--seed", "-1")
+    assert code == 1
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_geolocate_and_evaluate(capsys, tmp_path, mini_config_path):
@@ -616,6 +665,59 @@ def test_byte_identical_reruns(tmp_path, mini_config_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def quoted(name: str) -> str:
+    """An id the CSV dialect must quote: it holds a comma and a double quote."""
+    return f'{name},"q'
+
+
+def test_quoted_ids_round_trip_through_the_pipeline(tmp_path):
+    """Host, city and ISP ids holding a comma and a double quote survive
+    simulate -> ingest -> corr -> discover: each file quotes them and reads
+    them back, and the delays are the campaign's to rtt.csv's 6 decimals."""
+    doc = yaml.safe_load(MINI_YAML)
+    for city in doc["cities"]:
+        city["id"] = quoted(city["id"])
+    for isp in doc["isps"]:
+        isp["id"], isp["ixps"] = quoted(isp["id"]), [quoted(c) for c in isp["ixps"]]
+    for h in doc["hosts"]:
+        h["id"], h["city"], h["isp"] = quoted(h["id"]), quoted(h["city"]), quoted(h["isp"])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    runs = []
+    for out in (tmp_path / "run1", tmp_path / "run2"):
+        f = {name: str(out / name) for name in GOLDEN_SHA256}
+        for argv in (
+            ["simulate", "--config", str(cfg), "--out-dir", str(out)],
+            ["ingest", "--hosts", f["hosts.csv"], "--rtt", f["rtt.csv"], "--out", f["samples.csv"]],
+            ["corr", "--samples", f["samples.csv"], "--by", "isp", "--out", f["matrix.csv"]],
+            ["corr", "--samples", f["samples.csv"], "--by", "probe", "--out", f["reports.csv"]],
+            ["discover", "--samples", f["samples.csv"], "--out", f["rich.csv"]],
+        ):
+            assert quiet_main(argv) == 0, argv
+        runs.append({name: Path(path).read_bytes() for name, path in f.items()})
+    assert runs[0] == runs[1]
+    assert b'"p1,""q"' in runs[0]["samples.csv"]
+
+    samples = dataset.read_samples_csv(tmp_path / "run1" / "samples.csv")
+    hosts = doc["hosts"]
+    assert samples.probe_ids == tuple(sorted(h["id"] for h in hosts if h["role"] == "probe"))
+    assert samples.landmark_ids == tuple(
+        sorted(h["id"] for h in hosts if h["role"] == "landmark"))
+    assert samples.isps == tuple(sorted(i["id"] for i in doc["isps"]))
+    assert samples.cities == tuple(sorted(c["id"] for c in doc["cities"]))
+    matrix = list(csv.reader(runs[0]["matrix.csv"].decode().splitlines()))
+    assert matrix[0][1:3] == list(samples.isps)
+    reports = list(csv.reader(runs[0]["reports.csv"].decode().splitlines()))
+    assert sorted({row[0] for row in reports[1:]}) == list(samples.probe_ids)
+
+    c = experiments.prepare_campaign(netsim.load_config(cfg), seed=42).samples
+    assert (samples.probe_ids, samples.landmark_ids) == (c.probe_ids, c.landmark_ids)
+    assert samples.probe.tolist() == c.probe.tolist()
+    assert samples.landmark.tolist() == c.landmark.tolist()
+    # rtt.csv carries 6 decimals, and rounding keeps each pair's minimum
+    assert samples.delay_ms.tolist() == [float(f"{v:.6f}") for v in c.delay_ms.tolist()]
+
+
 def quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -636,24 +738,35 @@ TYPED_COLUMNS = {
     "samples.csv": ("min_rtt_ms", "distance_km"),
 }
 
+#: the columns of each file that name a host, city or ISP and must not be blank
+ID_COLUMNS = {
+    "hosts.csv": ("id", "city", "isp"),
+    "rtt.csv": ("probe_id", "landmark_id"),
+    "samples.csv": ("probe_id", "landmark_id", "probe_isp", "landmark_isp", "probe_city",
+                    "landmark_city"),
+}
+
 
 @st.composite
 def mangled_csv(draw, clean):
-    """(file name, text) with one data row truncated, extended, or with a
-    numeric or boolean field that no longer parses to a valid value."""
+    """(file name, text) with one data row truncated, extended, with a
+    numeric or boolean field that no longer parses to a valid value, or with
+    a blank id, city or ISP."""
     name = draw(st.sampled_from(sorted(TYPED_COLUMNS)))
     lines = clean[name].splitlines()
     header = lines[0].split(",")
     r = draw(st.integers(1, len(lines) - 1))
     fields = lines[r].split(",")
-    how = draw(st.sampled_from(["truncate", "extend", "junk"]))
+    how = draw(st.sampled_from(["truncate", "extend", "junk", "blank"]))
     if how == "truncate":  # an empty line would be skipped, so keep one field
         fields = fields[: draw(st.integers(1, len(fields) - 1))]
     elif how == "extend":
         fields += draw(st.lists(st.sampled_from(["", "x", "1.0"]), min_size=1, max_size=3))
-    else:
+    elif how == "junk":
         col = header.index(draw(st.sampled_from(TYPED_COLUMNS[name])))
         fields[col] = draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1.2.3"]))
+    else:
+        fields[header.index(draw(st.sampled_from(ID_COLUMNS[name])))] = ""
     lines[r] = ",".join(fields)
     return name, "\n".join(lines) + "\n"
 
@@ -734,6 +847,10 @@ def mangled_config(draw):
 @given(mangled_config())
 # a region's only center marked with the string "no" once loaded as a center
 @example(MINI_YAML.replace("region: r0, is_center: true", 'region: r0, is_center: "no"'))
+# a host with a blank id, city or ISP once loaded and ran
+@example(BLANK_HOST_FIELDS[0][2])
+@example(BLANK_HOST_FIELDS[1][2])
+@example(BLANK_HOST_FIELDS[2][2])
 def test_malformed_config_exits_1(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.yaml"

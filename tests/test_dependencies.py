@@ -30,3 +30,14 @@ def test_runtime_imports_are_stdlib_numpy_or_yaml():
         if module not in ALLOWED
     ]
     assert outside == []
+
+
+def test_only_dataset_imports_csv():
+    """dataset.write_csv is the one CSV writer, so the file format is decided
+    in one module."""
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(module == "csv" for _, module in absolute_imports(path))
+    )
+    assert importers == ["dataset.py"]

@@ -758,9 +758,9 @@ def test_evaluate_city_accuracy():
 
 def test_evaluate_city_misses():
     # once some outcome names a city, accuracy is over all targets: a failed
-    # outcome (even one naming the right city), a blank city (even for a
-    # truth host with a blank city) and another city are misses
-    hosts = truth(*[(30.0, 110.0, "a")] * 4, (30.0, 110.0, ""))
+    # outcome (even one naming the right city), a blank city and another
+    # city are misses; a truth host cannot have a blank city
+    hosts = truth(*[(30.0, 110.0, "a")] * 5)
     outcomes = [located("t0", 30.0, 110.0, "a"), located("t1", 30.0, 110.0),
                 located("t2", 30.0, 110.0, "b"), failed("t3", "a"), located("t4", 30.0, 110.0)]
     rep = experiments.evaluate_outcomes(outcomes, hosts)
