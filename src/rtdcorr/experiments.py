@@ -54,6 +54,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: experiment spec must be a mapping")
     try:
+        netsim._closed(doc, ("config", "algorithm", "mode", "threshold", "grid_km", "seed",
+                             "targets", "candidate_areas"), "experiment spec")
         return ExperimentSpec(
             config=str(doc["config"]),
             algorithm=str(doc["algorithm"]),
@@ -103,6 +105,7 @@ class Campaign:
         self._lm_isp = np.array([h.isp for h in lms])
         self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
         self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
+        self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group
 
     def bestline(self, probe_id: str, landmark_isp: Optional[str]) -> Optional[geoloc.Bestline]:
         """The probe's bestline over its landmarks in ``landmark_isp`` (all of
@@ -143,10 +146,14 @@ def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostReco
 
 def _contrast_probes(campaign: Campaign, seed: int) -> np.ndarray:
     """Unfiltered contrast group: one randomly chosen probe per city, as
-    probe indices in city order."""
-    rng = netsim.pair_rng(seed, "contrast")
-    return np.array([ids[int(rng.integers(len(ids)))] for ids in campaign._city_probes],
-                    dtype=np.intp)
+    read-only probe indices in city order, drawn once per campaign and seed."""
+    if seed not in campaign._contrast:
+        rng = netsim.pair_rng(seed, "contrast")
+        probes = np.array([ids[int(rng.integers(len(ids)))] for ids in campaign._city_probes],
+                          dtype=np.intp)
+        probes.flags.writeable = False
+        campaign._contrast[seed] = probes
+    return campaign._contrast[seed]
 
 
 def cbg_locate_target(

@@ -9,10 +9,13 @@ direct geodesic distance.
 
 The simulator works a row at a time: one source against many destinations,
 in numpy (``simulate_row``).  Routing reads the topology's one site-to-site
-distance matrix.  Each pair's random draws are words of one counter-style
-stream, SHAKE-256 over ``f"{seed}|{stream}|{src}|{dst}"`` (``pair_uniforms``),
-so a pair's delays depend on its key alone and adding hosts never perturbs
-existing pairs.  ``pair_rng`` serves only the experiment design draws.
+distance matrix.  Each pair's random draws are words of a counter-based
+stream (``pair_uniforms``): SplitMix64's finaliser over a pair key built from
+a row key (SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest per row)
+and the destination's host key (SHAKE-256 over its id, held per topology).
+A row is one numpy pass with no per-pair Python call, a pair's delays depend
+on its ids alone, and adding hosts never perturbs existing pairs.
+``pair_rng`` serves only the experiment design draws.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ MIN_PAIR_DISTANCE_KM = 1e-6
 _ROWS_PER_KERNEL_CALL = 16
 
 _EPOCH_MINUTES = "2017-01-01T00:{m:02d}:00Z"
+
+#: SplitMix64's increment: the 64-bit golden ratio (Steele, Lea & Flood,
+#: "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014)
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,12 @@ class Topology:
         return self.registry[host_id]
 
     @functools.cached_property
+    def _host_key(self) -> np.ndarray:
+        """Each host's 64-bit stream key (``_key64`` of its id), in host
+        position order; computed on first read."""
+        return np.array([_key64(h) for h in self._host_pos], dtype=np.uint64)
+
+    @functools.cached_property
     def _dist(self) -> np.ndarray:
         """The one store of site-to-site distances: a symmetric matrix in site
         order, computed on first read.  Each pair i < j comes from the kernel
@@ -286,6 +299,7 @@ class RoutedPath:
 
 
 class _Routes(NamedTuple):
+    dst: np.ndarray  # the destinations' host positions
     sites: np.ndarray  # (n, 5) waypoint sites; a hop a route skips repeats the one before
     tortuosity: np.ndarray
     direct_km: np.ndarray
@@ -333,7 +347,7 @@ def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
     tortuosity = np.where(
         coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))
     )
-    return _Routes(sites, tortuosity, direct, isp_d == isp_s)
+    return _Routes(d, sites, tortuosity, direct, isp_d == isp_s)
 
 
 def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
@@ -356,21 +370,36 @@ def pair_rng(seed: int, *keys: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:16], "big"))
 
 
-def pair_uniforms(
-    seed: int, stream: str, src_id: str, dst_ids: Sequence[str], n_words: int
-) -> np.ndarray:
-    """(len(dst_ids), n_words) uniforms in (0, 1), one row per pair.
+def _key64(text: str) -> int:
+    """The first 64 bits of SHAKE-256 over ``text``, as a little-endian int."""
+    return int.from_bytes(hashlib.shake_256(text.encode()).digest(8), "little")
 
-    The row is the first 8 * n_words bytes of SHAKE-256 over the pair's key
-    ``f"{seed}|{stream}|{src}|{dst}"``, read as little-endian uint64 words.
-    A pair's draws depend on its key alone, so adding hosts never perturbs
-    existing pairs.
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser on a uint64 array; the products wrap mod 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def pair_uniforms(
+    seed: int, stream: str, src_id: str, dst_keys: np.ndarray, n_words: int
+) -> np.ndarray:
+    """(len(dst_keys), n_words) uniforms in (0, 1), one row per pair of the
+    source and a destination given by its uint64 host key.
+
+    A counter-based stream (Salmon et al., "Parallel Random Numbers: As Easy
+    as 1, 2, 3", SC 2011) on SplitMix64's ``mix``: the row key is
+    ``_key64(f"{seed}|{stream}|{src}")``, a destination's key is
+    ``_key64`` of its id (``Topology._host_key``), the pair key is
+    ``mix(row ^ mix(dst_key))``, and word w is ``mix(pair + (w + 1) * gamma)``
+    mod 2**64, mapped into (0, 1) by ``_open_unit``.  A pair's words depend
+    on its ids alone, so adding hosts never perturbs existing pairs.
     """
-    prefix = f"{seed}|{stream}|{src_id}|"
-    raw = b"".join(
-        hashlib.shake_256((prefix + dst).encode()).digest(8 * n_words) for dst in dst_ids
-    )
-    return _open_unit(np.frombuffer(raw, dtype="<u8").reshape(len(dst_ids), n_words))
+    row = np.uint64(_key64(f"{seed}|{stream}|{src_id}"))
+    pair = _mix(row ^ _mix(dst_keys))
+    counters = np.arange(1, n_words + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    return _open_unit(_mix(pair[:, None] + counters))
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
@@ -398,7 +427,8 @@ def sample_path_factors(
     """
     pm = config.path_model
     routes = _route(topology, src_id, dst_ids)
-    u = pair_uniforms(seed, stream, src_id, dst_ids, 2 + pm.samples_per_pair)
+    keys = topology._host_key[routes.dst]
+    u = pair_uniforms(seed, stream, src_id, keys, 2 + pm.samples_per_pair)
     z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
     r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
     d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
@@ -487,6 +517,17 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _closed(mapping, keys: Sequence[str], where: str):
+    """The mapping itself, once each of its keys is one of ``keys``: a key
+    rtdcorr does not read (a misspelling) is a ValidationError naming it."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where} must be a mapping, got {mapping!r}")
+    for key in mapping:
+        if key not in keys:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+    return mapping
+
+
 def _require_int(value, key: str) -> int:
     """A YAML integer; a float or a bool is a ValidationError naming the key."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -538,6 +579,7 @@ def load_config(path) -> SimConfig:
 def _parse_config(doc) -> SimConfig:
     if not isinstance(doc, dict):
         raise ValidationError("config must be a mapping")
+    _closed(doc, ("scatter_km", "path_model", "cities", "isps", "hosts"), "config")
 
     cities = tuple(
         City(
@@ -547,11 +589,12 @@ def _parse_config(doc) -> SimConfig:
             region_id=str(_require(c, "region", "city")),
             is_regional_center=_require_bool(c.get("is_center", False), "is_center"),
         )
-        for c in _require(doc, "cities", "config")
+        for c in (_closed(c, ("id", "lat", "lon", "region", "is_center"), "city")
+                  for c in _require(doc, "cities", "config"))
     )
     isps = tuple(
         IspSpec(id=str(_require(i, "id", "isp")), ixp_cities=tuple(str(x) for x in i.get("ixps", [])))
-        for i in _require(doc, "isps", "config")
+        for i in (_closed(i, ("id", "ixps"), "isp") for i in _require(doc, "isps", "config"))
     )
     hosts = tuple(
         HostSpec(
@@ -562,16 +605,19 @@ def _parse_config(doc) -> SimConfig:
             lat=None if h.get("lat") is None else _require_float(h["lat"], "lat"),
             lon=None if h.get("lon") is None else _require_float(h["lon"], "lon"),
         )
-        for h in _require(doc, "hosts", "config")
+        for h in (_closed(h, ("id", "role", "city", "isp", "lat", "lon"), "host")
+                  for h in _require(doc, "hosts", "config"))
     )
-    pm = doc.get("path_model", {})
+    pm = _closed(doc.get("path_model", {}),
+                 ("v_km_s", "intra_r", "inter_r", "jitter", "samples_per_pair"), "path_model")
 
     def lognorm(key: str, default: LogNormalShift, shift: float) -> LogNormalShift:
         if key not in pm:
             return default
+        law = _closed(pm[key], ("mu", "sigma"), key)
         return LogNormalShift(
-            _require_float(_require(pm[key], "mu", key), f"{key}.mu"),
-            _require_float(_require(pm[key], "sigma", key), f"{key}.sigma"),
+            _require_float(_require(law, "mu", key), f"{key}.mu"),
+            _require_float(_require(law, "sigma", key), f"{key}.sigma"),
             shift=shift,
         )
 

@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the library against; the
 library itself does not use them."""
 
+import hashlib
 import math
 from typing import Sequence
 
@@ -330,3 +331,33 @@ def list_geoget_locate(landmarks, delay_ms, target_isp, mode, area_of_city,
     probe(kept)
     _, _, city = min((delays[l.id], l.id, l.city) for l in kept)
     return city
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's finaliser on a Python int, reduced mod 2**64 by hand."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def shake_key64(text: str) -> int:
+    """The first 8 bytes of SHAKE-256 over ``text``, little-endian."""
+    return int.from_bytes(hashlib.shake_256(text.encode()).digest(8), "little")
+
+
+def scalar_pair_uniforms(seed: int, stream: str, src_id: str, dst_keys, n_words: int):
+    """One pair at a time in Python ints: the row key, the pair key
+    mix(row ^ mix(dst)), word w = mix(pair + (w + 1) * gamma), each mapped
+    to ((w >> 12) + 0.5) * 2**-52.  The reference for the numpy
+    ``rtdcorr.netsim.pair_uniforms``."""
+    row = shake_key64(f"{seed}|{stream}|{src_id}")
+    out = []
+    for dst in dst_keys:
+        pair = splitmix64_mix(row ^ splitmix64_mix(dst))
+        words = (splitmix64_mix((pair + (w + 1) * _GOLDEN_GAMMA) & _MASK64) for w in range(n_words))
+        out.append([((word >> 12) + 0.5) * 2.0 ** -52 for word in words])
+    return out

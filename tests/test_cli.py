@@ -359,10 +359,10 @@ def test_inconsistent_samples_exit_1(capsys, tmp_path, command, rows, message):
 #: sha256 of the README pipeline's files on cn-like at seed 42
 GOLDEN_SHA256 = {
     "hosts.csv": "8773fa29012feef179232c5f02da111bb48ccb87e7fafcc451a45bb204d93310",
-    "rtt.csv": "e6d9ca48302cd01ab9548a44bdcac04f7c980de5ce577aaa7d3462eaa6f47cc7",
-    "samples.csv": "c74f6722d7a587726bb874a1b144d65c02b9b36509f47a8676c5a8c15aceb1e9",
-    "matrix.csv": "7ba264666bdfad265889ffa0b7df31d8e49d49614d32c2042ef21e9b11782350",
-    "reports.csv": "fa3a7fefab81cd8e82e83ecb3997c4f332ef10671d01cedb2ca7a66ffb820d2d",
+    "rtt.csv": "9c6118ae6ea506257378096b47ec43a5665b9616639b425ff2564bc2aa3cf023",
+    "samples.csv": "c4369232f9eca8cb20ebdda7386764004d6f2304781e1993250ceb8c976832d6",
+    "matrix.csv": "befc9656767ef88bfa320cce010fc16e5dbbf174f67ff5b6dc014494ed383357",
+    "reports.csv": "e6b356648ce32b3e449b1a548939adbcb692a345b3d3eceb56b69587503f80fc",
     "rich.csv": "4d30e169d236c8f7e827f5d0f5fdbc8ec36807ce2ed5f652bfe26f7c06d5e41b",
 }
 
@@ -383,14 +383,14 @@ def test_cn_like_pipeline_golden_outputs(tmp_path):
 
 #: sha256 of ``geolocate``'s results.csv for CBG on cn-like, 100 targets, seed 42
 GOLDEN_CBG_SHA256 = {
-    "original": "beb8874dbfcfba515616a590f011b717d10a86e1165f09f409923dc8c55d3f8d",
-    "modified": "9cfd9552282260c258900d96d0e02623f565dd9950b9fc64515b2fc1085d41cd",
+    "original": "d9d916ac191e71b94939e2579086465b2de7e6052623c8225a8f4ad6fca0fe7b",
+    "modified": "f8a42ef49875379af49358159eaf26ba4c40ca4036322e2b1b72c5d1ef702c7c",
 }
 
 
 #: sha256 of ``geolocate``'s results.csv for GeoGet on cn-like, 100 targets, seed 42
 GOLDEN_GEOGET_SHA256 = {
-    "original": "0a048a244e1b80d7ede670117c42e4a32b0137592b947b83d8a08aaffe7e1ed3",
+    "original": "0aa3644a525570bb97592765d72240262ad4f25d667994680929a57fd6c8d1da",
     "modified": "926dec6de8ae06201c365a4dec233cc8aa8f433f845c0dc379ac585ee5b89609",
 }
 
@@ -400,19 +400,19 @@ GOLDEN_GEOGET_SHA256 = {
 #: hosts.csv
 GOLDEN_EVALUATE_SHA256 = {
     ("cbg", "original"): {
-        "report.csv": "4a14886da0d81e6eced989064ab5aebdba6a6d53035b34d9b0916766eba2076c",
-        "cdf.csv": "c6d142d9d19747141ea8e9f7a0646ec64c87348c128b54a989dbe322d2a3e351",
-        "stdout": "9cfdc75043717ba1924e1e829d1f3cc2532f4c804cc1fd599b72ad6b1b1d4208",
+        "report.csv": "58f5ce04c76aba0b64a97808569bf3dcd8ad1c2885b464aa559b54069fa2690b",
+        "cdf.csv": "b5cec51bba04a46057477e68673c99091236ee13a7c48ca7635b35ac996600a0",
+        "stdout": "858d84312713ecb55c08a08b07411a6e6980c933c55eafb8dec58821434584a3",
     },
     ("cbg", "modified"): {
-        "report.csv": "6042728b2b8c8ff974c8a5f94427314f9c0be9a130a94867730aca28a5f51ca6",
-        "cdf.csv": "9e9dca74bc45112ef09d45e514c0634716b35c1f24bb4e6344368a78598acbc6",
-        "stdout": "2f64dc8426f0e4243bac85a653d27836ba6208a7fed34c4d1868bb09544877e1",
+        "report.csv": "2f5ce5319ef5e62d16ccbc4185bab915760cdfab9fb2e3092be75e234c9099b1",
+        "cdf.csv": "0e6ac8ebf5c5c235e1b21f31cdff5cf3054baa00b064960860394dd1f8d0a953",
+        "stdout": "d5c9c662f380b4e9adfe44e50c1244bf3c19dad1428a26fede31fc62a08eb658",
     },
     ("geoget", "original"): {
-        "report.csv": "b9685addd68a3ef82906c9946fc01a84116d1b51fd660f4a2aadca966a279dab",
-        "cdf.csv": "8c42254b4c421d855c08dd137067dbd8ef87ffd56a14e73de34f866e54c75664",
-        "stdout": "ce82430f2b08e5d92b964059753562b643fe28a7b97eb59e4a7026c394ad4633",
+        "report.csv": "0497ba21896301de28f4864b30156788bf3b5905befd2e734930a24cfe2fb7ee",
+        "cdf.csv": "ffcf185fdcd3fcebe75e146735a461060178e7743cee595286e755604ea567b5",
+        "stdout": "53ae2be5d516cf703be813c10f5a3025273134d6db6de924c161ae05d25d4fe9",
     },
     ("geoget", "modified"): {
         "report.csv": "b5c849cf73c0be5115a45315e80df153811c206b15ae65227fb22479eef46ab7",
@@ -797,9 +797,11 @@ NOT_NUMBERS = [True, False, "1.5", "nan"]
 @st.composite
 def mangled_config(draw):
     """The mini config with one part replaced by a value of the wrong type
-    or form, or with a required key dropped."""
+    or form, with a required key dropped, or with a key added that no
+    mapping of a config has."""
     doc = yaml.safe_load(MINI_YAML)
-    how = draw(st.sampled_from(["section", "coordinate", "path_model", "number", "center", "drop"]))
+    how = draw(st.sampled_from(["section", "coordinate", "path_model", "number", "center", "drop",
+                                "unknown"]))
     if how == "section":
         doc[draw(st.sampled_from(["cities", "isps", "hosts"]))] = draw(st.sampled_from(JUNK))
     elif how == "coordinate":
@@ -833,13 +835,20 @@ def mangled_config(draw):
         # is_center must be a YAML bool
         city = draw(st.sampled_from(doc["cities"]))
         city["is_center"] = draw(st.sampled_from(["no", "yes", "true", 0.5, 1, 0, None]))
-    else:
+    elif how == "drop":
         section, keys = draw(st.sampled_from([
             ("cities", ["id", "lat", "lon", "region"]),
             ("isps", ["id"]),
             ("hosts", ["id", "role", "city", "isp"]),
         ]))
         del draw(st.sampled_from(doc[section]))[draw(st.sampled_from(keys))]
+    else:
+        # a key rtdcorr does not read, such as a misspelt optional one, in
+        # any mapping of the config
+        mapping = draw(st.sampled_from(
+            [doc, doc["path_model"], doc["path_model"]["intra_r"], doc["path_model"]["inter_r"]]
+            + doc["cities"] + doc["isps"] + doc["hosts"]))
+        mapping[draw(st.sampled_from(["jiter", "is_centre", "shift", "ixp", "latitude", "name"]))] = 1
     return yaml.safe_dump(doc)
 
 
@@ -851,6 +860,9 @@ def mangled_config(draw):
 @example(BLANK_HOST_FIELDS[0][2])
 @example(BLANK_HOST_FIELDS[1][2])
 @example(BLANK_HOST_FIELDS[2][2])
+# a misspelt optional key once loaded as its default and ran
+@example(MINI_YAML.replace("jitter: 0.2", "jiter: 0.9"))
+@example(MINI_YAML.replace("region: r1, is_center: false", "region: r1, is_centre: true"))
 def test_malformed_config_exits_1(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.yaml"
@@ -871,16 +883,21 @@ SPEC_KEYS = ["config", "algorithm", "mode", "threshold", "grid_km", "seed", "tar
         st.tuples(st.sampled_from(["seed", "targets", "candidate_areas"]),
                   st.sampled_from([2.7, 42.9, 1.5, True])),
         st.tuples(st.sampled_from(["threshold", "grid_km"]), st.sampled_from(NOT_NUMBERS)),
+        st.tuples(st.sampled_from(["grid_kmm", "candidate_area", "target", "seeds"]),
+                  st.sampled_from([5, 0.7, "x"])),
     ),
     st.booleans(),
 )
 # these once loaded as grid_km 1.0 and threshold 0.0 and ran
 @example(("grid_km", True), False)
 @example(("threshold", False), False)
+# these once ran at the default 10 km and 1 area
+@example(("grid_kmm", 5), False)
+@example(("candidate_area", 3), False)
 def test_malformed_spec_exits_1(mini_config_path, change, broken_yaml):
     """A wrong-typed value, a dropped required key (None), a negative target
     count, a count that is a float or a bool, a float that is a bool or a
-    string, or YAML cut short."""
+    string, a key the spec does not have, or YAML cut short."""
     key, value = change
     doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
            "targets": 2}
@@ -929,6 +946,35 @@ def test_config_scalar_of_wrong_type_exits_1(tmp_path, capsys, old, new, message
     cfg.write_text(MINI_YAML.replace(old, new))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("jitter: 0.2", "jiter: 0.9", "path_model: unknown key 'jiter'"),
+    ("region: r1, is_center: false", "region: r1, is_centre: true",
+     "city: unknown key 'is_centre'"),
+    ("{mu: -0.7, sigma: 0.3}", "{mu: -0.7, sigma: 0.3, shift: 2.0}", "intra_r: unknown key 'shift'"),
+    ("{id: x, ixps: [a]}", "{id: x, ixp: [a]}", "isp: unknown key 'ixp'"),
+    ("{id: p1, role: probe, city: a, isp: x}", "{id: p1, role: probe, city: a, isp: x, lat_: 1}",
+     "host: unknown key 'lat_'"),
+    ("scatter_km: 5.0", "scatter: 5.0", "config: unknown key 'scatter'"),
+])
+def test_unknown_config_key_exits_1(tmp_path, capsys, old, new, message):
+    """Every mapping of a config is closed: a key rtdcorr does not read stops
+    the run with a message naming it and where it sits."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_YAML.replace(old, new))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
+def test_unknown_spec_key_exits_1(mini_config_path, tmp_path, capsys):
+    doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
+           "targets": 2, "grid_kmm": 5}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    assert main(["geolocate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {spec}: experiment spec: unknown key 'grid_kmm'")
 
 
 @pytest.mark.parametrize("key, value", [("grid_km", True), ("threshold", False),

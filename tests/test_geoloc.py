@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import experiments, geoloc
+from rtdcorr import experiments, geoloc, netsim
 from rtdcorr.corr_model import STRONG_CORR_THRESHOLD
 from rtdcorr.dataset import HostRecord, validate_registry
 from rtdcorr.errors import BestlineError, ValidationError
@@ -251,6 +251,33 @@ def test_contrast_probes_match_dict_reference(cn_campaign, seed):
     got = experiments._contrast_probes(cn_campaign, seed)
     want = dict_contrast_probes(cn_campaign.topology.registry.probes(), seed)
     assert [cn_campaign.samples.probe_ids[i] for i in got.tolist()] == want
+
+
+def test_contrast_group_is_drawn_once_per_campaign_and_seed(cn_config, monkeypatch):
+    campaign = experiments.prepare_campaign(cn_config, seed=42)
+    draws, pair_rng = [], netsim.pair_rng
+
+    def counting_pair_rng(seed, *keys):
+        draws.append((seed, *keys))
+        return pair_rng(seed, *keys)
+
+    monkeypatch.setattr(netsim, "pair_rng", counting_pair_rng)
+    spec = experiments.ExperimentSpec(config="cn-like", algorithm="cbg", mode="original")
+    outcomes = experiments.run_experiment(spec, campaign)
+    assert draws.count((42, "contrast")) == 1
+    # repeated calls hand out the one read-only group; another seed draws its own
+    group = experiments._contrast_probes(campaign, 42)
+    assert experiments._contrast_probes(campaign, 42) is group and not group.flags.writeable
+    assert not np.array_equal(experiments._contrast_probes(campaign, 7), group)
+    assert draws.count((42, "contrast")) == 1 and draws.count((7, "contrast")) == 1
+    # every outcome equals that of a locate that draws the group afresh
+    for target, outcome in zip(experiments.pick_targets(campaign, 100, 42), outcomes):
+        campaign._contrast.clear()
+        res = experiments.cbg_locate_target(campaign, target, spec)
+        assert (res.status, res.city or "", res.reason) == (
+            outcome.status, outcome.pred_city, outcome.reason)
+        assert res.coordinate == (None if outcome.pred_lat is None
+                                  else Coordinate(outcome.pred_lat, outcome.pred_lon))
 
 
 # ------------------------------------------------------------- CBG grid
@@ -635,16 +662,25 @@ def test_geoget_locate_target_on_mini_config(mini_campaign):
     """The ISP filter: original GeoGet probes the other ISPs' landmarks,
     modified the target's own.  l3 alone sits in ISP y, in b2, which is not
     its region's center city: original l1 and l2 reach it through phase 2."""
+    topo = mini_campaign.topology
     got = {}
     for mode in ("original", "modified"):
         spec = experiments.ExperimentSpec(config="mini", algorithm="geoget", mode=mode)
         for t in ("l1", "l2", "l3"):
-            res = experiments.geoget_locate_target(mini_campaign, mini_campaign.topology.host(t), spec)
+            res = experiments.geoget_locate_target(mini_campaign, topo.host(t), spec)
             got[mode, t] = (res.status, res.city, res.reason)
+            if res.status == "located":
+                # every pool here is one landmark or centers of distinct
+                # areas, so the winner is the pool's least target-side delay
+                pool = [h.id for h in topo.registry.landmarks()
+                        if (h.isp == topo.host(t).isp) == (mode == "modified") and h.id != t]
+                delays = netsim.simulate_row(topo, mini_campaign.config, spec.seed, t, pool,
+                                             stream="target").min(axis=1)
+                assert res.city == topo.host(pool[int(np.argmin(delays))]).city
     assert got == {
         ("original", "l1"): ("located", "b2", ""),
         ("original", "l2"): ("located", "b2", ""),
-        ("original", "l3"): ("located", "a", ""),
+        ("original", "l3"): ("located", "b", ""),
         ("modified", "l1"): ("located", "b", ""),
         ("modified", "l2"): ("located", "a", ""),
         ("modified", "l3"): ("failed", None, "no landmarks pass the ISP filter for 'y'"),

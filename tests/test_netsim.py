@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtdcorr import dataset, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
@@ -14,7 +16,7 @@ from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
 from conftest import pair_rtts
-from reference import route_scalar
+from reference import route_scalar, scalar_pair_uniforms, shake_key64, splitmix64_mix
 
 
 def mini_config(jitter=0.3, k=3, intra_sigma=0.25, inter_sigma=1.0, pin_hosts=False):
@@ -251,12 +253,74 @@ def test_open_unit_stays_inside():
     assert u[0] < u[2] < u[3]
 
 
+def test_mix_is_splitmix64():
+    # the reference's first two outputs of SplitMix64 seeded with 0 are the
+    # published ones (Steele, Lea & Flood, OOPSLA 2014)
+    gamma = int(netsim._GOLDEN_GAMMA)
+    assert [splitmix64_mix(k * gamma % 2 ** 64) for k in (1, 2)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=30))
+def test_mix_matches_reference(keys):
+    assert netsim._mix(np.array(keys, dtype=np.uint64)).tolist() == [
+        splitmix64_mix(k) for k in keys]
+
+
+#: seeds past 64 bits either way: the seed only enters the row key's text
+SEEDS = st.integers(-2 ** 70, 2 ** 70)
+#: stream names never hold the key separator
+STREAMS = st.text(st.characters(codec="utf-8", exclude_characters="|"), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(st.integers(0, 2 ** 64 - 1), max_size=20), seed=SEEDS, stream=STREAMS,
+       src=st.text(st.characters(codec="utf-8"), max_size=8), n_words=st.integers(1, 8))
+def test_pair_uniforms_match_scalar_reference(keys, seed, stream, src, n_words):
+    got = netsim.pair_uniforms(seed, stream, src, np.array(keys, dtype=np.uint64), n_words)
+    assert got.shape == (len(keys), n_words)
+    assert got.tolist() == scalar_pair_uniforms(seed, stream, src, keys, n_words)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(SEEDS, STREAMS), min_size=2, max_size=4, unique=True))
+def test_distinct_seeds_and_streams_give_disjoint_words(rows):
+    keys = np.arange(64, dtype=np.uint64)
+    words = np.concatenate([netsim.pair_uniforms(seed, stream, "p1", keys, 5).ravel()
+                            for seed, stream in rows])
+    assert np.unique(words).size == words.size
+
+
+def test_words_are_uniform_and_uncorrelated():
+    # consecutive integers as destination keys: the least random input the
+    # pair mixer can get
+    n = 10 ** 5
+    u = netsim.pair_uniforms(42, "campaign", "p1", np.arange(n, dtype=np.uint64), 5)
+    ecdf = np.arange(1, n + 1) / n
+    for column in u.T:
+        x = np.sort(column)
+        ks = max((ecdf - x).max(), (x - (ecdf - 1.0 / n)).max())
+        assert ks < 1.95 / math.sqrt(n)  # the KS critical value at alpha = 0.001
+    # between the words of a pair, and between a word and the next pair's
+    r = np.corrcoef(np.concatenate([u[:-1], u[1:, :1]], axis=1).T)
+    assert np.abs(r[~np.eye(6, dtype=bool)]).max() < 5 / math.sqrt(n)
+
+
+def test_host_keys_are_lazy_digests_of_host_ids():
+    topo = netsim.build_topology(mini_config())
+    assert "_host_key" not in vars(topo)
+    assert topo._host_key.dtype == np.uint64
+    assert topo._host_key.tolist() == [shake_key64(h) for h in topo._host_pos]
+
+
 def test_draw_distribution_over_cn_like_campaign(cn_config):
     topo = netsim.build_topology(cn_config)
     pm = cn_config.path_model
     lms = sorted(h.id for h in topo.registry.landmarks())
     probes = sorted(h.id for h in topo.registry.probes())
     k = pm.samples_per_pair
+    keys = topo._host_key[topo._host_positions(lms)]
     logs = {True: [], False: []}
     jitter, words = [], []
     for p in probes:
@@ -266,7 +330,7 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
             law = pm.intra_r if intra else pm.inter_r
             logs[intra].append(np.log(f.r[same == intra] - law.shift))
         jitter.append(jit)
-        words.append(netsim.pair_uniforms(42, "campaign", p, lms, 2 + k))
+        words.append(netsim.pair_uniforms(42, "campaign", p, keys, 2 + k))
     # log(R - shift) ~ N(mu, sigma) per law: 5 standard errors
     for intra, law in ((True, pm.intra_r), (False, pm.inter_r)):
         x = np.concatenate(logs[intra])
@@ -282,10 +346,10 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
     assert (u > 0.0).all() and (u < 1.0).all()
     # distinct pairs draw distinct words, and so do distinct streams and seeds
     assert np.unique(u, axis=0).shape[0] == u.shape[0]
-    campaign = netsim.pair_uniforms(42, "campaign", probes[0], lms, 2 + k)
+    campaign = netsim.pair_uniforms(42, "campaign", probes[0], keys, 2 + k)
     assert (campaign == words[0]).all()
-    for other in (netsim.pair_uniforms(42, "target", probes[0], lms, 2 + k),
-                  netsim.pair_uniforms(43, "campaign", probes[0], lms, 2 + k)):
+    for other in (netsim.pair_uniforms(42, "target", probes[0], keys, 2 + k),
+                  netsim.pair_uniforms(43, "campaign", probes[0], keys, 2 + k)):
         assert not (other == campaign).any(axis=1).any()
 
 
