@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,17 +56,14 @@ def load_experiment_spec(path) -> ExperimentSpec:
     try:
         netsim._closed(doc, ("config", "algorithm", "mode", "threshold", "grid_km", "seed",
                              "targets", "candidate_areas"), "experiment spec")
-        return ExperimentSpec(
-            config=str(doc["config"]),
-            algorithm=str(doc["algorithm"]),
-            mode=str(doc["mode"]),
-            threshold=netsim._require_float(
-                doc.get("threshold", corr_model.STRONG_CORR_THRESHOLD), "threshold"),
-            grid_km=netsim._require_float(doc.get("grid_km", 10.0), "grid_km"),
-            seed=netsim._require_int(doc.get("seed", 42), "seed"),
-            n_targets=netsim._require_int(doc.get("targets", 100), "targets"),
-            candidate_areas=netsim._require_int(doc.get("candidate_areas", 1), "candidate_areas"),
-        )
+        options = netsim._present(doc, {
+            "threshold": netsim._require_float, "grid_km": netsim._require_float,
+            "seed": netsim._require_int, "targets": netsim._require_int,
+            "candidate_areas": netsim._require_int})
+        if "targets" in options:
+            options["n_targets"] = options.pop("targets")
+        return ExperimentSpec(config=str(doc["config"]), algorithm=str(doc["algorithm"]),
+                              mode=str(doc["mode"]), **options)
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:  # a value of the wrong type or form
@@ -77,10 +74,10 @@ def load_experiment_spec(path) -> ExperimentSpec:
 class Campaign:
     config: netsim.SimConfig
     topology: netsim.Topology
-    seed: int
     samples: dataset.SampleTable  # sorted by pair, so each probe's rows are one slice
     reports: corr_model.ProbeCorr  # the probe x landmark-ISP correlation grid
-    _bestlines: dict  # (probe_id, landmark_isp or None) -> Bestline | None
+    # (probe_id, landmark_isp or None) -> Bestline | None, filled on first use
+    _bestlines: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         s = self.samples
@@ -130,7 +127,7 @@ def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
     topology = netsim.build_topology(config)
     rtts = netsim.simulate_campaign(topology, config, seed)
     samples = dataset.join_distances(dataset.ingest_rtt(rtts), topology.registry)
-    return Campaign(config, topology, seed, samples, corr_model.all_probe_reports(samples), {})
+    return Campaign(config, topology, samples, corr_model.all_probe_reports(samples))
 
 
 def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostRecord]:

@@ -105,12 +105,7 @@ def vincenty_bracket(h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def geodesic_distance_full(a: Coordinate, b: Coordinate) -> GeodesicResult:
-    """Vincenty inverse distance with the fallback flag exposed.
-
-    Arguments are canonicalized so the result is bitwise symmetric.
-    """
-    if (b.lat, b.lon) < (a.lat, a.lon):
-        a, b = b, a
+    """Vincenty inverse distance with the fallback flag exposed."""
     km, fell_back = _vincenty(a.lat, a.lon, b.lat, b.lon)
     return GeodesicResult(float(km), bool(fell_back))
 
@@ -131,13 +126,18 @@ def geodesic_distance_many(
 
 def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     """The Vincenty (1975) inverse iteration, the one implementation of it:
-    distances in km and the mask of pairs that took the great-circle fallback."""
-    lats1, lons1, lats2, lons2 = np.broadcast_arrays(
-        np.asarray(lats1, dtype=float),
-        np.asarray(lons1, dtype=float),
-        np.asarray(lats2, dtype=float),
-        np.asarray(lons2, dtype=float),
-    )
+    distances in km and the mask of pairs that took the great-circle fallback.
+
+    Each pair is put in (lat, lon) key order first.  The inverse is symmetric
+    in exact arithmetic, so the order decides only the rounding, and every
+    distance in the package is bitwise symmetric.
+    """
+    lats1, lons1, lats2, lons2 = (
+        np.asarray(v, dtype=float) for v in (lats1, lons1, lats2, lons2))
+    # the mask has the four inputs' broadcast shape, so the ordered arrays do
+    swap = (lats2 < lats1) | ((lats2 == lats1) & (lons2 < lons1))
+    lats1, lats2 = np.where(swap, lats2, lats1), np.where(swap, lats1, lats2)
+    lons1, lons2 = np.where(swap, lons2, lons1), np.where(swap, lons1, lons2)
     phi1, phi2 = np.radians(lats1), np.radians(lats2)
     ell = np.radians(lons2 - lons1)
 

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -43,7 +44,8 @@ MIN_PAIR_DISTANCE_KM = 1e-6
 #: kernel's temporaries to a few MB
 _ROWS_PER_KERNEL_CALL = 16
 
-_EPOCH_MINUTES = "2017-01-01T00:{m:02d}:00Z"
+#: the time of a campaign's first observation; observation m is m minutes on
+_EPOCH = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
 #: SplitMix64's increment: the 64-bit golden ratio (Steele, Lea & Flood,
 #: "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014)
@@ -132,9 +134,6 @@ class Topology:
     center_of_region: dict[str, City]
 
     def __post_init__(self):
-        # Sites are the distinct host and city coordinates, sorted by their
-        # (lat, lon) key: that is the order in which geodesic_distance puts its
-        # arguments, so _dist[i, j] with i < j is that of the canonical pair.
         self._sites = sorted(
             {(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()}
             | {(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()}
@@ -183,17 +182,14 @@ class Topology:
     @functools.cached_property
     def _dist(self) -> np.ndarray:
         """The one store of site-to-site distances: a symmetric matrix in site
-        order, computed on first read.  Each pair i < j comes from the kernel
-        with the smaller key first, a block of rows against columns lo: per
-        call, and is mirrored to (j, i); no second matrix is ever held."""
+        order, computed on first read.  Each kernel call fills rows lo:hi
+        against columns lo:, and the block is mirrored to columns lo:hi; no
+        second matrix is ever held."""
         lats, lons = np.array(self._sites).reshape(-1, 2).T
         dist = np.empty((lats.size, lats.size))
         for lo in range(0, lats.size, _ROWS_PER_KERNEL_CALL):
             hi = min(lo + _ROWS_PER_KERNEL_CALL, lats.size)
             block = geodesic_distance_many(lats[lo:hi, None], lons[lo:hi, None], lats[lo:], lons[lo:])
-            # within the block's own square only pairs i < j are canonical
-            square = np.triu(block[:, :hi - lo], 1)
-            block[:, :hi - lo] = square + square.T
             dist[lo:hi, lo:] = block
             dist[lo:, lo:hi] = block.T
         return dist
@@ -479,12 +475,12 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
         simulate_row(topology, config, seed, probe_id, landmark_ids, "campaign").ravel()
         for probe_id in probe_ids
     ])
-    stamps = tuple(_EPOCH_MINUTES.format(m=m) for m in range(min(k, 60)))
+    stamps = tuple(f"{_EPOCH + timedelta(minutes=m):%Y-%m-%dT%H:%M:%SZ}" for m in range(k))
     return RttTable(
         tuple(probe_ids), tuple(landmark_ids), stamps,
         probe=np.repeat(np.arange(n_probes), n_landmarks * k),
         landmark=np.tile(np.repeat(np.arange(n_landmarks), k), n_probes),
-        stamp=np.tile(np.arange(k) % 60, n_probes * n_landmarks),
+        stamp=np.tile(np.arange(k), n_probes * n_landmarks),
         rtt_ms=rtt_ms,
     )
 
@@ -551,6 +547,13 @@ def _require_float(value, key: str) -> float:
     return float(value)
 
 
+def _present(mapping: Mapping, parsers: Mapping) -> dict:
+    """Each key of ``parsers`` that ``mapping`` holds, its value parsed by
+    ``parser(value, key)``; a key the mapping lacks keeps its dataclass
+    default, which is the only copy of it."""
+    return {key: parse(mapping[key], key) for key, parse in parsers.items() if key in mapping}
+
+
 #: the safe loader on libyaml's parser when pyyaml was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -611,30 +614,19 @@ def _parse_config(doc) -> SimConfig:
     pm = _closed(doc.get("path_model", {}),
                  ("v_km_s", "intra_r", "inter_r", "jitter", "samples_per_pair"), "path_model")
 
-    def lognorm(key: str, default: LogNormalShift, shift: float) -> LogNormalShift:
-        if key not in pm:
-            return default
-        law = _closed(pm[key], ("mu", "sigma"), key)
+    def lognorm(law, key: str) -> LogNormalShift:
+        law = _closed(law, ("mu", "sigma"), key)
         return LogNormalShift(
             _require_float(_require(law, "mu", key), f"{key}.mu"),
             _require_float(_require(law, "sigma", key), f"{key}.sigma"),
-            shift=shift,
+            shift=1.0,
         )
 
-    path_model = PathModelConfig(
-        v_km_s=_require_float(pm.get("v_km_s", DEFAULT_SPEED_KM_S), "v_km_s"),
-        intra_r=lognorm("intra_r", PathModelConfig().intra_r, shift=1.0),
-        inter_r=lognorm("inter_r", PathModelConfig().inter_r, shift=1.0),
-        jitter=_require_float(pm.get("jitter", 0.3), "jitter"),
-        samples_per_pair=_require_int(pm.get("samples_per_pair", 3), "samples_per_pair"),
-    )
-    return SimConfig(
-        cities=cities,
-        isps=isps,
-        hosts=hosts,
-        path_model=path_model,
-        scatter_km=_require_float(doc.get("scatter_km", 8.0), "scatter_km"),
-    )
+    path_model = PathModelConfig(**_present(pm, {
+        "v_km_s": _require_float, "intra_r": lognorm, "inter_r": lognorm,
+        "jitter": _require_float, "samples_per_pair": _require_int}))
+    return SimConfig(cities=cities, isps=isps, hosts=hosts, path_model=path_model,
+                     **_present(doc, {"scatter_km": _require_float}))
 
 
 def bundled_config_path(name: str) -> Path:

@@ -72,6 +72,21 @@ def test_simulate_header_and_files(capsys, tmp_path, mini_config_path):
     assert (out / "hosts.csv").exists() and (out / "rtt.csv").exists()
 
 
+def test_simulate_stamps_observations_past_the_hour(capsys, tmp_path):
+    # observation m is stamped m minutes after the epoch, so no two of a
+    # pair's 61 observations share a timestamp
+    config = tmp_path / "k61.yaml"
+    config.write_text(MINI_YAML.replace("samples_per_pair: 3", "samples_per_pair: 61"))
+    out = tmp_path / "sim"
+    code, _, _ = run(capsys, "simulate", "--config", str(config), "--out-dir", str(out))
+    assert code == 0
+    with open(out / "rtt.csv", newline="") as fh:
+        rows = [(r["probe_id"], r["landmark_id"], r["timestamp_iso8601"]) for r in csv.DictReader(fh)]
+    assert len(rows) == len(set(rows)) == 2 * 3 * 61
+    assert {ts for _, _, ts in rows} == {
+        f"2017-01-01T{m // 60:02d}:{m % 60:02d}:00Z" for m in range(61)}
+
+
 def test_simulate_header_names_no_speed(capsys, tmp_path):
     """The speed is the config's, not a knob of the command: the header
     leaves it out rather than print one the run does not use."""

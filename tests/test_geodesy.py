@@ -202,3 +202,24 @@ def test_kernel_matches_reference_at_edges(pairs):
         got, want = geodesic_distance_full(a, b), vincenty_scalar(*sorted((a, b)))
         assert got.used_fallback == want.used_fallback
         assert abs(got.km - want.km) <= tol(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(bracket_pairs(), min_size=1, max_size=6))
+def test_kernel_owns_the_pair_order(pairs):
+    # the kernel puts each pair in (lat, lon) key order itself, so no bit of a
+    # distance depends on the argument order, the entry point, or the batch
+    # (its size, order, or a broadcast source) the pair is computed in
+    lat1, lon1, lat2, lon2 = (
+        np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])
+    )
+    many = geodesic_distance_many(lat1, lon1, lat2, lon2)
+    assert np.array_equal(many, geodesic_distance_many(lat2, lon2, lat1, lon1))
+    assert np.array_equal(
+        many[::-1], geodesic_distance_many(lat1[::-1], lon1[::-1], lat2[::-1], lon2[::-1]))
+    a = pairs[0][0]
+    row = geodesic_distance_many(a.lat, a.lon, lat2, lon2)
+    for (p, q), km, from_a in zip(pairs, many.tolist(), row.tolist()):
+        assert km == geodesic_distance(p, q) == geodesic_distance(q, p)
+        assert km == geodesic_distance_many(q.lat, q.lon, p.lat, p.lon)
+        assert from_a == geodesic_distance(a, q)

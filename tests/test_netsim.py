@@ -10,12 +10,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import dataset, geoloc, netsim
+from rtdcorr import dataset, experiments, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
-from conftest import pair_rtts
+from conftest import MINI_YAML, pair_rtts
 from reference import route_scalar, scalar_pair_uniforms, shake_key64, splitmix64_mix
 
 
@@ -374,7 +374,7 @@ def test_site_matrix_is_one_canonical_batch_on_cn_like(cn_config):
     dist = topo._dist
     assert "_dist" in vars(topo)
     assert (dist == dist.T).all() and (np.diag(dist) == 0.0).all()
-    # each pair i < j is the kernel's with the smaller key first
+    # each pair i < j is the kernel's
     i, j = np.triu_indices(len(keys), 1)
     sites = np.array(topo._sites)
     want = geodesic_distance_many(sites[i, 0], sites[i, 1], sites[j, 0], sites[j, 1])
@@ -452,6 +452,24 @@ def test_load_config_roundtrip(mini_config_path):
     assert len(topo.registry) == 5
 
 
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    doc = yaml.safe_load(MINI_YAML)
+    del doc["path_model"], doc["scatter_km"]
+    config = tmp_path / "bare.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    cfg = netsim.load_config(config)
+    assert cfg == netsim.SimConfig(cfg.cities, cfg.isps, cfg.hosts)
+    assert cfg.path_model == netsim.PathModelConfig()
+    # a partial path_model keeps the defaults of the keys it leaves out
+    doc["path_model"] = {"jitter": 0.5}
+    config.write_text(yaml.safe_dump(doc))
+    assert netsim.load_config(config).path_model == netsim.PathModelConfig(jitter=0.5)
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("config: cn-like\nalgorithm: cbg\nmode: original\n")
+    assert experiments.load_experiment_spec(spec) == experiments.ExperimentSpec(
+        "cn-like", "cbg", "original")
+
+
 def test_resolve_bundled_config_by_name():
     cfg = netsim.resolve_config("cn-like")
     topo = netsim.build_topology(cfg)
@@ -505,6 +523,21 @@ def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
                                               s.distance_km.tolist(), s.delay_ms.tolist())
                if s.probe_ids[p] == probe and s.isps[lisp] == isp]
         assert cn_campaign.bestline(probe, isp) == geoloc.fit_bestline(pts)
+
+
+@pytest.mark.parametrize("campaign", ["mini_campaign", "cn_campaign"])
+def test_campaign_join_equals_the_site_matrix(request, campaign):
+    # the join and the site matrix share the kernel's one pair order, so each
+    # sampled pair's distance is the matrix entry of its two sites, bit for bit
+    c = request.getfixturevalue(campaign)
+    s, topo = c.samples, c.topology
+
+    def sites(ids):
+        coords = [topo.host(h).coordinate for h in ids]
+        return np.array([topo._site_index[(x.lat, x.lon)] for x in coords])
+
+    want = topo._dist[sites(s.probe_ids)[s.probe], sites(s.landmark_ids)[s.landmark]]
+    assert np.array_equal(s.distance_km, want)
 
 
 def test_center_probes_correlate_better(cn_campaign):
