@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import operator
 from array import array
@@ -387,14 +388,37 @@ def read_hosts_csv(path) -> Registry:
     return validate_registry(records)
 
 
+_CHUNK_ROWS = 1024
+
+
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """The one CSV writer: the header, then the rows, in the csv module's
     default dialect (CRLF line ends, a field quoted only when it holds a
-    comma, a double quote or a line break)."""
+    comma, a double quote or a line break).
+
+    Rows go out in chunks.  A chunk of str fields that needs no quoting is
+    written as its lines joined; any other chunk goes through ``csv.writer``,
+    so the bytes are the same either way."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        rows = iter(rows)
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            try:
+                lines = list(map(",".join, chunk))
+            except TypeError:  # a field that is not a str
+                w.writerows(chunk)
+                continue
+            text = "\r\n".join(lines)
+            # csv.writer quotes a field holding a comma, a double quote, CR or
+            # LF, and a row of one empty field: in a plain chunk every comma, CR
+            # and LF is a separator, and no line is empty
+            if (text.count(",") == sum(map(len, chunk)) - len(chunk)
+                    and text.count("\r") == text.count("\n") == len(chunk) - 1
+                    and '"' not in text and "" not in lines):
+                fh.write(text + "\r\n")
+            else:
+                w.writerows(chunk)
 
 
 def write_hosts_csv(registry: Registry, path) -> None:
@@ -445,8 +469,8 @@ def write_samples_csv(samples: SampleTable, path) -> None:
     write_csv(path, SAMPLE_COLUMNS, zip(
         _labels(samples.probe_ids, samples.probe),
         _labels(samples.landmark_ids, samples.landmark),
-        [repr(v) for v in samples.delay_ms.tolist()],  # repr round-trips bit-exactly
-        [f"{v:.6f}" for v in samples.distance_km.tolist()],
+        map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
+        map("{:.6f}".format, samples.distance_km.tolist()),
         _labels(samples.isps, samples.probe_isp),
         _labels(samples.isps, samples.landmark_isp),
         _labels(samples.cities, samples.probe_city),

@@ -1,5 +1,9 @@
+import csv
+import io
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import dataset
@@ -191,3 +195,70 @@ def test_samples_csv_roundtrip(tmp_path):
     back = dataset.read_samples_csv(path)
     assert back.delay_ms[0] == 17.0625  # repr round-trip keeps delays bit-exact
     assert back.probe_ids[back.probe[0]] == "p" and back.isps[back.landmark_isp[0]] == "A"
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+plain_rows = st.lists(st.text(alphabet="ab .-", max_size=3), min_size=1, max_size=4)
+str_rows = st.lists(st.text(alphabet='ab ,"\r\n', max_size=4), max_size=4)
+any_rows = st.lists(st.one_of(
+    st.text(alphabet='ab ,"\r\n', max_size=4), st.none(), st.integers(), st.floats(),
+    st.booleans()), max_size=4)
+
+
+@given(st.lists(st.one_of(plain_rows, str_rows, any_rows), max_size=12))
+@example([["a,b"]])
+@example([['a"b']])
+@example([["a\rb"], ["c"]])
+@example([["a\nb"], ["c"]])
+@example([[""]])
+@example([[None]])
+@example([[]])
+@example([["a", ""], ["", ""], [" "]])
+def test_write_csv_bytes_equal_csv_writer(tmp_path_factory, rows):
+    """The one writer's bytes are csv.writer's, whether a chunk takes the
+    joined-lines path or falls back."""
+    path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+    dataset.write_csv(path, ("x", "y"), rows)
+    assert path.read_bytes() == csv_writer_bytes(("x", "y"), rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(dataset._CHUNK_ROWS + 1, 2 * dataset._CHUNK_ROWS + 1),
+    where=st.floats(0, 1),
+    odd=st.one_of(str_rows, any_rows),
+)
+def test_write_csv_quotes_a_field_after_the_first_chunk(tmp_path_factory, n, where, odd):
+    """Row counts that straddle the chunk size, with the one row that may
+    need the csv module's treatment placed after the first chunk."""
+    rows = [(f"p{i}", "", "x y") for i in range(n)]
+    at = dataset._CHUNK_ROWS + int(where * (n - 1 - dataset._CHUNK_ROWS))
+    rows[at] = odd
+    path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+    dataset.write_csv(path, ("a", "b", "c"), iter(rows))
+    assert path.read_bytes() == csv_writer_bytes(("a", "b", "c"), rows)
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    """write_csv never holds the whole file's text: writing ~120k rtt-like
+    rows from a generator peaks well below the size of the text."""
+    rtt = [f"{i * 0.001:.6f}" for i in range(121_500)]
+    ids = [f"h{i:03d}" for i in range(450)]
+    rows = ((ids[i % 90], ids[i % 450], "2017-01-01T00:00:00Z", v) for i, v in enumerate(rtt))
+    path = tmp_path / "rtt.csv"
+    tracemalloc.start()
+    try:
+        dataset.write_csv(path, dataset.RTT_COLUMNS, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text_bytes = path.stat().st_size
+    assert text_bytes > 4_000_000
+    assert peak < text_bytes / 4
