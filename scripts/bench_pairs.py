@@ -2,21 +2,21 @@
 """Alternating parent/change benchmark pairs on one workload and seed.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload pipeline \
-        [--seed 42] [--pairs 10] [--seconds 12]
+        [--seed 42] [--pairs 10]
 
 Each directory is a checkout of the repository.  Pair i runs
-``benchmark/run.py --workload W --seed S --seconds T`` once in each
-checkout, the parent first in even pairs and the change first in odd ones,
-so drift in the host's speed falls on both sides alike.  The runs are
-sequential; nothing else should run on the host meanwhile.
+``benchmark/run.py --workload W --seed S`` once in each checkout, so the
+benchmark's own default sets the run length; the parent runs first in even
+pairs and the change first in odd ones, so drift in the host's speed falls
+on both sides alike.  The runs are sequential; nothing else should run on
+the host meanwhile.
 
 Prints one JSON object: each run's result line (``correct``, ``attempted``,
 ``failed`` and the end-to-end values), and for every end-to-end metric each
 side's median, quartiles (inclusive method) and extremes, the number of
-pairs the change wins, the median gap (positive when the change is better)
-and whether that gap exceeds the parent's interquartile range.  A metric is
-better when lower unless the change checkout's ``BENCHMARK.json`` says
-otherwise.  Standard library only.
+pairs the change wins, the median gap (positive when the change is lower,
+as every end-to-end metric is better lower) and whether that gap exceeds the
+parent's interquartile range.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result line of one benchmark run in a checkout, plus its exit code."""
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -51,32 +50,21 @@ def spread(values: list[float]) -> dict:
             "min": min(values), "max": max(values)}
 
 
-def compare(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
-    sign = 1 if lower_is_better else -1
+def compare(parent: list[float], change: list[float]) -> dict:
     p, c = spread(parent), spread(change)
-    gap = sign * (p["median"] - c["median"])
+    gap = p["median"] - c["median"]
     iqr = p["q3"] - p["q1"]
     return {
-        "better": "lower" if lower_is_better else "higher",
         "parent": p,
         "change": c,
         "parent_runs": parent,
         "change_runs": change,
-        "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+        "change_wins": sum(a > b for a, b in zip(parent, change)),
         "median_gap": gap,
         "median_change_rel": (c["median"] - p["median"]) / p["median"] if p["median"] else None,
         "parent_iqr": iqr,
         "gap_exceeds_parent_iqr": gap > iqr,
     }
-
-
-def directions(checkout: Path) -> dict[str, bool]:
-    """{metric: lower is better} from the checkout's BENCHMARK.json, if any."""
-    try:
-        spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return {m["name"]: m.get("better", "lower") == "lower" for m in spec.get("end_to_end", [])}
 
 
 def main(argv=None) -> int:
@@ -86,7 +74,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=12.0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -98,23 +85,20 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(checkout, args.workload, args.seed))
             print(f"pair {i + 1}/{args.pairs} {side}: {json.dumps(runs[side][-1])}",
                   file=sys.stderr)
 
-    lower = directions(args.change)
     names = sorted(set.intersection(*(
         set(r.get("metrics", {})) for side in SIDES for r in runs[side])))
     metrics = {
-        name: compare(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES),
-                      lower.get(name, True))
+        name: compare(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES))
         for name in names
     }
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
         "pairs": args.pairs,
-        "seconds": args.seconds,
         "all_correct": all(r.get("correct") is True for side in SIDES for r in runs[side]),
         "runs": runs,
         "metrics": metrics,

@@ -413,9 +413,10 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
             # csv.writer quotes a field holding a comma, a double quote, CR or
             # LF, and a row of one empty field: in a plain chunk every comma, CR
             # and LF is a separator, and no line is empty
-            if (text.count(",") == sum(map(len, chunk)) - len(chunk)
+            if ('"' not in text
+                    and text.count(",") == sum(map(len, chunk)) - len(chunk)
                     and text.count("\r") == text.count("\n") == len(chunk) - 1
-                    and '"' not in text and "" not in lines):
+                    and "" not in lines):
                 fh.write(text + "\r\n")
             else:
                 w.writerows(chunk)
