@@ -359,10 +359,8 @@ def _csv_rows(path, required: Iterable[str]):
         try:
             yield header, rows()
         except (ValueError, NotFoundError) as exc:
-            # str() of a KeyError (NotFoundError) is its message in quotes
-            msg = exc.args[0] if isinstance(exc, NotFoundError) else exc
             where = path if read_all else f"{path}:{reader.line_num}"
-            raise ValidationError(f"{where}: {msg}") from exc
+            raise ValidationError(f"{where}: {exc}") from exc
 
 
 def parse_csv(path, required: Iterable[str], parse: Callable[[dict], object]) -> list:

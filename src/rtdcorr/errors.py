@@ -8,6 +8,10 @@ class ValidationError(ValueError):
 class NotFoundError(KeyError):
     """A referenced host, city or ISP does not exist."""
 
+    def __str__(self) -> str:
+        # the message itself, not KeyError's repr of it in quotes
+        return Exception.__str__(self)
+
 
 class BestlineError(ValidationError):
     """No feasible lower linear bound exists for the given points."""

@@ -50,24 +50,19 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    doc = netsim.read_yaml(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: experiment spec must be a mapping")
-    try:
-        netsim._closed(doc, ("config", "algorithm", "mode", "threshold", "grid_km", "seed",
-                             "targets", "candidate_areas"), "experiment spec")
-        options = netsim._present(doc, {
-            "threshold": netsim._require_float, "grid_km": netsim._require_float,
-            "seed": netsim._require_int, "targets": netsim._require_int,
-            "candidate_areas": netsim._require_int})
-        if "targets" in options:
-            options["n_targets"] = options.pop("targets")
-        return ExperimentSpec(config=str(doc["config"]), algorithm=str(doc["algorithm"]),
-                              mode=str(doc["mode"]), **options)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
-        raise ValidationError(f"{path}: {exc}") from exc
+    return netsim.load_yaml(path, _parse_spec)
+
+
+def _parse_spec(doc) -> ExperimentSpec:
+    spec = netsim._fields(doc, "experiment spec", {
+        "config": netsim._require_str, "algorithm": netsim._require_str,
+        "mode": netsim._require_str}, {
+        "threshold": netsim._require_float, "grid_km": netsim._require_float,
+        "seed": netsim._require_int, "targets": netsim._require_int,
+        "candidate_areas": netsim._require_int})
+    if "targets" in spec:
+        spec["n_targets"] = spec.pop("targets")
+    return ExperimentSpec(**spec)
 
 
 @dataclass

@@ -507,21 +507,12 @@ def sample_independent(
     return PathFactors(rs, ts, ds)
 
 
-def _require(mapping: Mapping, key: str, where: str):
-    if key not in mapping:
-        raise ValidationError(f"{where}: missing key {key!r}")
-    return mapping[key]
-
-
-def _closed(mapping, keys: Sequence[str], where: str):
-    """The mapping itself, once each of its keys is one of ``keys``: a key
-    rtdcorr does not read (a misspelling) is a ValidationError naming it."""
-    if not isinstance(mapping, dict):
-        raise ValidationError(f"{where} must be a mapping, got {mapping!r}")
-    for key in mapping:
-        if key not in keys:
-            raise ValidationError(f"{where}: unknown key {key!r}")
-    return mapping
+def _require_str(value, key: str) -> str:
+    """A YAML string; a number, a bool, null or a collection is a
+    ValidationError naming the key."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _require_int(value, key: str) -> int:
@@ -540,93 +531,101 @@ def _require_bool(value, key: str) -> bool:
 
 
 def _require_float(value, key: str) -> float:
-    """A YAML number (integer or float) as a float; a bool, a string or
+    """A YAML number (integer or float) as a float; a bool, a string, null or
     anything else is a ValidationError naming the key."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _present(mapping: Mapping, parsers: Mapping) -> dict:
-    """Each key of ``parsers`` that ``mapping`` holds, its value parsed by
-    ``parser(value, key)``; a key the mapping lacks keeps its dataclass
-    default, which is the only copy of it."""
-    return {key: parse(mapping[key], key) for key, parse in parsers.items() if key in mapping}
+def _list_of(parse):
+    """The parser of a YAML list: the tuple of ``parse(item, key)`` over its
+    items; a value that is not a list is a ValidationError naming the key."""
+    def parse_list(value, key: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{key} must be a list, got {value!r}")
+        return tuple(parse(item, key) for item in value)
+    return parse_list
+
+
+def _fields(mapping, where: str, required: Mapping, optional: Mapping) -> dict:
+    """A YAML mapping's values, each parsed by ``parser(value, key)`` with its
+    key's parser from ``required`` or ``optional``, the mapping's one schema.
+    A value that is not a mapping, a key in neither table (a misspelling) or
+    a required key it lacks is a ValidationError naming ``where``.  An
+    optional key it lacks is left out, so it keeps its dataclass default,
+    which is the only copy of it."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where} must be a mapping, got {mapping!r}")
+    for key in mapping:
+        if key not in required and key not in optional:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in mapping:
+            raise ValidationError(f"{where}: missing key {key!r}")
+    return {key: (required[key] if key in required else optional[key])(value, key)
+            for key, value in mapping.items()}
 
 
 #: the safe loader on libyaml's parser when pyyaml was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def read_yaml(path):
-    """The YAML document in a file, parsed by the safe loader; malformed
-    YAML (or a scalar it cannot construct, such as a bad date) is a
-    ValidationError naming the file."""
+def load_yaml(path, parse):
+    """``parse(doc)`` of the YAML document in a file, read by the safe
+    loader.  Malformed YAML, a scalar the loader cannot construct (such as a
+    bad date) and a ValueError from ``parse`` (a ValidationError included)
+    are a ValidationError naming the file."""
     try:
         with open(path) as fh:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
+        return parse(doc)
     except (yaml.YAMLError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> SimConfig:
     """Parse a YAML simulation config (cities, isps, hosts, path_model)."""
-    doc = read_yaml(path)
-    try:
-        return _parse_config(doc)
-    except (TypeError, AttributeError, ValueError) as exc:
-        # a value of the wrong type or form
-        raise ValidationError(f"{path}: {exc}") from exc
+    return load_yaml(path, _parse_config)
+
+
+def _law(value, key: str) -> LogNormalShift:
+    """A log-normal law of R - 1 (so shifted by 1); its errors name
+    ``key.mu`` or ``key.sigma``."""
+    def number(x, name: str) -> float:
+        return _require_float(x, f"{key}.{name}")
+    return LogNormalShift(**_fields(value, key, {"mu": number, "sigma": number}, {}), shift=1.0)
+
+
+def _path_model(value, key: str) -> PathModelConfig:
+    return PathModelConfig(**_fields(value, key, {}, {
+        "v_km_s": _require_float, "intra_r": _law, "inter_r": _law,
+        "jitter": _require_float, "samples_per_pair": _require_int}))
+
+
+def _city(value, key: str) -> City:
+    c = _fields(value, "city", {
+        "id": _require_str, "lat": _require_float, "lon": _require_float,
+        "region": _require_str}, {"is_center": _require_bool})
+    return City(c["id"], Coordinate(c["lat"], c["lon"]), c["region"],
+                c.get("is_center", City.is_regional_center))
+
+
+def _isp(value, key: str) -> IspSpec:
+    i = _fields(value, "isp", {"id": _require_str}, {"ixps": _list_of(_require_str)})
+    return IspSpec(i["id"], i.get("ixps", IspSpec.ixp_cities))
+
+
+def _host(value, key: str) -> HostSpec:
+    return HostSpec(**_fields(value, "host", {
+        "id": _require_str, "role": _require_str, "city": _require_str,
+        "isp": _require_str}, {"lat": _require_float, "lon": _require_float}))
 
 
 def _parse_config(doc) -> SimConfig:
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a mapping")
-    _closed(doc, ("scatter_km", "path_model", "cities", "isps", "hosts"), "config")
-
-    cities = tuple(
-        City(
-            id=str(_require(c, "id", "city")),
-            coordinate=Coordinate(_require_float(_require(c, "lat", "city"), "lat"),
-                                  _require_float(_require(c, "lon", "city"), "lon")),
-            region_id=str(_require(c, "region", "city")),
-            is_regional_center=_require_bool(c.get("is_center", False), "is_center"),
-        )
-        for c in (_closed(c, ("id", "lat", "lon", "region", "is_center"), "city")
-                  for c in _require(doc, "cities", "config"))
-    )
-    isps = tuple(
-        IspSpec(id=str(_require(i, "id", "isp")), ixp_cities=tuple(str(x) for x in i.get("ixps", [])))
-        for i in (_closed(i, ("id", "ixps"), "isp") for i in _require(doc, "isps", "config"))
-    )
-    hosts = tuple(
-        HostSpec(
-            id=str(_require(h, "id", "host")),
-            role=str(_require(h, "role", "host")),
-            city=str(_require(h, "city", "host")),
-            isp=str(_require(h, "isp", "host")),
-            lat=None if h.get("lat") is None else _require_float(h["lat"], "lat"),
-            lon=None if h.get("lon") is None else _require_float(h["lon"], "lon"),
-        )
-        for h in (_closed(h, ("id", "role", "city", "isp", "lat", "lon"), "host")
-                  for h in _require(doc, "hosts", "config"))
-    )
-    pm = _closed(doc.get("path_model", {}),
-                 ("v_km_s", "intra_r", "inter_r", "jitter", "samples_per_pair"), "path_model")
-
-    def lognorm(law, key: str) -> LogNormalShift:
-        law = _closed(law, ("mu", "sigma"), key)
-        return LogNormalShift(
-            _require_float(_require(law, "mu", key), f"{key}.mu"),
-            _require_float(_require(law, "sigma", key), f"{key}.sigma"),
-            shift=1.0,
-        )
-
-    path_model = PathModelConfig(**_present(pm, {
-        "v_km_s": _require_float, "intra_r": lognorm, "inter_r": lognorm,
-        "jitter": _require_float, "samples_per_pair": _require_int}))
-    return SimConfig(cities=cities, isps=isps, hosts=hosts, path_model=path_model,
-                     **_present(doc, {"scatter_km": _require_float}))
+    return SimConfig(**_fields(doc, "config", {
+        "cities": _list_of(_city), "isps": _list_of(_isp), "hosts": _list_of(_host)},
+        {"path_model": _path_model, "scatter_km": _require_float}))
 
 
 def bundled_config_path(name: str) -> Path:

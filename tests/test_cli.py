@@ -953,10 +953,30 @@ def test_bad_grid_km_or_threshold_exits_1(mini_config_path, tmp_path, capsys, ke
     ("lat: 30.0, lon: 100.0", "lat: true, lon: 100.0", "lat must be a number, got True"),
     ("jitter: 0.2", "jitter: '0.2'", "jitter must be a number, got '0.2'"),
     ("{mu: -0.7, sigma: 0.3}", "{mu: -0.7, sigma: false}", "intra_r.sigma must be a number, got False"),
+    ("lat: 30.0, lon: 100.0", "lat: null, lon: 100.0", "lat must be a number, got None"),
+    # these once loaded and ran: a null lat and lon as an unpinned host, and
+    # a null, a list, a bool or an integer as the string id
+    ("{id: p1, role: probe, city: a, isp: x}", "{id: p1, role: probe, city: a, isp: x, lat: null, lon: null}",
+     "lat must be a number, got None"),
+    ("{id: p1, role: probe", "{id: , role: probe", "id must be a string, got None"),
+    ("{id: p1, role: probe", "{id: [p, 1], role: probe", "id must be a string, got ['p', 1]"),
+    ("{id: p1, role: probe", "{id: no, role: probe", "id must be a string, got False"),
+    ("{id: p1, role: probe", "{id: 7, role: probe", "id must be a string, got 7"),
+    ("{id: p1, role: probe", "{id: p1, role: 1", "role must be a string, got 1"),
+    ("role: probe, city: a, isp: x}", "role: probe, city: a, isp: 0}", "isp must be a string, got 0"),
+    ("region: r0, is_center: true", "region: 0, is_center: true", "region must be a string, got 0"),
+    # a string once gave its characters as IXP cities
+    ("{id: x, ixps: [a]}", "{id: x, ixps: a}", "ixps must be a list, got 'a'"),
+    ("{id: x, ixps: [a]}", "{id: x, ixps: [a, 1]}", "ixps must be a string, got 1"),
+    ("isps:\n  - {id: x, ixps: [a]}\n  - {id: y, ixps: [a]}\n", "isps: {id: x}\n",
+     "isps must be a list, got {'id': 'x'}"),
 ])
 def test_config_scalar_of_wrong_type_exits_1(tmp_path, capsys, old, new, message):
-    """is_center takes a YAML bool only, and a float field a YAML number only:
-    anything else stops the run with a message naming the key."""
+    """is_center takes a YAML bool only, a float field a YAML number only, an
+    id or a reference a YAML string only, and cities, isps, hosts and ixps a
+    YAML list only: anything else stops the run with a message naming the
+    key."""
+    assert old in MINI_YAML
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINI_YAML.replace(old, new))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
@@ -1001,6 +1021,50 @@ def test_spec_float_of_wrong_type_exits_1(mini_config_path, tmp_path, capsys, ke
     spec.write_text(yaml.safe_dump(doc))
     assert main(["geolocate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {spec}: {key} must be a number, got {value!r}")
+
+
+@pytest.mark.parametrize("key, value", [("config", [1]), ("config", None), ("algorithm", 7),
+                                        ("mode", False)])
+def test_spec_string_of_wrong_type_exits_1(mini_config_path, tmp_path, capsys, key, value):
+    """config, algorithm and mode take a YAML string only: a list once ran
+    as the bundled config name '[1]'."""
+    doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
+           "targets": 2, key: value}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    assert main(["geolocate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: {key} must be a string, got {value!r}")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "[1]\n", "config must be a mapping, got [1]"),
+    ("simulate", "", "config must be a mapping, got None"),
+    ("geolocate", "[1]\n", "experiment spec must be a mapping, got [1]"),
+    ("geolocate", "algorithm: cbg\nmode: original\n", "experiment spec: missing key 'config'"),
+])
+def test_yaml_document_of_wrong_shape_exits_1(tmp_path, capsys, command, text, message):
+    """A config or spec that is not a mapping, or a spec without a required
+    key, stops the run with a message naming the file."""
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    flags = (["--config", str(path), "--out-dir", str(tmp_path / "o")] if command == "simulate"
+             else ["--spec", str(path), "--out", str(tmp_path / "r.csv")])
+    code, _, err = run(capsys, command, *flags)
+    assert (code, err) == (1, f"error: {path}: {message}\n")
+
+
+def test_not_found_error_prints_its_message_unquoted(capsys, sim_dir, tmp_path):
+    """A NotFoundError is a KeyError, whose str() once put the message in
+    quotes; an unknown host in rtt.csv still names the row's line."""
+    code, _, err = run(capsys, "simulate", "--config", "nosuch", "--out-dir", str(tmp_path / "o"))
+    assert (code, err) == (1, "error: no bundled config named 'nosuch'\n")
+    lines = (sim_dir / "rtt.csv").read_text().splitlines()
+    lines[3] = lines[3].replace("l", "ghost", 1)
+    rtt = tmp_path / "rtt.csv"
+    rtt.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "ingest", "--hosts", str(sim_dir / "hosts.csv"),
+                       "--rtt", str(rtt), "--out", str(tmp_path / "samples.csv"))
+    assert (code, err) == (1, f"error: {rtt}:4: unknown host 'ghost1'\n")
 
 
 @pytest.mark.parametrize("n", [0, -3])

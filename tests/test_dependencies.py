@@ -5,6 +5,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rtdcorr"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml"}
 
@@ -32,12 +34,13 @@ def test_runtime_imports_are_stdlib_numpy_or_yaml():
     assert outside == []
 
 
-def test_only_dataset_imports_csv():
-    """dataset.write_csv is the one CSV writer, so the file format is decided
-    in one module."""
+@pytest.mark.parametrize("module, owner", [("csv", "dataset.py"), ("yaml", "netsim.py")])
+def test_one_module_imports_each_file_format(module, owner):
+    """dataset.write_csv is the one CSV writer and netsim.load_yaml the one
+    YAML reader, so each file format is decided in one module."""
     importers = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
-        if any(module == "csv" for _, module in absolute_imports(path))
+        if any(name == module for _, name in absolute_imports(path))
     )
-    assert importers == ["dataset.py"]
+    assert importers == [owner]
