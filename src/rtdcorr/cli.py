@@ -201,10 +201,7 @@ def main(argv=None) -> int:
     try:
         _print_header(args)
         return args.func(args)
-    except (ValidationError, NotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValidationError, NotFoundError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

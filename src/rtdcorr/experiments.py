@@ -69,19 +69,19 @@ def _parse_spec(doc) -> ExperimentSpec:
 class Campaign:
     config: netsim.SimConfig
     topology: netsim.Topology
-    samples: dataset.SampleTable  # sorted by pair, so each probe's rows are one slice
+    samples: dataset.SampleTable  # every (probe, landmark) pair, sorted by pair
     reports: corr_model.ProbeCorr  # the probe x landmark-ISP correlation grid
-    # (probe_id, landmark_isp or None) -> Bestline | None, filled on first use
+    # (probe, landmark ISP code or None) -> Bestline | None, filled on first use
     _bestlines: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         s = self.samples
-        self._rows = {s.probe_ids[p]: slice(lo, hi) for p, lo, hi in dataset.probe_runs(s)}
+        # row p * n_landmarks + l is pair (p, l), so the min-RTTs and distances
+        # are probe x landmark views of the table's columns
+        shape = (len(s.probe_ids), len(s.landmark_ids))
+        self._delay = s.delay_ms.reshape(shape)
+        self._distance = s.distance_km.reshape(shape)
         self._landmark_code = {h: i for i, h in enumerate(s.landmark_ids)}
-        self._isp_code = {isp: i for i, isp in enumerate(s.isps)}
-        # min-RTT of each (probe, landmark) pair; nan where it was not measured
-        self._delay = np.full((len(s.probe_ids), len(s.landmark_ids)), np.nan)
-        self._delay[s.probe, s.landmark] = s.delay_ms
         # CBG's view of the probes in id order: coordinate and city code (codes
         # in city id order), and each city's probes, cities in code order
         probes = [self.topology.registry.hosts[h] for h in s.probe_ids]
@@ -89,28 +89,24 @@ class Campaign:
         _, self._probe_city = np.unique([h.city for h in probes], return_inverse=True)
         by_city = np.argsort(self._probe_city, kind="stable")
         self._city_probes = np.split(by_city, np.cumsum(np.bincount(self._probe_city))[:-1])
-        # GeoGet's view of the landmarks in id order: ISP, area code (the
-        # region, codes in region id order) and regional-center flag
+        # the landmarks in id order: ISP code (a correlation grid column), and
+        # GeoGet's area code (the region, in region id order) and center flag
         region = {r: i for i, r in enumerate(sorted(self.topology.center_of_region))}
-        lms = self.topology.registry.landmarks()
-        self._lm_ids = np.array([h.id for h in lms])
-        self._lm_isp = np.array([h.isp for h in lms])
+        lms = [self.topology.registry.hosts[h] for h in s.landmark_ids]
+        self._lm_ids = np.array(s.landmark_ids)
+        self._lm_isp = s.landmark_isp[:shape[1]]
         self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
         self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
         self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group
 
-    def bestline(self, probe_id: str, landmark_isp: Optional[str]) -> Optional[geoloc.Bestline]:
-        """The probe's bestline over its landmarks in ``landmark_isp`` (all of
-        them when None), fitted on first use; None when the point set is
-        degenerate."""
-        key = (probe_id, landmark_isp)
+    def bestline(self, probe: int, isp: Optional[int]) -> Optional[geoloc.Bestline]:
+        """The bestline of probe code ``probe`` over its landmarks of ISP code
+        ``isp`` (all of them when None), fitted on first use; None when the
+        point set is degenerate."""
+        key = (probe, isp)
         if key not in self._bestlines:
-            rows = self._rows.get(probe_id, slice(0, 0))
-            distance, delay = self.samples.distance_km[rows], self.samples.delay_ms[rows]
-            if landmark_isp is not None:
-                mine = self.samples.landmark_isp[rows] == self._isp_code.get(landmark_isp, -1)
-                distance, delay = distance[mine], delay[mine]
-            points = list(zip(distance.tolist(), delay.tolist()))
+            at = (probe, slice(None) if isp is None else self._lm_isp == isp)
+            points = list(zip(self._distance[at].tolist(), self._delay[at].tolist()))
             try:
                 self._bestlines[key] = geoloc.fit_bestline(points)
             except BestlineError:
@@ -152,24 +148,20 @@ def cbg_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
     grid = campaign.reports
+    col = campaign._landmark_code[target.id]
     # the modified variant calibrates on the target ISP's landmarks only
     if spec.mode == "modified":
-        isp = campaign._isp_code[target.isp]
+        isp = int(campaign._lm_isp[col])
         probes = geoloc.cbg_select_probes(
             grid.corr[:, isp], grid.own == isp, campaign._probe_city, spec.threshold
         )
-        landmark_isp = target.isp
     else:
-        probes, landmark_isp = _contrast_probes(campaign, spec.seed), None
+        probes, isp = _contrast_probes(campaign, spec.seed), None
     circles = []
-    delays = campaign._delay[probes, campaign._landmark_code[target.id]]
-    for p, delay in zip(probes.tolist(), delays.tolist()):
-        if math.isnan(delay):
-            continue
-        line = campaign.bestline(grid.probe_ids[p], landmark_isp)
-        if line is None:
-            continue
-        circles.append((campaign._probe_coord[p], geoloc.estimate_distance(line, delay)))
+    for p, delay in zip(probes.tolist(), campaign._delay[probes, col].tolist()):
+        line = campaign.bestline(p, isp)
+        if line is not None:
+            circles.append((campaign._probe_coord[p], geoloc.estimate_distance(line, delay)))
     return geoloc.cbg_locate(circles, grid_km=spec.grid_km)
 
 
@@ -177,9 +169,10 @@ def geoget_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
     topo = campaign.topology
+    col = campaign._landmark_code[target.id]
     # modified GeoGet probes the target ISP's landmarks, original the others'
-    same_isp = campaign._lm_isp == target.isp
-    pool = (same_isp == (spec.mode == "modified")) & (campaign._lm_ids != target.id)
+    pool = (campaign._lm_isp == campaign._lm_isp[col]) == (spec.mode == "modified")
+    pool[col] = False
     if not pool.any():
         return geoloc.GeolocationResult(
             "failed", reason=f"no landmarks pass the ISP filter for {target.isp!r}")

@@ -33,7 +33,7 @@ import numpy as np
 import yaml
 
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
-from .dataset import HostRecord, Registry, ROLE_LANDMARK, ROLE_PROBE, RttTable, validate_registry
+from .dataset import HostRecord, Registry, RttTable, validate_registry
 from .errors import NotFoundError, ValidationError
 from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_distance_many
 
@@ -531,11 +531,14 @@ def _require_bool(value, key: str) -> bool:
 
 
 def _require_float(value, key: str) -> float:
-    """A YAML number (integer or float) as a float; a bool, a string, null or
-    anything else is a ValidationError naming the key."""
+    """A YAML number (integer or float) as a float; a bool, a string, null, an
+    integer past the float range or anything else is a ValidationError naming the key."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{key} is too large for a float") from None
 
 
 def _list_of(parse):

@@ -20,6 +20,8 @@ from rtdcorr.geodesy import Coordinate, geodesic_distance
 
 from conftest import MINI_YAML
 
+HUGE_INT = 10 ** 400  # a YAML integer past the float range
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -970,12 +972,19 @@ def test_bad_grid_km_or_threshold_exits_1(mini_config_path, tmp_path, capsys, ke
     ("{id: x, ixps: [a]}", "{id: x, ixps: [a, 1]}", "ixps must be a string, got 1"),
     ("isps:\n  - {id: x, ixps: [a]}\n  - {id: y, ixps: [a]}\n", "isps: {id: x}\n",
      "isps must be a list, got {'id': 'x'}"),
+    # these once raised OverflowError with a traceback
+    pytest.param("v_km_s: 200000.0", f"v_km_s: {HUGE_INT}", "v_km_s is too large for a float",
+                 id="v_km_s-huge"),
+    pytest.param("scatter_km: 5.0", f"scatter_km: {HUGE_INT}",
+                 "scatter_km is too large for a float", id="scatter_km-huge"),
+    pytest.param("lat: 30.0, lon: 100.0", f"lat: {HUGE_INT}, lon: 100.0",
+                 "lat is too large for a float", id="city-lat-huge"),
 ])
 def test_config_scalar_of_wrong_type_exits_1(tmp_path, capsys, old, new, message):
-    """is_center takes a YAML bool only, a float field a YAML number only, an
-    id or a reference a YAML string only, and cities, isps, hosts and ixps a
-    YAML list only: anything else stops the run with a message naming the
-    key."""
+    """is_center takes a YAML bool only, a float field a YAML number only (and
+    an integer there must fit a float), an id or a reference a YAML string
+    only, and cities, isps, hosts and ixps a YAML list only: anything else
+    stops the run with a message naming the key."""
     assert old in MINI_YAML
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINI_YAML.replace(old, new))
@@ -1013,14 +1022,19 @@ def test_unknown_spec_key_exits_1(mini_config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("grid_km", True), ("threshold", False),
-                                        ("threshold", "0.5")])
+                                        ("threshold", "0.5"),
+                                        pytest.param("grid_km", HUGE_INT, id="grid_km-huge"),
+                                        pytest.param("threshold", HUGE_INT, id="threshold-huge")])
 def test_spec_float_of_wrong_type_exits_1(mini_config_path, tmp_path, capsys, key, value):
+    """A float key takes a YAML number only; an integer past the float range
+    once raised OverflowError with a traceback."""
     doc = {"config": str(mini_config_path), "algorithm": "cbg", "mode": "modified",
            "targets": 2, key: value}
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump(doc))
     assert main(["geolocate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {spec}: {key} must be a number, got {value!r}")
+    message = "is too large for a float" if value is HUGE_INT else f"must be a number, got {value!r}"
+    assert capsys.readouterr().err.startswith(f"error: {spec}: {key} {message}")
 
 
 @pytest.mark.parametrize("key, value", [("config", [1]), ("config", None), ("algorithm", 7),

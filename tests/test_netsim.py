@@ -507,22 +507,28 @@ def test_resolve_unknown_config():
 
 def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
     s = cn_campaign.samples
-    # the delay grid (probe x landmark, in id order) holds each sampled
-    # pair's delay and nan elsewhere; an unknown host or a landmark in the
-    # probe position has no row or column
-    grid = cn_campaign._delay
-    assert grid.shape == (len(s.probe_ids), len(s.landmark_ids))
-    assert np.array_equal(grid[s.probe, s.landmark], s.delay_ms)
-    assert np.count_nonzero(~np.isnan(grid)) == len(s)
+    # the delay and distance grids (probe x landmark, in id order) are views
+    # of the table, which holds every pair; an unknown host or a landmark in
+    # the probe position has no row or column
+    shape = (len(s.probe_ids), len(s.landmark_ids))
+    assert cn_campaign._delay.shape == cn_campaign._distance.shape == shape
+    assert len(s) == shape[0] * shape[1]
+    assert np.array_equal(cn_campaign._delay[s.probe, s.landmark], s.delay_ms)
+    assert np.array_equal(cn_campaign._distance[s.probe, s.landmark], s.distance_km)
+    assert np.shares_memory(cn_campaign._delay, s.delay_ms)
+    assert np.shares_memory(cn_campaign._distance, s.distance_km)
     assert "no-such-host" not in cn_campaign._landmark_code
     assert s.landmark_ids[0] not in s.probe_ids
-    # the probe's slice gives the points a scan of the whole table gives
-    for probe in s.probe_ids[::30]:
-        isp = cn_campaign.topology.host(probe).isp
-        pts = [(d, t) for p, lisp, d, t in zip(s.probe.tolist(), s.landmark_isp.tolist(),
-                                              s.distance_km.tolist(), s.delay_ms.tolist())
-               if s.probe_ids[p] == probe and s.isps[lisp] == isp]
-        assert cn_campaign.bestline(probe, isp) == geoloc.fit_bestline(pts)
+    # the probe's grid row gives the points a scan of the whole table gives,
+    # over its landmarks of one ISP code (modified CBG) or all of them (None,
+    # original CBG)
+    for p in range(0, shape[0], 30):
+        own = s.isps.index(cn_campaign.topology.host(s.probe_ids[p]).isp)
+        for isp in (own, None):
+            pts = [(d, t) for q, lisp, d, t in zip(s.probe.tolist(), s.landmark_isp.tolist(),
+                                                  s.distance_km.tolist(), s.delay_ms.tolist())
+                   if q == p and isp in (None, lisp)]
+            assert cn_campaign.bestline(p, isp) == geoloc.fit_bestline(pts)
 
 
 @pytest.mark.parametrize("campaign", ["mini_campaign", "cn_campaign"])
