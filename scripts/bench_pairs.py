@@ -16,7 +16,10 @@ Prints one JSON object: each run's result line (``correct``, ``attempted``,
 side's median, quartiles (inclusive method) and extremes, the number of
 pairs the change wins, the median gap (positive when the change is lower,
 as every end-to-end metric is better lower) and whether that gap exceeds the
-parent's interquartile range.  Standard library only.
+parent's interquartile range.  Next to the metrics, ``attempted`` gives each
+side's median, quartiles and extremes of the runs' attempted units, which
+set how many passes a run made (and so its ``peak_rss_mb``).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ def main(argv=None) -> int:
         name: compare(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES))
         for name in names
     }
+    attempted = {side: [r["attempted"] for r in runs[side] if "attempted" in r] for side in SIDES}
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
@@ -102,6 +106,8 @@ def main(argv=None) -> int:
         "all_correct": all(r.get("correct") is True for side in SIDES for r in runs[side]),
         "runs": runs,
         "metrics": metrics,
+        "attempted": {side: spread(counts) if counts else None
+                      for side, counts in attempted.items()},
     }, indent=1))
     return 0
 

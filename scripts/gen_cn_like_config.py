@@ -5,6 +5,10 @@
 two satellite cities; 3 ISPs sharing 3 IXP cities; 450 landmarks (5 per ISP
 per capital) and 90 probes (2 per capital with rotating ISPs, 1 per region in
 a satellite city).
+
+``render(towns=True)`` gives the "cn-towns" variant, which keeps landmark 0 of
+each ISP in its capital and moves landmarks 1-4 into the region's two
+satellite cities, two per satellite; it is not bundled.
 """
 
 import math
@@ -16,8 +20,8 @@ ISPS = ["isp-a", "isp-b", "isp-c"]
 IXP_REGIONS = [4, 13, 22]
 
 
-def render() -> str:
-    """The text of the config file."""
+def render(towns: bool = False) -> str:
+    """The text of the config file; with ``towns``, the cn-towns variant."""
     lines = []
     lines.append("# Synthetic hierarchical 30-region / 3-ISP topology.")
     lines.append("# Generated by scripts/gen_cn_like_config.py; edit there, not here.")
@@ -64,8 +68,9 @@ def render() -> str:
         )
         for isp in ISPS:
             for k in range(5):
+                city = f"{capital}s{(k - 1) // 2}" if towns and k else capital
                 lines.append(
-                    f"  - {{id: l-r{i:02d}-{isp}-{k}, role: landmark, city: {capital}, isp: {isp}}}"
+                    f"  - {{id: l-r{i:02d}-{isp}-{k}, role: landmark, city: {city}, isp: {isp}}}"
                 )
 
     return "\n".join(lines) + "\n"

@@ -89,11 +89,11 @@ class Campaign:
         _, self._probe_city = np.unique([h.city for h in probes], return_inverse=True)
         by_city = np.argsort(self._probe_city, kind="stable")
         self._city_probes = np.split(by_city, np.cumsum(np.bincount(self._probe_city))[:-1])
-        # the landmarks in id order: ISP code (a correlation grid column), and
+        # the landmarks in id order: host position, ISP code (a grid column), and
         # GeoGet's area code (the region, in region id order) and center flag
         region = {r: i for i, r in enumerate(sorted(self.topology.center_of_region))}
         lms = [self.topology.registry.hosts[h] for h in s.landmark_ids]
-        self._lm_ids = np.array(s.landmark_ids)
+        self._lm_pos = self.topology._host_positions(s.landmark_ids)
         self._lm_isp = s.landmark_isp[:shape[1]]
         self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
         self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
@@ -177,16 +177,16 @@ def geoget_locate_target(
         return geoloc.GeolocationResult(
             "failed", reason=f"no landmarks pass the ISP filter for {target.isp!r}")
 
-    def delay_fn(landmark_ids: list[str]) -> list[float]:
+    def delay_fn(landmarks: np.ndarray) -> np.ndarray:
         return netsim.simulate_row(
-            topo, campaign.config, spec.seed, target.id, landmark_ids, stream="target"
-        ).min(axis=1).tolist()
+            topo, campaign.config, spec.seed, target.id, landmarks, stream="target"
+        ).min(axis=1)
 
-    ids = campaign._lm_ids[pool]
+    pos = campaign._lm_pos[pool]
     i = geoloc.geoget_locate(
-        ids, campaign._lm_area[pool], campaign._lm_center[pool], delay_fn, spec.candidate_areas
+        pos, campaign._lm_area[pool], campaign._lm_center[pool], delay_fn, spec.candidate_areas
     )
-    city = topo.host(ids[i]).city
+    city = topo._city_ids[topo._host_city[pos[i]]]
     return geoloc.GeolocationResult(
         "located", coordinate=topo.city(city).coordinate, city=city
     )

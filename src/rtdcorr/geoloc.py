@@ -350,34 +350,34 @@ def grid_centroid(lats: np.ndarray, lons: np.ndarray) -> Coordinate:
 
 
 def geoget_locate(
-    ids: Sequence[str],
+    keys: np.ndarray,
     areas: np.ndarray,
     centers: np.ndarray,
-    delay_ms: Callable[[list[str]], list[float]],
+    delay_ms: Callable[[np.ndarray], Sequence[float]],
     candidate_areas: int = 1,
 ) -> int:
     """Two-phase shortest-delay search over one pool of landmarks, given in
-    id order as ids, area codes (in area id order) and regional-center flags;
-    returns the index of the winner.
+    id order as keys (such as host positions), area codes (in area id order)
+    and regional-center flags; returns the index of the winner.
 
     Phase 1 ranks the pool's areas by the minimum delay to their center
     landmarks (inf without one); phase 2 probes the rest of the first
     ``candidate_areas`` areas, whose least-delay landmark wins.  Each phase
-    probes in one batch, an empty one not at all: ``delay_ms`` takes landmark
-    ids and returns their delays in that order.  Ranking ties go to the lower
-    area code, a tie for the winner to the lower index (the lower id).
+    probes in one batch, an empty one not at all: ``delay_ms`` takes an array
+    of keys and returns their delays in that order.  Ranking ties go to the
+    lower area code, a tie for the winner to the lower index (the lower id).
     """
     if candidate_areas < 1:
         raise ValidationError(f"candidate_areas must be >= 1, got {candidate_areas}")
-    ids, areas, centers = np.asarray(ids), np.asarray(areas), np.asarray(centers, dtype=bool)
-    if ids.size == 0:
+    keys, areas, centers = np.asarray(keys), np.asarray(areas), np.asarray(centers, dtype=bool)
+    if keys.size == 0:
         raise ValidationError("empty landmark pool")
-    delays = np.full(ids.size, math.inf)
+    delays = np.full(keys.size, math.inf)
 
     first = np.flatnonzero(centers)
     score = np.full(int(areas.max()) + 1, math.inf)
     if first.size:
-        delays[first] = delay_ms(ids[first].tolist())
+        delays[first] = delay_ms(keys[first])
         np.minimum.at(score, areas[first], delays[first])
     present = np.unique(areas)
     top = np.zeros(score.size, dtype=bool)
@@ -386,6 +386,6 @@ def geoget_locate(
 
     second = np.flatnonzero(chosen & ~centers)
     if second.size:
-        delays[second] = delay_ms(ids[second].tolist())
+        delays[second] = delay_ms(keys[second])
     kept = np.flatnonzero(chosen)
     return int(kept[np.argmin(delays[kept])])

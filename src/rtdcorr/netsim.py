@@ -1,20 +1,20 @@
 """Deterministic synthetic RTT campaigns over a hierarchical ISP topology.
 
 Cities form regions, each with exactly one regional-center city.  Intra-ISP
-traffic is routed src -> own center -> destination center -> dst; inter-ISP
-traffic additionally detours through the cheapest exchange-point (IXP) city.
-Per-pair delays follow delay = R * T * D / v where T comes from the routed
-waypoints, R - 1 is log-normal (separate intra/inter parameters) and D is the
-direct geodesic distance.
+traffic is routed src -> own center -> destination center -> dst, or inside
+the city when both hosts share it; inter-ISP traffic additionally detours
+through the cheapest exchange-point (IXP) city.  A pair's delay is
+R * T * D / v: T comes from the routed waypoints, R - 1 is log-normal
+(separate intra/inter parameters) and D is the direct geodesic distance.
 
-The simulator works a row at a time: one source against many destinations,
-in numpy (``simulate_row``).  Routing reads the topology's one site-to-site
-distance matrix.  Each pair's random draws are words of a counter-based
-stream (``pair_uniforms``): SplitMix64's finaliser over a pair key built from
-a row key (SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest per row)
-and the destination's host key (SHAKE-256 over its id, held per topology).
-A row is one numpy pass with no per-pair Python call, a pair's delays depend
-on its ids alone, and adding hosts never perturbs existing pairs.
+The simulator works a row at a time: one source id against many destination
+host positions, in numpy (``simulate_row``).  Routing reads the topology's
+one site-to-site distance matrix.  A pair's random draws are words of a
+counter-based stream (``pair_uniforms``): SplitMix64's finaliser over a pair
+key from a row key (SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest
+per row) and the destination's host key (SHAKE-256 over its id, per
+topology).  A row is one numpy pass with no per-pair Python call, a pair's
+delays depend on its ids alone, and adding hosts never perturbs other pairs.
 ``pair_rng`` serves only the experiment design draws.
 """
 
@@ -140,8 +140,8 @@ class Topology:
         )
         self._site_index = {c: i for i, c in enumerate(self._sites)}
 
-        # routing tables: per host, its site, its ISP's code, the site of its
-        # region's center city, and whether it sits in that city
+        # routing tables: per host, its site, its city's and ISP's codes, the
+        # site of its region's center city, and whether it sits in that city
         def site(c: Coordinate) -> int:
             return self._site_index[(c.lat, c.lon)]
 
@@ -149,7 +149,10 @@ class Topology:
         centers = [self.center_of_region[self.cities[h.city].region_id] for h in hosts]
         self._isp_ids = sorted(self.isps)
         isp_code = {isp: i for i, isp in enumerate(self._isp_ids)}
+        self._city_ids = sorted(self.cities)
+        city_code = {c: i for i, c in enumerate(self._city_ids)}
         self._host_pos = {h.id: i for i, h in enumerate(hosts)}
+        self._host_city = np.array([city_code[h.city] for h in hosts], dtype=np.intp)
         self._host_site = np.array([site(h.coordinate) for h in hosts], dtype=np.intp)
         self._host_isp = np.array([isp_code[h.isp] for h in hosts], dtype=np.intp)
         self._host_center = np.array([site(c.coordinate) for c in centers], dtype=np.intp)
@@ -295,29 +298,27 @@ class RoutedPath:
 
 
 class _Routes(NamedTuple):
-    dst: np.ndarray  # the destinations' host positions
     sites: np.ndarray  # (n, 5) waypoint sites; a hop a route skips repeats the one before
     tortuosity: np.ndarray
     direct_km: np.ndarray
     same_isp: np.ndarray
 
 
-def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
-    """Routes from one host to each destination host, the one router.
+def _route(topology: Topology, src_id: str, dst: np.ndarray) -> _Routes:
+    """Routes from a host id to each destination host position, the one router.
 
     Same ISP: src -> src's regional center -> dst's regional center -> dst.
     Different ISPs: the IXP city minimising center -> IXP -> center is
     inserted between the two centers (argmin over candidates sorted by city
-    id, so ties go to the lower id).  Center hops are skipped for hosts
-    already in their center city.  A skipped hop repeats the site before
-    it, and a leg between equal sites adds exactly 0.0, so the leg sum is
-    that over the route's distinct consecutive waypoints.
+    id, so ties go to the lower id).  Center hops are skipped for a host in
+    its center city, and all three for a same-ISP pair in one city.  A
+    skipped hop repeats the site before it, and a leg between equal sites
+    adds exactly 0.0, so the leg sum is over distinct consecutive waypoints.
     """
     s = topology._host_positions([src_id])[0]
-    d = topology._host_positions(dst_ids)
-    n = d.size
+    n = dst.size
     src_site, isp_s, ctr_s = topology._host_site[s], topology._host_isp[s], topology._host_center[s]
-    isp_d, ctr_d = topology._host_isp[d], topology._host_center[d]
+    isp_d, ctr_d = topology._host_isp[dst], topology._host_center[dst]
 
     hop1 = src_site if topology._host_at_center[s] else ctr_s
     hop2 = np.full(n, hop1)
@@ -331,10 +332,11 @@ def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
         sel = np.flatnonzero(isp_d == other)
         cost = topology._dist[ctr_s, cands] + topology._dist[cands, ctr_d[sel, None]]
         hop2[sel] = cands[np.argmin(cost, axis=1)]
-    hop3 = np.where(topology._host_at_center[d], hop2, ctr_d)
+    hop3 = np.where(topology._host_at_center[dst], hop2, ctr_d)
     sites = np.stack(
-        [np.full(n, src_site), np.full(n, hop1), hop2, hop3, topology._host_site[d]], axis=1
+        [np.full(n, src_site), np.full(n, hop1), hop2, hop3, topology._host_site[dst]], axis=1
     )
+    sites[(isp_d == isp_s) & (topology._host_city[dst] == topology._host_city[s]), 1:4] = src_site
 
     legs = topology._dist[sites[:, :-1], sites[:, 1:]]
     length = legs[:, 0] + legs[:, 1] + legs[:, 2] + legs[:, 3]
@@ -343,13 +345,13 @@ def _route(topology: Topology, src_id: str, dst_ids: Sequence[str]) -> _Routes:
     tortuosity = np.where(
         coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))
     )
-    return _Routes(d, sites, tortuosity, direct, isp_d == isp_s)
+    return _Routes(sites, tortuosity, direct, isp_d == isp_s)
 
 
 def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
     """Hierarchical route between two hosts and its tortuosity (see ``_route``);
     coincident hosts have T = 1."""
-    routes = _route(topology, src_id, [dst_id])
+    routes = _route(topology, src_id, topology._host_positions([dst_id]))
     sites: list[int] = []
     for site in routes.sites[0].tolist():
         if not sites or site != sites[-1]:
@@ -410,20 +412,20 @@ def sample_path_factors(
     config: SimConfig,
     seed: int,
     src_id: str,
-    dst_ids: Sequence[str],
+    dst: np.ndarray,
     stream: str = "campaign",
 ) -> tuple[PathFactors, np.ndarray]:
-    """(R, T, D) for one source against each destination, and the
-    (len(dst_ids), samples_per_pair) jitter fractions in [0, jitter): T from
-    routing, D the direct geodesic distance, R from the intra or inter law
-    per the ISP relationship.
+    """(R, T, D) for one source id against each destination host position,
+    and the (len(dst), samples_per_pair) jitter fractions in [0, jitter): T
+    from routing, D the direct geodesic distance, R from the intra or inter
+    law per the ISP relationship.
 
     Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
     R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
     """
     pm = config.path_model
-    routes = _route(topology, src_id, dst_ids)
-    keys = topology._host_key[routes.dst]
+    routes = _route(topology, src_id, dst)
+    keys = topology._host_key[dst]
     u = pair_uniforms(seed, stream, src_id, keys, 2 + pm.samples_per_pair)
     z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
     r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
@@ -436,12 +438,12 @@ def simulate_row(
     config: SimConfig,
     seed: int,
     src_id: str,
-    dst_ids: Sequence[str],
+    dst: np.ndarray,
     stream: str = "campaign",
 ) -> np.ndarray:
-    """(len(dst_ids), samples_per_pair) jittered delays in ms from one source
-    to each destination: R*T*D/v*1000 * (1 + jitter fraction)."""
-    f, jitter = sample_path_factors(topology, config, seed, src_id, dst_ids, stream)
+    """(len(dst), samples_per_pair) jittered delays in ms from one source id
+    to each destination host position: R*T*D/v*1000 * (1 + jitter fraction)."""
+    f, jitter = sample_path_factors(topology, config, seed, src_id, dst, stream)
     return synth_delay(f, config.path_model.v_km_s)[:, None] * (1.0 + jitter)
 
 
@@ -454,7 +456,8 @@ def pair_min_delay_ms(
     stream: str = "campaign",
 ) -> float:
     """Minimum over one pair's jittered observations; deterministic per pair."""
-    return float(simulate_row(topology, config, seed, src_id, [dst_id], stream).min())
+    dst = topology._host_positions([dst_id])
+    return float(simulate_row(topology, config, seed, src_id, dst, stream).min())
 
 
 def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTable:
@@ -469,10 +472,11 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
     landmark_ids = [h.id for h in topology.registry.landmarks()]
     if not probe_ids or not landmark_ids:
         raise ValidationError("campaign needs at least one probe and one landmark")
+    landmarks = topology._host_positions(landmark_ids)
     k = config.path_model.samples_per_pair
     n_probes, n_landmarks = len(probe_ids), len(landmark_ids)
     rtt_ms = np.concatenate([
-        simulate_row(topology, config, seed, probe_id, landmark_ids, "campaign").ravel()
+        simulate_row(topology, config, seed, probe_id, landmarks, "campaign").ravel()
         for probe_id in probe_ids
     ])
     stamps = tuple(f"{_EPOCH + timedelta(minutes=m):%Y-%m-%dT%H:%M:%SZ}" for m in range(k))

@@ -1,8 +1,19 @@
+import importlib.util
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from rtdcorr import experiments, netsim
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pair_rtts(table) -> dict:

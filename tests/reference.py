@@ -95,16 +95,18 @@ def vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
 
 def route_scalar(topology, src_id: str, dst_id: str):
     """The hierarchical route one pair at a time, as (waypoints, tortuosity):
-    the reference for the vectorised router in ``rtdcorr.netsim``.  Legs are
+    the reference for the vectorised router in ``rtdcorr.netsim``.  A
+    same-ISP pair in one city routes inside it, with no center hop.  Legs are
     read with ``Topology.distance`` and summed over the distinct consecutive
     waypoints."""
     src = topology.host(src_id)
     dst = topology.host(dst_id)
     ctr_s = topology.center_of_region[topology.city(src.city).region_id]
     ctr_d = topology.center_of_region[topology.city(dst.city).region_id]
+    local = src.isp == dst.isp and src.city == dst.city
 
     waypoints = [src.coordinate]
-    if src.city != ctr_s.id:
+    if src.city != ctr_s.id and not local:
         waypoints.append(ctr_s.coordinate)
     if src.isp != dst.isp:
         candidates = sorted(
@@ -121,7 +123,7 @@ def route_scalar(topology, src_id: str, dst_id: str):
             ),
         )
         waypoints.append(topology.city(ixp).coordinate)
-    if dst.city != ctr_d.id:
+    if dst.city != ctr_d.id and not local:
         waypoints.append(ctr_d.coordinate)
     waypoints.append(dst.coordinate)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,7 +12,7 @@ from rtdcorr.corr_model import STRONG_CORR_THRESHOLD
 from rtdcorr.dataset import HostRecord, validate_registry
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
-from conftest import THRESHOLD_CASES
+from conftest import THRESHOLD_CASES, load_script
 from reference import (
     dict_contrast_probes,
     list_geoget_locate,
@@ -674,8 +675,8 @@ def test_geoget_locate_target_on_mini_config(mini_campaign):
                 # areas, so the winner is the pool's least target-side delay
                 pool = [h.id for h in topo.registry.landmarks()
                         if (h.isp == topo.host(t).isp) == (mode == "modified") and h.id != t]
-                delays = netsim.simulate_row(topo, mini_campaign.config, spec.seed, t, pool,
-                                             stream="target").min(axis=1)
+                delays = netsim.simulate_row(topo, mini_campaign.config, spec.seed, t,
+                                             topo._host_positions(pool), stream="target").min(axis=1)
                 assert res.city == topo.host(pool[int(np.argmin(delays))]).city
     assert got == {
         ("original", "l1"): ("located", "b2", ""),
@@ -746,6 +747,53 @@ def test_geoget_matches_list_reference(case):
     assert f"c{got}" == city
     assert calls == ref_calls
     assert all(calls)
+
+
+@pytest.fixture(scope="module")
+def towns_campaign(tmp_path_factory):
+    """The seed-42 campaign on cn-towns: cn-like with each capital's
+    landmarks 1-4 of each ISP moved into its two satellite cities, rendered
+    by the generator script into a temporary file."""
+    path = tmp_path_factory.mktemp("towns") / "cn-towns.yaml"
+    path.write_text(load_script("gen_cn_like_config").render(towns=True))
+    return experiments.prepare_campaign(netsim.load_config(path), seed=42)
+
+
+@pytest.mark.parametrize("mode", ["original", "modified"])
+def test_geoget_off_the_capitals(towns_campaign, mode, monkeypatch):
+    """On cn-towns every locate probes in two batches; with every area kept
+    the winner is the pool's least delay; and the list reference names the
+    same city for every landmark as target."""
+    c, topo = towns_campaign, towns_campaign.topology
+    batches = []
+    simulate_row = netsim.simulate_row
+
+    def counted(*args, **kwargs):
+        batches.append(len(args[4]))
+        return simulate_row(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "simulate_row", counted)
+    n_areas = len(topo.center_of_region)
+    landmarks = topo.registry.landmarks()
+    area_of_city = {cid: city.region_id for cid, city in topo.cities.items()}
+    for target in landmarks:
+        pool = [h.id for h in landmarks
+                if (h.isp == target.isp) == (mode == "modified") and h.id != target.id]
+
+        def delay_ms(ids):
+            return simulate_row(topo, c.config, 42, target.id, topo._host_positions(ids),
+                                stream="target").min(axis=1).tolist()
+
+        spec = experiments.ExperimentSpec(config="cn-towns", algorithm="geoget", mode=mode)
+        batches.clear()
+        got = experiments.geoget_locate_target(c, target, spec)
+        assert len(batches) == 2 and all(batches), target.id
+        assert got.city == list_geoget_locate(landmarks, delay_ms, target.isp, mode, area_of_city,
+                                              exclude={target.id}), target.id
+
+        every = dataclasses.replace(spec, candidate_areas=n_areas)
+        winner = pool[int(np.argmin(delay_ms(pool)))]
+        assert experiments.geoget_locate_target(c, target, every).city == topo.host(winner).city
 
 
 # ----------------------------------------------- evaluation (experiments)

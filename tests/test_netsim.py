@@ -1,4 +1,4 @@
-import importlib.util
+import dataclasses
 import itertools
 import math
 import statistics
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from rtdcorr import dataset, experiments, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
-from rtdcorr.errors import ValidationError
+from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
-from conftest import MINI_YAML, pair_rtts
+from conftest import MINI_YAML, load_script, pair_rtts
 from reference import route_scalar, scalar_pair_uniforms, shake_key64, splitmix64_mix
 
 
@@ -162,7 +162,8 @@ def test_pair_rng_is_stable_and_distinct():
 def test_sigma_zero_makes_r_constant():
     cfg = mini_config(intra_sigma=0.0, jitter=0.0, k=1)
     topo = netsim.build_topology(cfg)
-    f, _ = netsim.sample_path_factors(topo, cfg, 1, "p1", ["l1", "l3"], stream="x")
+    f, _ = netsim.sample_path_factors(topo, cfg, 1, "p1", topo._host_positions(["l1", "l3"]),
+                                      stream="x")
     assert f.r == pytest.approx([1.0 + 0.5] * 2, abs=1e-12)
 
 
@@ -175,7 +176,7 @@ def test_inter_r_spread_exceeds_intra():
 
 
 def base_delay(topo, cfg, seed, src, dst):
-    f, _ = netsim.sample_path_factors(topo, cfg, seed, src, [dst])
+    f, _ = netsim.sample_path_factors(topo, cfg, seed, src, topo._host_positions([dst]))
     return float(synth_delay(f, cfg.path_model.v_km_s)[0])
 
 
@@ -199,7 +200,7 @@ def assert_routes_match_reference(topo, cfg, sources, dsts):
     reference router bit for bit; returns the reference routes."""
     routes = {}
     for s in sources:
-        row = netsim.sample_path_factors(topo, cfg, 0, s, dsts)[0].t.tolist()
+        row = netsim.sample_path_factors(topo, cfg, 0, s, topo._host_positions(dsts))[0].t.tolist()
         for d, t in zip(dsts, row):
             routes[s, d] = route_scalar(topo, s, d)
             assert t == routes[s, d][1], (s, d)
@@ -232,6 +233,71 @@ def test_vector_routes_match_reference_on_cn_like(cn_config):
     hosts = sorted(topo.registry.hosts)
     routes = assert_routes_match_reference(topo, cn_config, hosts[::7], hosts)
     assert len(routes) == 42120
+
+
+@pytest.fixture(scope="module")
+def neighbour_topology():
+    """The mini config plus l4, a landmark of ISP x in the satellite city b2,
+    where l3 (ISP x) and p2 (ISP y) also sit; and its topology."""
+    cfg = mini_config()
+    cfg = dataclasses.replace(
+        cfg, hosts=cfg.hosts + (netsim.HostSpec("l4", "landmark", "b2", "x"),))
+    return cfg, netsim.build_topology(cfg)
+
+
+def test_same_isp_pair_in_one_city_routes_inside_it(neighbour_topology):
+    cfg, topo = neighbour_topology
+    hosts = sorted(topo.registry.hosts)
+    routes = assert_routes_match_reference(topo, cfg, hosts, hosts)
+    a, b = topo.city("a").coordinate, topo.city("b").coordinate
+    p2, l3, l4 = (topo.host(h).coordinate for h in ("p2", "l3", "l4"))
+    # l3 and l4 share ISP x and b2: no hop out to the center b and back
+    assert routes["l3", "l4"] == ((l3, l4), 1.0)
+    assert routes["l4", "l4"] == ((l4,), 1.0)
+    # p2 (ISP y) shares their city but not their ISP: it still detours
+    # through the centers and the IXP a
+    assert routes["p2", "l4"][0] == (p2, b, a, b, l4)
+    assert routes["l3", "l2"][0][:2] == (l3, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32), stream=st.sampled_from(["campaign", "target"]))
+def test_simulate_row_is_positionwise(neighbour_topology, data, seed, stream):
+    """Any subset, permutation or repeat of destination positions, a single
+    one included, gives bitwise the matching rows of one full-row call."""
+    cfg, topo = neighbour_topology
+    n = len(topo._host_pos)
+    src = data.draw(st.sampled_from(sorted(topo._host_pos)))
+    dst = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)),
+                   dtype=np.intp)
+    full = netsim.simulate_row(topo, cfg, seed, src, np.arange(n), stream)
+    got = netsim.simulate_row(topo, cfg, seed, src, dst, stream)
+    assert got.shape == (dst.size, cfg.path_model.samples_per_pair)
+    assert got.tobytes() == full[dst].tobytes()
+
+
+@pytest.mark.parametrize("which", ["mini", "cn-like"])
+def test_campaign_rows_are_simulate_rows(which, cn_config):
+    cfg = mini_config() if which == "mini" else cn_config
+    topo = netsim.build_topology(cfg)
+    table = netsim.simulate_campaign(topo, cfg, 42)
+    landmarks = topo._host_positions(table.landmark_ids)
+    rows = np.stack([netsim.simulate_row(topo, cfg, 42, p, landmarks) for p in table.probe_ids])
+    assert table.rtt_ms.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda topo, cfg: netsim.route_path(topo, "ghost", "l1"),
+    lambda topo, cfg: netsim.route_path(topo, "p1", "ghost"),
+    lambda topo, cfg: netsim.pair_min_delay_ms(topo, cfg, 42, "ghost", "l1"),
+    lambda topo, cfg: netsim.pair_min_delay_ms(topo, cfg, 42, "p1", "ghost"),
+    lambda topo, cfg: netsim.simulate_row(topo, cfg, 42, "ghost", topo._host_positions(["l1"])),
+    lambda topo, cfg: topo._host_positions(["l1", "ghost"]),
+])
+def test_unknown_host_id_is_not_found(call):
+    cfg = mini_config()
+    with pytest.raises(NotFoundError, match="unknown host 'ghost'"):
+        call(netsim.build_topology(cfg), cfg)
 
 
 def test_missing_ixp_is_a_validation_error():
@@ -320,11 +386,12 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
     lms = sorted(h.id for h in topo.registry.landmarks())
     probes = sorted(h.id for h in topo.registry.probes())
     k = pm.samples_per_pair
-    keys = topo._host_key[topo._host_positions(lms)]
+    lm_pos = topo._host_positions(lms)
+    keys = topo._host_key[lm_pos]
     logs = {True: [], False: []}
     jitter, words = [], []
     for p in probes:
-        f, jit = netsim.sample_path_factors(topo, cn_config, 42, p, lms)
+        f, jit = netsim.sample_path_factors(topo, cn_config, 42, p, lm_pos)
         same = np.array([topo.host(l).isp == topo.host(p).isp for l in lms])
         for intra in (True, False):
             law = pm.intra_r if intra else pm.inter_r
@@ -489,18 +556,11 @@ def test_libyaml_and_python_loaders_agree(monkeypatch):
 def test_bundled_cn_like_config_matches_its_generator():
     """Every golden pin rests on the bundled cn-like config; it must be the
     generator script's output byte for byte."""
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "gen_cn_like_config", root / "scripts" / "gen_cn_like_config.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    config = root / "src" / "rtdcorr" / "configs" / "cn-like.yaml"
-    assert gen.render().encode() == config.read_bytes()
+    config = Path(__file__).resolve().parents[1] / "src" / "rtdcorr" / "configs" / "cn-like.yaml"
+    assert load_script("gen_cn_like_config").render().encode() == config.read_bytes()
 
 
 def test_resolve_unknown_config():
-    from rtdcorr.errors import NotFoundError
-
     with pytest.raises(NotFoundError):
         netsim.resolve_config("no-such-config")
 
