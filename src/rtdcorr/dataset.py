@@ -267,14 +267,6 @@ class SampleTable:
                    probe_isp, landmark_isp, probe_city, landmark_city)
 
 
-def probe_runs(table) -> list[tuple[int, int, int]]:
-    """(probe code, start, stop) of each run of rows with one probe, in row
-    order; in a table sorted by pair each probe's rows are one run."""
-    starts = np.flatnonzero(np.diff(table.probe, prepend=-1))
-    stops = np.append(starts[1:], len(table.probe))
-    return list(zip(table.probe[starts].tolist(), starts.tolist(), stops.tolist()))
-
-
 def ingest_rtt(table: RttTable) -> MinRttTable:
     """Minimum RTT per (probe, landmark) pair, a grouped minimum over the
     rows sorted by pair; unmeasured pairs are absent."""
@@ -291,8 +283,8 @@ def ingest_rtt(table: RttTable) -> MinRttTable:
 
 
 def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
-    """Attach geodesic distances (one kernel call per probe) and ISP/city
-    tags to aggregated min-RTTs."""
+    """Attach geodesic distances (one kernel call over every row; the kernel
+    bounds its own temporaries) and ISP/city tags to aggregated min-RTTs."""
     probes = [registry[h] for h in min_rtts.probe_ids]
     landmarks = [registry[h] for h in min_rtts.landmark_ids]
     isps = tuple(sorted({h.isp for h in probes + landmarks}))
@@ -302,13 +294,10 @@ def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
         code = {v: i for i, v in enumerate(ids)}
         return np.array([code[getattr(h, attr)] for h in hosts], dtype=np.intp)
 
-    lm_lats = np.array([h.coordinate.lat for h in landmarks])
-    lm_lons = np.array([h.coordinate.lon for h in landmarks])
-    distance = np.empty(len(min_rtts))
-    for p, lo, hi in probe_runs(min_rtts):
-        lms = min_rtts.landmark[lo:hi]
-        c = probes[p].coordinate
-        distance[lo:hi] = geodesic_distance_many(c.lat, c.lon, lm_lats[lms], lm_lons[lms])
+    coords = [(h.coordinate.lat, h.coordinate.lon) for h in probes + landmarks]
+    p_coord, l_coord = np.split(np.array(coords).reshape(-1, 2), [len(probes)])
+    p, lm = min_rtts.probe, min_rtts.landmark
+    distance = geodesic_distance_many(p_coord[p, 0], p_coord[p, 1], l_coord[lm, 0], l_coord[lm, 1])
     return SampleTable(
         min_rtts.probe_ids, min_rtts.landmark_ids, isps, cities,
         min_rtts.probe, min_rtts.landmark, min_rtts.rtt_ms, distance,

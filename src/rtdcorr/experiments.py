@@ -96,7 +96,7 @@ class Campaign:
         self._lm_pos = self.topology._host_positions(s.landmark_ids)
         self._lm_isp = s.landmark_isp[:shape[1]]
         self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
-        self._lm_center = np.array([h.is_regional_center for h in lms], dtype=bool)
+        self._lm_center = self.topology._host_at_center[self._lm_pos]
         self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group
 
     def bestline(self, probe: int, isp: Optional[int]) -> Optional[geoloc.Bestline]:

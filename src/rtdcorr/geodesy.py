@@ -1,12 +1,13 @@
 """Geodesic distances on the WGS-84 ellipsoid.
 
 Distances are returned in kilometers.  One vectorised Vincenty inverse
-solution serves every caller, one pair or many; near-antipodal pairs where
-the iteration does not converge fall back to a great-circle (haversine)
-distance on the mean Earth radius, and the fallback is flagged on the
-result.  The great-circle distance also brackets the Vincenty distance
-(``vincenty_bracket``), which lets callers decide most distance thresholds
-without running the iteration.
+solution serves every caller, one pair or many; it iterates at most
+VINCENTY_PASS_PAIRS pairs at a time, so a call of any size holds a few MB of
+temporaries.  Near-antipodal pairs where the iteration does not converge
+fall back to a great-circle (haversine) distance on the mean Earth radius,
+and the fallback is flagged on the result.  The great-circle distance also
+brackets the Vincenty distance (``vincenty_bracket``), which lets callers
+decide most distance thresholds without running the iteration.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ _BRACKET_REL = 1e-9
 
 VINCENTY_MAX_ITER = 200
 VINCENTY_TOL_RAD = 1e-12
+#: the most pairs one pass of the iteration takes (~40 floats a pair of temporaries)
+VINCENTY_PASS_PAIRS = 8192
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +71,16 @@ class Coordinate:
 class GeodesicResult(NamedTuple):
     km: float
     used_fallback: bool
+
+
+def km_per_deg_lon(lat: float) -> float:
+    """Nominal length (km) of a degree of longitude at latitude lat (degrees)."""
+    return KM_PER_DEG_LAT * max(0.01, math.cos(math.radians(lat)))
+
+
+def _wrap_lon(lon):
+    """Longitudes (degrees) into [-180, 180]; in-range values pass unchanged."""
+    return np.where((lon < -180.0) | (lon > 180.0), (lon + 180.0) % 360.0 - 180.0, lon)
 
 
 def haversine_km(a: Coordinate, b: Coordinate, radius_km: float = MEAN_EARTH_RADIUS_KM) -> float:
@@ -126,7 +139,9 @@ def geodesic_distance_many(
 
 def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     """The Vincenty (1975) inverse iteration, the one implementation of it:
-    distances in km and the mask of pairs that took the great-circle fallback.
+    distances in km and the mask of pairs that took the great-circle fallback,
+    in the inputs' broadcast shape.  Passes of at most VINCENTY_PASS_PAIRS
+    pairs bound its temporaries; an input that fits is one pass, as given.
 
     Each pair is put in (lat, lon) key order first.  The inverse is symmetric
     in exact arithmetic, so the order decides only the rounding, and every
@@ -134,6 +149,12 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     """
     lats1, lons1, lats2, lons2 = (
         np.asarray(v, dtype=float) for v in (lats1, lons1, lats2, lons2))
+    pairs = np.broadcast(lats1, lons1, lats2, lons2)
+    if pairs.size > VINCENTY_PASS_PAIRS:
+        flat = [np.broadcast_to(v, pairs.shape).ravel() for v in (lats1, lons1, lats2, lons2)]
+        runs = [_vincenty(*(v[lo:lo + VINCENTY_PASS_PAIRS] for v in flat))
+                for lo in range(0, pairs.size, VINCENTY_PASS_PAIRS)]
+        return tuple(np.concatenate(r).reshape(pairs.shape) for r in zip(*runs))
     # the mask has the four inputs' broadcast shape, so the ordered arrays do
     swap = (lats2 < lats1) | ((lats2 == lats1) & (lons2 < lons1))
     lats1, lats2 = np.where(swap, lats2, lats1), np.where(swap, lats1, lats2)

@@ -17,9 +17,11 @@ from .errors import BestlineError, ValidationError
 from .geodesy import (  # noqa: F401
     KM_PER_DEG_LAT,
     Coordinate,
+    _wrap_lon,
     geodesic_distance,
     geodesic_distance_many,
     great_circle_km_many,
+    km_per_deg_lon,
     vincenty_bracket,
 )
 
@@ -149,11 +151,6 @@ class GeolocationResult:
         return self.status == "located"
 
 
-def _wrap_lon(lon):
-    """Longitudes (degrees) into [-180, 180]; in-range values pass unchanged."""
-    return np.where((lon < -180.0) | (lon > 180.0), (lon + 180.0) % 360.0 - 180.0, lon)
-
-
 def cbg_grid(
     circles: Sequence[tuple[Coordinate, float]],
     grid_km: float,
@@ -199,14 +196,13 @@ def cbg_grid(
         lon_lo = (lon_lo + lon_hi) / 2.0 - 180.0
         lon_hi = lon_lo + 360.0
 
-    mid_lat = (lat_lo + lat_hi) / 2.0
-    km_per_deg_lon = KM_PER_DEG_LAT * max(0.01, math.cos(math.radians(mid_lat)))
+    lon_km = km_per_deg_lon((lat_lo + lat_hi) / 2.0)
     span_km = max(
-        (lat_hi - lat_lo) * KM_PER_DEG_LAT, (lon_hi - lon_lo) * km_per_deg_lon, grid_km
+        (lat_hi - lat_lo) * KM_PER_DEG_LAT, (lon_hi - lon_lo) * lon_km, grid_km
     )
     eff_km = max(grid_km, span_km / max_cells_per_axis)
     lat_step = eff_km / KM_PER_DEG_LAT
-    lon_step = eff_km / km_per_deg_lon
+    lon_step = eff_km / lon_km
     lats = np.arange(lat_lo, lat_hi + lat_step / 2.0, lat_step)
     lats = lats[lats <= 90.0]  # the last row may overshoot a pole
     lons = np.arange(lon_lo, lon_hi + (-0.5 if full_turn else 0.5) * lon_step, lon_step)

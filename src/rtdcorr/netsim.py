@@ -35,13 +35,14 @@ import yaml
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
 from .dataset import HostRecord, Registry, RttTable, validate_registry
 from .errors import NotFoundError, ValidationError
-from .geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance, geodesic_distance_many
+from .geodesy import (KM_PER_DEG_LAT, Coordinate, _wrap_lon, geodesic_distance,
+                      geodesic_distance_many, km_per_deg_lon)
 
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6
 
-#: rows of the site distance matrix computed per kernel call, which bounds the
-#: kernel's temporaries to a few MB
+#: rows of the site distance matrix per kernel call, each against the columns
+#: from its block on: the blocks skip the lower triangle, which is mirrored
 _ROWS_PER_KERNEL_CALL = 16
 
 #: the time of a campaign's first observation; observation m is m minutes on
@@ -219,8 +220,7 @@ def _host_offset_deg(host_id: str, city: City, scatter_km: float) -> tuple[float
     ux = int.from_bytes(h[0:8], "big") / 2 ** 64
     uy = int.from_bytes(h[8:16], "big") / 2 ** 64
     dlat = (2.0 * ux - 1.0) * scatter_km / KM_PER_DEG_LAT
-    coslat = max(0.01, math.cos(math.radians(city.coordinate.lat)))
-    dlon = (2.0 * uy - 1.0) * scatter_km / (KM_PER_DEG_LAT * coslat)
+    dlon = (2.0 * uy - 1.0) * scatter_km / km_per_deg_lon(city.coordinate.lat)
     return dlat, dlon
 
 
@@ -231,7 +231,7 @@ def _on_globe(lat: float, lon: float) -> Coordinate:
     if abs(lat) > 90.0:
         lat, lon = math.copysign(180.0, lat) - lat, lon + 180.0
     if abs(lon) > 180.0:
-        lon = (lon + 180.0) % 360.0 - 180.0
+        lon = float(_wrap_lon(lon))
     return Coordinate(lat, lon)
 
 

@@ -17,12 +17,13 @@ from rtdcorr.geodesy import (
     WGS84_F,
     Coordinate,
     GeodesicResult,
+    _wrap_lon,
     geodesic_distance_many,
     great_circle_km_many,
     haversine_km,
     vincenty_bracket,
 )
-from rtdcorr.geoloc import GeolocationResult, _wrap_lon, cbg_grid, grid_centroid
+from rtdcorr.geoloc import GeolocationResult, cbg_grid, grid_centroid
 from rtdcorr.netsim import pair_rng
 
 

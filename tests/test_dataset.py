@@ -136,6 +136,7 @@ def test_join_cardinality():
     )
     min_rtts = {("p1", "l1"): 1.0, ("p2", "l2"): 2.0, ("p1", "l2"): 3.0}
     assert len(dataset.join_distances(min_table(min_rtts), reg)) == len(min_rtts)
+    assert dataset.join_distances(min_table({}), reg).distance_km.shape == (0,)
 
 
 def test_join_missing_host():
@@ -262,3 +263,20 @@ def test_write_csv_streams_its_rows(tmp_path):
     text_bytes = path.stat().st_size
     assert text_bytes > 4_000_000
     assert peak < text_bytes / 4
+
+
+def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
+    """The join's one kernel call over the cn-like min-RTT table (40,500
+    pairs) peaks well below one pass over all its rows (~13 MB), and gives
+    the campaign's distances bit for bit."""
+    s = cn_campaign.samples
+    min_rtts = dataset.MinRttTable(s.probe_ids, s.landmark_ids, s.probe, s.landmark, s.delay_ms)
+    tracemalloc.start()
+    try:
+        joined = dataset.join_distances(min_rtts, cn_campaign.topology.registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(joined) == 40_500
+    assert joined.distance_km.tobytes() == s.distance_km.tobytes()
+    assert peak < 8_000_000

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtdcorr import geodesy
 from rtdcorr.errors import ValidationError
 from rtdcorr.geodesy import (
     Coordinate,
@@ -223,3 +225,84 @@ def test_kernel_owns_the_pair_order(pairs):
         assert km == geodesic_distance(p, q) == geodesic_distance(q, p)
         assert km == geodesic_distance_many(q.lat, q.lon, p.lat, p.lon)
         assert from_a == geodesic_distance(a, q)
+
+
+K = geodesy.VINCENTY_PASS_PAIRS
+
+#: pairs every pass-boundary batch holds: two that take the great-circle
+#: fallback, pole to pole, two points on the north pole a turn apart in
+#: longitude, and a coincident pair
+EDGE_PAIRS = [
+    (Coordinate(0.0, 0.0), Coordinate(0.5, 179.7)),
+    (Coordinate(10.0, 20.0), Coordinate(-10.3, -160.2)),
+    (Coordinate(90.0, 0.0), Coordinate(-90.0, 45.0)),
+    (Coordinate(90.0, -180.0), Coordinate(90.0, 180.0)),
+    (Coordinate(12.5, 100.0), Coordinate(12.5, 100.0)),
+]
+
+
+def assert_pairwise(got, pairs, idx):
+    """The kernel's (km, fallback mask) over the pairs ``pairs[idx]`` has
+    idx's shape and equals per-pair ``geodesic_distance_full``, bit for bit."""
+    km, fell_back = got
+    want = [geodesic_distance_full(a, b) for a, b in pairs]
+    assert km.shape == fell_back.shape == idx.shape
+    assert km.tobytes() == np.array([w.km for w in want])[idx].tobytes()
+    assert np.array_equal(fell_back, np.array([w.used_fallback for w in want])[idx])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([K - 1, K, K + 1, 2 * K + 1]),
+       st.lists(bracket_pairs(), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1), st.data())
+def test_passes_do_not_change_a_bit(n, drawn, seed, data):
+    # a batch over a few distinct pairs, the edge pairs among them, with the
+    # pairs on both sides of every pass boundary (and at the ends) drawn
+    pairs = EDGE_PAIRS + drawn
+    idx = np.random.default_rng(seed).integers(len(pairs), size=n)
+    edges = sorted({i for b in range(0, n + 1, K) for i in (b - 2, b - 1, b, b + 1) if 0 <= i < n})
+    idx[edges] = data.draw(st.lists(st.integers(0, len(pairs) - 1),
+                                    min_size=len(edges), max_size=len(edges)))
+    coords = np.array([(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])[idx]
+    assert_pairwise(geodesy._vincenty(*coords.T), pairs, idx)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(any_coords, min_size=1, max_size=6), st.lists(any_coords, min_size=1, max_size=6),
+       st.integers(1, 64), st.sampled_from([-1, 0, 1]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_broadcast_passes_keep_the_shape(rows, cols, k, side, flip, seed):
+    # (k, 1) x (1, m) with k * m below, at or just above K
+    rows = [Coordinate(0.0, 0.0), Coordinate(90.0, 0.0), Coordinate(10.0, 20.0)] + rows
+    cols = [Coordinate(0.5, 179.7), Coordinate(-90.0, 45.0), Coordinate(0.0, 0.0)] + cols
+    m = max(1, K // k + side)
+    rng = np.random.default_rng(seed)
+    r, c = rng.integers(len(rows), size=(k, 1)), rng.integers(len(cols), size=(1, m))
+    if flip:  # (m, 1) x (1, k)
+        r, c = r.T, c.T
+    pairs = [(a, b) for a in rows for b in cols]
+    lat1, lon1 = (np.array([getattr(a, f) for a in rows])[r] for f in ("lat", "lon"))
+    lat2, lon2 = (np.array([getattr(b, f) for b in cols])[c] for f in ("lat", "lon"))
+    assert_pairwise(geodesy._vincenty(lat1, lon1, lat2, lon2), pairs, r * len(cols) + c)
+
+
+def test_zero_d_and_empty_inputs_keep_their_shape():
+    for a, b in EDGE_PAIRS:
+        got = geodesy._vincenty(a.lat, a.lon, b.lat, b.lon)
+        assert_pairwise(got, [(a, b)], np.array(0))
+    for s1, s2 in [((0,), (0,)), ((3, 1), (1, 0)), ((0, 1), (1, 5)), ((0,), ())]:
+        km, fell_back = geodesy._vincenty(np.zeros(s1), np.zeros(s1), np.ones(s2), np.ones(s2))
+        assert km.shape == fell_back.shape == np.broadcast_shapes(s1, s2)
+
+
+def test_kernel_memory_is_bounded_by_its_pass():
+    """100,000 pairs in one call peak well below what one pass over all of
+    them held (32.6 MB): only the passes' temporaries and the output."""
+    rng = np.random.default_rng(5)
+    lats1, lats2 = rng.uniform(-90, 90, (2, 100_000))
+    lons1, lons2 = rng.uniform(-180, 180, (2, 100_000))
+    tracemalloc.start()
+    try:
+        geodesic_distance_many(lats1, lons1, lats2, lons2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
