@@ -7,7 +7,10 @@ Usage: PYTHONPATH=src python scripts/outcome_digest.py [--seeds 42,7]
 For each seed it prints one JSON line for the campaign, then one per
 algorithm x mode.  The campaign line holds sha256 digests of the site
 distance matrix and of the joined sample distances, over their raw float64
-bytes.  An outcome line holds:
+bytes, and ``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
+bestline (slope, intercept), or None, over all its landmarks and then over
+each landmark ISP in code order, probes in code order.  An outcome line
+holds:
 - the target count and the located count;
 - the total number of region cells (CBG; GeoGet names a city, not a region);
 - ``sha256_6dp``: a sha256 of the outcomes with coordinates at 6 decimals,
@@ -22,6 +25,8 @@ benchmark's ``geoget`` workload does).  Campaign and experiment share the seed.
 import argparse
 import hashlib
 import json
+
+import numpy as np
 
 from rtdcorr import experiments, netsim
 
@@ -44,13 +49,21 @@ def outcome_line(target, res, fmt):
     return "|".join([target.id, res.status, res.city or "", lat, lon, res.reason, str(cells(res))])
 
 
+def bestline_line(line):
+    return repr(None if line is None else (line.slope_ms_per_km, line.intercept_ms))
+
+
 def digest_seed(config, seed):
     campaign = experiments.prepare_campaign(config, seed)
+    isps = [None, *np.unique(campaign.samples.landmark_isp).tolist()]
     yield {
         "seed": seed,
         "sites": len(campaign.topology._sites),
         "site_matrix_sha256": hashlib.sha256(campaign.topology._dist.tobytes()).hexdigest(),
         "join_sha256": hashlib.sha256(campaign.samples.distance_km.tobytes()).hexdigest(),
+        "bestlines_sha256": sha256(
+            bestline_line(campaign.bestline(p, isp))
+            for p in range(len(campaign.samples.probe_ids)) for isp in isps),
     }
     n_landmarks = len(campaign.topology.registry.landmarks())
     for algorithm, locate in LOCATE.items():

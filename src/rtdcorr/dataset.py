@@ -322,33 +322,34 @@ def _parse_bool(s: str) -> bool:
 def _csv_rows(path, required: Iterable[str]):
     """(header, rows) of a CSV file whose header has the required columns;
     ``rows`` yields each non-blank row as its list of fields.  A row with
-    missing or extra fields, or a ValueError (ValidationError included) or
-    NotFoundError raised while the rows are read, raises ValidationError
-    naming the row's line; one raised once every row is read names the file
-    alone."""
+    missing or extra fields, or a ValueError (ValidationError and
+    UnicodeDecodeError included), csv.Error or NotFoundError raised while the
+    rows are read, raises ValidationError naming the row's line; one raised
+    before the rows or once every row is read names the file alone."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        required = set(required)
-        if header is None or not required.issubset(header):
-            raise ValidationError(f"{path}: expected header columns {sorted(required)}")
-        width = len(header)
-        read_all = False
+        in_rows = False
 
         def rows():
-            nonlocal read_all
+            nonlocal in_rows
+            in_rows = True
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue  # a blank line
                     raise ValidationError(f"expected {width} fields")
                 yield row
-            read_all = True
+            in_rows = False
 
         try:
+            header = next(reader, None)
+            required = set(required)
+            if header is None or not required.issubset(header):
+                raise ValidationError(f"expected header columns {sorted(required)}")
+            width = len(header)
             yield header, rows()
-        except (ValueError, NotFoundError) as exc:
-            where = path if read_all else f"{path}:{reader.line_num}"
+        except (ValueError, NotFoundError, csv.Error) as exc:
+            where = f"{path}:{reader.line_num}" if in_rows else path
             raise ValidationError(f"{where}: {exc}") from exc
 
 

@@ -106,9 +106,9 @@ class Campaign:
         key = (probe, isp)
         if key not in self._bestlines:
             at = (probe, slice(None) if isp is None else self._lm_isp == isp)
-            points = list(zip(self._distance[at].tolist(), self._delay[at].tolist()))
             try:
-                self._bestlines[key] = geoloc.fit_bestline(points)
+                self._bestlines[key] = geoloc.fit_bestline(
+                    np.stack((self._distance[at], self._delay[at]), axis=1))
             except BestlineError:
                 self._bestlines[key] = None
         return self._bestlines[key]

@@ -46,15 +46,15 @@ class Bestline:
         return self.slope_ms_per_km * distance_km + self.intercept_ms
 
 
-def _lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The lower convex hull of the points (x, y): its vertices, left to right,
+    as the rows xs, ys."""
     # only the lowest point at each x can lie on a lower bound
-    lowest: dict[float, float] = {}
-    for x, y in points:
-        if x not in lowest or y < lowest[x]:
-            lowest[x] = y
-    pts = sorted(lowest.items())
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    first = np.concatenate(([True], x[1:] != x[:-1]))
     hull: list[tuple[float, float]] = []
-    for p in pts:
+    for p in zip(x[first].tolist(), y[first].tolist()):
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             # drop the middle point when it lies on or above the chord
@@ -63,50 +63,42 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
             else:
                 break
         hull.append(p)
-    return hull
+    return np.array(hull).T
 
 
-def fit_bestline(points: Sequence[tuple[float, float]]) -> Bestline:
+def fit_bestline(points: np.ndarray | Sequence[tuple[float, float]]) -> Bestline:
     """Fit y = m*x + b with m > 0, b >= 0 lying at or below all points,
-    minimizing the total vertical deviation.
+    minimizing the total vertical deviation.  ``points`` is an (n, 2) array
+    of (x, y) rows or a sequence of (x, y) pairs.
 
     Candidates are the lower-convex-hull edges plus the steepest feasible
     through-origin line; ties go to the smaller slope (wider circles).
     """
-    if len(points) < 2:
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    if x.size < 2:
         raise BestlineError("need at least 2 points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    if max(xs) == min(xs):
+    if x.max() == x.min():
         raise BestlineError("all distances equal; slope undefined")
 
-    candidates: list[tuple[float, float]] = []
-    hull = _lower_hull(list(points))
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        m = (y1 - y0) / (x1 - x0)
-        candidates.append((m, y0 - m * x0))
-    pos = [(x, y) for x, y in points if x > 0]
-    if pos:
-        candidates.append((min(y / x for x, y in pos), 0.0))
-
-    feasible = []
-    for m, b in candidates:
-        if m <= 0.0 or b < 0.0:
-            continue
+    hx, hy = _lower_hull(x, y)
+    # overflow gives inf, and 0 * inf nan, as in float arithmetic
+    with np.errstate(all="ignore"):
+        m = np.diff(hy) / np.diff(hx)
+        b = hy[:-1] - m * hx[:-1]
+        if (pos := x > 0).any():
+            m, b = np.append(m, np.min(y[pos] / x[pos])), np.append(b, 0.0)
+        # the deviations, summed left to right in point order
+        dev = np.cumsum(y - (m[:, None] * x + b[:, None]), axis=1)[:, -1]
         # feasible: inverting the line (estimate_distance) never underestimates
         # a point's distance; tested in that form, as near-flat lines lose
-        # their intercept to rounding
-        if all((y - b) / m >= x - _FEAS_TOL_KM for x, y in points):
-            dev = sum(y - (m * x + b) for x, y in points)
-            feasible.append((dev, m, b))
-    if not feasible:
+        # their intercept to rounding.  A line with a nan deviation is not.
+        ok = np.flatnonzero((m > 0.0) & (b >= 0.0) & ~np.isnan(dev) & np.all(
+            (y - b[:, None]) / m[:, None] >= x - _FEAS_TOL_KM, axis=1))
+    if not ok.size:
         raise BestlineError("no feasible lower bound with positive slope")
-    best_dev = min(dev for dev, _, _ in feasible)
-    dev, m, b = min(
-        (c for c in feasible if c[0] <= best_dev + _FEAS_TOL_MS),
-        key=lambda c: c[1],
-    )
-    return Bestline(m, max(0.0, b))
+    near = ok[dev[ok] <= dev[ok].min() + _FEAS_TOL_MS]
+    i = near[np.argmin(m[near])]
+    return Bestline(float(m[i]), max(0.0, float(b[i])))
 
 
 def estimate_distance(b: Bestline, delay_ms: float) -> float:

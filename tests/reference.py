@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, STRONG_CORR_THRESHOLD, PathFactors
-from rtdcorr.errors import ValidationError
+from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import (
     VINCENTY_MAX_ITER,
     VINCENTY_TOL_RAD,
@@ -23,7 +23,14 @@ from rtdcorr.geodesy import (
     haversine_km,
     vincenty_bracket,
 )
-from rtdcorr.geoloc import GeolocationResult, cbg_grid, grid_centroid
+from rtdcorr.geoloc import (
+    _FEAS_TOL_KM,
+    _FEAS_TOL_MS,
+    Bestline,
+    GeolocationResult,
+    cbg_grid,
+    grid_centroid,
+)
 from rtdcorr.netsim import pair_rng
 
 
@@ -209,6 +216,77 @@ def rtd_model_corr_ratio_form(f: PathFactors):
     if den <= 0.0:
         return None if v_rt == 0.0 and v_d == 0.0 else 0.0
     return e_rt * v_d / den
+
+
+def _list_lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    # only the lowest point at each x can lie on a lower bound
+    lowest: dict[float, float] = {}
+    for x, y in points:
+        if x not in lowest or y < lowest[x]:
+            lowest[x] = y
+    pts = sorted(lowest.items())
+    hull: list[tuple[float, float]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            # drop the middle point when it lies on or above the chord
+            if (x1 - x0) * (p[1] - y0) - (p[0] - x0) * (y1 - y0) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def list_fit_bestline(points: Sequence[tuple[float, float]]) -> Bestline:
+    """Fit y = m*x + b with m > 0, b >= 0 lying at or below all points,
+    minimizing the total vertical deviation.
+
+    Candidates are the lower-convex-hull edges plus the steepest feasible
+    through-origin line; ties go to the smaller slope (wider circles).
+
+    The fit over lists of (x, y) pairs, one Python scan of the points per
+    candidate; the reference for the array ``rtdcorr.geoloc.fit_bestline``.
+    It sums each line's deviations in an explicit loop where it once called
+    the builtin sum, which compensates its rounding from Python 3.12 on.
+    """
+    if len(points) < 2:
+        raise BestlineError("need at least 2 points")
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if max(xs) == min(xs):
+        raise BestlineError("all distances equal; slope undefined")
+
+    candidates: list[tuple[float, float]] = []
+    hull = _list_lower_hull(list(points))
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        m = (y1 - y0) / (x1 - x0)
+        candidates.append((m, y0 - m * x0))
+    pos = [(x, y) for x, y in points if x > 0]
+    if pos:
+        candidates.append((min(y / x for x, y in pos), 0.0))
+
+    feasible = []
+    for m, b in candidates:
+        if m <= 0.0 or b < 0.0:
+            continue
+        # feasible: inverting the line (estimate_distance) never underestimates
+        # a point's distance; tested in that form, as near-flat lines lose
+        # their intercept to rounding
+        if all((y - b) / m >= x - _FEAS_TOL_KM for x, y in points):
+            # left to right, as the builtin sum adds floats before Python 3.12
+            dev = 0.0
+            for x, y in points:
+                dev += y - (m * x + b)
+            feasible.append((dev, m, b))
+    if not feasible:
+        raise BestlineError("no feasible lower bound with positive slope")
+    best_dev = min(dev for dev, _, _ in feasible)
+    dev, m, b = min(
+        (c for c in feasible if c[0] <= best_dev + _FEAS_TOL_MS),
+        key=lambda c: c[1],
+    )
+    return Bestline(m, max(0.0, b))
 
 
 def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):

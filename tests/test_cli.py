@@ -804,6 +804,53 @@ def test_malformed_csv_exits_1(clean_csvs, data):
         assert quiet_main(argv) == 1
 
 
+#: each CSV input of each command: (argv, the file the input flag names)
+CSV_INPUTS = {
+    "ingest-hosts": (["ingest", "--hosts", "hosts.csv", "--rtt", "rtt.csv", "--out", "out.csv"],
+                     "hosts.csv"),
+    "ingest-rtt": (["ingest", "--hosts", "hosts.csv", "--rtt", "rtt.csv", "--out", "out.csv"],
+                   "rtt.csv"),
+    "corr": (["corr", "--samples", "samples.csv", "--out", "out.csv"], "samples.csv"),
+    "discover": (["discover", "--samples", "samples.csv"], "samples.csv"),
+    "evaluate-results": (["evaluate", "--results", "results.csv", "--truth", "hosts.csv"],
+                         "results.csv"),
+    "evaluate-truth": (["evaluate", "--results", "results.csv", "--truth", "hosts.csv"],
+                       "hosts.csv"),
+}
+
+
+def _spoil(data: bytes, how: str) -> bytes:
+    """The CSV bytes with a 0xff byte in the header, in the first row or
+    past the first 8 KB, or with a 200,000-character quoted first field in
+    the first row."""
+    header, first, rest = data.split(b"\n", 2)
+    if how == "ff-header":
+        return b"\xff" + data
+    if how == "ff-first-row":
+        return b"\n".join([header, first + b"\xff", rest])
+    if how == "ff-past-8k":  # blank lines are skipped
+        return data + b"\n" * max(0, 9000 - len(data)) + first + b"\xff\n"
+    field = b'"' + b"a" * 200_000 + b'"'
+    return b"\n".join([header, field + first[first.index(b","):], rest])
+
+
+@pytest.mark.parametrize("how", ["ff-header", "ff-first-row", "ff-past-8k", "huge-field"])
+@pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+def test_undecodable_or_oversized_csv_exits_1(capsys, tmp_path, clean_csvs, command, how):
+    argv, name = CSV_INPUTS[command]
+    files = {**clean_csvs, "results.csv": (
+        "target_id,status,pred_city,pred_lat,pred_lon,reason\n"
+        "l1,located,,30.1,100.1,\nl2,failed,,,,no circles\n")}
+    for fname, text in files.items():
+        data = text.encode()
+        (tmp_path / fname).write_bytes(_spoil(data, how) if fname == name else data)
+    code, stdout, err = run(capsys, *(str(tmp_path / a) if a.endswith(".csv") else a
+                                      for a in argv))
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / name}")
+    assert ("field larger than field limit" if how == "huge-field" else "can't decode") in err
+
+
 JUNK = [5, "x", None, [1], [[1]], {"a": 1}]
 
 

@@ -15,6 +15,7 @@ from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES, load_script
 from reference import (
     dict_contrast_probes,
+    list_fit_bestline,
     list_geoget_locate,
     per_circle_cbg_locate,
     two_list_cbg_select_probes,
@@ -96,6 +97,67 @@ def test_bestline_degenerate_inputs():
     # duplicate x values are fine; only the lowest point at each x matters
     b2 = geoloc.fit_bestline([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)])
     assert b2.delay_at(2.0) <= 1.0 + 1e-9
+
+
+_VALUE = st.one_of(st.integers(-2, 9).map(float), st.floats(-1e3, 1e9))
+
+
+@st.composite
+def _clouds(draw):
+    """(x, y) point lists: small integer grids (repeated x, collinear runs,
+    ties), free floats, and points a few ulps off one line."""
+    xs = draw(st.lists(_VALUE, max_size=12))
+    if draw(st.booleans()):
+        m, b = draw(st.floats(1e-3, 10.0)), draw(st.floats(0.0, 10.0))
+        return [(x, m * x + b + draw(st.integers(-2, 2)) * math.ulp(m * x + b)) for x in xs]
+    return [(x, draw(_VALUE)) for x in xs]
+
+
+def _fit_repr(fit, pts):
+    """The fit's (slope, intercept) at full repr, or its BestlineError's text."""
+    try:
+        b = fit(pts)
+    except BestlineError as exc:
+        return f"error: {exc}"
+    return repr((b.slope_ms_per_km, b.intercept_ms))
+
+
+@given(_clouds())
+@example([(0.0, 1.0), (-0.0, 0.5), (2.0, 3.0), (2.0, 2.0), (-0.0, 0.25), (3.0, 4.0)])  # repeated x, +-0
+@example([(1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)])  # collinear
+@example([(0.0, 1.0), (2.0, 2.0), (3.0, 4.0), (4.0, 3.0), (1.0, 1.5)])  # on the first-to-last chord
+@example([(100.0, 5.0), (200.0, 3.0), (300.0, 1.0)])  # decreasing
+@example([(5.0, 1.0), (5.0, 2.0), (5.0, 0.5)])  # all x equal
+@example([(1.0, 1.0), (1.0, 0.5), (5.0, 0.5000000000000001)])  # near-flat hull edge
+@example([(0.0, 1.0), (5e-324, 2.0), (1.0, 3.0)])  # a through-origin slope that overflows
+@example([(2.225073858507e-311, 1.0), (0.0, 0.0)])  # a nan deviation
+@example([(0.0, 0.0), (3.0, 0.8999999999999999), (7.0, 2.1), (-105.0, -31.499999999999996)])  # near-collinear
+@example([(0.0, 1.0), (7.0, 880780259.0), (7.0, 5.0), (5.0, 989730379.0), (7.0, 9.0),
+          (6.0, 400495180.0), (5.0, 3.0), (3.0, 2.0)])  # the summation order decides the tie
+@settings(max_examples=300)
+def test_bestline_equals_the_list_fit_bit_for_bit(pts):
+    got = _fit_repr(geoloc.fit_bestline, pts)
+    assert _fit_repr(geoloc.fit_bestline, np.array(pts).reshape(-1, 2)) == got
+    try:
+        want = _fit_repr(list_fit_bestline, pts)
+    except ValueError:
+        # the list fit's min() fails when its first feasible line has a nan
+        # deviation; the fit drops every such line
+        return
+    assert got == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_bestline_overflowing_candidate_raises_no_warning():
+    pts = [(0.0, 1.0), (5e-324, 2.0), (1.0, 3.0)]
+    assert geoloc.fit_bestline(pts) == geoloc.Bestline(2.0, 1.0)
+
+
+def test_bestline_with_a_nan_deviation_fails_cleanly():
+    # the only feasible line, through the origin, has slope 1 / 2.2e-311 = inf
+    # and deviation 0 - inf * 0 = nan
+    with pytest.raises(BestlineError, match="no feasible lower bound"):
+        geoloc.fit_bestline([(2.225073858507e-311, 1.0), (0.0, 0.0)])
 
 
 def test_estimate_distance():
