@@ -4,7 +4,13 @@ so two versions of the code can be compared for exact equality.
 
 Usage: PYTHONPATH=src python scripts/outcome_digest.py [--seeds 42,7]
 
-For each seed it prints one JSON line for the campaign, then one per
+It first prints one seed-independent line, ``kernel_edges_sha256``: a sha256
+over the Vincenty kernel's distance bytes and fallback-mask bytes on a fixed
+set of pairs over the whole globe (random pairs, near-antipodal pairs and
+rows at the poles, at +-180 deg, on one meridian and coincident), since the
+cn-like sites all lie in China and never reach those edges.
+
+For each seed it then prints one JSON line for the campaign, then one per
 algorithm x mode.  The campaign line holds sha256 digests of the site
 distance matrix and of the joined sample distances, over their raw float64
 bytes, and ``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
@@ -28,11 +34,21 @@ import json
 
 import numpy as np
 
-from rtdcorr import experiments, netsim
+from rtdcorr import experiments, geodesy, netsim
 
 CONFIG = "cn-like"
 LOCATE = {"cbg": experiments.cbg_locate_target, "geoget": experiments.geoget_locate_target}
 MODES = ("original", "modified")
+#: (lat1, lon1, lat2, lon2) rows the kernel digest holds besides its random
+#: pairs: two that take the great-circle fallback, pole to pole, two points on
+#: one pole, a turn apart in longitude and apart along it, the equator's two
+#: ends and its antipodes, two pairs on one meridian and a coincident pair
+EDGE_ROWS = [
+    (0.0, 0.0, 0.5, 179.7), (10.0, 20.0, -10.3, -160.2), (90.0, 0.0, -90.0, 45.0),
+    (90.0, -180.0, 90.0, 180.0), (90.0, 0.0, 90.0, 50.0), (-90.0, 10.0, -90.0, -170.0),
+    (0.0, -180.0, 0.0, 180.0), (0.0, 0.0, 0.0, 180.0), (30.0, 50.0, -20.0, 50.0),
+    (-45.0, -180.0, 45.0, -180.0), (12.5, 100.0, 12.5, 100.0),
+]
 
 
 def sha256(lines):
@@ -51,6 +67,21 @@ def outcome_line(target, res, fmt):
 
 def bestline_line(line):
     return repr(None if line is None else (line.slope_ms_per_km, line.intercept_ms))
+
+
+def kernel_edges_line():
+    """The kernel digest over 16,384 random pairs, 1,024 pairs within half a
+    degree of antipodal, and EDGE_ROWS: three passes of the kernel."""
+    rng = np.random.default_rng(0)
+    lat1, lat2 = rng.uniform(-90.0, 90.0, (2, 16_384 + 1_024))
+    lon1, lon2 = rng.uniform(-180.0, 180.0, (2, 16_384 + 1_024))
+    off = rng.uniform(-0.5, 0.5, (2, 1_024))
+    lat2[-1_024:] = np.clip(-lat1[-1_024:] + off[0], -90.0, 90.0)
+    lon2[-1_024:] = (lon1[-1_024:] + off[1]) % 360.0 - 180.0
+    rows = np.concatenate([np.stack([lat1, lon1, lat2, lon2], axis=1), EDGE_ROWS])
+    km, fell_back = geodesy._vincenty(*rows.T)
+    return {"pairs": len(rows), "fallbacks": int(fell_back.sum()),
+            "kernel_edges_sha256": hashlib.sha256(km.tobytes() + fell_back.tobytes()).hexdigest()}
 
 
 def digest_seed(config, seed):
@@ -98,6 +129,7 @@ def main():
                     help="comma-separated seeds (default 42,7)")
     args = ap.parse_args()
     config = netsim.resolve_config(CONFIG)
+    print(json.dumps(kernel_edges_line()), flush=True)
     for seed in args.seeds:
         for line in digest_seed(config, seed):
             print(json.dumps(line), flush=True)

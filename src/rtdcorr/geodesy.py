@@ -1,7 +1,8 @@
 """Geodesic distances on the WGS-84 ellipsoid.
 
 Distances are returned in kilometers.  One vectorised Vincenty inverse
-solution serves every caller, one pair or many; it iterates at most
+solution serves every caller, one pair or many; its iteration carries only
+the longitude difference λ on the auxiliary sphere, and it takes at most
 VINCENTY_PASS_PAIRS pairs at a time, so a call of any size holds a few MB of
 temporaries.  Near-antipodal pairs where the iteration does not converge
 fall back to a great-circle (haversine) distance on the mean Earth radius,
@@ -48,7 +49,7 @@ _BRACKET_REL = 1e-9
 
 VINCENTY_MAX_ITER = 200
 VINCENTY_TOL_RAD = 1e-12
-#: the most pairs one pass of the iteration takes (~40 floats a pair of temporaries)
+#: the most pairs one pass of the iteration takes (~32 floats a pair of temporaries)
 VINCENTY_PASS_PAIRS = 8192
 
 
@@ -83,14 +84,14 @@ def _wrap_lon(lon):
     return np.where((lon < -180.0) | (lon > 180.0), (lon + 180.0) % 360.0 - 180.0, lon)
 
 
-def haversine_km(a: Coordinate, b: Coordinate, radius_km: float = MEAN_EARTH_RADIUS_KM) -> float:
-    """Great-circle distance on a sphere of the given radius."""
+def haversine_km(a: Coordinate, b: Coordinate) -> float:
+    """Great-circle distance (km) on MEAN_EARTH_RADIUS_KM."""
     lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
     s = (
         math.sin((lat2 - lat1) / 2.0) ** 2
         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
     )
-    return 2.0 * radius_km * math.asin(min(1.0, math.sqrt(s)))
+    return 2.0 * MEAN_EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
 def great_circle_km_many(
@@ -143,6 +144,9 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     in the inputs' broadcast shape.  Passes of at most VINCENTY_PASS_PAIRS
     pairs bound its temporaries; an input that fits is one pass, as given.
 
+    λ is the iteration's only state; the terms the distance needs are
+    evaluated once more, by the loop's ``terms``, at the λ where a pair stopped.
+
     Each pair is put in (lat, lon) key order first.  The inverse is symmetric
     in exact arithmetic, so the order decides only the rounding, and every
     distance in the package is bitwise symmetric.
@@ -167,39 +171,31 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     sin_u1, cos_u1 = np.sin(u1), np.cos(u1)
     sin_u2, cos_u2 = np.sin(u2), np.cos(u2)
 
-    lam = ell.copy()
-    active = np.ones(lam.shape, dtype=bool)
-    sin_sigma = np.zeros_like(lam)
-    cos_sigma = np.ones_like(lam)
-    sigma = np.zeros_like(lam)
-    cos_sq_alpha = np.ones_like(lam)
-    cos_2sigma_m = np.zeros_like(lam)
-
-    for _ in range(VINCENTY_MAX_ITER):
-        if not active.any():
-            break
+    def terms(lam):
+        """sin σ, cos σ, σ, sin α, cos²α and cos 2σm at longitude difference lam."""
         sin_lam, cos_lam = np.sin(lam), np.cos(lam)
         ss = np.hypot(cos_u2 * sin_lam, cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam)
         cs = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
-        coincident = ss == 0.0
-        ss_safe = np.where(coincident, 1.0, ss)
-        sa = cos_u1 * cos_u2 * sin_lam / ss_safe
+        sa = cos_u1 * cos_u2 * sin_lam / np.where(ss == 0.0, 1.0, ss)
         csa = 1.0 - sa * sa
         c2sm = np.where(csa == 0.0, 0.0, cs - 2.0 * sin_u1 * sin_u2 / np.where(csa == 0.0, 1.0, csa))
-        c = WGS84_F / 16.0 * csa * (4.0 + WGS84_F * (4.0 - 3.0 * csa))
-        new_lam = ell + (1.0 - c) * WGS84_F * sa * (
-            np.arctan2(ss, cs)
-            + c * ss * (c2sm + c * cs * (-1.0 + 2.0 * c2sm ** 2))
+        return ss, cs, np.arctan2(ss, cs), sa, csa, c2sm
+
+    lam = ell
+    active = np.ones(lam.shape, dtype=bool)
+    for _ in range(VINCENTY_MAX_ITER):
+        if not active.any():
+            break
+        sin_sigma, cos_sigma, sigma, sin_alpha, cos_sq_alpha, cos_2sigma_m = terms(lam)
+        c = WGS84_F / 16.0 * cos_sq_alpha * (4.0 + WGS84_F * (4.0 - 3.0 * cos_sq_alpha))
+        new_lam = ell + (1.0 - c) * WGS84_F * sin_alpha * (
+            sigma
+            + c * sin_sigma * (cos_2sigma_m + c * cos_sigma * (-1.0 + 2.0 * cos_2sigma_m ** 2))
         )
-        upd = active & ~coincident
-        sin_sigma = np.where(upd, ss, sin_sigma)
-        cos_sigma = np.where(upd, cs, cos_sigma)
-        sigma = np.where(upd, np.arctan2(ss, cs), sigma)
-        cos_sq_alpha = np.where(upd, csa, cos_sq_alpha)
-        cos_2sigma_m = np.where(upd, c2sm, cos_2sigma_m)
-        converged = np.abs(new_lam - lam) < VINCENTY_TOL_RAD
-        lam = np.where(upd, new_lam, lam)
-        active = upd & ~converged
+        # a pair stops at the lam whose update converged, or where sin σ is 0
+        active &= (sin_sigma != 0.0) & ~(np.abs(new_lam - lam) < VINCENTY_TOL_RAD)
+        lam = np.where(active, new_lam, lam)
+    sin_sigma, cos_sigma, sigma, _, cos_sq_alpha, cos_2sigma_m = terms(lam)
 
     u_sq = cos_sq_alpha * (WGS84_A_M ** 2 - WGS84_B_M ** 2) / WGS84_B_M ** 2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))

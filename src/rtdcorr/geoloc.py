@@ -90,9 +90,9 @@ def fit_bestline(points: np.ndarray | Sequence[tuple[float, float]]) -> Bestline
         # the deviations, summed left to right in point order
         dev = np.cumsum(y - (m[:, None] * x + b[:, None]), axis=1)[:, -1]
         # feasible: inverting the line (estimate_distance) never underestimates
-        # a point's distance; tested in that form, as near-flat lines lose
-        # their intercept to rounding.  A line with a nan deviation is not.
-        ok = np.flatnonzero((m > 0.0) & (b >= 0.0) & ~np.isnan(dev) & np.all(
+        # a point's distance; tested in that form, as near-flat lines lose their
+        # intercept to rounding.  A line with an inf slope or nan deviation is not.
+        ok = np.flatnonzero((m > 0.0) & (m < np.inf) & (b >= 0.0) & ~np.isnan(dev) & np.all(
             (y - b[:, None]) / m[:, None] >= x - _FEAS_TOL_KM, axis=1))
     if not ok.size:
         raise BestlineError("no feasible lower bound with positive slope")

@@ -101,6 +101,90 @@ def vincenty_scalar(a: Coordinate, b: Coordinate) -> GeodesicResult:
     return GeodesicResult(meters / 1000.0, False)
 
 
+def carried_state_vincenty(lats1, lons1, lats2, lons2):
+    """The vectorised Vincenty inverse as one pass that carries every
+    iteration term per pair: (km, fallback mask) in the inputs' broadcast
+    shape.  The bit-for-bit reference for ``rtdcorr.geodesy._vincenty``,
+    whose iteration carries only the longitude difference on the auxiliary
+    sphere."""
+    lats1, lons1, lats2, lons2 = (
+        np.asarray(v, dtype=float) for v in (lats1, lons1, lats2, lons2))
+    swap = (lats2 < lats1) | ((lats2 == lats1) & (lons2 < lons1))
+    lats1, lats2 = np.where(swap, lats2, lats1), np.where(swap, lats1, lats2)
+    lons1, lons2 = np.where(swap, lons2, lons1), np.where(swap, lons1, lons2)
+    phi1, phi2 = np.radians(lats1), np.radians(lats2)
+    ell = np.radians(lons2 - lons1)
+
+    u1 = np.arctan((1.0 - WGS84_F) * np.tan(phi1))
+    u2 = np.arctan((1.0 - WGS84_F) * np.tan(phi2))
+    sin_u1, cos_u1 = np.sin(u1), np.cos(u1)
+    sin_u2, cos_u2 = np.sin(u2), np.cos(u2)
+
+    lam = ell.copy()
+    active = np.ones(lam.shape, dtype=bool)
+    sin_sigma = np.zeros_like(lam)
+    cos_sigma = np.ones_like(lam)
+    sigma = np.zeros_like(lam)
+    cos_sq_alpha = np.ones_like(lam)
+    cos_2sigma_m = np.zeros_like(lam)
+
+    for _ in range(VINCENTY_MAX_ITER):
+        if not active.any():
+            break
+        sin_lam, cos_lam = np.sin(lam), np.cos(lam)
+        ss = np.hypot(cos_u2 * sin_lam, cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam)
+        cs = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
+        coincident = ss == 0.0
+        ss_safe = np.where(coincident, 1.0, ss)
+        sa = cos_u1 * cos_u2 * sin_lam / ss_safe
+        csa = 1.0 - sa * sa
+        c2sm = np.where(csa == 0.0, 0.0, cs - 2.0 * sin_u1 * sin_u2 / np.where(csa == 0.0, 1.0, csa))
+        c = WGS84_F / 16.0 * csa * (4.0 + WGS84_F * (4.0 - 3.0 * csa))
+        new_lam = ell + (1.0 - c) * WGS84_F * sa * (
+            np.arctan2(ss, cs)
+            + c * ss * (c2sm + c * cs * (-1.0 + 2.0 * c2sm ** 2))
+        )
+        upd = active & ~coincident
+        sin_sigma = np.where(upd, ss, sin_sigma)
+        cos_sigma = np.where(upd, cs, cos_sigma)
+        sigma = np.where(upd, np.arctan2(ss, cs), sigma)
+        cos_sq_alpha = np.where(upd, csa, cos_sq_alpha)
+        cos_2sigma_m = np.where(upd, c2sm, cos_2sigma_m)
+        converged = np.abs(new_lam - lam) < VINCENTY_TOL_RAD
+        lam = np.where(upd, new_lam, lam)
+        active = upd & ~converged
+
+    u_sq = cos_sq_alpha * (WGS84_A_M ** 2 - WGS84_B_M ** 2) / WGS84_B_M ** 2
+    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
+    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
+    delta_sigma = (
+        big_b
+        * sin_sigma
+        * (
+            cos_2sigma_m
+            + big_b
+            / 4.0
+            * (
+                cos_sigma * (-1.0 + 2.0 * cos_2sigma_m ** 2)
+                - big_b
+                / 6.0
+                * cos_2sigma_m
+                * (-3.0 + 4.0 * sin_sigma ** 2)
+                * (-3.0 + 4.0 * cos_2sigma_m ** 2)
+            )
+        )
+    )
+    km = WGS84_B_M * big_a * (sigma - delta_sigma) / 1000.0
+
+    same = (lats1 == lats2) & (lons1 == lons2)
+    km = np.where(same, 0.0, km)
+
+    if active.any():  # never converged: great-circle fallback
+        gc = great_circle_km_many(phi1, phi2, ell, np.cos(phi1), np.cos(phi2))
+        km = np.where(active, gc, km)
+    return km, active
+
+
 def route_scalar(topology, src_id: str, dst_id: str):
     """The hierarchical route one pair at a time, as (waypoints, tortuosity):
     the reference for the vectorised router in ``rtdcorr.netsim``.  A

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import geodesy
@@ -17,7 +17,7 @@ from rtdcorr.geodesy import (
     haversine_km,
     vincenty_bracket,
 )
-from reference import vincenty_scalar
+from reference import carried_state_vincenty, vincenty_scalar
 
 # WGS-84 equatorial circumference / 360
 ONE_DEG_EQUATOR_KM = 40075.0167 / 360.0
@@ -293,9 +293,53 @@ def test_zero_d_and_empty_inputs_keep_their_shape():
         assert km.shape == fell_back.shape == np.broadcast_shapes(s1, s2)
 
 
+@st.composite
+def kernel_pairs(draw):
+    """The edge pairs of ``bracket_pairs`` plus pairs on one meridian and
+    near-antipodal pairs up to half a degree off, about half of which take
+    the great-circle fallback."""
+    kind = draw(st.sampled_from(["edge", "meridian", "fallback"]))
+    if kind == "edge":
+        return draw(bracket_pairs())
+    a = draw(any_coords)
+    if kind == "meridian":
+        return a, Coordinate(draw(st.floats(-90.0, 90.0)), a.lon)
+    off = st.floats(-0.5, 0.5)
+    lon = a.lon + 180.0 + draw(off)
+    lon = (lon + 180.0) % 360.0 - 180.0 if abs(lon) > 180.0 else lon
+    return a, Coordinate(min(90.0, max(-90.0, -a.lat + draw(off))), lon)
+
+
+def assert_carried_state_bits(*coords):
+    """The kernel's (km, fallback mask) equals the carried-state loop's, bit
+    for bit and in shape."""
+    km, fell_back = geodesy._vincenty(*coords)
+    want_km, want_mask = carried_state_vincenty(*coords)
+    assert km.shape == fell_back.shape == want_km.shape
+    assert km.tobytes() == want_km.tobytes()
+    assert np.array_equal(fell_back, want_mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(kernel_pairs(), min_size=1, max_size=12))
+@example([(Coordinate(0.0, 0.0), Coordinate(0.5, 179.7))])
+@example([(Coordinate(90.0, 0.0), Coordinate(90.0, 50.0))])
+def test_kernel_equals_the_carried_state_loop(pairs):
+    # the iteration carries lam alone and re-evaluates its terms at the lam
+    # where each pair stopped; the distances and the fallback mask are the
+    # ones of the loop that carried every term, in a batch, a (k, 1) x (1, m)
+    # broadcast and a 0-d call
+    lat1, lon1, lat2, lon2 = (
+        np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])
+    )
+    assert_carried_state_bits(lat1, lon1, lat2, lon2)
+    assert_carried_state_bits(lat1[:, None], lon1[:, None], lat2[None], lon2[None])
+    assert_carried_state_bits(lat1[0], lon1[0], lat2[0], lon2[0])
+
+
 def test_kernel_memory_is_bounded_by_its_pass():
     """100,000 pairs in one call peak well below what one pass over all of
-    them held (32.6 MB): only the passes' temporaries and the output."""
+    them would hold (25.0 MB): only the passes' temporaries and the output."""
     rng = np.random.default_rng(5)
     lats1, lats2 = rng.uniform(-90, 90, (2, 100_000))
     lons1, lons2 = rng.uniform(-180, 180, (2, 100_000))

@@ -134,6 +134,8 @@ def _fit_repr(fit, pts):
 @example([(0.0, 0.0), (3.0, 0.8999999999999999), (7.0, 2.1), (-105.0, -31.499999999999996)])  # near-collinear
 @example([(0.0, 1.0), (7.0, 880780259.0), (7.0, 5.0), (5.0, 989730379.0), (7.0, 9.0),
           (6.0, 400495180.0), (5.0, 3.0), (3.0, 2.0)])  # the summation order decides the tie
+@example([(1e-311, 1.0), (2e-311, 1.5)])  # subnormal distances: every slope overflows to inf
+@example([(1e-309, 1.0000000000000002), (2e-309, 1.0000000000000004)])  # inf beside a finite slope
 @settings(max_examples=300)
 def test_bestline_equals_the_list_fit_bit_for_bit(pts):
     got = _fit_repr(geoloc.fit_bestline, pts)
@@ -144,7 +146,19 @@ def test_bestline_equals_the_list_fit_bit_for_bit(pts):
         # the list fit's min() fails when its first feasible line has a nan
         # deviation; the fit drops every such line
         return
+    if want.startswith("(inf,"):
+        # the fit drops every line with an infinite slope: it raises, or
+        # returns a finite line the list fit passed over for the inf one
+        assert not got.startswith("(inf,")
+        return
     assert got == want
+
+
+def test_bestline_with_an_infinite_slope_fails_cleanly():
+    # both distances are subnormal, so every candidate's slope overflows to
+    # inf, a line that would put every target at distance 0
+    with pytest.raises(BestlineError, match="no feasible lower bound"):
+        geoloc.fit_bestline([(1e-311, 1.0), (2e-311, 1.5)])
 
 
 @pytest.mark.filterwarnings("error")
