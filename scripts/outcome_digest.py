@@ -15,8 +15,12 @@ algorithm x mode.  The campaign line holds sha256 digests of the site
 distance matrix and of the joined sample distances, over their raw float64
 bytes, and ``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
 bestline (slope, intercept), or None, over all its landmarks and then over
-each landmark ISP in code order, probes in code order.  An outcome line
-holds:
+each landmark ISP in code order, probes in code order.  Its ``corr_sha256``
+is a sha256 over the full-precision bytes of both correlation grids: the
+per-ISP matrix's correlations (nan where undefined) and then its group sizes,
+read cell by cell over the ISPs in code order, then the per-probe grid's
+``corr`` and ``n`` arrays.  The CSV outputs round correlations to 6 decimals;
+this digest sees any change in the last bits.  An outcome line holds:
 - the target count and the located count;
 - the total number of region cells (CBG; GeoGet names a city, not a region);
 - ``sha256_6dp``: a sha256 of the outcomes with coordinates at 6 decimals,
@@ -31,10 +35,11 @@ benchmark's ``geoget`` workload does).  Campaign and experiment share the seed.
 import argparse
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from rtdcorr import experiments, geodesy, netsim
+from rtdcorr import corr_model, experiments, geodesy, netsim
 
 CONFIG = "cn-like"
 LOCATE = {"cbg": experiments.cbg_locate_target, "geoget": experiments.geoget_locate_target}
@@ -69,6 +74,17 @@ def bestline_line(line):
     return repr(None if line is None else (line.slope_ms_per_km, line.intercept_ms))
 
 
+def corr_sha256(campaign):
+    isps = campaign.samples.isps
+    matrix = corr_model.corr_matrix(campaign.samples)
+    cells = [matrix.cell(a, b) for a in isps for b in isps]
+    grid = campaign.reports
+    arrays = (np.array([math.nan if c.corr is None else c.corr for c in cells]),
+              np.array([c.n_samples for c in cells], dtype=np.int64),
+              grid.corr, grid.n.astype(np.int64))
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 def kernel_edges_line():
     """The kernel digest over 16,384 random pairs, 1,024 pairs within half a
     degree of antipodal, and EDGE_ROWS: three passes of the kernel."""
@@ -95,6 +111,7 @@ def digest_seed(config, seed):
         "bestlines_sha256": sha256(
             bestline_line(campaign.bestline(p, isp))
             for p in range(len(campaign.samples.probe_ids)) for isp in isps),
+        "corr_sha256": corr_sha256(campaign),
     }
     n_landmarks = len(campaign.topology.registry.landmarks())
     for algorithm, locate in LOCATE.items():

@@ -49,7 +49,7 @@ def cmd_corr(args) -> int:
     else:
         grid = corr_model.all_probe_reports(samples)
         corr_model.write_probe_reports_csv(grid, args.out)
-        print(f"{len(grid.probe_ids)} probe reports")
+        print(f"{len(grid.rows)} probe reports")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,6 +1,7 @@
 """Delay-distance correlation: classical Pearson form, the analytic model in
 terms of path factors (routing-delay ratio R, path tortuosity T, direct
-distance D), per-ISP correlation matrices and rich sub-network discovery.
+distance D), the per-ISP and per-probe correlation grids (one ``CorrGrid``
+type, one builder) and rich sub-network discovery.
 """
 
 from __future__ import annotations
@@ -148,62 +149,52 @@ def rtd_model_corr(f: PathFactors) -> CorrValue:
     return math.sqrt(max(0.0, num / den))
 
 
-@dataclass(frozen=True)
-class CorrMatrix:
-    """Per (probe ISP, landmark ISP) correlation; diagonal cells are intra-ISP."""
-
-    probe_isps: tuple[str, ...]
-    landmark_isps: tuple[str, ...]
-    cells: dict  # (probe_isp, landmark_isp) -> CorrCell
-
-    def cell(self, probe_isp: str, landmark_isp: str) -> CorrCell:
-        return self.cells.get((probe_isp, landmark_isp), CorrCell(None, 0))
-
-
-def corr_matrix(samples: SampleTable) -> CorrMatrix:
-    """One Pearson correlation per (probe ISP, landmark ISP) group."""
-    n_isps = len(samples.isps)
-    corr, n = (a.reshape(n_isps, n_isps).tolist() for a in pearson_cells(
-        samples.probe_isp * n_isps + samples.landmark_isp, n_isps * n_isps,
-        samples.distance_km, samples.delay_ms,
-    ))
-    probe_isps = np.unique(samples.probe_isp).tolist()
-    landmark_isps = np.unique(samples.landmark_isp).tolist()
-    return CorrMatrix(
-        tuple(samples.isps[i] for i in probe_isps),
-        tuple(samples.isps[j] for j in landmark_isps),
-        {(samples.isps[i], samples.isps[j]): CorrCell(_value(corr[i][j]), n[i][j])
-         for i in probe_isps for j in landmark_isps},
-    )
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
-class ProbeCorr:
-    """Each probe's correlation toward each landmark ISP: row p is probe
-    ``probe_ids[p]``, column i landmark ISP ``isps[i]``.  Column ``own[p]`` is
-    the probe's ISP (a sample table tags a probe with one), so
-    ``corr[p, own[p]]`` is its intra-ISP correlation and its other columns
+class CorrGrid:
+    """A grouped delay-distance correlation: row r is ``rows[r]``, column i
+    landmark ISP ``isps[i]``.  A row is a probe ISP in the per-ISP matrix and
+    a probe id in the per-probe grid.  Column ``own[r]`` is the row's own ISP,
+    so ``corr[r, own[r]]`` is its intra-ISP correlation and its other columns
     with ``n > 0`` are its inter-ISP ones.  ``corr`` is nan where undefined;
     ``n`` holds the group sizes."""
 
-    probe_ids: tuple[str, ...]
+    rows: tuple[str, ...]
     isps: tuple[str, ...]
     own: np.ndarray
     corr: np.ndarray
     n: np.ndarray
 
+    def cell(self, row: str, isp: str) -> CorrCell:
+        """The (row, landmark ISP) cell; CorrCell(None, 0) for an unknown row or ISP."""
+        try:
+            r, i = self.rows.index(row), self.isps.index(isp)
+        except ValueError:
+            return CorrCell(None, 0)
+        return CorrCell(_value(self.corr[r, i].item()), self.n[r, i].item())
 
-def all_probe_reports(samples: SampleTable) -> ProbeCorr:
-    """The probe x landmark-ISP correlation grid: one Pearson per (probe,
-    landmark ISP) group."""
-    shape = (len(samples.probe_ids), len(samples.isps))
+
+def _grid(samples: SampleTable, row_codes: np.ndarray, rows: tuple, own: np.ndarray) -> CorrGrid:
+    """The one grid builder: one Pearson per (row, landmark ISP) group, where
+    sample k falls in row ``row_codes[k]``."""
+    shape = (len(rows), len(samples.isps))
     corr, n = pearson_cells(
-        samples.probe * shape[1] + samples.landmark_isp, shape[0] * shape[1],
+        row_codes * shape[1] + samples.landmark_isp, shape[0] * shape[1],
         samples.distance_km, samples.delay_ms,
     )
+    return CorrGrid(rows, samples.isps, own, corr.reshape(shape), n.reshape(shape))
+
+
+def corr_matrix(samples: SampleTable) -> CorrGrid:
+    """The per-ISP matrix: one Pearson per (probe ISP, landmark ISP) group;
+    row r is ISP ``isps[r]``, so the diagonal cells are intra-ISP."""
+    return _grid(samples, samples.probe_isp, samples.isps, np.arange(len(samples.isps)))
+
+
+def all_probe_reports(samples: SampleTable) -> CorrGrid:
+    """The per-probe grid: one Pearson per (probe, landmark ISP) group; row p
+    is probe ``probe_ids[p]``, tagged with one ISP by the sample table."""
     _, first = np.unique(samples.probe, return_index=True)
-    return ProbeCorr(samples.probe_ids, samples.isps, samples.probe_isp[first],
-                     corr.reshape(shape), n.reshape(shape))
+    return _grid(samples, samples.probe, samples.probe_ids, samples.probe_isp[first])
 
 
 @dataclass(frozen=True)
@@ -223,15 +214,15 @@ def discover_rich_subnets(
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     grid = all_probe_reports(samples)
-    probes = np.arange(len(grid.probe_ids))
+    probes = np.arange(len(grid.rows))
     intra = grid.corr[probes, grid.own] > threshold
-    rich_intra = [grid.probe_ids[p] for p in np.flatnonzero(intra).tolist()]
+    rich_intra = [grid.rows[p] for p in np.flatnonzero(intra).tolist()]
     # the inter cells, in (probe, ISP) order
     inter = grid.n > 0
     inter[probes, grid.own] = False
     p, i = np.nonzero(inter)
     strong = grid.corr[p, i] > threshold
-    rich_inter = [(grid.probe_ids[a], grid.isps[b])
+    rich_inter = [(grid.rows[a], grid.isps[b])
                   for a, b in zip(p[strong].tolist(), i[strong].tolist())]
     n_probes, n_inter_cells = len(probes), len(p)
     intra_frac = len(rich_intra) / n_probes if n_probes else 0.0
@@ -247,27 +238,28 @@ def _fmt_corr(c: CorrValue) -> str:
     return "" if c is None or math.isnan(c) else f"{c:.6f}"
 
 
-def write_corr_matrix_csv(matrix: CorrMatrix, path) -> None:
-    """Wide CSV: one row per probe ISP, one column per landmark ISP.
+def write_corr_matrix_csv(matrix: CorrGrid, path) -> None:
+    """Wide CSV: one row per probe ISP, one column per landmark ISP, each with samples.
 
     Undefined cells are empty fields; a trailing n_<isp> column block carries
     the per-cell sample counts.
     """
-    isps = matrix.landmark_isps
+    rows, cols = (np.flatnonzero(matrix.n.any(axis=a)).tolist() for a in (1, 0))
+    corr, n = matrix.corr.tolist(), matrix.n.tolist()
+    isps = [matrix.isps[i] for i in cols]
     write_csv(path, ["probe_isp", *isps, *(f"n_{isp}" for isp in isps)], (
-        [pi, *(_fmt_corr(matrix.cell(pi, li).corr) for li in isps),
-         *(matrix.cell(pi, li).n_samples for li in isps)]
-        for pi in matrix.probe_isps))
+        [matrix.rows[r], *(_fmt_corr(corr[r][i]) for i in cols), *(n[r][i] for i in cols)]
+        for r in rows))
 
 
-def write_probe_reports_csv(grid: ProbeCorr, path) -> None:
+def write_probe_reports_csv(grid: CorrGrid, path) -> None:
     """Long CSV: probe_id,probe_isp,scope,landmark_isp,corr,n_samples; each
     probe's intra row, then its inter rows in ISP order."""
     own, corr, n = grid.own.tolist(), grid.corr.tolist(), grid.n.tolist()
     write_csv(path, ["probe_id", "probe_isp", "scope", "landmark_isp", "corr", "n_samples"], (
         [probe_id, grid.isps[own[p]], "intra" if i == own[p] else "inter", grid.isps[i],
          _fmt_corr(corr[p][i]), n[p][i]]
-        for p, probe_id in enumerate(grid.probe_ids)
+        for p, probe_id in enumerate(grid.rows)
         for i in [own[p]] + [i for i, k in enumerate(n[p]) if k and i != own[p]]))
 
 

@@ -70,7 +70,7 @@ class Campaign:
     config: netsim.SimConfig
     topology: netsim.Topology
     samples: dataset.SampleTable  # every (probe, landmark) pair, sorted by pair
-    reports: corr_model.ProbeCorr  # the probe x landmark-ISP correlation grid
+    reports: corr_model.CorrGrid  # the probe x landmark-ISP correlation grid
     # (probe, landmark ISP code or None) -> Bestline | None, filled on first use
     _bestlines: dict = field(default_factory=dict, init=False)
 

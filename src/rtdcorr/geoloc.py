@@ -27,6 +27,8 @@ from .geodesy import (  # noqa: F401
 
 _FEAS_TOL_MS = 1e-9
 _FEAS_TOL_KM = 1e-9
+#: Candidate lines x points that ``fit_bestline`` scores at once, bounding its memory.
+_FIT_BLOCK = 1 << 15
 
 #: Side, in cells, of the square blocks that ``cbg_locate`` decides whole.
 CBG_BLOCK = 8
@@ -87,13 +89,18 @@ def fit_bestline(points: np.ndarray | Sequence[tuple[float, float]]) -> Bestline
         b = hy[:-1] - m * hx[:-1]
         if (pos := x > 0).any():
             m, b = np.append(m, np.min(y[pos] / x[pos])), np.append(b, 0.0)
-        # the deviations, summed left to right in point order
-        dev = np.cumsum(y - (m[:, None] * x + b[:, None]), axis=1)[:, -1]
-        # feasible: inverting the line (estimate_distance) never underestimates
-        # a point's distance; tested in that form, as near-flat lines lose their
-        # intercept to rounding.  A line with an inf slope or nan deviation is not.
-        ok = np.flatnonzero((m > 0.0) & (m < np.inf) & (b >= 0.0) & ~np.isnan(dev) & np.all(
-            (y - b[:, None]) / m[:, None] >= x - _FEAS_TOL_KM, axis=1))
+        dev, below = np.empty(m.size), np.empty(m.size, dtype=bool)
+        step = max(1, _FIT_BLOCK // x.size)
+        for lo in range(0, m.size, step):
+            bm, bb = m[lo:lo + step, None], b[lo:lo + step, None]
+            # the deviations, summed left to right in point order
+            dev[lo:lo + step] = np.cumsum(y - (bm * x + bb), axis=1)[:, -1]
+            # feasible: inverting the line (estimate_distance) never underestimates
+            # a point's distance; tested in that form, as near-flat lines lose
+            # their intercept to rounding
+            below[lo:lo + step] = np.all((y - bb) / bm >= x - _FEAS_TOL_KM, axis=1)
+        # a line with an inf slope or nan deviation is not feasible either
+        ok = np.flatnonzero((m > 0.0) & (m < np.inf) & (b >= 0.0) & ~np.isnan(dev) & below)
     if not ok.size:
         raise BestlineError("no feasible lower bound with positive slope")
     near = ok[dev[ok] <= dev[ok].min() + _FEAS_TOL_MS]

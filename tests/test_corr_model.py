@@ -155,18 +155,22 @@ def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaig
 
     matrix = cm.corr_matrix(samples)
     want = pearson_by_key(zip(probe_isp, landmark_isp), x, y)
-    assert set(matrix.cells) == set(want)
-    for key, cell in matrix.cells.items():
-        same(cell, want[key])
+    assert matrix.rows == matrix.isps == samples.isps
+    assert matrix.own.tolist() == list(range(len(samples.isps)))
+    assert {(matrix.rows[r], matrix.isps[i]) for r, i in zip(*np.nonzero(matrix.n))} == set(want)
+    # every cell, those without samples (n 0, corr None) included
+    for a in matrix.rows:
+        for b in matrix.isps:
+            same(matrix.cell(a, b), want.get((a, b), (None, 0)))
 
     want = pearson_by_key(zip(probe, landmark_isp), x, y)
     own = dict(zip(probe, probe_isp))
     grid = cm.all_probe_reports(samples)
-    assert grid.probe_ids == tuple(sorted(own)) and grid.isps == samples.isps
+    assert grid.rows == tuple(sorted(own)) and grid.isps == samples.isps
     assert grid.corr.shape == grid.n.shape == (len(own), len(samples.isps))
-    assert [grid.isps[i] for i in grid.own] == [own[p] for p in grid.probe_ids]
+    assert [grid.isps[i] for i in grid.own] == [own[p] for p in grid.rows]
     # every cell, those without samples (n 0, corr nan) included
-    for p, probe_id in enumerate(grid.probe_ids):
+    for p, probe_id in enumerate(grid.rows):
         for i, isp in enumerate(grid.isps):
             corr = grid.corr[p, i].item()
             same(cm.CorrCell(None if math.isnan(corr) else corr, grid.n[p, i]),
@@ -182,14 +186,77 @@ def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaig
     )
 
 
+@st.composite
+def odd_tables(draw):
+    """Sample rows over 1-4 ISPs: 1-3 probes and 1-4 landmarks, each host
+    tagged with one ISP, so an ISP may sit only among probes or only among
+    landmarks; each pair measured at most once, so a (probe, landmark ISP)
+    group has 1-4 rows.  Integer distances and delays keep every variance
+    zero or far above its floor."""
+    isps = [f"I{k}" for k in range(draw(st.integers(1, 4)))]
+    probe_isp = draw(st.lists(st.sampled_from(isps), min_size=1, max_size=3))
+    landmark_isp = draw(st.lists(st.sampled_from(isps), min_size=1, max_size=4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(probe_isp) - 1),
+                                    st.integers(0, len(landmark_isp) - 1)),
+                          min_size=1, max_size=12, unique=True))
+    return [mk_sample(draw(st.integers(0, 3000)), draw(st.integers(1, 200)), f"p{p}", f"l{lm}",
+                      probe_isp[p], landmark_isp[lm], f"c{p}", f"c{lm}")
+            for p, lm in pairs]
+
+
+def probe_rows(probe, pisp, lisp, pairs):
+    """Rows of ``probe`` in ISP ``pisp`` toward landmarks of ISP ``lisp``."""
+    return [mk_sample(d, t, probe, f"{lisp}{d}", pisp, lisp, probe, f"{lisp}{d}")
+            for d, t in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_tables())
+# ISP A only among probes, ISP C only among landmarks
+@example(probe_rows("p0", "A", "B", [(100, 3), (200, 5)]) + probe_rows("p0", "A", "C", [(300, 4)])
+         + probe_rows("p1", "B", "B", [(100, 2), (200, 4), (400, 9)])
+         + probe_rows("p1", "B", "C", [(300, 7), (500, 8)]))
+# every probe in A, every landmark in B
+@example(probe_rows("p0", "A", "B", [(100, 3), (200, 5), (300, 8), (400, 8)])
+         + probe_rows("p1", "A", "B", [(100, 1)]))
+def test_grids_match_reference_on_odd_tables(tmp_path_factory, rows):
+    samples = table(rows)
+    probe, _, y, x, pisp, lisp = ([r[k] for r in rows] for k in range(6))
+
+    def same(cell, want):
+        corr, n = want
+        assert cell.n_samples == n and (cell.corr is None) == (corr is None)
+        assert corr is None or abs(cell.corr - corr) <= 1e-12
+
+    matrix = cm.corr_matrix(samples)
+    want = pearson_by_key(zip(pisp, lisp), x, y)
+    for a in [*samples.isps, "Z"]:
+        for b in [*samples.isps, "Z"]:
+            same(matrix.cell(a, b), want.get((a, b), (None, 0)))
+
+    grid = cm.all_probe_reports(samples)
+    want = pearson_by_key(zip(probe, lisp), x, y)
+    assert grid.rows == tuple(sorted(set(probe)))
+    for a in [*grid.rows, "p9"]:
+        for b in [*grid.isps, "Z"]:
+            same(grid.cell(a, b), want.get((a, b), (None, 0)))
+
+    out = tmp_path_factory.getbasetemp() / "odd_matrix.csv"
+    cm.write_corr_matrix_csv(matrix, out)
+    header, *body = csv.reader(out.open())
+    cols = sorted(set(lisp))
+    assert header == ["probe_isp", *cols, *(f"n_{isp}" for isp in cols)]
+    assert [r[0] for r in body] == sorted(set(pisp))
+
+
 # --- the strong-correlation threshold ---------------------------------------
 
 def discover_with_corr(corr):
     """discover_rich_subnets over one probe whose intra-ISP correlation and
     inter-ISP correlation toward B are both ``corr``."""
     c = math.nan if corr is None else corr
-    grid = cm.ProbeCorr(("p1",), ("A", "B"), np.array([0]), np.array([[c, c]]),
-                        np.array([[10, 10]]))
+    grid = cm.CorrGrid(("p1",), ("A", "B"), np.array([0]), np.array([[c, c]]),
+                       np.array([[10, 10]]))
     with mock.patch.object(cm, "all_probe_reports", lambda samples: grid):
         return cm.discover_rich_subnets(None)
 
@@ -377,7 +444,7 @@ def test_exactness_when_rt_constant():
 
 def test_matrix_single_isp_linear():
     m = cm.corr_matrix(table(samples_from([(100, 1), (200, 2), (300, 3)])))
-    assert m.probe_isps == ("A",) and m.landmark_isps == ("A",)
+    assert m.rows == ("A",) and m.isps == ("A",)
     assert m.cell("A", "A").corr == pytest.approx(1.0)
     assert m.cell("A", "A").n_samples == 3
 
@@ -423,7 +490,7 @@ def fixture_probe_samples():
 def probe_cell(samples, isp, probe_id="p1"):
     """(corr, n) of a probe's cell toward ``isp``; corr nan where undefined."""
     grid = cm.all_probe_reports(table(samples))
-    p, i = grid.probe_ids.index(probe_id), grid.isps.index(isp)
+    p, i = grid.rows.index(probe_id), grid.isps.index(isp)
     return grid.corr[p, i], grid.n[p, i]
 
 
@@ -459,7 +526,8 @@ def test_probe_with_two_isps_is_rejected():
 def test_probe_report_unknown_probe():
     # only probes with samples get a row
     grid = cm.all_probe_reports(table(fixture_probe_samples()))
-    assert grid.probe_ids == ("p1",)
+    assert grid.rows == ("p1",)
+    assert grid.cell("p2", "A") == grid.cell("p1", "Z") == cm.CorrCell(None, 0)
 
 
 # --- discover_rich_subnets --------------------------------------------------

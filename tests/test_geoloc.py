@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ def test_bestline_equals_the_list_fit_bit_for_bit(pts):
         assert not got.startswith("(inf,")
         return
     assert got == want
+
+
+def test_bestline_memory_is_bounded_on_a_convex_cloud():
+    # every point of a convex cloud is a hull vertex, so there are as many
+    # candidate lines as points; scoring all of them against all points at
+    # once held (candidates x points) floats, 24 MB here
+    x = np.arange(1.0, 1001.0)
+    pts = np.stack((x, 1.0 + 1e-5 * x * x), axis=1)
+    tracemalloc.start()
+    try:
+        got = geoloc.fit_bestline(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert repr(got) == repr(list_fit_bestline(pts.tolist()))
 
 
 def test_bestline_with_an_infinite_slope_fails_cleanly():
@@ -312,14 +329,14 @@ def test_select_equals_two_list_reference(case):
 @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9])
 def test_select_equals_two_list_reference_on_cn_like(cn_campaign, threshold):
     grid = cn_campaign.reports
-    corr = {(grid.probe_ids[p], grid.isps[i]): c
+    corr = {(grid.rows[p], grid.isps[i]): c
             for (p, i), c in np.ndenumerate(grid.corr) if not math.isnan(c)}
     probes = cn_campaign.topology.registry.probes()
     for isp in sorted({p.isp for p in probes}):
         i = grid.isps.index(isp)
         got = geoloc.cbg_select_probes(
             grid.corr[:, i], grid.own == i, cn_campaign._probe_city, threshold)
-        assert got.size and [grid.probe_ids[k] for k in got.tolist()] == (
+        assert got.size and [grid.rows[k] for k in got.tolist()] == (
             two_list_cbg_select_probes(probes, corr, isp, threshold))
 
 

@@ -611,7 +611,7 @@ def test_center_probes_correlate_better(cn_campaign):
     # delays track distance more tightly than satellite-city probes'
     centers, others = [], []
     grid = cn_campaign.reports
-    for p, probe_id in enumerate(grid.probe_ids):
+    for p, probe_id in enumerate(grid.rows):
         corr = grid.corr[p, grid.own[p]]
         if math.isnan(corr):
             continue

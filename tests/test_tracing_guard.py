@@ -35,7 +35,7 @@ def test_tracer_installs_restores_and_counts_table_rows(tmp_path, mini_config_pa
             for argv in (
                 ["simulate", "--config", str(mini_config_path), "--out-dir", str(tmp_path)],
                 ["ingest", "--hosts", hosts, "--rtt", rtt, "--out", samples],
-                ["corr", "--samples", samples, "--out", str(tmp_path / "m.csv")],
+                ["corr", "--samples", samples, "--by", "isp", "--out", str(tmp_path / "m.csv")],
             ):
                 assert cli.main(argv) == 0
     finally:
@@ -50,7 +50,21 @@ def test_tracer_installs_restores_and_counts_table_rows(tmp_path, mini_config_pa
     assert m["dataset.samples"] == 6
     # rtt.csv written and read (18 each), hosts.csv read (5), samples.csv written and read (6 each)
     assert m["dataset.rows"] == 18 + 18 + 5 + 6 + 6
+    # the per-ISP matrix and the per-probe grid are counted apart
     assert m["corr_model.corr_matrix.calls"] == 1
+    assert m["corr_model.all_probe_reports.calls"] == 0
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["corr", "--samples", samples, "--by", "probe",
+                             "--out", str(tmp_path / "r.csv")]) == 0
+    finally:
+        tracer.restore()
+    m = tracing.per_layer_metrics(tracer)
+    assert m["corr_model.corr_matrix.calls"] == 0
+    assert m["corr_model.all_probe_reports.calls"] == 1
 
 
 def test_tracer_counts_cbg_locates():
