@@ -12,8 +12,10 @@ cn-like sites all lie in China and never reach those edges.
 
 For each seed it then prints one JSON line for the campaign, then one per
 algorithm x mode.  The campaign line holds sha256 digests of the site
-distance matrix and of the joined sample distances, over their raw float64
-bytes, and ``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
+distance matrix, of the joined sample distances and of the campaign's raw
+observations (``rtt_sha256``, over the ``rtt_ms`` column of
+``netsim.simulate_campaign``), over their raw float64 bytes, and
+``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
 bestline (slope, intercept), or None, over all its landmarks and then over
 each landmark ISP in code order, probes in code order.  Its ``corr_sha256``
 is a sha256 over the full-precision bytes of both correlation grids: the
@@ -108,6 +110,8 @@ def digest_seed(config, seed):
         "sites": len(campaign.topology._sites),
         "site_matrix_sha256": hashlib.sha256(campaign.topology._dist.tobytes()).hexdigest(),
         "join_sha256": hashlib.sha256(campaign.samples.distance_km.tobytes()).hexdigest(),
+        "rtt_sha256": hashlib.sha256(
+            netsim.simulate_campaign(campaign.topology, config, seed).rtt_ms.tobytes()).hexdigest(),
         "bestlines_sha256": sha256(
             bestline_line(campaign.bestline(p, isp))
             for p in range(len(campaign.samples.probe_ids)) for isp in isps),

@@ -282,9 +282,18 @@ def ingest_rtt(table: RttTable) -> MinRttTable:
     )
 
 
-def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
-    """Attach geodesic distances (one kernel call over every row; the kernel
-    bounds its own temporaries) and ISP/city tags to aggregated min-RTTs."""
+def join_distances(
+    min_rtts: MinRttTable,
+    registry: Registry,
+    host_distances: Optional[Callable[[Sequence[str], Sequence[str]], np.ndarray]] = None,
+) -> SampleTable:
+    """Attach geodesic distances and ISP/city tags to aggregated min-RTTs.
+
+    With ``host_distances`` (a function of the probe ids and the landmark
+    ids giving their (probes x landmarks) distance grid, as
+    ``Topology.host_distances`` reads its site matrix), each row's distance
+    is read from that grid; without it, one kernel call runs over every row
+    (the kernel bounds its own temporaries)."""
     probes = [registry[h] for h in min_rtts.probe_ids]
     landmarks = [registry[h] for h in min_rtts.landmark_ids]
     isps = tuple(sorted({h.isp for h in probes + landmarks}))
@@ -294,10 +303,14 @@ def join_distances(min_rtts: MinRttTable, registry: Registry) -> SampleTable:
         code = {v: i for i, v in enumerate(ids)}
         return np.array([code[getattr(h, attr)] for h in hosts], dtype=np.intp)
 
-    coords = [(h.coordinate.lat, h.coordinate.lon) for h in probes + landmarks]
-    p_coord, l_coord = np.split(np.array(coords).reshape(-1, 2), [len(probes)])
     p, lm = min_rtts.probe, min_rtts.landmark
-    distance = geodesic_distance_many(p_coord[p, 0], p_coord[p, 1], l_coord[lm, 0], l_coord[lm, 1])
+    if host_distances is not None:
+        distance = host_distances(min_rtts.probe_ids, min_rtts.landmark_ids)[p, lm]
+    else:
+        coords = [(h.coordinate.lat, h.coordinate.lon) for h in probes + landmarks]
+        p_coord, l_coord = np.split(np.array(coords).reshape(-1, 2), [len(probes)])
+        distance = geodesic_distance_many(
+            p_coord[p, 0], p_coord[p, 1], l_coord[lm, 0], l_coord[lm, 1])
     return SampleTable(
         min_rtts.probe_ids, min_rtts.landmark_ids, isps, cities,
         min_rtts.probe, min_rtts.landmark, min_rtts.rtt_ms, distance,

@@ -91,11 +91,9 @@ class Campaign:
         self._city_probes = np.split(by_city, np.cumsum(np.bincount(self._probe_city))[:-1])
         # the landmarks in id order: host position, ISP code (a grid column), and
         # GeoGet's area code (the region, in region id order) and center flag
-        region = {r: i for i, r in enumerate(sorted(self.topology.center_of_region))}
-        lms = [self.topology.registry.hosts[h] for h in s.landmark_ids]
         self._lm_pos = self.topology._host_positions(s.landmark_ids)
         self._lm_isp = s.landmark_isp[:shape[1]]
-        self._lm_area = np.array([region[self.topology.cities[h.city].region_id] for h in lms])
+        self._lm_area = self.topology._host_region[self._lm_pos]
         self._lm_center = self.topology._host_at_center[self._lm_pos]
         self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group
 
@@ -117,7 +115,9 @@ class Campaign:
 def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
     topology = netsim.build_topology(config)
     rtts = netsim.simulate_campaign(topology, config, seed)
-    samples = dataset.join_distances(dataset.ingest_rtt(rtts), topology.registry)
+    # the join reads the site matrix, which routing has filled
+    samples = dataset.join_distances(
+        dataset.ingest_rtt(rtts), topology.registry, topology.host_distances)
     return Campaign(config, topology, samples, corr_model.all_probe_reports(samples))
 
 

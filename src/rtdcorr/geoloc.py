@@ -49,14 +49,19 @@ class Bestline:
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The lower convex hull of the points (x, y): its vertices, left to right,
-    as the rows xs, ys."""
+    """The rising part of the lower convex hull of the points (x, y), from its
+    lowest point on: its vertices, left to right, as the rows xs, ys.  Every
+    hull edge with a positive slope lies on it."""
     # only the lowest point at each x can lie on a lower bound
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     first = np.concatenate(([True], x[1:] != x[:-1]))
+    x, y = x[first], y[first]
+    # a rising edge starts at a point strictly below every point to its right
+    # and ends at another, or at the last point: the chain need see no other
+    stair = np.append(y[:-1] < np.minimum.accumulate(y[::-1])[::-1][1:], True)
     hull: list[tuple[float, float]] = []
-    for p in zip(x[first].tolist(), y[first].tolist()):
+    for p in zip(x[stair].tolist(), y[stair].tolist()):
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             # drop the middle point when it lies on or above the chord

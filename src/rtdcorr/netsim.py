@@ -7,13 +7,17 @@ through the cheapest exchange-point (IXP) city.  A pair's delay is
 R * T * D / v: T comes from the routed waypoints, R - 1 is log-normal
 (separate intra/inter parameters) and D is the direct geodesic distance.
 
-The simulator works a row at a time: one source id against many destination
-host positions, in numpy (``simulate_row``).  Routing reads the topology's
-one site-to-site distance matrix.  A pair's random draws are words of a
-counter-based stream (``pair_uniforms``): SplitMix64's finaliser over a pair
-key from a row key (SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest
+The simulator works on aligned arrays of source and destination host
+positions in numpy: ``simulate_row`` is one source against many
+destinations, and ``simulate_campaign`` routes whole probe rows in blocks of
+at most ``_CAMPAIGN_BLOCK_PAIRS`` pairs.  Routing reads the topology's one
+site-to-site distance matrix (its sites are the hosts and the regional
+centers) and, across ISPs, a table of the chosen IXP per ISP pair and region
+pair built from it.  A pair's random draws are words of a counter-based
+stream (``pair_uniforms``): SplitMix64's finaliser over a pair key from a
+row key (``row_key``: SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest
 per row) and the destination's host key (SHAKE-256 over its id, per
-topology).  A row is one numpy pass with no per-pair Python call, a pair's
+topology).  A block is one numpy pass with no per-pair Python call, a pair's
 delays depend on its ids alone, and adding hosts never perturbs other pairs.
 ``pair_rng`` serves only the experiment design draws.
 """
@@ -44,6 +48,10 @@ MIN_PAIR_DISTANCE_KM = 1e-6
 #: rows of the site distance matrix per kernel call, each against the columns
 #: from its block on: the blocks skip the lower triangle, which is mirrored
 _ROWS_PER_KERNEL_CALL = 16
+
+#: the most (probe, landmark) pairs ``simulate_campaign`` routes at once, as
+#: whole probe rows (one row at least): it bounds the block's temporaries
+_CAMPAIGN_BLOCK_PAIRS = 8192
 
 #: the time of a campaign's first observation; observation m is m minutes on
 _EPOCH = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -135,19 +143,25 @@ class Topology:
     center_of_region: dict[str, City]
 
     def __post_init__(self):
+        # every waypoint a route can take: the hosts and the regional centers
+        # (an IXP city is a center); other cities are never read
         self._sites = sorted(
             {(h.coordinate.lat, h.coordinate.lon) for h in self.registry.hosts.values()}
-            | {(c.coordinate.lat, c.coordinate.lon) for c in self.cities.values()}
+            | {(c.coordinate.lat, c.coordinate.lon) for c in self.center_of_region.values()}
         )
         self._site_index = {c: i for i, c in enumerate(self._sites)}
 
-        # routing tables: per host, its site, its city's and ISP's codes, the
-        # site of its region's center city, and whether it sits in that city
+        # routing tables: per host, its site, its city's, ISP's and region's
+        # codes, the site of its region's center city, and whether it sits in
+        # that city; per region code, its center's site
         def site(c: Coordinate) -> int:
             return self._site_index[(c.lat, c.lon)]
 
         hosts = list(self.registry.hosts.values())
-        centers = [self.center_of_region[self.cities[h.city].region_id] for h in hosts]
+        regions = sorted(self.center_of_region)
+        region_code = {r: i for i, r in enumerate(regions)}
+        self._center_site = np.array(
+            [site(self.center_of_region[r].coordinate) for r in regions], dtype=np.intp)
         self._isp_ids = sorted(self.isps)
         isp_code = {isp: i for i, isp in enumerate(self._isp_ids)}
         self._city_ids = sorted(self.cities)
@@ -156,8 +170,10 @@ class Topology:
         self._host_city = np.array([city_code[h.city] for h in hosts], dtype=np.intp)
         self._host_site = np.array([site(h.coordinate) for h in hosts], dtype=np.intp)
         self._host_isp = np.array([isp_code[h.isp] for h in hosts], dtype=np.intp)
-        self._host_center = np.array([site(c.coordinate) for c in centers], dtype=np.intp)
-        self._host_at_center = np.array([h.city == c.id for h, c in zip(hosts, centers)])
+        self._host_region = np.array(
+            [region_code[self.cities[h.city].region_id] for h in hosts], dtype=np.intp)
+        self._host_center = self._center_site[self._host_region]
+        self._host_at_center = np.array([self.cities[h.city].is_regional_center for h in hosts])
         # IXP candidates of each ISP pair, as sites sorted by city id
         self._ixp_sites = {
             (isp_code[a], isp_code[b]): np.array(
@@ -197,6 +213,31 @@ class Topology:
             dist[lo:hi, lo:] = block
             dist[lo:, lo:hi] = block.T
         return dist
+
+    @functools.cached_property
+    def _ixp_hop(self) -> np.ndarray:
+        """The IXP site of a cross-ISP route, by (source ISP, destination ISP,
+        source region, destination region) codes, computed on first read:
+        of the two ISPs' IXP cities, the one minimising center -> IXP ->
+        center over the site matrix, ties to the lowest city id (candidates
+        in city id order, first minimum).  -1 where the two ISPs have no IXP
+        city, and on the unused same-ISP entries."""
+        n_isps, centers = len(self._isp_ids), self._center_site
+        hop = np.full((n_isps, n_isps, centers.size, centers.size), -1, dtype=np.intp)
+        for (a, b), cands in self._ixp_sites.items():
+            if cands.size:
+                # cost[r, c, q]: from region r's center through candidate c to q's
+                cost = (self._dist[np.ix_(centers, cands)][:, :, None]
+                        + self._dist[np.ix_(cands, centers)][None, :, :])
+                hop[a, b] = cands[np.argmin(cost, axis=1)]
+        return hop
+
+    def host_distances(self, a_ids: Sequence[str], b_ids: Sequence[str]) -> np.ndarray:
+        """The (len(a_ids), len(b_ids)) geodesic distances in km between two
+        lists of host ids, read from the site matrix."""
+        a = self._host_site[self._host_positions(a_ids)]
+        b = self._host_site[self._host_positions(b_ids)]
+        return self._dist[np.ix_(a, b)]
 
     def distance(self, a: Coordinate, b: Coordinate) -> float:
         """Geodesic distance in km, bitwise equal to ``geodesic_distance``: a
@@ -304,54 +345,57 @@ class _Routes(NamedTuple):
     same_isp: np.ndarray
 
 
-def _route(topology: Topology, src_id: str, dst: np.ndarray) -> _Routes:
-    """Routes from a host id to each destination host position, the one router.
+def _route(topology: Topology, src: np.ndarray, dst: np.ndarray) -> _Routes:
+    """Routes from each source host position to the destination host position
+    beside it (aligned arrays), the one router.
 
     Same ISP: src -> src's regional center -> dst's regional center -> dst.
-    Different ISPs: the IXP city minimising center -> IXP -> center is
-    inserted between the two centers (argmin over candidates sorted by city
-    id, so ties go to the lower id).  Center hops are skipped for a host in
-    its center city, and all three for a same-ISP pair in one city.  A
-    skipped hop repeats the site before it, and a leg between equal sites
-    adds exactly 0.0, so the leg sum is over distinct consecutive waypoints.
+    Different ISPs: the IXP city minimising center -> IXP -> center
+    (``Topology._ixp_hop``) is inserted between the two centers; a pair
+    whose ISPs share no IXP city is a ValidationError naming the ISPs.
+    Center hops are skipped for a host in its center city, and all three for
+    a same-ISP pair in one city.  A skipped hop repeats the site before it,
+    and a leg between equal sites adds exactly 0.0, so the leg sum is over
+    distinct consecutive waypoints.
     """
-    s = topology._host_positions([src_id])[0]
-    n = dst.size
-    src_site, isp_s, ctr_s = topology._host_site[s], topology._host_isp[s], topology._host_center[s]
-    isp_d, ctr_d = topology._host_isp[dst], topology._host_center[dst]
-
-    hop1 = src_site if topology._host_at_center[s] else ctr_s
-    hop2 = np.full(n, hop1)
-    for other in np.unique(isp_d[isp_d != isp_s]).tolist():
-        cands = topology._ixp_sites[(isp_s, other)]
-        if cands.size == 0:
+    t = topology
+    src_site, dst_site = t._host_site[src], t._host_site[dst]
+    isp_s, isp_d = t._host_isp[src], t._host_isp[dst]
+    same_isp = isp_s == isp_d
+    hop1 = np.where(t._host_at_center[src], src_site, t._host_center[src])
+    hop2 = hop1
+    cross = np.flatnonzero(~same_isp)
+    if cross.size:  # the table is read on the cross-ISP pairs alone
+        s, d = src[cross], dst[cross]
+        ixp = t._ixp_hop[isp_s[cross], isp_d[cross], t._host_region[s], t._host_region[d]]
+        if ixp.min() < 0:
+            i = cross[np.argmin(ixp)]
             raise ValidationError(
-                f"no IXP available between {topology._isp_ids[isp_s]!r}"
-                f" and {topology._isp_ids[other]!r}"
+                f"no IXP available between {t._isp_ids[isp_s[i]]!r}"
+                f" and {t._isp_ids[isp_d[i]]!r}"
             )
-        sel = np.flatnonzero(isp_d == other)
-        cost = topology._dist[ctr_s, cands] + topology._dist[cands, ctr_d[sel, None]]
-        hop2[sel] = cands[np.argmin(cost, axis=1)]
-    hop3 = np.where(topology._host_at_center[dst], hop2, ctr_d)
-    sites = np.stack(
-        [np.full(n, src_site), np.full(n, hop1), hop2, hop3, topology._host_site[dst]], axis=1
-    )
-    sites[(isp_d == isp_s) & (topology._host_city[dst] == topology._host_city[s]), 1:4] = src_site
+        hop2 = hop1.copy()
+        hop2[cross] = ixp
+    hop3 = np.where(t._host_at_center[dst], hop2, t._host_center[dst])
+    sites = np.stack([src_site, hop1, hop2, hop3, dst_site], axis=1)
+    local = same_isp & (t._host_city[src] == t._host_city[dst])
+    sites[local, 1:4] = src_site[local, None]
 
-    legs = topology._dist[sites[:, :-1], sites[:, 1:]]
+    legs = t._dist[sites[:, :-1], sites[:, 1:]]
     length = legs[:, 0] + legs[:, 1] + legs[:, 2] + legs[:, 3]
-    direct = topology._dist[src_site, sites[:, -1]]
+    direct = t._dist[src_site, dst_site]
     coincident = direct == 0.0
     tortuosity = np.where(
         coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))
     )
-    return _Routes(sites, tortuosity, direct, isp_d == isp_s)
+    return _Routes(sites, tortuosity, direct, same_isp)
 
 
 def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
     """Hierarchical route between two hosts and its tortuosity (see ``_route``);
     coincident hosts have T = 1."""
-    routes = _route(topology, src_id, topology._host_positions([dst_id]))
+    routes = _route(topology, topology._host_positions([src_id]),
+                    topology._host_positions([dst_id]))
     sites: list[int] = []
     for site in routes.sites[0].tolist():
         if not sites or site != sites[-1]:
@@ -373,6 +417,12 @@ def _key64(text: str) -> int:
     return int.from_bytes(hashlib.shake_256(text.encode()).digest(8), "little")
 
 
+def row_key(seed: int, stream: str, src_id: str) -> np.uint64:
+    """The key of a source's row of pairs in one stream: ``_key64`` of
+    ``f"{seed}|{stream}|{src_id}"``."""
+    return np.uint64(_key64(f"{seed}|{stream}|{src_id}"))
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finaliser on a uint64 array; the products wrap mod 2**64."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -380,22 +430,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def pair_uniforms(
-    seed: int, stream: str, src_id: str, dst_keys: np.ndarray, n_words: int
-) -> np.ndarray:
-    """(len(dst_keys), n_words) uniforms in (0, 1), one row per pair of the
-    source and a destination given by its uint64 host key.
+def pair_uniforms(rows, dst_keys: np.ndarray, n_words: int) -> np.ndarray:
+    """(len(dst_keys), n_words) uniforms in (0, 1), one row per pair of a
+    row key (``row_key``: one for every pair, or an array aligned with
+    ``dst_keys``) and a destination given by its uint64 host key.
 
     A counter-based stream (Salmon et al., "Parallel Random Numbers: As Easy
-    as 1, 2, 3", SC 2011) on SplitMix64's ``mix``: the row key is
-    ``_key64(f"{seed}|{stream}|{src}")``, a destination's key is
+    as 1, 2, 3", SC 2011) on SplitMix64's ``mix``: a destination's key is
     ``_key64`` of its id (``Topology._host_key``), the pair key is
     ``mix(row ^ mix(dst_key))``, and word w is ``mix(pair + (w + 1) * gamma)``
     mod 2**64, mapped into (0, 1) by ``_open_unit``.  A pair's words depend
     on its ids alone, so adding hosts never perturbs existing pairs.
     """
-    row = np.uint64(_key64(f"{seed}|{stream}|{src_id}"))
-    pair = _mix(row ^ _mix(dst_keys))
+    pair = _mix(rows ^ _mix(dst_keys))
     counters = np.arange(1, n_words + 1, dtype=np.uint64) * _GOLDEN_GAMMA
     return _open_unit(_mix(pair[:, None] + counters))
 
@@ -405,6 +452,24 @@ def _open_unit(words: np.ndarray) -> np.ndarray:
     With 53 bits, (w >> 11) + 0.5 rounds to 2**53 for the top word and u
     would reach 1.0."""
     return ((words >> 12) + 0.5) * 2.0 ** -52
+
+
+def _path_factors(
+    topology: Topology, pm: PathModelConfig, rows, src: np.ndarray, dst: np.ndarray
+) -> tuple[PathFactors, np.ndarray]:
+    """(R, T, D) of the pairs of aligned source and destination host
+    positions, and their (len(dst), samples_per_pair) jitter fractions in
+    [0, jitter); ``rows`` are the pairs' row keys, as in ``pair_uniforms``.
+
+    Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
+    R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
+    """
+    routes = _route(topology, src, dst)
+    u = pair_uniforms(rows, topology._host_key[dst], 2 + pm.samples_per_pair)
+    z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
+    d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
+    return PathFactors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
 
 
 def sample_path_factors(
@@ -418,19 +483,9 @@ def sample_path_factors(
     """(R, T, D) for one source id against each destination host position,
     and the (len(dst), samples_per_pair) jitter fractions in [0, jitter): T
     from routing, D the direct geodesic distance, R from the intra or inter
-    law per the ISP relationship.
-
-    Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
-    R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
-    """
-    pm = config.path_model
-    routes = _route(topology, src_id, dst)
-    keys = topology._host_key[dst]
-    u = pair_uniforms(seed, stream, src_id, keys, 2 + pm.samples_per_pair)
-    z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
-    r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
-    d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
-    return PathFactors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
+    law per the ISP relationship (see ``_path_factors``)."""
+    src = np.full(dst.shape, topology._host_positions([src_id])[0])
+    return _path_factors(topology, config.path_model, row_key(seed, stream, src_id), src, dst)
 
 
 def simulate_row(
@@ -461,9 +516,10 @@ def pair_min_delay_ms(
 
 
 def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTable:
-    """Jittered RTT observations for every (probe, landmark) pair, one
-    ``simulate_row`` per probe: rows by probe id, then landmark id, then
-    observation.
+    """Jittered RTT observations for every (probe, landmark) pair, rows by
+    probe id, then landmark id, then observation: each probe's row is
+    ``simulate_row``'s, bit for bit, and whole rows are routed together in
+    blocks of at most ``_CAMPAIGN_BLOCK_PAIRS`` pairs.
 
     Jitter is multiplicative and non-negative, so min-RTT aggregation
     converges toward the deterministic R*T*D/v base delay.
@@ -472,20 +528,29 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
     landmark_ids = [h.id for h in topology.registry.landmarks()]
     if not probe_ids or not landmark_ids:
         raise ValidationError("campaign needs at least one probe and one landmark")
+    probes = topology._host_positions(probe_ids)
     landmarks = topology._host_positions(landmark_ids)
-    k = config.path_model.samples_per_pair
+    rows = np.array([row_key(seed, "campaign", p) for p in probe_ids], dtype=np.uint64)
+    pm = config.path_model
+    k = pm.samples_per_pair
     n_probes, n_landmarks = len(probe_ids), len(landmark_ids)
-    rtt_ms = np.concatenate([
-        simulate_row(topology, config, seed, probe_id, landmarks, "campaign").ravel()
-        for probe_id in probe_ids
-    ])
+    step = max(1, _CAMPAIGN_BLOCK_PAIRS // n_landmarks)
+    rtt_ms = np.empty((n_probes, n_landmarks, k))
+    for lo in range(0, n_probes, step):
+        n = min(step, n_probes - lo)
+        f, jitter = _path_factors(
+            topology, pm, np.repeat(rows[lo:lo + n], n_landmarks),
+            np.repeat(probes[lo:lo + n], n_landmarks), np.tile(landmarks, n))
+        rtt_ms[lo:lo + n] = (synth_delay(f, pm.v_km_s)[:, None] * (1.0 + jitter)).reshape(
+            n, n_landmarks, k)
+        del f, jitter  # so no block's arrays outlive it
     stamps = tuple(f"{_EPOCH + timedelta(minutes=m):%Y-%m-%dT%H:%M:%SZ}" for m in range(k))
     return RttTable(
         tuple(probe_ids), tuple(landmark_ids), stamps,
         probe=np.repeat(np.arange(n_probes), n_landmarks * k),
         landmark=np.tile(np.repeat(np.arange(n_landmarks), k), n_probes),
         stamp=np.tile(np.arange(k), n_probes * n_landmarks),
-        rtt_ms=rtt_ms,
+        rtt_ms=rtt_ms.ravel(),
     )
 
 

@@ -15,6 +15,7 @@ from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import KM_PER_DEG_LAT, Coordinate, geodesic_distance
 from conftest import THRESHOLD_CASES, load_script
 from reference import (
+    _list_lower_hull,
     dict_contrast_probes,
     list_fit_bestline,
     list_geoget_locate,
@@ -139,6 +140,10 @@ def _fit_repr(fit, pts):
 @example([(1e-309, 1.0000000000000002), (2e-309, 1.0000000000000004)])  # inf beside a finite slope
 @settings(max_examples=300)
 def test_bestline_equals_the_list_fit_bit_for_bit(pts):
+    assert_fit_equals_the_list_fit(pts)
+
+
+def assert_fit_equals_the_list_fit(pts):
     got = _fit_repr(geoloc.fit_bestline, pts)
     assert _fit_repr(geoloc.fit_bestline, np.array(pts).reshape(-1, 2)) == got
     try:
@@ -153,6 +158,38 @@ def test_bestline_equals_the_list_fit_bit_for_bit(pts):
         assert not got.startswith("(inf,")
         return
     assert got == want
+
+
+@st.composite
+def _valleys(draw):
+    """Clouds that fall to a low region and rise again, on a small integer
+    lattice (ties in x and y, runs of equal lows) or in free floats."""
+    n = draw(st.integers(2, 14))
+    xs = draw(st.lists(st.integers(0, 8).map(float), min_size=n, max_size=n))
+    low, m = draw(st.integers(0, 8)), draw(st.sampled_from([0.5, 1.0, 3.0]))
+    noise = st.integers(0, 2).map(float) if draw(st.booleans()) else st.floats(0.0, 2.0)
+    return [(x, abs(x - low) * m + draw(noise)) for x in xs]
+
+
+@given(_valleys())
+@example([(0.0, 2.0), (1.0, 0.0), (2.0, 1.0), (3.0, 1.0), (4.0, 3.0)])  # a tie in y right of the lowest
+# a tie at the lowest y: the strict < starts the chain at the right one, where
+# <= would start it at the left one and chain a flat edge first
+@example([(0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (3.0, 2.0)])
+@example([(0.0, 3.0), (1.0, 2.0), (2.0, 1.0)])  # the last point is the lowest
+@settings(max_examples=300)
+def test_staircase_hull_is_the_rising_lower_hull(pts):
+    """The hull the fit chains (the points strictly below all points to
+    their right, and the last point) has exactly the rising edges of the
+    whole lower hull, bit for bit, and the fit equals the list fit."""
+    x, y = np.array(pts).T
+    hx, hy = geoloc._lower_hull(x, y)
+    full = _list_lower_hull(pts)
+    rising = [(a, b) for a, b in zip(full, full[1:]) if b[1] > a[1]]
+    assert list(zip(zip(hx[:-1].tolist(), hy[:-1].tolist()),
+                    zip(hx[1:].tolist(), hy[1:].tolist()))) == rising
+    assert (hx[0], hy[0]) == (rising[0][0] if rising else full[-1])
+    assert_fit_equals_the_list_fit(pts)
 
 
 def test_bestline_memory_is_bounded_on_a_convex_cloud():

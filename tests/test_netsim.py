@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import dataset, experiments, geoloc, netsim
@@ -276,9 +276,17 @@ def test_simulate_row_is_positionwise(neighbour_topology, data, seed, stream):
     assert got.tobytes() == full[dst].tobytes()
 
 
-@pytest.mark.parametrize("which", ["mini", "cn-like"])
-def test_campaign_rows_are_simulate_rows(which, cn_config):
+@pytest.mark.parametrize("which,block", [
+    pytest.param("mini", None, id="mini"), pytest.param("cn-like", None, id="cn-like"),
+    # a block smaller than a row, and 4 rows of 450 with a part block last
+    pytest.param("cn-like", 1, id="cn-like-block-1"),
+    pytest.param("cn-like", 2000, id="cn-like-block-2000")])
+def test_campaign_rows_are_simulate_rows(which, block, cn_config, monkeypatch):
+    # the campaign routes whole probe rows in blocks; each row is the probe's
+    # simulate_row, bit for bit, wherever the blocks fall
     cfg = mini_config() if which == "mini" else cn_config
+    if block is not None:
+        monkeypatch.setattr(netsim, "_CAMPAIGN_BLOCK_PAIRS", block)
     topo = netsim.build_topology(cfg)
     table = netsim.simulate_campaign(topo, cfg, 42)
     landmarks = topo._host_positions(table.landmark_ids)
@@ -309,8 +317,119 @@ def test_missing_ixp_is_a_validation_error():
     netsim.route_path(topo, "p1", "l3")  # same ISP needs no IXP
     with pytest.raises(ValidationError, match="no IXP"):
         netsim.route_path(topo, "p1", "l2")
-    with pytest.raises(ValidationError, match="no IXP"):
+    # the campaign's first cross-ISP pair is p1 (x) -> l2 (y)
+    with pytest.raises(ValidationError, match="no IXP available between 'x' and 'y'"):
         netsim.simulate_campaign(topo, no_ixp, seed=42)
+    with pytest.raises(ValidationError, match="no IXP available between 'x' and 'y'"):
+        experiments.prepare_campaign(no_ixp, seed=42)
+    with pytest.raises(ValidationError, match="no IXP available between 'y' and 'x'"):
+        netsim.simulate_row(topo, no_ixp, 42, "p2", topo._host_positions(["l2", "l1"]))
+
+
+#: a small lattice, so distances repeat and IXP costs tie
+_LATTICE = st.tuples(st.sampled_from([-10.0, 0.0, 10.0]), st.sampled_from([100.0, 110.0, 120.0]))
+
+
+@st.composite
+def small_topologies(draw):
+    """Configs of 1-3 regions on a lattice (a center and up to two other
+    cities each, cities may coincide), 1-3 ISPs whose IXP cities are drawn
+    from the centers (none, so a missing IXP, included), and 2-7 hosts,
+    scattered or pinned at their city."""
+    cities = []
+    for r in range(draw(st.integers(1, 3))):
+        for k in range(1 + draw(st.integers(0, 2))):
+            lat, lon = draw(_LATTICE)
+            cities.append(netsim.City(f"c{r}{k}", Coordinate(lat, lon), f"r{r}", k == 0))
+    centers = [c.id for c in cities if c.is_regional_center]
+    isps = tuple(netsim.IspSpec(f"i{j}", tuple(draw(st.sets(st.sampled_from(centers)))))
+                 for j in range(draw(st.integers(1, 3))))
+    hosts = []
+    for h in range(draw(st.integers(2, 7))):
+        city = draw(st.sampled_from(cities))
+        at = (city.coordinate.lat, city.coordinate.lon) if draw(st.booleans()) else (None, None)
+        hosts.append(netsim.HostSpec(f"h{h}", "probe", city.id,
+                                     draw(st.sampled_from(isps)).id, *at))
+    return netsim.SimConfig(tuple(cities), isps, tuple(hosts), scatter_km=50.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_topologies(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                    min_size=1, max_size=20))
+@example(netsim.SimConfig(  # two IXPs at equal cost from r0's center: the lower id wins
+    (netsim.City("c00", Coordinate(0.0, 110.0), "r0", True),
+     netsim.City("c10", Coordinate(10.0, 110.0), "r1", True),
+     netsim.City("c20", Coordinate(-10.0, 110.0), "r2", True)),
+    (netsim.IspSpec("i0", ("c20",)), netsim.IspSpec("i1", ("c10",))),
+    (netsim.HostSpec("h0", "probe", "c00", "i0", 0.0, 110.0),
+     netsim.HostSpec("h1", "probe", "c00", "i1", 0.0, 110.0))), [(0, 1), (1, 0), (1, 1)])
+def test_router_with_many_sources_equals_the_scalar_router(cfg, drawn):
+    """``_route`` over aligned arrays of source and destination positions
+    (many sources) gives each pair the scalar reference's waypoints and
+    tortuosity, bit for bit; a pair whose ISPs share no IXP city is a
+    ValidationError from both, naming the two ISPs."""
+    topo = netsim.build_topology(cfg)
+    ids = sorted(topo._host_pos)
+    pairs = [(ids[a % len(ids)], ids[b % len(ids)]) for a, b in drawn]
+    src, dst = (topo._host_positions(list(side)) for side in zip(*pairs))
+    want = []
+    for s, d in pairs:
+        try:
+            want.append(route_scalar(topo, s, d))
+        except ValidationError as exc:
+            want.append(str(exc))
+    missing = [w for w in want if isinstance(w, str)]
+    if missing:
+        with pytest.raises(ValidationError, match="no IXP available between") as err:
+            netsim._route(topo, src, dst)
+        assert str(err.value) == missing[0]
+        return
+    routes = netsim._route(topo, src, dst)
+    for (waypoints, t), sites, got_t in zip(want, routes.sites.tolist(),
+                                            routes.tortuosity.tolist()):
+        distinct = [i for k, i in enumerate(sites) if k == 0 or i != sites[k - 1]]
+        assert tuple(Coordinate(*topo._sites[i]) for i in distinct) == waypoints
+        assert got_t == t
+
+
+def test_ixp_table_breaks_cost_ties_by_city_id():
+    cfg = netsim.SimConfig(
+        (netsim.City("c00", Coordinate(0.0, 110.0), "r0", True),
+         netsim.City("c10", Coordinate(10.0, 110.0), "r1", True),
+         netsim.City("c20", Coordinate(-10.0, 110.0), "r2", True)),
+        (netsim.IspSpec("x", ("c20", "c10")), netsim.IspSpec("y"), netsim.IspSpec("z")),
+        (netsim.HostSpec("h0", "probe", "c00", "x"),))
+    topo = netsim.build_topology(cfg)
+    c10, c20 = (topo._site_index[(c.lat, c.lon)] for c in (
+        topo.city("c10").coordinate, topo.city("c20").coordinate))
+    r0 = 0
+    # c10 and c20 are 10 degrees either side of r0's center on its meridian
+    assert topo._dist[topo._center_site[r0], c10] == topo._dist[topo._center_site[r0], c20]
+    assert topo._ixp_hop[0, 1, r0, r0] == topo._ixp_hop[1, 0, r0, r0] == c10
+    assert topo._ixp_hop[1, 2, r0, r0] == -1  # y and z have no IXP city
+    assert topo._ixp_hop[0, 0, r0, r0] == -1  # same ISP: unused
+
+
+def test_campaign_set_up_runs_the_kernel_only_to_fill_the_site_matrix(mini_config_path,
+                                                                      monkeypatch):
+    """prepare_campaign computes each site pair once, in the matrix fill:
+    the join reads the matrix, and no scalar call runs."""
+    calls = {"join": 0, "scalar": 0, "fill": 0}
+
+    def count(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(dataset, "geodesic_distance_many",
+                        count("join", dataset.geodesic_distance_many))
+    monkeypatch.setattr(netsim, "geodesic_distance", count("scalar", netsim.geodesic_distance))
+    monkeypatch.setattr(netsim, "geodesic_distance_many",
+                        count("fill", netsim.geodesic_distance_many))
+    campaign = experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)
+    n = len(campaign.topology._sites)
+    assert calls == {"join": 0, "scalar": 0, "fill": -(-n // netsim._ROWS_PER_KERNEL_CALL)}
 
 
 def test_open_unit_stays_inside():
@@ -344,7 +463,8 @@ STREAMS = st.text(st.characters(codec="utf-8", exclude_characters="|"), max_size
 @given(keys=st.lists(st.integers(0, 2 ** 64 - 1), max_size=20), seed=SEEDS, stream=STREAMS,
        src=st.text(st.characters(codec="utf-8"), max_size=8), n_words=st.integers(1, 8))
 def test_pair_uniforms_match_scalar_reference(keys, seed, stream, src, n_words):
-    got = netsim.pair_uniforms(seed, stream, src, np.array(keys, dtype=np.uint64), n_words)
+    got = netsim.pair_uniforms(netsim.row_key(seed, stream, src), np.array(keys, dtype=np.uint64),
+                               n_words)
     assert got.shape == (len(keys), n_words)
     assert got.tolist() == scalar_pair_uniforms(seed, stream, src, keys, n_words)
 
@@ -353,8 +473,9 @@ def test_pair_uniforms_match_scalar_reference(keys, seed, stream, src, n_words):
 @given(st.lists(st.tuples(SEEDS, STREAMS), min_size=2, max_size=4, unique=True))
 def test_distinct_seeds_and_streams_give_disjoint_words(rows):
     keys = np.arange(64, dtype=np.uint64)
-    words = np.concatenate([netsim.pair_uniforms(seed, stream, "p1", keys, 5).ravel()
-                            for seed, stream in rows])
+    words = np.concatenate([
+        netsim.pair_uniforms(netsim.row_key(seed, stream, "p1"), keys, 5).ravel()
+        for seed, stream in rows])
     assert np.unique(words).size == words.size
 
 
@@ -362,7 +483,7 @@ def test_words_are_uniform_and_uncorrelated():
     # consecutive integers as destination keys: the least random input the
     # pair mixer can get
     n = 10 ** 5
-    u = netsim.pair_uniforms(42, "campaign", "p1", np.arange(n, dtype=np.uint64), 5)
+    u = netsim.pair_uniforms(netsim.row_key(42, "campaign", "p1"), np.arange(n, dtype=np.uint64), 5)
     ecdf = np.arange(1, n + 1) / n
     for column in u.T:
         x = np.sort(column)
@@ -397,7 +518,7 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
             law = pm.intra_r if intra else pm.inter_r
             logs[intra].append(np.log(f.r[same == intra] - law.shift))
         jitter.append(jit)
-        words.append(netsim.pair_uniforms(42, "campaign", p, keys, 2 + k))
+        words.append(netsim.pair_uniforms(netsim.row_key(42, "campaign", p), keys, 2 + k))
     # log(R - shift) ~ N(mu, sigma) per law: 5 standard errors
     for intra, law in ((True, pm.intra_r), (False, pm.inter_r)):
         x = np.concatenate(logs[intra])
@@ -413,10 +534,10 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
     assert (u > 0.0).all() and (u < 1.0).all()
     # distinct pairs draw distinct words, and so do distinct streams and seeds
     assert np.unique(u, axis=0).shape[0] == u.shape[0]
-    campaign = netsim.pair_uniforms(42, "campaign", probes[0], keys, 2 + k)
+    campaign = netsim.pair_uniforms(netsim.row_key(42, "campaign", probes[0]), keys, 2 + k)
     assert (campaign == words[0]).all()
-    for other in (netsim.pair_uniforms(42, "target", probes[0], keys, 2 + k),
-                  netsim.pair_uniforms(43, "campaign", probes[0], keys, 2 + k)):
+    for other in (netsim.pair_uniforms(netsim.row_key(42, "target", probes[0]), keys, 2 + k),
+                  netsim.pair_uniforms(netsim.row_key(43, "campaign", probes[0]), keys, 2 + k)):
         assert not (other == campaign).any(axis=1).any()
 
 
@@ -435,9 +556,13 @@ def test_site_matrix_is_one_canonical_batch_on_cn_like(cn_config):
     topo = netsim.build_topology(cn_config)
     # computed on first read, not by build_topology
     assert "_dist" not in vars(topo)
+    # the sites are the hosts and the regional centers: the waypoints routes
+    # read (IXP cities are centers), not the other cities
     keys = {(h.coordinate.lat, h.coordinate.lon) for h in topo.registry.hosts.values()}
-    keys |= {(c.coordinate.lat, c.coordinate.lon) for c in topo.cities.values()}
+    keys |= {(c.coordinate.lat, c.coordinate.lon) for c in topo.cities.values()
+             if c.is_regional_center}
     assert topo._sites == sorted(keys)
+    assert len(keys) == 570
     dist = topo._dist
     assert "_dist" in vars(topo)
     assert (dist == dist.T).all() and (np.diag(dist) == 0.0).all()
