@@ -10,6 +10,7 @@ scores the outcomes against the targets' truth.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from collections import Counter
@@ -70,7 +71,6 @@ class Campaign:
     config: netsim.SimConfig
     topology: netsim.Topology
     samples: dataset.SampleTable  # every (probe, landmark) pair, sorted by pair
-    reports: corr_model.CorrGrid  # the probe x landmark-ISP correlation grid
     # (probe, landmark ISP code or None) -> Bestline | None, filled on first use
     _bestlines: dict = field(default_factory=dict, init=False)
 
@@ -97,6 +97,11 @@ class Campaign:
         self._lm_center = self.topology._host_at_center[self._lm_pos]
         self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group
 
+    @functools.cached_property
+    def reports(self) -> corr_model.CorrGrid:
+        """The probe x landmark-ISP correlation grid, built on first read."""
+        return corr_model.all_probe_reports(self.samples)
+
     def bestline(self, probe: int, isp: Optional[int]) -> Optional[geoloc.Bestline]:
         """The bestline of probe code ``probe`` over its landmarks of ISP code
         ``isp`` (all of them when None), fitted on first use; None when the
@@ -118,7 +123,7 @@ def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
     # the join reads the site matrix, which routing has filled
     samples = dataset.join_distances(
         dataset.ingest_rtt(rtts), topology.registry, topology.host_distances)
-    return Campaign(config, topology, samples, corr_model.all_probe_reports(samples))
+    return Campaign(config, topology, samples)
 
 
 def pick_targets(campaign: Campaign, n: int, seed: int) -> list[dataset.HostRecord]:
@@ -147,11 +152,10 @@ def _contrast_probes(campaign: Campaign, seed: int) -> np.ndarray:
 def cbg_locate_target(
     campaign: Campaign, target: dataset.HostRecord, spec: ExperimentSpec
 ) -> geoloc.GeolocationResult:
-    grid = campaign.reports
     col = campaign._landmark_code[target.id]
     # the modified variant calibrates on the target ISP's landmarks only
     if spec.mode == "modified":
-        isp = int(campaign._lm_isp[col])
+        grid, isp = campaign.reports, int(campaign._lm_isp[col])
         probes = geoloc.cbg_select_probes(
             grid.corr[:, isp], grid.own == isp, campaign._probe_city, spec.threshold
         )

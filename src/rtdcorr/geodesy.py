@@ -1,14 +1,17 @@
 """Geodesic distances on the WGS-84 ellipsoid.
 
 Distances are returned in kilometers.  One vectorised Vincenty inverse
-solution serves every caller, one pair or many; its iteration carries only
-the longitude difference λ on the auxiliary sphere, and it takes at most
+solution serves every caller, one pair or many; it takes at most
 VINCENTY_PASS_PAIRS pairs at a time, so a call of any size holds a few MB of
-temporaries.  Near-antipodal pairs where the iteration does not converge
-fall back to a great-circle (haversine) distance on the mean Earth radius,
-and the fallback is flagged on the result.  The great-circle distance also
-brackets the Vincenty distance (``vincenty_bracket``), which lets callers
-decide most distance thresholds without running the iteration.
+temporaries.  A pass computes the reduced latitude's sine and cosine once per
+point, their products that do not depend on λ once per pass, and one set of
+iteration terms per iteration; the iteration carries only the longitude
+difference λ on the auxiliary sphere.  Near-antipodal pairs where the
+iteration does not converge fall back to a great-circle (haversine) distance
+on the mean Earth radius, and the fallback is flagged on the result.  The
+great-circle distance also brackets the Vincenty distance
+(``vincenty_bracket``), which lets callers decide most distance thresholds
+without running the iteration.
 """
 
 from __future__ import annotations
@@ -144,8 +147,15 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     in the inputs' broadcast shape.  Passes of at most VINCENTY_PASS_PAIRS
     pairs bound its temporaries; an input that fits is one pass, as given.
 
-    λ is the iteration's only state; the terms the distance needs are
-    evaluated once more, by the loop's ``terms``, at the λ where a pair stopped.
+    Once per point: sin U and cos U of the reduced latitude, in each input's
+    own shape, so a (k, 1) x (m,) call that fits one pass does k + m of them.
+    Once per pass: the pair-order mask, λ's start L and the five λ-free
+    products of sin U and cos U.  Once per iteration: ``terms(λ)``.  λ is the
+    iteration's only state; a pair stops at the λ whose update converged, and
+    the loop ends in the iteration where the last pair stops, so the distance
+    reads that iteration's terms, each at the λ its pair stopped at.  A pair
+    still iterating after VINCENTY_MAX_ITER takes the great-circle fallback,
+    so its terms are never read.
 
     Each pair is put in (lat, lon) key order first.  The inverse is symmetric
     in exact arithmetic, so the order decides only the rounding, and every
@@ -159,43 +169,50 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
         runs = [_vincenty(*(v[lo:lo + VINCENTY_PASS_PAIRS] for v in flat))
                 for lo in range(0, pairs.size, VINCENTY_PASS_PAIRS)]
         return tuple(np.concatenate(r).reshape(pairs.shape) for r in zip(*runs))
-    # the mask has the four inputs' broadcast shape, so the ordered arrays do
+    # the mask has the four inputs' broadcast shape, so the ordered arrays do;
+    # sin U and cos U of the reduced latitude U are computed per point, in each
+    # input's own shape, and put in pair order with the mask
     swap = (lats2 < lats1) | ((lats2 == lats1) & (lons2 < lons1))
-    lats1, lats2 = np.where(swap, lats2, lats1), np.where(swap, lats1, lats2)
-    lons1, lons2 = np.where(swap, lons2, lons1), np.where(swap, lons1, lons2)
-    phi1, phi2 = np.radians(lats1), np.radians(lats2)
-    ell = np.radians(lons2 - lons1)
-
-    u1 = np.arctan((1.0 - WGS84_F) * np.tan(phi1))
-    u2 = np.arctan((1.0 - WGS84_F) * np.tan(phi2))
-    sin_u1, cos_u1 = np.sin(u1), np.cos(u1)
-    sin_u2, cos_u2 = np.sin(u2), np.cos(u2)
+    ell = np.radians(np.where(swap, lons1, lons2) - np.where(swap, lons2, lons1))
+    u_a = np.arctan((1.0 - WGS84_F) * np.tan(np.radians(lats1)))
+    u_b = np.arctan((1.0 - WGS84_F) * np.tan(np.radians(lats2)))
+    sin_a, cos_a, sin_b, cos_b = np.sin(u_a), np.cos(u_a), np.sin(u_b), np.cos(u_b)
+    sin_u1, sin_u2 = np.where(swap, sin_b, sin_a), np.where(swap, sin_a, sin_b)
+    cos_u1, cos_u2 = np.where(swap, cos_b, cos_a), np.where(swap, cos_a, cos_b)
+    del u_a, u_b, sin_a, cos_a, sin_b, cos_b
+    # the iteration's λ-free products, each multiplied left to right as the
+    # reference loop does (tests/reference.py), so every bit holds
+    cu1_su2, su1_cu2, su1_su2, cu1_cu2 = (
+        cos_u1 * sin_u2, sin_u1 * cos_u2, sin_u1 * sin_u2, cos_u1 * cos_u2)
+    two_su1_su2 = 2.0 * sin_u1 * sin_u2
+    del sin_u1, cos_u1, sin_u2
 
     def terms(lam):
         """sin σ, cos σ, σ, sin α, cos²α and cos 2σm at longitude difference lam."""
         sin_lam, cos_lam = np.sin(lam), np.cos(lam)
-        ss = np.hypot(cos_u2 * sin_lam, cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam)
-        cs = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
-        sa = cos_u1 * cos_u2 * sin_lam / np.where(ss == 0.0, 1.0, ss)
+        ss = np.hypot(cos_u2 * sin_lam, cu1_su2 - su1_cu2 * cos_lam)
+        cs = su1_su2 + cu1_cu2 * cos_lam
+        sa = cu1_cu2 * sin_lam / np.where(ss == 0.0, 1.0, ss)
         csa = 1.0 - sa * sa
-        c2sm = np.where(csa == 0.0, 0.0, cs - 2.0 * sin_u1 * sin_u2 / np.where(csa == 0.0, 1.0, csa))
+        equatorial = csa == 0.0
+        c2sm = np.where(equatorial, 0.0, cs - two_su1_su2 / np.where(equatorial, 1.0, csa))
         return ss, cs, np.arctan2(ss, cs), sa, csa, c2sm
 
     lam = ell
     active = np.ones(lam.shape, dtype=bool)
     for _ in range(VINCENTY_MAX_ITER):
-        if not active.any():
-            break
         sin_sigma, cos_sigma, sigma, sin_alpha, cos_sq_alpha, cos_2sigma_m = terms(lam)
         c = WGS84_F / 16.0 * cos_sq_alpha * (4.0 + WGS84_F * (4.0 - 3.0 * cos_sq_alpha))
         new_lam = ell + (1.0 - c) * WGS84_F * sin_alpha * (
             sigma
             + c * sin_sigma * (cos_2sigma_m + c * cos_sigma * (-1.0 + 2.0 * cos_2sigma_m ** 2))
         )
-        # a pair stops at the lam whose update converged, or where sin σ is 0
+        # a pair stops at the lam whose update converged, or where sin σ is 0;
+        # once the last one has, every term above is at the lam it stopped at
         active &= (sin_sigma != 0.0) & ~(np.abs(new_lam - lam) < VINCENTY_TOL_RAD)
+        if not active.any():
+            break
         lam = np.where(active, new_lam, lam)
-    sin_sigma, cos_sigma, sigma, _, cos_sq_alpha, cos_2sigma_m = terms(lam)
 
     u_sq = cos_sq_alpha * (WGS84_A_M ** 2 - WGS84_B_M ** 2) / WGS84_B_M ** 2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
@@ -223,6 +240,8 @@ def _vincenty(lats1, lons1, lats2, lons2) -> tuple[np.ndarray, np.ndarray]:
     km = np.where(same, 0.0, km)
 
     if active.any():  # never converged: great-circle fallback
+        phi1 = np.radians(np.where(swap, lats2, lats1))
+        phi2 = np.radians(np.where(swap, lats1, lats2))
         gc = great_circle_km_many(phi1, phi2, ell, np.cos(phi1), np.cos(phi2))
         km = np.where(active, gc, km)
     return km, active

@@ -502,6 +502,20 @@ def test_model_header_reports_the_speed_used(capsys):
     assert stdout.splitlines()[0] == "rtdcorr model: seed=42 v_km_s=100000.0"
 
 
+def test_simulate_r_draw_that_rounds_to_1_exits_1(capsys, tmp_path):
+    """A valid config can draw a routing-delay ratio R = 1 + e^(mu + sigma z)
+    that rounds to exactly 1.0; the path factors' range check catches it
+    inside the simulator, and the command exits 1 with its message."""
+    text = netsim.bundled_config_path("cn-like").read_text()
+    cfg = tmp_path / "wide-r.yaml"
+    cfg.write_text(text.replace("intra_r: {mu: -0.693147, sigma: 0.35}",
+                                "intra_r: {mu: 0.0, sigma: 60.0}"))
+    assert cfg.read_text() != text
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert err == "error: r must be > 1, got 1.0\n"
+
+
 @pytest.mark.parametrize("v", ["nan", "inf", "0"])
 def test_model_bad_speed_exits_1(capsys, v):
     code, _, err = run(capsys, "model", "--n", "1000", "--v", v)

@@ -320,21 +320,67 @@ def assert_carried_state_bits(*coords):
     assert np.array_equal(fell_back, want_mask)
 
 
+#: a batch in which every pair stops at the first iteration: coincident
+#: pairs and pairs on one pole
+STOP_AT_ONCE = [
+    (Coordinate(12.5, 100.0), Coordinate(12.5, 100.0)),
+    (Coordinate(-30.0, -60.0), Coordinate(-30.0, -60.0)),
+    (Coordinate(90.0, 0.0), Coordinate(90.0, 50.0)),
+    (Coordinate(-90.0, 10.0), Coordinate(-90.0, -170.0)),
+]
+#: converging pairs (4 and 5 iterations) beside one that runs out
+#: VINCENTY_MAX_ITER and takes the great-circle fallback
+RUN_OUT = [
+    (Coordinate(30.0, 100.0), Coordinate(31.0, 101.0)),
+    (Coordinate(0.0, 0.0), Coordinate(0.5, 179.7)),
+    (Coordinate(10.0, 20.0), Coordinate(40.0, -60.0)),
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(kernel_pairs(), min_size=1, max_size=12))
 @example([(Coordinate(0.0, 0.0), Coordinate(0.5, 179.7))])
 @example([(Coordinate(90.0, 0.0), Coordinate(90.0, 50.0))])
+@example(STOP_AT_ONCE)
+@example(RUN_OUT)
 def test_kernel_equals_the_carried_state_loop(pairs):
-    # the iteration carries lam alone and re-evaluates its terms at the lam
-    # where each pair stopped; the distances and the fallback mask are the
-    # ones of the loop that carried every term, in a batch, a (k, 1) x (1, m)
-    # broadcast and a 0-d call
+    # the iteration carries lam alone and leaves the loop in the iteration
+    # where the last pair stopped, with every pair's terms at the lam it
+    # stopped at; the distances and the fallback mask are the ones of the
+    # loop that carried every term, in a batch, a (k, 1) x (1, m) broadcast
+    # and a 0-d call
     lat1, lon1, lat2, lon2 = (
         np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs])
     )
     assert_carried_state_bits(lat1, lon1, lat2, lon2)
     assert_carried_state_bits(lat1[:, None], lon1[:, None], lat2[None], lon2[None])
     assert_carried_state_bits(lat1[0], lon1[0], lat2[0], lon2[0])
+
+
+def count_terms(monkeypatch, fn, *coords):
+    """How many times ``fn(*coords)`` evaluates the iteration's terms: each
+    evaluation makes one ``np.hypot`` call (sin σ), and nothing else does."""
+    calls = []
+    hypot = np.hypot
+    with monkeypatch.context() as m:
+        m.setattr(np, "hypot", lambda *a: calls.append(1) or hypot(*a))
+        fn(*coords)
+    return len(calls)
+
+
+@pytest.mark.parametrize("pairs, iterations", [
+    (STOP_AT_ONCE, 1),
+    (RUN_OUT, geodesy.VINCENTY_MAX_ITER),
+    (RUN_OUT[:1] + RUN_OUT[2:], 5),
+    (EDGE_PAIRS, geodesy.VINCENTY_MAX_ITER),
+])
+def test_a_pass_evaluates_its_terms_once_per_iteration(monkeypatch, pairs, iterations):
+    # the terms of the iteration in which the last pair stopped are the ones
+    # the distance reads: none are evaluated after the loop, and the count
+    # equals the iterations of the loop that carried every term
+    coords = np.array([(a.lat, a.lon, b.lat, b.lon) for a, b in pairs]).T
+    assert count_terms(monkeypatch, geodesy._vincenty, *coords) == iterations
+    assert count_terms(monkeypatch, carried_state_vincenty, *coords) == iterations
 
 
 def test_kernel_memory_is_bounded_by_its_pass():

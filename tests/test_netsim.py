@@ -10,7 +10,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import dataset, experiments, geoloc, netsim
+from rtdcorr import corr_model, dataset, experiments, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
@@ -430,6 +430,28 @@ def test_campaign_set_up_runs_the_kernel_only_to_fill_the_site_matrix(mini_confi
     campaign = experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)
     n = len(campaign.topology._sites)
     assert calls == {"join": 0, "scalar": 0, "fill": -(-n // netsim._ROWS_PER_KERNEL_CALL)}
+
+
+def test_only_modified_cbg_builds_the_per_probe_grid(mini_config_path, monkeypatch):
+    """prepare_campaign leaves the per-probe grid unbuilt; CBG's modified
+    variant builds it once, in its first locate, and GeoGet and CBG's
+    original variant never do."""
+    builds = []
+    build = corr_model.all_probe_reports
+    monkeypatch.setattr(corr_model, "all_probe_reports", lambda s: builds.append(s) or build(s))
+    campaign = experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)
+    targets = campaign.topology.registry.landmarks()
+    runs = [("geoget", "original"), ("geoget", "modified"), ("cbg", "original"),
+            ("cbg", "modified")]
+    for algorithm, mode in runs:
+        spec = experiments.ExperimentSpec(config=str(mini_config_path), algorithm=algorithm,
+                                          mode=mode)
+        locate = experiments.cbg_locate_target if algorithm == "cbg" else (
+            experiments.geoget_locate_target)
+        for target in targets:
+            locate(campaign, target, spec)
+        assert len(builds) == (mode == "modified" and algorithm == "cbg")
+    assert builds[0] is campaign.samples and campaign.reports is campaign.reports
 
 
 def test_open_unit_stays_inside():
