@@ -14,10 +14,13 @@ For each seed it then prints one JSON line for the campaign, then one per
 algorithm x mode.  The campaign line holds sha256 digests of the site
 distance matrix, of the joined sample distances and of the campaign's raw
 observations (``rtt_sha256``, over the ``rtt_ms`` column of
-``netsim.simulate_campaign``), over their raw float64 bytes, and
-``bestlines_sha256``: a sha256 over the ``repr`` of every probe's
-bestline (slope, intercept), or None, over all its landmarks and then over
-each landmark ISP in code order, probes in code order.  Its ``corr_sha256``
+``netsim.simulate_campaign``), over their raw float64 bytes;
+``rtt_csv_sha256`` and ``samples_csv_sha256``, over the bytes that
+``dataset.write_rtt_csv`` and ``dataset.write_samples_csv`` write for those
+observations and the campaign's samples; and ``bestlines_sha256``: a
+sha256 over the ``repr`` of every probe's bestline (slope, intercept), or
+None, over all its landmarks and then over each landmark ISP in code order,
+probes in code order.  Its ``corr_sha256``
 is a sha256 over the full-precision bytes of both correlation grids: the
 per-ISP matrix's correlations (nan where undefined) and then its group sizes,
 read cell by cell over the ISPs in code order, then the per-probe grid's
@@ -38,10 +41,12 @@ import argparse
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from rtdcorr import corr_model, experiments, geodesy, netsim
+from rtdcorr import corr_model, dataset, experiments, geodesy, netsim
 
 CONFIG = "cn-like"
 LOCATE = {"cbg": experiments.cbg_locate_target, "geoget": experiments.geoget_locate_target}
@@ -87,6 +92,14 @@ def corr_sha256(campaign):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
+def csv_sha256(write, table):
+    """sha256 of the bytes ``write(table, path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write(table, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def kernel_edges_line():
     """The kernel digest over 16,384 random pairs, 1,024 pairs within half a
     degree of antipodal, and EDGE_ROWS: three passes of the kernel."""
@@ -105,13 +118,15 @@ def kernel_edges_line():
 def digest_seed(config, seed):
     campaign = experiments.prepare_campaign(config, seed)
     isps = [None, *np.unique(campaign.samples.landmark_isp).tolist()]
+    observations = netsim.simulate_campaign(campaign.topology, config, seed)
     yield {
         "seed": seed,
         "sites": len(campaign.topology._sites),
         "site_matrix_sha256": hashlib.sha256(campaign.topology._dist.tobytes()).hexdigest(),
         "join_sha256": hashlib.sha256(campaign.samples.distance_km.tobytes()).hexdigest(),
-        "rtt_sha256": hashlib.sha256(
-            netsim.simulate_campaign(campaign.topology, config, seed).rtt_ms.tobytes()).hexdigest(),
+        "rtt_sha256": hashlib.sha256(observations.rtt_ms.tobytes()).hexdigest(),
+        "rtt_csv_sha256": csv_sha256(dataset.write_rtt_csv, observations),
+        "samples_csv_sha256": csv_sha256(dataset.write_samples_csv, campaign.samples),
         "bestlines_sha256": sha256(
             bestline_line(campaign.bestline(p, isp))
             for p in range(len(campaign.samples.probe_ids)) for isp in isps),

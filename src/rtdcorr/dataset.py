@@ -435,8 +435,11 @@ def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple
     return operator.itemgetter(*map(header.index, columns))
 
 
-def _labels(ids: tuple[str, ...], codes: np.ndarray) -> list[str]:
-    return np.array(ids, dtype=object)[codes].tolist()
+def _chunked(n: int, chunk: Callable[[slice], Iterable[Sequence]]) -> Iterable[Sequence]:
+    """The rows of ``chunk(part)`` for each ``_CHUNK_ROWS``-row slice of n
+    rows, chained at C speed, so a table writer formats one chunk at a time."""
+    return itertools.chain.from_iterable(
+        map(chunk, (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))))
 
 
 def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
@@ -449,16 +452,20 @@ def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
 def write_rtt_csv(table: RttTable, path) -> None:
     """RTTs at 6 decimals; one that would print as zero (coincident hosts)
     is written with repr, so reading it back gives a delay > 0."""
-    rtt = [f"{v:.6f}" for v in table.rtt_ms.tolist()]
-    for i in np.flatnonzero(table.rtt_ms < 1e-6).tolist():
-        if rtt[i] == "0.000000":
-            rtt[i] = repr(table.rtt_ms.item(i))
-    write_csv(path, RTT_COLUMNS, zip(
-        _labels(table.probe_ids, table.probe),
-        _labels(table.landmark_ids, table.landmark),
-        _labels(table.stamps, table.stamp),
-        rtt,
-    ))
+    probe_ids, landmark_ids, stamps = (
+        np.array(ids, dtype=object) for ids in (table.probe_ids, table.landmark_ids, table.stamps))
+
+    def chunk(part: slice):
+        values = table.rtt_ms[part]
+        rtt = [f"{v:.6f}" for v in values.tolist()]
+        for i in np.flatnonzero(values < 1e-6).tolist():
+            if rtt[i] == "0.000000":
+                rtt[i] = repr(values.item(i))
+        return zip(probe_ids[table.probe[part]].tolist(),
+                   landmark_ids[table.landmark[part]].tolist(),
+                   stamps[table.stamp[part]].tolist(), rtt)
+
+    write_csv(path, RTT_COLUMNS, _chunked(len(table), chunk))
 
 
 def read_samples_csv(path) -> SampleTable:
@@ -468,13 +475,19 @@ def read_samples_csv(path) -> SampleTable:
 
 
 def write_samples_csv(samples: SampleTable, path) -> None:
-    write_csv(path, SAMPLE_COLUMNS, zip(
-        _labels(samples.probe_ids, samples.probe),
-        _labels(samples.landmark_ids, samples.landmark),
-        map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
-        map("{:.6f}".format, samples.distance_km.tolist()),
-        _labels(samples.isps, samples.probe_isp),
-        _labels(samples.isps, samples.landmark_isp),
-        _labels(samples.cities, samples.probe_city),
-        _labels(samples.cities, samples.landmark_city),
-    ))
+    probe_ids, landmark_ids, isps, cities = (np.array(ids, dtype=object) for ids in (
+        samples.probe_ids, samples.landmark_ids, samples.isps, samples.cities))
+
+    def chunk(part: slice):
+        return zip(
+            probe_ids[samples.probe[part]].tolist(),
+            landmark_ids[samples.landmark[part]].tolist(),
+            map(repr, samples.delay_ms[part].tolist()),  # repr round-trips bit-exactly
+            map("{:.6f}".format, samples.distance_km[part].tolist()),
+            isps[samples.probe_isp[part]].tolist(),
+            isps[samples.landmark_isp[part]].tolist(),
+            cities[samples.probe_city[part]].tolist(),
+            cities[samples.landmark_city[part]].tolist(),
+        )
+
+    write_csv(path, SAMPLE_COLUMNS, _chunked(len(samples), chunk))

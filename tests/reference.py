@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, STRONG_CORR_THRESHOLD, PathFactors
+from rtdcorr.dataset import RTT_COLUMNS, SAMPLE_COLUMNS, RttTable, SampleTable, write_csv
 from rtdcorr.errors import BestlineError, ValidationError
 from rtdcorr.geodesy import (
     VINCENTY_MAX_ITER,
@@ -526,3 +527,39 @@ def scalar_pair_uniforms(seed: int, stream: str, src_id: str, dst_keys, n_words:
         words = (splitmix64_mix((pair + (w + 1) * _GOLDEN_GAMMA) & _MASK64) for w in range(n_words))
         out.append([((word >> 12) + 0.5) * 2.0 ** -52 for word in words])
     return out
+
+
+def _labels(ids: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    return np.array(ids, dtype=object)[codes].tolist()
+
+
+def whole_column_write_rtt_csv(table: RttTable, path) -> None:
+    """RTTs at 6 decimals; one that would print as zero (coincident hosts)
+    is written with repr, so reading it back gives a delay > 0.  Every column
+    is formatted to a whole list before ``write_csv`` sees a row: the
+    reference for the chunked ``rtdcorr.dataset.write_rtt_csv``."""
+    rtt = [f"{v:.6f}" for v in table.rtt_ms.tolist()]
+    for i in np.flatnonzero(table.rtt_ms < 1e-6).tolist():
+        if rtt[i] == "0.000000":
+            rtt[i] = repr(table.rtt_ms.item(i))
+    write_csv(path, RTT_COLUMNS, zip(
+        _labels(table.probe_ids, table.probe),
+        _labels(table.landmark_ids, table.landmark),
+        _labels(table.stamps, table.stamp),
+        rtt,
+    ))
+
+
+def whole_column_write_samples_csv(samples: SampleTable, path) -> None:
+    """samples.csv from whole-column lists: the reference for the chunked
+    ``rtdcorr.dataset.write_samples_csv``."""
+    write_csv(path, SAMPLE_COLUMNS, zip(
+        _labels(samples.probe_ids, samples.probe),
+        _labels(samples.landmark_ids, samples.landmark),
+        map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
+        map("{:.6f}".format, samples.distance_km.tolist()),
+        _labels(samples.isps, samples.probe_isp),
+        _labels(samples.isps, samples.landmark_isp),
+        _labels(samples.cities, samples.probe_city),
+        _labels(samples.cities, samples.landmark_city),
+    ))
