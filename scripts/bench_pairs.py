@@ -16,10 +16,12 @@ Prints one JSON object: each run's result line (``correct``, ``attempted``,
 side's median, quartiles (inclusive method) and extremes, the number of
 pairs the change wins, the median gap (positive when the change is lower,
 as every end-to-end metric is better lower) and whether that gap exceeds the
-parent's interquartile range.  Next to the metrics, ``attempted`` gives each
-side's median, quartiles and extremes of the runs' attempted units, which
-set how many passes a run made (and so its ``peak_rss_mb``).  Standard
-library only.
+parent's interquartile range.  ``cli`` compares the same way the per-command
+times (``cli.<command>_s``, lower is better) that a ``pipeline`` run's
+detail line gives, so a saving is placed per command without a traced run.
+Next to the metrics, ``attempted`` gives each side's median, quartiles and
+extremes of the runs' attempted units, which set how many passes a run made
+(and so its ``peak_rss_mb``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,15 +37,30 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The result line of one benchmark run in a checkout, plus its exit code."""
+    """The result line of one benchmark run in a checkout, plus its exit code
+    and, as ``cli``, the ``cli.*`` figures of its detail line."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
-    return {"exit": proc.returncode, **result}
+    try:
+        detail = json.loads(lines[-2])["detail"]["metrics"]
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
+        detail = {}
+    cli = {name: m["value"] for name, m in detail.items() if name.startswith("cli.")}
+    return {"exit": proc.returncode, **result, "cli": cli}
+
+
+def compare_all(runs: dict[str, list[dict]], get) -> dict:
+    """compare() of every figure that ``get(run)`` (a dict of values by name)
+    holds in every run of both sides."""
+    names = sorted(set.intersection(*(set(get(r)) for side in SIDES for r in runs[side])))
+    return {name: compare(*([get(r)[name] for r in runs[side]] for side in SIDES))
+            for name in names}
 
 
 def spread(values: list[float]) -> dict:
@@ -92,12 +109,8 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {side}: {json.dumps(runs[side][-1])}",
                   file=sys.stderr)
 
-    names = sorted(set.intersection(*(
-        set(r.get("metrics", {})) for side in SIDES for r in runs[side])))
-    metrics = {
-        name: compare(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES))
-        for name in names
-    }
+    metrics = compare_all(runs, lambda r: {
+        name: m["value"] for name, m in r.get("metrics", {}).items()})
     attempted = {side: [r["attempted"] for r in runs[side] if "attempted" in r] for side in SIDES}
     print(json.dumps({
         "workload": args.workload,
@@ -106,6 +119,7 @@ def main(argv=None) -> int:
         "all_correct": all(r.get("correct") is True for side in SIDES for r in runs[side]),
         "runs": runs,
         "metrics": metrics,
+        "cli": compare_all(runs, lambda r: r["cli"]),
         "attempted": {side: spread(counts) if counts else None
                       for side, counts in attempted.items()},
     }, indent=1))

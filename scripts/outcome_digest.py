@@ -17,7 +17,11 @@ observations (``rtt_sha256``, over the ``rtt_ms`` column of
 ``netsim.simulate_campaign``), over their raw float64 bytes;
 ``rtt_csv_sha256`` and ``samples_csv_sha256``, over the bytes that
 ``dataset.write_rtt_csv`` and ``dataset.write_samples_csv`` write for those
-observations and the campaign's samples; and ``bestlines_sha256``: a
+observations and the campaign's samples; ``rtt_read_sha256`` and
+``samples_read_sha256``, over the tables ``dataset.read_rtt_csv`` and
+``dataset.read_samples_csv`` read back from those bytes (each field in
+order: an id tuple as its ``repr``, an array of codes or values as its raw
+bytes); and ``bestlines_sha256``: a
 sha256 over the ``repr`` of every probe's bestline (slope, intercept), or
 None, over all its landmarks and then over each landmark ISP in code order,
 probes in code order.  Its ``corr_sha256``
@@ -92,12 +96,23 @@ def corr_sha256(campaign):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-def csv_sha256(write, table):
-    """sha256 of the bytes ``write(table, path)`` puts in a file."""
+def table_sha256(table):
+    """sha256 over a table's fields in order: an id tuple as its repr, an
+    array as its raw bytes."""
+    h = hashlib.sha256()
+    for name in table.__dataclass_fields__:
+        value = getattr(table, name)
+        h.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return h.hexdigest()
+
+
+def csv_sha256s(write, read, table):
+    """sha256 of the bytes ``write(table, path)`` puts in a file, and
+    ``table_sha256`` of what ``read(path)`` reads back from them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         write(table, path)
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return hashlib.sha256(path.read_bytes()).hexdigest(), table_sha256(read(path))
 
 
 def kernel_edges_line():
@@ -119,14 +134,19 @@ def digest_seed(config, seed):
     campaign = experiments.prepare_campaign(config, seed)
     isps = [None, *np.unique(campaign.samples.landmark_isp).tolist()]
     observations = netsim.simulate_campaign(campaign.topology, config, seed)
+    rtt_csv, rtt_read = csv_sha256s(dataset.write_rtt_csv, dataset.read_rtt_csv, observations)
+    samples_csv, samples_read = csv_sha256s(
+        dataset.write_samples_csv, dataset.read_samples_csv, campaign.samples)
     yield {
         "seed": seed,
         "sites": len(campaign.topology._sites),
         "site_matrix_sha256": hashlib.sha256(campaign.topology._dist.tobytes()).hexdigest(),
         "join_sha256": hashlib.sha256(campaign.samples.distance_km.tobytes()).hexdigest(),
         "rtt_sha256": hashlib.sha256(observations.rtt_ms.tobytes()).hexdigest(),
-        "rtt_csv_sha256": csv_sha256(dataset.write_rtt_csv, observations),
-        "samples_csv_sha256": csv_sha256(dataset.write_samples_csv, campaign.samples),
+        "rtt_csv_sha256": rtt_csv,
+        "samples_csv_sha256": samples_csv,
+        "rtt_read_sha256": rtt_read,
+        "samples_read_sha256": samples_read,
         "bestlines_sha256": sha256(
             bestline_line(campaign.bestline(p, isp))
             for p in range(len(campaign.samples.probe_ids)) for isp in isps),

@@ -13,14 +13,14 @@ integer codes into sorted tuples of ids (row i's probe is
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import io
 import itertools
+import locale
 import math
 import operator
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -107,12 +107,56 @@ class _Coder(dict):
         code = self[key] = len(self)
         return code
 
-    def freeze(self, *columns: array) -> tuple:
-        """(sorted ids, each column of codes recoded to index them)."""
+    def codes(self, column: Sequence[str]) -> np.ndarray:
+        """The codes of a column of ids, each new id coded (and vetted)."""
+        return np.fromiter(map(self.__getitem__, column), np.intp, len(column))
+
+    def freeze(self, *columns) -> tuple:
+        """(sorted ids, each column of codes recoded to index them).  A
+        column is recoded in place, a chunk at a time, so no column-sized
+        temporary is made."""
         ids = sorted(self)
         recode = np.empty(len(ids), dtype=np.intp)
         recode[[self[i] for i in ids]] = np.arange(len(ids))
-        return (tuple(ids), *(recode[np.asarray(c, dtype=np.intp)] for c in columns))
+        columns = [np.asarray(c, dtype=np.intp) for c in columns]
+        for c in columns:
+            for lo in range(0, len(c), _CHUNK_ROWS):
+                c[lo:lo + _CHUNK_ROWS] = recode[c[lo:lo + _CHUNK_ROWS]]
+        return (tuple(ids), *columns)
+
+
+class _Columns:
+    """A table's columns, one array each, stored a block of rows at a time:
+    the base of a column body.  Room for n rows is made up front, and grows
+    (doubling) only past it; ``n`` counts the rows stored."""
+
+    def __init__(self, n: int, dtypes: Sequence):
+        self.arrays = [np.empty(n, dtype=dt) for dt in dtypes]
+        self.n = 0
+
+    def store(self, *blocks: np.ndarray) -> None:
+        lo, hi = self.n, self.n + len(blocks[0])
+        if hi > len(self.arrays[0]):
+            self.arrays = [np.resize(a, max(hi, 2 * len(a))) for a in self.arrays]
+        for a, block in zip(self.arrays, blocks):
+            a[lo:hi] = block
+        self.n = hi
+
+    def filled(self) -> list[np.ndarray]:
+        return [a[:self.n] for a in self.arrays]
+
+
+def _add_block(body, columns: Sequence[Sequence]) -> None:
+    """``body.add(columns)``, a block of rows given as columns.  A block that
+    fails is added again a row at a time, in order, so the error raised is
+    that of its first bad row, as a loop over the rows would raise it, and
+    ``body.n`` stops at that row."""
+    try:
+        body.add(columns)
+    except (ValueError, NotFoundError):
+        for row in zip(*columns):
+            body.add([(field,) for field in row])
+        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,27 +184,42 @@ class RttTable:
         as they come; rtt_ms may be given as text.  An rtt that is not finite
         and > 0 is a ValidationError; with a registry, so is a host in the
         wrong column, and an unknown host is a NotFoundError."""
+        columns = list(zip(*rows)) or [()] * len(RTT_COLUMNS)
+        body = _RttColumns(len(columns[0]), registry)
+        _add_block(body, columns)
+        return body.finish()
 
+
+class _RttColumns(_Columns):
+    """The column body of ``RttTable``: rtt.csv's columns (probe id,
+    landmark id, timestamp, rtt; ``pick`` takes them from a block's columns)
+    a block of rows at a time.  A block's rtts are parsed and range-checked
+    and its ids coded (and vetted) before any of it is stored."""
+
+    def __init__(self, n: int, registry: Optional[Registry] = None,
+                 pick: Callable[[list], Sequence] = tuple):
         def vet(role: str):
             return None if registry is None else lambda h: _check_role(registry, h, role)
 
-        probes, landmarks, stamps = _Coder(vet(ROLE_PROBE)), _Coder(vet(ROLE_LANDMARK)), _Coder()
-        probe, landmark, stamp, rtt = array("q"), array("q"), array("q"), array("d")
-        # bound appends: this loop runs once per observation
-        add_probe, add_landmark, add_stamp, add_rtt = (
-            probe.append, landmark.append, stamp.append, rtt.append)
-        for p, lm, ts, v in rows:
-            v = float(v)
-            if not 0.0 < v < math.inf:
-                raise ValidationError(f"rtt for ({p}, {lm}) must be finite and > 0, got {v}")
-            add_probe(probes[p])
-            add_landmark(landmarks[lm])
-            add_stamp(stamps[ts])
-            add_rtt(v)
-        probe_ids, probe = probes.freeze(probe)
-        landmark_ids, landmark = landmarks.freeze(landmark)
-        stamp_ids, stamp = stamps.freeze(stamp)
-        return cls(probe_ids, landmark_ids, stamp_ids, probe, landmark, stamp, np.asarray(rtt))
+        super().__init__(n, (np.intp,) * 3 + (float,))
+        self.coders = (_Coder(vet(ROLE_PROBE)), _Coder(vet(ROLE_LANDMARK)), _Coder())
+        self.pick = pick
+
+    def add(self, columns: Sequence[Sequence[str]]) -> None:
+        *ids, rtt = self.pick(columns)
+        values = np.fromiter(map(float, rtt), float, len(rtt))
+        bad = np.flatnonzero(~((0.0 < values) & (values < math.inf)))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"rtt for ({ids[0][i]}, {ids[1][i]}) must be finite and > 0, got {values.item(i)}")
+        self.store(*map(_Coder.codes, self.coders, ids), values)
+
+    def finish(self) -> RttTable:
+        *codes, rtt = self.filled()
+        (probe_ids, probe), (landmark_ids, landmark), (stamp_ids, stamp) = (
+            coder.freeze(c) for coder, c in zip(self.coders, codes))
+        return RttTable(probe_ids, landmark_ids, stamp_ids, probe, landmark, stamp, rtt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,28 +268,40 @@ class SampleTable:
         finite and > 0, a distance that is not finite and >= 0, a blank id,
         ISP or city, a host tagged with two ISPs or two cities, or a pair
         given twice is a ValidationError."""
-        probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
-        probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
-            array("q") for _ in range(6))
-        delay, distance = array("d"), array("d")
-        # bound appends: this loop runs once per sample
-        (add_probe, add_landmark, add_delay, add_distance, add_probe_isp, add_landmark_isp,
-         add_probe_city, add_landmark_city) = (c.append for c in (
-            probe, landmark, delay, distance, probe_isp, landmark_isp, probe_city, landmark_city))
-        for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in rows:
-            d_ms, d_km = float(d_ms), float(d_km)
-            if not 0.0 < d_ms < math.inf:
-                raise ValidationError(f"delay must be finite and > 0, got {d_ms}")
-            if not 0.0 <= d_km < math.inf:
-                raise ValidationError(f"distance must be finite and >= 0, got {d_km}")
-            add_probe(probes[p])
-            add_landmark(landmarks[lm])
-            add_delay(d_ms)
-            add_distance(d_km)
-            add_probe_isp(isps[p_isp])
-            add_landmark_isp(isps[l_isp])
-            add_probe_city(cities[p_city])
-            add_landmark_city(cities[l_city])
+        columns = list(zip(*rows)) or [()] * len(SAMPLE_COLUMNS)
+        body = _SampleColumns(len(columns[0]))
+        _add_block(body, columns)
+        return body.finish()
+
+
+class _SampleColumns(_Columns):
+    """The column body of ``SampleTable``: samples.csv's columns (``pick``
+    takes them from a block's columns) a block of rows at a time.  A block's
+    delays and distances are parsed and range-checked before any of it is
+    stored; the checks across rows (blank names, a host's tags, repeated
+    pairs) run on the finished columns."""
+
+    def __init__(self, n: int, pick: Callable[[list], Sequence] = tuple):
+        super().__init__(n, (np.intp, np.intp, float, float) + (np.intp,) * 4)
+        self.coders = (_Coder(), _Coder(), _Coder(), _Coder())  # probe, landmark, ISP, city
+        self.pick = pick
+
+    def add(self, columns: Sequence[Sequence[str]]) -> None:
+        p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city = self.pick(columns)
+        delay, distance = (np.fromiter(map(float, c), float, len(c)) for c in (d_ms, d_km))
+        for values, ok, what in ((delay, 0.0 < delay, "delay must be finite and > 0"),
+                                 (distance, 0.0 <= distance, "distance must be finite and >= 0")):
+            bad = np.flatnonzero(~(ok & (values < math.inf)))
+            if bad.size:
+                raise ValidationError(f"{what}, got {values.item(bad[0])}")
+        probes, landmarks, isps, cities = self.coders
+        self.store(probes.codes(p), landmarks.codes(lm), delay, distance,
+                   *map(_Coder.codes, (isps, isps, cities, cities), (p_isp, l_isp, p_city, l_city)))
+
+    def finish(self) -> SampleTable:
+        probe, landmark, delay, distance, probe_isp, landmark_isp, probe_city, landmark_city = (
+            self.filled())
+        probes, landmarks, isps, cities = self.coders
         probe_ids, probe = probes.freeze(probe)
         landmark_ids, landmark = landmarks.freeze(landmark)
         isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
@@ -262,24 +333,20 @@ class SampleTable:
             key = np.sort(probe * len(landmark_ids) + landmark)
             p, lm = divmod(int(key[1:][key[1:] == key[:-1]][0]), len(landmark_ids))
             raise ValidationError(f"pair ({probe_ids[p]!r}, {landmark_ids[lm]!r}) has two rows")
-        return cls(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
-                   np.asarray(delay), np.asarray(distance),
-                   probe_isp, landmark_isp, probe_city, landmark_city)
+        return SampleTable(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
+                           delay, distance, probe_isp, landmark_isp, probe_city, landmark_city)
 
 
 def ingest_rtt(table: RttTable) -> MinRttTable:
-    """Minimum RTT per (probe, landmark) pair, a grouped minimum over the
-    rows sorted by pair; unmeasured pairs are absent."""
+    """Minimum RTT per (probe, landmark) pair, a grouped minimum into a grid
+    of every pair (8 bytes each, from inf); unmeasured pairs are absent, so
+    the rows come out sorted by pair."""
     n_landmarks = max(1, len(table.landmark_ids))
-    key = table.probe * n_landmarks + table.landmark
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    pairs = key[starts]
-    return MinRttTable(
-        table.probe_ids, table.landmark_ids, pairs // n_landmarks, pairs % n_landmarks,
-        np.minimum.reduceat(table.rtt_ms[order], starts),
-    )
+    grid = np.full(len(table.probe_ids) * n_landmarks, math.inf)
+    np.minimum.at(grid, table.probe * n_landmarks + table.landmark, table.rtt_ms)
+    pairs = np.flatnonzero(grid != math.inf)
+    return MinRttTable(table.probe_ids, table.landmark_ids,
+                       pairs // n_landmarks, pairs % n_landmarks, grid[pairs])
 
 
 def join_distances(
@@ -331,46 +398,168 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"expected true/false, 1/0 or yes/no, got {s!r}") from None
 
 
-@contextlib.contextmanager
-def _csv_rows(path, required: Iterable[str]):
-    """(header, rows) of a CSV file whose header has the required columns;
-    ``rows`` yields each non-blank row as its list of fields.  A row with
-    missing or extra fields, or a ValueError (ValidationError and
+_BLOCK_BYTES = 1 << 15
+#: what ``open`` decodes a text file with, and so what ``write_csv`` writes
+_ENCODING = locale.getpreferredencoding(False)
+
+
+def _plain_columns(block: bytes, width: int) -> Optional[list[list[str]]]:
+    """The columns of a block of whole lines if it is plain: at least two
+    columns, no double quote, every line ending in LF or every line in CRLF,
+    width - 1 commas on each line (so none is blank) and no more bytes than
+    the csv module's field limit, in the file's text encoding.  None for any
+    other block: csv.reader reads it."""
+    if not block.endswith(b"\n"):
+        block += b"\n"  # a file's last line, without its line end
+    if width < 2 or b'"' in block or len(block) > csv.field_size_limit():
+        return None
+    # the separators, in order, must be each line's commas and line end;
+    # each ends a field, so with CR and LF made commas a line has line.size
+    crlf = b"\r" in block
+    line = np.frombuffer(b"," * (width - 1) + (b"\r\n" if crlf else b"\n"), dtype=np.uint8)
+    code = np.frombuffer(block, dtype=np.uint8)
+    is_sep = (code == ord(",")) | (code == ord("\n"))
+    if crlf:
+        is_sep |= code == ord("\r")
+    sep = code[is_sep]
+    if sep.size % line.size or (sep.reshape(-1, line.size) != line).any():
+        return None
+    try:
+        fields = block.replace(b"\r", b",").replace(b"\n", b",")[:-1].decode(_ENCODING).split(",")
+    except UnicodeDecodeError:
+        return None
+    if crlf and any(fields[width::line.size]):  # a CR that does not end its line
+        return None
+    return [fields[j::line.size] for j in range(width)]
+
+
+def _text_lines(pending: bytes, fh) -> Iterator[str]:
+    """The lines that csv.reader reads from a text file, of ``pending`` and
+    then of the rest of the binary file ``fh``."""
+    yield from io.StringIO(pending.decode(_ENCODING), newline="")
+    yield from io.TextIOWrapper(fh, encoding=_ENCODING, newline="")
+
+
+def _count_lf(fh) -> int:
+    """The LF bytes from ``fh``'s position to its end; the position is kept."""
+    at, n = fh.tell(), 0
+    while piece := fh.read(1 << 18):
+        n += np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord("\n"))
+    fh.seek(at)
+    return n
+
+
+def _read_csv(path, required: Iterable[str], start: Callable[[list[str], int], object]):
+    """The one CSV reader, the reading twin of ``write_csv``: ``body =
+    start(header, n)`` takes the rows of a CSV file whose header has the
+    required columns, a block at a time as lists of fields by column
+    (``body.add``, through ``_add_block``), and ``body.finish()`` is returned.
+    n is the file's LF count (0 for a file that cannot seek), which bounds
+    its rows unless lone CRs end lines.
+
+    The file is read in blocks of whole lines, ``_BLOCK_BYTES`` and the rest
+    of a line.  A plain block (``_plain_columns``) is split with str.split;
+    from the first block that is not plain, the rest of the file goes
+    through csv.reader in the default dialect, ``_CHUNK_ROWS`` rows a block,
+    skipping blank lines, so the fields are csv.reader's either way.
+
+    A row with missing or extra fields, or a ValueError (ValidationError and
     UnicodeDecodeError included), csv.Error or NotFoundError raised while the
     rows are read, raises ValidationError naming the row's line; one raised
     before the rows or once every row is read names the file alone."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        in_rows = False
+    line = None  # the line of the row whose error is raised
 
-        def rows():
-            nonlocal in_rows
-            in_rows = True
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue  # a blank line
-                    raise ValidationError(f"expected {width} fields")
-                yield row
-            in_rows = False
+    def reader_blocks(reader, before: int) -> Iterator[tuple[Sequence[int], list]]:
+        """(lines, columns) of csv.reader's rows, ``before`` lines into the
+        file; a bad row ends the rows ahead of it, and raises after them."""
+        nonlocal line
+        while True:
+            rows, lines, error = [], [], None
+            try:
+                for row in reader:
+                    if len(row) != width:
+                        if not row:
+                            continue  # a blank line
+                        raise ValidationError(f"expected {width} fields")
+                    rows.append(row)
+                    lines.append(before + reader.line_num)
+                    if len(rows) == _CHUNK_ROWS:
+                        break
+            except (ValueError, csv.Error) as exc:
+                error = exc
+            if rows:
+                yield lines, list(zip(*rows))
+            if error is not None:
+                line = before + reader.line_num
+                raise error
+            if len(rows) < _CHUNK_ROWS:
+                return
 
+    def plain_blocks() -> Iterator[tuple[Sequence[int], list]]:
+        before = 1  # the header's line
+        while block := fh.read(_BLOCK_BYTES):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            columns = _plain_columns(block, width)
+            if columns is None:
+                yield from reader_blocks(csv.reader(_text_lines(block, fh)), before)
+                return
+            yield range(before + 1, before + 1 + len(columns[0])), columns
+            before += len(columns[0])
+
+    with open(path, "rb") as fh:
         try:
-            header = next(reader, None)
+            n = _count_lf(fh) if fh.seekable() else 0
+            first = fh.readline()
+            header = _plain_columns(first, first.count(b",") + 1) if first else None
+            if header is not None:
+                header = [column[0] for column in header]
+                blocks = plain_blocks()
+            else:
+                reader = csv.reader(_text_lines(first, fh))
+                header = next(reader, None)
+                blocks = reader_blocks(reader, 0)
             required = set(required)
             if header is None or not required.issubset(header):
                 raise ValidationError(f"expected header columns {sorted(required)}")
             width = len(header)
-            yield header, rows()
+            body = start(header, n)
+            for lines, columns in blocks:
+                done = body.n
+                try:
+                    _add_block(body, columns)
+                except (ValueError, NotFoundError):
+                    line = lines[body.n - done]
+                    raise
+            line = None
+            return body.finish()
         except (ValueError, NotFoundError, csv.Error) as exc:
-            where = f"{path}:{reader.line_num}" if in_rows else path
+            where = path if line is None else f"{path}:{line}"
             raise ValidationError(f"{where}: {exc}") from exc
+
+
+class _Parsed:
+    """A ``_read_csv`` body: parse(row) for each row, the row as a dict by
+    column name."""
+
+    def __init__(self, header: list[str], parse: Callable[[dict], object]):
+        self.header, self.parse, self.rows = header, parse, []
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def add(self, columns: Sequence[Sequence[str]]) -> None:
+        self.rows.extend([self.parse(dict(zip(self.header, row))) for row in zip(*columns)])
+
+    def finish(self) -> list:
+        return self.rows
 
 
 def parse_csv(path, required: Iterable[str], parse: Callable[[dict], object]) -> list:
     """parse(row) for every row of a CSV file whose header has the required
-    columns, the row as a dict by column name; errors as in ``_csv_rows``."""
-    with _csv_rows(path, required) as (header, rows):
-        return [parse(dict(zip(header, row))) for row in rows]
+    columns, the row as a dict by column name; errors as in ``_read_csv``."""
+    return _read_csv(path, required, lambda header, n: _Parsed(header, parse))
 
 
 def read_hosts_csv(path) -> Registry:
@@ -443,10 +632,10 @@ def _chunked(n: int, chunk: Callable[[slice], Iterable[Sequence]]) -> Iterable[S
 
 
 def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
-    """rtt.csv as a table, read a row at a time; with a registry, hosts are
-    checked as in ``RttTable.from_rows``."""
-    with _csv_rows(path, RTT_COLUMNS) as (header, rows):
-        return RttTable.from_rows(map(_picker(header, RTT_COLUMNS), rows), registry)
+    """rtt.csv as a table, read a block of rows at a time; with a registry,
+    hosts are checked as in ``RttTable.from_rows``."""
+    return _read_csv(path, RTT_COLUMNS, lambda header, n: _RttColumns(
+        n, registry, _picker(header, RTT_COLUMNS)))
 
 
 def write_rtt_csv(table: RttTable, path) -> None:
@@ -469,9 +658,9 @@ def write_rtt_csv(table: RttTable, path) -> None:
 
 
 def read_samples_csv(path) -> SampleTable:
-    """samples.csv as a table, read a row at a time."""
-    with _csv_rows(path, SAMPLE_COLUMNS) as (header, rows):
-        return SampleTable.from_rows(map(_picker(header, SAMPLE_COLUMNS), rows))
+    """samples.csv as a table, read a block of rows at a time."""
+    return _read_csv(path, SAMPLE_COLUMNS, lambda header, n: _SampleColumns(
+        n, _picker(header, SAMPLE_COLUMNS)))
 
 
 def write_samples_csv(samples: SampleTable, path) -> None:

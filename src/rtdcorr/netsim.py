@@ -39,15 +39,11 @@ import yaml
 from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
 from .dataset import HostRecord, Registry, RttTable, validate_registry
 from .errors import NotFoundError, ValidationError
-from .geodesy import (KM_PER_DEG_LAT, Coordinate, _wrap_lon, geodesic_distance,
-                      geodesic_distance_many, km_per_deg_lon)
+from .geodesy import (KM_PER_DEG_LAT, VINCENTY_PASS_PAIRS, Coordinate, _wrap_lon,
+                      geodesic_distance, geodesic_distance_many, km_per_deg_lon)
 
 #: floor for the direct distance of co-located hosts (1 mm)
 MIN_PAIR_DISTANCE_KM = 1e-6
-
-#: rows of the site distance matrix per kernel call, each against the columns
-#: from its block on: the blocks skip the lower triangle, which is mirrored
-_ROWS_PER_KERNEL_CALL = 16
 
 #: the most (probe, landmark) pairs ``simulate_campaign`` routes at once, as
 #: whole probe rows (one row at least): it bounds the block's temporaries
@@ -204,14 +200,18 @@ class Topology:
         """The one store of site-to-site distances: a symmetric matrix in site
         order, computed on first read.  Each kernel call fills rows lo:hi
         against columns lo:, and the block is mirrored to columns lo:hi; no
-        second matrix is ever held."""
+        second matrix is ever held.  A call takes as many rows as fit one
+        kernel pass, so the kernel computes its latitude terms once per
+        point."""
         lats, lons = np.array(self._sites).reshape(-1, 2).T
         dist = np.empty((lats.size, lats.size))
-        for lo in range(0, lats.size, _ROWS_PER_KERNEL_CALL):
-            hi = min(lo + _ROWS_PER_KERNEL_CALL, lats.size)
+        lo = 0
+        while lo < lats.size:
+            hi = min(lo + max(1, VINCENTY_PASS_PAIRS // (lats.size - lo)), lats.size)
             block = geodesic_distance_many(lats[lo:hi, None], lons[lo:hi, None], lats[lo:], lons[lo:])
             dist[lo:hi, lo:] = block
             dist[lo:, lo:hi] = block.T
+            lo = hi
         return dist
 
     @functools.cached_property

@@ -2,9 +2,11 @@ import importlib.util
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtdcorr import experiments, netsim
+from rtdcorr.errors import ValidationError
 
 
 def load_script(name: str):
@@ -83,3 +85,29 @@ def mini_config_path(tmp_path_factory):
 def mini_campaign(mini_config_path):
     """Default-seed campaign on the mini config; shared across tests."""
     return experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)
+
+
+def read_outcome(read, path):
+    """("table", what read(path) returns) or ("error", its ValidationError's
+    text)."""
+    try:
+        return "table", read(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def assert_same_read(new, old, path):
+    """new(path) and old(path) raise the same ValidationError text, or give
+    tables equal field for field (arrays in dtype and bytes)."""
+    got, want = read_outcome(new, path), read_outcome(old, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error" or isinstance(want[1], list):
+        assert got == want
+        return
+    for name in want[1].__dataclass_fields__:
+        a, b = getattr(got[1], name), getattr(want[1], name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name

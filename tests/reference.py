@@ -1,15 +1,31 @@
 """Reference implementations that tests compare the library against; the
 library itself does not use them."""
 
+import contextlib
+import csv
 import hashlib
 import math
-from typing import Sequence
+from array import array
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from rtdcorr.corr_model import _VAR_REL_EPS, MIN_SAMPLES_FOR_CORR, STRONG_CORR_THRESHOLD, PathFactors
-from rtdcorr.dataset import RTT_COLUMNS, SAMPLE_COLUMNS, RttTable, SampleTable, write_csv
-from rtdcorr.errors import BestlineError, ValidationError
+from rtdcorr.dataset import (
+    ROLE_LANDMARK,
+    ROLE_PROBE,
+    RTT_COLUMNS,
+    SAMPLE_COLUMNS,
+    MinRttTable,
+    Registry,
+    RttTable,
+    SampleTable,
+    _check_role,
+    _Coder,
+    _picker,
+    write_csv,
+)
+from rtdcorr.errors import BestlineError, NotFoundError, ValidationError
 from rtdcorr.geodesy import (
     VINCENTY_MAX_ITER,
     VINCENTY_TOL_RAD,
@@ -563,3 +579,173 @@ def whole_column_write_samples_csv(samples: SampleTable, path) -> None:
         _labels(samples.cities, samples.probe_city),
         _labels(samples.cities, samples.landmark_city),
     ))
+
+
+def sorted_ingest_rtt(table: RttTable) -> MinRttTable:
+    """Minimum RTT per (probe, landmark) pair, a grouped minimum over the
+    rows sorted by pair; unmeasured pairs are absent.  The reference for the
+    grid-based ``rtdcorr.dataset.ingest_rtt``."""
+    n_landmarks = max(1, len(table.landmark_ids))
+    key = table.probe * n_landmarks + table.landmark
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    pairs = key[starts]
+    return MinRttTable(
+        table.probe_ids, table.landmark_ids, pairs // n_landmarks, pairs % n_landmarks,
+        np.minimum.reduceat(table.rtt_ms[order], starts),
+    )
+
+
+# --- the row readers: the references for rtdcorr.dataset's block readers ----
+
+
+@contextlib.contextmanager
+def row_csv_rows(path, required: Iterable[str]):
+    """(header, rows) of a CSV file whose header has the required columns;
+    ``rows`` yields each non-blank row as its list of fields.  A row with
+    missing or extra fields, or a ValueError (ValidationError and
+    UnicodeDecodeError included), csv.Error or NotFoundError raised while the
+    rows are read, raises ValidationError naming the row's line; one raised
+    before the rows or once every row is read names the file alone."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        in_rows = False
+
+        def rows():
+            nonlocal in_rows
+            in_rows = True
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue  # a blank line
+                    raise ValidationError(f"expected {width} fields")
+                yield row
+            in_rows = False
+
+        try:
+            header = next(reader, None)
+            required = set(required)
+            if header is None or not required.issubset(header):
+                raise ValidationError(f"expected header columns {sorted(required)}")
+            width = len(header)
+            yield header, rows()
+        except (ValueError, NotFoundError, csv.Error) as exc:
+            where = f"{path}:{reader.line_num}" if in_rows else path
+            raise ValidationError(f"{where}: {exc}") from exc
+
+
+def row_parse_csv(path, required: Iterable[str], parse: Callable[[dict], object]) -> list:
+    """parse(row) for every row of a CSV file whose header has the required
+    columns, the row as a dict by column name; errors as in ``row_csv_rows``."""
+    with row_csv_rows(path, required) as (header, rows):
+        return [parse(dict(zip(header, row))) for row in rows]
+
+
+def row_rtt_table(
+    rows: Iterable[tuple[str, str, str, float]], registry: Optional[Registry] = None
+) -> RttTable:
+    """The table of (probe_id, landmark_id, timestamp, rtt_ms) rows, coded
+    as they come; rtt_ms may be given as text.  An rtt that is not finite
+    and > 0 is a ValidationError; with a registry, so is a host in the
+    wrong column, and an unknown host is a NotFoundError."""
+
+    def vet(role: str):
+        return None if registry is None else lambda h: _check_role(registry, h, role)
+
+    probes, landmarks, stamps = _Coder(vet(ROLE_PROBE)), _Coder(vet(ROLE_LANDMARK)), _Coder()
+    probe, landmark, stamp, rtt = array("q"), array("q"), array("q"), array("d")
+    # bound appends: this loop runs once per observation
+    add_probe, add_landmark, add_stamp, add_rtt = (
+        probe.append, landmark.append, stamp.append, rtt.append)
+    for p, lm, ts, v in rows:
+        v = float(v)
+        if not 0.0 < v < math.inf:
+            raise ValidationError(f"rtt for ({p}, {lm}) must be finite and > 0, got {v}")
+        add_probe(probes[p])
+        add_landmark(landmarks[lm])
+        add_stamp(stamps[ts])
+        add_rtt(v)
+    probe_ids, probe = probes.freeze(probe)
+    landmark_ids, landmark = landmarks.freeze(landmark)
+    stamp_ids, stamp = stamps.freeze(stamp)
+    return RttTable(probe_ids, landmark_ids, stamp_ids, probe, landmark, stamp, np.asarray(rtt))
+
+
+def row_sample_table(
+    rows: Iterable[tuple[str, str, float, float, str, str, str, str]]
+) -> SampleTable:
+    """The table of rows in samples.csv column order, coded as they come;
+    the delay and distance may be given as text.  A delay that is not
+    finite and > 0, a distance that is not finite and >= 0, a blank id,
+    ISP or city, a host tagged with two ISPs or two cities, or a pair
+    given twice is a ValidationError."""
+    probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
+    probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
+        array("q") for _ in range(6))
+    delay, distance = array("d"), array("d")
+    # bound appends: this loop runs once per sample
+    (add_probe, add_landmark, add_delay, add_distance, add_probe_isp, add_landmark_isp,
+     add_probe_city, add_landmark_city) = (c.append for c in (
+        probe, landmark, delay, distance, probe_isp, landmark_isp, probe_city, landmark_city))
+    for p, lm, d_ms, d_km, p_isp, l_isp, p_city, l_city in rows:
+        d_ms, d_km = float(d_ms), float(d_km)
+        if not 0.0 < d_ms < math.inf:
+            raise ValidationError(f"delay must be finite and > 0, got {d_ms}")
+        if not 0.0 <= d_km < math.inf:
+            raise ValidationError(f"distance must be finite and >= 0, got {d_km}")
+        add_probe(probes[p])
+        add_landmark(landmarks[lm])
+        add_delay(d_ms)
+        add_distance(d_km)
+        add_probe_isp(isps[p_isp])
+        add_landmark_isp(isps[l_isp])
+        add_probe_city(cities[p_city])
+        add_landmark_city(cities[l_city])
+    probe_ids, probe = probes.freeze(probe)
+    landmark_ids, landmark = landmarks.freeze(landmark)
+    isp_ids, probe_isp, landmark_isp = isps.freeze(probe_isp, landmark_isp)
+    city_ids, probe_city, landmark_city = cities.freeze(probe_city, landmark_city)
+    for kind, ids in (("probe id", probe_ids), ("landmark id", landmark_ids),
+                      ("ISP", isp_ids), ("city", city_ids)):
+        if ids[:1] == ("",):  # sorted ids: a blank one comes first
+            raise ValidationError(f"a row has a blank {kind}")
+    for role, ids, host, kind, names, tags in (
+        ("probe", probe_ids, probe, "ISP", isp_ids, probe_isp),
+        ("probe", probe_ids, probe, "city", city_ids, probe_city),
+        ("landmark", landmark_ids, landmark, "ISP", isp_ids, landmark_isp),
+        ("landmark", landmark_ids, landmark, "city", city_ids, landmark_city),
+    ):
+        # one of each host's tags: a host with a single tag matches it on every row
+        tag = np.empty(len(ids), dtype=np.intp)
+        tag[host] = tags
+        bad = np.flatnonzero(tag[host] != tags)
+        if bad.size:
+            i = bad[0]
+            a, b = sorted((names[tag[host[i]]], names[tags[i]]))
+            raise ValidationError(
+                f"{role} {ids[host[i]]!r} has {kind} {a!r} on one row and {b!r} on another")
+    # a byte per (probe, landmark) pair; sorting the rows' pair keys made
+    # row-sized temporaries that raised the pipeline's peak memory
+    seen = np.zeros((len(probe_ids), len(landmark_ids)), dtype=bool)
+    seen[probe, landmark] = True
+    if np.count_nonzero(seen) < len(probe):
+        key = np.sort(probe * len(landmark_ids) + landmark)
+        p, lm = divmod(int(key[1:][key[1:] == key[:-1]][0]), len(landmark_ids))
+        raise ValidationError(f"pair ({probe_ids[p]!r}, {landmark_ids[lm]!r}) has two rows")
+    return SampleTable(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
+                       np.asarray(delay), np.asarray(distance),
+                       probe_isp, landmark_isp, probe_city, landmark_city)
+
+
+def row_read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
+    """rtt.csv as a table, read a row at a time; with a registry, hosts are
+    checked as in ``row_rtt_table``."""
+    with row_csv_rows(path, RTT_COLUMNS) as (header, rows):
+        return row_rtt_table(map(_picker(header, RTT_COLUMNS), rows), registry)
+
+
+def row_read_samples_csv(path) -> SampleTable:
+    """samples.csv as a table, read a row at a time."""
+    with row_csv_rows(path, SAMPLE_COLUMNS) as (header, rows):
+        return row_sample_table(map(_picker(header, SAMPLE_COLUMNS), rows))

@@ -8,6 +8,7 @@ import re
 import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -18,7 +19,8 @@ from rtdcorr import dataset, experiments, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
-from conftest import MINI_YAML
+from conftest import MINI_YAML, assert_same_read
+from reference import row_parse_csv, row_read_rtt_csv, row_read_samples_csv
 
 HUGE_INT = 10 ** 400  # a YAML integer past the float range
 
@@ -816,6 +818,35 @@ def test_malformed_csv_exits_1(clean_csvs, data):
             argv = ["ingest", "--hosts", str(d / "hosts.csv"), "--rtt", str(d / "rtt.csv"),
                     "--out", str(d / "out.csv")]
         assert quiet_main(argv) == 1
+
+
+def row_read_hosts_csv(path):
+    """read_hosts_csv through the row reader."""
+    with mock.patch.object(dataset, "parse_csv", row_parse_csv):
+        return dataset.read_hosts_csv(path)
+
+
+#: each CSV file's block reader and its row-reader reference
+CSV_READERS = {
+    "hosts.csv": (dataset.read_hosts_csv, row_read_hosts_csv),
+    "rtt.csv": (dataset.read_rtt_csv, row_read_rtt_csv),
+    "samples.csv": (dataset.read_samples_csv, row_read_samples_csv),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.integers(16, 96))
+def test_malformed_csv_reads_as_the_row_reader(tmp_path_factory, clean_csvs, data, block):
+    """Every mangled_csv kind raises the row reader's ValidationError text,
+    path and line included, with the file read in blocks of a few dozen
+    bytes; CRLF line ends as write_csv writes them, or LF."""
+    name, text = data.draw(mangled_csv(clean_csvs))
+    if data.draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+        assert_same_read(*CSV_READERS[name], path)
 
 
 #: each CSV input of each command: (argv, the file the input flag names)

@@ -62,6 +62,12 @@ def test_undefined_cases():
     assert cm.pearson_corr(table(samples_from([(100, 2), (200, 2), (300, 2)]))) is None
 
 
+#: x's variance is 5.6 times its floor; after x -> 0.5x + 2 it is 0.62 times
+#: it, so the shifted correlation is undefined
+SHIFT_BELOW_FLOOR = dict(pairs=[(2.0, 1.0), (2.0, 1.0), (2.00001, 2.0)],
+                         ax=0.5, bx=2.0, ay=1.0, by=0.0)
+
+
 @settings(max_examples=100)
 @given(
     st.lists(
@@ -77,14 +83,32 @@ def test_undefined_cases():
     st.floats(min_value=0.01, max_value=100),
     st.floats(min_value=-50, max_value=50),
 )
+@example(**SHIFT_BELOW_FLOOR)
+@example(pairs=[(2.0, 1.0), (2.0, 1.0), (2.00001, 2.0)], ax=0.5, bx=0.0, ay=3.0, by=0.0)
 def test_affine_invariance(pairs, ax, bx, ay, by):
+    """r is invariant under x -> ax + bx, y -> ay + by.  The variance floor
+    is relative to the values' magnitude, so whether a margin clears it is
+    invariant under rescaling, as ``pearson_cells`` documents; no such floor
+    is invariant under a shift.  Shifted margins are compared only where both
+    clear their floor."""
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     base = cm.pearson_xy(xs, ys)
     assume(base is not None)
-    scaled = cm.pearson_xy([ax * x + bx for x in xs], [ay * y + by for y in ys])
-    assert scaled is not None
-    assert scaled == pytest.approx(base, abs=1e-6)
+    sx, sy = np.array([ax * x + bx for x in xs]), np.array([ay * y + by for y in ys])
+    scaled = cm.pearson_xy(sx, sy)
+    if bx == by == 0.0 or min(floor_ratio(sx), floor_ratio(sy)) > 1.0 + 1e-9:
+        assert scaled is not None
+        assert scaled == pytest.approx(base, abs=1e-6)
+
+
+def test_a_shift_can_sink_a_variance_below_its_floor():
+    case = SHIFT_BELOW_FLOOR
+    xs, ys = zip(*case["pairs"])
+    assert cm.pearson_xy(xs, ys) is not None
+    shifted = [case["ax"] * x + case["bx"] for x in xs]
+    assert floor_ratio(np.array(shifted)) < 1.0
+    assert cm.pearson_xy(shifted, ys) is None
 
 
 # --- grouped Pearson against the per-group reference -----------------------

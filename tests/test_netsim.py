@@ -10,7 +10,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import corr_model, dataset, experiments, geoloc, netsim
+from rtdcorr import corr_model, dataset, experiments, geodesy, geoloc, netsim
 from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
@@ -428,8 +428,29 @@ def test_campaign_set_up_runs_the_kernel_only_to_fill_the_site_matrix(mini_confi
     monkeypatch.setattr(netsim, "geodesic_distance_many",
                         count("fill", netsim.geodesic_distance_many))
     campaign = experiments.prepare_campaign(netsim.load_config(mini_config_path), seed=42)
-    n = len(campaign.topology._sites)
-    assert calls == {"join": 0, "scalar": 0, "fill": -(-n // netsim._ROWS_PER_KERNEL_CALL)}
+    assert len(campaign.topology._sites) == 7
+    # the 7 x 7 site pairs fit one kernel pass, so one call fills the matrix
+    assert calls == {"join": 0, "scalar": 0, "fill": 1}
+
+
+def test_each_fill_call_fits_one_kernel_pass(cn_config, monkeypatch):
+    """The cn-like fill takes as many rows per call as fit one kernel pass
+    against the columns left, so no call is split into flattened pairs; the
+    calls cover the upper triangle once."""
+    sizes = []
+
+    def fill(lats1, lons1, lats2, lons2):
+        sizes.append((lats1.shape[0], lats2.shape[0]))
+        return geodesy.geodesic_distance_many(lats1, lons1, lats2, lons2)
+
+    monkeypatch.setattr(netsim, "geodesic_distance_many", fill)
+    topo = netsim.build_topology(cn_config)
+    topo._dist
+    n = len(topo._sites)
+    assert all(rows * cols <= geodesy.VINCENTY_PASS_PAIRS for rows, cols in sizes)
+    assert sum(rows for rows, _ in sizes) == n
+    assert [cols for _, cols in sizes] == [n - sum(r for r, _ in sizes[:i]) for i in range(len(sizes))]
+    assert len(sizes) == 22  # 36 calls of 16 rows before, the first four over one pass
 
 
 def test_only_modified_cbg_builds_the_per_probe_grid(mini_config_path, monkeypatch):
