@@ -21,7 +21,10 @@ observations and the campaign's samples; ``rtt_read_sha256`` and
 ``samples_read_sha256``, over the tables ``dataset.read_rtt_csv`` and
 ``dataset.read_samples_csv`` read back from those bytes (each field in
 order: an id tuple as its ``repr``, an array of codes or values as its raw
-bytes); and ``bestlines_sha256``: a
+bytes; a sample table's per-host tags are hashed gathered to its rows, as
+``probe_isp[probe]``, ``landmark_isp[landmark]``, ``probe_city[probe]`` and
+``landmark_city[landmark]``, so the digest reads as it did when the table
+kept a tag on every row); and ``bestlines_sha256``: a
 sha256 over the ``repr`` of every probe's bestline (slope, intercept), or
 None, over all its landmarks and then over each landmark ISP in code order,
 probes in code order.  Its ``corr_sha256``
@@ -96,12 +99,20 @@ def corr_sha256(campaign):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
+#: a sample table's per-host tags, each by the column of host codes that
+#: gathers it to the rows
+ROW_OF_TAG = {"probe_isp": "probe", "landmark_isp": "landmark",
+              "probe_city": "probe", "landmark_city": "landmark"}
+
+
 def table_sha256(table):
     """sha256 over a table's fields in order: an id tuple as its repr, an
-    array as its raw bytes."""
+    array as its raw bytes, a per-host tag gathered to the rows first."""
     h = hashlib.sha256()
     for name in table.__dataclass_fields__:
         value = getattr(table, name)
+        if name in ROW_OF_TAG:
+            value = value[getattr(table, ROW_OF_TAG[name])]
         h.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
     return h.hexdigest()
 

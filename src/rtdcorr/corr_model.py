@@ -178,7 +178,7 @@ def _grid(samples: SampleTable, row_codes: np.ndarray, rows: tuple, own: np.ndar
     sample k falls in row ``row_codes[k]``."""
     shape = (len(rows), len(samples.isps))
     corr, n = pearson_cells(
-        row_codes * shape[1] + samples.landmark_isp, shape[0] * shape[1],
+        row_codes * shape[1] + samples.landmark_isp[samples.landmark], shape[0] * shape[1],
         samples.distance_km, samples.delay_ms,
     )
     return CorrGrid(rows, samples.isps, own, corr.reshape(shape), n.reshape(shape))
@@ -187,14 +187,13 @@ def _grid(samples: SampleTable, row_codes: np.ndarray, rows: tuple, own: np.ndar
 def corr_matrix(samples: SampleTable) -> CorrGrid:
     """The per-ISP matrix: one Pearson per (probe ISP, landmark ISP) group;
     row r is ISP ``isps[r]``, so the diagonal cells are intra-ISP."""
-    return _grid(samples, samples.probe_isp, samples.isps, np.arange(len(samples.isps)))
+    return _grid(samples, samples.probe_isp[samples.probe], samples.isps, np.arange(len(samples.isps)))
 
 
 def all_probe_reports(samples: SampleTable) -> CorrGrid:
     """The per-probe grid: one Pearson per (probe, landmark ISP) group; row p
-    is probe ``probe_ids[p]``, tagged with one ISP by the sample table."""
-    _, first = np.unique(samples.probe, return_index=True)
-    return _grid(samples, samples.probe, samples.probe_ids, samples.probe_isp[first])
+    is probe ``probe_ids[p]``, and its own ISP is the table's tag of probe p."""
+    return _grid(samples, samples.probe, samples.probe_ids, samples.probe_isp)
 
 
 @dataclass(frozen=True)

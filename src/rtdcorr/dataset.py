@@ -8,7 +8,10 @@ samples.csv  probe_id,landmark_id,min_rtt_ms,distance_km,probe_isp,landmark_isp,
 
 Campaign data travels as tables of columns: numpy arrays of values, and of
 integer codes into sorted tuples of ids (row i's probe is
-``probe_ids[probe[i]]``), so code order is id order.
+``probe_ids[probe[i]]``), so code order is id order.  A host's ISP and city
+are properties of the host, so ``SampleTable`` stores them once per host,
+not once per row: row i's probe ISP is ``isps[probe_isp[probe[i]]]``.
+samples.csv still writes them on every row.
 """
 
 from __future__ import annotations
@@ -240,8 +243,11 @@ class MinRttTable:
 @dataclass(frozen=True, eq=False)
 class SampleTable:
     """(delay, distance) samples, one row per (probe, landmark) pair: the
-    pair's minimum RTT ``delay_ms`` and geodesic ``distance_km``, and its two
-    hosts' ISPs (codes into ``isps``) and cities (codes into ``cities``)."""
+    pair's minimum RTT ``delay_ms`` and geodesic ``distance_km``.  The hosts'
+    tags are per host: ``probe_isp`` and ``probe_city`` are indexed by probe
+    code, ``landmark_isp`` and ``landmark_city`` by landmark code, and hold
+    codes into ``isps`` and ``cities``; row i's landmark city is
+    ``cities[landmark_city[landmark[i]]]``."""
 
     probe_ids: tuple[str, ...]
     landmark_ids: tuple[str, ...]
@@ -267,7 +273,8 @@ class SampleTable:
         the delay and distance may be given as text.  A delay that is not
         finite and > 0, a distance that is not finite and >= 0, a blank id,
         ISP or city, a host tagged with two ISPs or two cities, or a pair
-        given twice is a ValidationError."""
+        given twice is a ValidationError.  Each host's one tag is kept, as
+        ``SampleTable`` stores it."""
         columns = list(zip(*rows)) or [()] * len(SAMPLE_COLUMNS)
         body = _SampleColumns(len(columns[0]))
         _add_block(body, columns)
@@ -279,7 +286,8 @@ class _SampleColumns(_Columns):
     takes them from a block's columns) a block of rows at a time.  A block's
     delays and distances are parsed and range-checked before any of it is
     stored; the checks across rows (blank names, a host's tags, repeated
-    pairs) run on the finished columns."""
+    pairs) run on the finished columns, and the tags check gives the table
+    its per-host tags."""
 
     def __init__(self, n: int, pick: Callable[[list], Sequence] = tuple):
         super().__init__(n, (np.intp, np.intp, float, float) + (np.intp,) * 4)
@@ -310,6 +318,7 @@ class _SampleColumns(_Columns):
                           ("ISP", isp_ids), ("city", city_ids)):
             if ids[:1] == ("",):  # sorted ids: a blank one comes first
                 raise ValidationError(f"a row has a blank {kind}")
+        per_host = {}  # each host's one tag, by field name
         for role, ids, host, kind, names, tags in (
             ("probe", probe_ids, probe, "ISP", isp_ids, probe_isp),
             ("probe", probe_ids, probe, "city", city_ids, probe_city),
@@ -325,6 +334,7 @@ class _SampleColumns(_Columns):
                 a, b = sorted((names[tag[host[i]]], names[tags[i]]))
                 raise ValidationError(
                     f"{role} {ids[host[i]]!r} has {kind} {a!r} on one row and {b!r} on another")
+            per_host[f"{role}_{kind.lower()}"] = tag
         # a byte per (probe, landmark) pair; sorting the rows' pair keys made
         # row-sized temporaries that raised the pipeline's peak memory
         seen = np.zeros((len(probe_ids), len(landmark_ids)), dtype=bool)
@@ -334,7 +344,7 @@ class _SampleColumns(_Columns):
             p, lm = divmod(int(key[1:][key[1:] == key[:-1]][0]), len(landmark_ids))
             raise ValidationError(f"pair ({probe_ids[p]!r}, {landmark_ids[lm]!r}) has two rows")
         return SampleTable(probe_ids, landmark_ids, isp_ids, city_ids, probe, landmark,
-                           delay, distance, probe_isp, landmark_isp, probe_city, landmark_city)
+                           delay, distance, **per_host)
 
 
 def ingest_rtt(table: RttTable) -> MinRttTable:
@@ -354,7 +364,8 @@ def join_distances(
     registry: Registry,
     host_distances: Optional[Callable[[Sequence[str], Sequence[str]], np.ndarray]] = None,
 ) -> SampleTable:
-    """Attach geodesic distances and ISP/city tags to aggregated min-RTTs.
+    """Attach geodesic distances to aggregated min-RTTs, and each host's
+    ISP/city tags from the registry (one per host).
 
     With ``host_distances`` (a function of the probe ids and the landmark
     ids giving their (probes x landmarks) distance grid, as
@@ -381,10 +392,8 @@ def join_distances(
     return SampleTable(
         min_rtts.probe_ids, min_rtts.landmark_ids, isps, cities,
         min_rtts.probe, min_rtts.landmark, min_rtts.rtt_ms, distance,
-        codes(probes, isps, "isp")[min_rtts.probe],
-        codes(landmarks, isps, "isp")[min_rtts.landmark],
-        codes(probes, cities, "city")[min_rtts.probe],
-        codes(landmarks, cities, "city")[min_rtts.landmark],
+        codes(probes, isps, "isp"), codes(landmarks, isps, "isp"),
+        codes(probes, cities, "city"), codes(landmarks, cities, "city"),
     )
 
 
@@ -668,15 +677,16 @@ def write_samples_csv(samples: SampleTable, path) -> None:
         samples.probe_ids, samples.landmark_ids, samples.isps, samples.cities))
 
     def chunk(part: slice):
+        p, lm = samples.probe[part], samples.landmark[part]
         return zip(
-            probe_ids[samples.probe[part]].tolist(),
-            landmark_ids[samples.landmark[part]].tolist(),
+            probe_ids[p].tolist(),
+            landmark_ids[lm].tolist(),
             map(repr, samples.delay_ms[part].tolist()),  # repr round-trips bit-exactly
             map("{:.6f}".format, samples.distance_km[part].tolist()),
-            isps[samples.probe_isp[part]].tolist(),
-            isps[samples.landmark_isp[part]].tolist(),
-            cities[samples.probe_city[part]].tolist(),
-            cities[samples.landmark_city[part]].tolist(),
+            isps[samples.probe_isp[p]].tolist(),
+            isps[samples.landmark_isp[lm]].tolist(),
+            cities[samples.probe_city[p]].tolist(),
+            cities[samples.landmark_city[lm]].tolist(),
         )
 
     write_csv(path, SAMPLE_COLUMNS, _chunked(len(samples), chunk))

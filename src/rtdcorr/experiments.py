@@ -89,10 +89,10 @@ class Campaign:
         _, self._probe_city = np.unique([h.city for h in probes], return_inverse=True)
         by_city = np.argsort(self._probe_city, kind="stable")
         self._city_probes = np.split(by_city, np.cumsum(np.bincount(self._probe_city))[:-1])
-        # the landmarks in id order: host position, ISP code (a grid column), and
-        # GeoGet's area code (the region, in region id order) and center flag
+        # the landmarks in id order: host position, ISP code (the table's tag, a
+        # grid column), and GeoGet's area code (region id order) and center flag
         self._lm_pos = self.topology._host_positions(s.landmark_ids)
-        self._lm_isp = s.landmark_isp[:shape[1]]
+        self._lm_isp = s.landmark_isp
         self._lm_area = self.topology._host_region[self._lm_pos]
         self._lm_center = self.topology._host_at_center[self._lm_pos]
         self._contrast: dict[int, np.ndarray] = {}  # seed -> CBG's contrast group

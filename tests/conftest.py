@@ -104,8 +104,13 @@ def assert_same_read(new, old, path):
     if got[0] == "error" or isinstance(want[1], list):
         assert got == want
         return
-    for name in want[1].__dataclass_fields__:
-        a, b = getattr(got[1], name), getattr(want[1], name)
+    assert_same_table(got[1], want[1])
+
+
+def assert_same_table(got, want):
+    """Two tables equal field for field (arrays in dtype, shape and bytes)."""
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name

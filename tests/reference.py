@@ -567,17 +567,18 @@ def whole_column_write_rtt_csv(table: RttTable, path) -> None:
 
 
 def whole_column_write_samples_csv(samples: SampleTable, path) -> None:
-    """samples.csv from whole-column lists: the reference for the chunked
+    """samples.csv from whole-column lists, each per-host tag gathered to
+    the rows: the reference for the chunked
     ``rtdcorr.dataset.write_samples_csv``."""
     write_csv(path, SAMPLE_COLUMNS, zip(
         _labels(samples.probe_ids, samples.probe),
         _labels(samples.landmark_ids, samples.landmark),
         map(repr, samples.delay_ms.tolist()),  # repr round-trips bit-exactly
         map("{:.6f}".format, samples.distance_km.tolist()),
-        _labels(samples.isps, samples.probe_isp),
-        _labels(samples.isps, samples.landmark_isp),
-        _labels(samples.cities, samples.probe_city),
-        _labels(samples.cities, samples.landmark_city),
+        _labels(samples.isps, samples.probe_isp[samples.probe]),
+        _labels(samples.isps, samples.landmark_isp[samples.landmark]),
+        _labels(samples.cities, samples.probe_city[samples.probe]),
+        _labels(samples.cities, samples.landmark_city[samples.landmark]),
     ))
 
 
@@ -679,7 +680,8 @@ def row_sample_table(
     the delay and distance may be given as text.  A delay that is not
     finite and > 0, a distance that is not finite and >= 0, a blank id,
     ISP or city, a host tagged with two ISPs or two cities, or a pair
-    given twice is a ValidationError."""
+    given twice is a ValidationError.  The table holds each host's one tag,
+    the ``tag`` that the two-tags check builds."""
     probes, landmarks, isps, cities = _Coder(), _Coder(), _Coder(), _Coder()
     probe, landmark, probe_isp, landmark_isp, probe_city, landmark_city = (
         array("q") for _ in range(6))
@@ -710,6 +712,7 @@ def row_sample_table(
                       ("ISP", isp_ids), ("city", city_ids)):
         if ids[:1] == ("",):  # sorted ids: a blank one comes first
             raise ValidationError(f"a row has a blank {kind}")
+    host_tags = []
     for role, ids, host, kind, names, tags in (
         ("probe", probe_ids, probe, "ISP", isp_ids, probe_isp),
         ("probe", probe_ids, probe, "city", city_ids, probe_city),
@@ -725,6 +728,8 @@ def row_sample_table(
             a, b = sorted((names[tag[host[i]]], names[tags[i]]))
             raise ValidationError(
                 f"{role} {ids[host[i]]!r} has {kind} {a!r} on one row and {b!r} on another")
+        host_tags.append(tag)
+    probe_isp, probe_city, landmark_isp, landmark_city = host_tags
     # a byte per (probe, landmark) pair; sorting the rows' pair keys made
     # row-sized temporaries that raised the pipeline's peak memory
     seen = np.zeros((len(probe_ids), len(landmark_ids)), dtype=bool)

@@ -167,8 +167,9 @@ def test_grouped_pearson_matches_per_group_reference(case):
 def test_grouped_analyses_match_reference_on_cn_like(seed, cn_config, cn_campaign):
     samples = (cn_campaign if seed == 42 else experiments.prepare_campaign(cn_config, seed)).samples
     probe = [samples.probe_ids[i] for i in samples.probe.tolist()]
-    probe_isp = [samples.isps[i] for i in samples.probe_isp.tolist()]
-    landmark_isp = [samples.isps[i] for i in samples.landmark_isp.tolist()]
+    # the per-host tags, gathered to the rows
+    probe_isp = [samples.isps[i] for i in samples.probe_isp[samples.probe].tolist()]
+    landmark_isp = [samples.isps[i] for i in samples.landmark_isp[samples.landmark].tolist()]
     x, y = samples.distance_km.tolist(), samples.delay_ms.tolist()
 
     def same(cell, want):

@@ -14,7 +14,7 @@ from rtdcorr import dataset, netsim
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, haversine_km
 
-from conftest import assert_same_read, pair_rtts
+from conftest import assert_same_read, assert_same_table, pair_rtts
 from reference import (
     row_parse_csv,
     row_read_rtt_csv,
@@ -149,6 +149,66 @@ def test_join_cardinality():
     min_rtts = {("p1", "l1"): 1.0, ("p2", "l2"): 2.0, ("p1", "l2"): 3.0}
     assert len(dataset.join_distances(min_table(min_rtts), reg)) == len(min_rtts)
     assert dataset.join_distances(min_table({}), reg).distance_km.shape == (0,)
+
+
+def assert_tags_per_host(s: dataset.SampleTable, registry=None) -> None:
+    """The table holds one ISP and one city per host: the probe tags are
+    indexed by probe code, the landmark tags by landmark code; with a
+    registry, each host's tags name its registry ISP and city."""
+    assert len(s.probe_isp) == len(s.probe_city) == len(s.probe_ids)
+    assert len(s.landmark_isp) == len(s.landmark_city) == len(s.landmark_ids)
+    if registry is not None:
+        for ids, isp, city in ((s.probe_ids, s.probe_isp, s.probe_city),
+                               (s.landmark_ids, s.landmark_isp, s.landmark_city)):
+            assert [(s.isps[i], s.cities[c]) for i, c in zip(isp.tolist(), city.tolist())] == [
+                (registry[h].isp, registry[h].city) for h in ids]
+
+
+def test_join_stores_one_tag_per_host():
+    """Both join branches, the kernel pass and the distance grid, tag each
+    host once from the registry, on a table with more rows than hosts."""
+    reg = dataset.validate_registry([
+        host("p1", role="probe", city="c1", isp="A"), host("p2", role="probe", city="c2", isp="B"),
+        host("l1", city="c3", isp="B"), host("l2", lat=31.0, city="c1", isp="C"),
+        host("l3", lat=32.0, city="c2", isp="A")])
+    min_rtts = min_table({(p, lm): 1.0 + i for i, (p, lm) in enumerate(
+        (p, lm) for p in ("p1", "p2") for lm in ("l1", "l2", "l3"))})
+
+    def grid(probe_ids, landmark_ids):
+        return np.ones((len(probe_ids), len(landmark_ids)))
+
+    kernel, read = dataset.join_distances(min_rtts, reg), dataset.join_distances(min_rtts, reg, grid)
+    for s in (kernel, read):
+        assert len(s) == 6
+        assert_tags_per_host(s, reg)
+
+
+def test_from_rows_and_the_reader_store_one_tag_per_host(tmp_path):
+    """SampleTable.from_rows keeps each host's one tag, in code order, and
+    read_samples_csv reads back the same table from what write_samples_csv
+    writes, a tag on every row."""
+    rows = [(p, lm, 1.0 + k, 2.0 * k, f"I{p}", f"J{lm}", f"c{p}", f"d{lm}")
+            for k, (p, lm) in enumerate((p, lm) for p in "ba" for lm in "zyx")]
+    s = dataset.SampleTable.from_rows(rows)
+    assert_tags_per_host(s)
+    assert s.probe_ids == ("a", "b") and s.landmark_ids == ("x", "y", "z")
+    assert [s.isps[i] for i in s.probe_isp.tolist()] == ["Ia", "Ib"]
+    assert [s.cities[i] for i in s.landmark_city.tolist()] == ["dx", "dy", "dz"]
+    dataset.write_samples_csv(s, tmp_path / "samples.csv")
+    text = (tmp_path / "samples.csv").read_text()
+    assert text.count(",Ib,Jz,cb,dz\n") == 1 and text.count(",Ia,") == 3
+    back = dataset.read_samples_csv(tmp_path / "samples.csv")
+    assert_tags_per_host(back)
+    assert_same_table(back, s)
+
+
+def test_campaign_tables_store_one_tag_per_host(tmp_path, cn_campaign):
+    """On cn-like, the campaign's joined table and the table read back from
+    its samples.csv tag each host once, with its registry ISP and city."""
+    registry = cn_campaign.topology.registry
+    assert_tags_per_host(cn_campaign.samples, registry)
+    dataset.write_samples_csv(cn_campaign.samples, tmp_path / "samples.csv")
+    assert_tags_per_host(dataset.read_samples_csv(tmp_path / "samples.csv"), registry)
 
 
 def test_join_missing_host():
@@ -302,7 +362,8 @@ def test_table_writers_bytes_equal_the_whole_column_oracle(tmp_path_factory, n, 
     ids = tuple(sorted({"h0", "h2", "h3", odd}))
     at = int(where * (n - 1)) if n else 0
 
-    def codes():
+    def codes(n=n, at=at):
+        """n codes of plain ids, but ``odd``'s at ``at``."""
         column = rng.choice([i for i, h in enumerate(ids) if h != odd], n)
         column[at:at + 1] = ids.index(odd)
         return column
@@ -314,8 +375,10 @@ def test_table_writers_bytes_equal_the_whole_column_oracle(tmp_path_factory, n, 
     rtt = dataset.RttTable(ids, ids, stamps, codes(), codes(), rng.integers(0, 2, n), values)
     distance = rng.uniform(0.0, 5_000.0, n)
     distance[at:at + 1] = 0.0
-    samples = dataset.SampleTable(ids, ids, ids, ids, codes(), codes(), values, distance,
-                                  codes(), codes(), codes(), codes())
+    # per-host tags: only host ``odd`` is tagged ``odd``, so (as a row's
+    # probe and landmark) it puts odd tags on row ``at`` alone
+    tags = [codes(len(ids), ids.index(odd)) for _ in range(4)]
+    samples = dataset.SampleTable(ids, ids, ids, ids, codes(), codes(), values, distance, *tags)
     base = tmp_path_factory.getbasetemp()
     for write, oracle, table in (
         (dataset.write_rtt_csv, whole_column_write_rtt_csv, rtt),
@@ -347,7 +410,8 @@ def test_table_writers_stream_the_campaign_tables(tmp_path, cn_config, cn_campai
 def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
     """The join's one kernel call over the cn-like min-RTT table (40,500
     pairs) peaks well below one pass over all its rows (~13 MB), and gives
-    the campaign's distances bit for bit."""
+    the campaign's table field for field: its distances bit for bit, and
+    the codes and tags, which come from one body on either branch."""
     s = cn_campaign.samples
     min_rtts = dataset.MinRttTable(s.probe_ids, s.landmark_ids, s.probe, s.landmark, s.delay_ms)
     tracemalloc.start()
@@ -357,7 +421,7 @@ def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
     finally:
         tracemalloc.stop()
     assert len(joined) == 40_500
-    assert joined.distance_km.tobytes() == s.distance_km.tobytes()
+    assert_same_table(joined, s)
     assert peak < 8_000_000
 
 

@@ -750,10 +750,11 @@ def test_campaign_reads_pairs_and_bestlines_from_its_sample_table(cn_campaign):
     # the probe's grid row gives the points a scan of the whole table gives,
     # over its landmarks of one ISP code (modified CBG) or all of them (None,
     # original CBG)
+    lm_isp = s.landmark_isp[s.landmark].tolist()  # each row's landmark's tag
     for p in range(0, shape[0], 30):
         own = s.isps.index(cn_campaign.topology.host(s.probe_ids[p]).isp)
         for isp in (own, None):
-            pts = [(d, t) for q, lisp, d, t in zip(s.probe.tolist(), s.landmark_isp.tolist(),
+            pts = [(d, t) for q, lisp, d, t in zip(s.probe.tolist(), lm_isp,
                                                   s.distance_km.tolist(), s.delay_ms.tolist())
                    if q == p and isp in (None, lisp)]
             assert cn_campaign.bestline(p, isp) == geoloc.fit_bestline(pts)
