@@ -24,7 +24,8 @@ STRONG_CORR_THRESHOLD = 0.7
 #: Groups smaller than this yield an undefined correlation.
 MIN_SAMPLES_FOR_CORR = 3
 
-# relative variance floor below which Pearson is reported undefined
+# relative variance floor below which a variance is rounding noise
+# (``_clears_floor``): Pearson is then undefined
 _VAR_REL_EPS = 1e-12
 
 #: A correlation value; None marks "undefined" (degenerate input).
@@ -77,6 +78,13 @@ class CorrCell:
     n_samples: int
 
 
+def _clears_floor(var, mean_sq):
+    """Whether a variance (or an array of them) exceeds ``_VAR_REL_EPS``
+    times its values' mean square, the floor below which it is rounding
+    noise; relative, so the check is invariant under positive rescaling."""
+    return var > _VAR_REL_EPS * np.maximum(1e-300, mean_sq)
+
+
 def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Pearson correlation of x and y within each group, and the group's
     size, for group labels 0 .. n_groups - 1: the one Pearson formula.
@@ -91,12 +99,11 @@ def pearson_cells(groups: np.ndarray, n_groups: int, x, y) -> tuple[np.ndarray, 
 
     def centred(v):
         """Deviations from the group means, group variances, and whether each
-        variance clears the relative floor (so the check is invariant under
-        positive rescaling)."""
+        variance clears the floor."""
         d = v - (np.bincount(groups, v, n_groups) / per)[groups]
         var = np.bincount(groups, d * d, n_groups) / per
         mean_sq = np.bincount(groups, v * v, n_groups) / per
-        return d, var, var > _VAR_REL_EPS * np.maximum(1e-300, mean_sq)
+        return d, var, _clears_floor(var, mean_sq)
 
     dx, vx, x_ok = centred(np.asarray(x, dtype=float))
     dy, vy, y_ok = centred(np.asarray(y, dtype=float))
@@ -132,16 +139,21 @@ def rtd_model_corr(f: PathFactors) -> CorrValue:
         E^2(RT) * V(D)  over  E((RT)^2) * E(D^2) - E^2(RT) * E^2(D).
     Its denominator equals V(RT) * E(D^2) + E^2(RT) * V(D), which is computed
     instead: the raw moments' difference cancels when the spreads are small.
-    None when the denominator vanishes (all RT equal and all D equal).
+    A variance that does not clear the floor of ``_clears_floor`` is
+    rounding noise (np.var of equal values is ~1e-33, not 0) and counts as
+    0: so constant D gives 0, constant RT gives 1, and both give None.
     """
     if f.d_km.size < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
     rt = f.r * f.t
     d = f.d_km
     e_rt = float(rt.mean())
-    v_rt = float(rt.var())
-    v_d = float(d.var())
     e_d2 = float((d * d).mean())
+    v_rt, v_d = float(rt.var()), float(d.var())
+    if not _clears_floor(v_rt, float((rt * rt).mean())):
+        v_rt = 0.0
+    if not _clears_floor(v_d, e_d2):
+        v_d = 0.0
     num = e_rt ** 2 * v_d
     den = v_rt * e_d2 + num
     if den <= 0.0:

@@ -149,19 +149,6 @@ class _Columns:
         return [a[:self.n] for a in self.arrays]
 
 
-def _add_block(body, columns: Sequence[Sequence]) -> None:
-    """``body.add(columns)``, a block of rows given as columns.  A block that
-    fails is added again a row at a time, in order, so the error raised is
-    that of its first bad row, as a loop over the rows would raise it, and
-    ``body.n`` stops at that row."""
-    try:
-        body.add(columns)
-    except (ValueError, NotFoundError):
-        for row in zip(*columns):
-            body.add([(field,) for field in row])
-        raise
-
-
 @dataclass(frozen=True, eq=False)
 class RttTable:
     """RTT observations: in row i probe ``probe_ids[probe[i]]`` measured
@@ -179,19 +166,6 @@ class RttTable:
     def __len__(self) -> int:
         return len(self.rtt_ms)
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[tuple[str, str, str, float]], registry: Optional[Registry] = None
-    ) -> RttTable:
-        """The table of (probe_id, landmark_id, timestamp, rtt_ms) rows, coded
-        as they come; rtt_ms may be given as text.  An rtt that is not finite
-        and > 0 is a ValidationError; with a registry, so is a host in the
-        wrong column, and an unknown host is a NotFoundError."""
-        columns = list(zip(*rows)) or [()] * len(RTT_COLUMNS)
-        body = _RttColumns(len(columns[0]), registry)
-        _add_block(body, columns)
-        return body.finish()
-
 
 class _RttColumns(_Columns):
     """The column body of ``RttTable``: rtt.csv's columns (probe id,
@@ -199,8 +173,7 @@ class _RttColumns(_Columns):
     a block of rows at a time.  A block's rtts are parsed and range-checked
     and its ids coded (and vetted) before any of it is stored."""
 
-    def __init__(self, n: int, registry: Optional[Registry] = None,
-                 pick: Callable[[list], Sequence] = tuple):
+    def __init__(self, n: int, registry: Optional[Registry], pick: Callable[[list], Sequence]):
         def vet(role: str):
             return None if registry is None else lambda h: _check_role(registry, h, role)
 
@@ -265,21 +238,6 @@ class SampleTable:
     def __len__(self) -> int:
         return len(self.delay_ms)
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[tuple[str, str, float, float, str, str, str, str]]
-    ) -> SampleTable:
-        """The table of rows in samples.csv column order, coded as they come;
-        the delay and distance may be given as text.  A delay that is not
-        finite and > 0, a distance that is not finite and >= 0, a blank id,
-        ISP or city, a host tagged with two ISPs or two cities, or a pair
-        given twice is a ValidationError.  Each host's one tag is kept, as
-        ``SampleTable`` stores it."""
-        columns = list(zip(*rows)) or [()] * len(SAMPLE_COLUMNS)
-        body = _SampleColumns(len(columns[0]))
-        _add_block(body, columns)
-        return body.finish()
-
 
 class _SampleColumns(_Columns):
     """The column body of ``SampleTable``: samples.csv's columns (``pick``
@@ -289,7 +247,7 @@ class _SampleColumns(_Columns):
     pairs) run on the finished columns, and the tags check gives the table
     its per-host tags."""
 
-    def __init__(self, n: int, pick: Callable[[list], Sequence] = tuple):
+    def __init__(self, n: int, pick: Callable[[list], Sequence]):
         super().__init__(n, (np.intp, np.intp, float, float) + (np.intp,) * 4)
         self.coders = (_Coder(), _Coder(), _Coder(), _Coder())  # probe, landmark, ISP, city
         self.pick = pick
@@ -462,9 +420,9 @@ def _read_csv(path, required: Iterable[str], start: Callable[[list[str], int], o
     """The one CSV reader, the reading twin of ``write_csv``: ``body =
     start(header, n)`` takes the rows of a CSV file whose header has the
     required columns, a block at a time as lists of fields by column
-    (``body.add``, through ``_add_block``), and ``body.finish()`` is returned.
-    n is the file's LF count (0 for a file that cannot seek), which bounds
-    its rows unless lone CRs end lines.
+    (``body.add``), and ``body.finish()`` is returned.  n is the file's LF
+    count (0 for a file that cannot seek), which bounds its rows unless lone
+    CRs end lines.
 
     The file is read in blocks of whole lines, ``_BLOCK_BYTES`` and the rest
     of a line.  A plain block (``_plain_columns``) is split with str.split;
@@ -534,11 +492,13 @@ def _read_csv(path, required: Iterable[str], start: Callable[[list[str], int], o
             width = len(header)
             body = start(header, n)
             for lines, columns in blocks:
-                done = body.n
                 try:
-                    _add_block(body, columns)
+                    body.add(columns)
                 except (ValueError, NotFoundError):
-                    line = lines[body.n - done]
+                    # add the rows again one at a time, in order, so the error
+                    # raised is that of the block's first bad row, at its line
+                    for line, row in zip(lines, zip(*columns)):
+                        body.add([(field,) for field in row])
                     raise
             line = None
             return body.finish()
@@ -553,10 +513,6 @@ class _Parsed:
 
     def __init__(self, header: list[str], parse: Callable[[dict], object]):
         self.header, self.parse, self.rows = header, parse, []
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def add(self, columns: Sequence[Sequence[str]]) -> None:
         self.rows.extend([self.parse(dict(zip(self.header, row))) for row in zip(*columns)])
@@ -641,8 +597,10 @@ def _chunked(n: int, chunk: Callable[[slice], Iterable[Sequence]]) -> Iterable[S
 
 
 def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
-    """rtt.csv as a table, read a block of rows at a time; with a registry,
-    hosts are checked as in ``RttTable.from_rows``."""
+    """rtt.csv as a table, read a block of rows at a time.  An rtt that is
+    not finite and > 0 is an error; with a registry, so is an unknown host
+    or a host in the wrong column.  Each raises a ValidationError naming the
+    row's line (see ``_read_csv``)."""
     return _read_csv(path, RTT_COLUMNS, lambda header, n: _RttColumns(
         n, registry, _picker(header, RTT_COLUMNS)))
 
@@ -667,7 +625,11 @@ def write_rtt_csv(table: RttTable, path) -> None:
 
 
 def read_samples_csv(path) -> SampleTable:
-    """samples.csv as a table, read a block of rows at a time."""
+    """samples.csv as a table, read a block of rows at a time.  A delay that
+    is not finite and > 0 or a distance that is not finite and >= 0 is a
+    ValidationError naming the row's line; a blank id, ISP or city, a host
+    tagged with two ISPs or two cities, or a pair given twice is one naming
+    the file.  Each host's one tag is kept, as ``SampleTable`` stores it."""
     return _read_csv(path, SAMPLE_COLUMNS, lambda header, n: _SampleColumns(
         n, _picker(header, SAMPLE_COLUMNS)))
 

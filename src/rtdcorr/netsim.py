@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -170,15 +171,6 @@ class Topology:
             [region_code[self.cities[h.city].region_id] for h in hosts], dtype=np.intp)
         self._host_center = self._center_site[self._host_region]
         self._host_at_center = np.array([self.cities[h.city].is_regional_center for h in hosts])
-        # IXP candidates of each ISP pair, as sites sorted by city id
-        self._ixp_sites = {
-            (isp_code[a], isp_code[b]): np.array(
-                [site(self.cities[cid].coordinate) for cid in sorted(
-                    set(self.isps[a].ixp_cities) | set(self.isps[b].ixp_cities))],
-                dtype=np.intp,
-            )
-            for a in self._isp_ids for b in self._isp_ids if a != b
-        }
 
     def city(self, city_id: str) -> City:
         try:
@@ -224,8 +216,11 @@ class Topology:
         city, and on the unused same-ISP entries."""
         n_isps, centers = len(self._isp_ids), self._center_site
         hop = np.full((n_isps, n_isps, centers.size, centers.size), -1, dtype=np.intp)
-        for (a, b), cands in self._ixp_sites.items():
-            if cands.size:
+        ixp_cities = [set(self.isps[isp].ixp_cities) for isp in self._isp_ids]
+        for a, b in itertools.permutations(range(n_isps), 2):
+            coords = [self.cities[c].coordinate for c in sorted(ixp_cities[a] | ixp_cities[b])]
+            if coords:
+                cands = np.array([self._site_index[(c.lat, c.lon)] for c in coords], dtype=np.intp)
                 # cost[r, c, q]: from region r's center through candidate c to q's
                 cost = (self._dist[np.ix_(centers, cands)][:, :, None]
                         + self._dist[np.ix_(cands, centers)][None, :, :])
@@ -472,20 +467,15 @@ def _path_factors(
     return PathFactors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
 
 
-def sample_path_factors(
-    topology: Topology,
-    config: SimConfig,
-    seed: int,
-    src_id: str,
-    dst: np.ndarray,
-    stream: str = "campaign",
-) -> tuple[PathFactors, np.ndarray]:
-    """(R, T, D) for one source id against each destination host position,
-    and the (len(dst), samples_per_pair) jitter fractions in [0, jitter): T
-    from routing, D the direct geodesic distance, R from the intra or inter
-    law per the ISP relationship (see ``_path_factors``)."""
-    src = np.full(dst.shape, topology._host_positions([src_id])[0])
-    return _path_factors(topology, config.path_model, row_key(seed, stream, src_id), src, dst)
+def _delays(
+    topology: Topology, pm: PathModelConfig, rows, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """(len(dst), samples_per_pair) jittered delays in ms of the pairs of
+    aligned source and destination host positions (``rows`` as in
+    ``_path_factors``), the one delay formula: R*T*D/v*1000 * (1 + jitter
+    fraction)."""
+    f, jitter = _path_factors(topology, pm, rows, src, dst)
+    return synth_delay(f, pm.v_km_s)[:, None] * (1.0 + jitter)
 
 
 def simulate_row(
@@ -497,9 +487,9 @@ def simulate_row(
     stream: str = "campaign",
 ) -> np.ndarray:
     """(len(dst), samples_per_pair) jittered delays in ms from one source id
-    to each destination host position: R*T*D/v*1000 * (1 + jitter fraction)."""
-    f, jitter = sample_path_factors(topology, config, seed, src_id, dst, stream)
-    return synth_delay(f, config.path_model.v_km_s)[:, None] * (1.0 + jitter)
+    to each destination host position (see ``_delays``)."""
+    src = np.full(dst.shape, topology._host_positions([src_id])[0])
+    return _delays(topology, config.path_model, row_key(seed, stream, src_id), src, dst)
 
 
 def pair_min_delay_ms(
@@ -538,12 +528,10 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
     rtt_ms = np.empty((n_probes, n_landmarks, k))
     for lo in range(0, n_probes, step):
         n = min(step, n_probes - lo)
-        f, jitter = _path_factors(
+        rtt_ms[lo:lo + n] = _delays(
             topology, pm, np.repeat(rows[lo:lo + n], n_landmarks),
-            np.repeat(probes[lo:lo + n], n_landmarks), np.tile(landmarks, n))
-        rtt_ms[lo:lo + n] = (synth_delay(f, pm.v_km_s)[:, None] * (1.0 + jitter)).reshape(
-            n, n_landmarks, k)
-        del f, jitter  # so no block's arrays outlive it
+            np.repeat(probes[lo:lo + n], n_landmarks), np.tile(landmarks, n)
+        ).reshape(n, n_landmarks, k)
     stamps = tuple(f"{_EPOCH + timedelta(minutes=m):%Y-%m-%dT%H:%M:%SZ}" for m in range(k))
     return RttTable(
         tuple(probe_ids), tuple(landmark_ids), stamps,

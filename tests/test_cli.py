@@ -488,6 +488,15 @@ def test_model_prints_close_corrs(capsys):
     assert diff < 0.05
 
 
+def test_model_with_constant_factors_prints_undefined(capsys):
+    """Three copies of one (R, T, D) triple: both correlations are
+    undefined, not the rounding noise of np.var over equal values."""
+    code, stdout, _ = run(capsys, "model", "--n", "3", "--r-sigma", "0", "--t-sigma", "0",
+                          "--d-sigma", "0")
+    assert code == 0
+    assert stdout.splitlines()[-2:] == ["model corr:     undefined", "empirical corr: undefined"]
+
+
 #: sha256 of ``rtdcorr model --n 100000 --seed 42`` stdout
 GOLDEN_MODEL_SHA256 = "232aadd20df3ff2d6307412500724ae9e8dc4ce143f742e4f3ce771f1ec643f9"
 

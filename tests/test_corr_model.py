@@ -1,6 +1,8 @@
 import csv
 import math
+import os
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,12 @@ def mk_sample(dist, delay, probe="p1", lm="l1", pisp="A", lisp="A",
 
 
 def table(rows):
-    return dataset.SampleTable.from_rows(rows)
+    """The sample table of rows in samples.csv column order, written with
+    ``write_csv`` and read back, as the program builds one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.csv")
+        dataset.write_csv(path, dataset.SAMPLE_COLUMNS, rows)
+        return dataset.read_samples_csv(path)
 
 
 def samples_from(pairs, lm="l", **kw):
@@ -376,14 +383,38 @@ def fac(rt, d):
     return cm.PathFactors(rt, 1.0, d)
 
 
-def test_constant_rt_gives_one():
-    factors = fac(3.0, [100, 200, 300, 400])
-    assert cm.rtd_model_corr(factors) == pytest.approx(1.0, abs=1e-12)
+spread_values = st.lists(st.floats(min_value=1.01, max_value=5000), min_size=2, max_size=20)
 
 
-def test_constant_d_gives_zero():
-    factors = fac([2.0, 3.0, 4.0], 500.0)
-    assert cm.rtd_model_corr(factors) == pytest.approx(0.0, abs=1e-12)
+def assume_spread(values):
+    values = np.array(values)
+    assume(values.std() > 1e-3 * values.mean())
+    return values
+
+
+@given(spread_values, st.floats(min_value=1.01, max_value=5000))
+@example([100.0, 200.0, 300.0, 400.0], 3.0)
+def test_constant_rt_gives_one(ds, rt):
+    assert cm.rtd_model_corr(fac(rt, assume_spread(ds))) == 1.0
+
+
+@given(spread_values, st.floats(min_value=0.1, max_value=5000))
+@example([2.0, 3.0, 4.0], 500.0)
+# np.var of equal D values is ~1e-33, not 0: these gave 3.7e-16 and 5.2e-16
+@example([1.5, 2.75, 4.0], 0.1)
+@example(list(np.linspace(1.5, 4.0, 7)), 0.7)
+def test_constant_d_gives_zero(rts, d):
+    assert cm.rtd_model_corr(fac(assume_spread(rts), d)) == 0.0
+
+
+@given(st.tuples(st.floats(min_value=1.01, max_value=10), st.floats(min_value=1.0, max_value=5),
+                 st.floats(min_value=0.1, max_value=5000)),
+       st.integers(min_value=2, max_value=20))
+# the rounding noise of np.var over equal values gave 0.666 and 0.567 here
+@example((1.1, 1.3, 0.1), 3)
+@example((1.1, 1.0, 0.1), 7)
+def test_one_repeated_triple_is_undefined(triple, n):
+    assert cm.rtd_model_corr(cm.PathFactors(*np.array([triple] * n).T)) is None
 
 
 def test_hand_computed_two_point():

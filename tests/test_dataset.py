@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import re
+import tempfile
 import threading
 import tracemalloc
 from unittest import mock
@@ -34,7 +36,12 @@ def obs(p, l, rtt, ts="2017-01-01T00:00:00Z"):
 
 
 def table(rows):
-    return dataset.RttTable.from_rows(rows)
+    """The RTT table of (probe_id, landmark_id, timestamp, rtt_ms) rows,
+    written with ``write_csv`` and read back, as the program builds one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rtt.csv")
+        dataset.write_csv(path, dataset.RTT_COLUMNS, rows)
+        return dataset.read_rtt_csv(path)
 
 
 def min_table(min_rtts):
@@ -82,16 +89,20 @@ def test_unmeasured_pair_absent():
     assert ("p", "l2") not in got
 
 
-def test_unknown_host_rejected():
+def test_unknown_host_rejected(tmp_path):
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
-    with pytest.raises(NotFoundError):
-        dataset.RttTable.from_rows([obs("p", "nope", 5.0)], reg)
+    path = tmp_path / "rtt.csv"
+    dataset.write_csv(path, dataset.RTT_COLUMNS, [obs("p", "l", 5.0), obs("p", "nope", 5.0)])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:3: unknown host 'nope'$"):
+        dataset.read_rtt_csv(path, reg)
 
 
-def test_role_mismatch_rejected():
+def test_role_mismatch_rejected(tmp_path):
     reg = dataset.validate_registry([host("p", role="probe"), host("l")])
-    with pytest.raises(ValidationError):
-        dataset.RttTable.from_rows([obs("l", "p", 5.0)], reg)
+    path = tmp_path / "rtt.csv"
+    dataset.write_csv(path, dataset.RTT_COLUMNS, [obs("l", "p", 5.0)])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:2: 'l' is not a probe$"):
+        dataset.read_rtt_csv(path, reg)
 
 
 @given(
@@ -183,13 +194,14 @@ def test_join_stores_one_tag_per_host():
         assert_tags_per_host(s, reg)
 
 
-def test_from_rows_and_the_reader_store_one_tag_per_host(tmp_path):
-    """SampleTable.from_rows keeps each host's one tag, in code order, and
-    read_samples_csv reads back the same table from what write_samples_csv
-    writes, a tag on every row."""
+def test_the_reader_stores_one_tag_per_host(tmp_path):
+    """read_samples_csv keeps each host's one tag, in code order, and reads
+    back the same table from what write_samples_csv writes, a tag on every
+    row."""
     rows = [(p, lm, 1.0 + k, 2.0 * k, f"I{p}", f"J{lm}", f"c{p}", f"d{lm}")
             for k, (p, lm) in enumerate((p, lm) for p in "ba" for lm in "zyx")]
-    s = dataset.SampleTable.from_rows(rows)
+    dataset.write_csv(tmp_path / "rows.csv", dataset.SAMPLE_COLUMNS, rows)
+    s = dataset.read_samples_csv(tmp_path / "rows.csv")
     assert_tags_per_host(s)
     assert s.probe_ids == ("a", "b") and s.landmark_ids == ("x", "y", "z")
     assert [s.isps[i] for i in s.probe_isp.tolist()] == ["Ia", "Ib"]
@@ -593,8 +605,8 @@ def test_parse_csv_reads_as_the_row_reader(tmp_path_factory, width, rows, end, r
 def test_a_reader_reads_a_pipe(tmp_path):
     """A file that cannot seek gives no row count up front: the columns
     grow as the blocks come."""
-    table = dataset.RttTable.from_rows([obs(f"p{i % 3}", f"l{i % 7}", 1.0 + i) for i in range(500)])
-    dataset.write_rtt_csv(table, tmp_path / "rtt.csv")
+    dataset.write_rtt_csv(table([obs(f"p{i % 3}", f"l{i % 7}", 1.0 + i) for i in range(500)]),
+                          tmp_path / "rtt.csv")
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     feed = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "rtt.csv").read_bytes()))

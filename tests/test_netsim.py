@@ -159,11 +159,17 @@ def test_pair_rng_is_stable_and_distinct():
     assert (a != c).any()
 
 
+def path_factors(topo, cfg, seed, src_id, dst, stream="campaign"):
+    """(R, T, D) and the jitter fractions of one source id's row against the
+    destination host positions ``dst``, as ``simulate_row`` draws them."""
+    src = np.full(dst.shape, topo._host_positions([src_id])[0])
+    return netsim._path_factors(topo, cfg.path_model, netsim.row_key(seed, stream, src_id), src, dst)
+
+
 def test_sigma_zero_makes_r_constant():
     cfg = mini_config(intra_sigma=0.0, jitter=0.0, k=1)
     topo = netsim.build_topology(cfg)
-    f, _ = netsim.sample_path_factors(topo, cfg, 1, "p1", topo._host_positions(["l1", "l3"]),
-                                      stream="x")
+    f, _ = path_factors(topo, cfg, 1, "p1", topo._host_positions(["l1", "l3"]), stream="x")
     assert f.r == pytest.approx([1.0 + 0.5] * 2, abs=1e-12)
 
 
@@ -176,7 +182,7 @@ def test_inter_r_spread_exceeds_intra():
 
 
 def base_delay(topo, cfg, seed, src, dst):
-    f, _ = netsim.sample_path_factors(topo, cfg, seed, src, topo._host_positions([dst]))
+    f, _ = path_factors(topo, cfg, seed, src, topo._host_positions([dst]))
     return float(synth_delay(f, cfg.path_model.v_km_s)[0])
 
 
@@ -200,7 +206,7 @@ def assert_routes_match_reference(topo, cfg, sources, dsts):
     reference router bit for bit; returns the reference routes."""
     routes = {}
     for s in sources:
-        row = netsim.sample_path_factors(topo, cfg, 0, s, topo._host_positions(dsts))[0].t.tolist()
+        row = path_factors(topo, cfg, 0, s, topo._host_positions(dsts))[0].t.tolist()
         for d, t in zip(dsts, row):
             routes[s, d] = route_scalar(topo, s, d)
             assert t == routes[s, d][1], (s, d)
@@ -555,7 +561,7 @@ def test_draw_distribution_over_cn_like_campaign(cn_config):
     logs = {True: [], False: []}
     jitter, words = [], []
     for p in probes:
-        f, jit = netsim.sample_path_factors(topo, cn_config, 42, p, lm_pos)
+        f, jit = path_factors(topo, cn_config, 42, p, lm_pos)
         same = np.array([topo.host(l).isp == topo.host(p).isp for l in lms])
         for intra in (True, False):
             law = pm.intra_r if intra else pm.inter_r
