@@ -28,6 +28,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
@@ -644,9 +645,139 @@ def load_yaml(path, parse):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+#: a top-level ``cities:``, ``isps:`` or ``hosts:`` line and the run of
+#: ``  -`` lines directly under it
+_PLAIN_LIST = re.compile(r"^(cities|isps|hosts):\n((?:  -.*(?:\n|\Z))+)", re.M)
+#: a key and its value in a plain item: a scalar, or a flow list of scalars
+_PLAIN_PAIR = (r"([A-Za-z][A-Za-z0-9_-]*): "
+               r"([A-Za-z0-9_.-]+|\[(?:[A-Za-z0-9_.-]+(?:, [A-Za-z0-9_.-]+)*)?\])")
+_PLAIN_PAIRS = re.compile(_PLAIN_PAIR)
+#: the scalars of a flow list
+_PLAIN_SCALARS = re.compile(r"[A-Za-z0-9_.-]+")
+#: a plain item: a one-line flow mapping of pairs
+_PLAIN_ITEM = re.compile(rf"  - \{{{_PLAIN_PAIR}(?:, {_PLAIN_PAIR})*\}}")
+#: the scalars whose YAML 1.1 type is unambiguous: a decimal with a point (a
+#: float), an integer with no leading zero (an int), and a word (a string,
+#: or the bool true/false)
+_PLAIN_SCALAR = re.compile(r"(-?[0-9]+\.[0-9]+)|(0|-?[1-9][0-9]*)|([A-Za-z][A-Za-z0-9_-]*)")
+#: the words a YAML reader may take for a bool or null, in lower case
+_YAML_WORDS = frozenset({"y", "n", "yes", "no", "on", "off", "null", "true", "false"})
+
+
+def _plain_scalar(text: str):
+    """The value ``yaml.load`` gives a plain item's scalar; None when the
+    scalar is not one of the unambiguous forms, or is an int past the
+    interpreter's digit limit."""
+    m = _PLAIN_SCALAR.fullmatch(text)
+    if m is None:
+        return None
+    if m.lastindex == 1:
+        return float(text)
+    if m.lastindex == 2:
+        try:
+            return int(text)
+        except ValueError:
+            return None
+    if text in ("true", "false"):
+        return text == "true"
+    return None if text.lower() in _YAML_WORDS else text
+
+
+def _plain_value(text: str):
+    """``_plain_scalar`` of a scalar, or the list of it over a flow list's
+    scalars; None when a scalar is not plain."""
+    if text[0] != "[":
+        return _plain_scalar(text)
+    values = [_plain_scalar(scalar) for scalar in _PLAIN_SCALARS.findall(text)]
+    return None if None in values else values
+
+
+def _plain_items(block: str) -> Optional[list]:
+    """The mappings of a run of ``  -`` lines, each ``  - {key: value, ...}``
+    with plain values; None when a line is not such an item, has a key YAML
+    reads as a bool or null, or is longer than the 1024 characters YAML
+    looks back for a key.  A repeated key keeps its first place and its last
+    value, as in ``yaml.load``."""
+    items = []
+    typed = {}  # each distinct value text is typed once
+    for line in block.rstrip("\n").split("\n"):
+        if len(line) > 1024 or _PLAIN_ITEM.fullmatch(line) is None:
+            return None
+        item = {}
+        for key, text in _PLAIN_PAIRS.findall(line):
+            value = typed.get(text)
+            if value is None:
+                value = typed[text] = _plain_value(text)
+                if value is None:
+                    return None
+            if key.lower() in _YAML_WORDS:
+                return None
+            item[key] = value.copy() if type(value) is list else value
+        items.append(item)
+    return items
+
+
+def _plain_config(text: str):
+    """The document ``yaml.load`` gives a config text, with the plain items
+    under ``cities:``, ``isps:`` and ``hosts:`` read by regex and only the
+    rest (the head) by the YAML loader; None when the text has no such items
+    or the result could differ from ``yaml.load``'s: an item that is not
+    plain, a head the loader rejects, a head mapping with a repeated key, or
+    a list key line that is not a key of the head's top-level block mapping
+    with an empty value."""
+    head, lists, size, end = [], [], 0, 0
+    for m in _PLAIN_LIST.finditer(text):
+        items = _plain_items(m.group(2))
+        if items is None:
+            return None
+        head.append(text[end:m.start(2)])
+        lists.append((size + m.start() - end, m.group(1), items))
+        size, end = size + len(head[-1]), m.end()
+    if not lists:
+        return None
+    head.append(text[end:])
+    loader = _YAML_LOADER("".join(head))
+    try:
+        node = loader.get_single_node()
+        if not isinstance(node, yaml.MappingNode) or node.flow_style:
+            return None
+        doc = loader.construct_document(node)
+    except (yaml.YAMLError, ValueError):
+        return None
+    finally:
+        loader.dispose()
+    if not isinstance(doc, dict) or len(doc) != len(node.value):
+        return None
+    # where each key of the mapping starts, and where its value does: right
+    # after the colon only when the value is empty
+    keys = {k.start_mark.index: (k.value, v.start_mark.index) for k, v in node.value}
+    for at, key, items in lists:
+        if keys.get(at) != (key, at + len(key) + 1):
+            return None
+        doc[key] = items
+    return doc
+
+
 def load_config(path) -> SimConfig:
-    """Parse a YAML simulation config (cities, isps, hosts, path_model)."""
-    return load_yaml(path, _parse_config)
+    """Parse a YAML simulation config (cities, isps, hosts, path_model).
+
+    One-line flow items under ``cities``, ``isps`` and ``hosts``, such as
+    ``- {id: c00, lat: 22.0, region: r00}`` with plain words and numbers, are
+    read without the YAML parser and the rest of the file by the safe loader;
+    any other file goes through the loader whole.  Either way the document,
+    its types and every message are the ones ``load_yaml`` gives."""
+    try:
+        with open(path) as fh:
+            try:
+                doc = _plain_config(fh.read())
+            except UnicodeDecodeError:  # the loader reports it as it reads
+                doc = None
+            if doc is None:
+                fh.seek(0)
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
+        return _parse_config(doc)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _law(value, key: str) -> LogNormalShift:

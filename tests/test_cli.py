@@ -19,7 +19,7 @@ from rtdcorr import dataset, experiments, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
-from conftest import MINI_YAML, assert_same_read
+from conftest import MINI_YAML, PLAIN_MINI, assert_same_read
 from reference import row_parse_csv, row_read_rtt_csv, row_read_samples_csv
 
 HUGE_INT = 10 ** 400  # a YAML integer past the float range
@@ -1166,6 +1166,29 @@ def test_yaml_document_of_wrong_shape_exits_1(tmp_path, capsys, command, text, m
              else ["--spec", str(path), "--out", str(tmp_path / "r.csv")])
     code, _, err = run(capsys, command, *flags)
     assert (code, err) == (1, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # an unclosed flow map after the lists
+    (PLAIN_MINI + "extra: {a: 1\n",
+     "while parsing a flow mapping\n  in \"{path}\", line 22, column 8\n"
+     "did not find expected ',' or '}}'\n  in \"{path}\", line 23, column 1"),
+    # a stray tab after the hosts' items, and one after hosts:
+    (PLAIN_MINI + "\tfoo: 1\n",
+     "while scanning for the next token\nfound character that cannot start any token\n"
+     "  in \"{path}\", line 22, column 1"),
+    (PLAIN_MINI.replace("hosts:\n", "hosts:\n\t\n"),
+     "while scanning for the next token\nfound character that cannot start any token\n"
+     "  in \"{path}\", line 17, column 1"),
+])
+def test_yaml_error_after_plain_items_names_its_place_in_the_file(tmp_path, capsys, text, message):
+    """A YAML error in the lines around a config's one-line flow items is
+    reported at its line and column in the whole file, not in the part of it
+    the YAML loader was given."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    code, _, err = run(capsys, "simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+    assert (code, err) == (1, f"error: {path}: {message.format(path=path)}\n")
 
 
 def test_not_found_error_prints_its_message_unquoted(capsys, sim_dir, tmp_path):
