@@ -55,6 +55,31 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {"exit": proc.returncode, **result, "cli": cli}
 
 
+def alternate(parent: Path, change: Path, rounds: int, run, what: str) -> dict[str, list[dict]]:
+    """Each side's records of ``run(checkout)``, once per side in each of
+    ``rounds`` rounds: the parent first in even rounds and the change first
+    in odd ones, so drift in the host's speed falls on both sides alike.
+    Each record is echoed to stderr as it comes, labelled ``what``."""
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(rounds):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(run(parent if side == "parent" else change))
+            print(f"{what} {i + 1}/{rounds} {side}: {json.dumps(runs[side][-1])}", file=sys.stderr)
+    return runs
+
+
+def process_record(argv: list[str]) -> dict:
+    """The JSON record a process prints as its last line of output, plus
+    its exit code; the last line of its stderr as ``error`` when it prints
+    none."""
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"error": proc.stderr.strip().splitlines()[-1:]}
+    return {"exit": proc.returncode, **result}
+
+
 def compare_all(runs: dict[str, list[dict]], get) -> dict:
     """compare() of every figure that ``get(run)`` (a dict of values by name)
     holds in every run of both sides."""
@@ -101,13 +126,8 @@ def main(argv=None) -> int:
         if not (checkout / "benchmark" / "run.py").is_file():
             ap.error(f"{checkout}: no benchmark/run.py")
 
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seed))
-            print(f"pair {i + 1}/{args.pairs} {side}: {json.dumps(runs[side][-1])}",
-                  file=sys.stderr)
+    runs = alternate(args.parent, args.change, args.pairs,
+                     lambda checkout: run_once(checkout, args.workload, args.seed), "pair")
 
     metrics = compare_all(runs, lambda r: {
         name: m["value"] for name, m in r.get("metrics", {}).items()})

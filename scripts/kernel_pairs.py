@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import SIDES, spread  # noqa: E402
+from bench_pairs import SIDES, alternate, process_record, spread  # noqa: E402
 
 #: the program each process runs: argv is (the checkout's src/, K)
 FILL = r"""
@@ -63,14 +62,7 @@ print(json.dumps({"netsim": netsim.__file__, "pairs": sum(pairs), "best_s": best
 
 def run_once(checkout: Path, reps: int) -> dict:
     """The record of one fill process in a checkout, plus its exit code."""
-    proc = subprocess.run(
-        [sys.executable, "-c", FILL, str(checkout.resolve() / "src"), str(reps)],
-        capture_output=True, text=True)
-    try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {"error": proc.stderr.strip().splitlines()[-1:]}
-    return {"exit": proc.returncode, **result}
+    return process_record([sys.executable, "-c", FILL, str(checkout.resolve() / "src"), str(reps)])
 
 
 def main(argv=None) -> int:
@@ -86,13 +78,8 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "rtdcorr" / "netsim.py").is_file():
             ap.error(f"{checkout}: no src/rtdcorr/netsim.py")
 
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.rounds):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.reps))
-            print(f"round {i + 1}/{args.rounds} {side}: {json.dumps(runs[side][-1])}",
-                  file=sys.stderr)
+    runs = alternate(args.parent, args.change, args.rounds,
+                     lambda checkout: run_once(checkout, args.reps), "round")
 
     ok = all(r["exit"] == 0 and "pairs_per_s" in r for side in SIDES for r in runs[side])
     summary = None

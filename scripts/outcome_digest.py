@@ -32,7 +32,14 @@ is a sha256 over the full-precision bytes of both correlation grids: the
 per-ISP matrix's correlations (nan where undefined) and then its group sizes,
 read cell by cell over the ISPs in code order, then the per-probe grid's
 ``corr`` and ``n`` arrays.  The CSV outputs round correlations to 6 decimals;
-this digest sees any change in the last bits.  An outcome line holds:
+this digest sees any change in the last bits.
+
+A target-rows line follows: ``target_rows_sha256`` is a sha256 over the raw
+float64 bytes of every landmark's target-side row,
+``netsim.simulate_row(..., stream="target")`` from that landmark to every
+landmark (landmarks in id order, both ways), the rows GeoGet's locates read;
+it checks that row path bit for bit, not only through the winners.  An
+outcome line holds:
 - the target count and the located count;
 - the total number of region cells (CBG; GeoGet names a city, not a region);
 - ``sha256_6dp``: a sha256 of the outcomes with coordinates at 6 decimals,
@@ -141,6 +148,17 @@ def kernel_edges_line():
             "kernel_edges_sha256": hashlib.sha256(km.tobytes() + fell_back.tobytes()).hexdigest()}
 
 
+def target_rows_line(campaign, seed):
+    topology = campaign.topology
+    ids = sorted(h.id for h in topology.registry.landmarks())
+    positions = topology._host_positions(ids)
+    h = hashlib.sha256()
+    for src in ids:
+        h.update(netsim.simulate_row(
+            topology, campaign.config, seed, src, positions, stream="target").tobytes())
+    return {"seed": seed, "landmarks": len(ids), "target_rows_sha256": h.hexdigest()}
+
+
 def digest_seed(config, seed):
     campaign = experiments.prepare_campaign(config, seed)
     isps = [None, *np.unique(campaign.samples.landmark_isp).tolist()]
@@ -163,6 +181,7 @@ def digest_seed(config, seed):
             for p in range(len(campaign.samples.probe_ids)) for isp in isps),
         "corr_sha256": corr_sha256(campaign),
     }
+    yield target_rows_line(campaign, seed)
     n_landmarks = len(campaign.topology.registry.landmarks())
     for algorithm, locate in LOCATE.items():
         for mode in MODES:

@@ -32,7 +32,7 @@ _VAR_REL_EPS = 1e-12
 CorrValue = Optional[float]
 
 # each path factor's lower bound, and whether the bound itself is allowed
-_FACTOR_RANGES = (("r", 1.0, False), ("t", 1.0, True), ("d_km", 0.0, False))
+_FACTOR_RANGES = {"r": (1.0, False), "t": (1.0, True), "d_km": (0.0, False)}
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
@@ -54,19 +54,27 @@ class PathFactors:
 
     def __post_init__(self):
         values = np.broadcast_arrays(
-            *(np.asarray(getattr(self, name), dtype=float) for name, _, _ in _FACTOR_RANGES)
+            *(np.asarray(getattr(self, name), dtype=float) for name in _FACTOR_RANGES)
         )
-        for (name, low, closed), v in zip(_FACTOR_RANGES, values):
-            ok = np.isfinite(v) & (v >= low if closed else v > low)
-            if not ok.all():
-                raise ValidationError(
-                    f"{name} must be {'>=' if closed else '>'} {low:g}, got {v[~ok][0]}"
-                )
+        for name, v in zip(_FACTOR_RANGES, values):
+            check_factor(name, v)
             object.__setattr__(self, name, v)
 
 
+def check_factor(name: str, v: np.ndarray) -> None:
+    """Raise a ValidationError naming the first element of the float array
+    ``v`` that is out of path factor ``name``'s range (see PathFactors) or
+    not finite."""
+    low, closed = _FACTOR_RANGES[name]
+    ok = np.isfinite(v) & (v >= low if closed else v > low)
+    if not ok.all():
+        raise ValidationError(f"{name} must be {'>=' if closed else '>'} {low:g}, got {v[~ok][0]}")
+
+
 def synth_delay(f: PathFactors, v_km_s: float = DEFAULT_SPEED_KM_S) -> np.ndarray:
-    """Whole-path delay in ms implied by the path factors, elementwise: R*T*D/v."""
+    """Whole-path delay in ms implied by the path factors, elementwise: R*T*D/v.
+    ``f`` is any record with PathFactors' fields, such as the simulator's
+    unchecked factors."""
     if not (math.isfinite(v_km_s) and v_km_s > 0):
         raise ValidationError(f"propagation speed must be finite and > 0, got {v_km_s}")
     return f.r * f.t * f.d_km / v_km_s * 1000.0

@@ -196,7 +196,7 @@ def geoget_locate_target(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetOutcome:
     target_id: str
     status: str
@@ -269,11 +269,18 @@ class ErrorReport:
     errors_km: tuple[Optional[float], ...]  # one per target, None if it failed
     median_km: Optional[float]
     mean_km: Optional[float]
-    cdf: tuple[tuple[float, float], ...]  # (error_km, cumulative fraction of all targets)
     city_accuracy: Optional[float]
     n_total: int
     n_located: int
     n_failed: int
+
+    @property
+    def cdf(self) -> tuple[tuple[float, float], ...]:
+        """(error_km, cumulative fraction of all targets) per located target,
+        ascending; derived from ``errors_km`` on each read, so a kept report
+        holds no second copy of its errors."""
+        srt = sorted(e for e in self.errors_km if e is not None)
+        return tuple((e, (i + 1) / self.n_total) for i, e in enumerate(srt))
 
 
 def evaluate_outcomes(
@@ -310,7 +317,6 @@ def evaluate_outcomes(
         errors_km=errors,
         median_km=statistics.median(srt) if srt else None,
         mean_km=sum(srt) / len(srt) if srt else None,
-        cdf=tuple((e, (i + 1) / n_total) for i, e in enumerate(srt)),
         city_accuracy=city_accuracy,
         n_total=n_total,
         n_located=len(srt),

@@ -379,7 +379,7 @@ def geoget_locate(
     if first.size:
         delays[first] = delay_ms(keys[first])
         np.minimum.at(score, areas[first], delays[first])
-    present = np.unique(areas)
+    present = np.flatnonzero(np.bincount(areas))  # the pool's area codes, ascending
     top = np.zeros(score.size, dtype=bool)
     top[present[np.argsort(score[present], kind="stable")][:candidate_areas]] = True
     chosen = top[areas]

@@ -16,10 +16,13 @@ centers) and, across ISPs, a table of the chosen IXP per ISP pair and region
 pair built from it.  A pair's random draws are words of a counter-based
 stream (``pair_uniforms``): SplitMix64's finaliser over a pair key from a
 row key (``row_key``: SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest
-per row) and the destination's host key (SHAKE-256 over its id, per
-topology).  A block is one numpy pass with no per-pair Python call, a pair's
-delays depend on its ids alone, and adding hosts never perturbs other pairs.
-``pair_rng`` serves only the experiment design draws.
+per row) and the destination's host key (SHAKE-256 over its id, mixed once
+per topology).  A block is one numpy pass with no per-pair Python call, a
+pair's delays depend on its ids alone, and adding hosts never perturbs other
+pairs.  ``pair_rng`` serves only the experiment design draws.
+
+The factors the router draws are not re-validated: T and D are in range by
+construction, and R is checked where it is drawn.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 import yaml
 
-from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, synth_delay
+from .corr_model import DEFAULT_SPEED_KM_S, PathFactors, check_factor, synth_delay
 from .dataset import HostRecord, Registry, RttTable, validate_registry
 from .errors import NotFoundError, ValidationError
 from .geodesy import (KM_PER_DEG_LAT, VINCENTY_PASS_PAIRS, Coordinate, _wrap_lon,
@@ -58,6 +61,10 @@ _EPOCH = datetime(2017, 1, 1, tzinfo=timezone.utc)
 #: "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014)
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
+#: SplitMix64's finaliser (``_mix``): its shifts and multipliers
+_MIX_S1, _MIX_S2, _MIX_S3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MIX_M1, _MIX_M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
 
 @dataclass(frozen=True)
 class LogNormalShift:
@@ -75,8 +82,11 @@ class LogNormalShift:
         return self.shift + rng.lognormal(self.mu, self.sigma, n)
 
     def at(self, z):
-        """The law's value at standard-normal deviates z."""
-        return self.shift + np.exp(self.mu + self.sigma * z)
+        """The law's value at standard-normal deviates z; past the float
+        range it is inf, unwarned (the simulator's range check on R reports
+        the value)."""
+        with np.errstate(over="ignore"):
+            return self.shift + np.exp(self.mu + self.sigma * z)
 
 
 @dataclass(frozen=True)
@@ -187,6 +197,12 @@ class Topology:
         """Each host's 64-bit stream key (``_key64`` of its id), in host
         position order; computed on first read."""
         return np.array([_key64(h) for h in self._host_pos], dtype=np.uint64)
+
+    @functools.cached_property
+    def _host_mix(self) -> np.ndarray:
+        """``_mix`` of each host's key, the destination's share of a pair key
+        (``pair_uniforms``); computed on first read."""
+        return _mix(self._host_key)
 
     @functools.cached_property
     def _dist(self) -> np.ndarray:
@@ -373,18 +389,20 @@ def _route(topology: Topology, src: np.ndarray, dst: np.ndarray) -> _Routes:
         hop2 = hop1.copy()
         hop2[cross] = ixp
     hop3 = np.where(t._host_at_center[dst], hop2, t._host_center[dst])
-    sites = np.stack([src_site, hop1, hop2, hop3, dst_site], axis=1)
+    sites = np.array([src_site, hop1, hop2, hop3, dst_site])  # (5, n): a row per hop
     local = same_isp & (t._host_city[src] == t._host_city[dst])
-    sites[local, 1:4] = src_site[local, None]
+    sites[1:4, local] = src_site[local]
 
-    legs = t._dist[sites[:, :-1], sites[:, 1:]]
-    length = legs[:, 0] + legs[:, 1] + legs[:, 2] + legs[:, 3]
-    direct = t._dist[src_site, dst_site]
+    # one gather from the flat matrix each for the legs and the direct distances
+    n, flat = t._dist.shape[0], t._dist.ravel()
+    legs = flat[sites[:-1] * n + sites[1:]]
+    length = legs[0] + legs[1] + legs[2] + legs[3]
+    direct = flat[src_site * n + dst_site]
     coincident = direct == 0.0
     tortuosity = np.where(
         coincident, 1.0, np.maximum(1.0, length / np.where(coincident, 1.0, direct))
     )
-    return _Routes(sites, tortuosity, direct, same_isp)
+    return _Routes(sites.T, tortuosity, direct, same_isp)
 
 
 def route_path(topology: Topology, src_id: str, dst_id: str) -> RoutedPath:
@@ -420,10 +438,14 @@ def row_key(seed: int, stream: str, src_id: str) -> np.uint64:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser on a uint64 array; the products wrap mod 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finaliser on a uint64 array, as a new array; the
+    products wrap mod 2**64."""
+    z = z ^ (z >> _MIX_S1)
+    z *= _MIX_M1
+    z ^= z >> _MIX_S2
+    z *= _MIX_M2
+    z ^= z >> _MIX_S3
+    return z
 
 
 def pair_uniforms(rows, dst_keys: np.ndarray, n_words: int) -> np.ndarray:
@@ -436,11 +458,19 @@ def pair_uniforms(rows, dst_keys: np.ndarray, n_words: int) -> np.ndarray:
     ``_key64`` of its id (``Topology._host_key``), the pair key is
     ``mix(row ^ mix(dst_key))``, and word w is ``mix(pair + (w + 1) * gamma)``
     mod 2**64, mapped into (0, 1) by ``_open_unit``.  A pair's words depend
-    on its ids alone, so adding hosts never perturbs existing pairs.
+    on its ids alone, so adding hosts never perturbs existing pairs.  The
+    array is stored word-major (Fortran order), so a word's column is one
+    contiguous run.
     """
-    pair = _mix(rows ^ _mix(dst_keys))
-    counters = np.arange(1, n_words + 1, dtype=np.uint64) * _GOLDEN_GAMMA
-    return _open_unit(_mix(pair[:, None] + counters))
+    return _pair_uniforms(rows, _mix(dst_keys), n_words)
+
+
+def _pair_uniforms(rows, dst_mix: np.ndarray, n_words: int) -> np.ndarray:
+    """``pair_uniforms`` from the destinations' mixed keys,
+    ``_mix(dst_keys)`` (``Topology._host_mix``)."""
+    pair = _mix(rows ^ dst_mix)
+    counters = np.arange(1, n_words + 1, dtype=np.uint64)[:, None] * _GOLDEN_GAMMA
+    return _open_unit(_mix(pair + counters)).T
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
@@ -450,22 +480,35 @@ def _open_unit(words: np.ndarray) -> np.ndarray:
     return ((words >> 12) + 0.5) * 2.0 ** -52
 
 
+class _Factors(NamedTuple):
+    """The router's (R, T, D), under PathFactors' field names and unchecked
+    by it: T and D are in range by construction, and R is checked where it
+    is drawn (``_path_factors``)."""
+
+    r: np.ndarray
+    t: np.ndarray
+    d_km: np.ndarray
+
+
 def _path_factors(
     topology: Topology, pm: PathModelConfig, rows, src: np.ndarray, dst: np.ndarray
-) -> tuple[PathFactors, np.ndarray]:
+) -> tuple[_Factors, np.ndarray]:
     """(R, T, D) of the pairs of aligned source and destination host
     positions, and their (len(dst), samples_per_pair) jitter fractions in
     [0, jitter); ``rows`` are the pairs' row keys, as in ``pair_uniforms``.
 
     Pair words u0, u1 give z = sqrt(-2 ln u0) cos(2 pi u1) and
     R = shift + exp(mu + sigma z); words u2.. give the jitter fractions.
+    An R out of PathFactors' range (it can round to 1.0 or overflow) is a
+    ValidationError naming the first such value.
     """
     routes = _route(topology, src, dst)
-    u = pair_uniforms(rows, topology._host_key[dst], 2 + pm.samples_per_pair)
+    u = _pair_uniforms(rows, topology._host_mix[dst], 2 + pm.samples_per_pair)
     z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
     r = np.where(routes.same_isp, pm.intra_r.at(z), pm.inter_r.at(z))
+    check_factor("r", r)
     d = np.maximum(routes.direct_km, MIN_PAIR_DISTANCE_KM)
-    return PathFactors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
+    return _Factors(r, routes.tortuosity, d), pm.jitter * u[:, 2:]
 
 
 def _delays(
@@ -488,7 +531,9 @@ def simulate_row(
     stream: str = "campaign",
 ) -> np.ndarray:
     """(len(dst), samples_per_pair) jittered delays in ms from one source id
-    to each destination host position (see ``_delays``)."""
+    to each destination host position (see ``_delays``).  Like the words
+    they come from, they are stored sample-major (Fortran order), so a
+    reduction over each pair's samples runs along contiguous columns."""
     src = np.full(dst.shape, topology._host_positions([src_id])[0])
     return _delays(topology, config.path_model, row_key(seed, stream, src_id), src, dst)
 
@@ -526,13 +571,12 @@ def simulate_campaign(topology: Topology, config: SimConfig, seed: int) -> RttTa
     k = pm.samples_per_pair
     n_probes, n_landmarks = len(probe_ids), len(landmark_ids)
     step = max(1, _CAMPAIGN_BLOCK_PAIRS // n_landmarks)
-    rtt_ms = np.empty((n_probes, n_landmarks, k))
+    rtt_ms = np.empty((n_probes * n_landmarks, k))  # a row per pair
     for lo in range(0, n_probes, step):
         n = min(step, n_probes - lo)
-        rtt_ms[lo:lo + n] = _delays(
+        rtt_ms[lo * n_landmarks:(lo + n) * n_landmarks] = _delays(
             topology, pm, np.repeat(rows[lo:lo + n], n_landmarks),
-            np.repeat(probes[lo:lo + n], n_landmarks), np.tile(landmarks, n)
-        ).reshape(n, n_landmarks, k)
+            np.repeat(probes[lo:lo + n], n_landmarks), np.tile(landmarks, n))
     stamps = tuple(f"{_EPOCH + timedelta(minutes=m):%Y-%m-%dT%H:%M:%SZ}" for m in range(k))
     return RttTable(
         tuple(probe_ids), tuple(landmark_ids), stamps,

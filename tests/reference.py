@@ -304,6 +304,9 @@ def rtd_model_corr_ratio_form(f: PathFactors):
     for ``rtd_model_corr``:
 
     E(RT)*V(D) / (sqrt(V(RT)*E(D^2) + E^2(RT)*V(D)) * sqrt(V(D))).
+
+    A variance at most ``_VAR_REL_EPS`` times its values' mean square is
+    rounding noise and counts as 0, the floor ``rtd_model_corr`` applies.
     """
     if f.d_km.size < 2:
         raise ValidationError("rtd_model_corr: need at least 2 factor sets")
@@ -313,6 +316,10 @@ def rtd_model_corr_ratio_form(f: PathFactors):
     e_rt = float(rt.mean())
     v_d = float(d.var())
     e_d2 = float((d * d).mean())
+    if v_rt <= _VAR_REL_EPS * max(1e-300, float((rt * rt).mean())):
+        v_rt = 0.0
+    if v_d <= _VAR_REL_EPS * max(1e-300, e_d2):
+        v_d = 0.0
     den = math.sqrt(max(0.0, v_rt * e_d2 + e_rt ** 2 * v_d)) * math.sqrt(max(0.0, v_d))
     if den <= 0.0:
         return None if v_rt == 0.0 and v_d == 0.0 else 0.0

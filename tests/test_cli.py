@@ -527,6 +527,21 @@ def test_simulate_r_draw_that_rounds_to_1_exits_1(capsys, tmp_path):
     assert err == "error: r must be > 1, got 1.0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_r_draw_that_overflows_exits_1_without_a_warning(capsys, tmp_path):
+    """A valid config can draw R = 1 + e^(mu + sigma z) past the float range;
+    the range check reports the infinite value, and numpy's overflow warning
+    is not printed beside it."""
+    text = netsim.bundled_config_path("cn-like").read_text()
+    cfg = tmp_path / "huge-r.yaml"
+    cfg.write_text(text.replace("intra_r: {mu: -0.693147, sigma: 0.35}",
+                                "intra_r: {mu: 710.0, sigma: 0.0}"))
+    assert cfg.read_text() != text
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert err == "error: r must be > 1, got inf\n"
+
+
 @pytest.mark.parametrize("v", ["nan", "inf", "0"])
 def test_model_bad_speed_exits_1(capsys, v):
     code, _, err = run(capsys, "model", "--n", "1000", "--v", v)

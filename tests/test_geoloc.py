@@ -1027,3 +1027,23 @@ def test_write_error_report_csv(tmp_path):
     text = path.read_text()
     assert "target,t1,\r\n" in text or "target,t1,\n" in text
     assert "summary,n_failed,1" in text
+
+
+def test_results_csv_round_trips_outcomes(tmp_path):
+    outcomes = [located("t0", 30.25, 110.5, "a"), failed("t1", "b"),
+                experiments.TargetOutcome("t,2", "located", "", -0.125, 179.75, 'say "x"')]
+    path = tmp_path / "results.csv"
+    experiments.write_results_csv(outcomes, path)
+    assert experiments.read_results_csv(path) == outcomes
+
+
+def test_outcome_is_a_frozen_slotted_record():
+    outcome = located("t0", 30.0, 110.0, "a")
+    assert not hasattr(outcome, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.status = "failed"
+    moved = dataclasses.replace(outcome, pred_lat=31.0, pred_city="b")
+    assert moved == experiments.TargetOutcome("t0", "located", "b", 31.0, 110.0, "")
+    # replace runs the same checks as the constructor
+    with pytest.raises(ValidationError, match="a failed outcome takes no coordinate"):
+        dataclasses.replace(outcome, status="failed")
