@@ -17,7 +17,9 @@ processes run one at a time; nothing else should run on the host meanwhile.
 
 Prints one JSON object: each process's record (its ``experiments`` module
 path, the locates per pass, the best pass time, the mean time per locate in
-microseconds and a sha256 of the untimed pass's outcomes), whether every
+microseconds, a sha256 of the untimed pass's outcomes, and the calls to
+``geoloc.geodesic_distance_many`` in that pass with the pairs they passed:
+CBG's band of Vincenty runs, none for GeoGet), whether every
 process produced the same outcomes, and for the best pass time the
 comparison ``scripts/bench_pairs.py`` gives an end-to-end metric (each
 side's median, quartiles and extremes, the rounds the change wins, lower
@@ -38,8 +40,9 @@ from bench_pairs import SIDES, alternate, compare, process_record  # noqa: E402
 #: the program each process runs: argv is (the checkout's src/, algorithm, K)
 LOCATE = r"""
 import hashlib, json, sys, time
+import numpy as np
 sys.path.insert(0, sys.argv[1])
-from rtdcorr import experiments, netsim
+from rtdcorr import experiments, geoloc, netsim
 
 algorithm, reps = sys.argv[2], int(sys.argv[3])
 campaign = experiments.prepare_campaign(netsim.resolve_config("cn-like"), 42)
@@ -52,7 +55,16 @@ runs = [(spec, experiments.pick_targets(campaign, spec.n_targets, 42)) for spec 
 def run_pass():
     return [locate(campaign, t, spec) for spec, targets in runs for t in targets]
 
+kernel, real_many = {"calls": 0, "pairs": 0}, geoloc.geodesic_distance_many
+
+def counted_many(*args):
+    kernel["calls"] += 1
+    kernel["pairs"] += int(np.broadcast(*args).size)
+    return real_many(*args)
+
+geoloc.geodesic_distance_many = counted_many
 outcomes = "\n".join(f"{r.status}|{r.city}|{r.coordinate}|{r.reason}" for r in run_pass())
+geoloc.geodesic_distance_many = real_many
 best = float("inf")
 for _ in range(reps):
     start = time.perf_counter()
@@ -61,6 +73,7 @@ for _ in range(reps):
 locates = sum(len(targets) for _, targets in runs)
 print(json.dumps({"experiments": experiments.__file__, "locates": locates, "best_s": best,
                   "us_per_locate": best / locates * 1e6,
+                  "kernel_calls": kernel["calls"], "kernel_pairs": kernel["pairs"],
                   "outcomes_sha256": hashlib.sha256(outcomes.encode()).hexdigest()}))
 """
 

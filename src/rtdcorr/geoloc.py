@@ -255,13 +255,17 @@ def cbg_locate(
     - lo(max(h(c) - rho, 0)) > limit puts every cell out by the cell test,
       and a block out of any circle is dead.
 
-    A block decision therefore equals each of its cell decisions.  The
-    cells of live blocks that straddle a circle's edge then take the cell
-    test against that circle, all such (circle, cell) pairs in one batch.  A
-    cell survives when it passes every test, so the order of the circles
-    does not matter.  The survivors are one mask in grid order, so the
-    region and its centroid are those of the cell test applied to every cell
-    and circle.
+    A block decision therefore equals each of its cell decisions.  Each
+    (circle, block) pair where a live block straddles the circle's edge is
+    expanded, by index arithmetic, to the block's cells; all such (circle,
+    cell) pairs take the cell test in one batch.  Cells that a bracket puts
+    out die first, and only the band pairs of cells still alive run the
+    kernel, in one call: a cell dies when it fails any test, and a pair's
+    kernel bits do not depend on the rest of the call, so neither the order
+    of the circles nor the skipped pairs matter.  The survivors are one
+    mask in grid order, so the region and its centroid (``grid_centroid``,
+    its trigonometry once per grid row and column) are those of the cell
+    test applied to every cell and circle.
     """
     if not circles:
         return GeolocationResult("failed", reason="no probes")
@@ -308,44 +312,67 @@ def cbg_locate(
     alive = live[block]
 
     # the cell test on every (circle, cell) pair whose block straddles the
-    # circle's edge, in one batch
-    edge = live & ~inside
-    cand = np.flatnonzero(edge.any(axis=0)[block])
-    circ, k = np.nonzero(edge[:, block[cand]])
-    cells = cand[k]
-    row, col = np.divmod(cells, n_cols)
+    # circle's edge, in one batch: cells out by the bracket die first, and
+    # only band pairs of cells still alive run the kernel
+    circ, row, col = _edge_pairs(live & ~inside, n_rows, n_cols)
+    cells = row * n_cols + col
     lim = limit[circ, 0]
     lo, hi = vincenty_bracket(great_circle_km_many(
         phi[row], c_phi[circ], lam[col] - c_lam[circ], cos_phi[row], c_cos[circ]
     ))
-    keep = hi <= lim
-    band = np.flatnonzero((lo <= lim) & ~keep)
+    near = lo <= lim
+    alive[cells[~near]] = False
+    # the band: neither in nor out by the bracket, its cell still alive
+    band = np.flatnonzero(near & ~(hi <= lim))
+    band = band[alive[cells[band]]]
     if band.size:
         i = circ[band]
-        keep[band] = geodesic_distance_many(
-            lats[row[band]], lons[col[band]], c_lat[i], c_lon[i]
-        ) <= lim[band]
-    alive[cells[~keep]] = False
+        d = geodesic_distance_many(lats[row[band]], lons[col[band]], c_lat[i], c_lon[i])
+        alive[cells[band[~(d <= lim[band])]]] = False
     if not alive.any():
         return GeolocationResult("failed", reason="empty intersection")
 
     row, col = np.divmod(np.flatnonzero(alive), n_cols)
-    glats, glons = lats[row], lons[col]
     return GeolocationResult(
-        "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
+        "located", coordinate=grid_centroid(lats, lons, row, col),
+        region_lats=lats[row], region_lons=lons[col],
     )
 
 
-def grid_centroid(lats: np.ndarray, lons: np.ndarray) -> Coordinate:
-    """Centroid of lat/lon grid cells (degrees) on the sphere: the mean of
-    their unit vectors, each weighted by cos(lat), the cell's area on the
-    grid.  Unlike the mean of the coordinates it holds across the
-    antimeridian and round a pole."""
+def _edge_pairs(
+    edge: np.ndarray, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (circle, cell) pairs of an (circles, blocks) mask over the blocks
+    of an n_rows x n_cols grid: every cell of each marked block, the last
+    blocks of an axis cut short.  Returned as the circle, row and column of
+    each pair, circle by circle, blocks in grid order, each block's cells
+    row by row."""
+    circ, blk = np.nonzero(edge)
+    r0, c0 = np.divmod(blk, (n_cols + CBG_BLOCK - 1) // CBG_BLOCK)
+    r0 *= CBG_BLOCK
+    c0 *= CBG_BLOCK
+    n_c = np.minimum(CBG_BLOCK, n_cols - c0)
+    size = np.minimum(CBG_BLOCK, n_rows - r0) * n_c
+    pair = np.repeat(np.arange(circ.size), size)
+    # each cell's offset in its block, row by row
+    dr, dc = np.divmod(np.arange(pair.size) - (np.cumsum(size) - size)[pair], n_c[pair])
+    return circ[pair], r0[pair] + dr, c0[pair] + dc
+
+
+def grid_centroid(
+    lats: np.ndarray, lons: np.ndarray, row: np.ndarray, col: np.ndarray
+) -> Coordinate:
+    """Centroid on the sphere of the cells (lats[row], lons[col]) of a grid
+    with axes lats and lons (degrees): the mean of their unit vectors, each
+    weighted by cos(lat), the cell's area on the grid.  Unlike the mean of
+    the coordinates it holds across the antimeridian and round a pole.  The
+    trigonometry runs once per row and column, the sums over the cells."""
     phi, lam = np.radians(lats), np.radians(lons)
     cos_phi = np.cos(phi)
-    x = float(np.sum(cos_phi * cos_phi * np.cos(lam)))
-    y = float(np.sum(cos_phi * cos_phi * np.sin(lam)))
-    z = float(np.sum(cos_phi * np.sin(phi)))
+    w = (cos_phi * cos_phi)[row]
+    x = float(np.sum(w * np.cos(lam)[col]))
+    y = float(np.sum(w * np.sin(lam)[col]))
+    z = float(np.sum((cos_phi * np.sin(phi))[row]))
     return Coordinate(math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)))
 
 

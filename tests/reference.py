@@ -45,6 +45,7 @@ from rtdcorr.geoloc import (
     _FEAS_TOL_MS,
     Bestline,
     GeolocationResult,
+    _block_axis,
     cbg_grid,
     grid_centroid,
 )
@@ -413,9 +414,10 @@ def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
     phi = np.radians(glats)
     lam = np.radians(_wrap_lon(glons))
     cos_phi = np.cos(phi)
+    cells = np.arange(glats.size)
 
     for center, r in sorted(circles, key=lambda c: c[1]):
-        if glats.size == 0:
+        if cells.size == 0:
             break
         limit = r + slack_km
         c_phi = math.radians(center.lat)
@@ -430,16 +432,44 @@ def per_circle_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
                 glats[band], _wrap_lon(glons[band]), center.lat, center.lon
             )
             keep[band] = d <= limit
-        glats, glons, phi, lam, cos_phi = (
-            a[keep] for a in (glats, glons, phi, lam, cos_phi)
+        glats, glons, phi, lam, cos_phi, cells = (
+            a[keep] for a in (glats, glons, phi, lam, cos_phi, cells)
         )
-    if glats.size == 0:
+    if cells.size == 0:
         return GeolocationResult("failed", reason="empty intersection")
 
-    glons = _wrap_lon(glons)
+    lats, lons = grid[0], _wrap_lon(grid[1])
+    row, col = np.divmod(cells, lons.size)
     return GeolocationResult(
-        "located", coordinate=grid_centroid(glats, glons), region_lats=glats, region_lons=glons
+        "located", coordinate=grid_centroid(lats, lons, row, col),
+        region_lats=glats, region_lons=_wrap_lon(glons),
     )
+
+
+def scan_edge_pairs(edge, n_rows, n_cols):
+    """The (circle, cell) pairs of a (circles, blocks) mask over the blocks of
+    an n_rows x n_cols grid, found by scanning every circle against every
+    cell of a block marked for some circle: the circle and flat cell index of
+    each pair.  The reference for ``rtdcorr.geoloc._edge_pairs``."""
+    row_block = _block_axis(n_rows)[0]
+    col_block, col_first, _ = _block_axis(n_cols)
+    block = (row_block[:, None] * col_first.size + col_block[None, :]).ravel()
+    cand = np.flatnonzero(edge.any(axis=0)[block])
+    circ, k = np.nonzero(edge[:, block[cand]])
+    return circ, cand[k]
+
+
+def per_cell_centroid(lats, lons):
+    """Centroid on the sphere of cells given one by one (degrees): the mean
+    of their unit vectors, each weighted by cos(lat), with every cell's
+    trigonometry taken on its own.  The reference for
+    ``rtdcorr.geoloc.grid_centroid``, which takes it once per grid axis."""
+    phi, lam = np.radians(lats), np.radians(lons)
+    cos_phi = np.cos(phi)
+    x = float(np.sum(cos_phi * cos_phi * np.cos(lam)))
+    y = float(np.sum(cos_phi * cos_phi * np.sin(lam)))
+    z = float(np.sum(cos_phi * np.sin(phi)))
+    return Coordinate(math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)))
 
 
 def two_list_cbg_select_probes(probes, corr, target_isp, threshold=STRONG_CORR_THRESHOLD):

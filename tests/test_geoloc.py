@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtdcorr import experiments, geoloc, netsim
@@ -19,7 +19,9 @@ from reference import (
     dict_contrast_probes,
     list_fit_bestline,
     list_geoget_locate,
+    per_cell_centroid,
     per_circle_cbg_locate,
+    scan_edge_pairs,
     two_list_cbg_select_probes,
 )
 
@@ -500,7 +502,8 @@ def reference_cbg_locate(circles, grid_km=10.0, max_cells_per_axis=256):
         keep &= geoloc.geodesic_distance_many(glats, wlons, center.lat, center.lon) <= r + slack
     if not keep.any():
         return geoloc.GeolocationResult("failed", reason="empty intersection")
-    centroid = geoloc.grid_centroid(glats[keep], wlons[keep])
+    row, col = np.divmod(np.flatnonzero(keep), grid[1].size)
+    centroid = geoloc.grid_centroid(grid[0], _wrap(grid[1]), row, col)
     return geoloc.GeolocationResult("located", centroid, region_lats=glats[keep],
                                     region_lons=wlons[keep])
 
@@ -649,17 +652,87 @@ def test_cbg_block_centre_circle_keeps_the_grid():
     assert base[2][0] in block_centres(base, 10.0, 256)
 
 
+@st.composite
+def edge_masks(draw):
+    """A (circles, blocks) mask over the blocks of a grid: the grid of some
+    block_bound_cases circles (full-turn polar boxes, max_cells_per_axis 1-3
+    among them), or 1-3 rows or columns, or any shape up to 40 x 40 cells
+    (counts off multiples of the block side).  Each mask entry is set at a
+    drawn density, from none to all."""
+    kind = draw(st.sampled_from(["circles", "thin", "any"]))
+    if kind == "circles":
+        circles, grid_km, max_cells = draw(block_bound_cases())
+        grid = geoloc.cbg_grid(circles, grid_km, max_cells, grid_km / math.sqrt(2.0))
+        assume(grid is not None)
+        shape = (grid[0].size, grid[1].size)
+    elif kind == "thin":
+        shape = tuple(draw(st.permutations([draw(st.integers(1, 3)), draw(st.integers(1, 40))])))
+    else:
+        shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    n_blocks = math.prod(-(-n // geoloc.CBG_BLOCK) for n in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    return rng.random((draw(st.integers(1, 5)), n_blocks)) < density, *shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_masks())
+def test_edge_pairs_match_the_circle_by_cell_scan(case):
+    edge, n_rows, n_cols = case
+    circ, row, col = geoloc._edge_pairs(edge, n_rows, n_cols)
+    assert ((row >= 0) & (row < n_rows) & (col >= 0) & (col < n_cols)).all()
+    got = list(zip(circ.tolist(), (row * n_cols + col).tolist()))
+    want = list(zip(*(a.tolist() for a in scan_edge_pairs(edge, n_rows, n_cols))))
+    assert len(got) == len(set(got)) and set(got) == set(want)
+
+
+@st.composite
+def centroid_cases(draw):
+    """Grid axes, with polar rows and longitudes past +-180 that _wrap_lon
+    folds, and 1-40 cells of them as (row, col) indices, repeats allowed."""
+    lats = draw(st.lists(st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 90.0])),
+                         min_size=1, max_size=12))
+    lons = draw(st.lists(st.floats(-540.0, 540.0), min_size=1, max_size=12))
+    cells = draw(st.lists(st.tuples(st.integers(0, len(lats) - 1), st.integers(0, len(lons) - 1)),
+                          min_size=1, max_size=40))
+    return lats, lons, *zip(*cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(centroid_cases())
+@example(([90.0], [200.0], [0], [0]))
+@example(([-90.0, 10.0], [-181.0, 0.0], [0, 1, 1, 1], [0, 0, 1, 1]))
+def test_grid_centroid_matches_the_per_cell_formula(case):
+    lats, lons, row, col = (np.array(a) for a in case)
+    lons = geoloc._wrap_lon(lons)
+    # repr tells -0.0 from 0.0: bit for bit
+    assert repr(geoloc.grid_centroid(lats, lons, row, col)) == repr(
+        per_cell_centroid(lats[row], lons[col]))
+
+
 def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
     """All 200 CBG locates of cn-like at seed 42, bitwise against the
-    per-circle oracle, each with at most one Vincenty kernel call."""
+    per-circle oracle, each with at most one Vincenty kernel call.  The
+    kernel sees only cells that no circle's bracket puts out: 24,136 band
+    pairs in all."""
     real, real_many, seen, kernel_calls = geoloc.cbg_locate, geoloc.geodesic_distance_many, [], []
+    kernel_pairs, limits = [], {}
 
-    def counted_many(*args):
+    def counted_many(lats, lons, c_lats, c_lons):
         kernel_calls[-1] += 1
-        return real_many(*args)
+        kernel_pairs.append(lats.size)
+        # the cell test's bracket of every pair's cell against every circle
+        phi, c_phi = np.radians(lats)[:, None], np.radians(limits["lat"])
+        lo = geoloc.vincenty_bracket(geoloc.great_circle_km_many(
+            phi, c_phi, np.radians(lons)[:, None] - np.radians(limits["lon"]),
+            np.cos(phi), np.cos(c_phi)))[0]
+        assert not (lo > limits["km"]).any()
+        return real_many(lats, lons, c_lats, c_lons)
 
     def both(circles, **kw):
         kernel_calls.append(0)
+        limits["lat"], limits["lon"] = np.array([(c.lat, c.lon) for c, _ in circles]).T
+        limits["km"] = np.array([r for _, r in circles]) + kw["grid_km"] / math.sqrt(2.0)
         got = real(circles, **kw)
         assert kernel_calls[-1] <= 1
         assert_same_result(got, per_circle_cbg_locate(circles, **kw))
@@ -672,6 +745,7 @@ def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
         spec = experiments.ExperimentSpec("cn-like", "cbg", mode, seed=42, n_targets=100)
         experiments.run_experiment(spec, cn_campaign)
     assert len(seen) == 200 and sum(seen) > 150
+    assert sum(kernel_pairs) == 24136
 
 
 def test_cbg_matches_reference_on_fine_grids():

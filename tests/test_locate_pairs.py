@@ -6,19 +6,32 @@ from conftest import load_script
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_locate_pairs_runs_one_round_of_the_repo_against_itself(capsys):
+def one_round(capsys, algorithm, locates):
+    """Each side's record of one round of the repo against itself."""
     locate_pairs = load_script("locate_pairs")
-    assert locate_pairs.main([str(REPO), str(REPO), "--algorithm", "geoget",
+    assert locate_pairs.main([str(REPO), str(REPO), "--algorithm", algorithm,
                               "--rounds", "1", "--reps", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_ok"] and out["same_outcomes"]
-    assert (out["algorithm"], out["rounds"], out["reps"]) == ("geoget", 1, 1)
-    for side in ("parent", "change"):
-        (run,) = out["runs"][side]
+    assert (out["algorithm"], out["rounds"], out["reps"]) == (algorithm, 1, 1)
+    runs = [out["runs"][side][0] for side in ("parent", "change")]
+    for run in runs:
         assert Path(run["experiments"]).resolve() == REPO / "src" / "rtdcorr" / "experiments.py"
-        # every cn-like landmark is a target of both variants
-        assert run["locates"] == 2 * 450
+        assert run["locates"] == locates
         assert run["us_per_locate"] == run["best_s"] / run["locates"] * 1e6 > 0
     best = out["best_s"]
     assert best["change_wins"] in (0, 1)
-    assert best["parent_runs"] == [out["runs"]["parent"][0]["best_s"]]
+    assert best["parent_runs"] == [runs[0]["best_s"]]
+    return runs
+
+
+def test_locate_pairs_runs_one_round_of_the_repo_against_itself(capsys):
+    # every cn-like landmark is a target of both variants; none runs the kernel
+    for run in one_round(capsys, "geoget", 2 * 450):
+        assert (run["kernel_calls"], run["kernel_pairs"]) == (0, 0)
+
+
+def test_locate_pairs_counts_the_cbg_band(capsys):
+    # 100 targets per variant, at most one band call each: 24,136 band pairs
+    for run in one_round(capsys, "cbg", 2 * 100):
+        assert (run["kernel_calls"], run["kernel_pairs"]) == (154, 24136)
