@@ -314,7 +314,7 @@ def cbg_locate(
     # the cell test on every (circle, cell) pair whose block straddles the
     # circle's edge, in one batch: cells out by the bracket die first, and
     # only band pairs of cells still alive run the kernel
-    circ, row, col = _edge_pairs(live & ~inside, n_rows, n_cols)
+    circ, row, col = _edge_pairs(live & ~inside, row_first, col_first, n_rows, n_cols)
     cells = row * n_cols + col
     lim = limit[circ, 0]
     lo, hi = vincenty_bracket(great_circle_km_many(
@@ -340,17 +340,17 @@ def cbg_locate(
 
 
 def _edge_pairs(
-    edge: np.ndarray, n_rows: int, n_cols: int
+    edge: np.ndarray, row_first: np.ndarray, col_first: np.ndarray, n_rows: int, n_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (circle, cell) pairs of an (circles, blocks) mask over the blocks
-    of an n_rows x n_cols grid: every cell of each marked block, the last
-    blocks of an axis cut short.  Returned as the circle, row and column of
-    each pair, circle by circle, blocks in grid order, each block's cells
+    of an n_rows x n_cols grid, whose blocks start at rows row_first and
+    columns col_first (``_block_axis``): every cell of each marked block, the
+    last blocks of an axis cut short.  Returned as the circle, row and column
+    of each pair, circle by circle, blocks in grid order, each block's cells
     row by row."""
     circ, blk = np.nonzero(edge)
-    r0, c0 = np.divmod(blk, (n_cols + CBG_BLOCK - 1) // CBG_BLOCK)
-    r0 *= CBG_BLOCK
-    c0 *= CBG_BLOCK
+    r0, c0 = np.divmod(blk, col_first.size)
+    r0, c0 = row_first[r0], col_first[c0]
     n_c = np.minimum(CBG_BLOCK, n_cols - c0)
     size = np.minimum(CBG_BLOCK, n_rows - r0) * n_c
     pair = np.repeat(np.arange(circ.size), size)

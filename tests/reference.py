@@ -367,7 +367,11 @@ def list_fit_bestline(points: Sequence[tuple[float, float]]) -> Bestline:
         raise BestlineError("all distances equal; slope undefined")
 
     candidates: list[tuple[float, float]] = []
-    hull = _list_lower_hull(list(points))
+    # only the hull right of the lowest point rises: chaining the falling
+    # part too can round a rising vertex away
+    low = min(ys)
+    x_low = max(x for x, y in points if y == low)
+    hull = _list_lower_hull([p for p in points if p[0] >= x_low])
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
         m = (y1 - y0) / (x1 - x0)
         candidates.append((m, y0 - m * x0))

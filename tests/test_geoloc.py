@@ -140,6 +140,8 @@ def _fit_repr(fit, pts):
           (6.0, 400495180.0), (5.0, 3.0), (3.0, 2.0)])  # the summation order decides the tie
 @example([(1e-311, 1.0), (2e-311, 1.5)])  # subnormal distances: every slope overflows to inf
 @example([(1e-309, 1.0000000000000002), (2e-309, 1.0000000000000004)])  # inf beside a finite slope
+@example([(0.0, 1.0), (-1.0, 1.0), (0.0, 1.3306498803535854e-203),
+          (7.514509641563375e-48, 2.418779954663985e-187)])  # a falling chord rounds a rising vertex away
 @settings(max_examples=300)
 def test_bestline_equals_the_list_fit_bit_for_bit(pts):
     assert_fit_equals_the_list_fit(pts)
@@ -679,7 +681,8 @@ def edge_masks(draw):
 @given(edge_masks())
 def test_edge_pairs_match_the_circle_by_cell_scan(case):
     edge, n_rows, n_cols = case
-    circ, row, col = geoloc._edge_pairs(edge, n_rows, n_cols)
+    row_first, col_first = geoloc._block_axis(n_rows)[1], geoloc._block_axis(n_cols)[1]
+    circ, row, col = geoloc._edge_pairs(edge, row_first, col_first, n_rows, n_cols)
     assert ((row >= 0) & (row < n_rows) & (col >= 0) & (col < n_cols)).all()
     got = list(zip(circ.tolist(), (row * n_cols + col).tolist()))
     want = list(zip(*(a.tolist() for a in scan_edge_pairs(edge, n_rows, n_cols))))
