@@ -19,7 +19,8 @@ Prints one JSON object: each process's record (its ``experiments`` module
 path, the locates per pass, the best pass time, the mean time per locate in
 microseconds, a sha256 of the untimed pass's outcomes, and the calls to
 ``geoloc.geodesic_distance_many`` in that pass with the pairs they passed:
-CBG's band of Vincenty runs, none for GeoGet), whether every
+for CBG the band pairs that neither the great-circle nor the Andoyer-Lambert
+bracket decides, none for GeoGet), whether every
 process produced the same outcomes, and for the best pass time the
 comparison ``scripts/bench_pairs.py`` gives an end-to-end metric (each
 side's median, quartiles and extremes, the rounds the change wins, lower

@@ -18,10 +18,13 @@ from .geodesy import (  # noqa: F401
     KM_PER_DEG_LAT,
     Coordinate,
     _wrap_lon,
+    central_angle,
     geodesic_distance,
     geodesic_distance_many,
     great_circle_km_many,
     km_per_deg_lon,
+    lambert_bracket,
+    reduced_latitude,
     vincenty_bracket,
 )
 
@@ -238,8 +241,10 @@ def cbg_locate(
     A grid point survives a circle when its Vincenty distance d to the centre
     is within the limit radius + slack.  The cell test brackets d by the
     great-circle distance h of the cell (``vincenty_bracket``: lo(h) <= d <=
-    hi(h)): the cell is in when hi(h) <= limit, out when lo(h) > limit, and
-    only the band between runs the Vincenty kernel.
+    hi(h)): the cell is in when hi(h) <= limit, out when lo(h) > limit.  The
+    band between takes the tighter Andoyer-Lambert bracket
+    (``lambert_bracket``, which decides arcs up to LAMBERT_MAX_KM) the same
+    way, and only the pairs it leaves undecided run the Vincenty kernel.
 
     Most cells are decided a block at a time, for all circles in one
     broadcast.  The grid is cut into CBG_BLOCK x CBG_BLOCK blocks.  A block
@@ -258,14 +263,17 @@ def cbg_locate(
     A block decision therefore equals each of its cell decisions.  Each
     (circle, block) pair where a live block straddles the circle's edge is
     expanded, by index arithmetic, to the block's cells; all such (circle,
-    cell) pairs take the cell test in one batch.  Cells that a bracket puts
-    out die first, and only the band pairs of cells still alive run the
-    kernel, in one call: a cell dies when it fails any test, and a pair's
-    kernel bits do not depend on the rest of the call, so neither the order
-    of the circles nor the skipped pairs matter.  The survivors are one
-    mask in grid order, so the region and its centroid (``grid_centroid``,
-    its trigonometry once per grid row and column) are those of the cell
-    test applied to every cell and circle.
+    cell) pairs take the cell test in one batch.  Cells that the sphere
+    bracket puts out die first; the band pairs of cells still alive take
+    the Andoyer-Lambert bracket (reduced latitudes once per grid row and per
+    circle), whose "out" verdicts kill their cells too, and the pairs it
+    leaves undecided whose cells are still alive run the kernel, in one
+    call.  Every verdict equals the kernel's: a cell dies when it fails any
+    test, and a pair's kernel bits do not depend on the rest of the call, so
+    neither the order of the circles nor the skipped pairs matter.  The
+    survivors are one mask in grid order, so the region and its centroid
+    (``grid_centroid``, its trigonometry once per grid row and column) are
+    those of the cell test applied to every cell and circle.
     """
     if not circles:
         return GeolocationResult("failed", reason="no probes")
@@ -312,8 +320,9 @@ def cbg_locate(
     alive = live[block]
 
     # the cell test on every (circle, cell) pair whose block straddles the
-    # circle's edge, in one batch: cells out by the bracket die first, and
-    # only band pairs of cells still alive run the kernel
+    # circle's edge, in one batch: cells out by the sphere bracket die
+    # first, then those out by the Andoyer-Lambert bracket, and only the
+    # pairs both leave undecided, of cells still alive, run the kernel
     circ, row, col = _edge_pairs(live & ~inside, row_first, col_first, n_rows, n_cols)
     cells = row * n_cols + col
     lim = limit[circ, 0]
@@ -325,6 +334,17 @@ def cbg_locate(
     # the band: neither in nor out by the bracket, its cell still alive
     band = np.flatnonzero(near & ~(hi <= lim))
     band = band[alive[cells[band]]]
+    if band.size:
+        # reduced latitudes once per grid row and per circle
+        beta, c_beta = reduced_latitude(lats), reduced_latitude(c_lat)
+        i, r, band_lim = circ[band], row[band], lim[band]
+        b1, b2 = beta[r], c_beta[i]
+        lo, hi = lambert_bracket(b1, b2, central_angle(
+            b1, b2, lam[col[band]] - c_lam[i], np.cos(beta)[r], np.cos(c_beta)[i]))
+        out = lo > band_lim
+        alive[cells[band[out]]] = False
+        band = band[~out & ~(hi <= band_lim)]
+        band = band[alive[cells[band]]]
     if band.size:
         i = circ[band]
         d = geodesic_distance_many(lats[row[band]], lons[col[band]], c_lat[i], c_lon[i])

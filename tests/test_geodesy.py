@@ -13,8 +13,11 @@ from rtdcorr.geodesy import (
     geodesic_distance,
     geodesic_distance_full,
     geodesic_distance_many,
+    central_angle,
     great_circle_km_many,
     haversine_km,
+    lambert_bracket,
+    reduced_latitude,
     vincenty_bracket,
 )
 from reference import carried_state_vincenty, vincenty_scalar
@@ -183,6 +186,125 @@ def test_great_circle_brackets_extreme_arcs():
     lo, hi = vincenty_bracket(h)
     assert np.all(lo <= d) and np.all(d <= hi)
     assert d[0] - lo[0] < 2e-3 and hi[1] - d[1] < 2e-3
+
+
+#: the longest arc on the auxiliary sphere that lambert_bracket decides
+MAX_SIGMA = geodesy.LAMBERT_MAX_KM / geodesy.MEAN_EARTH_RADIUS_KM
+
+
+def lambert_of(lat1, lon1, lat2, lon2):
+    """lambert_bracket of pairs given in degrees, and their arcs sigma."""
+    b1, b2 = reduced_latitude(lat1), reduced_latitude(lat2)
+    sigma = central_angle(b1, b2, np.radians(lon2) - np.radians(lon1), np.cos(b1), np.cos(b2))
+    return lambert_bracket(b1, b2, sigma), sigma
+
+
+def at_arc(a, sigma, bearing):
+    """The point at arc sigma (radians on the auxiliary sphere) from a,
+    leaving it at the bearing (radians)."""
+    b1 = math.atan((1.0 - geodesy.WGS84_F) * math.tan(math.radians(a.lat)))
+    b2 = math.asin(max(-1.0, min(1.0, math.sin(b1) * math.cos(sigma)
+                                 + math.cos(b1) * math.sin(sigma) * math.cos(bearing))))
+    dlam = math.atan2(math.sin(bearing) * math.sin(sigma) * math.cos(b1),
+                      math.cos(sigma) - math.sin(b1) * math.sin(b2))
+    lat = math.degrees(math.atan(math.tan(b2) / (1.0 - geodesy.WGS84_F)))
+    lon = a.lon + math.degrees(dlam)
+    return Coordinate(max(-90.0, min(90.0, lat)), (lon + 180.0) % 360.0 - 180.0 if abs(lon) > 180.0 else lon)
+
+
+@st.composite
+def lambert_pairs(draw):
+    """Pairs anywhere, meridional, equatorial, at a pole, across 180 deg,
+    coincident, millimetres apart, and with arcs just below and just above
+    the bracket's limit, or up to 1.2 times it."""
+    kind = draw(st.sampled_from(
+        ["any", "meridional", "equatorial", "pole", "across 180", "coincident", "near", "limit"]))
+    a = draw(any_coords)
+    bearing = draw(st.floats(0.0, 2.0 * math.pi))
+    sigma = draw(st.floats(0.0, 1.2 * MAX_SIGMA))
+    if kind == "coincident":
+        return a, a
+    if kind == "meridional":
+        lat = draw(st.floats(-90.0, 90.0).filter(lambda x: abs(x - a.lat) <= 50.0))
+        return a, Coordinate(lat, a.lon)
+    if kind == "equatorial":
+        lon = draw(st.floats(-180.0, 180.0))
+        return Coordinate(0.0, a.lon), Coordinate(0.0, lon)
+    if kind == "pole":
+        a = Coordinate(draw(st.sampled_from([-90.0, -89.99, 89.99, 90.0])), a.lon)
+    elif kind == "across 180":
+        a = Coordinate(a.lat, draw(st.sampled_from([-180.0, -179.9, 179.9, 180.0])))
+        bearing = draw(st.sampled_from([0.5, 1.5, 2.5, 3.8, 4.7, 5.5]))
+    elif kind == "near":
+        sigma = draw(st.floats(0.0, 1e-9))
+    elif kind == "limit":
+        sigma = MAX_SIGMA * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    return a, at_arc(a, sigma, bearing)
+
+
+def pair_arrays(pairs):
+    return (np.array(v) for v in zip(*[(a.lat, a.lon, b.lat, b.lon) for a, b in pairs]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(lambert_pairs(), min_size=1, max_size=20))
+@example([(Coordinate(44.9, 10.0), Coordinate(45.0, 10.0))])  # meridional at 45 deg: +f^2/8
+@example([(Coordinate(0.5, -12.0), Coordinate(-0.8, -10.6))])  # 45 deg across the equator
+def test_lambert_brackets_vincenty(pairs):
+    lat1, lon1, lat2, lon2 = pair_arrays(pairs)
+    d = geodesy._vincenty(lat1, lon1, lat2, lon2)[0]
+    (lo, hi), _ = lambert_of(lat1, lon1, lat2, lon2)
+    assert np.all(lo <= d) and np.all(d <= hi)
+
+
+def test_lambert_leaves_coincident_and_long_pairs_undecided():
+    a = [Coordinate(90.0, 0.0), Coordinate(-90.0, 180.0), Coordinate(0.0, -180.0),
+         Coordinate(31.2, 121.5)]
+    lat1, lon1, lat2, lon2 = pair_arrays([(p, p) for p in a])
+    (lo, hi), sigma = lambert_of(lat1, lon1, lat2, lon2)
+    assert np.all(sigma == 0.0) and np.all(lo == -np.inf) and np.all(hi == np.inf)
+    # just below, at and just above the limit, and far beyond it
+    arcs = MAX_SIGMA * np.array([1.0 - 1e-9, 1.0 + 1e-9, 2.0, 3.5])
+    pairs = [(p, at_arc(p, s, 1.0)) for p in a for s in arcs]
+    lat1, lon1, lat2, lon2 = pair_arrays(pairs)
+    (lo, hi), sigma = lambert_of(lat1, lon1, lat2, lon2)
+    below = geodesy.MEAN_EARTH_RADIUS_KM * sigma <= geodesy.LAMBERT_MAX_KM
+    assert below.tolist() == [True, False, False, False] * len(a)
+    assert np.isfinite(lo[below]).all() and np.isfinite(hi[below]).all()
+    assert np.all(lo[~below] == -np.inf) and np.all(hi[~below] == np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(lambert_pairs(), bracket_pairs()), min_size=1, max_size=20))
+def test_lambert_never_contradicts_the_sphere_bracket(pairs):
+    # for any threshold, the two brackets never put a pair on opposite sides
+    lat1, lon1, lat2, lon2 = pair_arrays(pairs)
+    (lo, hi), _ = lambert_of(lat1, lon1, lat2, lon2)
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    s_lo, s_hi = vincenty_bracket(great_circle_km_many(
+        phi1, phi2, np.radians(lon1) - np.radians(lon2), np.cos(phi1), np.cos(phi2)))
+    assert np.all(lo <= s_hi) and np.all(s_lo <= hi)
+    # and where it decides, it is the tighter one
+    decided = np.isfinite(lo)
+    assert np.all((hi - lo)[decided] <= (s_hi - s_lo)[decided])
+
+
+def test_lambert_error_within_the_second_order_bound():
+    # the worst cases of the docstring's argument: a short meridional arc at
+    # 45 deg (first term 1/8) and a short arc at 45 deg across the equator
+    # (third term 1/8); every error stays inside f^2/4 a sigma, a quarter
+    # of the margin's relative part
+    pairs = [(Coordinate(44.9, 10.0), Coordinate(45.0, 10.0)),
+             (Coordinate(0.5, -12.0), Coordinate(-0.8, -10.6)),
+             (Coordinate(20.0, 100.0), Coordinate(50.0, 125.0)),
+             (Coordinate(-70.0, 170.0), Coordinate(-60.0, -150.0))]
+    lat1, lon1, lat2, lon2 = pair_arrays(pairs)
+    d = geodesy._vincenty(lat1, lon1, lat2, lon2)[0]
+    (lo, hi), sigma = lambert_of(lat1, lon1, lat2, lon2)
+    a_sigma_f2 = geodesy.WGS84_A_M / 1000.0 * sigma * geodesy.WGS84_F ** 2
+    err = (d - (lo + hi) / 2.0) / a_sigma_f2
+    assert np.all(np.abs(err) <= 0.25)
+    assert err[0] == pytest.approx(0.125, abs=0.005) and err[1] == pytest.approx(0.125, abs=0.005)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import experiments, geoloc, netsim
+from rtdcorr import experiments, geodesy, geoloc, netsim
 from rtdcorr.corr_model import STRONG_CORR_THRESHOLD
 from rtdcorr.dataset import HostRecord, validate_registry
 from rtdcorr.errors import BestlineError, ValidationError
@@ -538,8 +538,15 @@ def circle_sets(draw):
     return circles
 
 
+#: a locate whose band straddles the Andoyer-Lambert bracket's limit: of the
+#: wide circle's 53 band pairs, 4,987-5,008 km from its centre, the bracket
+#: decides 31 and the kernel runs 22, in one call
+STRADDLING_LIMIT = [(Coordinate(0.0, 0.0), 5002.3), (Coordinate(0.0, 45.0), 100.0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(circle_sets(), st.sampled_from([5.0, 10.0, 40.0]), st.sampled_from([8, 32, 256]))
+@example(STRADDLING_LIMIT, 10.0, 256)
 def test_cbg_matches_full_vincenty_reference(circles, grid_km, max_cells):
     got = geoloc.cbg_locate(circles, grid_km=grid_km, max_cells_per_axis=max_cells)
     want = reference_cbg_locate(circles, grid_km=grid_km, max_cells_per_axis=max_cells)
@@ -605,6 +612,7 @@ def block_bound_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(block_bound_cases())
+@example((STRADDLING_LIMIT, 10.0, 256))
 def test_cbg_block_bound_matches_oracles(case):
     assert_matches_oracles(*case)
 
@@ -716,8 +724,9 @@ def test_grid_centroid_matches_the_per_cell_formula(case):
 def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
     """All 200 CBG locates of cn-like at seed 42, bitwise against the
     per-circle oracle, each with at most one Vincenty kernel call.  The
-    kernel sees only cells that no circle's bracket puts out: 24,136 band
-    pairs in all."""
+    kernel sees only cells that no circle's sphere bracket puts out, and
+    only pairs that the Andoyer-Lambert bracket leaves undecided: 44 pairs
+    in all, of the 24,136 in the sphere bracket's band."""
     real, real_many, seen, kernel_calls = geoloc.cbg_locate, geoloc.geodesic_distance_many, [], []
     kernel_pairs, limits = [], {}
 
@@ -730,6 +739,14 @@ def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
             phi, c_phi, np.radians(lons)[:, None] - np.radians(limits["lon"]),
             np.cos(phi), np.cos(c_phi)))[0]
         assert not (lo > limits["km"]).any()
+        # the Andoyer-Lambert bracket of each pair leaves it undecided
+        # against its circle (some circle with its centre)
+        beta, c_beta = geodesy.reduced_latitude(lats), geodesy.reduced_latitude(c_lats)
+        l_lo, l_hi = geodesy.lambert_bracket(beta, c_beta, geodesy.central_angle(
+            beta, c_beta, np.radians(c_lons) - np.radians(lons), np.cos(beta), np.cos(c_beta)))
+        own = (c_lats[:, None] == limits["lat"]) & (c_lons[:, None] == limits["lon"])
+        undecided = (l_lo[:, None] <= limits["km"]) & ~(l_hi[:, None] <= limits["km"])
+        assert (own & undecided).any(axis=1).all()
         return real_many(lats, lons, c_lats, c_lons)
 
     def both(circles, **kw):
@@ -748,7 +765,7 @@ def test_cn_like_locates_match_per_circle_oracle(cn_campaign, monkeypatch):
         spec = experiments.ExperimentSpec("cn-like", "cbg", mode, seed=42, n_targets=100)
         experiments.run_experiment(spec, cn_campaign)
     assert len(seen) == 200 and sum(seen) > 150
-    assert sum(kernel_pairs) == 24136
+    assert sum(kernel_pairs) == 44
 
 
 def test_cbg_matches_reference_on_fine_grids():

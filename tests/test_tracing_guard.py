@@ -76,6 +76,9 @@ def test_tracer_counts_cbg_locates():
         [],
         [(Coordinate(89.0, 0.0), 500.0), (Coordinate(88.0, 90.0), 400.0),
          (Coordinate(87.5, -150.0), 450.0)],
+        # the wide circle's band lies ~6,000 km from its centre, beyond the
+        # Andoyer-Lambert bracket's limit, so its pairs reach the kernel
+        [(Coordinate(10.0, 0.0), 5975.0), (Coordinate(10.0, 55.0), 100.0)],
     ]
     tracing = load_tracing()
     tracer = tracing.Tracer()
@@ -87,9 +90,9 @@ def test_tracer_counts_cbg_locates():
     assert geoloc.geodesic_distance_many is geodesy.geodesic_distance_many
 
     m = tracing.per_layer_metrics(tracer)
-    assert [r.located for r in results] == [True, False, False, True]
+    assert [r.located for r in results] == [True, False, False, True, True]
     assert m["geoloc.cbg_locate.calls"] == len(cases)
-    assert m["geoloc.cbg_locate.circles"] == sum(len(c) for c in cases) == 7
+    assert m["geoloc.cbg_locate.circles"] == sum(len(c) for c in cases) == 9
     assert m["geoloc.cbg_locate.failed"] == 2
     assert m["geoloc.cbg_locate.surviving_cells"] == sum(
         r.region_lats.size for r in results if r.located)
