@@ -51,7 +51,7 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    return netsim.load_yaml(path, _parse_spec)
+    return netsim.load_document(path, _parse_spec)
 
 
 def _parse_spec(doc) -> ExperimentSpec:

@@ -74,12 +74,6 @@ MINI_YAML = textwrap.dedent(
 )
 
 
-#: MINI_YAML with ISP y renamed w: netsim.load_config leaves the word y, a
-#: bool in YAML 1.1 (though not to pyyaml), to the YAML loader, and reads
-#: this text's flow items without it
-PLAIN_MINI = MINI_YAML.replace(": y", ": w")
-
-
 @pytest.fixture(scope="session")
 def mini_config_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "mini.yaml"

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
 import random
 import re
@@ -19,7 +20,7 @@ from rtdcorr import dataset, experiments, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
-from conftest import MINI_YAML, PLAIN_MINI, assert_same_read
+from conftest import MINI_YAML, assert_same_read
 from reference import row_parse_csv, row_read_rtt_csv, row_read_samples_csv
 
 HUGE_INT = 10 ** 400  # a YAML integer past the float range
@@ -518,9 +519,9 @@ def test_simulate_r_draw_that_rounds_to_1_exits_1(capsys, tmp_path):
     that rounds to exactly 1.0; the path factors' range check catches it
     inside the simulator, and the command exits 1 with its message."""
     text = netsim.bundled_config_path("cn-like").read_text()
-    cfg = tmp_path / "wide-r.yaml"
-    cfg.write_text(text.replace("intra_r: {mu: -0.693147, sigma: 0.35}",
-                                "intra_r: {mu: 0.0, sigma: 60.0}"))
+    cfg = tmp_path / "wide-r.json"
+    cfg.write_text(text.replace('"intra_r": {"mu": -0.693147, "sigma": 0.35}',
+                                '"intra_r": {"mu": 0.0, "sigma": 60.0}'))
     assert cfg.read_text() != text
     code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
     assert code == 1
@@ -533,9 +534,9 @@ def test_simulate_r_draw_that_overflows_exits_1_without_a_warning(capsys, tmp_pa
     the range check reports the infinite value, and numpy's overflow warning
     is not printed beside it."""
     text = netsim.bundled_config_path("cn-like").read_text()
-    cfg = tmp_path / "huge-r.yaml"
-    cfg.write_text(text.replace("intra_r: {mu: -0.693147, sigma: 0.35}",
-                                "intra_r: {mu: 710.0, sigma: 0.0}"))
+    cfg = tmp_path / "huge-r.json"
+    cfg.write_text(text.replace('"intra_r": {"mu": -0.693147, "sigma": 0.35}',
+                                '"intra_r": {"mu": 710.0, "sigma": 0.0}'))
     assert cfg.read_text() != text
     code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
     assert code == 1
@@ -1185,25 +1186,63 @@ def test_yaml_document_of_wrong_shape_exits_1(tmp_path, capsys, command, text, m
 
 @pytest.mark.parametrize("text, message", [
     # an unclosed flow map after the lists
-    (PLAIN_MINI + "extra: {a: 1\n",
+    (MINI_YAML + "extra: {a: 1\n",
      "while parsing a flow mapping\n  in \"{path}\", line 22, column 8\n"
      "did not find expected ',' or '}}'\n  in \"{path}\", line 23, column 1"),
     # a stray tab after the hosts' items, and one after hosts:
-    (PLAIN_MINI + "\tfoo: 1\n",
+    (MINI_YAML + "\tfoo: 1\n",
      "while scanning for the next token\nfound character that cannot start any token\n"
      "  in \"{path}\", line 22, column 1"),
-    (PLAIN_MINI.replace("hosts:\n", "hosts:\n\t\n"),
+    (MINI_YAML.replace("hosts:\n", "hosts:\n\t\n"),
      "while scanning for the next token\nfound character that cannot start any token\n"
      "  in \"{path}\", line 17, column 1"),
 ])
 def test_yaml_error_after_plain_items_names_its_place_in_the_file(tmp_path, capsys, text, message):
     """A YAML error in the lines around a config's one-line flow items is
-    reported at its line and column in the whole file, not in the part of it
-    the YAML loader was given."""
+    reported at its line and column in the file."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     code, _, err = run(capsys, "simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"))
     assert (code, err) == (1, f"error: {path}: {message.format(path=path)}\n")
+
+
+#: the mini config as one line of JSON
+MINI_JSON = json.dumps(yaml.safe_load(MINI_YAML))
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(MINI_JSON[:-1].encode(), "Expecting ',' delimiter: line 1 column 776 (char 775)",
+                 id="malformed"),
+    pytest.param(MINI_JSON[:50].encode() + b"\xff" + MINI_JSON[50:].encode(),
+                 "'utf-8' codec can't decode byte 0xff in position 50: invalid start byte",
+                 id="not-utf-8"),
+    pytest.param(MINI_JSON.replace('"lat": 30.0', '"lat": NaN').encode(),
+                 "non-finite coordinate (nan, 100.0)", id="nan-lat"),
+    pytest.param(MINI_JSON.replace('"jitter": 0.2', '"jitter": Infinity').encode(),
+                 "jitter must be finite and >= 0, got inf", id="infinite-jitter"),
+    pytest.param(MINI_JSON.replace('"scatter_km": 5.0', '"scatter_km": 1e400').encode(),
+                 "scatter_km must be finite and >= 0, got inf", id="1e400-scatter"),
+    pytest.param(MINI_JSON.replace('"sigma": 0.3', '"sigma": NaN').encode(),
+                 "bad log-normal parameters (-0.7, nan)", id="nan-sigma"),
+    pytest.param(b"[1]", "config must be a mapping, got [1]", id="array"),
+    pytest.param(MINI_JSON.replace('"is_center": true', '"is_centre": true', 1).encode(),
+                 "city: unknown key 'is_centre'", id="unknown-key"),
+    pytest.param(b"[" * 100000 + b"]" * 100000,
+                 "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+                 id="deep"),
+])
+def test_edge_json_config_exits_1(tmp_path, capsys, data, message):
+    """A .json config is read as JSON: malformed text, a byte that is not
+    UTF-8, a non-finite float (json reads NaN, Infinity and 1e400), a
+    document that is not a mapping, an unknown key and nesting past the
+    recursion limit stop the run with a message naming the file, before any
+    output is written."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "simulate", "--config", str(path), "--out-dir", str(out))
+    assert (code, err) == (1, f"error: {path}: {message}\n")
+    assert not out.exists()
 
 
 def test_not_found_error_prints_its_message_unquoted(capsys, sim_dir, tmp_path):

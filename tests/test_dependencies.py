@@ -34,13 +34,26 @@ def test_runtime_imports_are_stdlib_numpy_or_yaml():
     assert outside == []
 
 
-@pytest.mark.parametrize("module, owner", [("csv", "dataset.py"), ("yaml", "netsim.py")])
+@pytest.mark.parametrize("module, owner", [("csv", "dataset.py"), ("yaml", "netsim.py"),
+                                           ("json", "netsim.py")])
 def test_one_module_imports_each_file_format(module, owner):
-    """dataset.write_csv is the one CSV writer and netsim.load_yaml the one
-    YAML reader, so each file format is decided in one module."""
+    """dataset.write_csv is the one CSV writer, and netsim.load_config the
+    one config reader (through netsim.load_document, the one JSON and YAML
+    reader), so each file format is decided in one module."""
     importers = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
         if any(name == module for _, name in absolute_imports(path))
     )
     assert importers == [owner]
+
+
+def test_every_bundled_file_is_package_data():
+    """Each file under the package's configs/ matches a package-data glob
+    of pyproject.toml, so an installed rtdcorr keeps its bundled configs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["rtdcorr"]
+    bundled = sorted(p.relative_to(PACKAGE) for p in (PACKAGE / "configs").iterdir())
+    assert bundled
+    assert [p for p in bundled if not any(p.match(g) for g in globs)] == []

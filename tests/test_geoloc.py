@@ -978,7 +978,7 @@ def towns_campaign(tmp_path_factory):
     """The seed-42 campaign on cn-towns: cn-like with each capital's
     landmarks 1-4 of each ISP moved into its two satellite cities, rendered
     by the generator script into a temporary file."""
-    path = tmp_path_factory.mktemp("towns") / "cn-towns.yaml"
+    path = tmp_path_factory.mktemp("towns") / "cn-towns.json"
     path.write_text(load_script("gen_cn_like_config").render(towns=True))
     return experiments.prepare_campaign(netsim.load_config(path), seed=42)
 

@@ -1,11 +1,11 @@
 import dataclasses
 import itertools
+import json
 import math
+import re
 import statistics
 import sys
-import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
-from conftest import MINI_YAML, PLAIN_MINI, assert_same_read, load_script, pair_rtts
+from conftest import MINI_YAML, load_script, pair_rtts
 from reference import route_scalar, scalar_pair_uniforms, shake_key64, splitmix64_mix
 
 
@@ -708,10 +708,13 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     doc["path_model"] = {"jitter": 0.5}
     config.write_text(yaml.safe_dump(doc))
     assert netsim.load_config(config).path_model == netsim.PathModelConfig(jitter=0.5)
-    spec = tmp_path / "spec.yaml"
-    spec.write_text("config: cn-like\nalgorithm: cbg\nmode: original\n")
-    assert experiments.load_experiment_spec(spec) == experiments.ExperimentSpec(
-        "cn-like", "cbg", "original")
+    # a spec is read as JSON when its path ends in .json, as a config is
+    want = experiments.ExperimentSpec("cn-like", "cbg", "original")
+    for name, text in [("spec.yaml", "config: cn-like\nalgorithm: cbg\nmode: original\n"),
+                       ("spec.json", '{"config": "cn-like", "algorithm": "cbg", "mode": "original"}')]:
+        spec = tmp_path / name
+        spec.write_text(text)
+        assert experiments.load_experiment_spec(spec) == want
 
 
 def test_resolve_bundled_config_by_name():
@@ -738,201 +741,73 @@ def typed(doc):
     return type(doc).__name__, repr(doc)
 
 
-def load_config_whole(path):
-    """load_config with the whole file through the YAML loader."""
-    return netsim.load_yaml(path, netsim._parse_config)
-
-
-def test_libyaml_and_python_loaders_agree(monkeypatch):
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
+    """cn-like written as block-style YAML reads as the same SimConfig with
+    libyaml's loader, with pyyaml's own, and from the bundled JSON."""
     path = netsim.bundled_config_path("cn-like")
-    text = path.read_text()
+    text = yaml.safe_dump(json.loads(path.read_text()), sort_keys=False)
     whole = typed(yaml.load(text, Loader=yaml.CSafeLoader))
     assert typed(yaml.load(text, Loader=yaml.SafeLoader)) == whole
+    config = tmp_path / "cn-like.yaml"
+    config.write_text(text)
+    want = netsim.load_config(path)
     for loader in YAML_LOADERS:
         monkeypatch.setattr(netsim, "_YAML_LOADER", loader)
-        assert typed(netsim._plain_config(text)) == whole
-    monkeypatch.undo()
-    fast = netsim.load_config(path)
-    monkeypatch.setattr(netsim, "_YAML_LOADER", yaml.SafeLoader)
-    assert netsim.load_config(path) == fast
+        assert netsim.load_config(config) == want
 
 
 @pytest.mark.parametrize("towns", [False, True])
-def test_generated_configs_send_only_their_head_to_the_yaml_loader(tmp_path, monkeypatch, towns):
-    """The bundled cn-like config and the generator's cn-towns variant reach
-    the YAML loader as their head lines alone: all 633 flow items take the
-    plain path, and the SimConfig is the one the loader gives the whole file."""
-    path = netsim.bundled_config_path("cn-like")
-    if towns:
-        path = tmp_path / "cn-towns.yaml"
-        path.write_text(load_script("gen_cn_like_config").render(towns=True))
-    want = load_config_whole(path)
-    streams = []
-
-    class RecordingLoader(netsim._YAML_LOADER):
-        def __init__(self, stream):
-            streams.append(stream)
-            super().__init__(stream)
-
-    monkeypatch.setattr(netsim, "_YAML_LOADER", RecordingLoader)
-    assert netsim.load_config(path) == want
-    lines = path.read_text().splitlines()
-    [head] = streams
-    assert head.splitlines() == [line for line in lines if not line.startswith("  - ")]
-    assert len(lines) - len(head.splitlines()) == 633
+def test_generated_configs_are_the_document_yaml_reads(towns):
+    """The bundled cn-like config and the generator's cn-towns variant are
+    JSON texts that a YAML loader, libyaml's or pyyaml's own, reads as the
+    same document, in types and key order, as json.loads."""
+    text = load_script("gen_cn_like_config").render(towns=towns)
+    doc = typed(json.loads(text))
+    for loader in YAML_LOADERS:
+        assert typed(yaml.load(text, Loader=loader)) == doc
 
 
 def test_undecodable_config_is_reported_as_the_yaml_loader_reads_it(tmp_path):
-    """A byte that is not UTF-8 deep in a config gives the message, and the
-    position, of the YAML loader's own chunked read of the file."""
+    """A byte that is not UTF-8 deep in a YAML config is a ValidationError
+    naming the file (the JSON case is in test_cli.py)."""
     data = netsim.bundled_config_path("cn-like").read_bytes()
     path = tmp_path / "bad.yaml"
     path.write_bytes(data[:20000] + b"\xff" + data[20000:])
-    assert_same_read(netsim.load_config, load_config_whole, path)
-    with pytest.raises(ValidationError, match="can't decode byte 0xff"):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: .*can't decode byte 0xff"):
         netsim.load_config(path)
-
-
-def test_plain_path_reads_the_mini_config_once_isp_y_is_renamed():
-    """The word y is left to the YAML loader, so MINI_YAML falls back and
-    PLAIN_MINI, the examples' base, takes the plain path."""
-    assert netsim._plain_config(MINI_YAML) is None
-    doc = netsim._plain_config(PLAIN_MINI)
-    assert typed(doc) == typed(yaml.safe_load(PLAIN_MINI))
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
 def test_int_past_the_digit_limit_is_left_to_the_yaml_loader(tmp_path):
-    """With the interpreter's digit limit lowered below a plain item's int,
-    the text falls back and fails as the loader on the whole file fails."""
-    path = tmp_path / "cfg.yaml"
-    path.write_text(PLAIN_MINI.replace("lat: 30.0", "lat: " + "9" * 700))
+    """With the interpreter's digit limit lowered below a config's int, the
+    YAML loader's and json's ValueError is a ValidationError naming the file."""
+    huge = "9" * 700
+    texts = {"cfg.yaml": MINI_YAML.replace("lat: 30.0", "lat: " + huge),
+             "cfg.json": json.dumps(yaml.safe_load(MINI_YAML)).replace('"lat": 30.0', '"lat": ' + huge)}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert netsim._plain_config(path.read_text()) is None
-        assert_same_read(netsim.load_config, load_config_whole, path)
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: Exceeds the limit"):
+                netsim.load_config(path)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-#: values the plain path reads: words, decimals with a point, ints with no
-#: leading zero, true and false, and flow lists of them
-PLAIN_VALUES = ["c00", "isp-a", "l-r00-isp-a-0", "r_1", "22.0", "-1.5", "00.25", "0", "7", "-12",
-                "1" + "0" * 400, "true", "false", "[c04, c13]", "[a]", "[]"]
-#: values it leaves to the YAML loader: words YAML reads as a bool or null,
-#: other number forms, quotes, comments, anchors, aliases, tags, tabs, an
-#: empty value and nested or oddly spaced collections
-ODD_VALUES = ["no", "On", "NULL", "y", "True", "012", "1e3", "0x1F", "1_000", "-0", ".5", "1.",
-              "1:30", "2017-01-01", '"q"', "'q'", "~", "x # c", "&a x", "*a", "!!str x", "\tx",
-              "", "{a: 1}", "[a, [b]]", "[a,b]", "[no]"]
-ITEM_KEYS = ["id", "lat", "lon", "region", "is_center", "ixps", "role", "city", "isp"]
-ODD_KEYS = ["yes", "Null", "true", '"id"', "7"]
-#: top-level lines around the lists; the last two repeat a list key
-HEAD_SECTIONS = ["scatter_km: 8.0", "path_model:\n  jitter: 0.3\n  intra_r: {mu: -0.7, sigma: 0.3}",
-                 "# a comment", "", "cities: ~", "hosts: []"]
-
-
-@st.composite
-def flow_config_texts(draw):
-    """Plain one-line flow items under cities, isps and hosts (a key may come
-    twice) among head sections, with at most one edit the plain path must
-    leave to the YAML loader: an odd value or key, a repeated key, a trailing
-    comment or space, or an item split over two lines."""
-    lines = []
-    for section in draw(st.lists(st.sampled_from(["cities", "isps", "hosts"] + HEAD_SECTIONS),
-                                 min_size=1, max_size=6)):
-        if section not in ("cities", "isps", "hosts"):
-            lines.append(section)
-            continue
-        lines.append(f"{section}:")
-        for _ in range(draw(st.integers(1, 3))):
-            keys = draw(st.lists(st.sampled_from(ITEM_KEYS), min_size=1, max_size=4, unique=True))
-            lines.append([[key, draw(st.sampled_from(PLAIN_VALUES))] for key in keys])
-    items = [i for i, line in enumerate(lines) if isinstance(line, list)]
-    edit = draw(st.one_of(st.none(), st.sampled_from(
-        ["value", "key", "repeat", "comment", "space", "wrap"]))) if items else None
-    i = draw(st.sampled_from(items)) if edit else None
-    if edit == "value":
-        draw(st.sampled_from(lines[i]))[1] = draw(st.sampled_from(ODD_VALUES))
-    elif edit == "key":
-        draw(st.sampled_from(lines[i]))[0] = draw(st.sampled_from(ODD_KEYS))
-    elif edit == "repeat":
-        lines[i].append([lines[i][0][0], draw(st.sampled_from(PLAIN_VALUES))])
-    for j in items:
-        lines[j] = "  - {" + ", ".join(f"{key}: {value}" for key, value in lines[j]) + "}"
-    if i is not None:
-        lines[i] = {"comment": lines[i] + "  # c", "space": lines[i] + " ",
-                    "wrap": lines[i].replace(": ", ":\n    ", 1)}.get(edit, lines[i])
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=150, deadline=None)
-@given(flow_config_texts())
-@example(MINI_YAML)
-@example(PLAIN_MINI)
-# ids YAML reads as a bool, null or a number
-@example(PLAIN_MINI.replace("{id: a,", "{id: no,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: On,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: NULL,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: 7,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: 012,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: 1e3,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: 0x1F,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: 1_000,"))
-# boundary numbers, and an int past the interpreter's digit limit
-@example(PLAIN_MINI.replace("lat: 30.0", "lat: -0"))
-@example(PLAIN_MINI.replace("lat: 30.0", "lat: .5"))
-@example(PLAIN_MINI.replace("lat: 30.0", "lat: 1."))
-@example(PLAIN_MINI.replace("lat: 30.0", "lat: 1" + "0" * 400))
-@example(PLAIN_MINI.replace("lat: 30.0", "lat: " + "9" * 5000))
-# a quoted scalar, a trailing comment, a tab, an anchor and its alias, a
-# repeated key, a key YAML reads as a bool, an empty value and a nested flow map
-@example(PLAIN_MINI.replace("{id: a,", '{id: "a",'))
-@example(PLAIN_MINI.replace("is_center: true}", "is_center: true}  # c", 1))
-@example(PLAIN_MINI.replace("{id: a, lat", "{id: a,\tlat"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: &a a,").replace("city: a,", "city: *a,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: a, id: a2,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: a, on: 1,"))
-@example(PLAIN_MINI.replace("{id: a,", "{id: ,"))
-@example(PLAIN_MINI.replace("region: r0,", "region: {r: 0},"))
-# an item that spans two lines
-@example(PLAIN_MINI.replace("region: r0, is_center", "region: r0,\n    is_center"))
-# a list key given twice, and cities: []
-@example(PLAIN_MINI + "cities:\n  - {id: z, lat: 1.0, lon: 2.0, region: r9, is_center: true}\n")
-@example(PLAIN_MINI + "cities: ~\n")
-@example(PLAIN_MINI + "cities: []\n")
-@example(PLAIN_MINI.replace("cities:\n", "cities: []\nplaces:\n"))
-# a list key line inside a quoted scalar, and lists inside a flow mapping or a set
-@example(PLAIN_MINI + 'note: "q\ncities:\n  - {id: z}\n"\n')
-@example('note: "q\ncities:\n  - {id: z}\n"\ncities: ~\n')
-@example("{scatter_km: 1.0,\ncities:\n  - {id: a}\n}\n")
-@example("--- !!set\ncities:\n  - {id: a}\n")
-# a null on the line after the items
-@example(PLAIN_MINI + "  ~\n")
-# a key longer than the 1024 characters YAML looks back for one
-@example(PLAIN_MINI.replace("{id: a,", "{" + "k" * 1100 + ": 1, id: a,"))
-def test_plain_config_path_matches_yaml_load(text):
-    """Where the plain path reads a config, its document equals the YAML
-    loader's on the whole text, in types and key order, with libyaml's
-    loader and with pyyaml's own; load_config gives the SimConfig, or the
-    error text, that the loader on the whole file gives."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.yaml"
-        path.write_text(text)
-        for loader in YAML_LOADERS:
-            with mock.patch.object(netsim, "_YAML_LOADER", loader):
-                doc = netsim._plain_config(text)
-                if doc is not None:
-                    assert typed(doc) == typed(yaml.load(text, Loader=loader))
-                assert_same_read(netsim.load_config, load_config_whole, path)
 
 
 def test_bundled_cn_like_config_matches_its_generator():
     """Every golden pin rests on the bundled cn-like config; it must be the
     generator script's output byte for byte."""
-    config = Path(__file__).resolve().parents[1] / "src" / "rtdcorr" / "configs" / "cn-like.yaml"
+    config = Path(__file__).resolve().parents[1] / "src" / "rtdcorr" / "configs" / "cn-like.json"
     assert load_script("gen_cn_like_config").render().encode() == config.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["cn-like.yaml", "cn-like.json"])
+def test_bundled_config_name_may_carry_a_suffix(name, cn_config):
+    """A name that is not a path resolves to the bundled config with or
+    without a config file suffix."""
+    assert netsim.resolve_config(name) == cn_config
 
 
 def test_resolve_unknown_config():
