@@ -24,7 +24,10 @@ order: an id tuple as its ``repr``, an array of codes or values as its raw
 bytes; a sample table's per-host tags are hashed gathered to its rows, as
 ``probe_isp[probe]``, ``landmark_isp[landmark]``, ``probe_city[probe]`` and
 ``landmark_city[landmark]``, so the digest reads as it did when the table
-kept a tag on every row); and ``bestlines_sha256``: a
+kept a tag on every row).  Each table is read twice: through the table
+cache the writer leaves beside the file, and parsed with the cache removed;
+if the two digests differ, the script exits 1 naming the table.  The line
+also holds ``bestlines_sha256``: a
 sha256 over the ``repr`` of every probe's bestline (slope, intercept), or
 None, over all its landmarks and then over each landmark ISP in code order,
 probes in code order.  Its ``corr_sha256``
@@ -55,6 +58,7 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -126,11 +130,20 @@ def table_sha256(table):
 
 def csv_sha256s(write, read, table):
     """sha256 of the bytes ``write(table, path)`` puts in a file, and
-    ``table_sha256`` of what ``read(path)`` reads back from them."""
+    ``table_sha256`` of what ``read(path)`` reads back from them: read
+    through the table cache that ``write`` leaves beside the file, and again
+    parsed with the cache removed.  Two digests that differ exit 1, naming
+    the table."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         write(table, path)
-        return hashlib.sha256(path.read_bytes()).hexdigest(), table_sha256(read(path))
+        cached = table_sha256(read(path))
+        Path(f"{path}.cache").unlink(missing_ok=True)
+        parsed = table_sha256(read(path))
+        if cached != parsed:
+            sys.exit(f"error: {type(table).__name__}: the cached read's sha256 {cached} "
+                     f"differs from the parse's {parsed}")
+        return hashlib.sha256(path.read_bytes()).hexdigest(), parsed
 
 
 def kernel_edges_line():

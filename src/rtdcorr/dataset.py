@@ -12,17 +12,28 @@ integer codes into sorted tuples of ids (row i's probe is
 are properties of the host, so ``SampleTable`` stores them once per host,
 not once per row: row i's probe ISP is ``isps[probe_isp[probe[i]]]``.
 samples.csv still writes them on every row.
+
+Each table CSV that ``write_rtt_csv`` or ``write_samples_csv`` writes gets
+a binary cache beside it, ``<name>.cache``, when the table qualifies: the
+table exactly as its reader parses it from those bytes, and their sha256.
+The reader returns the cached table while the CSV still hashes to that
+digest, and parses the CSV otherwise (see ``_write_cache``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import locale
 import math
 import operator
-from dataclasses import dataclass
+import os
+import stat
+import tempfile
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -239,6 +250,15 @@ class SampleTable:
         return len(self.delay_ms)
 
 
+def _repeats_a_pair(probe: np.ndarray, landmark: np.ndarray, n_probes: int, n_landmarks: int) -> bool:
+    """Whether two rows share a (probe, landmark) pair: a byte per pair;
+    sorting the rows' pair keys made row-sized temporaries that raised the
+    pipeline's peak memory."""
+    seen = np.zeros((n_probes, n_landmarks), dtype=bool)
+    seen[probe, landmark] = True
+    return np.count_nonzero(seen) < len(probe)
+
+
 class _SampleColumns(_Columns):
     """The column body of ``SampleTable``: samples.csv's columns (``pick``
     takes them from a block's columns) a block of rows at a time.  A block's
@@ -293,11 +313,7 @@ class _SampleColumns(_Columns):
                 raise ValidationError(
                     f"{role} {ids[host[i]]!r} has {kind} {a!r} on one row and {b!r} on another")
             per_host[f"{role}_{kind.lower()}"] = tag
-        # a byte per (probe, landmark) pair; sorting the rows' pair keys made
-        # row-sized temporaries that raised the pipeline's peak memory
-        seen = np.zeros((len(probe_ids), len(landmark_ids)), dtype=bool)
-        seen[probe, landmark] = True
-        if np.count_nonzero(seen) < len(probe):
+        if _repeats_a_pair(probe, landmark, len(probe_ids), len(landmark_ids)):
             key = np.sort(probe * len(landmark_ids) + landmark)
             p, lm = divmod(int(key[1:][key[1:] == key[:-1]][0]), len(landmark_ids))
             raise ValidationError(f"pair ({probe_ids[p]!r}, {landmark_ids[lm]!r}) has two rows")
@@ -546,16 +562,34 @@ def read_hosts_csv(path) -> Registry:
 _CHUNK_ROWS = 1024
 
 
-def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+class _HashedText:
+    """A binary file that is written text: each piece is encoded as ``open``
+    encodes a text file, hashed, then written, so ``sha256`` is that of the
+    bytes as they go out."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode(_ENCODING)
+        self.sha256.update(data)
+        self.fh.write(data)
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> Optional[str]:
     """The one CSV writer: the header, then the rows, in the csv module's
     default dialect (CRLF line ends, a field quoted only when it holds a
     comma, a double quote or a line break).
 
     Rows go out in chunks.  A chunk of str fields that needs no quoting is
     written as its lines joined; any other chunk goes through ``csv.writer``,
-    so the bytes are the same either way."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+    so the bytes are the same either way.  Returns the sha256 (hex) of the
+    bytes written when every chunk was joined, and None when some chunk
+    went through ``csv.writer``."""
+    joined = True
+    with open(path, "wb") as fh:
+        out = _HashedText(fh)
+        w = csv.writer(out)
         w.writerow(header)
         rows = iter(rows)
         while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
@@ -563,6 +597,7 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
                 lines = list(map(",".join, chunk))
             except TypeError:  # a field that is not a str
                 w.writerows(chunk)
+                joined = False
                 continue
             text = "\r\n".join(lines)
             # csv.writer quotes a field holding a comma, a double quote, CR or
@@ -572,9 +607,11 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
                     and text.count(",") == sum(map(len, chunk)) - len(chunk)
                     and text.count("\r") == text.count("\n") == len(chunk) - 1
                     and "" not in lines):
-                fh.write(text + "\r\n")
+                out.write(text + "\r\n")
             else:
                 w.writerows(chunk)
+                joined = False
+    return out.sha256.hexdigest() if joined else None
 
 
 def write_hosts_csv(registry: Registry, path) -> None:
@@ -596,20 +633,190 @@ def _chunked(n: int, chunk: Callable[[slice], Iterable[Sequence]]) -> Iterable[S
         map(chunk, (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))))
 
 
+#: the first line of a table cache's meta record: its format and version
+_CACHE_FORMAT = "rtdcorr table cache 1"
+#: each cached table's array fields in order, as (length, codes): the index
+#: of the id tuple whose length the array has (None: one entry per row) and
+#: of the id tuple its codes index (None: float values); the id tuples are
+#: the fields before them
+_CACHE_LAYOUT = {
+    RttTable: ((None, 0), (None, 1), (None, 2), (None, None)),
+    SampleTable: ((None, 0), (None, 1), (None, None), (None, None),
+                  (0, 2), (1, 2), (0, 3), (1, 3)),
+}
+
+
+def _cache_path(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
+def _split_fields(table) -> tuple[list, list]:
+    """(id tuples, arrays) of a cached table's fields, each in field order."""
+    values = [getattr(table, name) for name in table.__dataclass_fields__]
+    split = len(values) - len(_CACHE_LAYOUT[type(table)])
+    return values[:split], values[split:]
+
+
+def _arrays_fit(cls, ids: list, arrays: list, n: int) -> bool:
+    """Whether each array of a ``cls`` table of n rows with these id tuples
+    has its dtype (intp codes, float values) and length, and each code
+    indexes its id tuple."""
+    for a, (length, into) in zip(arrays, _CACHE_LAYOUT[cls]):
+        if not isinstance(a, np.ndarray) or a.dtype != (float if into is None else np.intp):
+            return False
+        if a.shape != (n if length is None else len(ids[length]),):
+            return False
+        if into is not None and a.size and (a.min() < 0 or a.max() >= len(ids[into])):
+            return False
+    return True
+
+
+def _canonical(table) -> bool:
+    """Whether a reader codes the table's CSV as the table codes it: the
+    arrays fit (``_arrays_fit``), each id tuple is strictly ascending with
+    no blank id, and every id is used by some row (a tag, by some host)."""
+    ids, arrays = _split_fields(table)
+    if not _arrays_fit(type(table), ids, arrays, len(table)):
+        return False
+    used = [np.zeros(len(t), dtype=bool) for t in ids]
+    for a, (_, into) in zip(arrays, _CACHE_LAYOUT[type(table)]):
+        if into is not None:
+            used[into][a] = True
+    if not all(u.all() for u in used):
+        return False
+    # every id is used, so written, so a str; ascending, a blank one comes first
+    return all(t[:1] != ("",) and all(a < b for a, b in zip(t, t[1:])) for t in ids)
+
+
+def _in_range(values: np.ndarray, zero_ok: bool) -> bool:
+    """Whether every value is finite and > 0 (>= 0 with ``zero_ok``), as the
+    readers check them; NaN is not."""
+    if not values.size:
+        return True
+    low = values.min()
+    return (0.0 <= low if zero_ok else 0.0 < low) and values.max() < math.inf
+
+
+def _line_bound(id_tuples: Sequence[tuple], values: Sequence[np.ndarray]) -> int:
+    """The bytes of a CSV line at most, its CRLF included, whose fields are
+    an id of each tuple and a number of each array, each number written with
+    ``repr`` (24 characters at most) or to 6 decimals."""
+    if not values[0].size:
+        return 0
+    return (sum(max(len(i.encode(_ENCODING)) for i in t) for t in id_tuples)
+            + sum(max(24, len(f"{v.max():.6f}")) for v in values) + len(id_tuples) + len(values) + 1)
+
+
+def _save(fh, array: np.ndarray) -> None:
+    np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _load(fh, dtype) -> np.ndarray:
+    """The next array of a table cache, which must be 1-D of ``dtype``."""
+    a = np.lib.format.read_array(fh, allow_pickle=False)
+    if a.dtype != dtype or a.ndim != 1:
+        raise ValueError("not a table cache record")
+    return a
+
+
+def _write_cache(path, digest: str, table, longest: int) -> None:
+    """Write ``<path>.cache`` beside the CSV at ``path``, a regular file
+    whose bytes hash to ``digest`` and whose lines are ``longest`` bytes at
+    most: ``table``, which must be the table its reader parses from those
+    bytes.  It is a sequence of ``.npy`` records in one file: a meta record
+    (format, table kind, text encoding, row count, line bound and digest, a
+    line each), each id tuple's ids a line each in UTF-8, then the arrays.  It is written to a temporary file in the same directory and
+    moved into place; an OSError drops it, and the CSV stands."""
+    cache, tmp = _cache_path(path), None
+    ids, arrays = _split_fields(table)
+    try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cache) + ".",
+                                   dir=os.path.dirname(cache) or os.curdir)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        with open(fd, "wb") as fh:
+            meta = (_CACHE_FORMAT, type(table).__name__, _ENCODING, len(table), longest, digest)
+            _save(fh, np.frombuffer("\n".join(map(str, meta)).encode(), dtype=np.uint8))
+            for t in ids:  # no cached id is blank or holds a line break
+                _save(fh, np.frombuffer("\n".join(t).encode("utf-8", "surrogatepass"), dtype=np.uint8))
+            for a in arrays:
+                _save(fh, a)
+        os.replace(tmp, cache)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while piece := fh.read(1 << 18):
+            h.update(piece)
+    return h.hexdigest()
+
+
+def _read_cache(path, cls):
+    """The ``cls`` table cached beside the CSV at ``path`` by
+    ``_write_cache``, or None.  It is None unless the CSV is a regular file
+    (so a pipe is never read twice) whose bytes hash to the cache's digest,
+    and the cache is of this format and table kind, was written in this
+    reader's text encoding, has no line too long for the plain-block path
+    (``_read_csv``) and passes ``_arrays_fit``; any error in reading it makes
+    it None too."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(_cache_path(path), "rb") as fh:
+            form, kind, encoding, n, longest, digest = (
+                _load(fh, np.uint8).tobytes().decode().split("\n"))
+            if ((form, kind, encoding) != (_CACHE_FORMAT, cls.__name__, _ENCODING)
+                    or int(longest) > csv.field_size_limit() - _BLOCK_BYTES
+                    or digest != _file_sha256(path)):
+                return None
+            ids = []
+            for _ in range(len(cls.__dataclass_fields__) - len(_CACHE_LAYOUT[cls])):
+                text = _load(fh, np.uint8).tobytes().decode("utf-8", "surrogatepass")
+                ids.append(tuple(text.split("\n")) if text else ())
+            arrays = [_load(fh, float if into is None else np.intp)
+                      for _, into in _CACHE_LAYOUT[cls]]
+            return cls(*ids, *arrays) if _arrays_fit(cls, ids, arrays, int(n)) else None
+    except (OSError, ValueError, MemoryError):
+        return None
+
+
 def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
     """rtt.csv as a table, read a block of rows at a time.  An rtt that is
     not finite and > 0 is an error; with a registry, so is an unknown host
     or a host in the wrong column.  Each raises a ValidationError naming the
-    row's line (see ``_read_csv``)."""
+    row's line (see ``_read_csv``).  A table cached beside the file
+    (``_read_cache``) is returned instead of parsing it, if with a registry
+    each of its hosts is known and in its column."""
+    table = _read_cache(path, RttTable)
+    if table is not None:
+        try:
+            if registry is not None:
+                for ids, role in ((table.probe_ids, ROLE_PROBE), (table.landmark_ids, ROLE_LANDMARK)):
+                    for h in ids:
+                        _check_role(registry, h, role)
+            return table
+        except (ValidationError, NotFoundError):
+            pass  # the parse raises the error of the host's first row, at its line
     return _read_csv(path, RTT_COLUMNS, lambda header, n: _RttColumns(
         n, registry, _picker(header, RTT_COLUMNS)))
 
 
 def write_rtt_csv(table: RttTable, path) -> None:
     """RTTs at 6 decimals; one that would print as zero (coincident hosts)
-    is written with repr, so reading it back gives a delay > 0."""
+    is written with repr, so reading it back gives a delay > 0.  The table
+    as its reader parses the file is cached beside it (``_write_cache``)
+    when every chunk was joined, the table is ``_canonical`` and every rtt
+    read back is finite and > 0."""
     probe_ids, landmark_ids, stamps = (
         np.array(ids, dtype=object) for ids in (table.probe_ids, table.landmark_ids, table.stamps))
+    rtt_read = np.empty(len(table.rtt_ms))  # float() of each rtt as written
 
     def chunk(part: slice):
         values = table.rtt_ms[part]
@@ -617,11 +824,16 @@ def write_rtt_csv(table: RttTable, path) -> None:
         for i in np.flatnonzero(values < 1e-6).tolist():
             if rtt[i] == "0.000000":
                 rtt[i] = repr(values.item(i))
+        rtt_read[part] = np.fromiter(map(float, rtt), float, len(rtt))
         return zip(probe_ids[table.probe[part]].tolist(),
                    landmark_ids[table.landmark[part]].tolist(),
                    stamps[table.stamp[part]].tolist(), rtt)
 
-    write_csv(path, RTT_COLUMNS, _chunked(len(table), chunk))
+    digest = write_csv(path, RTT_COLUMNS, _chunked(len(table), chunk))
+    read = replace(table, rtt_ms=rtt_read)
+    if digest is not None and _canonical(read) and _in_range(rtt_read, zero_ok=False):
+        ids = (read.probe_ids, read.landmark_ids, read.stamps)
+        _write_cache(path, digest, read, _line_bound(ids, [rtt_read]))
 
 
 def read_samples_csv(path) -> SampleTable:
@@ -629,26 +841,45 @@ def read_samples_csv(path) -> SampleTable:
     is not finite and > 0 or a distance that is not finite and >= 0 is a
     ValidationError naming the row's line; a blank id, ISP or city, a host
     tagged with two ISPs or two cities, or a pair given twice is one naming
-    the file.  Each host's one tag is kept, as ``SampleTable`` stores it."""
+    the file.  Each host's one tag is kept, as ``SampleTable`` stores it.  A
+    table cached beside the file (``_read_cache``) is returned instead of
+    parsing it."""
+    table = _read_cache(path, SampleTable)
+    if table is not None:
+        return table
     return _read_csv(path, SAMPLE_COLUMNS, lambda header, n: _SampleColumns(
         n, _picker(header, SAMPLE_COLUMNS)))
 
 
 def write_samples_csv(samples: SampleTable, path) -> None:
+    """Delays with repr, which round-trips bit-exactly, and distances at 6
+    decimals.  The table as its reader parses the file is cached beside it
+    (``_write_cache``) when every chunk was joined, the table is
+    ``_canonical``, every delay is finite and > 0, every distance read back
+    finite and >= 0, and no pair has two rows."""
     probe_ids, landmark_ids, isps, cities = (np.array(ids, dtype=object) for ids in (
         samples.probe_ids, samples.landmark_ids, samples.isps, samples.cities))
+    distance_read = np.empty(len(samples.distance_km))  # float() of each distance as written
 
     def chunk(part: slice):
         p, lm = samples.probe[part], samples.landmark[part]
+        distance = list(map("{:.6f}".format, samples.distance_km[part].tolist()))
+        distance_read[part] = np.fromiter(map(float, distance), float, len(distance))
         return zip(
             probe_ids[p].tolist(),
             landmark_ids[lm].tolist(),
-            map(repr, samples.delay_ms[part].tolist()),  # repr round-trips bit-exactly
-            map("{:.6f}".format, samples.distance_km[part].tolist()),
+            map(repr, samples.delay_ms[part].tolist()),
+            distance,
             isps[samples.probe_isp[p]].tolist(),
             isps[samples.landmark_isp[lm]].tolist(),
             cities[samples.probe_city[p]].tolist(),
             cities[samples.landmark_city[lm]].tolist(),
         )
 
-    write_csv(path, SAMPLE_COLUMNS, _chunked(len(samples), chunk))
+    digest = write_csv(path, SAMPLE_COLUMNS, _chunked(len(samples), chunk))
+    read = replace(samples, distance_km=distance_read)
+    if (digest is not None and _canonical(read) and _in_range(read.delay_ms, zero_ok=False)
+            and _in_range(distance_read, zero_ok=True)
+            and not _repeats_a_pair(read.probe, read.landmark, len(read.probe_ids), len(read.landmark_ids))):
+        ids = (read.probe_ids, read.landmark_ids, read.isps, read.isps, read.cities, read.cities)
+        _write_cache(path, digest, read, _line_bound(ids, [read.delay_ms, distance_read]))

@@ -32,6 +32,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
@@ -676,17 +677,36 @@ def _fields(mapping, where: str, required: Mapping, optional: Mapping) -> dict:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _flow_depth(text: str) -> int:
+    """The deepest running count of ``[`` and ``{`` less ``]`` and ``}``
+    in a text, a bound on its YAML flow nesting; 0 when the text holds too
+    few ``[`` and ``{`` for it to reach the recursion limit."""
+    if text.count("[") + text.count("{") < sys.getrecursionlimit():
+        return 0
+    steps = map({"[": 1, "{": 1, "]": -1, "}": -1}.get, text, itertools.repeat(0))
+    return max(itertools.accumulate(steps))
+
+
 def load_document(path, parse):
     """``parse(doc)`` of the document in a file: JSON, read by ``json.load``,
     when the path ends in ``.json``, and otherwise YAML, read by the safe
-    loader.  Malformed JSON or YAML, a byte that is not UTF-8, JSON nested
-    past the interpreter's recursion limit, a scalar the loader cannot
-    construct (such as a bad date) and a ValueError from ``parse`` (a
-    ValidationError included) are a ValidationError naming the file."""
+    loader.  libyaml's loader composes nested nodes recursively in C and
+    crashes the interpreter on deep enough nesting, so YAML whose flow depth
+    (``_flow_depth``) reaches the recursion limit goes to the pure-Python
+    loader, which raises RecursionError.  Malformed JSON or YAML, a byte
+    that is not UTF-8, a document nested past the interpreter's recursion
+    limit, a scalar the loader cannot construct (such as a bad date) and a
+    ValueError from ``parse`` (a ValidationError included) are a
+    ValidationError naming the file."""
     is_json = Path(path).suffix == ".json"
     try:
         with open(path) as fh:
-            doc = json.load(fh) if is_json else yaml.load(fh, Loader=_YAML_LOADER)
+            if is_json:
+                doc = json.load(fh)
+            else:
+                deep = _flow_depth(fh.read()) >= sys.getrecursionlimit()
+                fh.seek(0)
+                doc = yaml.load(fh, Loader=yaml.SafeLoader if deep else _YAML_LOADER)
         return parse(doc)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -728,6 +731,58 @@ def quoted(name: str) -> str:
     return f'{name},"q'
 
 
+def readme_pipeline(out: Path, drop_caches: bool) -> dict:
+    """Run the README sequence on cn-like at seed 42 in ``out``, deleting
+    every table cache before each command when ``drop_caches``: each
+    command's stdout, and the bytes of each output file."""
+    f = {name: str(out / name) for name in GOLDEN_SHA256}
+    got = {}
+    for step, argv in enumerate((
+        ["simulate", "--config", "cn-like", "--seed", "42", "--out-dir", str(out)],
+        ["ingest", "--hosts", f["hosts.csv"], "--rtt", f["rtt.csv"], "--out", f["samples.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "isp", "--out", f["matrix.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "probe", "--out", f["reports.csv"]],
+        ["discover", "--samples", f["samples.csv"], "--out", f["rich.csv"]],
+    )):
+        if drop_caches:
+            for cache in out.glob("*.cache"):
+                cache.unlink()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0, argv
+        got[step] = stdout.getvalue().replace(str(out), "OUT")
+    return {**got, **{name: Path(path).read_bytes() for name, path in f.items()}}
+
+
+def test_readme_pipeline_reads_the_same_without_table_caches(tmp_path):
+    """The README sequence gives the same stdout and output bytes whether
+    ingest, corr and discover read rtt.csv and samples.csv through their
+    caches or parse them; only those two files get one."""
+    cached = readme_pipeline(tmp_path / "cached", drop_caches=False)
+    assert sorted(p.name for p in (tmp_path / "cached").glob("*.cache")) == [
+        "rtt.csv.cache", "samples.csv.cache"]
+    assert cached == readme_pipeline(tmp_path / "parsed", drop_caches=True)
+
+
+def test_pipeline_runs_with_a_directory_on_a_cache_name(tmp_path, capsys, mini_config_path):
+    """A directory on rtt.csv's and samples.csv's cache names: no cache is
+    written, and every command still exits 0, parsing the CSV files."""
+    out = tmp_path / "sim"
+    for name in ("rtt.csv.cache", "samples.csv.cache"):
+        (out / name).mkdir(parents=True)
+    f = {name: str(out / name) for name in GOLDEN_SHA256}
+    for argv in (
+        ["simulate", "--config", str(mini_config_path), "--out-dir", str(out)],
+        ["ingest", "--hosts", f["hosts.csv"], "--rtt", f["rtt.csv"], "--out", f["samples.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "isp", "--out", f["matrix.csv"]],
+        ["discover", "--samples", f["samples.csv"], "--out", f["rich.csv"]],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert sorted(p.name for p in out.iterdir()) == [
+        "hosts.csv", "matrix.csv", "rich.csv", "rtt.csv", "rtt.csv.cache",
+        "samples.csv", "samples.csv.cache"]
+
+
 def test_quoted_ids_round_trip_through_the_pipeline(tmp_path):
     """Host, city and ISP ids holding a comma and a double quote survive
     simulate -> ingest -> corr -> discover: each file quotes them and reads
@@ -1242,6 +1297,24 @@ def test_edge_json_config_exits_1(tmp_path, capsys, data, message):
     out = tmp_path / "o"
     code, _, err = run(capsys, "simulate", "--config", str(path), "--out-dir", str(out))
     assert (code, err) == (1, f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
+def test_deeply_nested_yaml_config_exits_1(tmp_path):
+    """A .yaml config of 100,000 nested flow sequences, which crashed the
+    interpreter in libyaml's loader, goes to the pure-Python loader: the run
+    exits 1 naming the file and writes nothing.  It runs in a subprocess,
+    so a crash fails this test rather than the test run."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "o"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "rtdcorr.cli", "simulate", "--config", str(path), "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 1, done.stderr[-500:]
+    assert done.stderr.startswith(f"error: {path}: ")
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 import csv
 import io
+import math
 import os
 import re
 import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from rtdcorr import dataset, netsim
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, haversine_km
 
-from conftest import assert_same_read, assert_same_table, pair_rtts
+from conftest import assert_same_read, assert_same_table, drop_cache, pair_rtts, read_outcome
 from reference import (
     row_parse_csv,
     row_read_rtt_csv,
@@ -209,6 +211,7 @@ def test_the_reader_stores_one_tag_per_host(tmp_path):
     dataset.write_samples_csv(s, tmp_path / "samples.csv")
     text = (tmp_path / "samples.csv").read_text()
     assert text.count(",Ib,Jz,cb,dz\n") == 1 and text.count(",Ia,") == 3
+    drop_cache(tmp_path / "samples.csv")
     back = dataset.read_samples_csv(tmp_path / "samples.csv")
     assert_tags_per_host(back)
     assert_same_table(back, s)
@@ -220,6 +223,7 @@ def test_campaign_tables_store_one_tag_per_host(tmp_path, cn_campaign):
     registry = cn_campaign.topology.registry
     assert_tags_per_host(cn_campaign.samples, registry)
     dataset.write_samples_csv(cn_campaign.samples, tmp_path / "samples.csv")
+    drop_cache(tmp_path / "samples.csv")
     assert_tags_per_host(dataset.read_samples_csv(tmp_path / "samples.csv"), registry)
 
 
@@ -265,6 +269,7 @@ def test_rtt_csv_roundtrip(tmp_path):
     path = tmp_path / "rtt.csv"
     orig = [obs("p", "l", 12.125), obs("p", "l", 11.875, ts="2017-01-01T00:01:00Z")]
     dataset.write_rtt_csv(table(orig), path)
+    drop_cache(path)
     back = dataset.read_rtt_csv(path)
     assert back.rtt_ms.tolist() == [12.125, 11.875]
     assert back.stamps[back.stamp[1]] == "2017-01-01T00:01:00Z"
@@ -277,6 +282,7 @@ def test_samples_csv_roundtrip(tmp_path):
     samples = dataset.join_distances(min_table({("p", "l"): 17.0625}), reg)
     path = tmp_path / "samples.csv"
     dataset.write_samples_csv(samples, path)
+    drop_cache(path)
     back = dataset.read_samples_csv(path)
     assert back.delay_ms[0] == 17.0625  # repr round-trip keeps delays bit-exact
     assert back.probe_ids[back.probe[0]] == "p" and back.isps[back.landmark_isp[0]] == "A"
@@ -619,13 +625,15 @@ def test_a_reader_reads_a_pipe(tmp_path):
 
 
 def test_readers_peak_below_the_row_readers(tmp_path, cn_config, cn_campaign):
-    """On the cn-like seed-42 files, each block reader's extra peak stays
-    below the row reader's (6.9 MB for rtt.csv, 5.0 MB for samples.csv): the
-    columns are made once, from the file's line count, and recoded in
-    place.  Its table equals the row reader's."""
+    """On the cn-like seed-42 files, their table caches removed, each block
+    reader's extra peak stays below the row reader's (6.9 MB for rtt.csv,
+    5.0 MB for samples.csv): the columns are made once, from the file's
+    line count, and recoded in place.  Its table equals the row reader's."""
     observations = netsim.simulate_campaign(cn_campaign.topology, cn_config, 42)
     dataset.write_rtt_csv(observations, tmp_path / "rtt.csv")
     dataset.write_samples_csv(cn_campaign.samples, tmp_path / "samples.csv")
+    for name in ("rtt.csv", "samples.csv"):
+        drop_cache(tmp_path / name)
     for read, oracle, name, rows, bound in (
         (dataset.read_rtt_csv, row_read_rtt_csv, "rtt.csv", 121_500, 6_900_000),
         (dataset.read_samples_csv, row_read_samples_csv, "samples.csv", 40_500, 5_000_000),
@@ -640,3 +648,225 @@ def test_readers_peak_below_the_row_readers(tmp_path, cn_config, cn_campaign):
         assert peak < bound, name
         del table
         assert_same_read(read, oracle, tmp_path / name)
+
+
+# ---------------------------------------------------------------- table caches
+
+#: ids to draw from: plain, with NUL, a space, non-ASCII text or blank, and
+#: (quoted when written) with a comma or a double quote
+CACHE_IDS = ["p0", "p1", "l0", "l1", "n\x00l", " s", "é", "日本", "", "a,b", 'q"x']
+LONG_ID = "x" * 120_000  # a line longer than the plain-block path reads
+#: values to draw from besides random ones: below 1e-6 (an rtt written with
+#: repr), on the 6-decimal edge, zero, negative, NaN and infinite
+CACHE_VALUES = [3e-7, 9.9e-7, 1e-6, 4.0000005, 0.0, -0.0, -1.0, math.nan, math.inf]
+
+
+@st.composite
+def raw_tables(draw, kind):
+    """A table as the writers take it, good or not: ids in any order, used
+    or not, from CACHE_IDS (at times only those written unquoted) and at
+    times LONG_ID; codes in range; values random and at times from
+    CACHE_VALUES; pairs repeated or not."""
+    plain = draw(st.booleans())
+
+    def id_tuple():
+        pool = CACHE_IDS[:9] if plain else CACHE_IDS + [LONG_ID] * (draw(st.integers(0, 9)) == 0)
+        ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+        return tuple(sorted(ids) if draw(st.booleans()) else ids)
+
+    def codes(ids, n):
+        return np.array(draw(st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n)),
+                        dtype=np.intp)
+
+    def values(n):
+        pick = st.floats(1e-9, 1e4) if draw(st.booleans()) else st.one_of(
+            st.floats(1e-9, 1e4), st.sampled_from(CACHE_VALUES))
+        return np.array(draw(st.lists(pick, min_size=n, max_size=n)), dtype=float)
+
+    n = draw(st.integers(0, 30))
+    probe_ids, landmark_ids = id_tuple(), id_tuple()
+    probe, landmark = codes(probe_ids, n), codes(landmark_ids, n)
+    if kind == "rtt":
+        stamps = id_tuple()
+        return dataset.RttTable(probe_ids, landmark_ids, stamps, probe, landmark,
+                                codes(stamps, n), values(n))
+    if draw(st.booleans()):  # each pair once
+        pairs = sorted(set(zip(probe.tolist(), landmark.tolist())))
+        probe = np.array([p for p, _ in pairs], dtype=np.intp)
+        landmark = np.array([lm for _, lm in pairs], dtype=np.intp)
+        n = len(pairs)
+    isps, cities = id_tuple(), id_tuple()
+    return dataset.SampleTable(
+        probe_ids, landmark_ids, isps, cities, probe, landmark, values(n), values(n),
+        codes(isps, len(probe_ids)), codes(isps, len(landmark_ids)),
+        codes(cities, len(probe_ids)), codes(cities, len(landmark_ids)))
+
+
+#: each table kind's writer, reader and row-reader reference
+CACHED = {"rtt": (dataset.write_rtt_csv, dataset.read_rtt_csv, row_read_rtt_csv),
+          "samples": (dataset.write_samples_csv, dataset.read_samples_csv, row_read_samples_csv)}
+
+
+def cache_of(path):
+    return Path(f"{path}.cache")
+
+
+def parsed_as_written(table, parsed) -> bool:
+    """Whether a parsed table has the written table's ids and codes, field
+    for field (the floats are the text's, so they are not compared)."""
+    for name in table.__dataclass_fields__:
+        a, b = getattr(table, name), getattr(parsed, name)
+        if isinstance(a, tuple) and a != b:
+            return False
+        if isinstance(a, np.ndarray) and a.dtype == np.intp and (
+                a.shape != b.shape or a.tobytes() != b.tobytes()):
+            return False
+    return True
+
+
+def check_cache(kind, table, path):
+    """Write the table, and check that a cache is written exactly when the
+    file is plain (no field quoted), no line is too long for the plain-block
+    path, no id is blank and the parse gives back the table's ids and codes;
+    and that a cached read equals the parse, bit for bit.  The parsed
+    table, or None."""
+    write, read, _ = CACHED[kind]
+    drop_cache(path)
+    write(table, path)
+    data = path.read_bytes()
+    cached = cache_of(path).exists()
+    got = read(path) if cached else None
+    drop_cache(path)
+    outcome = read_outcome(read, path)
+    parsed = outcome[1] if outcome[0] == "table" else None
+    qualifies = (b'"' not in data
+                 and max(map(len, data.split(b"\n"))) + 1 <= csv.field_size_limit() - dataset._BLOCK_BYTES
+                 and parsed is not None and parsed_as_written(table, parsed)
+                 and all("" not in t for t in (getattr(table, f) for f in table.__dataclass_fields__)
+                         if isinstance(t, tuple)))
+    assert cached == qualifies
+    if cached:
+        assert_same_table(got, parsed)
+    return parsed
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(CACHED)))
+def test_cached_read_equals_the_parse(tmp_path_factory, data, kind):
+    """For random tables written by each writer, a cache is written exactly
+    when the table qualifies, and the cached table equals the one parsed
+    from the CSV with the cache removed, field for field and bit for bit.
+    The parsed table, written again, is checked the same way."""
+    path = tmp_path_factory.getbasetemp() / f"{kind}.csv"
+    parsed = check_cache(kind, data.draw(raw_tables(kind)), path)
+    if parsed is not None:
+        check_cache(kind, parsed, path)
+
+
+@pytest.fixture()
+def cn_files(tmp_path, cn_config, cn_campaign):
+    """The cn-like seed-42 rtt.csv and samples.csv, each with its cache."""
+    dataset.write_rtt_csv(netsim.simulate_campaign(cn_campaign.topology, cn_config, 42),
+                          tmp_path / "rtt.csv")
+    dataset.write_samples_csv(cn_campaign.samples, tmp_path / "samples.csv")
+    return tmp_path
+
+
+def test_campaign_caches_read_as_the_parse(cn_files):
+    """On the cn-like seed-42 files, each reader's cached table equals its
+    parse field for field.  A cache is the table's arrays (3.9 MB and 1.3
+    MB) and its ids, and a cached read peaks at the arrays plus 100 KB."""
+    for name, read, size in (("rtt.csv", dataset.read_rtt_csv, 3_888_000),
+                             ("samples.csv", dataset.read_samples_csv, 1_296_000)):
+        path = cn_files / name
+        assert size < cache_of(path).stat().st_size < size + 30_000
+        tracemalloc.start()
+        try:
+            got = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size + 100_000, name
+        drop_cache(path)
+        assert_same_table(got, read(path))
+
+
+def test_stale_or_broken_caches_fall_back_to_the_parse(cn_files):
+    """A cache whose CSV was edited after it was written, one cut short, one
+    of garbage and one of the other table kind are all ignored: the reader
+    parses the CSV, and gives its table or its error."""
+    rtt, samples = cn_files / "rtt.csv", cn_files / "samples.csv"
+    good = {path: cache_of(path).read_bytes() for path in (rtt, samples)}
+    text = rtt.read_bytes()
+    last = text.rindex(b"\r\n", 0, -2) + 2
+    rtt.write_bytes(text[:last] + b"x" + text[last:])  # still plain: the last row's probe renamed
+    with mock.patch.object(dataset, "_read_csv", wraps=dataset._read_csv) as parse:
+        edited = dataset.read_rtt_csv(rtt)
+    assert parse.call_count == 1
+    assert edited.probe_ids[-1] == "x" + text[last:].split(b",")[0].decode()
+    rtt.write_bytes(text)
+    for path, read in ((rtt, dataset.read_rtt_csv), (samples, dataset.read_samples_csv)):
+        for broken in (good[path][:len(good[path]) // 2], good[path][:100], b"garbage" * 99, b""):
+            cache_of(path).write_bytes(broken)
+            with mock.patch.object(dataset, "_read_csv", wraps=dataset._read_csv) as parse:
+                got = read(path)
+            assert parse.call_count == 1
+            assert_same_read(lambda f: got, read, path)
+    # a samples.csv cache beside the rtt.csv bytes, and an rtt.csv cache
+    # beside the samples.csv bytes: each reader parses, and its header check fails
+    rtt.write_bytes(samples.read_bytes())
+    cache_of(rtt).write_bytes(good[samples])
+    samples.write_bytes(text)
+    cache_of(samples).write_bytes(good[rtt])
+    for path, read in ((rtt, dataset.read_rtt_csv), (samples, dataset.read_samples_csv)):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: expected header"):
+            read(path)
+
+
+def test_cached_rtt_checks_the_registry_as_the_parse(tmp_path):
+    """With a registry that no longer matches rtt.csv, a cached read raises
+    the parse's error, naming the row's line."""
+    path = tmp_path / "rtt.csv"
+    dataset.write_rtt_csv(table([obs("p", "l", 5.0), obs("p", "m", 5.0), obs("q", "l", 5.0)]), path)
+    assert cache_of(path).exists()
+    hosts = [host("p", role="probe"), host("l"), host("m"), host("q", role="probe")]
+    for reg, message in (
+        (hosts[:3], r":4: unknown host 'q'$"),
+        ([hosts[0], host("l", role="probe"), *hosts[2:]], r":2: 'l' is not a landmark$"),
+    ):
+        reg = dataset.validate_registry(reg)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}{message}"):
+            dataset.read_rtt_csv(path, reg)
+    assert cache_of(path).exists()
+    assert_same_table(dataset.read_rtt_csv(path, dataset.validate_registry(hosts)),
+                      dataset.read_rtt_csv(path))
+
+
+def test_a_pipe_is_parsed_beside_a_good_cache(tmp_path):
+    """A FIFO is never hashed, which would read it twice: with the cache of
+    the very bytes it carries beside it, the reader still parses it."""
+    dataset.write_rtt_csv(table([obs(f"p{i % 3}", f"l{i % 7}", 1.0 + i) for i in range(500)]),
+                          tmp_path / "rtt.csv")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    cache_of(fifo).write_bytes(cache_of(tmp_path / "rtt.csv").read_bytes())
+    feed = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "rtt.csv").read_bytes()))
+    feed.start()
+    try:
+        with mock.patch.object(dataset, "_read_csv", wraps=dataset._read_csv) as parse:
+            got = dataset.read_rtt_csv(fifo)
+    finally:
+        feed.join()
+    assert parse.call_count == 1
+    assert_same_table(got, row_read_rtt_csv(tmp_path / "rtt.csv"))
+
+
+def test_a_cache_that_cannot_be_written_leaves_the_csv(tmp_path):
+    """A directory on the cache's name makes the move fail: the CSV stands,
+    no temporary file is left, and the reader parses the CSV."""
+    path = tmp_path / "rtt.csv"
+    cache_of(path).mkdir()
+    t = table([obs("p", "l", 5.0)])
+    dataset.write_rtt_csv(t, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rtt.csv", "rtt.csv.cache"]
+    assert_same_table(dataset.read_rtt_csv(path), t)
