@@ -13,6 +13,12 @@ are properties of the host, so ``SampleTable`` stores them once per host,
 not once per row: row i's probe ISP is ``isps[probe_isp[probe[i]]]``.
 samples.csv still writes them on every row.
 
+``write_rtt_csv`` and ``write_samples_csv`` format a chunk of rows a
+column at a time in numpy (``_write_table``): each id is encoded once and a
+chunk gathers its ids by code, and numbers take their digits from integer
+lookup tables wherever the digits are certainly Python's (``_numbers``),
+so every byte is the one the row writer ``write_csv`` would write.
+
 Each table CSV that ``write_rtt_csv`` or ``write_samples_csv`` writes gets
 a binary cache beside it, ``<name>.cache``, when the table qualifies: the
 table exactly as its reader parses it from those bytes, and their sha256.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -564,16 +571,60 @@ _CHUNK_ROWS = 1024
 
 class _HashedText:
     """A binary file that is written text: each piece is encoded as ``open``
-    encodes a text file, hashed, then written, so ``sha256`` is that of the
-    bytes as they go out."""
+    encodes a text file (``write``) or comes encoded (``put``), and is
+    hashed, then written, so ``sha256`` is that of the bytes as they go
+    out."""
 
     def __init__(self, fh):
         self.fh, self.sha256 = fh, hashlib.sha256()
 
     def write(self, text: str) -> None:
-        data = text.encode(_ENCODING)
+        self.put(text.encode(_ENCODING))
+
+    def put(self, data: bytes) -> None:
         self.sha256.update(data)
         self.fh.write(data)
+
+
+def _write_rows(out: _HashedText, w, chunk: list[Sequence]) -> bool:
+    """Write a chunk of rows, as its lines joined when it is of str fields
+    that need no quoting and through ``csv.writer`` otherwise, so the bytes
+    are the same either way; whether it was joined."""
+    try:
+        lines = list(map(",".join, chunk))
+    except TypeError:  # a field that is not a str
+        w.writerows(chunk)
+        return False
+    text = "\r\n".join(lines)
+    # csv.writer quotes a field holding a comma, a double quote, CR or LF,
+    # and a row of one empty field: in a plain chunk every comma, CR and LF
+    # is a separator, and no line is empty
+    if ('"' not in text
+            and text.count(",") == sum(map(len, chunk)) - len(chunk)
+            and text.count("\r") == text.count("\n") == len(chunk) - 1
+            and "" not in lines):
+        out.write(text + "\r\n")
+        return True
+    w.writerows(chunk)
+    return False
+
+
+def _write_blocks(path, header: Sequence, blocks: Iterable) -> Optional[str]:
+    """The core of the one CSV writer: the header, then each block, which is
+    either whole lines already encoded (bytes) or a chunk of rows
+    (``_write_rows``).  Returns the sha256 (hex) of the bytes written when
+    no chunk of rows went through ``csv.writer``, and None otherwise."""
+    joined = True
+    with open(path, "wb") as fh:
+        out = _HashedText(fh)
+        w = csv.writer(out)
+        w.writerow(header)
+        for block in blocks:
+            if isinstance(block, bytes):
+                out.put(block)
+            elif not _write_rows(out, w, block):
+                joined = False
+    return out.sha256.hexdigest() if joined else None
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> Optional[str]:
@@ -586,32 +637,162 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> Optional[str]
     so the bytes are the same either way.  Returns the sha256 (hex) of the
     bytes written when every chunk was joined, and None when some chunk
     went through ``csv.writer``."""
-    joined = True
-    with open(path, "wb") as fh:
-        out = _HashedText(fh)
-        w = csv.writer(out)
-        w.writerow(header)
-        rows = iter(rows)
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+    rows = iter(rows)
+    return _write_blocks(path, header, iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), []))
+
+
+@dataclass(frozen=True)
+class _Field:
+    """A column of a chunk of table rows: ``text`` holds each row's field,
+    after the separator before it, encoded, as numpy bytes strings (NUL
+    padded, so a row's bytes end at its field's last byte); ``strs()`` gives
+    the fields as str, and ``plain`` says whether each is written unquoted,
+    as ``text`` holds it."""
+
+    text: np.ndarray
+    strs: Callable[[], list]
+    plain: bool = True
+
+
+class _Ids:
+    """An id tuple's ids as ``write_csv`` writes them, each encoded once
+    after ``lead``, the separator before its column.  An id that is a str,
+    encodes, needs no quoting and does not end in a NUL byte (which a bytes
+    string drops) is plain; a chunk that writes any other goes through
+    ``csv.writer``."""
+
+    def __init__(self, ids: Sequence, lead: bytes = b","):
+        self.ids = np.array(ids, dtype=object)
+        data = []
+        for i in ids:
             try:
-                lines = list(map(",".join, chunk))
-            except TypeError:  # a field that is not a str
-                w.writerows(chunk)
-                joined = False
-                continue
-            text = "\r\n".join(lines)
-            # csv.writer quotes a field holding a comma, a double quote, CR or
-            # LF, and a row of one empty field: in a plain chunk every comma, CR
-            # and LF is a separator, and no line is empty
-            if ('"' not in text
-                    and text.count(",") == sum(map(len, chunk)) - len(chunk)
-                    and text.count("\r") == text.count("\n") == len(chunk) - 1
-                    and "" not in lines):
-                out.write(text + "\r\n")
+                plain = isinstance(i, str) and not any(c in i for c in ',"\r\n')
+                d = lead + i.encode(_ENCODING) if plain else None
+            except UnicodeEncodeError:
+                d = None
+            data.append(None if d is None or d.endswith(b"\0") else d)
+        self.plain = np.array([d is not None for d in data], dtype=bool)
+        self.text = np.array([d or lead for d in data], dtype=np.bytes_)
+
+    def field(self, codes: np.ndarray) -> _Field:
+        return _Field(np.take(self.text, codes), lambda: self.ids[codes].tolist(),
+                      bool(self.plain[codes].all()))
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of digits: 0..9999 to 4 digits as bytes strings; and,
+    indexed by 0..999, four bytes packed in a uint32 each (NUL-padded): the
+    point and three decimals, and three decimals, in full and with trailing
+    zeros dropped, but for ".0"."""
+    def packed(texts: list[bytes]) -> np.ndarray:
+        return np.array(texts, dtype="S4").view(np.uint32)
+
+    three = [b"%03d" % i for i in range(1000)]
+    return (np.char.zfill(np.arange(10_000).astype("S4"), 4),
+            packed([b"." + t for t in three]), packed(three),
+            packed([(b"." + t).rstrip(b"0").ljust(2, b"0") for t in three]),
+            packed([t.rstrip(b"0") for t in three]))
+
+
+@functools.cache
+def _leading_digits(lead: bytes) -> np.ndarray:
+    """0..9999 as bytes strings without leading zeros, after ``lead``."""
+    return np.char.add(lead, np.arange(10_000).astype("S4"))
+
+
+def _whole_text(whole: np.ndarray, lead: bytes) -> np.ndarray:
+    """Each integer >= 0 (below 10**16) as a bytes string without leading
+    zeros, after ``lead``, 4 digits at a time."""
+    text = np.take(_leading_digits(lead), whole % 10_000)
+    big = whole >= 10_000
+    if big.any():
+        rest = np.char.add(_whole_text(whole // 10_000, lead), np.take(_digit_tables()[0], whole % 10_000))
+        text = np.where(big, rest, text)
+    return text
+
+
+def _rtt_text(v: float) -> str:
+    """An rtt at 6 decimals, or with repr where that prints as zero."""
+    text = f"{v:.6f}"
+    return repr(v) if text == "0.000000" else text
+
+
+#: each number column's text by form: ``fixed6`` (distances), ``rtt`` and
+#: ``repr`` (delays)
+_FORMATS: dict[str, Callable[[float], str]] = {
+    "fixed6": "{:.6f}".format, "rtt": _rtt_text, "repr": repr}
+
+
+def _numbers(values: np.ndarray, form: str, lead: bytes) -> tuple[_Field, np.ndarray]:
+    """The field of each value, its text in ``form`` (``_FORMATS``) after
+    ``lead``, and float() of the text, the value a reader parses.
+
+    A value takes the digits of q = rint(p), p = v * 1e6, when q is
+    certainly v rounded to 6 decimals: p is not negative (nor -0.0), below
+    2**52 and not a tie, |p - q| < 0.5.  Below 2**52 each tie k + 0.5 is a
+    float, and rounding is monotonic, so the exact v * 1e6 lies on the same
+    side of every tie as p, and rounds to q too.  Its text is then q's
+    digits with a point before the last six, and it reads back as q / 1e6,
+    a correctly rounded quotient of exact integers as float() of the text
+    is.  For ``repr`` a value also needs q / 1e6 == v and v >= 1e-4: repr
+    is then positional and the shortest text that reads back as v, which is
+    q's digits with trailing zeros dropped (one kept after the point),
+    since any other decimal of 6 places or fewer is at least 1e-6 from q's,
+    more than an ulp below 2**33.  ``rtt`` leaves q == 0 to Python.  Every
+    other value is formatted by its ``_FORMATS`` function."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = values * 1e6
+        q = np.rint(p)
+        fast = ~np.signbit(p) & (p < 2.0**52) & (np.abs(p - q) < 0.5)
+    read = q / 1e6
+    if form == "repr":
+        fast &= (read == values) & (values >= 1e-4)
+    elif form == "rtt":
+        fast &= q != 0
+    whole, frac = np.divmod(np.where(fast, q, 0.0).astype(np.int64), 10**6)
+    head, tail = np.divmod(frac, 1000)
+    _, heads, tails, heads_stripped, tails_stripped = _digit_tables()
+    decimals = np.empty((len(values), 2), dtype=np.uint32)
+    if form == "repr":  # the first three decimals in full unless the last three are all 0
+        decimals[:, 0] = np.where(tail != 0, np.take(heads, head), np.take(heads_stripped, head))
+        decimals[:, 1] = np.take(tails_stripped, tail)
+    else:
+        decimals[:, 0] = np.take(heads, head)
+        decimals[:, 1] = np.take(tails, tail)
+    text = np.char.add(_whole_text(whole, lead), decimals.view("S8").ravel())
+    other = np.flatnonzero(~fast)
+    if other.size:
+        slow = [lead + _FORMATS[form](v).encode("ascii") for v in values[other].tolist()]
+        text = text.astype(f"S{max(text.itemsize, *map(len, slow))}")
+        text[other] = slow
+        read[other] = [float(t[len(lead):]) for t in slow]
+    return _Field(text, lambda: [t[len(lead):].decode("ascii") for t in text.tolist()]), read
+
+
+def _write_table(path, header: Sequence, n: int, fields: Callable[[slice], list[_Field]]) -> Optional[str]:
+    """Write a table of n rows a chunk at a time, ``fields(part)`` giving a
+    slice of rows' fields by column.  A chunk whose fields are all plain, in
+    a text encoding that writes ASCII as itself, is written as its lines,
+    each the concatenation of the row's field texts, joined; any other goes
+    as rows of str through ``write_csv``'s chunk path (``_write_rows``).
+    Returns as ``write_csv``."""
+    every_ascii = "".join(map(chr, range(128)))
+    try:
+        as_bytes = every_ascii.encode(_ENCODING) == every_ascii.encode("ascii")
+    except UnicodeEncodeError:
+        as_bytes = False
+
+    def blocks():
+        for lo in range(0, n, _CHUNK_ROWS):
+            chunk = fields(slice(lo, lo + _CHUNK_ROWS))
+            if as_bytes and all(f.plain for f in chunk):
+                lines = functools.reduce(np.char.add, (f.text for f in chunk)).tolist()
+                yield b"\r\n".join(lines) + b"\r\n"
             else:
-                w.writerows(chunk)
-                joined = False
-    return out.sha256.hexdigest() if joined else None
+                yield list(zip(*(f.strs() for f in chunk)))
+
+    return _write_blocks(path, header, blocks())
 
 
 def write_hosts_csv(registry: Registry, path) -> None:
@@ -624,13 +805,6 @@ def write_hosts_csv(registry: Registry, path) -> None:
 def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple]:
     """A row's fields of the named columns, in that order."""
     return operator.itemgetter(*map(header.index, columns))
-
-
-def _chunked(n: int, chunk: Callable[[slice], Iterable[Sequence]]) -> Iterable[Sequence]:
-    """The rows of ``chunk(part)`` for each ``_CHUNK_ROWS``-row slice of n
-    rows, chained at C speed, so a table writer formats one chunk at a time."""
-    return itertools.chain.from_iterable(
-        map(chunk, (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))))
 
 
 #: the first line of a table cache's meta record: its format and version
@@ -812,24 +986,18 @@ def write_rtt_csv(table: RttTable, path) -> None:
     """RTTs at 6 decimals; one that would print as zero (coincident hosts)
     is written with repr, so reading it back gives a delay > 0.  The table
     as its reader parses the file is cached beside it (``_write_cache``)
-    when every chunk was joined, the table is ``_canonical`` and every rtt
-    read back is finite and > 0."""
-    probe_ids, landmark_ids, stamps = (
-        np.array(ids, dtype=object) for ids in (table.probe_ids, table.landmark_ids, table.stamps))
+    when no chunk went through ``csv.writer``, the table is ``_canonical``
+    and every rtt read back is finite and > 0."""
+    columns = [(_Ids(t, lead), codes) for t, lead, codes in (
+        (table.probe_ids, b"", table.probe), (table.landmark_ids, b",", table.landmark),
+        (table.stamps, b",", table.stamp))]
     rtt_read = np.empty(len(table.rtt_ms))  # float() of each rtt as written
 
-    def chunk(part: slice):
-        values = table.rtt_ms[part]
-        rtt = [f"{v:.6f}" for v in values.tolist()]
-        for i in np.flatnonzero(values < 1e-6).tolist():
-            if rtt[i] == "0.000000":
-                rtt[i] = repr(values.item(i))
-        rtt_read[part] = np.fromiter(map(float, rtt), float, len(rtt))
-        return zip(probe_ids[table.probe[part]].tolist(),
-                   landmark_ids[table.landmark[part]].tolist(),
-                   stamps[table.stamp[part]].tolist(), rtt)
+    def fields(part: slice) -> list[_Field]:
+        rtt, rtt_read[part] = _numbers(table.rtt_ms[part], "rtt", b",")
+        return [column.field(codes[part]) for column, codes in columns] + [rtt]
 
-    digest = write_csv(path, RTT_COLUMNS, _chunked(len(table), chunk))
+    digest = _write_table(path, RTT_COLUMNS, len(table), fields)
     read = replace(table, rtt_ms=rtt_read)
     if digest is not None and _canonical(read) and _in_range(rtt_read, zero_ok=False):
         ids = (read.probe_ids, read.landmark_ids, read.stamps)
@@ -854,29 +1022,28 @@ def read_samples_csv(path) -> SampleTable:
 def write_samples_csv(samples: SampleTable, path) -> None:
     """Delays with repr, which round-trips bit-exactly, and distances at 6
     decimals.  The table as its reader parses the file is cached beside it
-    (``_write_cache``) when every chunk was joined, the table is
-    ``_canonical``, every delay is finite and > 0, every distance read back
-    finite and >= 0, and no pair has two rows."""
-    probe_ids, landmark_ids, isps, cities = (np.array(ids, dtype=object) for ids in (
-        samples.probe_ids, samples.landmark_ids, samples.isps, samples.cities))
+    (``_write_cache``) when no chunk went through ``csv.writer``, the table
+    is ``_canonical``, every delay is finite and > 0, every distance read
+    back finite and >= 0, and no pair has two rows."""
+    probe_ids = _Ids(samples.probe_ids, b"")
+    landmark_ids, isps, cities = map(_Ids, (samples.landmark_ids, samples.isps, samples.cities))
     distance_read = np.empty(len(samples.distance_km))  # float() of each distance as written
 
-    def chunk(part: slice):
+    def fields(part: slice) -> list[_Field]:
         p, lm = samples.probe[part], samples.landmark[part]
-        distance = list(map("{:.6f}".format, samples.distance_km[part].tolist()))
-        distance_read[part] = np.fromiter(map(float, distance), float, len(distance))
-        return zip(
-            probe_ids[p].tolist(),
-            landmark_ids[lm].tolist(),
-            map(repr, samples.delay_ms[part].tolist()),
+        distance, distance_read[part] = _numbers(samples.distance_km[part], "fixed6", b",")
+        return [
+            probe_ids.field(p),
+            landmark_ids.field(lm),
+            _numbers(samples.delay_ms[part], "repr", b",")[0],
             distance,
-            isps[samples.probe_isp[p]].tolist(),
-            isps[samples.landmark_isp[lm]].tolist(),
-            cities[samples.probe_city[p]].tolist(),
-            cities[samples.landmark_city[lm]].tolist(),
-        )
+            isps.field(samples.probe_isp[p]),
+            isps.field(samples.landmark_isp[lm]),
+            cities.field(samples.probe_city[p]),
+            cities.field(samples.landmark_city[lm]),
+        ]
 
-    digest = write_csv(path, SAMPLE_COLUMNS, _chunked(len(samples), chunk))
+    digest = _write_table(path, SAMPLE_COLUMNS, len(samples), fields)
     read = replace(samples, distance_km=distance_read)
     if (digest is not None and _canonical(read) and _in_range(read.delay_ms, zero_ok=False)
             and _in_range(distance_read, zero_ok=True)

@@ -32,6 +32,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -678,33 +679,52 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _flow_depth(text: str) -> int:
-    """The deepest running count of ``[`` and ``{`` less ``]`` and ``}``
-    in a text, a bound on its YAML flow nesting; 0 when the text holds too
-    few ``[`` and ``{`` for it to reach the recursion limit."""
-    if text.count("[") + text.count("{") < sys.getrecursionlimit():
-        return 0
+    """A bound on a text's YAML flow nesting: the count of ``[`` and ``{``
+    when it is below the recursion limit, and otherwise the deepest running
+    count of ``[`` and ``{`` less ``]`` and ``}``."""
+    count = text.count("[") + text.count("{")
+    if count < sys.getrecursionlimit():
+        return count
     steps = map({"[": 1, "{": 1, "]": -1, "}": -1}.get, text, itertools.repeat(0))
     return max(itertools.accumulate(steps))
+
+
+#: a block indicator that may open a collection: ``-``, ``?`` or ``:``
+#: before a blank or the line's end
+_BLOCK_INDICATOR = re.compile(r"[-?:](?=[ \t]|$)")
+
+
+def _may_nest_too_deep(text: str) -> bool:
+    """Whether a YAML text may nest as deep as the recursion limit.  Its
+    depth is at most its flow depth (``_flow_depth``) and, on its deepest
+    line, the block collections open around the line, a mapping and a
+    sequence at most per column up to its indentation, and one more per
+    block indicator on the line (compact nesting such as ``- - - x``).  A
+    line of n characters adds at most 3n + 3, so only the lines long enough
+    to reach the limit are scanned."""
+    limit = sys.getrecursionlimit() - _flow_depth(text)
+    return any(2 * (len(line) - len(line.lstrip(" ")) + 1) + len(_BLOCK_INDICATOR.findall(line)) >= limit
+               for line in text.splitlines() if 3 * len(line) + 3 >= limit)
 
 
 def load_document(path, parse):
     """``parse(doc)`` of the document in a file: JSON, read by ``json.load``,
     when the path ends in ``.json``, and otherwise YAML, read by the safe
     loader.  libyaml's loader composes nested nodes recursively in C and
-    crashes the interpreter on deep enough nesting, so YAML whose flow depth
-    (``_flow_depth``) reaches the recursion limit goes to the pure-Python
-    loader, which raises RecursionError.  Malformed JSON or YAML, a byte
-    that is not UTF-8, a document nested past the interpreter's recursion
-    limit, a scalar the loader cannot construct (such as a bad date) and a
-    ValueError from ``parse`` (a ValidationError included) are a
-    ValidationError naming the file."""
+    crashes the interpreter on deep enough nesting, so YAML that may nest
+    as deep as the recursion limit (``_may_nest_too_deep``: flow or block
+    nesting) goes to the pure-Python loader, which raises RecursionError.
+    Malformed JSON or YAML, a byte that is not UTF-8, a document nested
+    past the interpreter's recursion limit, a scalar the loader cannot
+    construct (such as a bad date) and a ValueError from ``parse`` (a
+    ValidationError included) are a ValidationError naming the file."""
     is_json = Path(path).suffix == ".json"
     try:
         with open(path) as fh:
             if is_json:
                 doc = json.load(fh)
             else:
-                deep = _flow_depth(fh.read()) >= sys.getrecursionlimit()
+                deep = _may_nest_too_deep(fh.read())
                 fh.seek(0)
                 doc = yaml.load(fh, Loader=yaml.SafeLoader if deep else _YAML_LOADER)
         return parse(doc)

@@ -1300,6 +1300,16 @@ def test_edge_json_config_exits_1(tmp_path, capsys, data, message):
     assert not out.exists()
 
 
+def simulate_in_subprocess(config: Path, out: Path) -> subprocess.CompletedProcess:
+    """``rtdcorr simulate`` on a config in a child process, so a crash
+    fails the calling test rather than the test run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "rtdcorr.cli", "simulate", "--config", str(config), "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
 def test_deeply_nested_yaml_config_exits_1(tmp_path):
     """A .yaml config of 100,000 nested flow sequences, which crashed the
     interpreter in libyaml's loader, goes to the pure-Python loader: the run
@@ -1308,11 +1318,25 @@ def test_deeply_nested_yaml_config_exits_1(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("[" * 100_000 + "]" * 100_000)
     out = tmp_path / "o"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "rtdcorr.cli", "simulate", "--config", str(path), "--out-dir", str(out)],
-        capture_output=True, text=True, env=env, timeout=300)
+    done = simulate_in_subprocess(path, out)
+    assert done.returncode == 1, done.stderr[-500:]
+    assert done.stderr.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("- " * 100_000 + "x", id="sequences"),
+    pytest.param("? " * 100_000 + "x", id="complex-keys"),
+    pytest.param("- ? " * 50_000 + "x: y", id="mixed"),
+])
+def test_deep_block_nesting_on_one_line_exits_1(tmp_path, text):
+    """Compact block nesting, 100,000 collections opened on one line, also
+    crashed libyaml's loader: it goes to the pure-Python loader too, and the
+    run exits 1 naming the file and writes nothing."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "o"
+    done = simulate_in_subprocess(path, out)
     assert done.returncode == 1, done.stderr[-500:]
     assert done.stderr.startswith(f"error: {path}: ")
     assert not out.exists()

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import csv
 import io
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtdcorr import dataset, netsim
+from rtdcorr import cli, dataset, netsim
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, haversine_km
 
@@ -423,6 +425,160 @@ def test_table_writers_stream_the_campaign_tables(tmp_path, cn_config, cn_campai
             tracemalloc.stop()
         assert path.stat().st_size > 3_000_000  # more text than the bound
         assert peak < 2_000_000, write.__name__
+
+
+def rtt_text(v: float) -> str:
+    """An rtt as ``whole_column_write_rtt_csv`` writes it."""
+    text = format(v, ".6f")
+    return repr(v) if text == "0.000000" else text
+
+
+#: each number column form's text, as Python formats it
+PYTHON_FORMATS = {"fixed6": lambda v: format(v, ".6f"), "rtt": rtt_text, "repr": repr}
+#: values on the edges of the numpy path: zeros, the smallest subnormal and
+#: normal, each side of 1e-6 and 1e-4, the 2**52 / 1e6 bound, huge,
+#: negative and not finite
+NUMBER_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1e-6, 0.0), 1e-6,
+                math.nextafter(1e-4, 0.0), 1e-4, 2.0**52 / 1e6, math.nextafter(2.0**52 / 1e6, 0.0),
+                2.0**53 / 1e6, 1e300, -1.5, -1e-7, math.nan, math.inf, -math.inf]
+
+
+def ulps_away(v: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+number_values = st.one_of(
+    # on and a few ulps either side of a 6-decimal tie
+    st.builds(lambda k, steps: ulps_away((k + 0.5) / 1e6, steps),
+              st.integers(0, 2**53), st.integers(-4, 4)),
+    # 6-decimal values from 1e-4 to 1e9, and a few ulps off them
+    st.builds(lambda k, steps: ulps_away(k / 1e6, steps),
+              st.integers(100, 10**15), st.sampled_from([0, 0, 0, -2, -1, 1, 2])),
+    st.sampled_from(NUMBER_EDGES),
+    st.floats(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(number_values, min_size=1, max_size=40), lead=st.sampled_from([b"", b","]))
+@example(values=NUMBER_EDGES, lead=b",")
+def test_number_columns_are_python_formatting(values, lead):
+    """Each number column's text is Python's, ``format(v, ".6f")``, the rtt
+    rule or ``repr(v)``, bytes for bytes after its separator, and the value
+    read back is float() of that text, bit for bit, whichever path each
+    value takes."""
+    column = np.array(values, dtype=float)
+    for form, fmt in PYTHON_FORMATS.items():
+        field, read = dataset._numbers(column, form, lead)
+        want = [fmt(v) for v in values]
+        assert field.strs() == want, form
+        assert field.text.tolist() == [lead + w.encode() for w in want], form
+        assert read.tobytes() == np.array([float(w) for w in want]).tobytes(), form
+
+
+@contextlib.contextmanager
+def python_formatting_counted():
+    """A Counter of the values each number form leaves to Python while the
+    block is run."""
+    counts = collections.Counter()
+
+    def counted(form, fmt):
+        def f(v):
+            counts[form] += 1
+            return fmt(v)
+        return f
+
+    with mock.patch.dict(dataset._FORMATS, {f: counted(f, fmt) for f, fmt in dataset._FORMATS.items()}):
+        yield counts
+
+
+def test_pipeline_tables_leave_no_value_to_python(tmp_path, capsys):
+    """On the cn-like seed-42 pipeline, ``simulate``'s rtt.csv (121,500
+    rtts) and ``ingest``'s samples.csv (40,500 delays and distances) take
+    every value down the numpy path: none is formatted by Python."""
+    out = tmp_path / "o"
+    with python_formatting_counted() as counts:
+        assert cli.main(["simulate", "--config", "cn-like", "--seed", "42", "--out-dir", str(out)]) == 0
+        assert counts == {}
+        assert cli.main(["ingest", "--hosts", str(out / "hosts.csv"), "--rtt", str(out / "rtt.csv"),
+                         "--out", str(out / "samples.csv")]) == 0
+    assert counts == {}
+    assert len(dataset.read_samples_csv(out / "samples.csv")) == 40_500
+
+
+def test_raw_campaign_delays_take_repr_and_match_the_oracle(tmp_path, cn_campaign):
+    """The campaign's own delays are not 6-decimal values, so every one of
+    them is formatted by repr in Python, and none of its distances; the
+    bytes are the whole-column oracle's."""
+    with python_formatting_counted() as counts:
+        dataset.write_samples_csv(cn_campaign.samples, tmp_path / "chunked.csv")
+    assert counts == {"repr": 40_500}
+    whole_column_write_samples_csv(cn_campaign.samples, tmp_path / "whole.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def write_outcome(write, table, path):
+    """(the exception's type and text, or None, and the bytes written) of
+    write(table, path)."""
+    path.unlink(missing_ok=True)
+    drop_cache(path)
+    try:
+        write(table, path)
+        error = None
+    except (UnicodeError, csv.Error) as exc:
+        error = (type(exc), str(exc))
+    return error, path.read_bytes()
+
+
+#: ids that a row written as bytes could get wrong: with a NUL inside or at
+#: the end, non-ASCII, blank, and quoted (a comma, a double quote, CR LF)
+ODD_IDS = ["n\x00l", "x\x00", "é", "日本", "", "a,b", 'q"x', "r\r\nn"]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16"])
+@pytest.mark.parametrize("odd", ODD_IDS)
+def test_table_writers_equal_the_oracle_on_odd_ids(tmp_path, monkeypatch, encoding, odd):
+    """With one odd id, on one row of the middle of three chunks (as a
+    probe, and as the tag of that probe alone), each table writer writes
+    the whole-column oracle's bytes, or raises its error after the same
+    bytes, in UTF-8, in Latin-1 and in UTF-16, which does not write ASCII
+    as itself.  Where the file reads back in its encoding, a cache is
+    written exactly when the table qualifies (``check_cache``)."""
+    monkeypatch.setattr(dataset, "_ENCODING", encoding)
+    n, at = 2 * CHUNK + 1, CHUNK + 7
+    # 41 x 50 pairs: every probe, landmark and tag is used, as a cache needs
+    probe_ids = tuple(sorted({f"p{i:02d}" for i in range(41)} | {odd}))
+    landmark_ids = tuple(f"l{i:02d}" for i in range(50))
+    plain = [i for i, h in enumerate(probe_ids) if h != odd]
+    pairs = [(p, lm) for p in plain for lm in range(len(landmark_ids))][:n]
+    probe, landmark = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+    probe[at] = probe_ids.index(odd)  # the odd probe's one row: a pair of its own
+    rng = np.random.default_rng(7)
+    rtt = np.round(rng.lognormal(3.0, 1.0, n), 6)
+    rtt[::5] = rng.lognormal(3.0, 1.0, len(rtt[::5]))  # some rtts off the 6-decimal grid
+    rtt[[3, at + 1]] = 4e-7  # printed as 0.000000: written with repr
+    stamps = ("2017-01-01T00:00:00Z", "2017-01-01T00:01:00Z")
+    tags = tuple(sorted({"A", "B", odd}))
+    probe_tag = np.array([tags.index(odd) if h == odd else i % 2 for i, h in enumerate(probe_ids)],
+                         dtype=np.intp)
+    landmark_tag = np.arange(len(landmark_ids), dtype=np.intp) % 2
+    distance = rng.uniform(0.0, 5_000.0, n)
+    distance[at] = 0.0
+    tables = {
+        "rtt": dataset.RttTable(probe_ids, landmark_ids, stamps, probe, landmark,
+                                rng.integers(0, 2, n), rtt),
+        "samples": dataset.SampleTable(probe_ids, landmark_ids, tags, tags, probe, landmark,
+                                       rtt + 1.0, distance, probe_tag, landmark_tag,
+                                       probe_tag, landmark_tag),
+    }
+    oracles = {"rtt": whole_column_write_rtt_csv, "samples": whole_column_write_samples_csv}
+    for kind, table in tables.items():
+        got = write_outcome(CACHED[kind][0], table, tmp_path / "chunked.csv")
+        assert got == write_outcome(oracles[kind], table, tmp_path / "whole.csv"), kind
+        if got[0] is None and encoding != "utf-16":
+            check_cache(kind, table, tmp_path / "chunked.csv")
 
 
 def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
