@@ -1,6 +1,6 @@
 """Host registries, RTT and sample tables, min-RTT aggregation and the join
 that produces (delay, distance) samples.  CSV is the interchange format
-(``write_csv`` writes every CSV file the package outputs); this module's:
+(every CSV file the package outputs is written here); this module's:
 
 hosts.csv    id,role,city,isp,lat,lon,is_regional_center
 rtt.csv      probe_id,landmark_id,timestamp_iso8601,rtt_ms
@@ -13,17 +13,22 @@ are properties of the host, so ``SampleTable`` stores them once per host,
 not once per row: row i's probe ISP is ``isps[probe_isp[probe[i]]]``.
 samples.csv still writes them on every row.
 
-``write_rtt_csv`` and ``write_samples_csv`` format a chunk of rows a
-column at a time in numpy (``_write_table``): each id is encoded once and a
-chunk gathers its ids by code, and numbers take their digits from integer
-lookup tables wherever the digits are certainly Python's (``_numbers``),
-so every byte is the one the row writer ``write_csv`` would write.
+CSV is written in two ways, chosen once per table.  ``write_csv``, the
+one row writer, is ``csv.writer`` over a text file; it writes hosts.csv,
+the reports and results, and any table that cannot go in numpy.
+``write_rtt_csv`` and ``write_samples_csv`` write a table a column at a
+time in numpy (``_write_table``) when every id tuple of it is plain
+(``_Ids``) and the text encoding writes ASCII as itself
+(``_numpy_writes``): each id is encoded once and a chunk of rows gathers
+its ids by code, and numbers take their digits from integer lookup tables
+wherever the digits are certainly Python's (``_numbers``), so every byte
+is the one ``write_csv`` would write.
 
-Each table CSV that ``write_rtt_csv`` or ``write_samples_csv`` writes gets
-a binary cache beside it, ``<name>.cache``, when the table qualifies: the
-table exactly as its reader parses it from those bytes, and their sha256.
-The reader returns the cached table while the CSV still hashes to that
-digest, and parses the CSV otherwise (see ``_write_cache``).
+A table written in numpy gets a binary cache beside its CSV,
+``<name>.cache``, when it qualifies: the table exactly as its reader
+parses it from those bytes, and their sha256.  The reader returns the
+cached table while the CSV still hashes to that digest, and parses the
+CSV otherwise (see ``_write_cache``).
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import csv
 import functools
 import hashlib
 import io
-import itertools
 import locale
 import math
 import operator
@@ -569,114 +573,53 @@ def read_hosts_csv(path) -> Registry:
 _CHUNK_ROWS = 1024
 
 
-class _HashedText:
-    """A binary file that is written text: each piece is encoded as ``open``
-    encodes a text file (``write``) or comes encoded (``put``), and is
-    hashed, then written, so ``sha256`` is that of the bytes as they go
-    out."""
-
-    def __init__(self, fh):
-        self.fh, self.sha256 = fh, hashlib.sha256()
-
-    def write(self, text: str) -> None:
-        self.put(text.encode(_ENCODING))
-
-    def put(self, data: bytes) -> None:
-        self.sha256.update(data)
-        self.fh.write(data)
-
-
-def _write_rows(out: _HashedText, w, chunk: list[Sequence]) -> bool:
-    """Write a chunk of rows, as its lines joined when it is of str fields
-    that need no quoting and through ``csv.writer`` otherwise, so the bytes
-    are the same either way; whether it was joined."""
-    try:
-        lines = list(map(",".join, chunk))
-    except TypeError:  # a field that is not a str
-        w.writerows(chunk)
-        return False
-    text = "\r\n".join(lines)
-    # csv.writer quotes a field holding a comma, a double quote, CR or LF,
-    # and a row of one empty field: in a plain chunk every comma, CR and LF
-    # is a separator, and no line is empty
-    if ('"' not in text
-            and text.count(",") == sum(map(len, chunk)) - len(chunk)
-            and text.count("\r") == text.count("\n") == len(chunk) - 1
-            and "" not in lines):
-        out.write(text + "\r\n")
-        return True
-    w.writerows(chunk)
-    return False
-
-
-def _write_blocks(path, header: Sequence, blocks: Iterable) -> Optional[str]:
-    """The core of the one CSV writer: the header, then each block, which is
-    either whole lines already encoded (bytes) or a chunk of rows
-    (``_write_rows``).  Returns the sha256 (hex) of the bytes written when
-    no chunk of rows went through ``csv.writer``, and None otherwise."""
-    joined = True
-    with open(path, "wb") as fh:
-        out = _HashedText(fh)
-        w = csv.writer(out)
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The one CSV row writer: the header, then the rows, through
+    ``csv.writer`` in the csv module's default dialect (CRLF line ends, a
+    field quoted only when it holds a comma, a double quote or a line
+    break), to a text file in ``_ENCODING``."""
+    with open(path, "w", encoding=_ENCODING, newline="") as fh:
+        w = csv.writer(fh)
         w.writerow(header)
-        for block in blocks:
-            if isinstance(block, bytes):
-                out.put(block)
-            elif not _write_rows(out, w, block):
-                joined = False
-    return out.sha256.hexdigest() if joined else None
+        w.writerows(rows)
 
 
-def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> Optional[str]:
-    """The one CSV writer: the header, then the rows, in the csv module's
-    default dialect (CRLF line ends, a field quoted only when it holds a
-    comma, a double quote or a line break).
-
-    Rows go out in chunks.  A chunk of str fields that needs no quoting is
-    written as its lines joined; any other chunk goes through ``csv.writer``,
-    so the bytes are the same either way.  Returns the sha256 (hex) of the
-    bytes written when every chunk was joined, and None when some chunk
-    went through ``csv.writer``."""
-    rows = iter(rows)
-    return _write_blocks(path, header, iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), []))
-
-
-@dataclass(frozen=True)
-class _Field:
-    """A column of a chunk of table rows: ``text`` holds each row's field,
-    after the separator before it, encoded, as numpy bytes strings (NUL
-    padded, so a row's bytes end at its field's last byte); ``strs()`` gives
-    the fields as str, and ``plain`` says whether each is written unquoted,
-    as ``text`` holds it."""
-
-    text: np.ndarray
-    strs: Callable[[], list]
-    plain: bool = True
+def _str_rows(n: int, columns: Callable[[slice], list[Iterable]]) -> Iterator[tuple]:
+    """A table's n rows for ``write_csv``, ``columns(part)`` giving a slice
+    of rows' fields by column; a chunk at a time, so no column-sized list
+    is made."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        yield from zip(*columns(slice(lo, lo + _CHUNK_ROWS)))
 
 
 class _Ids:
     """An id tuple's ids as ``write_csv`` writes them, each encoded once
-    after ``lead``, the separator before its column.  An id that is a str,
-    encodes, needs no quoting and does not end in a NUL byte (which a bytes
-    string drops) is plain; a chunk that writes any other goes through
-    ``csv.writer``."""
+    after ``lead``, the separator before its column, as numpy bytes strings
+    (``text``).  The tuple is ``plain`` when every id is a str that encodes,
+    needs no quoting and does not end in a NUL byte (which a bytes string
+    drops); a table with an id tuple that is not plain is written through
+    ``write_csv``."""
 
     def __init__(self, ids: Sequence, lead: bytes = b","):
-        self.ids = np.array(ids, dtype=object)
-        data = []
-        for i in ids:
-            try:
-                plain = isinstance(i, str) and not any(c in i for c in ',"\r\n')
-                d = lead + i.encode(_ENCODING) if plain else None
-            except UnicodeEncodeError:
-                d = None
-            data.append(None if d is None or d.endswith(b"\0") else d)
-        self.plain = np.array([d is not None for d in data], dtype=bool)
-        self.text = np.array([d or lead for d in data], dtype=np.bytes_)
+        plain = all(isinstance(i, str) and not any(c in i for c in ',"\r\n') for i in ids)
+        try:
+            data = [lead + i.encode(_ENCODING) for i in ids] if plain else []
+        except UnicodeEncodeError:
+            plain, data = False, []
+        self.plain = plain and not any(d.endswith(b"\0") for d in data)
+        self.text = np.array(data, dtype=np.bytes_)
 
-    def field(self, codes: np.ndarray) -> _Field:
-        return _Field(np.take(self.text, codes), lambda: self.ids[codes].tolist(),
-                      bool(self.plain[codes].all()))
+
+def _numpy_writes(ids: Sequence[_Ids]) -> bool:
+    """Whether a table whose id tuples are ``ids`` is written a column at a
+    time in numpy (``_write_table``): every id tuple is plain and the text
+    encoding writes ASCII as itself."""
+    every_ascii = "".join(map(chr, range(128)))
+    try:
+        as_bytes = every_ascii.encode(_ENCODING) == every_ascii.encode("ascii")
+    except UnicodeEncodeError:
+        as_bytes = False
+    return as_bytes and all(i.plain for i in ids)
 
 
 @functools.cache
@@ -724,9 +667,9 @@ _FORMATS: dict[str, Callable[[float], str]] = {
     "fixed6": "{:.6f}".format, "rtt": _rtt_text, "repr": repr}
 
 
-def _numbers(values: np.ndarray, form: str, lead: bytes) -> tuple[_Field, np.ndarray]:
-    """The field of each value, its text in ``form`` (``_FORMATS``) after
-    ``lead``, and float() of the text, the value a reader parses.
+def _numbers(values: np.ndarray, form: str, lead: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each value in ``form`` (``_FORMATS``) after ``lead``, as
+    numpy bytes strings, and float() of the text, the value a reader parses.
 
     A value takes the digits of q = rint(p), p = v * 1e6, when q is
     certainly v rounded to 6 decimals: p is not negative (nor -0.0), below
@@ -767,32 +710,28 @@ def _numbers(values: np.ndarray, form: str, lead: bytes) -> tuple[_Field, np.nda
         text = text.astype(f"S{max(text.itemsize, *map(len, slow))}")
         text[other] = slow
         read[other] = [float(t[len(lead):]) for t in slow]
-    return _Field(text, lambda: [t[len(lead):].decode("ascii") for t in text.tolist()]), read
+    return text, read
 
 
-def _write_table(path, header: Sequence, n: int, fields: Callable[[slice], list[_Field]]) -> Optional[str]:
-    """Write a table of n rows a chunk at a time, ``fields(part)`` giving a
-    slice of rows' fields by column.  A chunk whose fields are all plain, in
-    a text encoding that writes ASCII as itself, is written as its lines,
-    each the concatenation of the row's field texts, joined; any other goes
-    as rows of str through ``write_csv``'s chunk path (``_write_rows``).
-    Returns as ``write_csv``."""
-    every_ascii = "".join(map(chr, range(128)))
-    try:
-        as_bytes = every_ascii.encode(_ENCODING) == every_ascii.encode("ascii")
-    except UnicodeEncodeError:
-        as_bytes = False
+def _write_table(path, header: Sequence, n: int, fields: Callable[[slice], list[np.ndarray]]) -> str:
+    """Write a table of n rows a column at a time in numpy: the header, then
+    a chunk of rows at a time, ``fields(part)`` giving a slice of rows'
+    field texts by column (``_Ids.text``, ``_numbers``), a row's line the
+    concatenation of its field texts and the lines joined with CRLF.  Only
+    for a table that ``_numpy_writes``, so every byte is the one
+    ``write_csv`` would write.  Returns the sha256 (hex) of the bytes
+    written."""
+    sha256 = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(data: bytes) -> None:
+            sha256.update(data)
+            fh.write(data)
 
-    def blocks():
+        put((",".join(header) + "\r\n").encode("ascii"))
         for lo in range(0, n, _CHUNK_ROWS):
-            chunk = fields(slice(lo, lo + _CHUNK_ROWS))
-            if as_bytes and all(f.plain for f in chunk):
-                lines = functools.reduce(np.char.add, (f.text for f in chunk)).tolist()
-                yield b"\r\n".join(lines) + b"\r\n"
-            else:
-                yield list(zip(*(f.strs() for f in chunk)))
-
-    return _write_blocks(path, header, blocks())
+            lines = functools.reduce(np.char.add, fields(slice(lo, lo + _CHUNK_ROWS))).tolist()
+            put(b"\r\n".join(lines) + b"\r\n")
+    return sha256.hexdigest()
 
 
 def write_hosts_csv(registry: Registry, path) -> None:
@@ -984,24 +923,30 @@ def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
 
 def write_rtt_csv(table: RttTable, path) -> None:
     """RTTs at 6 decimals; one that would print as zero (coincident hosts)
-    is written with repr, so reading it back gives a delay > 0.  The table
-    as its reader parses the file is cached beside it (``_write_cache``)
-    when no chunk went through ``csv.writer``, the table is ``_canonical``
-    and every rtt read back is finite and > 0."""
-    columns = [(_Ids(t, lead), codes) for t, lead, codes in (
-        (table.probe_ids, b"", table.probe), (table.landmark_ids, b",", table.landmark),
-        (table.stamps, b",", table.stamp))]
+    is written with repr, so reading it back gives a delay > 0.  A table
+    that ``_numpy_writes`` is written a column at a time in numpy, and the
+    table as its reader parses the file is cached beside it
+    (``_write_cache``) when it is ``_canonical`` and every rtt read back is
+    finite and > 0; any other table goes as rows of str through
+    ``write_csv``, and gets no cache."""
+    columns = ((table.probe_ids, table.probe), (table.landmark_ids, table.landmark),
+               (table.stamps, table.stamp))
+    ids = [_Ids(t, b"," if k else b"") for k, (t, _) in enumerate(columns)]
+    if not _numpy_writes(ids):
+        write_csv(path, RTT_COLUMNS, _str_rows(len(table), lambda part: [
+            *(map(t.__getitem__, codes[part].tolist()) for t, codes in columns),
+            map(_FORMATS["rtt"], table.rtt_ms[part].tolist())]))
+        return
     rtt_read = np.empty(len(table.rtt_ms))  # float() of each rtt as written
 
-    def fields(part: slice) -> list[_Field]:
+    def fields(part: slice) -> list[np.ndarray]:
         rtt, rtt_read[part] = _numbers(table.rtt_ms[part], "rtt", b",")
-        return [column.field(codes[part]) for column, codes in columns] + [rtt]
+        return [np.take(i.text, codes[part]) for i, (_, codes) in zip(ids, columns)] + [rtt]
 
     digest = _write_table(path, RTT_COLUMNS, len(table), fields)
     read = replace(table, rtt_ms=rtt_read)
-    if digest is not None and _canonical(read) and _in_range(rtt_read, zero_ok=False):
-        ids = (read.probe_ids, read.landmark_ids, read.stamps)
-        _write_cache(path, digest, read, _line_bound(ids, [rtt_read]))
+    if _canonical(read) and _in_range(rtt_read, zero_ok=False):
+        _write_cache(path, digest, read, _line_bound([t for t, _ in columns], [rtt_read]))
 
 
 def read_samples_csv(path) -> SampleTable:
@@ -1021,32 +966,42 @@ def read_samples_csv(path) -> SampleTable:
 
 def write_samples_csv(samples: SampleTable, path) -> None:
     """Delays with repr, which round-trips bit-exactly, and distances at 6
-    decimals.  The table as its reader parses the file is cached beside it
-    (``_write_cache``) when no chunk went through ``csv.writer``, the table
-    is ``_canonical``, every delay is finite and > 0, every distance read
-    back finite and >= 0, and no pair has two rows."""
-    probe_ids = _Ids(samples.probe_ids, b"")
-    landmark_ids, isps, cities = map(_Ids, (samples.landmark_ids, samples.isps, samples.cities))
-    distance_read = np.empty(len(samples.distance_km))  # float() of each distance as written
+    decimals.  A table that ``_numpy_writes`` is written a column at a time
+    in numpy, and the table as its reader parses the file is cached beside
+    it (``_write_cache``) when it is ``_canonical``, every delay is finite
+    and > 0, every distance read back finite and >= 0, and no pair has two
+    rows; any other table goes as rows of str through ``write_csv``, and
+    gets no cache."""
+    s = samples
+    id_tuples = (s.probe_ids, s.landmark_ids, s.isps, s.cities)
+    ids = [_Ids(t, b"," if k else b"") for k, t in enumerate(id_tuples)]
 
-    def fields(part: slice) -> list[_Field]:
-        p, lm = samples.probe[part], samples.landmark[part]
-        distance, distance_read[part] = _numbers(samples.distance_km[part], "fixed6", b",")
-        return [
-            probe_ids.field(p),
-            landmark_ids.field(lm),
-            _numbers(samples.delay_ms[part], "repr", b",")[0],
-            distance,
-            isps.field(samples.probe_isp[p]),
-            isps.field(samples.landmark_isp[lm]),
-            cities.field(samples.probe_city[p]),
-            cities.field(samples.landmark_city[lm]),
-        ]
+    def id_columns(part: slice) -> list[tuple[int, np.ndarray]]:
+        """(index into ``id_tuples``, codes) of a slice of rows' id columns:
+        probe, landmark, then the four tags gathered to the rows."""
+        p, lm = s.probe[part], s.landmark[part]
+        return [(0, p), (1, lm), (2, s.probe_isp[p]), (2, s.landmark_isp[lm]),
+                (3, s.probe_city[p]), (3, s.landmark_city[lm])]
 
-    digest = _write_table(path, SAMPLE_COLUMNS, len(samples), fields)
-    read = replace(samples, distance_km=distance_read)
-    if (digest is not None and _canonical(read) and _in_range(read.delay_ms, zero_ok=False)
+    if not _numpy_writes(ids):
+        def strs(part: slice) -> list[Iterable]:
+            p, lm, *tags = (map(id_tuples[k].__getitem__, c.tolist()) for k, c in id_columns(part))
+            return [p, lm, map(_FORMATS["repr"], s.delay_ms[part].tolist()),
+                    map(_FORMATS["fixed6"], s.distance_km[part].tolist()), *tags]
+
+        write_csv(path, SAMPLE_COLUMNS, _str_rows(len(s), strs))
+        return
+    distance_read = np.empty(len(s.distance_km))  # float() of each distance as written
+
+    def fields(part: slice) -> list[np.ndarray]:
+        p, lm, *tags = (np.take(ids[k].text, c) for k, c in id_columns(part))
+        distance, distance_read[part] = _numbers(s.distance_km[part], "fixed6", b",")
+        return [p, lm, _numbers(s.delay_ms[part], "repr", b",")[0], distance, *tags]
+
+    digest = _write_table(path, SAMPLE_COLUMNS, len(s), fields)
+    read = replace(s, distance_km=distance_read)
+    if (_canonical(read) and _in_range(read.delay_ms, zero_ok=False)
             and _in_range(distance_read, zero_ok=True)
             and not _repeats_a_pair(read.probe, read.landmark, len(read.probe_ids), len(read.landmark_ids))):
-        ids = (read.probe_ids, read.landmark_ids, read.isps, read.isps, read.cities, read.cities)
-        _write_cache(path, digest, read, _line_bound(ids, [read.delay_ms, distance_read]))
+        written = (s.probe_ids, s.landmark_ids, s.isps, s.isps, s.cities, s.cities)
+        _write_cache(path, digest, read, _line_bound(written, [read.delay_ms, distance_read]))

@@ -612,31 +612,33 @@ def sample_independent(
 
 
 def _require_str(value, key: str) -> str:
-    """A YAML string; a number, a bool, null or a collection is a
-    ValidationError naming the key."""
+    """A config document's string; a number, a bool, null or a collection
+    is a ValidationError naming the key."""
     if not isinstance(value, str):
         raise ValidationError(f"{key} must be a string, got {value!r}")
     return value
 
 
 def _require_int(value, key: str) -> int:
-    """A YAML integer; a float or a bool is a ValidationError naming the key."""
+    """A config document's integer; a float or a bool is a ValidationError
+    naming the key."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def _require_bool(value, key: str) -> bool:
-    """A YAML bool; anything else (a string, a number) is a ValidationError
-    naming the key."""
+    """A config document's bool; anything else (a string, a number) is a
+    ValidationError naming the key."""
     if not isinstance(value, bool):
         raise ValidationError(f"{key} must be true or false, got {value!r}")
     return value
 
 
 def _require_float(value, key: str) -> float:
-    """A YAML number (integer or float) as a float; a bool, a string, null, an
-    integer past the float range or anything else is a ValidationError naming the key."""
+    """A config document's number (integer or float) as a float; a bool, a
+    string, null, an integer past the float range or anything else is a
+    ValidationError naming the key."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{key} must be a number, got {value!r}")
     try:
@@ -646,8 +648,9 @@ def _require_float(value, key: str) -> float:
 
 
 def _list_of(parse):
-    """The parser of a YAML list: the tuple of ``parse(item, key)`` over its
-    items; a value that is not a list is a ValidationError naming the key."""
+    """The parser of a config document's list: the tuple of ``parse(item,
+    key)`` over its items; a value that is not a list is a ValidationError
+    naming the key."""
     def parse_list(value, key: str) -> tuple:
         if not isinstance(value, list):
             raise ValidationError(f"{key} must be a list, got {value!r}")
@@ -656,8 +659,9 @@ def _list_of(parse):
 
 
 def _fields(mapping, where: str, required: Mapping, optional: Mapping) -> dict:
-    """A YAML mapping's values, each parsed by ``parser(value, key)`` with its
-    key's parser from ``required`` or ``optional``, the mapping's one schema.
+    """The values of a config document's mapping, each parsed by
+    ``parser(value, key)`` with its key's parser from ``required`` or
+    ``optional``, the mapping's one schema.
     A value that is not a mapping, a key in neither table (a misspelling) or
     a required key it lacks is a ValidationError naming ``where``.  An
     optional key it lacks is left out, so it keeps its dataclass default,

@@ -471,10 +471,9 @@ def test_number_columns_are_python_formatting(values, lead):
     value takes."""
     column = np.array(values, dtype=float)
     for form, fmt in PYTHON_FORMATS.items():
-        field, read = dataset._numbers(column, form, lead)
+        text, read = dataset._numbers(column, form, lead)
         want = [fmt(v) for v in values]
-        assert field.strs() == want, form
-        assert field.text.tolist() == [lead + w.encode() for w in want], form
+        assert text.tolist() == [lead + w.encode() for w in want], form
         assert read.tobytes() == np.array([float(w) for w in want]).tobytes(), form
 
 
@@ -579,6 +578,26 @@ def test_table_writers_equal_the_oracle_on_odd_ids(tmp_path, monkeypatch, encodi
         assert got == write_outcome(oracles[kind], table, tmp_path / "whole.csv"), kind
         if got[0] is None and encoding != "utf-16":
             check_cache(kind, table, tmp_path / "chunked.csv")
+
+
+def test_write_csv_is_csv_writer_in_latin_1(tmp_path, monkeypatch):
+    """With ``_ENCODING`` Latin-1, write_csv writes the bytes of csv.writer
+    over a Latin-1 text stream, for fields with é, commas and double
+    quotes; a field Latin-1 cannot encode raises UnicodeEncodeError."""
+    monkeypatch.setattr(dataset, "_ENCODING", "latin-1")
+    header = ("id", "café")
+    rows = [("é", "a,b"), ('q"é', "x"), ("", 'é,"'), ("",), ("a\r\nb", None)]
+    stream = io.TextIOWrapper(io.BytesIO(), "latin-1", newline="")
+    w = csv.writer(stream)
+    w.writerow(header)
+    w.writerows(rows)
+    stream.flush()
+    want = stream.buffer.getvalue()
+    assert "é".encode("latin-1") in want and "é".encode() not in want
+    dataset.write_csv(tmp_path / "latin.csv", header, rows)
+    assert (tmp_path / "latin.csv").read_bytes() == want
+    with pytest.raises(UnicodeEncodeError):
+        dataset.write_csv(tmp_path / "cjk.csv", header, [("日本", "x")])
 
 
 def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
@@ -883,7 +902,8 @@ def parsed_as_written(table, parsed) -> bool:
 def check_cache(kind, table, path):
     """Write the table, and check that a cache is written exactly when the
     file is plain (no field quoted), no line is too long for the plain-block
-    path, no id is blank and the parse gives back the table's ids and codes;
+    path, no id is blank or ends in NUL (a table with such an id is written
+    through ``write_csv``) and the parse gives back the table's ids and codes;
     and that a cached read equals the parse, bit for bit.  The parsed
     table, or None."""
     write, read, _ = CACHED[kind]
@@ -898,7 +918,8 @@ def check_cache(kind, table, path):
     qualifies = (b'"' not in data
                  and max(map(len, data.split(b"\n"))) + 1 <= csv.field_size_limit() - dataset._BLOCK_BYTES
                  and parsed is not None and parsed_as_written(table, parsed)
-                 and all("" not in t for t in (getattr(table, f) for f in table.__dataclass_fields__)
+                 and all("" not in t and not any(i.endswith("\0") for i in t)
+                         for t in (getattr(table, f) for f in table.__dataclass_fields__)
                          if isinstance(t, tuple)))
     assert cached == qualifies
     if cached:
@@ -917,6 +938,34 @@ def test_cached_read_equals_the_parse(tmp_path_factory, data, kind):
     parsed = check_cache(kind, data.draw(raw_tables(kind)), path)
     if parsed is not None:
         check_cache(kind, parsed, path)
+
+
+@pytest.mark.parametrize("kind", sorted(CACHED))
+def test_no_cache_in_an_encoding_that_does_not_write_ascii_as_itself(tmp_path, monkeypatch, kind):
+    """In UTF-16, which does not write ASCII as itself, a one-row table is
+    written through ``write_csv`` and gets no cache, so its reader gives
+    what the parse of the file gives (a ValidationError: the binary line
+    reader splits UTF-16's two-byte LF)."""
+    monkeypatch.setattr(dataset, "_ENCODING", "utf-16")
+    one = np.zeros(1, dtype=np.intp)
+    table = {
+        "rtt": dataset.RttTable(("p",), ("l",), ("2017-01-01T00:00:00Z",), one, one, one,
+                                np.array([5.0])),
+        "samples": dataset.SampleTable(("p",), ("l",), ("A",), ("c",), one, one,
+                                       np.array([5.0]), np.array([10.0]), one, one, one, one),
+    }[kind]
+    write, read, _ = CACHED[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(table, path)
+    assert not cache_of(path).exists()
+    got = read_outcome(read, path)
+    drop_cache(path)
+    want = read_outcome(read, path)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got == want
+    else:
+        assert_same_table(got[1], want[1])
 
 
 @pytest.fixture()

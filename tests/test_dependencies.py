@@ -48,6 +48,32 @@ def test_one_module_imports_each_file_format(module, owner):
     assert importers == [owner]
 
 
+def csv_writer_uses(node: ast.AST, scope: str) -> list[str]:
+    """The scope (dotted names of the module and the enclosing definitions)
+    of each ``csv.writer`` named under an AST node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (isinstance(child, ast.Attribute) and child.attr == "writer"
+              and isinstance(child.value, ast.Name) and child.value.id == "csv"):
+            found.append(scope)
+        found += csv_writer_uses(child, inner)
+    return found
+
+
+def test_one_csv_row_writer():
+    """The package names ``csv.writer`` once, in ``dataset.write_csv``, so
+    every CSV row goes through that one writer."""
+    uses = [
+        use
+        for path in sorted(PACKAGE.glob("*.py"))
+        for use in csv_writer_uses(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    ]
+    assert uses == ["dataset.write_csv"]
+
+
 def test_every_bundled_file_is_package_data():
     """Each file under the package's configs/ matches a package-data glob
     of pyproject.toml, so an installed rtdcorr keeps its bundled configs."""
