@@ -8,9 +8,12 @@ Each directory is a checkout of the repository.  Round i runs one fresh
 process per checkout, the parent first in even rounds and the change first
 in odd ones, so drift in the host's speed falls on both sides alike.  A
 process imports its checkout's ``src/``, builds the bundled cn-like topology
-and fills its site matrix (``Topology._dist``) once untimed, counting the
-pairs the fill hands to ``geodesic_distance_many``; it then times K more
-fills and reports the best, as pairs per second.  The processes run one at
+and fills every row of its site matrix (``Topology._dist``) once untimed,
+counting the pairs the fill hands to ``geodesic_distance_many``; it then
+times K more fills, each of a freshly built topology, and reports the best,
+as pairs per second.  A checkout whose topology fills the matrix by rows on
+request (``Topology._fill_rows``) asks for every row; an older one fills it
+on first read.  The processes run one at
 a time; nothing else should run on the host meanwhile.
 
 Prints one JSON object: each process's record (its ``netsim`` module path,
@@ -37,7 +40,7 @@ sys.path.insert(0, sys.argv[1])
 from rtdcorr import netsim
 
 reps = int(sys.argv[2])
-topo = netsim.build_topology(netsim.resolve_config("cn-like"))
+config = netsim.resolve_config("cn-like")
 pairs = []
 kernel = netsim.geodesic_distance_many
 
@@ -46,14 +49,20 @@ def counted(*coords):
     pairs.append(km.size)
     return km
 
+def fill(topo):
+    if hasattr(topo, "_fill_rows"):
+        topo._fill_rows(slice(None))
+    else:
+        topo._dist
+
 netsim.geodesic_distance_many = counted
-topo._dist  # the untimed first fill counts the pairs
+fill(netsim.build_topology(config))  # the untimed first fill counts the pairs
 netsim.geodesic_distance_many = kernel
 best = float("inf")
 for _ in range(reps):
-    del topo.__dict__["_dist"]
+    topo = netsim.build_topology(config)
     start = time.perf_counter()
-    topo._dist
+    fill(topo)
     best = min(best, time.perf_counter() - start)
 print(json.dumps({"netsim": netsim.__file__, "pairs": sum(pairs), "best_s": best,
                   "pairs_per_s": sum(pairs) / best}))

@@ -118,9 +118,18 @@ class Campaign:
 
 
 def prepare_campaign(config: netsim.SimConfig, seed: int) -> Campaign:
+    """A campaign on a fresh topology of ``config``: the simulated (probe,
+    landmark) table, ingested and joined with the site matrix's distances.
+
+    It fills every row of the site matrix up front, in one request.  The
+    campaign itself reads only the probe and center rows, but it serves
+    GeoGet's target streams, which route from every landmark; one request
+    fills the whole matrix in 22 kernel calls on cn-like, where the rows
+    asked for locate by locate would take many small calls inside the
+    locates."""
     topology = netsim.build_topology(config)
+    topology._fill_rows(slice(None))
     rtts = netsim.simulate_campaign(topology, config, seed)
-    # the join reads the site matrix, which routing has filled
     samples = dataset.join_distances(
         dataset.ingest_rtt(rtts), topology.registry, topology.host_distances)
     return Campaign(config, topology, samples)

@@ -13,7 +13,9 @@ destinations, and ``simulate_campaign`` routes whole probe rows in blocks of
 at most ``_CAMPAIGN_BLOCK_PAIRS`` pairs.  Routing reads the topology's one
 site-to-site distance matrix (its sites are the hosts and the regional
 centers) and, across ISPs, a table of the chosen IXP per ISP pair and region
-pair built from it.  A pair's random draws are words of a counter-based
+pair built from it.  The matrix is filled by rows, on request: each reader
+asks for the rows it reads first, so a campaign computes the rows of its
+probes and centers alone.  A pair's random draws are words of a counter-based
 stream (``pair_uniforms``): SplitMix64's finaliser over a pair key from a
 row key (``row_key``: SHAKE-256 over ``f"{seed}|{stream}|{src}"``, one digest
 per row) and the destination's host key (SHAKE-256 over its id, mixed once
@@ -160,6 +162,9 @@ class Topology:
             | {(c.coordinate.lat, c.coordinate.lon) for c in self.center_of_region.values()}
         )
         self._site_index = {c: i for i, c in enumerate(self._sites)}
+        # the site matrix's rows in, and whether they all are
+        self._filled = np.zeros(len(self._sites), dtype=bool)
+        self._all_filled = False
 
         # routing tables: per host, its site, its city's, ISP's and region's
         # codes, the site of its region's center city, and whether it sits in
@@ -207,23 +212,60 @@ class Topology:
         return _mix(self._host_key)
 
     @functools.cached_property
+    def _site_coords(self) -> np.ndarray:
+        """The sites as an (n, 2) array of (lat, lon); computed on first read."""
+        return np.array(self._sites).reshape(-1, 2)
+
+    @functools.cached_property
     def _dist(self) -> np.ndarray:
         """The one store of site-to-site distances: a symmetric matrix in site
-        order, computed on first read.  Each kernel call fills rows lo:hi
-        against columns lo:, and the block is mirrored to columns lo:hi; no
-        second matrix is ever held.  A call takes as many rows as fit one
-        kernel pass, so the kernel computes its latitude terms once per
-        point."""
-        lats, lons = np.array(self._sites).reshape(-1, 2).T
-        dist = np.empty((lats.size, lats.size))
-        lo = 0
-        while lo < lats.size:
-            hi = min(lo + max(1, VINCENTY_PASS_PAIRS // (lats.size - lo)), lats.size)
+        order, allocated as NaN on first read and filled by rows on request
+        (``_fill_rows``); ``_filled`` marks the rows that are in.  A row is
+        filled whole and mirrored to its column, so an entry is in when its
+        row or its column is, and an entry whose row and column are both out
+        reads NaN."""
+        return np.full((len(self._sites),) * 2, np.nan)
+
+    def _fill_rows(self, sites) -> None:
+        """Fill the rows of the site matrix at ``sites`` (site codes in any
+        order, repeats allowed, or a slice) that are not in yet; each reader
+        asks for the rows it reads before it reads them.  When every row
+        asked is in, this is one mask test, and once every row is in, one
+        flag test (GeoGet routes on every locate).
+
+        The rows asked are put first in an order of the rows not in, and the
+        order is filled as the whole matrix once was, up to the last row
+        asked: each kernel call takes rows lo:hi against the order's sites
+        from lo on, as many rows as fit one kernel pass, so the kernel
+        computes its latitude terms once per point, and the block is
+        mirrored to its columns.  A row that is in has its column in, so no
+        pair is computed twice, and the kernel puts each pair in key order,
+        so a distance has the same bits whichever side asks for it and
+        whichever call computes it.  A fresh matrix asked for every row is
+        filled in site order with slices: 22 calls on cn-like."""
+        filled = self._filled
+        if self._all_filled or filled[sites].all():
+            return
+        asked = np.zeros_like(filled)
+        asked[sites] = True
+        asked &= ~filled
+        order = np.concatenate((np.flatnonzero(asked), np.flatnonzero(~(asked | filled))))
+        k = np.count_nonzero(asked)
+        whole = k == filled.size  # so order is every site, in site order
+        lats, lons = self._site_coords[order].T
+        dist, lo = self._dist, 0
+        while lo < k:
+            hi = min(lo + max(1, VINCENTY_PASS_PAIRS // (order.size - lo)), k)
             block = geodesic_distance_many(lats[lo:hi, None], lons[lo:hi, None], lats[lo:], lons[lo:])
-            dist[lo:hi, lo:] = block
-            dist[lo:, lo:hi] = block.T
+            if whole:
+                dist[lo:hi, lo:] = block
+                dist[lo:, lo:hi] = block.T
+            else:
+                dist[np.ix_(order[lo:hi], order[lo:])] = block
+                dist[np.ix_(order[lo:], order[lo:hi])] = block.T
             lo = hi
-        return dist
+        filled |= asked
+        self._all_filled = bool(filled.all())
 
     @functools.cached_property
     def _ixp_hop(self) -> np.ndarray:
@@ -234,6 +276,7 @@ class Topology:
         in city id order, first minimum).  -1 where the two ISPs have no IXP
         city, and on the unused same-ISP entries."""
         n_isps, centers = len(self._isp_ids), self._center_site
+        self._fill_rows(centers)  # the candidates are centers too
         hop = np.full((n_isps, n_isps, centers.size, centers.size), -1, dtype=np.intp)
         ixp_cities = [set(self.isps[isp].ixp_cities) for isp in self._isp_ids]
         for a, b in itertools.permutations(range(n_isps), 2):
@@ -251,6 +294,7 @@ class Topology:
         lists of host ids, read from the site matrix."""
         a = self._host_site[self._host_positions(a_ids)]
         b = self._host_site[self._host_positions(b_ids)]
+        self._fill_rows(a)
         return self._dist[np.ix_(a, b)]
 
     def distance(self, a: Coordinate, b: Coordinate) -> float:
@@ -260,6 +304,7 @@ class Topology:
         j = self._site_index.get((b.lat, b.lon))
         if i is None or j is None:
             return geodesic_distance(a, b)
+        self._fill_rows([i])
         return self._dist.item(i, j)
 
     def _host_positions(self, host_ids: Sequence[str]) -> np.ndarray:
@@ -374,6 +419,9 @@ def _route(topology: Topology, src: np.ndarray, dst: np.ndarray) -> _Routes:
     """
     t = topology
     src_site, dst_site = t._host_site[src], t._host_site[dst]
+    # a leg starts at a source or a center (an IXP city is a center)
+    t._fill_rows(t._center_site)
+    t._fill_rows(src_site)
     isp_s, isp_d = t._host_isp[src], t._host_isp[dst]
     same_isp = isp_s == isp_d
     hop1 = np.where(t._host_at_center[src], src_site, t._host_center[src])

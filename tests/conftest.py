@@ -74,6 +74,37 @@ MINI_YAML = textwrap.dedent(
 )
 
 
+#: a config document on the edges of the map: centers either side of the
+#: antimeridian (lon +-179.99) and 0.001 degrees from the north pole, hosts
+#: pinned on their center city's exact coordinate (one site for both), two
+#: coincident landmarks, and a host scattered across the pole
+EDGE_CONFIG = {
+    "scatter_km": 8.0,
+    "cities": [
+        {"id": "e", "lat": 10.0, "lon": 179.99, "region": "east", "is_center": True},
+        {"id": "e2", "lat": 12.0, "lon": 179.5, "region": "east"},
+        {"id": "n", "lat": 89.999, "lon": 30.0, "region": "north", "is_center": True},
+        {"id": "w", "lat": 10.0, "lon": -179.99, "region": "west", "is_center": True},
+        {"id": "w2", "lat": 8.0, "lon": -179.5, "region": "west"},
+    ],
+    "isps": [{"id": "x", "ixps": ["e", "n"]}, {"id": "y", "ixps": ["n", "w"]}],
+    "hosts": [
+        {"id": "p1", "role": "probe", "city": "e", "isp": "x", "lat": 10.0, "lon": 179.99},
+        {"id": "p2", "role": "probe", "city": "w2", "isp": "y"},
+        {"id": "p3", "role": "probe", "city": "n", "isp": "y"},
+        {"id": "p4", "role": "probe", "city": "w", "isp": "x", "lat": 10.0, "lon": -179.99},
+        {"id": "l1", "role": "landmark", "city": "n", "isp": "x", "lat": 89.999, "lon": 30.0},
+        {"id": "l2", "role": "landmark", "city": "n", "isp": "y", "lat": 89.999, "lon": 30.0},
+        {"id": "l3", "role": "landmark", "city": "e2", "isp": "y"},
+        {"id": "l4", "role": "landmark", "city": "e", "isp": "y", "lat": 10.0, "lon": 179.99},
+        {"id": "l5", "role": "landmark", "city": "w", "isp": "x"},
+        {"id": "l6", "role": "landmark", "city": "w2", "isp": "x"},
+        {"id": "l7", "role": "landmark", "city": "e2", "isp": "x"},
+        {"id": "l8", "role": "landmark", "city": "n", "isp": "x"},
+    ],
+}
+
+
 @pytest.fixture(scope="session")
 def mini_config_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "mini.yaml"

@@ -23,7 +23,7 @@ from rtdcorr import dataset, experiments, netsim
 from rtdcorr.cli import main
 from rtdcorr.geodesy import Coordinate, geodesic_distance
 
-from conftest import MINI_YAML, assert_same_read
+from conftest import EDGE_CONFIG, MINI_YAML, assert_same_read
 from reference import row_parse_csv, row_read_rtt_csv, row_read_samples_csv
 
 HUGE_INT = 10 ** 400  # a YAML integer past the float range
@@ -404,6 +404,25 @@ def test_cn_like_pipeline_golden_outputs(tmp_path):
     assert got == GOLDEN_SHA256
 
 
+@pytest.mark.parametrize("seed", ["42", "7"])
+def test_simulate_writes_the_bytes_of_a_full_site_matrix(tmp_path, monkeypatch, seed):
+    """``simulate`` fills only the site rows its routes read, and writes the
+    bytes it writes when every row is filled first."""
+    argv = ["simulate", "--config", "cn-like", "--seed", seed, "--out-dir"]
+    assert quiet_main(argv + [str(tmp_path / "rows")]) == 0
+    build = netsim.build_topology
+
+    def full(config):
+        topology = build(config)
+        topology._fill_rows(slice(None))
+        return topology
+
+    monkeypatch.setattr(netsim, "build_topology", full)
+    assert quiet_main(argv + [str(tmp_path / "full")]) == 0
+    for name in ("hosts.csv", "rtt.csv"):
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
 #: sha256 of ``geolocate``'s results.csv for CBG on cn-like, 100 targets, seed 42
 GOLDEN_CBG_SHA256 = {
     "original": "d9d916ac191e71b94939e2579086465b2de7e6052623c8225a8f4ad6fca0fe7b",
@@ -593,6 +612,35 @@ def test_geolocate_and_evaluate(capsys, tmp_path, mini_config_path):
     n_located = stdout.splitlines()[1].split("located:")[1].split()[0]
     assert len(lines) - 1 == int(n_located)
     assert "summary,n_total,3" in report.read_text()
+
+
+def test_every_command_runs_on_a_topology_at_the_map_edges(capsys, tmp_path):
+    """simulate, ingest, corr, discover, the four geolocate variants and
+    evaluate exit 0 on centers by the antimeridian and the pole, hosts on
+    their center's site, coincident hosts and a host scattered over the pole."""
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps(EDGE_CONFIG))
+    f = {name: str(tmp_path / name) for name in ("hosts.csv", "rtt.csv", "samples.csv")}
+    assert run(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path))[0] == 0
+    for argv in (
+        ["ingest", "--hosts", f["hosts.csv"], "--rtt", f["rtt.csv"], "--out", f["samples.csv"]],
+        ["corr", "--samples", f["samples.csv"], "--by", "isp", "--out", str(tmp_path / "m.csv")],
+        ["corr", "--samples", f["samples.csv"], "--by", "probe", "--out", str(tmp_path / "r.csv")],
+        ["discover", "--samples", f["samples.csv"]],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    for algorithm in ("cbg", "geoget"):
+        for mode in ("original", "modified"):
+            spec, results = tmp_path / "spec.json", tmp_path / f"{algorithm}-{mode}.csv"
+            spec.write_text(json.dumps({"config": str(cfg), "algorithm": algorithm,
+                                        "mode": mode, "targets": 8}))
+            code, stdout, err = run(capsys, "geolocate", "--spec", str(spec), "--out", str(results))
+            assert code == 0, err
+            assert f"{algorithm}/{mode}: 8/8 located" in stdout
+            code, _, err = run(capsys, "evaluate", "--results", str(results),
+                               "--truth", f["hosts.csv"])
+            assert code == 0, err
 
 
 def test_evaluate_report_row_without_coordinate(capsys, sim_dir, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from rtdcorr.corr_model import pearson_xy, synth_delay
 from rtdcorr.errors import NotFoundError, ValidationError
 from rtdcorr.geodesy import Coordinate, geodesic_distance, geodesic_distance_many
 
-from conftest import MINI_YAML, load_script, pair_rtts
+from conftest import EDGE_CONFIG, MINI_YAML, load_script, pair_rtts
 from reference import route_scalar, scalar_pair_uniforms, shake_key64, splitmix64_mix
 
 
@@ -412,11 +413,13 @@ def test_ixp_table_breaks_cost_ties_by_city_id():
     c10, c20 = (topo._site_index[(c.lat, c.lon)] for c in (
         topo.city("c10").coordinate, topo.city("c20").coordinate))
     r0 = 0
+    hop = topo._ixp_hop  # the table asks for the center rows it compares
+    assert topo._filled[topo._center_site].all()
     # c10 and c20 are 10 degrees either side of r0's center on its meridian
     assert topo._dist[topo._center_site[r0], c10] == topo._dist[topo._center_site[r0], c20]
-    assert topo._ixp_hop[0, 1, r0, r0] == topo._ixp_hop[1, 0, r0, r0] == c10
-    assert topo._ixp_hop[1, 2, r0, r0] == -1  # y and z have no IXP city
-    assert topo._ixp_hop[0, 0, r0, r0] == -1  # same ISP: unused
+    assert hop[0, 1, r0, r0] == hop[1, 0, r0, r0] == c10
+    assert hop[1, 2, r0, r0] == -1  # y and z have no IXP city
+    assert hop[0, 0, r0, r0] == -1  # same ISP: unused
 
 
 def test_campaign_set_up_runs_the_kernel_only_to_fill_the_site_matrix(mini_config_path,
@@ -443,9 +446,9 @@ def test_campaign_set_up_runs_the_kernel_only_to_fill_the_site_matrix(mini_confi
 
 
 def test_each_fill_call_fits_one_kernel_pass(cn_config, monkeypatch):
-    """The cn-like fill takes as many rows per call as fit one kernel pass
-    against the columns left, so no call is split into flattened pairs; the
-    calls cover the upper triangle once."""
+    """The cn-like fill of every row takes as many rows per call as fit one
+    kernel pass against the columns left, so no call is split into
+    flattened pairs; the calls cover the upper triangle once."""
     sizes = []
 
     def fill(lats1, lons1, lats2, lons2):
@@ -454,7 +457,7 @@ def test_each_fill_call_fits_one_kernel_pass(cn_config, monkeypatch):
 
     monkeypatch.setattr(netsim, "geodesic_distance_many", fill)
     topo = netsim.build_topology(cn_config)
-    topo._dist
+    topo._fill_rows(slice(None))
     n = len(topo._sites)
     assert all(rows * cols <= geodesy.VINCENTY_PASS_PAIRS for rows, cols in sizes)
     assert sum(rows for rows, _ in sizes) == n
@@ -606,8 +609,8 @@ def test_topology_distance_matches_geodesic_distance():
 
 def test_site_matrix_is_one_canonical_batch_on_cn_like(cn_config):
     topo = netsim.build_topology(cn_config)
-    # computed on first read, not by build_topology
-    assert "_dist" not in vars(topo)
+    # filled on request, not by build_topology
+    assert "_dist" not in vars(topo) and not topo._filled.any()
     # the sites are the hosts and the regional centers: the waypoints routes
     # read (IXP cities are centers), not the other cities
     keys = {(h.coordinate.lat, h.coordinate.lon) for h in topo.registry.hosts.values()}
@@ -615,14 +618,76 @@ def test_site_matrix_is_one_canonical_batch_on_cn_like(cn_config):
              if c.is_regional_center}
     assert topo._sites == sorted(keys)
     assert len(keys) == 570
+    topo._fill_rows(slice(None))
     dist = topo._dist
-    assert "_dist" in vars(topo)
+    assert topo._filled.all()
     assert (dist == dist.T).all() and (np.diag(dist) == 0.0).all()
     # each pair i < j is the kernel's
     i, j = np.triu_indices(len(keys), 1)
     sites = np.array(topo._sites)
     want = geodesic_distance_many(sites[i, 0], sites[i, 1], sites[j, 0], sites[j, 1])
     assert (dist[i, j] == want).all()
+
+
+def test_simulate_fills_only_the_probe_and_center_rows_on_cn_like(cn_config, monkeypatch):
+    """A campaign on a fresh topology computes the rows its routes read, of
+    the probe and center sites, in calls that each fit one kernel pass;
+    prepare_campaign fills every row up front, as one request."""
+    calls = []
+
+    def kernel(lats1, lons1, lats2, lons2):
+        assert lats1.shape[0] * lats2.shape[0] <= geodesy.VINCENTY_PASS_PAIRS
+        km = geodesy.geodesic_distance_many(lats1, lons1, lats2, lons2)
+        calls.append(km.size)
+        return km
+
+    monkeypatch.setattr(netsim, "geodesic_distance_many", kernel)
+    topo = netsim.build_topology(cn_config)
+    netsim.simulate_campaign(topo, cn_config, seed=42)
+    rows = np.zeros(len(topo._sites), dtype=bool)
+    rows[topo._host_site[topo._host_positions([h.id for h in topo.registry.probes()])]] = True
+    rows[topo._center_site] = True
+    assert np.count_nonzero(rows) == 120 and (topo._filled == rows).all()
+    assert (len(calls), sum(calls)) == (13, 62_037)  # 30 center rows, then 18 probes a block
+    calls.clear()
+    experiments.prepare_campaign(cn_config, seed=42)
+    assert (len(calls), sum(calls)) == (22, 171_972)
+
+
+#: the topologies of the row-request property: the mini config, and one on
+#: the map's edges with hosts on their center's site and coincident hosts
+ROW_REQUEST_CONFIGS = {"mini": mini_config(), "edge": netsim._parse_config(EDGE_CONFIG)}
+
+
+@functools.cache
+def one_shot_site_matrix(name: str) -> np.ndarray:
+    """The site matrix of a ROW_REQUEST_CONFIGS topology from one kernel
+    call over every (row, column) pair."""
+    lats, lons = np.array(netsim.build_topology(ROW_REQUEST_CONFIGS[name])._sites).T
+    return geodesic_distance_many(lats[:, None], lons[:, None], lats, lons)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(ROW_REQUEST_CONFIGS)), data=st.data())
+def test_row_requests_fill_the_one_shot_bits(name, data):
+    """Any sequence of row requests (random subsets, repeated rows, any
+    order, or every row) leaves the rows of their union filled with the
+    one-shot matrix's bits and mirrored to their columns, and every entry
+    whose row and column are both out reads NaN."""
+    want = one_shot_site_matrix(name)
+    n = want.shape[0]
+    topo = netsim.build_topology(ROW_REQUEST_CONFIGS[name])
+    requests = data.draw(st.lists(st.one_of(
+        st.lists(st.integers(0, n - 1), max_size=2 * n), st.just(slice(None))), max_size=5))
+    union = np.zeros(n, dtype=bool)
+    for sites in requests:
+        topo._fill_rows(sites)
+        union[sites] = True
+        assert (topo._filled == union).all() and topo._all_filled == union.all()
+        dist = topo._dist
+        assert dist[union].tobytes() == want[union].tobytes()
+        assert dist[:, union].tobytes() == want[:, union].tobytes()
+        assert np.isnan(dist[np.ix_(~union, ~union)]).all()
 
 
 def rtt_rows(table) -> list[tuple]:
