@@ -3,7 +3,8 @@
 Subcommands: ingest, corr, discover, model, simulate, geolocate, evaluate.
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.  All
 randomness is derived from --seed, and identical invocations over identical
-inputs produce byte-identical output files.
+inputs produce byte-identical output files, under any locale: every file
+is read and written as UTF-8.
 """
 
 from __future__ import annotations

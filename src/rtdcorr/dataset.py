@@ -13,14 +13,16 @@ are properties of the host, so ``SampleTable`` stores them once per host,
 not once per row: row i's probe ISP is ``isps[probe_isp[probe[i]]]``.
 samples.csv still writes them on every row.
 
+Every CSV file is read and written as UTF-8 (``_ENCODING``), whatever the
+locale, so a table gives the same bytes on every machine.
+
 CSV is written in two ways, chosen once per table.  ``write_csv``, the
 one row writer, is ``csv.writer`` over a text file; it writes hosts.csv,
 the reports and results, and any table that cannot go in numpy.
 ``write_rtt_csv`` and ``write_samples_csv`` write a table a column at a
 time in numpy (``_write_table``) when every id tuple of it is plain
-(``_Ids``) and the text encoding writes ASCII as itself
-(``_numpy_writes``): each id is encoded once and a chunk of rows gathers
-its ids by code, and numbers take their digits from integer lookup tables
+(``_Ids``): each id is encoded once and a chunk of rows gathers its ids
+by code, and numbers take their digits from integer lookup tables
 wherever the digits are certainly Python's (``_numbers``), so every byte
 is the one ``write_csv`` would write.
 
@@ -38,7 +40,6 @@ import csv
 import functools
 import hashlib
 import io
-import locale
 import math
 import operator
 import os
@@ -393,16 +394,16 @@ def _parse_bool(s: str) -> bool:
 
 
 _BLOCK_BYTES = 1 << 15
-#: what ``open`` decodes a text file with, and so what ``write_csv`` writes
-_ENCODING = locale.getpreferredencoding(False)
+#: the text encoding of every CSV file read or written
+_ENCODING = "utf-8"
 
 
 def _plain_columns(block: bytes, width: int) -> Optional[list[list[str]]]:
     """The columns of a block of whole lines if it is plain: at least two
     columns, no double quote, every line ending in LF or every line in CRLF,
-    width - 1 commas on each line (so none is blank) and no more bytes than
-    the csv module's field limit, in the file's text encoding.  None for any
-    other block: csv.reader reads it."""
+    width - 1 commas on each line (so none is blank), no more bytes than
+    the csv module's field limit, and valid UTF-8.  None for any other
+    block: csv.reader reads it."""
     if not block.endswith(b"\n"):
         block += b"\n"  # a file's last line, without its line end
     if width < 2 or b'"' in block or len(block) > csv.field_size_limit():
@@ -577,7 +578,7 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """The one CSV row writer: the header, then the rows, through
     ``csv.writer`` in the csv module's default dialect (CRLF line ends, a
     field quoted only when it holds a comma, a double quote or a line
-    break), to a text file in ``_ENCODING``."""
+    break), to a UTF-8 text file."""
     with open(path, "w", encoding=_ENCODING, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -608,18 +609,6 @@ class _Ids:
             plain, data = False, []
         self.plain = plain and not any(d.endswith(b"\0") for d in data)
         self.text = np.array(data, dtype=np.bytes_)
-
-
-def _numpy_writes(ids: Sequence[_Ids]) -> bool:
-    """Whether a table whose id tuples are ``ids`` is written a column at a
-    time in numpy (``_write_table``): every id tuple is plain and the text
-    encoding writes ASCII as itself."""
-    every_ascii = "".join(map(chr, range(128)))
-    try:
-        as_bytes = every_ascii.encode(_ENCODING) == every_ascii.encode("ascii")
-    except UnicodeEncodeError:
-        as_bytes = False
-    return as_bytes and all(i.plain for i in ids)
 
 
 @functools.cache
@@ -718,9 +707,9 @@ def _write_table(path, header: Sequence, n: int, fields: Callable[[slice], list[
     a chunk of rows at a time, ``fields(part)`` giving a slice of rows'
     field texts by column (``_Ids.text``, ``_numbers``), a row's line the
     concatenation of its field texts and the lines joined with CRLF.  Only
-    for a table that ``_numpy_writes``, so every byte is the one
-    ``write_csv`` would write.  Returns the sha256 (hex) of the bytes
-    written."""
+    for a table whose id tuples are all plain (``_Ids``), so every byte is
+    the one ``write_csv`` would write.  Returns the sha256 (hex) of the
+    bytes written."""
     sha256 = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data: bytes) -> None:
@@ -747,7 +736,7 @@ def _picker(header: list[str], columns: Sequence[str]) -> Callable[[list], tuple
 
 
 #: the first line of a table cache's meta record: its format and version
-_CACHE_FORMAT = "rtdcorr table cache 1"
+_CACHE_FORMAT = "rtdcorr table cache 2"
 #: each cached table's array fields in order, as (length, codes): the index
 #: of the id tuple whose length the array has (None: one entry per row) and
 #: of the id tuple its codes index (None: float values); the id tuples are
@@ -837,9 +826,10 @@ def _write_cache(path, digest: str, table, longest: int) -> None:
     whose bytes hash to ``digest`` and whose lines are ``longest`` bytes at
     most: ``table``, which must be the table its reader parses from those
     bytes.  It is a sequence of ``.npy`` records in one file: a meta record
-    (format, table kind, text encoding, row count, line bound and digest, a
-    line each), each id tuple's ids a line each in UTF-8, then the arrays.  It is written to a temporary file in the same directory and
-    moved into place; an OSError drops it, and the CSV stands."""
+    (format, table kind, row count, line bound and digest, a line each),
+    each id tuple's ids a line each in UTF-8, then the arrays.  It is
+    written to a temporary file in the same directory and moved into place;
+    an OSError drops it, and the CSV stands."""
     cache, tmp = _cache_path(path), None
     ids, arrays = _split_fields(table)
     try:
@@ -850,10 +840,10 @@ def _write_cache(path, digest: str, table, longest: int) -> None:
                                    dir=os.path.dirname(cache) or os.curdir)
         os.chmod(tmp, stat.S_IMODE(mode))
         with open(fd, "wb") as fh:
-            meta = (_CACHE_FORMAT, type(table).__name__, _ENCODING, len(table), longest, digest)
+            meta = (_CACHE_FORMAT, type(table).__name__, len(table), longest, digest)
             _save(fh, np.frombuffer("\n".join(map(str, meta)).encode(), dtype=np.uint8))
             for t in ids:  # no cached id is blank or holds a line break
-                _save(fh, np.frombuffer("\n".join(t).encode("utf-8", "surrogatepass"), dtype=np.uint8))
+                _save(fh, np.frombuffer("\n".join(t).encode(), dtype=np.uint8))
             for a in arrays:
                 _save(fh, a)
         os.replace(tmp, cache)
@@ -875,23 +865,22 @@ def _read_cache(path, cls):
     """The ``cls`` table cached beside the CSV at ``path`` by
     ``_write_cache``, or None.  It is None unless the CSV is a regular file
     (so a pipe is never read twice) whose bytes hash to the cache's digest,
-    and the cache is of this format and table kind, was written in this
-    reader's text encoding, has no line too long for the plain-block path
+    and the cache is of this format (a cache of an older one is refused)
+    and table kind, has no line too long for the plain-block path
     (``_read_csv``) and passes ``_arrays_fit``; any error in reading it makes
     it None too."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
         with open(_cache_path(path), "rb") as fh:
-            form, kind, encoding, n, longest, digest = (
-                _load(fh, np.uint8).tobytes().decode().split("\n"))
-            if ((form, kind, encoding) != (_CACHE_FORMAT, cls.__name__, _ENCODING)
+            form, kind, n, longest, digest = _load(fh, np.uint8).tobytes().decode().split("\n")
+            if ((form, kind) != (_CACHE_FORMAT, cls.__name__)
                     or int(longest) > csv.field_size_limit() - _BLOCK_BYTES
                     or digest != _file_sha256(path)):
                 return None
             ids = []
             for _ in range(len(cls.__dataclass_fields__) - len(_CACHE_LAYOUT[cls])):
-                text = _load(fh, np.uint8).tobytes().decode("utf-8", "surrogatepass")
+                text = _load(fh, np.uint8).tobytes().decode()
                 ids.append(tuple(text.split("\n")) if text else ())
             arrays = [_load(fh, float if into is None else np.intp)
                       for _, into in _CACHE_LAYOUT[cls]]
@@ -924,15 +913,15 @@ def read_rtt_csv(path, registry: Optional[Registry] = None) -> RttTable:
 def write_rtt_csv(table: RttTable, path) -> None:
     """RTTs at 6 decimals; one that would print as zero (coincident hosts)
     is written with repr, so reading it back gives a delay > 0.  A table
-    that ``_numpy_writes`` is written a column at a time in numpy, and the
-    table as its reader parses the file is cached beside it
-    (``_write_cache``) when it is ``_canonical`` and every rtt read back is
-    finite and > 0; any other table goes as rows of str through
+    whose id tuples are all plain (``_Ids``) is written a column at a time
+    in numpy, and the table as its reader parses the file is cached beside
+    it (``_write_cache``) when it is ``_canonical`` and every rtt read back
+    is finite and > 0; any other table goes as rows of str through
     ``write_csv``, and gets no cache."""
     columns = ((table.probe_ids, table.probe), (table.landmark_ids, table.landmark),
                (table.stamps, table.stamp))
     ids = [_Ids(t, b"," if k else b"") for k, (t, _) in enumerate(columns)]
-    if not _numpy_writes(ids):
+    if not all(i.plain for i in ids):
         write_csv(path, RTT_COLUMNS, _str_rows(len(table), lambda part: [
             *(map(t.__getitem__, codes[part].tolist()) for t, codes in columns),
             map(_FORMATS["rtt"], table.rtt_ms[part].tolist())]))
@@ -966,12 +955,12 @@ def read_samples_csv(path) -> SampleTable:
 
 def write_samples_csv(samples: SampleTable, path) -> None:
     """Delays with repr, which round-trips bit-exactly, and distances at 6
-    decimals.  A table that ``_numpy_writes`` is written a column at a time
-    in numpy, and the table as its reader parses the file is cached beside
-    it (``_write_cache``) when it is ``_canonical``, every delay is finite
-    and > 0, every distance read back finite and >= 0, and no pair has two
-    rows; any other table goes as rows of str through ``write_csv``, and
-    gets no cache."""
+    decimals.  A table whose id tuples are all plain (``_Ids``) is written a
+    column at a time in numpy, and the table as its reader parses the file
+    is cached beside it (``_write_cache``) when it is ``_canonical``, every
+    delay is finite and > 0, every distance read back finite and >= 0, and
+    no pair has two rows; any other table goes as rows of str through
+    ``write_csv``, and gets no cache."""
     s = samples
     id_tuples = (s.probe_ids, s.landmark_ids, s.isps, s.cities)
     ids = [_Ids(t, b"," if k else b"") for k, t in enumerate(id_tuples)]
@@ -983,7 +972,7 @@ def write_samples_csv(samples: SampleTable, path) -> None:
         return [(0, p), (1, lm), (2, s.probe_isp[p]), (2, s.landmark_isp[lm]),
                 (3, s.probe_city[p]), (3, s.landmark_city[lm])]
 
-    if not _numpy_writes(ids):
+    if not all(i.plain for i in ids):
         def strs(part: slice) -> list[Iterable]:
             p, lm, *tags = (map(id_tuples[k].__getitem__, c.tolist()) for k, c in id_columns(part))
             return [p, lm, map(_FORMATS["repr"], s.delay_ms[part].tolist()),

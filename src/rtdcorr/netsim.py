@@ -34,8 +34,6 @@ import hashlib
 import itertools
 import json
 import math
-import re
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
@@ -660,10 +658,16 @@ def sample_independent(
 
 
 def _require_str(value, key: str) -> str:
-    """A config document's string; a number, a bool, null or a collection
-    is a ValidationError naming the key."""
+    """A config document's string, which UTF-8 encodes, as every file it
+    may be written to is UTF-8; a number, a bool, null, a collection or a
+    string with a lone surrogate is a ValidationError naming the key."""
     if not isinstance(value, str):
         raise ValidationError(f"{key} must be a string, got {value!r}")
+    if not value.isascii():  # O(1): only a non-ASCII string can hold a surrogate
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{key} must be a string UTF-8 can encode, got {value!r}") from None
     return value
 
 
@@ -726,59 +730,31 @@ def _fields(mapping, where: str, required: Mapping, optional: Mapping) -> dict:
             for key, value in mapping.items()}
 
 
-#: the safe loader on libyaml's parser when pyyaml was built with it
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+if yaml.__with_libyaml__:
+    class _YamlLoader(yaml.composer.Composer, yaml.CSafeLoader):
+        """libyaml's safe loader with pyyaml's composer first in the MRO.
+        libyaml's parser keeps its stacks on the heap, but its composer
+        nests in C and crashes the interpreter on deep enough nesting;
+        pyyaml's builds the nodes in Python and raises RecursionError."""
 
-
-def _flow_depth(text: str) -> int:
-    """A bound on a text's YAML flow nesting: the count of ``[`` and ``{``
-    when it is below the recursion limit, and otherwise the deepest running
-    count of ``[`` and ``{`` less ``]`` and ``}``."""
-    count = text.count("[") + text.count("{")
-    if count < sys.getrecursionlimit():
-        return count
-    steps = map({"[": 1, "{": 1, "]": -1, "}": -1}.get, text, itertools.repeat(0))
-    return max(itertools.accumulate(steps))
-
-
-#: a block indicator that may open a collection: ``-``, ``?`` or ``:``
-#: before a blank or the line's end
-_BLOCK_INDICATOR = re.compile(r"[-?:](?=[ \t]|$)")
-
-
-def _may_nest_too_deep(text: str) -> bool:
-    """Whether a YAML text may nest as deep as the recursion limit.  Its
-    depth is at most its flow depth (``_flow_depth``) and, on its deepest
-    line, the block collections open around the line, a mapping and a
-    sequence at most per column up to its indentation, and one more per
-    block indicator on the line (compact nesting such as ``- - - x``).  A
-    line of n characters adds at most 3n + 3, so only the lines long enough
-    to reach the limit are scanned."""
-    limit = sys.getrecursionlimit() - _flow_depth(text)
-    return any(2 * (len(line) - len(line.lstrip(" ")) + 1) + len(_BLOCK_INDICATOR.findall(line)) >= limit
-               for line in text.splitlines() if 3 * len(line) + 3 >= limit)
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+else:  # pyyaml built without libyaml
+    _YamlLoader = yaml.SafeLoader
 
 
 def load_document(path, parse):
-    """``parse(doc)`` of the document in a file: JSON, read by ``json.load``,
-    when the path ends in ``.json``, and otherwise YAML, read by the safe
-    loader.  libyaml's loader composes nested nodes recursively in C and
-    crashes the interpreter on deep enough nesting, so YAML that may nest
-    as deep as the recursion limit (``_may_nest_too_deep``: flow or block
-    nesting) goes to the pure-Python loader, which raises RecursionError.
-    Malformed JSON or YAML, a byte that is not UTF-8, a document nested
-    past the interpreter's recursion limit, a scalar the loader cannot
-    construct (such as a bad date) and a ValueError from ``parse`` (a
-    ValidationError included) are a ValidationError naming the file."""
-    is_json = Path(path).suffix == ".json"
+    """``parse(doc)`` of the document in a UTF-8 file: JSON, read by
+    ``json.load``, when the path ends in ``.json``, and otherwise YAML, read
+    by ``_YamlLoader``.  Malformed JSON or YAML, a byte that is not UTF-8, a
+    document nested past the interpreter's recursion limit, a scalar the
+    loader cannot construct (such as a bad date) and a ValueError from
+    ``parse`` (a ValidationError included) are a ValidationError naming the
+    file."""
     try:
-        with open(path) as fh:
-            if is_json:
-                doc = json.load(fh)
-            else:
-                deep = _may_nest_too_deep(fh.read())
-                fh.seek(0)
-                doc = yaml.load(fh, Loader=yaml.SafeLoader if deep else _YAML_LOADER)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh) if Path(path).suffix == ".json" else yaml.load(fh, Loader=_YamlLoader)
         return parse(doc)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc

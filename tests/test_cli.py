@@ -12,6 +12,7 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -1333,13 +1334,16 @@ MINI_JSON = json.dumps(yaml.safe_load(MINI_YAML))
     pytest.param(b"[" * 100000 + b"]" * 100000,
                  "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
                  id="deep"),
+    # this once wrote part of hosts.csv, then raised UnicodeEncodeError with a traceback
+    pytest.param(MINI_JSON.replace('"id": "p1"', '"id": "Z\\ud800rich"').encode(),
+                 "id must be a string UTF-8 can encode, got 'Z\\ud800rich'", id="lone-surrogate"),
 ])
 def test_edge_json_config_exits_1(tmp_path, capsys, data, message):
     """A .json config is read as JSON: malformed text, a byte that is not
     UTF-8, a non-finite float (json reads NaN, Infinity and 1e400), a
-    document that is not a mapping, an unknown key and nesting past the
-    recursion limit stop the run with a message naming the file, before any
-    output is written."""
+    document that is not a mapping, an unknown key, nesting past the
+    recursion limit and a lone surrogate, which UTF-8 cannot encode, stop
+    the run with a message naming the file, before any output is written."""
     path = tmp_path / "cfg.json"
     path.write_bytes(data)
     out = tmp_path / "o"
@@ -1348,21 +1352,26 @@ def test_edge_json_config_exits_1(tmp_path, capsys, data, message):
     assert not out.exists()
 
 
-def simulate_in_subprocess(config: Path, out: Path) -> subprocess.CompletedProcess:
-    """``rtdcorr simulate`` on a config in a child process, so a crash
-    fails the calling test rather than the test run."""
+def cli_in_subprocess(*argv, env: Optional[dict] = None) -> subprocess.CompletedProcess:
+    """``rtdcorr`` in a child process, with ``env`` over this process's
+    environment, so a crash fails the calling test rather than the test run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "rtdcorr.cli", "simulate", "--config", str(config), "--out-dir", str(out)],
-        capture_output=True, text=True, env=env, timeout=300)
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "rtdcorr.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def simulate_in_subprocess(config: Path, out: Path) -> subprocess.CompletedProcess:
+    """``rtdcorr simulate`` on a config in a child process (``cli_in_subprocess``)."""
+    return cli_in_subprocess("simulate", "--config", config, "--out-dir", out)
 
 
 def test_deeply_nested_yaml_config_exits_1(tmp_path):
     """A .yaml config of 100,000 nested flow sequences, which crashed the
-    interpreter in libyaml's loader, goes to the pure-Python loader: the run
-    exits 1 naming the file and writes nothing.  It runs in a subprocess,
-    so a crash fails this test rather than the test run."""
+    interpreter in libyaml's loader, is composed by pyyaml's composer: the
+    run exits 1 naming the file and writes nothing.  It runs in a
+    subprocess, so a crash fails this test rather than the test run."""
     path = tmp_path / "cfg.yaml"
     path.write_text("[" * 100_000 + "]" * 100_000)
     out = tmp_path / "o"
@@ -1376,11 +1385,13 @@ def test_deeply_nested_yaml_config_exits_1(tmp_path):
     pytest.param("- " * 100_000 + "x", id="sequences"),
     pytest.param("? " * 100_000 + "x", id="complex-keys"),
     pytest.param("- ? " * 50_000 + "x: y", id="mixed"),
+    pytest.param("{a: " * 50_000, id="flow-mappings"),
 ])
 def test_deep_block_nesting_on_one_line_exits_1(tmp_path, text):
-    """Compact block nesting, 100,000 collections opened on one line, also
-    crashed libyaml's loader: it goes to the pure-Python loader too, and the
-    run exits 1 naming the file and writes nothing."""
+    """Compact block nesting, 100,000 collections opened on one line, and
+    50,000 flow mappings also crashed libyaml's loader, whose composer nests
+    in C; pyyaml's composer raises RecursionError, and the run exits 1
+    naming the file and writes nothing."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     out = tmp_path / "o"
@@ -1388,6 +1399,61 @@ def test_deep_block_nesting_on_one_line_exits_1(tmp_path, text):
     assert done.returncode == 1, done.stderr[-500:]
     assert done.stderr.startswith(f"error: {path}: ")
     assert not out.exists()
+
+
+def test_yaml_lone_surrogate_exits_1(tmp_path, capsys):
+    """A YAML id escaping a lone surrogate, which no UTF-8 file can hold,
+    stops the run naming the file before any output is written: libyaml
+    refuses the escape, and pyyaml's own scanner leaves it to
+    ``_require_str`` (the JSON case is in test_edge_json_config_exits_1)."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINI_YAML.replace("{id: p1,", '{id: "Z\\ud800rich",'), encoding="utf-8")
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "simulate", "--config", str(path), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+#: the mini config with a city and an ISP named in Chinese
+CJK_YAML = (MINI_YAML.replace("{id: a,", "{id: 北京,").replace("city: a,", "city: 北京,")
+            .replace("[a]", "[北京]").replace("{id: x,", "{id: 电信,").replace("isp: x}", "isp: 电信}"))
+#: a locale whose preferred encoding is ASCII, not UTF-8
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def pipeline_in_subprocess(config: Path, out: Path, env: Optional[dict] = None) -> dict[str, bytes]:
+    """The bytes of each file that simulate, ingest, corr (by ISP and by
+    probe) and discover write into ``out`` from a config, each command run
+    in a child process under ``env``; every command must exit 0."""
+    samples = out / "samples.csv"
+    for argv in (("simulate", "--config", config, "--out-dir", out),
+                 ("ingest", "--hosts", out / "hosts.csv", "--rtt", out / "rtt.csv", "--out", samples),
+                 ("corr", "--samples", samples, "--out", out / "matrix.csv", "--by", "isp"),
+                 ("corr", "--samples", samples, "--out", out / "reports.csv", "--by", "probe"),
+                 ("discover", "--samples", samples, "--out", out / "rich.csv")):
+        done = cli_in_subprocess(*argv, env=env)
+        assert done.returncode == 0, (argv[0], done.stderr[-500:])
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_pipeline_writes_the_same_utf_8_bytes_in_any_locale(tmp_path):
+    """Under the C locale, whose preferred encoding is ASCII, a UTF-8 .json
+    config and the same config as .yaml, with a city and an ISP named in
+    Chinese, run through the pipeline and write the very bytes they write
+    under this process's locale: every file is read and written as UTF-8."""
+    check = subprocess.run([sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+                           capture_output=True, text=True, env={**os.environ, **C_LOCALE})
+    assert check.stdout.strip().lower().replace("-", "") != "utf8"
+    doc = yaml.safe_load(CJK_YAML)
+    configs = {"cfg.json": json.dumps(doc, ensure_ascii=False), "cfg.yaml": CJK_YAML}
+    for name, text in configs.items():
+        (tmp_path / name).write_bytes(text.encode())
+    want = pipeline_in_subprocess(tmp_path / "cfg.json", tmp_path / "here")
+    assert "北京".encode() in want["hosts.csv"] and "电信".encode() in want["matrix.csv"]
+    assert {"rtt.csv.cache", "samples.csv.cache"} <= set(want)
+    for name in configs:
+        assert pipeline_in_subprocess(tmp_path / name, tmp_path / f"c-{name}", C_LOCALE) == want, name
 
 
 def test_not_found_error_prints_its_message_unquoted(capsys, sim_dir, tmp_path):

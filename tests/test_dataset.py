@@ -518,17 +518,12 @@ def test_raw_campaign_delays_take_repr_and_match_the_oracle(tmp_path, cn_campaig
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
-def write_outcome(write, table, path):
-    """(the exception's type and text, or None, and the bytes written) of
-    write(table, path)."""
+def written(write, table, path) -> bytes:
+    """The bytes write(table, path) writes, over no earlier file or cache."""
     path.unlink(missing_ok=True)
     drop_cache(path)
-    try:
-        write(table, path)
-        error = None
-    except (UnicodeError, csv.Error) as exc:
-        error = (type(exc), str(exc))
-    return error, path.read_bytes()
+    write(table, path)
+    return path.read_bytes()
 
 
 #: ids that a row written as bytes could get wrong: with a NUL inside or at
@@ -536,16 +531,15 @@ def write_outcome(write, table, path):
 ODD_IDS = ["n\x00l", "x\x00", "é", "日本", "", "a,b", 'q"x', "r\r\nn"]
 
 
-@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16"])
+@pytest.mark.parametrize("encoding", ["utf-8"])
 @pytest.mark.parametrize("odd", ODD_IDS)
-def test_table_writers_equal_the_oracle_on_odd_ids(tmp_path, monkeypatch, encoding, odd):
+def test_table_writers_equal_the_oracle_on_odd_ids(tmp_path, encoding, odd):
     """With one odd id, on one row of the middle of three chunks (as a
     probe, and as the tag of that probe alone), each table writer writes
-    the whole-column oracle's bytes, or raises its error after the same
-    bytes, in UTF-8, in Latin-1 and in UTF-16, which does not write ASCII
-    as itself.  Where the file reads back in its encoding, a cache is
+    the whole-column oracle's bytes, in ``encoding``, the one encoding of
+    every CSV file, with the odd id as csv.reader reads it back; a cache is
     written exactly when the table qualifies (``check_cache``)."""
-    monkeypatch.setattr(dataset, "_ENCODING", encoding)
+    assert dataset._ENCODING == encoding
     n, at = 2 * CHUNK + 1, CHUNK + 7
     # 41 x 50 pairs: every probe, landmark and tag is used, as a cache needs
     probe_ids = tuple(sorted({f"p{i:02d}" for i in range(41)} | {odd}))
@@ -574,30 +568,30 @@ def test_table_writers_equal_the_oracle_on_odd_ids(tmp_path, monkeypatch, encodi
     }
     oracles = {"rtt": whole_column_write_rtt_csv, "samples": whole_column_write_samples_csv}
     for kind, table in tables.items():
-        got = write_outcome(CACHED[kind][0], table, tmp_path / "chunked.csv")
-        assert got == write_outcome(oracles[kind], table, tmp_path / "whole.csv"), kind
-        if got[0] is None and encoding != "utf-16":
-            check_cache(kind, table, tmp_path / "chunked.csv")
+        got = written(CACHED[kind][0], table, tmp_path / "chunked.csv")
+        assert got == written(oracles[kind], table, tmp_path / "whole.csv"), kind
+        rows = csv.reader(io.StringIO(got.decode(encoding), newline=""))
+        assert any(odd in row for row in rows), kind
+        check_cache(kind, table, tmp_path / "chunked.csv")
 
 
-def test_write_csv_is_csv_writer_in_latin_1(tmp_path, monkeypatch):
-    """With ``_ENCODING`` Latin-1, write_csv writes the bytes of csv.writer
-    over a Latin-1 text stream, for fields with é, commas and double
-    quotes; a field Latin-1 cannot encode raises UnicodeEncodeError."""
-    monkeypatch.setattr(dataset, "_ENCODING", "latin-1")
+def test_write_csv_is_csv_writer_in_utf_8(tmp_path):
+    """write_csv writes the bytes of csv.writer over a UTF-8 text stream,
+    for fields with é, 日本, commas and double quotes; a lone surrogate,
+    which UTF-8 cannot encode, raises UnicodeEncodeError."""
     header = ("id", "café")
-    rows = [("é", "a,b"), ('q"é', "x"), ("", 'é,"'), ("",), ("a\r\nb", None)]
-    stream = io.TextIOWrapper(io.BytesIO(), "latin-1", newline="")
+    rows = [("é", "a,b"), ('q"é', "日本"), ("", 'é,"'), ("",), ("a\r\nb", None), ("日本,x", '"')]
+    stream = io.TextIOWrapper(io.BytesIO(), "utf-8", newline="")
     w = csv.writer(stream)
     w.writerow(header)
     w.writerows(rows)
     stream.flush()
     want = stream.buffer.getvalue()
-    assert "é".encode("latin-1") in want and "é".encode() not in want
-    dataset.write_csv(tmp_path / "latin.csv", header, rows)
-    assert (tmp_path / "latin.csv").read_bytes() == want
+    assert "é".encode() in want and "日本".encode() in want
+    dataset.write_csv(tmp_path / "utf8.csv", header, rows)
+    assert (tmp_path / "utf8.csv").read_bytes() == want
     with pytest.raises(UnicodeEncodeError):
-        dataset.write_csv(tmp_path / "cjk.csv", header, [("日本", "x")])
+        dataset.write_csv(tmp_path / "surrogate.csv", header, [("Z\ud800", "x")])
 
 
 def test_join_memory_is_bounded_by_the_kernel_pass(cn_campaign):
@@ -940,34 +934,6 @@ def test_cached_read_equals_the_parse(tmp_path_factory, data, kind):
         check_cache(kind, parsed, path)
 
 
-@pytest.mark.parametrize("kind", sorted(CACHED))
-def test_no_cache_in_an_encoding_that_does_not_write_ascii_as_itself(tmp_path, monkeypatch, kind):
-    """In UTF-16, which does not write ASCII as itself, a one-row table is
-    written through ``write_csv`` and gets no cache, so its reader gives
-    what the parse of the file gives (a ValidationError: the binary line
-    reader splits UTF-16's two-byte LF)."""
-    monkeypatch.setattr(dataset, "_ENCODING", "utf-16")
-    one = np.zeros(1, dtype=np.intp)
-    table = {
-        "rtt": dataset.RttTable(("p",), ("l",), ("2017-01-01T00:00:00Z",), one, one, one,
-                                np.array([5.0])),
-        "samples": dataset.SampleTable(("p",), ("l",), ("A",), ("c",), one, one,
-                                       np.array([5.0]), np.array([10.0]), one, one, one, one),
-    }[kind]
-    write, read, _ = CACHED[kind]
-    path = tmp_path / f"{kind}.csv"
-    write(table, path)
-    assert not cache_of(path).exists()
-    got = read_outcome(read, path)
-    drop_cache(path)
-    want = read_outcome(read, path)
-    assert got[0] == want[0]
-    if got[0] == "error":
-        assert got == want
-    else:
-        assert_same_table(got[1], want[1])
-
-
 @pytest.fixture()
 def cn_files(tmp_path, cn_config, cn_campaign):
     """The cn-like seed-42 rtt.csv and samples.csv, each with its cache."""
@@ -1026,6 +992,28 @@ def test_stale_or_broken_caches_fall_back_to_the_parse(cn_files):
     for path, read in ((rtt, dataset.read_rtt_csv), (samples, dataset.read_samples_csv)):
         with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: expected header"):
             read(path)
+
+
+def test_a_cache_of_the_first_format_is_refused(tmp_path):
+    """A cache of format 1, whose meta record also named the text encoding,
+    is refused beside the very CSV it hashes: the reader parses the CSV."""
+    one = np.zeros(1, dtype=np.intp)
+    path = tmp_path / "rtt.csv"
+    dataset.write_rtt_csv(dataset.RttTable(("北京",), ("l",), ("2017-01-01T00:00:00Z",), one, one, one,
+                                           np.array([5.0])), path)
+    good = cache_of(path).read_bytes()
+    fh = io.BytesIO(good)
+    form, kind, *rest = np.lib.format.read_array(fh).tobytes().decode().split("\n")
+    assert form == dataset._CACHE_FORMAT == "rtdcorr table cache 2"
+    old = io.BytesIO()
+    np.lib.format.write_array(old, np.frombuffer(
+        "\n".join(["rtdcorr table cache 1", kind, "utf-8", *rest]).encode(), dtype=np.uint8))
+    for cache, parses in ((good, 0), (old.getvalue() + good[fh.tell():], 1)):
+        cache_of(path).write_bytes(cache)
+        with mock.patch.object(dataset, "_read_csv", wraps=dataset._read_csv) as parse:
+            got = dataset.read_rtt_csv(path)
+        assert parse.call_count == parses
+        assert got.probe_ids == ("北京",)
 
 
 def test_cached_rtt_checks_the_registry_as_the_parse(tmp_path):

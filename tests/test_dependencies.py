@@ -48,30 +48,62 @@ def test_one_module_imports_each_file_format(module, owner):
     assert importers == [owner]
 
 
-def csv_writer_uses(node: ast.AST, scope: str) -> list[str]:
+def attribute_uses(node: ast.AST, scope: str, module: str, attr: str) -> list[str]:
     """The scope (dotted names of the module and the enclosing definitions)
-    of each ``csv.writer`` named under an AST node."""
+    of each ``module.attr`` named under an AST node."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif (isinstance(child, ast.Attribute) and child.attr == "writer"
-              and isinstance(child.value, ast.Name) and child.value.id == "csv"):
+        elif (isinstance(child, ast.Attribute) and child.attr == attr
+              and isinstance(child.value, ast.Name) and child.value.id == module):
             found.append(scope)
-        found += csv_writer_uses(child, inner)
+        found += attribute_uses(child, inner, module, attr)
     return found
+
+
+def package_uses(module: str, attr: str) -> list[str]:
+    """``attribute_uses`` over every module of the package."""
+    return [
+        use
+        for path in sorted(PACKAGE.glob("*.py"))
+        for use in attribute_uses(ast.parse(path.read_text(), filename=str(path)), path.stem, module, attr)
+    ]
 
 
 def test_one_csv_row_writer():
     """The package names ``csv.writer`` once, in ``dataset.write_csv``, so
     every CSV row goes through that one writer."""
-    uses = [
-        use
-        for path in sorted(PACKAGE.glob("*.py"))
-        for use in csv_writer_uses(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    ]
-    assert uses == ["dataset.write_csv"]
+    assert package_uses("csv", "writer") == ["dataset.write_csv"]
+
+
+def text_opens_without_encoding(tree: ast.AST) -> list[int]:
+    """The line of each call of the builtin ``open`` under an AST node that
+    opens a text file (its mode is not a literal with ``b``) and names no
+    ``encoding``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and not any(k.arg == "encoding" for k in node.keywords):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_file_is_read_and_written_one_way():
+    """The locale decides nothing: no module imports ``locale``, and every
+    text-mode ``open`` names its encoding.  YAML is loaded in one place,
+    ``netsim.load_document``, with its one loader."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [p.name for p in sources if any(m == "locale" for _, m in absolute_imports(p))] == []
+    unnamed = [f"{p.name}:{line}" for p in sources
+               for line in text_opens_without_encoding(ast.parse(p.read_text(), filename=str(p)))]
+    assert unnamed == []
+    assert package_uses("yaml", "load") == ["netsim.load_document"]
 
 
 def test_every_bundled_file_is_package_data():

@@ -791,8 +791,8 @@ def test_resolve_bundled_config_by_name():
     assert len(topo.isps) == 3
 
 
-#: the YAML loaders a config can be read with: libyaml's and pyyaml's own
-YAML_LOADERS = [yaml.CSafeLoader, yaml.SafeLoader]
+#: the YAML loader a config is read with, and pyyaml's own, its reference
+YAML_LOADERS = [netsim._YamlLoader, yaml.SafeLoader]
 
 
 def typed(doc):
@@ -806,26 +806,52 @@ def typed(doc):
     return type(doc).__name__, repr(doc)
 
 
-def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
-    """cn-like written as block-style YAML reads as the same SimConfig with
-    libyaml's loader, with pyyaml's own, and from the bundled JSON."""
+def test_libyaml_and_python_loaders_agree(tmp_path):
+    """cn-like written as block-style YAML reads as the same document with
+    ``_YamlLoader`` (libyaml's parser under pyyaml's composer) as with
+    pyyaml's own loader, and as the same SimConfig as the bundled JSON."""
     path = netsim.bundled_config_path("cn-like")
     text = yaml.safe_dump(json.loads(path.read_text()), sort_keys=False)
-    whole = typed(yaml.load(text, Loader=yaml.CSafeLoader))
-    assert typed(yaml.load(text, Loader=yaml.SafeLoader)) == whole
+    assert typed(yaml.load(text, Loader=netsim._YamlLoader)) == typed(yaml.load(text, Loader=yaml.SafeLoader))
     config = tmp_path / "cn-like.yaml"
     config.write_text(text)
-    want = netsim.load_config(path)
-    for loader in YAML_LOADERS:
-        monkeypatch.setattr(netsim, "_YAML_LOADER", loader)
-        assert netsim.load_config(config) == want
+    assert netsim.load_config(config) == netsim.load_config(path)
+
+
+def test_yaml_loader_composes_in_python():
+    """Every method of pyyaml's composer is ``_YamlLoader``'s, so libyaml's
+    composer, which nests in C, cannot come back through the MRO."""
+    composer = {name: f for name, f in vars(yaml.composer.Composer).items()
+                if callable(f) and not name.startswith("__")}
+    assert netsim._YamlLoader.compose_node is yaml.composer.Composer.compose_node
+    assert {name: getattr(netsim._YamlLoader, name) for name in composer} == composer
+
+
+#: JSON-like documents: nulls, bools, ints, floats and strings (no lone
+#: surrogate, which no YAML file can carry) in nested lists and mappings
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(blacklist_categories=("Cs",))),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_LIKE, flow=st.booleans())
+def test_yaml_loader_reads_what_the_python_loader_reads(doc, flow):
+    """A nested document dumped in block or flow style reads as the same
+    document, in types and key order, with ``_YamlLoader`` as with pyyaml's
+    own loader, its reference."""
+    text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=True, sort_keys=False)
+    want = typed(yaml.load(text, Loader=yaml.SafeLoader))
+    assert typed(yaml.load(text, Loader=netsim._YamlLoader)) == want
 
 
 @pytest.mark.parametrize("towns", [False, True])
 def test_generated_configs_are_the_document_yaml_reads(towns):
     """The bundled cn-like config and the generator's cn-towns variant are
-    JSON texts that a YAML loader, libyaml's or pyyaml's own, reads as the
-    same document, in types and key order, as json.loads."""
+    JSON texts that a YAML loader, ``_YamlLoader`` or pyyaml's own, reads as
+    the same document, in types and key order, as json.loads."""
     text = load_script("gen_cn_like_config").render(towns=towns)
     doc = typed(json.loads(text))
     for loader in YAML_LOADERS:
