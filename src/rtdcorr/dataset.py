@@ -827,9 +827,13 @@ def _write_cache(path, digest: str, table, longest: int) -> None:
     most: ``table``, which must be the table its reader parses from those
     bytes.  It is a sequence of ``.npy`` records in one file: a meta record
     (format, table kind, row count, line bound and digest, a line each),
-    each id tuple's ids a line each in UTF-8, then the arrays.  It is
-    written to a temporary file in the same directory and moved into place;
-    an OSError drops it, and the CSV stands."""
+    each id tuple's ids a line each in UTF-8, then the arrays.  A CSV whose
+    lines may be too long for the plain-block path gets no cache, as
+    ``_read_cache`` would refuse it.  It is written to a temporary file in
+    the same directory and moved into place; an OSError drops it, and the
+    CSV stands."""
+    if longest > csv.field_size_limit() - _BLOCK_BYTES:
+        return
     cache, tmp = _cache_path(path), None
     ids, arrays = _split_fields(table)
     try:
